@@ -1,10 +1,10 @@
-"""Hot numeric kernels with numba-jitted and pure-numpy implementations.
+"""Hot numeric kernels.
 
-Every kernel exists twice: a loop implementation compiled with ``numba.njit``
+The likelihood folds are vectorized numpy.  The eigenvalue, deflation and
+triple scans exist twice: a loop implementation compiled with ``numba.njit``
 and a vectorized numpy fallback.  The active path is chosen once at import
 time: numba is used when it imports cleanly and the environment variable
 ``SALIENTPREF_NO_NUMBA`` is unset (any of ``1/true/yes`` disables it).
-``benchmarks/bench_kernels.py`` times both paths side by side.
 
 The two paths agree to floating-point roundoff (different summation orders),
 never bit-for-bit; callers that promise byte-stable output get it because the
@@ -54,91 +54,30 @@ def logistic_curvature(u):
 
 
 # ---------------------------------------------------------------------------
-# negative log-likelihood fold: value / gradient / Hessian
+# negative log-likelihood fold over distinct pairs: value / gradient / Hessian
+#
+# Row p of X is a pair's masked difference; the pair was compared total[p]
+# times and its first item won wins[p] of them (the binomial form of the
+# logistic loss).  These folds are numpy only.
 # ---------------------------------------------------------------------------
 
 
-def _nll_value_np(X, y, w, mu):
+def nll_value(X, total, wins, w, mu):
     u = X @ w
     with np.errstate(invalid="ignore", over="ignore"):
         # non-finite values propagate; the caller checks and reports them
-        return float(np.logaddexp(0.0, u).sum() - y @ u + mu * (w @ w))
+        return float(total @ np.logaddexp(0.0, u) - wins @ u + mu * (w @ w))
 
 
-def _nll_value_loop(X, y, w, mu):
-    m, d = X.shape
-    acc = 0.0
-    for l in range(m):
-        u = 0.0
-        for k in range(d):
-            u += X[l, k] * w[k]
-        if u > 0.0:
-            acc += u + np.log1p(np.exp(-u)) - y[l] * u
-        else:
-            acc += np.log1p(np.exp(u)) - y[l] * u
-    r = 0.0
-    for k in range(d):
-        r += w[k] * w[k]
-    return acc + mu * r
+def nll_grad(X, total, wins, w, mu):
+    return X.T @ (total * sigmoid(X @ w) - wins) + 2.0 * mu * w
 
 
-def _nll_grad_np(X, y, w, mu):
-    u = X @ w
-    e = np.exp(-np.abs(u))
-    s = np.where(u >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return X.T @ (s - y) + 2.0 * mu * w
-
-
-def _nll_grad_loop(X, y, w, mu):
-    m, d = X.shape
-    g = np.zeros(d)
-    for l in range(m):
-        u = 0.0
-        for k in range(d):
-            u += X[l, k] * w[k]
-        if u >= 0.0:
-            s = 1.0 / (1.0 + np.exp(-u))
-        else:
-            e = np.exp(u)
-            s = e / (1.0 + e)
-        c = s - y[l]
-        for k in range(d):
-            g[k] += c * X[l, k]
-    for k in range(d):
-        g[k] += 2.0 * mu * w[k]
-    return g
-
-
-def _nll_hess_np(X, y, w, mu):
-    u = X @ w
-    e = np.exp(-np.abs(u))
-    h = e / (1.0 + e) ** 2
+def nll_hess(X, total, wins, w, mu):
+    h = total * logistic_curvature(X @ w)
     H = (X * h[:, None]).T @ X
     H = 0.5 * (H + H.T)
     H[np.diag_indices_from(H)] += 2.0 * mu
-    return H
-
-
-def _nll_hess_loop(X, y, w, mu):
-    m, d = X.shape
-    H = np.zeros((d, d))
-    for l in range(m):
-        u = 0.0
-        for k in range(d):
-            u += X[l, k] * w[k]
-        e = np.exp(-abs(u))
-        h = e / ((1.0 + e) * (1.0 + e))
-        for a in range(d):
-            xa = X[l, a]
-            if xa == 0.0:
-                continue
-            for b in range(a, d):
-                H[a, b] += h * xa * X[l, b]
-    for a in range(d):
-        for b in range(a + 1, d):
-            H[b, a] = H[a, b]
-    for a in range(d):
-        H[a, a] += 2.0 * mu
     return H
 
 
@@ -343,24 +282,15 @@ def _transitivity_scan_np(P, present):
 # ---------------------------------------------------------------------------
 
 if NUMBA_ENABLED:
-    _nll_value_jit = njit(cache=True)(_nll_value_loop)
-    _nll_grad_jit = njit(cache=True)(_nll_grad_loop)
-    _nll_hess_jit = njit(cache=True)(_nll_hess_loop)
     _jacobi_jit = njit(cache=True)(_jacobi_eigvals_loop)
     _jacobi_impl = _jacobi_jit
     _zeta_scan_jit = njit(cache=True)(_zeta_scan_loop)
     _pick_orientation = njit(cache=True)(_pick_orientation)
     _transitivity_scan_jit = njit(cache=True)(_transitivity_scan_loop)
 
-    nll_value = _nll_value_jit
-    nll_grad = _nll_grad_jit
-    nll_hess = _nll_hess_jit
     zeta_scan = _zeta_scan_jit
     transitivity_scan = _transitivity_scan_jit
 else:
-    nll_value = _nll_value_np
-    nll_grad = _nll_grad_np
-    nll_hess = _nll_hess_np
     zeta_scan = _zeta_scan_np
     transitivity_scan = _transitivity_scan_np
 
@@ -368,16 +298,10 @@ else:
 def implementations(name):
     """Available (label, callable) pairs for one kernel, for benchmarks/tests."""
     table = {
-        "nll_value": [("numpy", _nll_value_np)],
-        "nll_grad": [("numpy", _nll_grad_np)],
-        "nll_hess": [("numpy", _nll_hess_np)],
         "zeta_scan": [("numpy", _zeta_scan_np)],
         "transitivity_scan": [("numpy", _transitivity_scan_np)],
     }
     if NUMBA_ENABLED:
-        table["nll_value"].append(("numba", _nll_value_jit))
-        table["nll_grad"].append(("numba", _nll_grad_jit))
-        table["nll_hess"].append(("numba", _nll_hess_jit))
         table["zeta_scan"].append(("numba", _zeta_scan_jit))
         table["transitivity_scan"].append(("numba", _transitivity_scan_jit))
     return table[name]

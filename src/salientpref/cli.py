@@ -21,6 +21,7 @@ import datetime
 import hashlib
 import json
 import math
+import os
 import pathlib
 import sys
 
@@ -295,6 +296,8 @@ def cmd_sweep(args) -> int:
     d, n = int(spec["d"]), int(spec["n"])
     mu = float(spec.get("mu", 0.0))
     workers = int(spec.get("workers", 1))
+    if workers < 1:
+        raise PreconditionError(f"sweep spec workers must be >= 1, got {workers}")
     selections = [SelectionSpec.from_dict(s).to_json() for s in spec["selections"]]
     tasks = [
         (d, n, sel_json, int(m), int(seed), mu)
@@ -302,6 +305,7 @@ def cmd_sweep(args) -> int:
         for m in spec["m_grid"]
         for seed in spec["seeds"]
     ]
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_sweep_cell, tasks))

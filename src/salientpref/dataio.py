@@ -3,8 +3,8 @@
 Three CSV schemas, UTF-8 with ``.`` decimals and no locale handling:
 
 * features: header ``item_id,f1,...,fd``, one row per item;
-* comparisons: header ``winner_id,loser_id,count``, count >= 1 expands to
-  that many samples;
+* comparisons: header ``winner_id,loser_id,count``, count >= 1 adds that
+  many outcomes to the pair's counts;
 * rankings: header ``ranker_id,rank,item_id``, each ranker listing a strict
   gapless 1..k ranking of a subset of items.
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ParseError, PreconditionError, UnknownItemError
 from .features import FeatureMatrix
-from .model import ComparisonDataset, Provenance
+from .model import MAX_COUNT, ComparisonDataset, Provenance, sum_counts
 
 
 @dataclass(frozen=True)
@@ -126,14 +126,13 @@ def load_features(
 
 
 def save_comparisons(path: str, data: ComparisonDataset, fm: FeatureMatrix) -> None:
-    """Aggregate to canonical ``winner_id,loser_id,count`` rows, sorted."""
-    agg = data.aggregate()
-    rows = []
-    for (i, j), (wins_i, wins_j) in agg.items():
-        if wins_i:
-            rows.append((fm.item_ids[i], fm.item_ids[j], wins_i))
-        if wins_j:
-            rows.append((fm.item_ids[j], fm.item_ids[i], wins_j))
+    """Canonical ``winner_id,loser_id,count`` rows, one per pair and winner
+    with a nonzero count, sorted."""
+    ids = fm.item_ids
+    pairs = list(zip(data.pair_i.tolist(), data.pair_j.tolist()))
+    losses = (data.total - data.wins).tolist()
+    rows = [(ids[a], ids[b], c) for (a, b), c in zip(pairs, data.wins.tolist()) if c]
+    rows += [(ids[b], ids[a], c) for (a, b), c in zip(pairs, losses) if c]
     rows.sort()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -149,13 +148,19 @@ def load_comparisons(
 ) -> ComparisonDataset:
     """Read comparisons; drop pairs observed fewer than ``min_count`` times.
 
-    Rows expand by their count; orientation is canonicalized to (i < j, y).
-    The pair total for the filter sums both orientations.
+    Each row's count is added to its canonical pair (i < j): to the pair's
+    total, and to its wins when the winner is i.  The pair total for the
+    filter sums both orientations.  A row's count and each pair's total may
+    be at most 2**53, the largest count held exactly.
     """
     header, rows = _read_rows(path)
     if header != ["winner_id", "loser_id", "count"]:
         raise ParseError(str(path), 1, "expected header winner_id,loser_id,count")
-    records: list[tuple[int, int, int]] = []
+    n = fm.n
+    keys: list[int] = []
+    won: list[bool] = []
+    counts: list[int] = []
+    lines: list[int] = []
     for lineno, row in rows:
         if len(row) != 3:
             raise ParseError(str(path), lineno, f"expected 3 cells, got {len(row)}")
@@ -166,6 +171,8 @@ def load_comparisons(
             raise ParseError(str(path), lineno, f"bad count {count_text!r}") from None
         if count < 1:
             raise ParseError(str(path), lineno, f"count must be >= 1, got {count}")
+        if count > MAX_COUNT:
+            raise ParseError(str(path), lineno, f"count {count} exceeds 2**53")
         if winner == loser:
             raise ParseError(str(path), lineno, f"item {winner!r} compared with itself")
         try:
@@ -176,14 +183,21 @@ def load_comparisons(
             li = fm.index_of(loser)
         except KeyError:
             raise UnknownItemError(f"{path}:{lineno}: unknown item id {loser!r}") from None
-        a, b, y = (wi, li, 1) if wi < li else (li, wi, 0)
-        records.extend([(a, b, y)] * count)
-    if min_count > 0:
-        totals: dict[tuple[int, int], int] = {}
-        for a, b, _ in records:
-            totals[(a, b)] = totals.get((a, b), 0) + 1
-        records = [r for r in records if totals[(r[0], r[1])] >= min_count]
-    return ComparisonDataset.from_records(records, fm.n, Provenance.file(str(path)))
+        keys.append(min(wi, li) * n + max(wi, li))
+        won.append(wi < li)
+        counts.append(count)
+        lines.append(lineno)
+    count = np.asarray(counts, dtype=np.int64)
+    pairs, groups = np.unique(np.asarray(keys, dtype=np.int64), return_inverse=True)
+    total, over = sum_counts(groups, count, pairs.size)
+    if over is not None:
+        raise ParseError(str(path), lines[over], "pair total exceeds 2**53")
+    wins, _ = sum_counts(groups, np.where(won, count, 0), pairs.size)
+    keep = total >= min_count
+    pairs = pairs[keep]
+    return ComparisonDataset(
+        pairs // n, pairs % n, wins[keep], total[keep], n, Provenance.file(str(path))
+    )
 
 
 @dataclass(frozen=True)

@@ -30,28 +30,35 @@ from .selection import RealizedSelection
 
 @dataclass(frozen=True)
 class PairStats:
-    """Win counts per canonical pair (i < j): (wins for i, wins for j)."""
+    """Win counts per observed canonical pair (i < j), read from a dataset."""
 
-    counts: dict[tuple[int, int], tuple[int, int]]
+    data: ComparisonDataset
+
+    @property
+    def counts(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """(wins for i, wins for j) per pair."""
+        return self.data.aggregate()
 
     def total(self, pair: tuple[int, int]) -> int:
         wi, wj = self.counts[pair]
         return wi + wj
 
+    def probabilities(self, min_count: int = 0):
+        """Arrays (i, j, empirical P(i beats j)) over the pairs observed at
+        least ``min_count`` times, in lexicographic pair order."""
+        d = self.data
+        keep = d.total >= min_count
+        return d.pair_i[keep], d.pair_j[keep], d.wins[keep] / d.total[keep]
+
     def p_hat(self, min_count: int = 0) -> dict[tuple[int, int], float]:
         """Empirical P(i beats j) per pair, dropping pairs observed fewer
         than ``min_count`` times."""
-        out = {}
-        for pair, (wi, wj) in self.counts.items():
-            tot = wi + wj
-            if tot == 0 or tot < min_count:
-                continue
-            out[pair] = wi / tot
-        return out
+        i, j, p = self.probabilities(min_count)
+        return dict(zip(zip(i.tolist(), j.tolist()), p.tolist()))
 
 
 def empirical_pair_stats(data: ComparisonDataset) -> PairStats:
-    return PairStats(data.aggregate())
+    return PairStats(data)
 
 
 class TripleViolation(NamedTuple):
@@ -113,15 +120,14 @@ class TransitivityReport:
 
 
 def _report_from_scan(checked: int, viol: np.ndarray) -> TransitivityReport:
-    rows = [
-        TripleViolation(int(r[0]), int(r[1]), int(r[2]), bool(r[3]), bool(r[4]))
-        for r in viol
-    ]
+    columns = [viol[:, k].tolist() for k in range(3)]
+    columns += [viol[:, k].astype(bool).tolist() for k in (3, 4)]
+    rows = list(map(TripleViolation._make, zip(*columns)))
     return TransitivityReport(
         triples_checked=int(checked),
         strong_violations=len(rows),
-        moderate_violations=sum(v.moderate for v in rows),
-        weak_violations=sum(v.weak for v in rows),
+        moderate_violations=int(viol[:, 3].sum()),
+        weak_violations=int(viol[:, 4].sum()),
         violations=tuple(rows),
     )
 
@@ -137,61 +143,33 @@ def count_transitivity_violations(
     Missing pairs simply exclude their triples from the scan.
     """
     if isinstance(p, PairStats):
-        probs = p.p_hat(min_count or 0)
+        i, j, probs = p.probabilities(min_count or 0)
     else:
         if min_count is not None:
             raise ValueError("min_count requires PairStats input (counts needed)")
-        probs = dict(p)
-    for pair, val in probs.items():
-        if not 0.0 <= val <= 1.0:
-            raise ValueError(f"probability for pair {pair} outside [0, 1]: {val}")
-        if pair[0] >= pair[1]:
-            raise ValueError(f"pair {pair} is not canonical (need i < j)")
+        pairs = np.asarray(list(p), dtype=np.int64).reshape(-1, 2)
+        i, j = pairs[:, 0], pairs[:, 1]
+        probs = np.asarray(list(p.values()), dtype=np.float64)
+    bad = np.nonzero(~((probs >= 0.0) & (probs <= 1.0)))[0]
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"probability for pair {(int(i[k]), int(j[k]))} outside [0, 1]: {probs[k]}")
+    bad = np.nonzero((i < 0) | (i >= j))[0]
+    if bad.size:
+        raise ValueError(f"pair {(int(i[bad[0]]), int(j[bad[0]]))} is not canonical (need i < j)")
 
-    # triangle enumeration on the support graph, each unordered triple once
-    neighbors: dict[int, set[int]] = {}
-    for a, b in probs:
-        neighbors.setdefault(a, set()).add(b)
-        neighbors.setdefault(b, set()).add(a)
-
-    def prob(x: int, y: int) -> float:
-        return probs[(x, y)] if x < y else 1.0 - probs[(y, x)]
-
-    checked = 0
-    rows: list[TripleViolation] = []
-    for (a, b), _ in sorted(probs.items()):
-        common = neighbors[a] & neighbors[b]
-        for c in sorted(common):
-            if c <= b:
-                continue  # enumerate each triangle once as a < b < c
-            orientation = None
-            for x, y, z in (
-                (a, b, c),
-                (a, c, b),
-                (b, a, c),
-                (b, c, a),
-                (c, a, b),
-                (c, b, a),
-            ):
-                if prob(x, y) > 0.5 and prob(y, z) > 0.5:
-                    orientation = (x, y, z)
-                    break
-            if orientation is None:
-                continue
-            checked += 1
-            x, y, z = orientation
-            pxy, pyz, pxz = prob(x, y), prob(y, z), prob(x, z)
-            if pxz < max(pxy, pyz):
-                rows.append(
-                    TripleViolation(x, y, z, pxz < min(pxy, pyz), pxz < 0.5)
-                )
-    return TransitivityReport(
-        triples_checked=checked,
-        strong_violations=len(rows),
-        moderate_violations=sum(v.moderate for v in rows),
-        weak_violations=sum(v.weak for v in rows),
-        violations=tuple(rows),
-    )
+    # dense (P, present) over the items that occur, in increasing item order,
+    # so the scan enumerates and orients triples exactly as over item indices
+    items, idx = np.unique(np.concatenate([i, j]), return_inverse=True)
+    a, b = idx[: i.size], idx[i.size :]
+    P = np.full((items.size, items.size), 0.5)
+    present = np.zeros((items.size, items.size), dtype=bool)
+    P[a, b] = probs
+    P[b, a] = 1.0 - probs
+    present[a, b] = present[b, a] = True
+    checked, viol = _kernels.transitivity_scan(P, present)
+    viol[:, :3] = items[viol[:, :3]]
+    return _report_from_scan(checked, viol)
 
 
 def model_transitivity_report(

@@ -1,11 +1,16 @@
 """Maximum likelihood estimation of the judgment weights.
 
 The objective ``nll(w) + mu * ||w||^2`` is convex, so any stationary point is
-a global minimizer.  For d <= 64 a damped Newton method is used (the Hessian
-is closed form and d x d solves are cheap); for larger d plain gradient
-descent takes over.  Both use Armijo backtracking, so the objective sequence
-is nonincreasing, and neither draws random numbers: fitting the same dataset
-twice yields the identical result.
+a global minimizer.  It is minimized by damped Newton at every d: the
+likelihood folds run over distinct pairs, so the closed-form Hessian costs
+O(P d^2) for P pairs and the d x d solve is small beside it.  Where the
+Newton step is not a descent direction (a singular Hessian), the iteration
+steps along the negative gradient instead.  Armijo backtracking keeps the
+objective sequence nonincreasing, and no random numbers are drawn: fitting
+the same dataset twice yields the identical result.  The result says why
+the iteration stopped: ``converged`` (gradient norm at most ``tol_grad``),
+``max_iters``, or ``stalled`` (no step along a descent ray passed the line
+search).
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from .features import FeatureMatrix, check_weights
 from .model import ComparisonDataset, design_matrix
 from .selection import RealizedSelection
 
-NEWTON_MAX_DIM = 64
 _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
 _MAX_BACKTRACKS = 60
@@ -59,7 +63,11 @@ class FitResult:
     final_grad_norm: float
     final_objective: float
     iterations: int
-    converged: bool
+    stop_reason: str  # "converged", "max_iters" or "stalled"
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     def to_dict(self) -> dict:
         return {
@@ -67,7 +75,8 @@ class FitResult:
             "final_grad_norm": float(self.final_grad_norm),
             "final_objective": float(self.final_objective),
             "iterations": int(self.iterations),
-            "converged": bool(self.converged),
+            "converged": self.converged,
+            "stop_reason": self.stop_reason,
         }
 
 
@@ -90,46 +99,42 @@ def fit(
     When ``trace`` is a list, the objective value after every accepted step
     is appended to it.
     """
-    if len(data) < 1:
+    if data.total.size == 0:
         raise PreconditionError("cannot fit an empty dataset")
     d = features.d
     X = np.ascontiguousarray(design_matrix(sel, data))
-    y = data.y.astype(np.float64)
+    total = data.total.astype(np.float64)
+    wins = data.wins.astype(np.float64)
     mu = float(cfg.mu)
     if cfg.init is None:
         w = np.zeros(d)
     else:
         w = check_weights(cfg.init, d).copy()
 
-    f = float(_kernels.nll_value(X, y, w, mu))
+    f = float(_kernels.nll_value(X, total, wins, w, mu))
     _check_finite("objective", f)
     if trace is not None:
         trace.append(f)
-    use_newton = d <= NEWTON_MAX_DIM
     iterations = 0
-    converged = False
+    stop_reason = "max_iters"
     grad_norm = np.inf
 
     for _ in range(cfg.max_iters):
-        g = _kernels.nll_grad(X, y, w, mu)
+        g = _kernels.nll_grad(X, total, wins, w, mu)
         _check_finite("gradient", g)
         grad_norm = float(np.linalg.norm(g))
         if grad_norm <= cfg.tol_grad:
-            converged = True
+            stop_reason = "converged"
             break
 
-        step = None
-        if use_newton:
-            H = _kernels.nll_hess(X, y, w, mu)
-            _check_finite("hessian", H)
-            try:
-                step = np.linalg.solve(H, -g)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is not None and (not np.all(np.isfinite(step)) or g @ step >= 0):
-                step = None  # singular or non-descent: fall back to steepest descent
-        if step is None:
-            step = -g
+        H = _kernels.nll_hess(X, total, wins, w, mu)
+        _check_finite("hessian", H)
+        try:
+            step = np.linalg.solve(H, -g)
+        except np.linalg.LinAlgError:
+            step = None
+        if step is None or not np.all(np.isfinite(step)) or g @ step >= 0:
+            step = -g  # singular or non-descent: steepest descent
 
         slope = float(g @ step)
         slack = _ARMIJO_EPS * (1.0 + abs(f))
@@ -137,23 +142,25 @@ def fit(
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             w_try = w + t * step
-            f_try = float(_kernels.nll_value(X, y, w_try, mu))
+            f_try = float(_kernels.nll_value(X, total, wins, w_try, mu))
             if np.isfinite(f_try) and f_try <= f + _ARMIJO_C * t * slope + slack:
                 accepted = True
                 break
             t *= _BACKTRACK
         iterations += 1
         if not accepted:
-            break  # no progress possible along a descent ray: stalled
+            stop_reason = "stalled"
+            break
         w, f = w_try, f_try
         if trace is not None:
             trace.append(f)
 
-    else:  # loop exhausted max_iters without convergence
-        g = _kernels.nll_grad(X, y, w, mu)
+    else:  # loop exhausted max_iters: the last step may still have converged
+        g = _kernels.nll_grad(X, total, wins, w, mu)
         _check_finite("gradient", g)
         grad_norm = float(np.linalg.norm(g))
-        converged = grad_norm <= cfg.tol_grad
+        if grad_norm <= cfg.tol_grad:
+            stop_reason = "converged"
 
     w.setflags(write=False)
     return FitResult(
@@ -161,7 +168,7 @@ def fit(
         final_grad_norm=grad_norm,
         final_objective=f,
         iterations=iterations,
-        converged=converged,
+        stop_reason=stop_reason,
     )
 
 

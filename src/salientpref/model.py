@@ -3,16 +3,19 @@
 Item ``i`` beats item ``j`` with probability ``sigma(<w, x_ij>)`` where
 ``sigma`` is the logistic function and ``x_ij`` is the feature difference
 ``U_i - U_j`` masked to the coordinates the selection function picks for the
-pair.  A dataset of independent outcomes has negative log-likelihood
+pair.  Independent outcomes of one pair share ``x_ij``, so a dataset is
+summarized exactly by its counts per distinct pair ``p``: ``N_p`` comparisons,
+of which the first item won ``W_p``.  The negative log-likelihood is the
+binomial form of the logistic-regression loss,
 
-    L(w) = sum_l [ log(1 + exp(u_l)) - y_l * u_l ],    u_l = <w, x_l>,
+    L(w) = sum_p [ N_p log(1 + exp(u_p)) - W_p u_p ],    u_p = <w, x_p>,
 
-which is the logistic-regression loss on features ``x_l``; an optional ridge
-term ``mu * ||w||^2`` is added on top.  The gradient and Hessian are closed
-form:
+which equals, term by term, the sum of the per-outcome losses; an optional
+ridge term ``mu * ||w||^2`` is added on top.  The gradient and Hessian are
+closed form:
 
-    grad L = sum_l (sigma(u_l) - y_l) * x_l + 2 mu w
-    hess L = sum_l h(u_l) * x_l x_l^T + 2 mu I,   h(u) = e^u / (1 + e^u)^2.
+    grad L = sum_p (N_p sigma(u_p) - W_p) * x_p + 2 mu w
+    hess L = sum_p N_p h(u_p) * x_p x_p^T + 2 mu I,   h(u) = e^u / (1 + e^u)^2.
 
 ``h`` is symmetric, positive, at most 1/4, and nonincreasing in |u|, so the
 Hessian is symmetric positive semidefinite and L is convex.
@@ -28,7 +31,7 @@ import numpy as np
 from . import _kernels
 from .errors import DimensionError, InvalidPairError, PreconditionError
 from .features import FeatureMatrix, check_weights
-from .selection import RealizedSelection
+from .selection import RealizedSelection, all_pairs, pair_index
 
 
 @dataclass(frozen=True)
@@ -58,53 +61,110 @@ class ComparisonSample(NamedTuple):
     y: int  # 1 iff item i beat item j; storage is canonical i < j
 
 
-@dataclass(frozen=True)
-class ComparisonDataset:
-    """Ordered pairwise comparison outcomes in canonical (i < j, y) form.
+# Largest count a pair may hold: float64 represents every integer up to it
+# exactly, so the likelihood folds and the bincount sums below are exact.
+MAX_COUNT = 2**53
 
-    A record arriving as "j beat i" with j > i is stored as (i, j, y=0).
-    Repeated observations of the same pair stay separate samples, matching
-    the independence structure of the likelihood.
+
+def sum_counts(groups: np.ndarray, counts: np.ndarray, size: int):
+    """Exact per-group sums of nonnegative int64 ``counts``, each <= MAX_COUNT.
+
+    Returns ``(sums, first)``, where ``first`` is the position in ``counts`` at
+    which some group's running sum first exceeds MAX_COUNT, or None.  A
+    float64 bincount is exact while every running sum stays at or below 2**53;
+    only a group whose float sum reaches that is summed again in int64, where
+    no running sum can wrap before it crosses MAX_COUNT.
+    """
+    sums = np.bincount(groups, weights=counts, minlength=size)
+    first = None
+    for g in np.nonzero(sums >= MAX_COUNT)[0]:
+        rows = np.nonzero(groups == g)[0]
+        over = np.nonzero(np.cumsum(counts[rows]) > MAX_COUNT)[0]
+        if over.size and (first is None or rows[over[0]] < first):
+            first = int(rows[over[0]])
+    return sums.astype(np.int64), first
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr = np.ascontiguousarray(arr)
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class ComparisonDataset:
+    """Pairwise comparison outcomes as counts per distinct canonical pair.
+
+    ``pair_i[p] < pair_j[p]`` list the distinct pairs observed, in
+    lexicographic order; item ``pair_i[p]`` beat ``pair_j[p]`` in ``wins[p]``
+    of the ``total[p] >= 1`` comparisons of that pair.  The constructor also
+    accepts pairs in either orientation, in any order and repeated: a pair
+    given as (j, i) with j > i has its wins and losses swapped, and repeats
+    are summed.  The order of individual outcomes carries no information
+    under the likelihood, so the counts are all a dataset stores.
     """
 
-    i: np.ndarray
-    j: np.ndarray
-    y: np.ndarray
+    pair_i: np.ndarray
+    pair_j: np.ndarray
+    wins: np.ndarray
+    total: np.ndarray
     n_items: int
     provenance: Provenance
 
     def __post_init__(self):
-        i = np.asarray(self.i, dtype=np.int64)
-        j = np.asarray(self.j, dtype=np.int64)
-        y = np.asarray(self.y, dtype=np.int64)
-        if not (i.shape == j.shape == y.shape) or i.ndim != 1:
-            raise DimensionError("i, j, y must be 1-d arrays of equal length")
+        i, j, wins, total = (
+            np.asarray(a, dtype=np.int64)
+            for a in (self.pair_i, self.pair_j, self.wins, self.total)
+        )
+        if not (i.shape == j.shape == wins.shape == total.shape) or i.ndim != 1:
+            raise DimensionError("pair_i, pair_j, wins, total must be 1-d arrays of equal length")
         if np.any(i == j):
             raise InvalidPairError("a sample compares an item with itself")
-        swap = i > j
-        if np.any(swap):
-            i2 = np.where(swap, j, i)
-            j2 = np.where(swap, i, j)
-            y = np.where(swap, 1 - y, y)
-            i, j = i2, j2
-        if i.size and (i.min() < 0 or j.max() >= self.n_items):
+        if i.size and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= self.n_items):
             raise InvalidPairError("sample indices out of range")
-        if not np.isin(y, (0, 1)).all():
-            raise ValueError("outcomes must be 0 or 1")
-        for name, arr in (("i", i), ("j", j), ("y", y)):
-            arr = np.ascontiguousarray(arr)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        if np.any((total < 1) | (total > MAX_COUNT) | (wins < 0) | (wins > total)):
+            raise ValueError("each pair needs 1 <= total <= 2**53 and 0 <= wins <= total")
+        swap = i > j
+        i, j = np.where(swap, j, i), np.where(swap, i, j)
+        wins = np.where(swap, total - wins, wins)
+        key = i * self.n_items + j
+        if np.any(np.diff(key) <= 0):  # unsorted or repeated pairs: merge them
+            key, groups = np.unique(key, return_inverse=True)
+            total, over = sum_counts(groups, total, key.size)
+            if over is not None:
+                raise PreconditionError("a pair's total count exceeds 2**53")
+            wins, _ = sum_counts(groups, wins, key.size)
+            i, j = key // self.n_items, key % self.n_items
+        for name, arr in (("pair_i", i), ("pair_j", j), ("wins", wins), ("total", total)):
+            object.__setattr__(self, name, _read_only(arr))
 
     def __len__(self) -> int:
-        return int(self.i.shape[0])
+        """Number of comparisons: the sum of the pair totals."""
+        return sum(self.total.tolist())
+
+    # Per-comparison views, expanded from the counts on every access (each
+    # pair lists its wins, then its losses).  Nothing in the package uses
+    # them; they serve callers that want one row per outcome.
+
+    @property
+    def i(self) -> np.ndarray:
+        return _read_only(np.repeat(self.pair_i, self.total))
+
+    @property
+    def j(self) -> np.ndarray:
+        return _read_only(np.repeat(self.pair_j, self.total))
+
+    @property
+    def y(self) -> np.ndarray:
+        runs = np.column_stack([self.wins, self.total - self.wins]).ravel()
+        return _read_only(np.repeat(np.tile(np.array([1, 0]), self.wins.size), runs))
 
     def __getitem__(self, k: int) -> ComparisonSample:
         return ComparisonSample(int(self.i[k]), int(self.j[k]), int(self.y[k]))
 
     def __iter__(self):
-        for k in range(len(self)):
-            yield self[k]
+        for a, b, yy in zip(self.i.tolist(), self.j.tolist(), self.y.tolist()):
+            yield ComparisonSample(a, b, yy)
 
     @classmethod
     def from_records(
@@ -113,33 +173,25 @@ class ComparisonDataset:
         n_items: int,
         provenance: Provenance,
     ) -> "ComparisonDataset":
-        rec = list(records)
-        if rec:
-            arr = np.asarray(rec, dtype=np.int64).reshape(len(rec), 3)
-            i, j, y = arr[:, 0], arr[:, 1], arr[:, 2]
-        else:
-            i = j = y = np.empty(0, dtype=np.int64)
-        return cls(i, j, y, n_items, provenance)
+        """One (i, j, y) record per comparison, y = 1 iff item i won."""
+        rec = np.asarray(list(records), dtype=np.int64).reshape(-1, 3)
+        ones = np.ones(rec.shape[0], dtype=np.int64)
+        return cls(rec[:, 0], rec[:, 1], rec[:, 2], ones, n_items, provenance)
 
     def aggregate(self) -> dict[tuple[int, int], tuple[int, int]]:
         """Per canonical pair: (# wins for i, # wins for j)."""
-        out: dict[tuple[int, int], list[int]] = {}
-        for a, b, yy in zip(self.i.tolist(), self.j.tolist(), self.y.tolist()):
-            wins = out.setdefault((a, b), [0, 0])
-            wins[0 if yy == 1 else 1] += 1
-        return {k: (v[0], v[1]) for k, v in out.items()}
+        pairs = zip(self.pair_i.tolist(), self.pair_j.tolist())
+        return dict(zip(pairs, zip(self.wins.tolist(), (self.total - self.wins).tolist())))
 
 
 def design_matrix(sel: RealizedSelection, data: ComparisonDataset) -> np.ndarray:
-    """Masked feature differences per sample, shape (m, d)."""
+    """Masked feature differences per distinct pair of ``data``, shape (P, d)."""
     n = sel.features.n
     if data.n_items != n:
         raise DimensionError(
             f"dataset indexes {data.n_items} items, features have {n}"
         )
-    table = sel.diff_table()
-    flat = data.i * (2 * n - data.i - 1) // 2 + (data.j - data.i - 1)
-    return table[flat]
+    return sel.diff_table()[pair_index(data.pair_i, data.pair_j, n)]
 
 
 def win_probability(
@@ -175,8 +227,8 @@ def sample_comparisons(
     """Draw ``m`` independent comparisons: uniform pairs, logistic outcomes.
 
     Each sample picks a pair uniformly at random (with replacement) from all
-    C(n,2) pairs, then flips a coin with the model's win probability.  Fully
-    deterministic given ``seed``.
+    C(n,2) pairs, then flips a coin with the model's win probability; the
+    draws are then counted per pair.  Fully deterministic given ``seed``.
     """
     if m < 1:
         raise PreconditionError(f"need m >= 1 samples, got {m}")
@@ -187,37 +239,32 @@ def sample_comparisons(
     probs = all_pair_probabilities(features, w_star, sel)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     flat = rng.integers(0, probs.shape[0], size=m)
-    wins = rng.random(m) < probs[flat]
-    ii, jj = np.triu_indices(n, k=1)
+    won = rng.random(m) < probs[flat]
+    total = np.bincount(flat, minlength=probs.shape[0])
+    wins = np.bincount(flat[won], minlength=probs.shape[0])
+    seen = np.nonzero(total)[0]
+    ii, jj = all_pairs(n)
     return ComparisonDataset(
-        ii[flat], jj[flat], wins.astype(np.int64), n, Provenance.synthetic(seed)
+        ii[seen], jj[seen], wins[seen], total[seen], n, Provenance.synthetic(seed)
     )
 
 
-def _prepared(features, w, sel, data):
+def _prepared(features, w, sel, data, mu):
+    if mu < 0:
+        raise PreconditionError("ridge weight mu must be nonnegative")
     w = check_weights(w, features.d)
     X = design_matrix(sel, data)
-    y = data.y.astype(np.float64)
-    return X, y, w
+    return X, data.total.astype(np.float64), data.wins.astype(np.float64), w, float(mu)
 
 
 def nll(features, w, sel, data: ComparisonDataset, mu: float = 0.0) -> float:
     """Ridge-regularized negative log-likelihood of ``w``."""
-    if mu < 0:
-        raise PreconditionError("ridge weight mu must be nonnegative")
-    X, y, w = _prepared(features, w, sel, data)
-    return float(_kernels.nll_value(X, y, w, float(mu)))
+    return float(_kernels.nll_value(*_prepared(features, w, sel, data, mu)))
 
 
 def nll_gradient(features, w, sel, data: ComparisonDataset, mu: float = 0.0):
-    if mu < 0:
-        raise PreconditionError("ridge weight mu must be nonnegative")
-    X, y, w = _prepared(features, w, sel, data)
-    return _kernels.nll_grad(X, y, w, float(mu))
+    return _kernels.nll_grad(*_prepared(features, w, sel, data, mu))
 
 
 def nll_hessian(features, w, sel, data: ComparisonDataset, mu: float = 0.0):
-    if mu < 0:
-        raise PreconditionError("ridge weight mu must be nonnegative")
-    X, y, w = _prepared(features, w, sel, data)
-    return _kernels.nll_hess(X, y, w, float(mu))
+    return _kernels.nll_hess(*_prepared(features, w, sel, data, mu))

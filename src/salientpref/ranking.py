@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DimensionError, UndefinedMetricError
 from .features import FeatureMatrix, check_weights
 from .model import ComparisonDataset, all_pair_probabilities
-from .selection import RealizedSelection
+from .selection import RealizedSelection, pair_index
 
 
 @dataclass(frozen=True)
@@ -101,25 +101,17 @@ def pairwise_accuracy(
     majority and the model probability is not exactly 1/2; ineligible pairs
     enter neither numerator nor denominator.
     """
-    counts = data.aggregate()
-    if not counts:
+    if data.total.size == 0:
         raise UndefinedMetricError("dataset contains no pairs")
     probs = all_pair_probabilities(features, w, sel)
-    n = features.n
-    agree = 0
-    eligible = 0
-    for (a, b), (wi, wj) in counts.items():
-        if wi == wj:
-            continue
-        p = float(probs[a * (2 * n - a - 1) // 2 + (b - a - 1)])
-        if p == 0.5:
-            continue
-        eligible += 1
-        if (p > 0.5) == (wi > wj):
-            agree += 1
-    if eligible == 0:
+    p = probs[pair_index(data.pair_i, data.pair_j, features.n)]
+    losses = data.total - data.wins
+    eligible = (data.wins != losses) & (p != 0.5)
+    n_eligible = int(np.count_nonzero(eligible))
+    if n_eligible == 0:
         raise UndefinedMetricError("no pair has both a strict majority and a non-tied model probability")
-    return agree / eligible
+    agree = int(np.count_nonzero(eligible & ((p > 0.5) == (data.wins > losses))))
+    return agree / n_eligible
 
 
 def subset_kendall(full: Ranking, items) -> float:

@@ -42,6 +42,43 @@ def fd_hessian(grad, w, rel_step=1e-6):
     return 0.5 * (H + H.T)
 
 
+def logistic_nll(rows, y, w, mu):
+    """Ridge logistic loss with one row per sample, summed term by term."""
+    total = 0.0
+    for x, label in zip(rows, y):
+        u = float(x @ w)
+        total += max(u, 0.0) + math.log1p(math.exp(-abs(u))) - label * u
+    return total + mu * float(w @ w)
+
+
+def logistic_gradient(rows, y, w, mu):
+    """Per-sample gradient: sum of (sigma(u) - y) x, plus 2 mu w."""
+    g = 2.0 * mu * np.asarray(w, dtype=np.float64)
+    for x, label in zip(rows, y):
+        g = g + (1.0 / (1.0 + math.exp(-float(x @ w))) - label) * x
+    return g
+
+
+def logistic_hessian(rows, y, w, mu):
+    """Per-sample Hessian: sum of s (1 - s) x x^T, plus 2 mu I."""
+    H = 2.0 * mu * np.eye(len(w))
+    for x in rows:
+        s = 1.0 / (1.0 + math.exp(-float(x @ w)))
+        H = H + s * (1.0 - s) * np.outer(x, x)
+    return H
+
+
+def logistic_newton(rows, y, iters=50):
+    """Unregularized per-sample logistic MLE by plain Newton from zero."""
+    w = np.zeros(rows.shape[1])
+    for _ in range(iters):
+        g = logistic_gradient(rows, y, w, 0.0)
+        if np.linalg.norm(g) <= 1e-11:
+            break
+        w = w - np.linalg.solve(logistic_hessian(rows, y, w, 0.0), g)
+    return w
+
+
 def kendall_distance_enum(pos_a, pos_b):
     """Discordant-pair count by explicit enumeration."""
     n = len(pos_a)

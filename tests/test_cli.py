@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from salientpref import cli
 from salientpref.dataio import read_json
 
 RUN = [sys.executable, "-m", "salientpref.cli"]
@@ -281,3 +282,40 @@ class TestSweep:
         parallel = tmp_path / "parallel"
         run_cli("sweep", "--spec", spec, "--out-dir", parallel)
         assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
+
+    def test_workers_clamped_to_tasks_and_cpus(self, tmp_path, monkeypatch):
+        spec = {"d": 2, "n": 5, "selections": [{"kind": "full"}], "m_grid": [50],
+                "seeds": [0, 1, 2], "workers": 10**6}
+        requested = []
+
+        class RecordingPool:
+            # runs the cells serially and records the pool size asked for
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        for cpus, want in ((8, [3]), (2, [2]), (1, []), (None, [])):
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+            requested.clear()
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(spec), encoding="utf-8")
+            out = tmp_path / f"out{cpus}"
+            assert cli.main(["sweep", "--spec", str(path), "--out-dir", str(out)]) == 0
+            assert requested == want
+
+    def test_workers_below_one_rejected(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"d": 2, "n": 5, "selections": [{"kind": "full"}],
+                                    "m_grid": [50], "seeds": [0], "workers": 0}),
+                        encoding="utf-8")
+        assert cli.main(["sweep", "--spec", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        assert "workers" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,50 @@ class TestComparisonsFile:
         path2 = str(tmp_path / "c2.csv")
         save_comparisons(path2, loaded, fm)
         assert open(path).read() == open(path2).read()
+
+    def test_huge_count_is_not_expanded(self, tmp_path, features_csv):
+        fm, _ = load_features(features_csv)
+        path = tmp_path / "c.csv"
+        path.write_text(
+            "winner_id,loser_id,count\nbeta,alpha,100000000\n", encoding="utf-8"
+        )
+        tracemalloc.start()
+        try:
+            data = load_comparisons(str(path), fm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(data) == 10**8
+        assert data.aggregate() == {(0, 1): (0, 10**8)}
+        assert peak < 2_000_000
+
+    def test_count_beyond_exact_range_rejected(self, tmp_path, features_csv):
+        fm, _ = load_features(features_csv)
+        path = tmp_path / "c.csv"
+        path.write_text(
+            f"winner_id,loser_id,count\nalpha,gamma,1\nalpha,beta,{2**53 + 1}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError, match=r"c\.csv:3:"):
+            load_comparisons(str(path), fm)
+
+    def test_pair_total_beyond_exact_range_rejected(self, tmp_path, features_csv):
+        fm, _ = load_features(features_csv)
+        path = tmp_path / "c.csv"
+        path.write_text(
+            "winner_id,loser_id,count\n"
+            f"alpha,beta,{2**53 - 1}\nalpha,gamma,{2**53}\nbeta,alpha,1\nalpha,beta,1\n",
+            encoding="utf-8",
+        )
+        # the running total of (alpha, beta) reaches 2**53 on line 4, then
+        # exceeds it on line 5; (alpha, gamma) at exactly 2**53 is allowed
+        with pytest.raises(ParseError, match=r"c\.csv:5:"):
+            load_comparisons(str(path), fm)
+        path.write_text(
+            f"winner_id,loser_id,count\nalpha,beta,{2**53 - 1}\nbeta,alpha,1\n",
+            encoding="utf-8",
+        )
+        assert load_comparisons(str(path), fm).aggregate() == {(0, 1): (2**53 - 1, 1)}
 
 
 class TestRankingsFile:

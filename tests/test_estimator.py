@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import oracles
 from conftest import make_instance
+from salientpref import _kernels
 from salientpref import (
     ComparisonDataset,
     FeatureMatrix,
@@ -134,6 +136,59 @@ class TestFit:
         assert trace[-1] < trace[0]
         assert res.converged
         assert res.final_grad_norm <= 1e-3
+
+    def test_newton_converges_at_wide_d(self):
+        # d=80 is beyond where a gradient-descent fallback used to take over
+        # (and stop unconverged after 5000 iterations); Newton needs a few
+        gen = np.random.default_rng(80)
+        d, n = 80, 100
+        fm = FeatureMatrix(gen.normal(0.0, 1.0 / np.sqrt(d), size=(d, n)))
+        sel = realize(SelectionSpec.full(), fm)
+        w_star = gen.normal(0.0, 1.0 / np.sqrt(d), size=d)
+        data = sample_comparisons(fm, w_star, sel, 50_000, seed=1)
+        res = fit(fm, sel, data)
+        assert res.converged and res.stop_reason == "converged"
+        assert res.final_grad_norm <= FitConfig().tol_grad
+        assert res.iterations <= 20
+
+    def test_stop_reasons(self, rng, monkeypatch):
+        fm, sel = make_instance(rng, 3, 7, spec=SelectionSpec.full())
+        data = sample_comparisons(fm, rng.normal(size=3), sel, 400, seed=4)
+        assert fit(fm, sel, data).to_dict()["stop_reason"] == "converged"
+        capped = fit(fm, sel, data, FitConfig(max_iters=1))
+        assert capped.stop_reason == "max_iters" and not capped.converged
+        # an objective that is infinite away from the start passes no line search
+        real = _kernels.nll_value
+        monkeypatch.setattr(
+            _kernels, "nll_value", lambda X, t, y, w, mu: np.inf if w.any() else real(X, t, y, w, mu)
+        )
+        stuck = fit(fm, sel, data)
+        assert stuck.stop_reason == "stalled" and not stuck.converged
+        assert stuck.iterations == 1 and not stuck.w_hat.any()
+
+    def test_counts_and_samples_give_same_fit(self, rng):
+        fm, sel = make_instance(rng, 4, 9, spec=SelectionSpec.top_t(2))
+        data = sample_comparisons(fm, rng.normal(size=4), sel, 3000, seed=12)
+        records = list(zip(data.i.tolist(), data.j.tolist(), data.y.tolist()))
+        order = rng.permutation(len(records))
+        # one record per comparison, shuffled, half of them stated as (j, i)
+        shuffled = [
+            (b, a, 1 - yy) if k % 2 else (a, b, yy)
+            for k, (a, b, yy) in enumerate(records[r] for r in order)
+        ]
+        per_sample = ComparisonDataset.from_records(shuffled, 9, Provenance.synthetic(0))
+        counted = ComparisonDataset(
+            data.pair_i, data.pair_j, data.wins, data.total, 9, Provenance.synthetic(0)
+        )
+        a, b = fit(fm, sel, per_sample), fit(fm, sel, counted)
+        assert a.converged and b.converged
+        np.testing.assert_allclose(a.w_hat, b.w_hat, rtol=1e-12, atol=0.0)
+        # and the per-sample Newton oracle, on one design row per comparison
+        rows = sel.diff_table()[
+            [r * (2 * 9 - r - 1) // 2 + (c - r - 1) for r, c, _ in records]
+        ]
+        want = oracles.logistic_newton(rows, np.array([yy for _, _, yy in records], float))
+        np.testing.assert_allclose(b.w_hat, want, rtol=1e-10, atol=1e-12)
 
 
 class TestMarginBand:

@@ -1,7 +1,8 @@
-"""Cross-checks between the numba and numpy kernel paths.
+"""Kernel checks: the count-form likelihood folds against a per-sample
+oracle, and the numba and numpy paths of the scans against each other.
 
-When numba is active both implementations are exercised against each other;
-agreement is to roundoff, not bitwise, because summation orders differ.
+When numba is active both scan implementations are exercised against each
+other; agreement is to roundoff, not bitwise, because summation orders differ.
 """
 
 import numpy as np
@@ -9,22 +10,6 @@ import pytest
 
 import oracles
 from salientpref import _kernels
-
-
-def _impl_pairs(name):
-    impls = dict(_kernels.implementations(name))
-    if len(impls) < 2:
-        pytest.skip("numba disabled: single path only")
-    return impls["numpy"], impls["numba"]
-
-
-@pytest.fixture
-def problem(rng):
-    m, d = 400, 6
-    X = rng.normal(size=(m, d))
-    y = (rng.random(m) < 0.5).astype(np.float64)
-    w = rng.normal(size=d)
-    return X, y, w
 
 
 class TestScalarHelpers:
@@ -46,37 +31,33 @@ class TestScalarHelpers:
 
 
 class TestNllKernels:
-    def test_value_paths_agree(self, problem):
-        X, y, w = problem
-        np_impl, nb_impl = _impl_pairs("nll_value")
-        a = np_impl(X, y, w, 0.3)
-        b = nb_impl(X, y, w, 0.3)
-        assert a == pytest.approx(b, rel=1e-12)
-
-    def test_grad_paths_agree(self, problem):
-        X, y, w = problem
-        np_impl, nb_impl = _impl_pairs("nll_grad")
-        np.testing.assert_allclose(
-            np_impl(X, y, w, 0.3), nb_impl(X, y, w, 0.3), rtol=1e-11, atol=1e-12
-        )
-
-    def test_hess_paths_agree(self, problem):
-        X, y, w = problem
-        np_impl, nb_impl = _impl_pairs("nll_hess")
-        np.testing.assert_allclose(
-            np_impl(X, y, w, 0.3), nb_impl(X, y, w, 0.3), rtol=1e-11, atol=1e-12
-        )
-
     def test_extreme_margins_stay_finite(self, rng):
         X = rng.normal(size=(50, 3)) * 200
-        y = (rng.random(50) < 0.5).astype(np.float64)
+        total = rng.integers(1, 6, size=50).astype(np.float64)
+        wins = np.floor(rng.random(50) * (total + 1))
         w = np.array([3.0, -2.0, 1.0])
-        for _, impl in _kernels.implementations("nll_value"):
-            assert np.isfinite(impl(X, y, w, 0.0))
-        for _, impl in _kernels.implementations("nll_grad"):
-            assert np.all(np.isfinite(impl(X, y, w, 0.0)))
-        for _, impl in _kernels.implementations("nll_hess"):
-            assert np.all(np.isfinite(impl(X, y, w, 0.0)))
+        assert np.isfinite(_kernels.nll_value(X, total, wins, w, 0.0))
+        assert np.all(np.isfinite(_kernels.nll_grad(X, total, wins, w, 0.0)))
+        assert np.all(np.isfinite(_kernels.nll_hess(X, total, wins, w, 0.0)))
+
+    def test_count_form_matches_expanded_samples(self, rng):
+        # every pair expanded into total rows, wins of them labelled 1
+        X = rng.normal(size=(40, 4))
+        total = rng.integers(1, 9, size=40)
+        wins = rng.integers(0, total + 1)
+        w = rng.normal(size=4)
+        rows = np.repeat(X, total, axis=0)
+        y = np.concatenate([[1.0] * a + [0.0] * (t - a) for a, t in zip(wins, total)])
+        args = (X, total.astype(float), wins.astype(float), w, 0.3)
+        assert _kernels.nll_value(*args) == pytest.approx(
+            oracles.logistic_nll(rows, y, w, 0.3), rel=1e-12
+        )
+        np.testing.assert_allclose(
+            _kernels.nll_grad(*args), oracles.logistic_gradient(rows, y, w, 0.3), rtol=1e-12
+        )
+        np.testing.assert_allclose(
+            _kernels.nll_hess(*args), oracles.logistic_hessian(rows, y, w, 0.3), rtol=1e-12
+        )
 
 
 class TestZetaScan:
