@@ -11,7 +11,6 @@ that say when the estimate can be trusted.
 
 __version__ = "0.1.0"
 
-from ._kernels import NUMBA_ENABLED
 from .diagnostics import (
     InconsistencyReport,
     PairStats,
@@ -76,7 +75,6 @@ from .theory import (
 )
 
 __all__ = [
-    "NUMBA_ENABLED",
     "__version__",
     # features
     "FeatureMatrix",

@@ -1,38 +1,16 @@
-"""Hot numeric kernels.
+"""Hot numeric kernels, all vectorized numpy.
 
-The likelihood folds are vectorized numpy.  The eigenvalue, deflation and
-triple scans exist twice: a loop implementation compiled with ``numba.njit``
-and a vectorized numpy fallback.  The active path is chosen once at import
-time: numba is used when it imports cleanly and the environment variable
-``SALIENTPREF_NO_NUMBA`` is unset (any of ``1/true/yes`` disables it).
-
-The two paths agree to floating-point roundoff (different summation orders),
-never bit-for-bit; callers that promise byte-stable output get it because the
-path is fixed for the lifetime of the process.
+The likelihood folds run over one row per distinct pair.  Certificate
+eigenvalues come from LAPACK (``np.linalg.eigvalsh``); the zeta scan solves
+one secular equation per pair after a single eigendecomposition of E[Z]; the
+transitivity scan classifies every triple at once.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 
 import numpy as np
-
-_ENV_FLAG = os.environ.get("SALIENTPREF_NO_NUMBA", "").strip().lower()
-_DISABLED = _ENV_FLAG in {"1", "true", "yes", "on"}
-
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled via SALIENTPREF_NO_NUMBA")
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:  # pragma: no cover - depends on environment
-    NUMBA_ENABLED = False
-
-# Jacobi sweep limit and relative off-diagonal tolerance.
-_JACOBI_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 64
 
 
 def sigmoid(u):
@@ -82,99 +60,89 @@ def nll_hess(X, total, wins, w, mu):
 
 
 # ---------------------------------------------------------------------------
-# symmetric eigenvalues: cyclic Jacobi rotations
+# symmetric eigenvalues
 # ---------------------------------------------------------------------------
-
-
-def _jacobi_eigvals_loop(A):
-    d = A.shape[0]
-    B = A.copy()
-    if d == 1:
-        return B[0].copy()
-    norm_a = 0.0
-    for p in range(d):
-        for q in range(d):
-            norm_a += B[p, q] * B[p, q]
-    norm_a = np.sqrt(norm_a)
-    tol = _JACOBI_TOL * norm_a
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                off += 2.0 * B[p, q] * B[p, q]
-        if np.sqrt(off) <= tol:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = B[p, q]
-                if abs(apq) <= _JACOBI_TOL * norm_a / (d * d):
-                    continue
-                theta = (B[q, q] - B[p, p]) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + np.sqrt(1.0 + theta * theta))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                for k in range(d):
-                    bkp = B[k, p]
-                    bkq = B[k, q]
-                    B[k, p] = c * bkp - s * bkq
-                    B[k, q] = s * bkp + c * bkq
-                for k in range(d):
-                    bpk = B[p, k]
-                    bqk = B[q, k]
-                    B[p, k] = c * bpk - s * bqk
-                    B[q, k] = s * bpk + c * bqk
-    eigs = np.empty(d)
-    for p in range(d):
-        eigs[p] = B[p, p]
-    return np.sort(eigs)
-
-
-# The Jacobi routine is the single eigensolver for the d x d certificate
-# matrices on both paths; only bulk per-pair scans fall back to LAPACK.
-_jacobi_impl = _jacobi_eigvals_loop
 
 
 def sym_eigvals(A):
-    """Ascending eigenvalues of a small dense symmetric matrix."""
+    """Ascending eigenvalues of a small dense symmetric matrix (LAPACK)."""
     A = np.ascontiguousarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("expected a square 2-d array")
-    return _jacobi_impl(A)
+    return np.linalg.eigvalsh(A)
 
 
 # ---------------------------------------------------------------------------
-# max-eigenvalue scan over rank-one deflations: max_p lambda_max(EZ - x_p x_p^T)
+# max-eigenvalue scan over rank-one downdates: max_p lambda_max(EZ - x_p x_p^T)
+#
+# With EZ = Q diag(lam) Q^T (lam ascending), z = Q^T x and gaps
+# g_k = lam[-1] - lam[k], the top eigenvalue of EZ - x x^T is lam[-1] - t,
+# where t is the root in [0, min(z_d^2, g_{d-1})] of the secular equation
+# (Golub 1973; Bunch, Nielsen & Sorensen 1978)
+#     phi(t) = t (1 + sum_{k<d} z_k^2 / (g_k - t)) - z_d^2 = 0.
+# A zero bracket (z_d = 0, a repeated top eigenvalue, a zero row) gives t = 0.
+# phi is increasing and convex on the bracket, so a Newton step taken right of
+# the root stays right of it; a step that leaves the sign bracket of phi falls
+# back to bisection.
 # ---------------------------------------------------------------------------
 
+_ZETA_BLOCK = 1_000_000  # entries of the per-block z table
+_SECULAR_MAX_STEPS = 200
+_SECULAR_RTOL = 4.0 * np.finfo(np.float64).eps
 
-def _zeta_scan_np(EZ, X):
+
+def _secular_roots(zk2, zd2, gaps, hi):
+    """Per row, the root t in [0, hi] of phi (see above); O(d) per step."""
+    t = np.zeros_like(zd2)
+    rows = np.nonzero(hi > 0.0)[0]
+    zk2, zd2, hi = zk2[rows], zd2[rows], hi[rows]
+    lo = np.zeros(rows.size)
+    # phi(z_d^2) >= 0, so start there unless it is the pole g_{d-1}
+    cur = np.where(hi < gaps[-1], hi, 0.5 * hi)
+    for _ in range(_SECULAR_MAX_STEPS):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            # next to the pole phi may overflow; bisection takes over there
+            inv = 1.0 / (gaps - cur[:, None])
+            terms = zk2 * inv
+            s = terms.sum(axis=1)
+            phi = cur * (1.0 + s) - zd2
+            step = cur - phi / (1.0 + s + cur * (terms * inv).sum(axis=1))
+        right = phi >= 0.0
+        hi = np.where(right, cur, hi)
+        lo = np.where(right, lo, cur)
+        # at the root the step may land on a bracket end by roundoff: stop there
+        settled = np.abs(step - cur) <= _SECULAR_RTOL * cur
+        nxt = np.where(settled | ((step > lo) & (step < hi)), step, 0.5 * (lo + hi))
+        done = settled | (hi - lo <= _SECULAR_RTOL * hi)
+        t[rows[done]] = nxt[done]
+        keep = ~done
+        if not keep.any():
+            break
+        rows, zk2, zd2, lo, hi, cur = (
+            rows[keep], zk2[keep], zd2[keep], lo[keep], hi[keep], nxt[keep]
+        )
+    else:
+        t[rows] = cur
+    return t
+
+
+def zeta_scan(EZ, X):
+    """max over rows x_p of X of the largest eigenvalue of EZ - x_p x_p^T."""
+    lam, Q = np.linalg.eigh(EZ)
+    top = lam[-1]
+    gaps = top - lam[:-1]
     npairs, d = X.shape
-    best = -np.inf
-    step = max(1, 2_000_000 // max(1, d * d))
+    step = max(1, _ZETA_BLOCK // d)
+    t_min = np.inf
     for lo in range(0, npairs, step):
-        blk = X[lo : lo + step]
-        A = EZ[None, :, :] - blk[:, :, None] * blk[:, None, :]
-        ev = np.linalg.eigvalsh(A)
-        top = float(ev[:, -1].max())
-        if top > best:
-            best = top
-    return best
-
-
-def _zeta_scan_loop(EZ, X):
-    npairs, d = X.shape
-    best = -np.inf
-    A = np.empty((d, d))
-    for p in range(npairs):
-        for a in range(d):
-            for b in range(d):
-                A[a, b] = EZ[a, b] - X[p, a] * X[p, b]
-        ev = _jacobi_impl(A)
-        if ev[d - 1] > best:
-            best = ev[d - 1]
-    return best
+        z2 = (X[lo : lo + step] @ Q) ** 2
+        zd2 = z2[:, -1]
+        if d == 1:  # no other eigenvalue: the root is z_1^2 itself
+            t = zd2
+        else:
+            t = _secular_roots(z2[:, :-1], zd2, gaps, np.minimum(zd2, gaps[-1]))
+        t_min = min(t_min, float(t.min()))
+    return float(top - t_min)
 
 
 # ---------------------------------------------------------------------------
@@ -191,58 +159,7 @@ def _zeta_scan_loop(EZ, X):
 # ---------------------------------------------------------------------------
 
 
-def _pick_orientation(P, present, a, b, c):
-    if present[a, b] and present[b, c] and present[a, c]:
-        if P[a, b] > 0.5 and P[b, c] > 0.5:
-            return a, b, c, True
-        if P[a, c] > 0.5 and P[c, b] > 0.5:
-            return a, c, b, True
-        if P[b, a] > 0.5 and P[a, c] > 0.5:
-            return b, a, c, True
-        if P[b, c] > 0.5 and P[c, a] > 0.5:
-            return b, c, a, True
-        if P[c, a] > 0.5 and P[a, b] > 0.5:
-            return c, a, b, True
-        if P[c, b] > 0.5 and P[b, a] > 0.5:
-            return c, b, a, True
-    return 0, 0, 0, False
-
-
-def _transitivity_scan_loop(P, present):
-    n = P.shape[0]
-    checked = 0
-    nviol = 0
-    for a in range(n - 2):
-        for b in range(a + 1, n - 1):
-            for c in range(b + 1, n):
-                x, y, z, found = _pick_orientation(P, present, a, b, c)
-                if not found:
-                    continue
-                checked += 1
-                if P[x, z] < max(P[x, y], P[y, z]):
-                    nviol += 1
-    viol = np.empty((nviol, 5), dtype=np.int64)
-    k = 0
-    for a in range(n - 2):
-        for b in range(a + 1, n - 1):
-            for c in range(b + 1, n):
-                x, y, z, found = _pick_orientation(P, present, a, b, c)
-                if not found:
-                    continue
-                pxy = P[x, y]
-                pyz = P[y, z]
-                pxz = P[x, z]
-                if pxz < max(pxy, pyz):
-                    viol[k, 0] = x
-                    viol[k, 1] = y
-                    viol[k, 2] = z
-                    viol[k, 3] = 1 if pxz < min(pxy, pyz) else 0
-                    viol[k, 4] = 1 if pxz < 0.5 else 0
-                    k += 1
-    return checked, viol
-
-
-def _transitivity_scan_np(P, present):
+def transitivity_scan(P, present):
     n = P.shape[0]
     if n < 3:
         return 0, np.empty((0, 5), dtype=np.int64)
@@ -275,33 +192,3 @@ def _transitivity_scan_np(P, present):
     viol[:, 3] = moderate[sel]
     viol[:, 4] = weak[sel]
     return int(rows.size), viol
-
-
-# ---------------------------------------------------------------------------
-# path selection
-# ---------------------------------------------------------------------------
-
-if NUMBA_ENABLED:
-    _jacobi_jit = njit(cache=True)(_jacobi_eigvals_loop)
-    _jacobi_impl = _jacobi_jit
-    _zeta_scan_jit = njit(cache=True)(_zeta_scan_loop)
-    _pick_orientation = njit(cache=True)(_pick_orientation)
-    _transitivity_scan_jit = njit(cache=True)(_transitivity_scan_loop)
-
-    zeta_scan = _zeta_scan_jit
-    transitivity_scan = _transitivity_scan_jit
-else:
-    zeta_scan = _zeta_scan_np
-    transitivity_scan = _transitivity_scan_np
-
-
-def implementations(name):
-    """Available (label, callable) pairs for one kernel, for benchmarks/tests."""
-    table = {
-        "zeta_scan": [("numpy", _zeta_scan_np)],
-        "transitivity_scan": [("numpy", _transitivity_scan_np)],
-    }
-    if NUMBA_ENABLED:
-        table["zeta_scan"].append(("numba", _zeta_scan_jit))
-        table["transitivity_scan"].append(("numba", _transitivity_scan_jit))
-    return table[name]

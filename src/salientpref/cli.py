@@ -236,10 +236,11 @@ def cmd_theory(args) -> int:
     if args.weights:
         w = dataio.load_weights_json(args.weights)
         inputs.append(args.weights)
+    certificate = theory.sample_complexity_report(fm, sel, w_star=w, delta=args.delta)
     payload: dict = {
         "selection": args.selection.to_dict(),
         "identifiability": theory.identifiability_check(fm, sel).to_dict(),
-        "certificate": theory.sample_complexity_report(fm, sel, w_star=w, delta=args.delta).to_dict(),
+        "certificate": certificate.to_dict(),
     }
     if args.selection.kind == "full" and fm.n > fm.d:
         payload["full_selection"] = theory.full_selection_report(
@@ -254,7 +255,7 @@ def cmd_theory(args) -> int:
     if w is not None:
         payload["b_star"] = max_abs_margin(fm, sel, w)
         payload["ranking_recovery"] = theory.ranking_recovery_report(
-            fm, sel, w, k=1, delta=args.delta, c5=1.0
+            fm, sel, w, k=1, delta=args.delta, c5=1.0, certificate=certificate
         ).to_dict()
     dataio.write_json(args.out, payload)
     _write_manifest(args.out + ".manifest.json", "theory", args, inputs)

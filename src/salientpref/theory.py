@@ -26,8 +26,9 @@ Two specializations tighten this: full selection on column-centered features
 (lambda has the closed form n * eigmin(U U^T) / C(n,2)), and single-coordinate
 selection (bounds in terms of the coordinate partition sizes).  A third turns
 the weight error into a Kendall-distance guarantee via the sorted utility
-gaps.  Eigenvalues of the small d x d certificate matrices come from cyclic
-Jacobi rotations for accuracy near zero.
+gaps.  Eigenvalues of the small d x d certificate matrices come from LAPACK;
+zeta comes from one eigendecomposition of E[Z] and a secular-equation root
+per pair (see ``_kernels.zeta_scan``).
 """
 
 from __future__ import annotations
@@ -496,6 +497,7 @@ def ranking_recovery_report(
     k: int,
     delta: float = 0.05,
     c5: float = 1.0,
+    certificate: SampleComplexityReport | None = None,
 ) -> RankingRecoveryBounds:
     """How many samples before the learned ranking is within distance k - 1.
 
@@ -503,6 +505,9 @@ def ranking_recovery_report(
     (its sharp value is not pinned down, so it is a knob, never asserted);
     a zero utility gap alpha_k makes that term infinite: ties in true
     utilities void the guarantee at that k.
+
+    ``certificate`` is ``sample_complexity_report(features, sel, w_star,
+    delta)`` when the caller already has it; otherwise it is computed here.
     """
     delta = _check_delta(delta)
     d, n = features.d, features.n
@@ -515,7 +520,18 @@ def ranking_recovery_report(
 
     alpha, M = utility_gaps(features, w_star)
     alpha_k = float(alpha[k - 1])
-    base = sample_complexity_report(features, sel, w_star=w_star, delta=delta)
+    if certificate is None:
+        base = sample_complexity_report(features, sel, w_star=w_star, delta=delta)
+    elif (
+        certificate.b_star is None
+        or certificate.delta != delta
+        or (certificate.d, certificate.n) != (d, n)
+    ):
+        raise PreconditionError(
+            "certificate must come from the same features, true weights and delta"
+        )
+    else:
+        base = certificate
 
     log4 = math.log(4.0 * d / delta)
     if alpha_k > 0.0 and base.identifiable:

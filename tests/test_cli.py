@@ -232,6 +232,34 @@ class TestTheoryCommand:
         assert payload["certificate"]["b_star"] is None
 
 
+    def test_certificate_computed_once(self, tmp_path, monkeypatch):
+        sim = tmp_path / "sim"
+        run_cli(
+            "simulate", "--d", 3, "--n", 8, "--m", 100,
+            "--selection", '{"kind":"top_t","t":2}', "--seed", 5,
+            "--out-dir", sim,
+        )
+        calls = []
+        real = cli.theory.sample_complexity_report
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli.theory, "sample_complexity_report", counting)
+        argv = [
+            "theory",
+            "--features", str(sim / "features.csv"),
+            "--selection", '{"kind":"top_t","t":2}',
+            "--weights", str(sim / "truth_weights.json"),
+            "--out", str(tmp_path / "theory.json"),
+        ]
+        assert cli.main(argv) == 0
+        assert len(calls) == 1
+        payload = read_json(str(tmp_path / "theory.json"))
+        assert payload["ranking_recovery"]["lambda"] == payload["certificate"]["lambda"]
+
+
 class TestSweep:
     def test_long_format_csv(self, tmp_path):
         spec = tmp_path / "spec.json"

@@ -125,7 +125,7 @@ class TestFit:
         assert hits >= 18
 
     def test_gradient_descent_path_for_wide_problems(self, rng):
-        # d > 64 bypasses Newton; descent still makes clear progress
+        # wide problem (d=70): the objective falls and the fit converges
         d, n = 70, 80
         fm = FeatureMatrix(rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, n)))
         sel = realize(SelectionSpec.full(), fm)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -184,6 +185,67 @@ class TestSampleComplexityReport:
                 sample_complexity_report(fm, sel, delta=delta)
 
 
+def assert_zeta_matches_oracle(fm, sel):
+    X = sel.diff_table()
+    want = oracles.certificate_quantities(X)[2]
+    got = sample_complexity_report(fm, sel).zeta
+    # absolute slack only for a zeta at roundoff distance from zero
+    assert got == pytest.approx(want, rel=1e-10, abs=1e-12 * float(np.abs(X).max()) ** 2)
+
+
+class TestZetaEdgeCases:
+    def test_one_feature(self, rng):
+        fm = FeatureMatrix(rng.normal(size=(1, 9)))
+        assert_zeta_matches_oracle(fm, realize(SelectionSpec.full(), fm))
+
+    def test_one_pair(self, rng):
+        fm = FeatureMatrix(rng.normal(size=(3, 2)))
+        assert_zeta_matches_oracle(fm, realize(SelectionSpec.full(), fm))
+
+    def test_difference_orthogonal_to_top_eigenvector(self):
+        # E[Z] = diag(16, 4) / 6; items 0, 1 differ along e2 only, so z_d = 0
+        fm = fm_from_columns([0.0, 0.0], [0.0, 1.0], [2.0, 0.0], [2.0, 1.0])
+        sel = realize(SelectionSpec.full(), fm)
+        X = sel.diff_table()
+        np.testing.assert_allclose(X.T @ X / X.shape[0], np.diag([16.0, 4.0]) / 6.0)
+        assert_zeta_matches_oracle(fm, sel)
+
+    def test_repeated_top_eigenvalue(self):
+        fm, sel = hexagon_instance()
+        eigs = np.linalg.eigvalsh(oracles.expected_outer(sel.diff_table()))
+        assert eigs[-1] - eigs[-2] <= 1e-12 * eigs[-1]
+        assert_zeta_matches_oracle(fm, sel)
+
+    def test_tied_items(self, rng):
+        M = rng.normal(size=(3, 8))
+        M[:, 5] = M[:, 2]
+        M[:, 7] = M[:, 2]
+        fm = FeatureMatrix(M)
+        for spec in (SelectionSpec.full(), SelectionSpec.top_t(2)):
+            sel = realize(spec, fm)
+            assert not np.abs(sel.diff_table()).sum(axis=1).all()
+            assert_zeta_matches_oracle(fm, sel)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_scaled_features(self, rng, scale):
+        fm = FeatureMatrix(rng.normal(size=(4, 12)) * scale)
+        for spec in (SelectionSpec.full(), SelectionSpec.top_t(2)):
+            assert_zeta_matches_oracle(fm, realize(spec, fm))
+
+    @pytest.mark.parametrize("d", [2, 5, 30])
+    def test_random_instances_every_selection_kind(self, rng, d):
+        n = d + 12
+        specs = (
+            SelectionSpec.full(),
+            SelectionSpec.top_t(max(1, d // 2)),
+            SelectionSpec.random_exactly_k(max(1, d // 3), int(rng.integers(0, 2**32))),
+            SelectionSpec.random_bernoulli(0.5, int(rng.integers(0, 2**32))),
+        )
+        for spec in specs:
+            fm = FeatureMatrix(rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, n)))
+            assert_zeta_matches_oracle(fm, realize(spec, fm))
+
+
 class TestFullSelectionReport:
     def test_closed_form_matches_direct(self, rng):
         for _ in range(5):
@@ -299,6 +361,28 @@ class TestRankingRecoveryReport:
         t1 = ranking_recovery_report(fm, sel, w, k=1, c5=1.0).m_terms[2]
         t2 = ranking_recovery_report(fm, sel, w, k=1, c5=3.0).m_terms[2]
         assert t2 == pytest.approx(3.0 * t1, rel=1e-12)
+
+
+    def test_precomputed_certificate_gives_same_report(self, rng):
+        fm = FeatureMatrix(rng.normal(size=(3, 7)))
+        sel = realize(SelectionSpec.top_t(2), fm)
+        w = rng.normal(size=3)
+        cert = sample_complexity_report(fm, sel, w_star=w, delta=0.1)
+        recomputed = ranking_recovery_report(fm, sel, w, k=3, delta=0.1, c5=2.0)
+        reused = ranking_recovery_report(fm, sel, w, k=3, delta=0.1, c5=2.0, certificate=cert)
+        for field in dataclasses.fields(recomputed):
+            assert getattr(reused, field.name) == getattr(recomputed, field.name), field.name
+        assert reused.to_dict() == recomputed.to_dict()
+
+    def test_mismatched_certificate_rejected(self, rng):
+        fm = FeatureMatrix(rng.normal(size=(2, 5)))
+        sel = realize(SelectionSpec.full(), fm)
+        w = rng.normal(size=2)
+        without_weights = sample_complexity_report(fm, sel, delta=0.05)
+        other_delta = sample_complexity_report(fm, sel, w_star=w, delta=0.1)
+        for cert in (without_weights, other_delta):
+            with pytest.raises(PreconditionError):
+                ranking_recovery_report(fm, sel, w, k=1, delta=0.05, certificate=cert)
 
 
 class TestEmpiricalGuaranteeCheck:
