@@ -39,7 +39,7 @@ from .ranking import (
     rank_from_weights,
     subset_kendall,
 )
-from .selection import SelectionSpec, realize
+from .selection import SelectionSpec, all_pairs, realize
 
 SEED_SCHEME = (
     "numpy SeedSequence chains rooted at --seed: [seed,0] features, "
@@ -191,6 +191,13 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _pair_probability_map(fm, w, sel) -> dict[tuple[int, int], float]:
+    """Model P(i beats j) keyed by canonical pair (i, j), i < j."""
+    ii, jj = all_pairs(fm.n)
+    probs = all_pair_probabilities(fm, w, sel)
+    return {(a, b): p for a, b, p in zip(ii.tolist(), jj.tolist(), probs.tolist())}
+
+
 def cmd_diagnose(args) -> int:
     fm, _ = dataio.load_features(args.features)
     payload: dict = {"item_ids": list(fm.item_ids)}
@@ -211,11 +218,7 @@ def cmd_diagnose(args) -> int:
         w = dataio.load_weights_json(args.weights)
         sel = realize(args.selection, fm)
         payload["model"] = diagnostics.model_transitivity_report(fm, w, sel).to_dict()
-        probs = all_pair_probabilities(fm, w, sel)
-        ii, jj = np.triu_indices(fm.n, k=1)
-        model_probs = {
-            (int(a), int(b)): float(p) for a, b, p in zip(ii, jj, probs)
-        }
+        model_probs = _pair_probability_map(fm, w, sel)
         inputs.append(args.weights)
     if empirical_probs is None and model_probs is None:
         raise PreconditionError("diagnose needs --comparisons or --weights/--selection")
@@ -272,9 +275,7 @@ def _sweep_cell(task: tuple) -> list[tuple]:
     true_rank = rank_from_weights(fm, w_star)
     est_rank = rank_from_weights(fm, result.w_hat)
     report = diagnostics.model_transitivity_report(fm, w_star, sel)
-    probs = all_pair_probabilities(fm, w_star, sel)
-    ii, jj = np.triu_indices(n, k=1)
-    pmap = {(int(a), int(b)): float(p) for a, b, p in zip(ii, jj, probs)}
+    pmap = _pair_probability_map(fm, w_star, sel)
     inconsistency = diagnostics.pairwise_inconsistency(pmap, true_rank)
     metrics = {
         "w_error": float(np.linalg.norm(result.w_hat - w_star)),

@@ -25,7 +25,7 @@ from .errors import PreconditionError, UndefinedMetricError
 from .features import FeatureMatrix
 from .model import ComparisonDataset, all_pair_probabilities
 from .ranking import Ranking
-from .selection import RealizedSelection
+from .selection import RealizedSelection, all_pairs
 
 
 @dataclass(frozen=True)
@@ -158,6 +158,11 @@ def count_transitivity_violations(
     if bad.size:
         raise ValueError(f"pair {(int(i[bad[0]]), int(j[bad[0]]))} is not canonical (need i < j)")
 
+    return _scan_pairs(i, j, probs)
+
+
+def _scan_pairs(i: np.ndarray, j: np.ndarray, probs: np.ndarray) -> TransitivityReport:
+    """Scan canonical pairs (i < j) with P(i beats j) = probs for violations."""
     # dense (P, present) over the items that occur, in increasing item order,
     # so the scan enumerates and orients triples exactly as over item indices
     items, idx = np.unique(np.concatenate([i, j]), return_inverse=True)
@@ -176,17 +181,10 @@ def model_transitivity_report(
     features: FeatureMatrix, w, sel: RealizedSelection
 ) -> TransitivityReport:
     """Exact model probabilities for all pairs, scanned for violations."""
-    n = features.n
-    if n < 3:
+    if features.n < 3:
         raise PreconditionError("transitivity needs at least 3 items")
-    probs = all_pair_probabilities(features, w, sel)
-    P = np.full((n, n), 0.5)
-    ii, jj = np.triu_indices(n, k=1)
-    P[ii, jj] = probs
-    P[jj, ii] = 1.0 - probs
-    present = ~np.eye(n, dtype=bool)
-    checked, viol = _kernels.transitivity_scan(P, present)
-    return _report_from_scan(checked, viol)
+    ii, jj = all_pairs(features.n)
+    return _scan_pairs(ii, jj, all_pair_probabilities(features, w, sel))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DimensionError, UndefinedMetricError
 from .features import FeatureMatrix, check_weights
 from .model import ComparisonDataset, all_pair_probabilities
-from .selection import RealizedSelection, pair_index
+from .selection import RealizedSelection, all_pairs, pair_index
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def kendall_distance(a: Ranking, b: Ranking) -> int:
     """Number of discordant pairs between two rankings of the same items."""
     if a.n != b.n:
         raise DimensionError(f"rankings have different sizes: {a.n} vs {b.n}")
-    ii, jj = np.triu_indices(a.n, k=1)
+    ii, jj = all_pairs(a.n)
     da = a.positions[ii] - a.positions[jj]
     db = b.positions[ii] - b.positions[jj]
     return int(np.count_nonzero(da * db < 0))
@@ -137,7 +137,7 @@ def utility_gaps(features: FeatureMatrix, w_star) -> tuple[np.ndarray, float]:
     w_star = check_weights(w_star, features.d)
     U = features.matrix
     utilities = U.T @ w_star
-    ii, jj = np.triu_indices(features.n, k=1)
+    ii, jj = all_pairs(features.n)
     gaps = np.sort(np.abs(utilities[ii] - utilities[jj]))
     M = float(np.max(np.linalg.norm(U, axis=0)))
     return gaps, M

@@ -17,29 +17,42 @@ subset.  Four kinds are supported:
     each coordinate kept independently with probability p; an all-empty draw
     is redrawn so the subset is never empty.
 
-Random subsets are realized once per pair from a stream seeded by
-``(seed, i, j)``, so the realized map is a fixed deterministic function of
-(spec, features): the same pair always yields the same subset, across calls,
-process runs, and realization orders.
+Random subsets are drawn per pair from a stream seeded by ``(seed, i, j)``
+(canonical ``i < j``), so the realized map is a fixed deterministic function
+of (spec, features): the same pair always yields the same subset, across
+calls, process runs, and realization orders.  Each kind's rule is coded once,
+batched over pairs, and serves single-pair lookups and the all-pairs table
+alike; nothing is memoized per pair.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, InvalidPairError, NotSingleCoordinateError
-from .features import FeatureMatrix, check_subset
+from .features import FeatureMatrix
 
-_KINDS = ("full", "top_t", "random_exactly_k", "random_bernoulli")
+# parameters each kind takes, in to_dict order
+_PARAMS = {
+    "full": (),
+    "top_t": ("t",),
+    "random_exactly_k": ("k", "seed"),
+    "random_bernoulli": ("p", "seed"),
+}
 
 
 @dataclass(frozen=True)
 class SelectionSpec:
-    """Parameter record for one selection function."""
+    """Parameter record for one selection function.
+
+    ``t``, ``k`` and ``seed`` must be integers and ``p`` a real number (never
+    a bool); a parameter the kind does not use must be left unset.
+    """
 
     kind: str
     t: int | None = None
@@ -48,27 +61,32 @@ class SelectionSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _PARAMS:
             raise ValueError(f"unknown selection kind {self.kind!r}")
-        if self.kind == "top_t":
-            if self.t is None or int(self.t) < 1:
-                raise ValueError("top_t requires an integer t >= 1")
-            object.__setattr__(self, "t", int(self.t))
-        if self.kind == "random_exactly_k":
-            if self.k is None or int(self.k) < 1:
-                raise ValueError("random_exactly_k requires an integer k >= 1")
-            object.__setattr__(self, "k", int(self.k))
-        if self.kind == "random_bernoulli":
-            if self.p is None or not 0.0 < float(self.p) <= 1.0:
-                raise ValueError("random_bernoulli requires p in (0, 1]")
-            object.__setattr__(self, "p", float(self.p))
-        if self.kind in ("random_exactly_k", "random_bernoulli"):
-            if self.seed is None:
-                raise ValueError(f"{self.kind} requires a seed")
-            seed = int(self.seed)
-            if not 0 <= seed < 2**64:
-                raise ValueError("seed must fit in 64 unsigned bits")
-            object.__setattr__(self, "seed", seed)
+        used = _PARAMS[self.kind]
+        for name in ("t", "k", "p", "seed"):
+            value = getattr(self, name)
+            if name not in used:
+                if value is not None:
+                    raise ValueError(f"{self.kind} takes no parameter {name!r}")
+            elif value is None:
+                raise ValueError(f"{self.kind} requires {name!r}")
+            elif name == "p":
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise ValueError(f"p must be a real number, got {value!r}")
+                object.__setattr__(self, name, float(value))
+            else:
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ValueError(f"{name} must be an integer, got {value!r}")
+                object.__setattr__(self, name, int(value))
+        if self.kind == "top_t" and self.t < 1:
+            raise ValueError("top_t requires an integer t >= 1")
+        if self.kind == "random_exactly_k" and self.k < 1:
+            raise ValueError("random_exactly_k requires an integer k >= 1")
+        if self.kind == "random_bernoulli" and not 0.0 < self.p <= 1.0:
+            raise ValueError("random_bernoulli requires p in (0, 1]")
+        if self.seed is not None and not 0 <= self.seed < 2**64:
+            raise ValueError("seed must fit in 64 unsigned bits")
 
     @classmethod
     def full(cls) -> "SelectionSpec":
@@ -88,14 +106,7 @@ class SelectionSpec:
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind}
-        if self.kind == "top_t":
-            out["t"] = self.t
-        elif self.kind == "random_exactly_k":
-            out["k"] = self.k
-            out["seed"] = self.seed
-        elif self.kind == "random_bernoulli":
-            out["p"] = self.p
-            out["seed"] = self.seed
+        out.update((name, getattr(self, name)) for name in _PARAMS[self.kind])
         return out
 
     def to_json(self) -> str:
@@ -133,11 +144,12 @@ def all_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class RealizedSelection:
-    """A selection spec bound to a feature matrix, memoized per pair.
+    """A selection spec bound to a feature matrix.
 
-    Subset lookups are cached under a lock, so concurrent readers observe
-    identical results regardless of interleaving; :meth:`diff_table`
-    materializes the full masked-difference table once.
+    Subsets are recomputed on demand by :meth:`select` and
+    :meth:`masked_diff`; :meth:`diff_table` builds the keep mask and the
+    masked-difference table for all pairs once, under a lock, and caches both
+    read-only, so concurrent readers see identical results.
     """
 
     def __init__(self, spec: SelectionSpec, features: FeatureMatrix):
@@ -149,7 +161,7 @@ class RealizedSelection:
         self.spec = spec
         self.features = features
         self._lock = threading.Lock()
-        self._subsets: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._keep: np.ndarray | None = None
         self._diffs: np.ndarray | None = None
 
     @property
@@ -165,44 +177,52 @@ class RealizedSelection:
             raise InvalidPairError(f"item compared with itself: {i}")
         return (i, j) if i < j else (j, i)
 
-    def _compute_subset(self, i: int, j: int) -> tuple[int, ...]:
-        d = self.features.d
+    def _keep_mask(self, ii: np.ndarray, jj: np.ndarray, diffs: np.ndarray) -> np.ndarray:
+        """The subset rule: keep mask (len(ii), d) for canonical pairs (ii, jj).
+
+        ``diffs`` holds the raw differences U_i - U_j, one row per pair.
+        """
         spec = self.spec
+        npairs, d = diffs.shape
         if spec.kind == "full":
-            return tuple(range(d))
+            return np.ones((npairs, d), dtype=bool)
+        keep = np.zeros((npairs, d), dtype=bool)
         if spec.kind == "top_t":
-            diff = np.abs(self.features.matrix[:, i] - self.features.matrix[:, j])
-            order = np.argsort(-diff, kind="stable")
-            return tuple(sorted(int(k) for k in order[: spec.t]))
-        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, i, j]))
-        if spec.kind == "random_exactly_k":
-            chosen = rng.permutation(d)[: spec.k]
-            return tuple(sorted(int(k) for k in chosen))
-        # random_bernoulli: redraw until at least one coordinate survives
-        while True:
-            keep = rng.random(d) < spec.p
-            if keep.any():
-                return tuple(int(k) for k in np.nonzero(keep)[0])
+            order = np.argsort(-np.abs(diffs), axis=1, kind="stable")
+            np.put_along_axis(keep, order[:, : spec.t], True, axis=1)
+            return keep
+        for r, (a, b) in enumerate(zip(ii.tolist(), jj.tolist())):
+            rng = np.random.default_rng(np.random.SeedSequence([spec.seed, a, b]))
+            if spec.kind == "random_exactly_k":
+                keep[r, rng.permutation(d)[: spec.k]] = True
+            else:
+                # random_bernoulli: redraw until at least one coordinate survives
+                while not keep[r].any():
+                    keep[r] = rng.random(d) < spec.p
+        return keep
+
+    def _pair_keep(self, i: int, j: int) -> np.ndarray:
+        a, b = self._canonical(i, j)
+        U = self.features.matrix
+        return self._keep_mask(
+            np.array([a]), np.array([b]), (U[:, a] - U[:, b])[None, :]
+        )[0]
 
     def select(self, i: int, j: int) -> tuple[int, ...]:
         """Realized coordinate subset for the pair; symmetric in (i, j)."""
-        key = self._canonical(i, j)
-        with self._lock:
-            got = self._subsets.get(key)
-            if got is None:
-                got = check_subset(self._compute_subset(*key), self.features.d)
-                self._subsets[key] = got
-            return got
+        return tuple(np.flatnonzero(self._pair_keep(i, j)).tolist())
 
     def masked_diff(self, i: int, j: int) -> np.ndarray:
         """Masked feature difference U_i - U_j on the pair's subset."""
-        a, b = self._canonical(i, j)
-        subset = self.select(a, b)
-        diff = self.features.matrix[:, i] - self.features.matrix[:, j]
-        out = np.zeros_like(diff)
-        idx = np.fromiter(subset, dtype=np.int64)
-        out[idx] = diff[idx]
-        return out
+        keep = self._pair_keep(i, j)
+        U = self.features.matrix
+        return np.where(keep, U[:, i] - U[:, j], 0.0)
+
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        with self._lock:
+            if self._diffs is None:
+                self._diffs = self._build_diff_table()
+            return self._keep, self._diffs
 
     def diff_table(self) -> np.ndarray:
         """Masked differences for all canonical pairs, shape (C(n,2), d).
@@ -210,31 +230,15 @@ class RealizedSelection:
         Row order is lexicographic in (i, j); rows are U_i - U_j masked to the
         pair's subset.  Built once and cached read-only.
         """
-        with self._lock:
-            if self._diffs is None:
-                self._diffs = self._build_diff_table()
-            return self._diffs
+        return self._tables()[1]
 
     def _build_diff_table(self) -> np.ndarray:
         U = self.features.matrix
-        d, n = U.shape
-        ii, jj = all_pairs(n)
+        ii, jj = all_pairs(U.shape[1])
         diffs = U[:, ii].T - U[:, jj].T  # (npairs, d)
-        spec = self.spec
-        if spec.kind == "full":
-            keep = np.ones_like(diffs, dtype=bool)
-        elif spec.kind == "top_t":
-            order = np.argsort(-np.abs(diffs), axis=1, kind="stable")
-            keep = np.zeros_like(diffs, dtype=bool)
-            np.put_along_axis(keep, order[:, : spec.t], True, axis=1)
-        else:
-            keep = np.zeros_like(diffs, dtype=bool)
-            for r, (a, b) in enumerate(zip(ii.tolist(), jj.tolist())):
-                keep[r, list(self._compute_subset(a, b))] = True
-        for r, (a, b) in enumerate(zip(ii.tolist(), jj.tolist())):
-            self._subsets.setdefault(
-                (a, b), tuple(int(k) for k in np.nonzero(keep[r])[0])
-            )
+        keep = self._keep_mask(ii, jj, diffs)
+        keep.setflags(write=False)
+        self._keep = keep
         out = np.where(keep, diffs, 0.0)
         out.setflags(write=False)
         return out
@@ -244,20 +248,22 @@ class RealizedSelection:
 
         Requires every realized subset to be a singleton; returns one pair
         tuple per coordinate (possibly empty), a partition of all C(n,2)
-        pairs.
+        pairs, each part in lexicographic pair order.
         """
-        n = self.features.n
-        d = self.features.d
-        groups: list[list[tuple[int, int]]] = [[] for _ in range(d)]
-        ii, jj = all_pairs(n)
-        for a, b in zip(ii.tolist(), jj.tolist()):
-            subset = self.select(a, b)
-            if len(subset) != 1:
-                raise NotSingleCoordinateError(
-                    f"pair ({a}, {b}) selects {len(subset)} coordinates, need 1"
-                )
-            groups[subset[0]].append((a, b))
-        return tuple(tuple(g) for g in groups)
+        keep = self._tables()[0]
+        ii, jj = all_pairs(self.features.n)
+        sizes = keep.sum(axis=1)
+        bad = np.flatnonzero(sizes != 1)
+        if bad.size:
+            r = bad[0]
+            raise NotSingleCoordinateError(
+                f"pair ({ii[r]}, {jj[r]}) selects {sizes[r]} coordinates, need 1"
+            )
+        coord = keep.argmax(axis=1)
+        return tuple(
+            tuple(zip(ii[coord == k].tolist(), jj[coord == k].tolist()))
+            for k in range(self.features.d)
+        )
 
 
 def realize(spec: SelectionSpec, features: FeatureMatrix) -> RealizedSelection:

@@ -44,7 +44,7 @@ from .estimator import FitConfig, fit
 from .features import FeatureMatrix, check_weights
 from .model import sample_comparisons
 from .ranking import utility_gaps
-from .selection import RealizedSelection
+from .selection import RealizedSelection, all_pairs
 
 LAMBDA_REL_TOL = 1e-10
 RANK_REL_TOL = 1e-10
@@ -90,18 +90,28 @@ def _m1_threshold(beta: float, d: int, log4: float) -> float:
     return (3.0 * beta**2 * log4 * d + 4.0 * math.sqrt(d) * beta * log4) / 6.0
 
 
-def _gradient_envelope(beta: float, d: int, log4: float) -> float:
-    """sqrt argument of the error bound before dividing by m."""
-    return (3.0 * beta**2 * log4 * d + 4.0 * math.sqrt(d) * beta * log4) / 6.0
-
-
-def _error_coefficient(b_star: float, inv_lambda_like: float, envelope: float) -> float:
+def _error_coefficient(b_star: float, inv_lambda_like: float, m1: float) -> float:
+    """Error bound times sqrt(m); the m1 threshold is the bound's sqrt argument."""
     eb = math.exp(b_star)
-    return 4.0 * (1.0 + eb) ** 2 / eb * inv_lambda_like * math.sqrt(envelope)
+    return 4.0 * (1.0 + eb) ** 2 / eb * inv_lambda_like * math.sqrt(m1)
+
+
+class _ErrorBound:
+    """``error_bound(m)`` for a certificate with an ``error_bound_coefficient``."""
+
+    error_bound_coefficient: float | None
+
+    def error_bound(self, m: float) -> float:
+        """Estimation-error bound at sample size ``m``; scales as 1/sqrt(m)."""
+        if self.error_bound_coefficient is None:
+            raise PreconditionError("error bound needs true weights (b_star unknown)")
+        if m <= 0:
+            raise PreconditionError("sample size must be positive")
+        return self.error_bound_coefficient / math.sqrt(m)
 
 
 @dataclass(frozen=True)
-class SampleComplexityReport:
+class SampleComplexityReport(_ErrorBound):
     """Certificate for an arbitrary selection function."""
 
     lambda_: float
@@ -116,14 +126,6 @@ class SampleComplexityReport:
     d: int
     n: int
     error_bound_coefficient: float | None
-
-    def error_bound(self, m: float) -> float:
-        """Estimation-error bound at sample size ``m``; scales as 1/sqrt(m)."""
-        if self.error_bound_coefficient is None:
-            raise PreconditionError("error bound needs true weights (b_star unknown)")
-        if m <= 0:
-            raise PreconditionError("sample size must be positive")
-        return self.error_bound_coefficient / math.sqrt(m)
 
     def to_dict(self) -> dict:
         return {
@@ -190,9 +192,8 @@ def sample_complexity_report(
     if w_star is not None:
         w_star = check_weights(w_star, d)
         b_star = float(np.abs(X @ w_star).max()) if X.size else 0.0
-        envelope = _gradient_envelope(beta, d, log4)
         coeff = (
-            _error_coefficient(b_star, 1.0 / lam, envelope)
+            _error_coefficient(b_star, 1.0 / lam, m1)
             if identifiable
             else math.inf
         )
@@ -213,7 +214,7 @@ def sample_complexity_report(
 
 
 @dataclass(frozen=True)
-class FullSelectionBounds:
+class FullSelectionBounds(_ErrorBound):
     """Closed forms when every pair uses every feature (centered columns)."""
 
     nu: float
@@ -228,13 +229,6 @@ class FullSelectionBounds:
     d: int
     n: int
     error_bound_coefficient: float | None
-
-    def error_bound(self, m: float) -> float:
-        if self.error_bound_coefficient is None:
-            raise PreconditionError("error bound needs true weights (b_star unknown)")
-        if m <= 0:
-            raise PreconditionError("sample size must be positive")
-        return self.error_bound_coefficient / math.sqrt(m)
 
     def to_dict(self) -> dict:
         return {
@@ -277,7 +271,7 @@ def full_selection_report(
     lmin = max(float(gram_eigs[0]), 0.0)
     lmax = float(gram_eigs[-1])
 
-    ii, jj = np.triu_indices(n, k=1)
+    ii, jj = all_pairs(n)
     diffs = U[:, ii].T - U[:, jj].T
     nu = max(float((diffs**2).sum(axis=1).max()), 1.0)
     beta = float(np.abs(diffs).max())
@@ -309,9 +303,8 @@ def full_selection_report(
     if w_star is not None:
         w_star = check_weights(w_star, d)
         b_star = float(np.abs(diffs @ w_star).max())
-        envelope = _gradient_envelope(beta, d, log4)
         coeff = (
-            _error_coefficient(b_star, npairs / (n * lmin), envelope)
+            _error_coefficient(b_star, npairs / (n * lmin), m1)
             if lmin > 0.0
             else math.inf
         )
@@ -332,7 +325,7 @@ def full_selection_report(
 
 
 @dataclass(frozen=True)
-class SingleCoordinateBounds:
+class SingleCoordinateBounds(_ErrorBound):
     """Bounds when every pair is compared on exactly one coordinate."""
 
     partition_sizes: tuple[int, ...]
@@ -349,13 +342,6 @@ class SingleCoordinateBounds:
     d: int
     n: int
     error_bound_coefficient: float | None
-
-    def error_bound(self, m: float) -> float:
-        if self.error_bound_coefficient is None:
-            raise PreconditionError("error bound needs true weights (b_star unknown)")
-        if m <= 0:
-            raise PreconditionError("sample size must be positive")
-        return self.error_bound_coefficient / math.sqrt(m)
 
     def to_dict(self) -> dict:
         return {
@@ -424,10 +410,9 @@ def single_coordinate_report(
     if w_star is not None:
         w_star = check_weights(w_star, d)
         b_star = float(np.abs(X @ w_star).max())
-        envelope = _gradient_envelope(beta, d, log4)
         denom = epsilon**2 * min_pk
         coeff = (
-            _error_coefficient(b_star, npairs / denom, envelope)
+            _error_coefficient(b_star, npairs / denom, m1)
             if denom > 0.0
             else math.inf
         )

@@ -1,7 +1,17 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import salientpref
 from salientpref import FeatureMatrix, SelectionSpec, realize
+
+# CLI tests run ``python -m salientpref.cli`` in child processes: let them
+# import the same package this process imported.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(salientpref.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+)
 
 
 @pytest.fixture

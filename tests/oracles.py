@@ -173,3 +173,39 @@ def two_point_variance(a, b):
     """Sample variance of two scalars around their mean."""
     mu = (a + b) / 2.0
     return ((a - mu) ** 2 + (b - mu) ** 2) / 2.0
+
+
+def masked_diff_table(U, spec):
+    """Each canonical pair's subset and masked difference, pair by pair.
+
+    ``spec`` is a selection spec in dict form.  Returns ``(subsets, table)``:
+    for the pairs i < j in lexicographic order, the sorted coordinate tuple
+    the pair selects and the row U_i - U_j with every other coordinate zeroed.
+    ``top_t`` keeps the t coordinates of largest |difference|, ties to the
+    lower index; the random kinds draw from a stream seeded by (seed, i, j):
+    the first k entries of a permutation, or a Bernoulli(p) draw per
+    coordinate, redrawn until nonempty.
+    """
+    U = np.asarray(U, dtype=np.float64)
+    d, n = U.shape
+    kind = spec["kind"]
+    subsets, rows = [], []
+    for i in range(n):
+        for j in range(i + 1, n):
+            diff = [U[k, i] - U[k, j] for k in range(d)]
+            if kind == "full":
+                subset = set(range(d))
+            elif kind == "top_t":
+                subset = set(sorted(range(d), key=lambda k: (-abs(diff[k]), k))[: spec["t"]])
+            else:
+                rng = np.random.default_rng(np.random.SeedSequence([spec["seed"], i, j]))
+                if kind == "random_exactly_k":
+                    subset = {int(k) for k in rng.permutation(d)[: spec["k"]]}
+                else:
+                    subset = set()
+                    while not subset:
+                        draw = rng.random(d)
+                        subset = {k for k in range(d) if draw[k] < spec["p"]}
+            subsets.append(tuple(sorted(subset)))
+            rows.append([diff[k] if k in subset else 0.0 for k in range(d)])
+    return subsets, np.array(rows, dtype=np.float64)

@@ -80,6 +80,17 @@ class TestSimulate:
         )
         assert proc.returncode == 2
 
+    def test_fractional_selection_parameter_is_usage_error(self, tmp_path):
+        proc = run_cli(
+            "simulate", "--d", 2, "--n", 5, "--m", 10,
+            "--selection", '{"kind":"top_t","t":1.7}', "--seed", 1,
+            "--out-dir", tmp_path / "x",
+            check=False,
+        )
+        assert proc.returncode == 2
+        assert "t must be an integer" in proc.stderr
+        assert not (tmp_path / "x").exists()
+
 
 class TestFitRankEvaluate:
     def test_full_chain(self, sim_dir, tmp_path):

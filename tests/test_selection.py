@@ -49,6 +49,48 @@ class TestSelectionSpec:
         with pytest.raises(ValueError):
             SelectionSpec.from_dict({"kind": "full", "threshold": 1})
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"kind": "top_t", "t": 1.7},
+            {"kind": "top_t", "t": 2.0},
+            {"kind": "top_t", "t": True},
+            {"kind": "top_t", "t": "2"},
+            {"kind": "random_exactly_k", "k": "3", "seed": 1},
+            {"kind": "random_exactly_k", "k": 3, "seed": 1.9},
+            {"kind": "random_exactly_k", "k": 3, "seed": False},
+            {"kind": "random_bernoulli", "p": True, "seed": 1},
+            {"kind": "random_bernoulli", "p": "0.5", "seed": 1},
+            {"kind": "random_bernoulli", "p": 0.5, "seed": -1},
+            {"kind": "random_bernoulli", "p": 0.5, "seed": 2**64},
+        ],
+    )
+    def test_rejects_non_integer_and_non_real_parameters(self, obj):
+        with pytest.raises(ValueError):
+            SelectionSpec.from_dict(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"kind": "full", "t": 1},
+            {"kind": "full", "seed": 0},
+            {"kind": "top_t", "t": 1, "k": 1},
+            {"kind": "top_t", "t": 1, "seed": 3},
+            {"kind": "random_exactly_k", "k": 2, "seed": 1, "p": 0.5},
+            {"kind": "random_bernoulli", "p": 0.5, "seed": 1, "t": 1},
+        ],
+    )
+    def test_rejects_parameters_the_kind_does_not_use(self, obj):
+        with pytest.raises(ValueError):
+            SelectionSpec.from_dict(obj)
+
+    def test_accepts_numpy_scalars(self):
+        assert SelectionSpec.top_t(np.int64(2)).t == 2
+        spec = SelectionSpec.random_bernoulli(np.float32(0.5), seed=np.uint64(2**64 - 1))
+        assert spec.p == 0.5 and spec.seed == 2**64 - 1
+        assert type(spec.p) is float and type(spec.seed) is int
+        assert SelectionSpec.random_bernoulli(1, seed=0).p == 1.0
+
 
 class TestTopT:
     def test_picks_only_differing_coordinate(self):
@@ -237,6 +279,40 @@ class TestConcurrency:
             assert got == expected
 
 
+    def test_concurrent_table_built_once(self, rng, monkeypatch):
+        import concurrent.futures
+        import sys
+
+        fm = FeatureMatrix(rng.normal(size=(5, 30)))
+        sel = realize(SelectionSpec.random_exactly_k(1, seed=5), fm)
+        builds = []
+        build = type(sel)._build_diff_table
+
+        def counting_build(self):
+            builds.append(1)
+            return build(self)
+
+        monkeypatch.setattr(type(sel), "_build_diff_table", counting_build)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [
+                    pool.submit(sel.partition_by_coordinate if k % 2 else sel.diff_table)
+                    for k in range(16)
+                ]
+                done, _ = concurrent.futures.wait(futures, timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(done) == 16
+        results = [f.result() for f in futures]
+        tables, partitions = results[0::2], results[1::2]
+        assert len(builds) == 1
+        assert all(t is tables[0] for t in tables)
+        assert all(p == partitions[0] for p in partitions)
+        assert not tables[0].flags.writeable
+
+
 class TestPartition:
     def test_single_dimension_collects_everything(self, rng):
         fm = FeatureMatrix(rng.normal(size=(1, 5)))
@@ -263,3 +339,64 @@ class TestPartition:
         parts = sel.partition_by_coordinate()
         seen = [p for part in parts for p in part]
         assert len(seen) == len(set(seen)) == 36
+
+
+def oracle_features(rng):
+    """Random features with an identical pair (2, 5) and an all-tie pair (0, 7)."""
+    U = rng.normal(size=(4, 9))
+    U[:, 5] = U[:, 2]
+    U[:, 0] = [0.0, 2.0, 0.0, 1.0]
+    U[:, 7] = [0.5, 1.5, -0.5, 0.5]  # |difference| 0.5 on every coordinate
+    return U
+
+
+class TestAgainstOracle:
+    PAIRS = [(i, j) for i in range(9) for j in range(i + 1, 9)]
+    SPECS = (
+        SelectionSpec.full(),
+        SelectionSpec.top_t(1),
+        SelectionSpec.top_t(3),
+        SelectionSpec.random_exactly_k(1, seed=8),
+        SelectionSpec.random_exactly_k(3, seed=2**64 - 1),
+        SelectionSpec.random_bernoulli(0.3, seed=12),
+        SelectionSpec.random_bernoulli(1.0, seed=0),
+    )
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.to_json())
+    def test_table_select_and_masked_diff(self, rng, spec):
+        U = oracle_features(rng)
+        subsets, table = oracles.masked_diff_table(U, spec.to_dict())
+        sel = realize(spec, FeatureMatrix(U))
+        np.testing.assert_array_equal(sel.diff_table(), table)
+        for (i, j), subset, row in zip(self.PAIRS, subsets, table):
+            assert sel.select(i, j) == subset
+            assert sel.select(j, i) == subset
+            np.testing.assert_array_equal(sel.masked_diff(i, j), row)
+            np.testing.assert_array_equal(sel.masked_diff(j, i), -row)
+        # identical items still select a nonempty subset, on zero differences
+        same = subsets[self.PAIRS.index((2, 5))]
+        assert same and not table[self.PAIRS.index((2, 5))].any()
+        if spec.kind == "top_t":
+            assert same == tuple(range(spec.t))
+            assert subsets[self.PAIRS.index((0, 7))] == tuple(range(spec.t))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [SelectionSpec.top_t(1), SelectionSpec.random_exactly_k(1, seed=8)],
+        ids=lambda s: s.kind,
+    )
+    def test_partition(self, rng, spec):
+        U = oracle_features(rng)
+        subsets, _ = oracles.masked_diff_table(U, spec.to_dict())
+        expected = tuple(
+            tuple(p for p, s in zip(self.PAIRS, subsets) if s == (k,)) for k in range(4)
+        )
+        assert realize(spec, FeatureMatrix(U)).partition_by_coordinate() == expected
+
+    def test_partition_names_first_non_singleton_pair(self, rng):
+        U = oracle_features(rng)
+        spec = SelectionSpec.random_bernoulli(0.3, seed=12)
+        subsets, _ = oracles.masked_diff_table(U, spec.to_dict())
+        first = next(p for p, s in zip(self.PAIRS, subsets) if len(s) != 1)
+        with pytest.raises(NotSingleCoordinateError, match=rf"pair \({first[0]}, {first[1]}\)"):
+            realize(spec, FeatureMatrix(U)).partition_by_coordinate()
