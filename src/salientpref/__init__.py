@@ -13,10 +13,8 @@ __version__ = "0.1.0"
 
 from .diagnostics import (
     InconsistencyReport,
-    PairStats,
     TransitivityReport,
     count_transitivity_violations,
-    empirical_pair_stats,
     model_transitivity_report,
     pairwise_inconsistency,
 )
@@ -40,7 +38,6 @@ from .features import (
 )
 from .model import (
     ComparisonDataset,
-    ComparisonSample,
     Provenance,
     all_pair_probabilities,
     nll,
@@ -86,7 +83,6 @@ __all__ = [
     "RealizedSelection",
     "realize",
     # model
-    "ComparisonSample",
     "ComparisonDataset",
     "Provenance",
     "win_probability",
@@ -110,10 +106,8 @@ __all__ = [
     "subset_kendall",
     "utility_gaps",
     # diagnostics
-    "PairStats",
     "TransitivityReport",
     "InconsistencyReport",
-    "empirical_pair_stats",
     "count_transitivity_violations",
     "model_transitivity_report",
     "pairwise_inconsistency",

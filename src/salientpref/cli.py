@@ -39,7 +39,7 @@ from .ranking import (
     rank_from_weights,
     subset_kendall,
 )
-from .selection import SelectionSpec, all_pairs, realize
+from .selection import SelectionSpec, all_pairs, pair_index, realize
 
 SEED_SCHEME = (
     "numpy SeedSequence chains rooted at --seed: [seed,0] features, "
@@ -59,6 +59,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
     return value
 
 
@@ -191,26 +198,16 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _pair_probability_map(fm, w, sel) -> dict[tuple[int, int], float]:
-    """Model P(i beats j) keyed by canonical pair (i, j), i < j."""
-    ii, jj = all_pairs(fm.n)
-    probs = all_pair_probabilities(fm, w, sel)
-    return {(a, b): p for a, b, p in zip(ii.tolist(), jj.tolist(), probs.tolist())}
-
-
 def cmd_diagnose(args) -> int:
     fm, _ = dataio.load_features(args.features)
     payload: dict = {"item_ids": list(fm.item_ids)}
     inputs = [args.features]
-    empirical_probs = None
+    empirical = None
     model_probs = None
     if args.comparisons:
-        data = dataio.load_comparisons(args.comparisons, fm)
-        stats = diagnostics.empirical_pair_stats(data)
-        empirical_probs = stats.p_hat(min_count=args.min_count)
-        payload["empirical"] = diagnostics.count_transitivity_violations(
-            stats, min_count=args.min_count
-        ).to_dict()
+        data = dataio.load_comparisons(args.comparisons, fm, min_count=args.min_count)
+        empirical = (data.pair_i, data.pair_j, data.wins / data.total)
+        payload["empirical"] = diagnostics.count_transitivity_violations(*empirical).to_dict()
         inputs.append(args.comparisons)
     if args.weights:
         if args.selection is None:
@@ -218,13 +215,14 @@ def cmd_diagnose(args) -> int:
         w = dataio.load_weights_json(args.weights)
         sel = realize(args.selection, fm)
         payload["model"] = diagnostics.model_transitivity_report(fm, w, sel).to_dict()
-        model_probs = _pair_probability_map(fm, w, sel)
+        model_probs = all_pair_probabilities(fm, w, sel)
         inputs.append(args.weights)
-    if empirical_probs is None and model_probs is None:
+    if empirical is None and model_probs is None:
         raise PreconditionError("diagnose needs --comparisons or --weights/--selection")
-    if empirical_probs is not None and model_probs is not None:
+    if empirical is not None and model_probs is not None:
+        aligned = model_probs[pair_index(data.pair_i, data.pair_j, fm.n)]
         payload["inconsistency"] = diagnostics.pairwise_inconsistency(
-            empirical_probs, model_probs
+            *empirical, aligned
         ).to_dict()
     dataio.write_json(args.out, payload)
     _write_manifest(args.out + ".manifest.json", "diagnose", args, inputs)
@@ -275,8 +273,9 @@ def _sweep_cell(task: tuple) -> list[tuple]:
     true_rank = rank_from_weights(fm, w_star)
     est_rank = rank_from_weights(fm, result.w_hat)
     report = diagnostics.model_transitivity_report(fm, w_star, sel)
-    pmap = _pair_probability_map(fm, w_star, sel)
-    inconsistency = diagnostics.pairwise_inconsistency(pmap, true_rank)
+    inconsistency = diagnostics.pairwise_inconsistency(
+        *all_pairs(n), all_pair_probabilities(fm, w_star, sel), true_rank
+    )
     metrics = {
         "w_error": float(np.linalg.norm(result.w_hat - w_star)),
         "kendall_tau": kendall_correlation(true_rank, est_rank),
@@ -372,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--comparisons")
     p.add_argument("--weights")
     p.add_argument("--selection", type=_selection_arg)
-    p.add_argument("--min-count", type=int, default=0)
+    p.add_argument("--min-count", type=_nonnegative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_diagnose)
 

@@ -1,4 +1,10 @@
-"""Empirical pair statistics, stochastic-transitivity checks, inconsistency.
+"""Stochastic-transitivity checks and inconsistency between probability sources.
+
+Both diagnostics read pairwise probabilities as three aligned 1-d arrays
+``(pair_i, pair_j, prob)``: canonical pairs ``pair_i < pair_j``, each listed
+once, with ``prob`` = P(pair_i beats pair_j).  A dataset gives them as
+``data.pair_i, data.pair_j, data.wins / data.total``; a model gives them for
+every pair as ``all_pairs(n)`` and ``all_pair_probabilities``.
 
 Strong stochastic transitivity demands that whenever P(i>j) > 1/2 and
 P(j>k) > 1/2, also P(i>k) >= max(P(i>j), P(j>k)); the moderate form asks
@@ -16,49 +22,40 @@ moderate and strong forms, so the three counters are nested.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
-from .errors import PreconditionError, UndefinedMetricError
+from .errors import DimensionError, PreconditionError, UndefinedMetricError
 from .features import FeatureMatrix
-from .model import ComparisonDataset, all_pair_probabilities
+from .model import all_pair_probabilities
 from .ranking import Ranking
 from .selection import RealizedSelection, all_pairs
 
 
-@dataclass(frozen=True)
-class PairStats:
-    """Win counts per observed canonical pair (i < j), read from a dataset."""
-
-    data: ComparisonDataset
-
-    @property
-    def counts(self) -> dict[tuple[int, int], tuple[int, int]]:
-        """(wins for i, wins for j) per pair."""
-        return self.data.aggregate()
-
-    def total(self, pair: tuple[int, int]) -> int:
-        wi, wj = self.counts[pair]
-        return wi + wj
-
-    def probabilities(self, min_count: int = 0):
-        """Arrays (i, j, empirical P(i beats j)) over the pairs observed at
-        least ``min_count`` times, in lexicographic pair order."""
-        d = self.data
-        keep = d.total >= min_count
-        return d.pair_i[keep], d.pair_j[keep], d.wins[keep] / d.total[keep]
-
-    def p_hat(self, min_count: int = 0) -> dict[tuple[int, int], float]:
-        """Empirical P(i beats j) per pair, dropping pairs observed fewer
-        than ``min_count`` times."""
-        i, j, p = self.probabilities(min_count)
-        return dict(zip(zip(i.tolist(), j.tolist()), p.tolist()))
-
-
-def empirical_pair_stats(data: ComparisonDataset) -> PairStats:
-    return PairStats(data)
+def _pair_arrays(pair_i, pair_j, *probs) -> list[np.ndarray]:
+    """Checked int64 pairs and aligned float64 probabilities, all 1-d, sorted
+    into lexicographic pair order."""
+    i = np.asarray(pair_i, dtype=np.int64)
+    j = np.asarray(pair_j, dtype=np.int64)
+    probs = [np.asarray(p, dtype=np.float64) for p in probs]
+    if i.ndim != 1 or any(a.shape != i.shape for a in (j, *probs)):
+        raise DimensionError("pair and probability arrays must be 1-d and of equal length")
+    for p in probs:
+        bad = np.nonzero(~((p >= 0.0) & (p <= 1.0)))[0]
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"probability for pair {(int(i[k]), int(j[k]))} outside [0, 1]: {p[k]}")
+    bad = np.nonzero((i < 0) | (i >= j))[0]
+    if bad.size:
+        raise ValueError(f"pair {(int(i[bad[0]]), int(j[bad[0]]))} is not canonical (need 0 <= i < j)")
+    order = np.lexsort((j, i))
+    repeat = np.nonzero((np.diff(i[order]) == 0) & (np.diff(j[order]) == 0))[0]
+    if repeat.size:
+        k = order[repeat[0]]
+        raise ValueError(f"pair {(int(i[k]), int(j[k]))} is repeated")
+    return [a[order] for a in (i, j, *probs)]
 
 
 class TripleViolation(NamedTuple):
@@ -119,7 +116,25 @@ class TransitivityReport:
         }
 
 
-def _report_from_scan(checked: int, viol: np.ndarray) -> TransitivityReport:
+def count_transitivity_violations(pair_i, pair_j, prob) -> TransitivityReport:
+    """Classify every triple whose three pairwise probabilities are present.
+
+    ``prob[k]`` is P(pair_i[k] beats pair_j[k]) for canonical pairs, each
+    given once and in any order.  Missing pairs simply exclude their triples
+    from the scan.
+    """
+    i, j, probs = _pair_arrays(pair_i, pair_j, prob)
+    # dense (P, present) over the items that occur, in increasing item order,
+    # so the scan enumerates and orients triples exactly as over item indices
+    items, idx = np.unique(np.concatenate([i, j]), return_inverse=True)
+    a, b = idx[: i.size], idx[i.size :]
+    P = np.full((items.size, items.size), 0.5)
+    present = np.zeros((items.size, items.size), dtype=bool)
+    P[a, b] = probs
+    P[b, a] = 1.0 - probs
+    present[a, b] = present[b, a] = True
+    checked, viol = _kernels.transitivity_scan(P, present)
+    viol[:, :3] = items[viol[:, :3]]
     columns = [viol[:, k].tolist() for k in range(3)]
     columns += [viol[:, k].astype(bool).tolist() for k in (3, 4)]
     rows = list(map(TripleViolation._make, zip(*columns)))
@@ -132,59 +147,15 @@ def _report_from_scan(checked: int, viol: np.ndarray) -> TransitivityReport:
     )
 
 
-def count_transitivity_violations(
-    p: "Mapping[tuple[int, int], float] | PairStats",
-    min_count: int | None = None,
-) -> TransitivityReport:
-    """Classify every triple whose three pairwise probabilities are present.
-
-    ``p`` maps canonical pairs (i < j) to P(i beats j); passing a
-    :class:`PairStats` applies the optional ``min_count`` filter first.
-    Missing pairs simply exclude their triples from the scan.
-    """
-    if isinstance(p, PairStats):
-        i, j, probs = p.probabilities(min_count or 0)
-    else:
-        if min_count is not None:
-            raise ValueError("min_count requires PairStats input (counts needed)")
-        pairs = np.asarray(list(p), dtype=np.int64).reshape(-1, 2)
-        i, j = pairs[:, 0], pairs[:, 1]
-        probs = np.asarray(list(p.values()), dtype=np.float64)
-    bad = np.nonzero(~((probs >= 0.0) & (probs <= 1.0)))[0]
-    if bad.size:
-        k = bad[0]
-        raise ValueError(f"probability for pair {(int(i[k]), int(j[k]))} outside [0, 1]: {probs[k]}")
-    bad = np.nonzero((i < 0) | (i >= j))[0]
-    if bad.size:
-        raise ValueError(f"pair {(int(i[bad[0]]), int(j[bad[0]]))} is not canonical (need i < j)")
-
-    return _scan_pairs(i, j, probs)
-
-
-def _scan_pairs(i: np.ndarray, j: np.ndarray, probs: np.ndarray) -> TransitivityReport:
-    """Scan canonical pairs (i < j) with P(i beats j) = probs for violations."""
-    # dense (P, present) over the items that occur, in increasing item order,
-    # so the scan enumerates and orients triples exactly as over item indices
-    items, idx = np.unique(np.concatenate([i, j]), return_inverse=True)
-    a, b = idx[: i.size], idx[i.size :]
-    P = np.full((items.size, items.size), 0.5)
-    present = np.zeros((items.size, items.size), dtype=bool)
-    P[a, b] = probs
-    P[b, a] = 1.0 - probs
-    present[a, b] = present[b, a] = True
-    checked, viol = _kernels.transitivity_scan(P, present)
-    viol[:, :3] = items[viol[:, :3]]
-    return _report_from_scan(checked, viol)
-
-
 def model_transitivity_report(
     features: FeatureMatrix, w, sel: RealizedSelection
 ) -> TransitivityReport:
     """Exact model probabilities for all pairs, scanned for violations."""
     if features.n < 3:
         raise PreconditionError("transitivity needs at least 3 items")
-    ii, jj = all_pairs(features.n)
-    return _scan_pairs(ii, jj, all_pair_probabilities(features, w, sel))
+    return count_transitivity_violations(
+        *all_pairs(features.n), all_pair_probabilities(features, w, sel)
+    )
 
 
 @dataclass(frozen=True)
@@ -209,30 +180,32 @@ class InconsistencyReport:
 
 
 def pairwise_inconsistency(
-    p: Mapping[tuple[int, int], float],
-    reference: "Ranking | Mapping[tuple[int, int], float]",
+    pair_i, pair_j, prob, reference: "Ranking | np.ndarray"
 ) -> InconsistencyReport:
-    """Count pairs with (1/2 - p1)(1/2 - p2) < 0 over the common support.
+    """Count pairs with (1/2 - p)(1/2 - q) < 0, where p = ``prob``.
 
-    When ``reference`` is a ranking, its implied probability is 1 if it
-    places i above j and 0 otherwise.  A probability of exactly 1/2 on either
-    side makes the product zero, which never counts as inconsistent.
+    ``q`` is ``reference`` itself when it is an array aligned with ``prob``.
+    When ``reference`` is a ranking, which must cover every pair's items, q is
+    1 if it places pair_i above pair_j and 0 otherwise.  A probability of
+    exactly 1/2 on either side makes the product zero, which never counts as
+    inconsistent.  Disagreeing pairs are listed in lexicographic order.
     """
     if isinstance(reference, Ranking):
-        ref = {}
-        for (a, b) in p:
-            if 0 <= a < reference.n and 0 <= b < reference.n:
-                ref[(a, b)] = 1.0 if reference.positions[a] < reference.positions[b] else 0.0
+        i, j, p = _pair_arrays(pair_i, pair_j, prob)
+        outside = np.nonzero(j >= reference.n)[0]
+        if outside.size:
+            k = outside[0]
+            raise ValueError(
+                f"pair {(int(i[k]), int(j[k]))} is outside a ranking of {reference.n} items"
+            )
+        q = (reference.positions[i] < reference.positions[j]).astype(np.float64)
     else:
-        ref = dict(reference)
-    common = sorted(set(p) & set(ref))
-    if not common:
-        raise UndefinedMetricError("probability sources share no pairs")
-    bad = [
-        pair for pair in common if (0.5 - p[pair]) * (0.5 - ref[pair]) < 0.0
-    ]
+        i, j, p, q = _pair_arrays(pair_i, pair_j, prob, reference)
+    if i.size == 0:
+        raise UndefinedMetricError("no pairs to compare")
+    bad = (0.5 - p) * (0.5 - q) < 0.0
     return InconsistencyReport(
-        pairs_compared=len(common),
-        inconsistent=len(bad),
-        disagreeing_pairs=tuple(bad),
+        pairs_compared=int(i.size),
+        inconsistent=int(bad.sum()),
+        disagreeing_pairs=tuple(zip(i[bad].tolist(), j[bad].tolist())),
     )

@@ -24,7 +24,7 @@ Hessian is symmetric positive semidefinite and L is convex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -53,12 +53,6 @@ class Provenance:
     @classmethod
     def file(cls, path: str) -> "Provenance":
         return cls("file", path=str(path))
-
-
-class ComparisonSample(NamedTuple):
-    i: int
-    j: int
-    y: int  # 1 iff item i beat item j; storage is canonical i < j
 
 
 # Largest count a pair may hold: float64 represents every integer up to it
@@ -142,9 +136,8 @@ class ComparisonDataset:
         """Number of comparisons: the sum of the pair totals."""
         return sum(self.total.tolist())
 
-    # Per-comparison views, expanded from the counts on every access (each
-    # pair lists its wins, then its losses).  Nothing in the package uses
-    # them; they serve callers that want one row per outcome.
+    # Per-comparison item indices, expanded from the counts on each access.
+    # Unused by the package; kept only because perfbench/tracing.py reads them.
 
     @property
     def i(self) -> np.ndarray:
@@ -153,18 +146,6 @@ class ComparisonDataset:
     @property
     def j(self) -> np.ndarray:
         return _read_only(np.repeat(self.pair_j, self.total))
-
-    @property
-    def y(self) -> np.ndarray:
-        runs = np.column_stack([self.wins, self.total - self.wins]).ravel()
-        return _read_only(np.repeat(np.tile(np.array([1, 0]), self.wins.size), runs))
-
-    def __getitem__(self, k: int) -> ComparisonSample:
-        return ComparisonSample(int(self.i[k]), int(self.j[k]), int(self.y[k]))
-
-    def __iter__(self):
-        for a, b, yy in zip(self.i.tolist(), self.j.tolist(), self.y.tolist()):
-            yield ComparisonSample(a, b, yy)
 
     @classmethod
     def from_records(
@@ -177,11 +158,6 @@ class ComparisonDataset:
         rec = np.asarray(list(records), dtype=np.int64).reshape(-1, 3)
         ones = np.ones(rec.shape[0], dtype=np.int64)
         return cls(rec[:, 0], rec[:, 1], rec[:, 2], ones, n_items, provenance)
-
-    def aggregate(self) -> dict[tuple[int, int], tuple[int, int]]:
-        """Per canonical pair: (# wins for i, # wins for j)."""
-        pairs = zip(self.pair_i.tolist(), self.pair_j.tolist())
-        return dict(zip(pairs, zip(self.wins.tolist(), (self.total - self.wins).tolist())))
 
 
 def design_matrix(sel: RealizedSelection, data: ComparisonDataset) -> np.ndarray:

@@ -44,3 +44,8 @@ def make_instance(rng, d, n, spec=None):
     fm = random_features(rng, d, n)
     spec = spec or random_selection(rng, d)
     return fm, realize(spec, fm)
+
+
+def count_lists(data):
+    """A dataset's four count arrays as lists: pair_i, pair_j, wins, total."""
+    return tuple(a.tolist() for a in (data.pair_i, data.pair_j, data.wins, data.total))

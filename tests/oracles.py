@@ -169,6 +169,23 @@ def transitivity_counts(probs):
     return checked, strong, moderate, weak
 
 
+def inconsistent_pairs(p_map, q_map):
+    """Disagreement between two partial pair->prob dicts, from the definition.
+
+    Over the pairs both dicts hold, a pair disagrees when one source puts
+    P(i beats j) strictly above 1/2 and the other strictly below.  Returns
+    (pairs compared, disagreeing, rate, disagreeing pairs in sorted order).
+    """
+    common = sorted(pair for pair in p_map if pair in q_map)
+    bad = [
+        pair
+        for pair in common
+        if (p_map[pair] > 0.5 and q_map[pair] < 0.5)
+        or (p_map[pair] < 0.5 and q_map[pair] > 0.5)
+    ]
+    return len(common), len(bad), len(bad) / len(common), tuple(bad)
+
+
 def two_point_variance(a, b):
     """Sample variance of two scalars around their mean."""
     mu = (a + b) / 2.0

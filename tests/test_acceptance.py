@@ -57,6 +57,12 @@ def criterion(num, label):
     print(f"[PASS] criterion {num}: {label}")
 
 
+def arrays(probs):
+    """Aligned (pair_i, pair_j, prob) arrays from a canonical pair->prob dict."""
+    pairs = np.array(list(probs), dtype=np.int64).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1], np.array(list(probs.values()), dtype=np.float64)
+
+
 def mixed_selection(gen, d):
     roll = int(gen.integers(0, 4))
     if roll == 0:
@@ -107,7 +113,9 @@ def test_criterion_1_gradient_hessian_vs_finite_differences():
 def test_criterion_2_transitivity_ground_truth():
     with criterion(2, "transitivity classification and intransitivity existence"):
         # the observed district triple: strong broken, moderate and weak intact
-        report = count_transitivity_violations({(0, 1): 1.00, (1, 2): 0.67, (0, 2): 0.70})
+        report = count_transitivity_violations(
+            *arrays({(0, 1): 1.00, (1, 2): 0.67, (0, 2): 0.70})
+        )
         assert report.triples_checked == 1
         assert report.strong_violations == 1
         assert report.moderate_violations == 0
@@ -141,7 +149,7 @@ def test_criterion_2_transitivity_ground_truth():
                 for j in range(i + 1, n):
                     if gen.random() < 0.85:
                         probs[(i, j)] = float(gen.random())
-            rep = count_transitivity_violations(probs)
+            rep = count_transitivity_violations(*arrays(probs))
             assert (
                 rep.triples_checked,
                 rep.strong_violations,

@@ -196,6 +196,53 @@ class TestDiagnose:
         )
         assert proc.returncode == 1
 
+    def test_min_count_drops_sparse_pair(self, tmp_path):
+        (tmp_path / "f.csv").write_text("item_id,f1\na,2.0\nb,0.0\nc,1.0\n", encoding="utf-8")
+        # a beats c and c beats b often; b beats a only twice, closing a cycle
+        (tmp_path / "c.csv").write_text(
+            "winner_id,loser_id,count\nb,a,2\na,c,9\nc,a,1\nc,b,9\nb,c,1\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "w.json").write_text('{"w": [1.0]}', encoding="utf-8")
+        payloads = []
+        for min_count in (0, 5):
+            out = tmp_path / f"diag{min_count}.json"
+            run_cli(
+                "diagnose",
+                "--features", tmp_path / "f.csv",
+                "--comparisons", tmp_path / "c.csv",
+                "--weights", tmp_path / "w.json",
+                "--selection", '{"kind":"full"}',
+                "--min-count", min_count,
+                "--out", out,
+            )
+            payloads.append(read_json(str(out)))
+        kept, dropped = payloads
+        assert kept["empirical"]["triples_checked"] == 1
+        assert kept["empirical"]["violating_triples"] == [
+            {"triple": [0, 2, 1], "strong": True, "moderate": True, "weak": True}
+        ]
+        # the model orders a > c > b, which only the sparse pair contradicts
+        assert kept["inconsistency"]["pairs_compared"] == 3
+        assert kept["inconsistency"]["disagreeing_pairs"] == [[0, 1]]
+        assert dropped["empirical"]["triples_checked"] == 0
+        assert dropped["empirical"]["violating_triples"] == []
+        assert dropped["inconsistency"]["pairs_compared"] == 2
+        assert dropped["inconsistency"]["disagreeing_pairs"] == []
+        assert dropped["model"] == kept["model"]
+
+    def test_negative_min_count_is_usage_error(self, sim_dir, tmp_path):
+        proc = run_cli(
+            "diagnose",
+            "--features", sim_dir / "features.csv",
+            "--comparisons", sim_dir / "comparisons.csv",
+            "--min-count", -1,
+            "--out", tmp_path / "d.json",
+            check=False,
+        )
+        assert proc.returncode == 2
+        assert "nonnegative" in proc.stderr
+
 
 class TestTheoryCommand:
     def test_full_selection_report_included(self, tmp_path):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import count_lists
 from salientpref import (
     ComparisonDataset,
     FeatureMatrix,
@@ -119,14 +120,14 @@ class TestComparisonsFile:
         )
         data = load_comparisons(str(path), fm)
         assert len(data) == 4
-        assert data.aggregate() == {(0, 1): (3, 1)}
+        assert count_lists(data) == ([0], [1], [3], [4])
 
     def test_reverse_orientation_single(self, tmp_path, features_csv):
         fm, _ = load_features(features_csv)
         path = tmp_path / "c.csv"
         path.write_text("winner_id,loser_id,count\nbeta,alpha,1\n", encoding="utf-8")
         data = load_comparisons(str(path), fm)
-        assert data[0] == (0, 1, 0)
+        assert count_lists(data) == ([0], [1], [0], [1])
 
     def test_min_count_drops_sparse_pairs(self, tmp_path, features_csv):
         fm, _ = load_features(features_csv)
@@ -135,7 +136,7 @@ class TestComparisonsFile:
             "winner_id,loser_id,count\nalpha,beta,4\nalpha,gamma,5\n", encoding="utf-8"
         )
         data = load_comparisons(str(path), fm, min_count=5)
-        assert data.aggregate() == {(0, 2): (5, 0)}
+        assert count_lists(data) == ([0], [2], [5], [5])
 
     def test_unknown_id_reported(self, tmp_path, features_csv):
         fm, _ = load_features(features_csv)
@@ -161,7 +162,7 @@ class TestComparisonsFile:
         path = str(tmp_path / "c.csv")
         save_comparisons(path, data, fm)
         loaded = load_comparisons(path, fm)
-        assert loaded.aggregate() == data.aggregate()
+        assert count_lists(loaded) == count_lists(data)
         # a second round trip is byte-stable
         path2 = str(tmp_path / "c2.csv")
         save_comparisons(path2, loaded, fm)
@@ -180,7 +181,7 @@ class TestComparisonsFile:
         finally:
             tracemalloc.stop()
         assert len(data) == 10**8
-        assert data.aggregate() == {(0, 1): (0, 10**8)}
+        assert count_lists(data) == ([0], [1], [0], [10**8])
         assert peak < 2_000_000
 
     def test_count_beyond_exact_range_rejected(self, tmp_path, features_csv):
@@ -209,7 +210,7 @@ class TestComparisonsFile:
             f"winner_id,loser_id,count\nalpha,beta,{2**53 - 1}\nbeta,alpha,1\n",
             encoding="utf-8",
         )
-        assert load_comparisons(str(path), fm).aggregate() == {(0, 1): (2**53 - 1, 1)}
+        assert count_lists(load_comparisons(str(path), fm)) == ([0], [1], [2**53 - 1], [2**53])
 
 
 class TestRankingsFile:

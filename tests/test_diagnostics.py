@@ -4,6 +4,7 @@ import pytest
 import oracles
 from salientpref import (
     ComparisonDataset,
+    DimensionError,
     FeatureMatrix,
     PreconditionError,
     Provenance,
@@ -12,15 +13,37 @@ from salientpref import (
     UndefinedMetricError,
     all_pair_probabilities,
     count_transitivity_violations,
-    empirical_pair_stats,
     model_transitivity_report,
     pairwise_inconsistency,
     realize,
 )
+from salientpref.dataio import load_comparisons
 
 
 def dataset(records, n):
     return ComparisonDataset.from_records(records, n, Provenance.synthetic(0))
+
+
+def arrays(probs):
+    """Aligned (pair_i, pair_j, prob) arrays from a canonical pair->prob dict."""
+    pairs = np.array(list(probs), dtype=np.int64).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1], np.array(list(probs.values()), dtype=np.float64)
+
+
+def empirical(data):
+    """The (pair_i, pair_j, prob) arrays a dataset gives the diagnostics."""
+    return data.pair_i, data.pair_j, data.wins / data.total
+
+
+def random_edge_map(rng, n, density):
+    """Partial pair->prob dict whose values include 0, 1/2 and 1 often."""
+    values = (0.0, 0.5, 1.0)
+    return {
+        (i, j): float(rng.choice(values)) if rng.random() < 0.3 else float(rng.random())
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() <= density
+    }
 
 
 def random_prob_map(rng, n, density=1.0):
@@ -34,31 +57,31 @@ def random_prob_map(rng, n, density=1.0):
 
 class TestEmpiricalPairStats:
     def test_counts_and_probability(self):
-        stats = empirical_pair_stats(dataset([(0, 1, 1)] * 3 + [(0, 1, 0)], 2))
-        assert stats.counts == {(0, 1): (3, 1)}
-        assert stats.p_hat() == {(0, 1): 0.75}
+        i, j, p = empirical(dataset([(0, 1, 1)] * 3 + [(0, 1, 0)], 2))
+        assert (i.tolist(), j.tolist(), p.tolist()) == ([0], [1], [0.75])
 
     def test_empty(self):
-        stats = empirical_pair_stats(dataset([], 2))
-        assert stats.counts == {}
-        assert stats.p_hat() == {}
+        i, j, p = empirical(dataset([], 2))
+        assert i.size == j.size == p.size == 0
+        assert count_transitivity_violations(i, j, p).triples_checked == 0
 
     def test_reverse_orientation_normalized(self):
-        stats = empirical_pair_stats(dataset([(1, 0, 1)], 2))
-        assert stats.counts == {(0, 1): (0, 1)}
+        i, j, p = empirical(dataset([(1, 0, 1)], 2))
+        assert (i.tolist(), j.tolist(), p.tolist()) == ([0], [1], [0.0])
 
-    def test_min_count_filter(self):
-        stats = empirical_pair_stats(
-            dataset([(0, 1, 1)] * 4 + [(0, 2, 1)] * 5, 3)
-        )
-        assert set(stats.p_hat(min_count=5)) == {(0, 2)}
+    def test_min_count_filter(self, tmp_path):
+        fm = FeatureMatrix(np.zeros((1, 3)), ("a", "b", "c"))
+        path = tmp_path / "c.csv"
+        path.write_text("winner_id,loser_id,count\na,b,4\na,c,5\n", encoding="utf-8")
+        i, j, p = empirical(load_comparisons(str(path), fm, min_count=5))
+        assert (i.tolist(), j.tolist(), p.tolist()) == ([0], [2], [1.0])
 
 
 class TestCountTransitivityViolations:
     def test_textbook_district_triple(self):
         # a chain with a perfect first leg: strong broken, moderate and weak fine
         probs = {(0, 1): 1.00, (1, 2): 0.67, (0, 2): 0.70}
-        report = count_transitivity_violations(probs)
+        report = count_transitivity_violations(*arrays(probs))
         assert report.triples_checked == 1
         assert report.strong_violations == 1
         assert report.moderate_violations == 0
@@ -66,46 +89,46 @@ class TestCountTransitivityViolations:
 
     def test_clean_chain(self):
         probs = {(0, 1): 0.9, (1, 2): 0.8, (0, 2): 0.95}
-        report = count_transitivity_violations(probs)
+        report = count_transitivity_violations(*arrays(probs))
         assert report.triples_checked == 1
         assert report.strong_violations == 0
 
     def test_cycle_breaks_everything(self):
         probs = {(0, 1): 0.9, (1, 2): 0.8, (0, 2): 0.4}
-        report = count_transitivity_violations(probs)
+        report = count_transitivity_violations(*arrays(probs))
         assert report.strong_violations == 1
         assert report.moderate_violations == 1
         assert report.weak_violations == 1
 
     def test_exact_half_never_chains(self):
         probs = {(0, 1): 0.5, (1, 2): 0.5, (0, 2): 0.5}
-        report = count_transitivity_violations(probs)
+        report = count_transitivity_violations(*arrays(probs))
         assert report.triples_checked == 0
 
     def test_missing_pair_excludes_triple(self):
         probs = {(0, 1): 0.9, (1, 2): 0.8}
-        report = count_transitivity_violations(probs)
+        report = count_transitivity_violations(*arrays(probs))
         assert report.triples_checked == 0
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
-            count_transitivity_violations({(0, 1): 1.2})
+            count_transitivity_violations(*arrays({(0, 1): 1.2}))
 
     def test_rejects_non_canonical_pair(self):
         with pytest.raises(ValueError):
-            count_transitivity_violations({(1, 0): 0.5})
+            count_transitivity_violations(*arrays({(1, 0): 0.5}))
 
     def test_nesting_invariant(self, rng):
         for _ in range(30):
             probs = random_prob_map(rng, int(rng.integers(3, 7)), density=0.8)
-            r = count_transitivity_violations(probs)
+            r = count_transitivity_violations(*arrays(probs))
             assert r.weak_violations <= r.moderate_violations <= r.strong_violations
 
     def test_matches_bruteforce(self, rng):
         for _ in range(50):
             n = int(rng.integers(3, 7))
             probs = random_prob_map(rng, n, density=float(rng.uniform(0.5, 1.0)))
-            r = count_transitivity_violations(probs)
+            r = count_transitivity_violations(*arrays(probs))
             want = oracles.transitivity_counts(probs)
             got = (
                 r.triples_checked,
@@ -114,27 +137,6 @@ class TestCountTransitivityViolations:
                 r.weak_violations,
             )
             assert got == want
-
-    def test_min_count_needs_counts(self):
-        with pytest.raises(ValueError):
-            count_transitivity_violations({(0, 1): 0.7}, min_count=5)
-
-    def test_pair_stats_with_filter(self):
-        stats = empirical_pair_stats(
-            dataset(
-                [(0, 1, 1)] * 9
-                + [(0, 1, 0)]
-                + [(1, 2, 1)] * 7
-                + [(1, 2, 0)] * 3
-                + [(0, 2, 1)] * 2  # asked twice: dropped by the filter
-                + [(0, 2, 0)],
-                3,
-            )
-        )
-        full = count_transitivity_violations(stats)
-        filtered = count_transitivity_violations(stats, min_count=5)
-        assert full.triples_checked == 1
-        assert filtered.triples_checked == 0
 
 
 class TestModelTransitivityReport:
@@ -181,8 +183,14 @@ class TestModelTransitivityReport:
             pmap = {
                 (int(a), int(b)): float(p) for a, b, p in zip(ii, jj, probs)
             }
-            slow = count_transitivity_violations(pmap)
+            slow = count_transitivity_violations(*arrays(pmap))
             assert fast.to_dict() == slow.to_dict()
+            assert (
+                fast.triples_checked,
+                fast.strong_violations,
+                fast.moderate_violations,
+                fast.weak_violations,
+            ) == oracles.transitivity_counts(pmap)
 
     def test_needs_three_items(self, rng):
         fm = FeatureMatrix(rng.normal(size=(2, 2)))
@@ -200,21 +208,21 @@ class TestModelTransitivityReport:
 
 class TestPairwiseInconsistency:
     def test_sign_disagreement(self):
-        out = pairwise_inconsistency({(0, 1): 0.6}, {(0, 1): 0.4})
+        out = pairwise_inconsistency(*arrays({(0, 1): 0.6}), [0.4])
         assert out.inconsistent == 1 and out.rate == 1.0
 
     def test_sign_agreement(self):
-        out = pairwise_inconsistency({(0, 1): 0.6}, {(0, 1): 0.9})
+        out = pairwise_inconsistency(*arrays({(0, 1): 0.6}), [0.9])
         assert out.inconsistent == 0
 
     def test_exact_half_not_counted(self):
-        out = pairwise_inconsistency({(0, 1): 0.5}, {(0, 1): 0.9})
+        out = pairwise_inconsistency(*arrays({(0, 1): 0.5}), [0.9])
         assert out.inconsistent == 0
 
     def test_ranking_reference(self):
         ranking = Ranking(np.array([2, 1, 3]))  # item 1 best
         p = {(0, 1): 0.7, (0, 2): 0.7, (1, 2): 0.2}
-        out = pairwise_inconsistency(p, ranking)
+        out = pairwise_inconsistency(*arrays(p), ranking)
         # ranking says 1 above 0 (p2=0), 0 above 2 (p2=1), 1 above 2 (p2=1)
         assert out.pairs_compared == 3
         assert out.inconsistent == 2
@@ -222,4 +230,95 @@ class TestPairwiseInconsistency:
 
     def test_empty_overlap(self):
         with pytest.raises(UndefinedMetricError):
-            pairwise_inconsistency({(0, 1): 0.6}, {(2, 3): 0.4})
+            pairwise_inconsistency(*arrays({}), [])
+        with pytest.raises(UndefinedMetricError):
+            pairwise_inconsistency(*arrays({}), Ranking(np.array([1, 2])))
+
+    def test_matches_oracle(self, rng):
+        for _ in range(60):
+            n = int(rng.integers(2, 9))
+            p_map = random_edge_map(rng, n, float(rng.uniform(0.3, 1.0)))
+            q_map = random_edge_map(rng, n, float(rng.uniform(0.3, 1.0)))
+            # the caller aligns the reference with the pairs, in any order
+            common = [pair for pair in p_map if pair in q_map]
+            if not common:
+                continue
+            common = [common[k] for k in rng.permutation(len(common))]
+            i, j, p = arrays({pair: p_map[pair] for pair in common})
+            out = pairwise_inconsistency(i, j, p, np.array([q_map[pair] for pair in common]))
+            got = (out.pairs_compared, out.inconsistent, out.rate, out.disagreeing_pairs)
+            assert got == oracles.inconsistent_pairs(p_map, q_map)
+
+    def test_ranking_reference_matches_oracle(self, rng):
+        for _ in range(60):
+            n = int(rng.integers(2, 9))
+            ranking = Ranking.from_order(rng.permutation(n))
+            pos = ranking.positions.tolist()
+            q_map = {
+                (a, b): 1.0 if pos[a] < pos[b] else 0.0
+                for a in range(n)
+                for b in range(a + 1, n)
+            }
+            p_map = random_edge_map(rng, n, float(rng.uniform(0.3, 1.0)))
+            if not p_map:
+                continue
+            shuffled = list(p_map)
+            shuffled = [shuffled[k] for k in rng.permutation(len(shuffled))]
+            out = pairwise_inconsistency(*arrays({pair: p_map[pair] for pair in shuffled}), ranking)
+            got = (out.pairs_compared, out.inconsistent, out.rate, out.disagreeing_pairs)
+            assert got == oracles.inconsistent_pairs(p_map, q_map)
+
+
+def transitivity(i, j, p):
+    return count_transitivity_violations(i, j, p)
+
+
+def inconsistency(i, j, p):
+    return pairwise_inconsistency(i, j, p, np.full(np.shape(p), 0.5))
+
+
+def inconsistency_vs_ranking(i, j, p):
+    return pairwise_inconsistency(i, j, p, Ranking(np.arange(1, 6)))
+
+
+@pytest.mark.parametrize("call", [transitivity, inconsistency, inconsistency_vs_ranking])
+class TestPairArrayChecks:
+    def test_unequal_lengths(self, call):
+        with pytest.raises(DimensionError):
+            call([0, 1], [1, 2], [0.5])
+
+    def test_not_one_dimensional(self, call):
+        with pytest.raises(DimensionError):
+            call([[0]], [[1]], [[0.5]])
+
+    def test_probability_outside_unit_interval(self, call):
+        with pytest.raises(ValueError, match=r"pair \(1, 2\) outside \[0, 1\]: -0.1"):
+            call([0, 1], [1, 2], [0.5, -0.1])
+
+    def test_nan_probability(self, call):
+        with pytest.raises(ValueError, match=r"pair \(0, 2\) outside \[0, 1\]: nan"):
+            call([0, 0], [1, 2], [0.5, np.nan])
+
+    def test_non_canonical_pair(self, call):
+        for i, j in ((2, 1), (1, 1), (-1, 2)):
+            with pytest.raises(ValueError, match="not canonical"):
+                call([0, i], [1, j], [0.5, 0.5])
+
+    def test_repeated_pair(self, call):
+        with pytest.raises(ValueError, match=r"pair \(0, 2\) is repeated"):
+            call([0, 1, 0], [2, 2, 2], [0.5, 0.5, 0.7])
+
+
+class TestReferenceChecks:
+    def test_reference_length_must_match(self):
+        with pytest.raises(DimensionError):
+            pairwise_inconsistency([0, 1], [1, 2], [0.6, 0.6], [0.4])
+
+    def test_reference_probability_checked(self):
+        with pytest.raises(ValueError, match=r"pair \(1, 2\) outside \[0, 1\]"):
+            pairwise_inconsistency([0, 1], [1, 2], [0.6, 0.6], [0.4, np.nan])
+
+    def test_ranking_must_cover_every_pair(self):
+        ranking = Ranking(np.array([1, 2, 3]))
+        with pytest.raises(ValueError, match=r"pair \(1, 3\) is outside a ranking of 3 items"):
+            pairwise_inconsistency([0, 1], [2, 3], [0.6, 0.6], ranking)

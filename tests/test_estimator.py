@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_instance
+from conftest import count_lists, make_instance
 from salientpref import _kernels
 from salientpref import (
     ComparisonDataset,
@@ -124,7 +124,7 @@ class TestFit:
                 hits += 1
         assert hits >= 18
 
-    def test_gradient_descent_path_for_wide_problems(self, rng):
+    def test_newton_converges_on_wide_problem(self, rng):
         # wide problem (d=70): the objective falls and the fit converges
         d, n = 70, 80
         fm = FeatureMatrix(rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, n)))
@@ -169,7 +169,12 @@ class TestFit:
     def test_counts_and_samples_give_same_fit(self, rng):
         fm, sel = make_instance(rng, 4, 9, spec=SelectionSpec.top_t(2))
         data = sample_comparisons(fm, rng.normal(size=4), sel, 3000, seed=12)
-        records = list(zip(data.i.tolist(), data.j.tolist(), data.y.tolist()))
+        # each pair's wins, then its losses
+        records = [
+            record
+            for a, b, wins, total in zip(*count_lists(data))
+            for record in [(a, b, 1)] * wins + [(a, b, 0)] * (total - wins)
+        ]
         order = rng.permutation(len(records))
         # one record per comparison, shuffled, half of them stated as (j, i)
         shuffled = [

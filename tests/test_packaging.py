@@ -1,9 +1,12 @@
-"""The declared runtime dependencies are exactly the packages the code imports."""
+"""The declared runtime dependencies are exactly the packages the code imports,
+and the public names the package lists all exist."""
 
 import ast
 import re
 import sys
 from pathlib import Path
+
+import salientpref
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "salientpref"
@@ -35,3 +38,9 @@ def test_dependencies_match_imports():
     imported = imported_third_party()
     assert imported, "expected at least numpy"
     assert {n.lower() for n in imported} == declared_dependencies()
+
+
+def test_all_names_resolve_once():
+    missing = [name for name in salientpref.__all__ if not hasattr(salientpref, name)]
+    assert missing == []
+    assert len(set(salientpref.__all__)) == len(salientpref.__all__)
