@@ -1,9 +1,9 @@
 """Hot numeric kernels, all vectorized numpy.
 
 The likelihood folds run over one row per distinct pair.  Certificate
-eigenvalues come from LAPACK (``np.linalg.eigvalsh``); the zeta scan solves
-one secular equation per pair after a single eigendecomposition of E[Z]; the
-transitivity scan classifies every triple at once.
+eigenvalues come from LAPACK (``np.linalg.eigvalsh``); the zeta scan takes
+the caller's eigendecomposition of E[Z] and solves one secular equation per
+pair; the transitivity scan classifies every triple at once.
 """
 
 from __future__ import annotations
@@ -126,9 +126,12 @@ def _secular_roots(zk2, zd2, gaps, hi):
     return t
 
 
-def zeta_scan(EZ, X):
-    """max over rows x_p of X of the largest eigenvalue of EZ - x_p x_p^T."""
-    lam, Q = np.linalg.eigh(EZ)
+def zeta_scan(spectrum, X):
+    """max over rows x_p of X of the largest eigenvalue of EZ - x_p x_p^T.
+
+    ``spectrum`` is ``np.linalg.eigh(EZ)``: ascending eigenvalues, eigenvectors.
+    """
+    lam, Q = spectrum
     top = lam[-1]
     gaps = top - lam[:-1]
     npairs, d = X.shape

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__, dataio, diagnostics, theory
 from .errors import NotSingleCoordinateError, PreconditionError, SalientPrefError
-from .estimator import FitConfig, fit, max_abs_margin
+from .estimator import FitConfig, fit
 from .features import FeatureMatrix
 from .model import all_pair_probabilities, sample_comparisons
 from .ranking import (
@@ -254,7 +254,7 @@ def cmd_theory(args) -> int:
     except NotSingleCoordinateError:
         pass
     if w is not None:
-        payload["b_star"] = max_abs_margin(fm, sel, w)
+        payload["b_star"] = certificate.b_star
         payload["ranking_recovery"] = theory.ranking_recovery_report(
             fm, sel, w, k=1, delta=args.delta, c5=1.0, certificate=certificate
         ).to_dict()

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionError, PreconditionError, UndefinedMetricError
+from .errors import DimensionError, PreconditionError
 from .features import FeatureMatrix
 from .model import all_pair_probabilities
 from .ranking import Ranking
@@ -167,7 +167,10 @@ class InconsistencyReport:
     disagreeing_pairs: tuple[tuple[int, int], ...]
 
     @property
-    def rate(self) -> float:
+    def rate(self) -> float | None:
+        """Inconsistent pairs per compared pair; None when none were compared."""
+        if self.pairs_compared == 0:
+            return None
         return self.inconsistent / self.pairs_compared
 
     def to_dict(self) -> dict:
@@ -188,7 +191,8 @@ def pairwise_inconsistency(
     When ``reference`` is a ranking, which must cover every pair's items, q is
     1 if it places pair_i above pair_j and 0 otherwise.  A probability of
     exactly 1/2 on either side makes the product zero, which never counts as
-    inconsistent.  Disagreeing pairs are listed in lexicographic order.
+    inconsistent.  Disagreeing pairs are listed in lexicographic order.  With
+    no pairs the report compares none and its rate is None.
     """
     if isinstance(reference, Ranking):
         i, j, p = _pair_arrays(pair_i, pair_j, prob)
@@ -201,8 +205,6 @@ def pairwise_inconsistency(
         q = (reference.positions[i] < reference.positions[j]).astype(np.float64)
     else:
         i, j, p, q = _pair_arrays(pair_i, pair_j, prob, reference)
-    if i.size == 0:
-        raise UndefinedMetricError("no pairs to compare")
     bad = (0.5 - p) * (0.5 - q) < 0.0
     return InconsistencyReport(
         pairs_compared=int(i.size),

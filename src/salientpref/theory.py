@@ -10,9 +10,11 @@ Monte Carlo).  With ``x_ij`` the masked feature difference of a pair and
     beta   = max over pairs of ||x_ij||_inf
     b_star = max over pairs of |<w*, x_ij>|   (needs the true weights)
 
-The model is identifiable exactly when lambda > 0, equivalently when the
-masked differences span the whole feature space.  The sample thresholds with
-log terms L4 = log(4d/delta), L2 = log(2d/delta) are
+One eigendecomposition of E[Z] serves both identifiability and the
+certificate.  An eigenvalue counts as zero at or below 1e-10 of trace(E[Z])/d;
+the rank is the number of the others, and the model is identifiable exactly
+when the rank is d, that is when lambda clears the same tolerance.  The
+sample thresholds, with log terms L4 = log(4d/delta), L2 = log(2d/delta), are
 
     m1 = (3 beta^2 L4 d + 4 sqrt(d) beta L4) / 6
     m2 = 8 L2 (6 eta + lambda zeta) / (3 lambda^2)
@@ -22,19 +24,20 @@ and for m >= max(m1, m2), with probability at least 1 - delta,
     ||w* - w_hat||_2 <= 4 (1 + e^b*)^2 / (e^b* lambda)
                         * sqrt((3 beta^2 L4 d + 4 sqrt(d) beta L4) / (6 m)).
 
-Two specializations tighten this: full selection on column-centered features
-(lambda has the closed form n * eigmin(U U^T) / C(n,2)), and single-coordinate
-selection (bounds in terms of the coordinate partition sizes).  A third turns
-the weight error into a Kendall-distance guarantee via the sorted utility
-gaps.  Eigenvalues of the small d x d certificate matrices come from LAPACK;
-zeta comes from one eigendecomposition of E[Z] and a secular-equation root
-per pair (see ``_kernels.zeta_scan``).
+Two specializations put closed forms or bounds for lambda, eta and zeta into
+these same formulas: full selection on column-centered features (lambda is
+n * eigmin(U U^T) / C(n,2)), and single-coordinate selection (bounds in terms
+of the coordinate partition sizes).  A third turns the weight error into a
+Kendall-distance guarantee via the sorted utility gaps.  Eigenvalues of the
+small d x d certificate matrices come from LAPACK; zeta takes the
+eigendecomposition of E[Z] and solves a secular equation per pair (see
+``_kernels.zeta_scan``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,35 +50,46 @@ from .ranking import utility_gaps
 from .selection import RealizedSelection, all_pairs
 
 LAMBDA_REL_TOL = 1e-10
-RANK_REL_TOL = 1e-10
+
+
+class _Report:
+    """``to_dict`` over the dataclass fields, in order: a trailing ``_`` is
+    dropped from a field name and a tuple becomes a list."""
+
+    def to_dict(self) -> dict:
+        out = {}
+        for field in fields(self):
+            value = getattr(self, field.name)
+            out[field.name.removesuffix("_")] = list(value) if isinstance(value, tuple) else value
+        return out
+
+
+def _spectrum(X: np.ndarray):
+    """E[Z] = X^T X / P, its ascending ``(eigenvalues, eigenvectors)``, and the
+    tolerance at or below which an eigenvalue counts as zero."""
+    EZ = X.T @ X / X.shape[0]
+    tol = LAMBDA_REL_TOL * float(np.trace(EZ)) / X.shape[1]
+    return EZ, np.linalg.eigh(EZ), tol
 
 
 @dataclass(frozen=True)
-class IdentifiabilityResult:
+class IdentifiabilityResult(_Report):
     identifiable: bool
     rank: int
     d: int
-
-    def to_dict(self) -> dict:
-        return {
-            "identifiable": self.identifiable,
-            "rank": self.rank,
-            "d": self.d,
-        }
 
 
 def identifiability_check(
     features: FeatureMatrix, sel: RealizedSelection
 ) -> IdentifiabilityResult:
-    """Numerical rank of the masked-difference span.
+    """Numerical rank of E[Z], the span of the masked differences.
 
-    Identifiable exactly when the C(n,2) masked differences span the full
-    feature space; singular values below 1e-10 of the largest count as zero.
+    Eigenvalues at or below 1e-10 of trace(E[Z]) / d count as zero, the same
+    rule ``sample_complexity_report`` applies to lambda, so the two verdicts
+    always agree.
     """
-    X = sel.diff_table()
-    sv = np.linalg.svd(X, compute_uv=False)
-    top = float(sv[0]) if sv.size else 0.0
-    rank = int(np.count_nonzero(sv > RANK_REL_TOL * top)) if top > 0.0 else 0
+    _, (eig, _), tol = _spectrum(sel.diff_table())
+    rank = int(np.count_nonzero(eig > tol))
     return IdentifiabilityResult(rank == features.d, rank, features.d)
 
 
@@ -86,17 +100,34 @@ def _check_delta(delta: float) -> float:
     return delta
 
 
-def _m1_threshold(beta: float, d: int, log4: float) -> float:
-    return (3.0 * beta**2 * log4 * d + 4.0 * math.sqrt(d) * beta * log4) / 6.0
+def _b_star(X: np.ndarray, w_star, d: int) -> float | None:
+    """max over rows x of |<w*, x>|; None without true weights."""
+    if w_star is None:
+        return None
+    w_star = check_weights(w_star, d)
+    return float(np.abs(X @ w_star).max()) if X.size else 0.0
 
 
-def _error_coefficient(b_star: float, inv_lambda_like: float, m1: float) -> float:
-    """Error bound times sqrt(m); the m1 threshold is the bound's sqrt argument."""
+def _thresholds(lam, eta, zeta, beta, b_star, d, delta, positive):
+    """``(m1, m2, error_bound_coefficient)`` from the module docstring.
+
+    ``positive`` says lambda is certified nonzero; otherwise m2 and the
+    coefficient are infinite.  The coefficient (the error bound times
+    sqrt(m)) is None when b* is.
+    """
+    log4 = math.log(4.0 * d / delta)
+    log2 = math.log(2.0 * d / delta)
+    m1 = (3.0 * beta**2 * log4 * d + 4.0 * math.sqrt(d) * beta * log4) / 6.0
+    if not positive:
+        return m1, math.inf, None if b_star is None else math.inf
+    m2 = 8.0 * log2 * (6.0 * eta + lam * zeta) / (3.0 * lam**2)
+    if b_star is None:
+        return m1, m2, None
     eb = math.exp(b_star)
-    return 4.0 * (1.0 + eb) ** 2 / eb * inv_lambda_like * math.sqrt(m1)
+    return m1, m2, 4.0 * (1.0 + eb) ** 2 / eb * (1.0 / lam) * math.sqrt(m1)
 
 
-class _ErrorBound:
+class _ErrorBound(_Report):
     """``error_bound(m)`` for a certificate with an ``error_bound_coefficient``."""
 
     error_bound_coefficient: float | None
@@ -127,33 +158,6 @@ class SampleComplexityReport(_ErrorBound):
     n: int
     error_bound_coefficient: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "lambda": self.lambda_,
-            "eta": self.eta,
-            "zeta": self.zeta,
-            "beta": self.beta,
-            "b_star": self.b_star,
-            "identifiable": self.identifiable,
-            "delta": self.delta,
-            "m1": self.m1,
-            "m2": self.m2,
-            "d": self.d,
-            "n": self.n,
-            "error_bound_coefficient": self.error_bound_coefficient,
-        }
-
-
-def _pair_moments(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """E[Z] and E[(Z - E[Z])^2] from the masked-difference table."""
-    npairs = X.shape[0]
-    EZ = X.T @ X / npairs
-    sq = (X**2).sum(axis=1)
-    EZ2 = (X * sq[:, None]).T @ X / npairs
-    V = EZ2 - EZ @ EZ
-    V = 0.5 * (V + V.T)
-    return EZ, V
-
 
 def sample_complexity_report(
     features: FeatureMatrix,
@@ -169,34 +173,18 @@ def sample_complexity_report(
     delta = _check_delta(delta)
     d = features.d
     X = np.ascontiguousarray(sel.diff_table())
-    EZ, V = _pair_moments(X)
+    EZ, spectrum, tol = _spectrum(X)
+    sq = (X**2).sum(axis=1)
+    V = (X * sq[:, None]).T @ X / X.shape[0] - EZ @ EZ  # E[(Z - E[Z])^2]
+    V = 0.5 * (V + V.T)
 
-    lam = max(float(_kernels.sym_eigvals(EZ)[0]), 0.0)
+    lam = max(float(spectrum[0][0]), 0.0)
     eta = max(float(_kernels.sym_eigvals(V)[-1]), 0.0)
-    zeta = float(_kernels.zeta_scan(EZ, X))
+    zeta = float(_kernels.zeta_scan(spectrum, X))
     beta = float(np.abs(X).max()) if X.size else 0.0
-
-    lam_tol = LAMBDA_REL_TOL * float(np.trace(EZ)) / d
-    identifiable = lam > lam_tol
-
-    log4 = math.log(4.0 * d / delta)
-    log2 = math.log(2.0 * d / delta)
-    m1 = _m1_threshold(beta, d, log4)
-    if identifiable:
-        m2 = 8.0 * log2 * (6.0 * eta + lam * zeta) / (3.0 * lam**2)
-    else:
-        m2 = math.inf
-
-    b_star = None
-    coeff = None
-    if w_star is not None:
-        w_star = check_weights(w_star, d)
-        b_star = float(np.abs(X @ w_star).max()) if X.size else 0.0
-        coeff = (
-            _error_coefficient(b_star, 1.0 / lam, m1)
-            if identifiable
-            else math.inf
-        )
+    b_star = _b_star(X, w_star, d)
+    identifiable = lam > tol
+    m1, m2, coeff = _thresholds(lam, eta, zeta, beta, b_star, d, delta, identifiable)
     return SampleComplexityReport(
         lambda_=lam,
         eta=eta,
@@ -230,22 +218,6 @@ class FullSelectionBounds(_ErrorBound):
     n: int
     error_bound_coefficient: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "nu": self.nu,
-            "lambda_closed": self.lambda_closed,
-            "zeta_upper": self.zeta_upper,
-            "eta_upper": self.eta_upper,
-            "beta": self.beta,
-            "b_star": self.b_star,
-            "delta": self.delta,
-            "m1": self.m1,
-            "m_lower": self.m_lower,
-            "d": self.d,
-            "n": self.n,
-            "error_bound_coefficient": self.error_bound_coefficient,
-        }
-
 
 def full_selection_report(
     features: FeatureMatrix,
@@ -258,7 +230,7 @@ def full_selection_report(
     Requires n > d.  Columns are centered internally (pairwise differences,
     hence probabilities and b*, are unchanged); then lambda equals
     n * eigmin(U U^T) / C(n,2) exactly, and zeta, eta admit the closed upper
-    bounds reported here.
+    bounds reported here.  ``m_lower`` is max(m1, m2) with these three in m2.
     """
     delta = _check_delta(delta)
     d, n = features.d, features.n
@@ -279,35 +251,10 @@ def full_selection_report(
     lambda_closed = n * lmin / npairs
     zeta_upper = nu + n * lmax / npairs
     eta_upper = nu * n * lmax / npairs + (n * lmax / npairs) ** 2
-
-    log4 = math.log(4.0 * d / delta)
-    log2 = math.log(2.0 * d / delta)
-    m1 = _m1_threshold(beta, d, log4)
-    if lmin > 0.0:
-        variance_term = (
-            48.0
-            * log2
-            * npairs**2
-            / (3.0 * n**2 * lmin**2)
-            * (nu * n * lmax / npairs + (n * lmax / npairs) ** 2)
-        )
-        drift_term = (
-            8.0 * log2 * npairs / (3.0 * n * lmin) * (nu + n * lmax / npairs)
-        )
-        m_lower = max(m1, variance_term + drift_term)
-    else:
-        m_lower = math.inf
-
-    b_star = None
-    coeff = None
-    if w_star is not None:
-        w_star = check_weights(w_star, d)
-        b_star = float(np.abs(diffs @ w_star).max())
-        coeff = (
-            _error_coefficient(b_star, npairs / (n * lmin), m1)
-            if lmin > 0.0
-            else math.inf
-        )
+    b_star = _b_star(diffs, w_star, d)
+    m1, m2, coeff = _thresholds(
+        lambda_closed, eta_upper, zeta_upper, beta, b_star, d, delta, lmin > 0.0
+    )
     return FullSelectionBounds(
         nu=nu,
         lambda_closed=lambda_closed,
@@ -317,7 +264,7 @@ def full_selection_report(
         b_star=b_star,
         delta=delta,
         m1=m1,
-        m_lower=m_lower,
+        m_lower=max(m1, m2),
         d=d,
         n=n,
         error_bound_coefficient=coeff,
@@ -343,24 +290,6 @@ class SingleCoordinateBounds(_ErrorBound):
     n: int
     error_bound_coefficient: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "partition_sizes": list(self.partition_sizes),
-            "epsilon": self.epsilon,
-            "lambda_lower": self.lambda_lower,
-            "zeta_upper": self.zeta_upper,
-            "eta_upper": self.eta_upper,
-            "beta": self.beta,
-            "b_star": self.b_star,
-            "delta": self.delta,
-            "m1": self.m1,
-            "m3": self.m3,
-            "m_lower": self.m_lower,
-            "d": self.d,
-            "n": self.n,
-            "error_bound_coefficient": self.error_bound_coefficient,
-        }
-
 
 def single_coordinate_report(
     features: FeatureMatrix,
@@ -373,7 +302,8 @@ def single_coordinate_report(
     The pairs partition by their selected coordinate; an empty part means the
     corresponding weight coordinate is never observed, so the lower bound on
     lambda degenerates to 0 and the thresholds to infinity (reported, not
-    raised).  Raises if any realized subset is not a singleton.
+    raised).  ``m3`` is m2 with the bounds on lambda, eta and zeta in it.
+    Raises if any realized subset is not a singleton.
     """
     delta = _check_delta(delta)
     d, n = features.d, features.n
@@ -391,31 +321,11 @@ def single_coordinate_report(
     lambda_lower = epsilon**2 * min_pk / npairs
     zeta_upper = beta**2 + beta**2 * max_pk / npairs
     eta_upper = beta**4 / npairs * max(s + s**2 / npairs for s in sizes)
-
-    log4 = math.log(4.0 * d / delta)
-    log2 = math.log(2.0 * d / delta)
-    m1 = _m1_threshold(beta, d, log4)
-    if epsilon > 0.0 and min_pk > 0:
-        m3 = 48.0 * log2 * beta**4 * max(
-            npairs * s + s**2 for s in sizes
-        ) / (3.0 * epsilon**4 * min_pk**2) + 8.0 * log2 * beta**2 * (
-            npairs + max_pk
-        ) / (3.0 * epsilon**2 * min_pk)
-    else:
-        m3 = math.inf
-    m_lower = max(m1, m3)
-
-    b_star = None
-    coeff = None
-    if w_star is not None:
-        w_star = check_weights(w_star, d)
-        b_star = float(np.abs(X @ w_star).max())
-        denom = epsilon**2 * min_pk
-        coeff = (
-            _error_coefficient(b_star, npairs / denom, m1)
-            if denom > 0.0
-            else math.inf
-        )
+    b_star = _b_star(X, w_star, d)
+    m1, m3, coeff = _thresholds(
+        lambda_lower, eta_upper, zeta_upper, beta, b_star, d, delta,
+        epsilon > 0.0 and min_pk > 0,
+    )
     return SingleCoordinateBounds(
         partition_sizes=sizes,
         epsilon=epsilon,
@@ -427,7 +337,7 @@ def single_coordinate_report(
         delta=delta,
         m1=m1,
         m3=m3,
-        m_lower=m_lower,
+        m_lower=max(m1, m3),
         d=d,
         n=n,
         error_bound_coefficient=coeff,

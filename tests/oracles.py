@@ -117,6 +117,72 @@ def certificate_quantities(diffs):
     return lam, eta, zeta, beta
 
 
+def _m1(beta, d, delta):
+    log4 = math.log(4.0 * d / delta)
+    return (3.0 * beta**2 * log4 * d + 4.0 * math.sqrt(d) * beta * log4) / 6.0
+
+
+def _sqrt_m_error(b_star, inv_lambda, m1):
+    """4 (1 + e^b*)^2 / (e^b* lambda) * sqrt(m1): the error bound times sqrt(m)."""
+    eb = math.exp(b_star)
+    return 4.0 * (1.0 + eb) ** 2 / eb * inv_lambda * math.sqrt(m1)
+
+
+def full_selection_thresholds(U, delta, w_star):
+    """(m1, m_lower, error coefficient) of the full-selection bounds.
+
+    Written out term by term: with the centered Gram eigenvalues lmin, lmax,
+    m_lower is max(m1, variance + drift) and 1/lambda is C(n,2) / (n lmin);
+    lmin = 0 makes m_lower and the coefficient infinite.
+    """
+    U = np.asarray(U, dtype=np.float64)
+    d, n = U.shape
+    U = U - U.mean(axis=1, keepdims=True)
+    npairs = n * (n - 1) // 2
+    eigs = np.linalg.eigvalsh(U @ U.T)
+    lmin, lmax = max(float(eigs[0]), 0.0), float(eigs[-1])
+    diffs = [U[:, i] - U[:, j] for i, j in itertools.combinations(range(n), 2)]
+    nu = max(max(float(x @ x) for x in diffs), 1.0)
+    beta = max(float(np.abs(x).max()) for x in diffs)
+    b_star = max(abs(float(x @ w_star)) for x in diffs)
+    log2 = math.log(2.0 * d / delta)
+    m1 = _m1(beta, d, delta)
+    if lmin == 0.0:
+        return m1, math.inf, math.inf
+    variance = (
+        48.0 * log2 * npairs**2 / (3.0 * n**2 * lmin**2)
+        * (nu * n * lmax / npairs + (n * lmax / npairs) ** 2)
+    )
+    drift = 8.0 * log2 * npairs / (3.0 * n * lmin) * (nu + n * lmax / npairs)
+    return m1, max(m1, variance + drift), _sqrt_m_error(b_star, npairs / (n * lmin), m1)
+
+
+def single_coordinate_thresholds(U, delta, w_star):
+    """(m1, m3, m_lower, error coefficient) of the top_t(1) bounds.
+
+    Written out term by term from the partition sizes s_k, the smallest and
+    largest row maximum epsilon, beta, and 1/lambda = C(n,2) / (eps^2 min s_k);
+    epsilon = 0 or an empty part makes m3 and the coefficient infinite.
+    """
+    U = np.asarray(U, dtype=np.float64)
+    d = U.shape[0]
+    subsets, table = masked_diff_table(U, {"kind": "top_t", "t": 1})
+    npairs = len(subsets)
+    sizes = [sum(1 for s in subsets if s == (k,)) for k in range(d)]
+    row_max = [max(abs(v) for v in row) for row in table]
+    eps, beta = min(row_max), max(row_max)
+    b_star = max(abs(float(row @ w_star)) for row in table)
+    log2 = math.log(2.0 * d / delta)
+    m1 = _m1(beta, d, delta)
+    min_pk, max_pk = min(sizes), max(sizes)
+    if eps == 0.0 or min_pk == 0:
+        return m1, math.inf, math.inf, math.inf
+    m3 = 48.0 * log2 * beta**4 * max(npairs * s + s**2 for s in sizes) / (
+        3.0 * eps**4 * min_pk**2
+    ) + 8.0 * log2 * beta**2 * (npairs + max_pk) / (3.0 * eps**2 * min_pk)
+    return m1, m3, max(m1, m3), _sqrt_m_error(b_star, npairs / (eps**2 * min_pk), m1)
+
+
 def char_poly_eigvals_2x2(A):
     """Eigenvalues of a symmetric 2x2 from the quadratic formula."""
     a, b, c = A[0, 0], A[0, 1], A[1, 1]

@@ -196,7 +196,8 @@ class TestDiagnose:
         )
         assert proc.returncode == 1
 
-    def test_min_count_drops_sparse_pair(self, tmp_path):
+    @staticmethod
+    def _diagnose_cycle(tmp_path, min_count):
         (tmp_path / "f.csv").write_text("item_id,f1\na,2.0\nb,0.0\nc,1.0\n", encoding="utf-8")
         # a beats c and c beats b often; b beats a only twice, closing a cycle
         (tmp_path / "c.csv").write_text(
@@ -204,20 +205,20 @@ class TestDiagnose:
             encoding="utf-8",
         )
         (tmp_path / "w.json").write_text('{"w": [1.0]}', encoding="utf-8")
-        payloads = []
-        for min_count in (0, 5):
-            out = tmp_path / f"diag{min_count}.json"
-            run_cli(
-                "diagnose",
-                "--features", tmp_path / "f.csv",
-                "--comparisons", tmp_path / "c.csv",
-                "--weights", tmp_path / "w.json",
-                "--selection", '{"kind":"full"}',
-                "--min-count", min_count,
-                "--out", out,
-            )
-            payloads.append(read_json(str(out)))
-        kept, dropped = payloads
+        out = tmp_path / f"diag{min_count}.json"
+        run_cli(
+            "diagnose",
+            "--features", tmp_path / "f.csv",
+            "--comparisons", tmp_path / "c.csv",
+            "--weights", tmp_path / "w.json",
+            "--selection", '{"kind":"full"}',
+            "--min-count", min_count,
+            "--out", out,
+        )
+        return read_json(str(out))
+
+    def test_min_count_drops_sparse_pair(self, tmp_path):
+        kept, dropped = (self._diagnose_cycle(tmp_path, k) for k in (0, 5))
         assert kept["empirical"]["triples_checked"] == 1
         assert kept["empirical"]["violating_triples"] == [
             {"triple": [0, 2, 1], "strong": True, "moderate": True, "weak": True}
@@ -230,6 +231,13 @@ class TestDiagnose:
         assert dropped["inconsistency"]["pairs_compared"] == 2
         assert dropped["inconsistency"]["disagreeing_pairs"] == []
         assert dropped["model"] == kept["model"]
+
+    def test_min_count_drops_every_pair(self, tmp_path):
+        payload = self._diagnose_cycle(tmp_path, 1000)
+        assert payload["empirical"]["triples_checked"] == 0
+        assert payload["inconsistency"]["pairs_compared"] == 0
+        assert payload["inconsistency"]["inconsistency_rate"] is None
+        assert payload["model"]["triples_checked"] == 1
 
     def test_negative_min_count_is_usage_error(self, sim_dir, tmp_path):
         proc = run_cli(

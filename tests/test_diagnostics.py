@@ -10,7 +10,6 @@ from salientpref import (
     Provenance,
     Ranking,
     SelectionSpec,
-    UndefinedMetricError,
     all_pair_probabilities,
     count_transitivity_violations,
     model_transitivity_report,
@@ -229,10 +228,11 @@ class TestPairwiseInconsistency:
         assert out.disagreeing_pairs == ((0, 1), (1, 2))
 
     def test_empty_overlap(self):
-        with pytest.raises(UndefinedMetricError):
-            pairwise_inconsistency(*arrays({}), [])
-        with pytest.raises(UndefinedMetricError):
-            pairwise_inconsistency(*arrays({}), Ranking(np.array([1, 2])))
+        for reference in ([], Ranking(np.array([1, 2]))):
+            out = pairwise_inconsistency(*arrays({}), reference)
+            assert (out.pairs_compared, out.inconsistent, out.disagreeing_pairs) == (0, 0, ())
+            assert out.rate is None
+            assert out.to_dict()["inconsistency_rate"] is None
 
     def test_matches_oracle(self, rng):
         for _ in range(60):

@@ -32,7 +32,7 @@ def hexagon_instance():
     return fm, realize(SelectionSpec.full(), fm)
 
 
-class TestJacobiEigensolver:
+class TestSymEigvals:
     def test_matches_quadratic_formula_2x2(self, rng):
         for _ in range(200):
             A = rng.normal(size=(2, 2))
@@ -96,6 +96,26 @@ class TestIdentifiability:
                 sel = realize(spec, fm)
                 rep = sample_complexity_report(fm, sel)
                 assert rep.identifiable == identifiability_check(fm, sel).identifiable
+        # a second feature 1e-7 the scale of the first: singular values 1e-7
+        # apart, eigenvalues of E[Z] 1e-14 apart, below the zero tolerance
+        M = rng.normal(size=(2, 8))
+        M[1] *= 1e-7
+        fm = FeatureMatrix(M)
+        sel = realize(SelectionSpec.full(), fm)
+        res = identifiability_check(fm, sel)
+        assert not sample_complexity_report(fm, sel).identifiable
+        assert not res.identifiable
+        assert res.rank == 1
+
+    def test_rank_counts_eigenvalues_above_trace_tolerance(self, rng):
+        # scales whose squares straddle the 1e-10 relative tolerance
+        M = rng.normal(size=(2, 8))
+        for scale in np.logspace(-4, -6, 21):
+            fm = FeatureMatrix(M * [[1.0], [scale]])
+            sel = realize(SelectionSpec.full(), fm)
+            EZ = oracles.expected_outer(sel.diff_table())
+            want = int(np.sum(np.linalg.eigvalsh(EZ) > 1e-10 * np.trace(EZ) / 2))
+            assert identifiability_check(fm, sel).rank == want
 
 
 class TestSampleComplexityReport:
@@ -321,6 +341,79 @@ class TestSingleCoordinateReport:
         assert rep.partition_sizes == (3, 0)
         assert rep.lambda_lower == 0.0
         assert math.isinf(rep.m3)
+
+
+class TestThresholdOracle:
+    """Each specialization's thresholds against the formulas written out."""
+
+    def test_full_selection(self, rng):
+        infinite = []
+        for trial in range(12):
+            d = int(rng.integers(2, 5))
+            n = int(rng.integers(d + 1, 12))
+            M = rng.normal(size=(d, n))
+            if trial == 0:
+                M[-1] = 3.0  # constant feature: the centered Gram is singular
+            w = rng.normal(size=d)
+            delta = float(rng.uniform(0.01, 0.5))
+            want = oracles.full_selection_thresholds(M, delta, w)
+            infinite.append(math.isinf(want[1]))
+            rep = full_selection_report(FeatureMatrix(M), delta=delta, w_star=w)
+            got = (rep.m1, rep.m_lower, rep.error_bound_coefficient)
+            assert got == pytest.approx(want, rel=1e-12)
+        assert infinite[0] and not all(infinite)
+
+    def test_single_coordinate(self, rng):
+        infinite = []
+        for trial in range(12):
+            d = int(rng.integers(1, 5))
+            n = int(rng.integers(3, 12))
+            M = rng.normal(size=(d, n))
+            if trial == 0:
+                M[-1] = 3.0  # never the largest difference: an empty part
+            w = rng.normal(size=d)
+            delta = float(rng.uniform(0.01, 0.5))
+            want = oracles.single_coordinate_thresholds(M, delta, w)
+            infinite.append(math.isinf(want[1]))
+            fm = FeatureMatrix(M)
+            rep = single_coordinate_report(
+                fm, realize(SelectionSpec.top_t(1), fm), delta=delta, w_star=w
+            )
+            got = (rep.m1, rep.m3, rep.m_lower, rep.error_bound_coefficient)
+            assert got == pytest.approx(want, rel=1e-12)
+        assert infinite[0] and not all(infinite)
+
+
+_CERTIFICATE_KEYS = [
+    "lambda", "eta", "zeta", "beta", "b_star", "identifiable", "delta",
+    "m1", "m2", "d", "n", "error_bound_coefficient",
+]
+_FULL_KEYS = [
+    "nu", "lambda_closed", "zeta_upper", "eta_upper", "beta", "b_star", "delta",
+    "m1", "m_lower", "d", "n", "error_bound_coefficient",
+]
+_SINGLE_KEYS = [
+    "partition_sizes", "epsilon", "lambda_lower", "zeta_upper", "eta_upper", "beta",
+    "b_star", "delta", "m1", "m3", "m_lower", "d", "n", "error_bound_coefficient",
+]
+
+
+@pytest.mark.parametrize(
+    "build, keys",
+    [
+        (identifiability_check, ["identifiable", "rank", "d"]),
+        (lambda fm, sel: sample_complexity_report(fm, sel, w_star=np.ones(3)), _CERTIFICATE_KEYS),
+        (lambda fm, sel: full_selection_report(fm, w_star=np.ones(3)), _FULL_KEYS),
+        (lambda fm, sel: single_coordinate_report(fm, sel, w_star=np.ones(3)), _SINGLE_KEYS),
+    ],
+    ids=["identifiability", "certificate", "full_selection", "single_coordinate"],
+)
+def test_report_schema(rng, build, keys):
+    fm = FeatureMatrix(rng.normal(size=(3, 9)))
+    out = build(fm, realize(SelectionSpec.top_t(1), fm)).to_dict()
+    assert list(out) == keys
+    if "partition_sizes" in out:
+        assert isinstance(out["partition_sizes"], list)
 
 
 class TestRankingRecoveryReport:
