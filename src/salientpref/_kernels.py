@@ -3,12 +3,11 @@
 The likelihood folds run over one row per distinct pair.  Certificate
 eigenvalues come from LAPACK (``np.linalg.eigvalsh``); the zeta scan takes
 the caller's eigendecomposition of E[Z] and solves one secular equation per
-pair; the transitivity scan classifies every triple at once.
+pair; the transitivity scan enumerates chains x -> y -> z through one middle
+item at a time and keeps only the violating rows.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -151,47 +150,38 @@ def zeta_scan(spectrum, X):
 # ---------------------------------------------------------------------------
 # stochastic-transitivity triple scan
 #
-# For each unordered triple {a < b < c} whose three pairwise probabilities are
-# all present, the six orientations (x, y, z) are tried in lexicographic order
-# and the first with P[x, y] > 1/2 and P[y, z] > 1/2 is classified:
+# An unordered triple whose three pairwise probabilities are all present is
+# checked through its first chain orientation (x, y, z) in lexicographic order,
+# a chain being P[x, y] > 1/2 and P[y, z] > 1/2, and classified:
 #   strong violation    P[x, z] < max(P[x, y], P[y, z])
 #   moderate violation  P[x, z] < min(P[x, y], P[y, z])
 #   weak violation      P[x, z] < 1/2
-# Violating rows are (x, y, z, moderate, weak); a listed row is always a
-# strong violation since weak implies moderate implies strong here.
+# The scan enumerates chains through each middle item y: x over the items that
+# beat y, z over those y beats.  A triple has at most one chain unless it is a
+# cycle x -> y -> z -> x, which has three; the one starting at the triple's
+# smallest item is the first in lexicographic order, so it alone is kept.
+# Only violating rows (x, y, z, moderate, weak) outlive their block, sorted at
+# the end into lexicographic order of the sorted triple, so memory is
+# O(n^2 + violations).  A listed row is always a strong violation since weak
+# implies moderate implies strong here.
 # ---------------------------------------------------------------------------
 
 
 def transitivity_scan(P, present):
-    n = P.shape[0]
-    if n < 3:
-        return 0, np.empty((0, 5), dtype=np.int64)
-    idx = np.array(list(itertools.combinations(range(n), 3)), dtype=np.int64)
-    a, b, c = idx[:, 0], idx[:, 1], idx[:, 2]
-    orients = ((a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a))
-    tri_present = present[a, b] & present[b, c] & present[a, c]
-    valid = np.zeros((6, len(idx)), dtype=bool)
-    for o, (x, y, z) in enumerate(orients):
-        valid[o] = tri_present & (P[x, y] > 0.5) & (P[y, z] > 0.5)
-    any_valid = valid.any(axis=0)
-    rows = np.nonzero(any_valid)[0]
-    if rows.size == 0:
-        return 0, np.empty((0, 5), dtype=np.int64)
-    first = valid[:, rows].argmax(axis=0)
-    xs = np.stack([o[0] for o in orients])[first, rows]
-    ys = np.stack([o[1] for o in orients])[first, rows]
-    zs = np.stack([o[2] for o in orients])[first, rows]
-    pxy = P[xs, ys]
-    pyz = P[ys, zs]
-    pxz = P[xs, zs]
-    strong = pxz < np.maximum(pxy, pyz)
-    moderate = pxz < np.minimum(pxy, pyz)
-    weak = pxz < 0.5
-    sel = np.nonzero(strong)[0]
-    viol = np.empty((sel.size, 5), dtype=np.int64)
-    viol[:, 0] = xs[sel]
-    viol[:, 1] = ys[sel]
-    viol[:, 2] = zs[sel]
-    viol[:, 3] = moderate[sel]
-    viol[:, 4] = weak[sel]
-    return int(rows.size), viol
+    link = present & (P > 0.5)
+    checked = 0
+    blocks = [np.empty((0, 5), dtype=np.int64)]
+    for y in range(P.shape[0]):
+        xs, zs = np.flatnonzero(link[:, y]), np.flatnonzero(link[y])
+        xc = xs[:, None]
+        xi, zi = np.nonzero(present[xc, zs] & (~link[zs, xc] | ((xc < y) & (xc < zs))))
+        x, z = xs[xi], zs[zi]
+        checked += x.size
+        pxy, pyz, pxz = P[x, y], P[y, z], P[x, z]
+        rows = np.column_stack(
+            (x, np.full_like(x, y), z, pxz < np.minimum(pxy, pyz), pxz < 0.5)
+        )
+        blocks.append(rows[pxz < np.maximum(pxy, pyz)].astype(np.int64, copy=False))
+    viol = np.concatenate(blocks)
+    key = np.sort(viol[:, :3], axis=1)
+    return checked, viol[np.lexsort(key.T[::-1])]

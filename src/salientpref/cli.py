@@ -21,6 +21,7 @@ import datetime
 import hashlib
 import json
 import math
+import numbers
 import os
 import pathlib
 import sys
@@ -289,22 +290,32 @@ def _sweep_cell(task: tuple) -> list[tuple]:
     return [(sel_json, m, seed, name, value) for name, value in metrics.items()]
 
 
+def _spec_number(key: str, value, kind=numbers.Integral):
+    """A sweep-spec value by SelectionSpec's rule: never a bool, never coerced."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a real number"
+        raise PreconditionError(f"sweep spec {key} must be {noun}, got {value!r}")
+    return int(value) if kind is numbers.Integral else float(value)
+
+
 def cmd_sweep(args) -> int:
     spec = dataio.read_json(args.spec)
     for key in ("d", "n", "selections", "m_grid", "seeds"):
         if key not in spec:
             raise PreconditionError(f"sweep spec missing key {key!r}")
-    d, n = int(spec["d"]), int(spec["n"])
-    mu = float(spec.get("mu", 0.0))
-    workers = int(spec.get("workers", 1))
+    d, n = _spec_number("d", spec["d"]), _spec_number("n", spec["n"])
+    mu = _spec_number("mu", spec.get("mu", 0.0), numbers.Real)
+    workers = _spec_number("workers", spec.get("workers", 1))
     if workers < 1:
         raise PreconditionError(f"sweep spec workers must be >= 1, got {workers}")
     selections = [SelectionSpec.from_dict(s).to_json() for s in spec["selections"]]
+    m_grid = [_spec_number("m_grid entry", m) for m in spec["m_grid"]]
+    seeds = [_spec_number("seeds entry", seed) for seed in spec["seeds"]]
     tasks = [
-        (d, n, sel_json, int(m), int(seed), mu)
+        (d, n, sel_json, m, seed, mu)
         for sel_json in selections
-        for m in spec["m_grid"]
-        for seed in spec["seeds"]
+        for m in m_grid
+        for seed in seeds
     ]
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:

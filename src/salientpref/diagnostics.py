@@ -12,17 +12,20 @@ P(j>k) > 1/2, also P(i>k) >= max(P(i>j), P(j>k)); the moderate form asks
 comparisons always satisfy all three; context-dependent masking can break
 them, and these reports count how often.
 
-An unordered triple is checked once: the six chain orientations are tried in
-lexicographic order and the first whose two chained probabilities strictly
-exceed 1/2 is classified.  Probabilities equal to exactly 1/2 never qualify
-as a chain link.  A triple that violates the weak form also violates the
-moderate and strong forms, so the three counters are nested.
+An unordered triple is checked once: of its six orientations (x, y, z), the
+first in lexicographic order whose two chained probabilities P(x>y) and
+P(y>z) strictly exceed 1/2 is classified.  Probabilities equal to exactly 1/2
+never qualify as a chain link.  The scan realises this by enumerating the
+chains x -> y -> z through each middle item y.  A triple has one chain, or
+three when it is a cycle; of a cycle's three, the one starting at its
+smallest item is the first in lexicographic order and the only one kept.  A
+triple that violates the weak form also violates the moderate and strong
+forms, so the three counters are nested.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -58,23 +61,20 @@ def _pair_arrays(pair_i, pair_j, *probs) -> list[np.ndarray]:
     return [a[order] for a in (i, j, *probs)]
 
 
-class TripleViolation(NamedTuple):
-    """A checked orientation (i, j, k) that violates strong transitivity."""
-
-    i: int
-    j: int
-    k: int
-    moderate: bool
-    weak: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitivityReport:
+    """Counts of violating triples and the rows listing them.
+
+    ``violations`` is a read-only ``(k, 5)`` int64 array with one row
+    ``(x, y, z, moderate, weak)`` per checked orientation that violates strong
+    transitivity, in lexicographic order of the sorted triple.
+    """
+
     triples_checked: int
     strong_violations: int
     moderate_violations: int
     weak_violations: int
-    violations: tuple[TripleViolation, ...]
+    violations: np.ndarray
 
     def __post_init__(self):
         if not (
@@ -96,6 +96,10 @@ class TransitivityReport:
         }[level] / self.triples_checked
 
     def to_dict(self) -> dict:
+        # zip per-column lists: v.tolist() would add one list object per row
+        v = self.violations
+        columns = [v[:, k].tolist() for k in range(3)]
+        columns += [v[:, k].astype(bool).tolist() for k in (3, 4)]
         return {
             "triples_checked": self.triples_checked,
             "strong_violations": self.strong_violations,
@@ -105,13 +109,8 @@ class TransitivityReport:
             "moderate_rate": self.rate("moderate"),
             "weak_rate": self.rate("weak"),
             "violating_triples": [
-                {
-                    "triple": [v.i, v.j, v.k],
-                    "strong": True,
-                    "moderate": v.moderate,
-                    "weak": v.weak,
-                }
-                for v in self.violations
+                {"triple": [x, y, z], "strong": True, "moderate": moderate, "weak": weak}
+                for x, y, z, moderate, weak in zip(*columns)
             ],
         }
 
@@ -135,15 +134,13 @@ def count_transitivity_violations(pair_i, pair_j, prob) -> TransitivityReport:
     present[a, b] = present[b, a] = True
     checked, viol = _kernels.transitivity_scan(P, present)
     viol[:, :3] = items[viol[:, :3]]
-    columns = [viol[:, k].tolist() for k in range(3)]
-    columns += [viol[:, k].astype(bool).tolist() for k in (3, 4)]
-    rows = list(map(TripleViolation._make, zip(*columns)))
+    viol.setflags(write=False)
     return TransitivityReport(
         triples_checked=int(checked),
-        strong_violations=len(rows),
+        strong_violations=len(viol),
         moderate_violations=int(viol[:, 3].sum()),
         weak_violations=int(viol[:, 4].sum()),
-        violations=tuple(rows),
+        violations=viol,
     )
 
 

@@ -235,6 +235,32 @@ def transitivity_counts(probs):
     return checked, strong, moderate, weak
 
 
+def transitivity_rows(probs):
+    """Violating rows by direct enumeration over a pair->prob dict.
+
+    probs maps canonical (i, j), i < j, to P(i beats j).  Each unordered
+    triple {a < b < c} with all three pairs present is oriented by the first
+    permutation (x, y, z) of (a, b, c) with P(x>y) > 1/2 and P(y>z) > 1/2.
+    Returns the strong violations as (x, y, z, moderate, weak) tuples, in
+    lexicographic order of (a, b, c).
+    """
+
+    def p(x, y):
+        return probs[(x, y)] if x < y else 1.0 - probs[(y, x)]
+
+    rows = []
+    items = sorted({x for pair in probs for x in pair})
+    for triple in itertools.combinations(items, 3):
+        if not all(pair in probs for pair in itertools.combinations(triple, 2)):
+            continue
+        for x, y, z in itertools.permutations(triple):
+            if p(x, y) > 0.5 and p(y, z) > 0.5:
+                if p(x, z) < max(p(x, y), p(y, z)):
+                    rows.append((x, y, z, p(x, z) < min(p(x, y), p(y, z)), p(x, z) < 0.5))
+                break
+    return rows
+
+
 def inconsistent_pairs(p_map, q_map):
     """Disagreement between two partial pair->prob dicts, from the definition.
 

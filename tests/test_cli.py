@@ -413,3 +413,18 @@ class TestSweep:
                         encoding="utf-8")
         assert cli.main(["sweep", "--spec", str(path), "--out-dir", str(tmp_path / "o")]) == 1
         assert "workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("d", 4.9), ("n", "12"), ("m_grid", [500.7]), ("seeds", [True]),
+         ("workers", 2.0), ("mu", "0.1"), ("mu", False)],
+    )
+    def test_non_integer_spec_values_rejected(self, tmp_path, capsys, key, value):
+        spec = {"d": 2, "n": 5, "selections": [{"kind": "full"}], "m_grid": [50], "seeds": [0]}
+        spec[key] = value
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--spec", str(path), "--out-dir", str(out)]) == 1
+        assert f"sweep spec {key}" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,3 +1,7 @@
+import itertools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -108,6 +112,42 @@ class TestCountTransitivityViolations:
         probs = {(0, 1): 0.9, (1, 2): 0.8}
         report = count_transitivity_violations(*arrays(probs))
         assert report.triples_checked == 0
+
+    def test_listed_rows_match_oracle_on_sparse_items(self, rng):
+        items = (2, 5, 7, 11, 13)
+        grid = (0.0, 0.3, 0.5, 0.7, 1.0)
+        listed = 0
+        for _ in range(40):
+            probs = {
+                pair: float(rng.choice(grid))
+                for pair in itertools.combinations(items, 2)
+                if rng.random() < 0.9
+            }
+            got = count_transitivity_violations(*arrays(probs)).to_dict()["violating_triples"]
+            want = [
+                {"triple": [x, y, z], "strong": True, "moderate": m, "weak": w}
+                for x, y, z, m, w in oracles.transitivity_rows(probs)
+            ]
+            assert got == want
+            assert all(type(r["moderate"]) is bool and type(r["weak"]) is bool for r in got)
+            listed += len(got)
+        assert listed > 0
+
+    def test_memory_does_not_grow_with_triples(self):
+        # a strict utility tournament: every triple is checked, none violated
+        n = 200
+        utility = np.random.default_rng(3).permutation(n)
+        i, j = np.triu_indices(n, k=1)
+        prob = (utility[i] > utility[j]).astype(np.float64)
+        tracemalloc.start()
+        try:
+            report = count_transitivity_violations(i, j, prob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.triples_checked == math.comb(n, 3)
+        assert report.strong_violations == 0
+        assert peak < 16e6
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):

@@ -102,8 +102,33 @@ class TestTransitivityScan:
         for row in viol:
             assert {0, 1} - set(row[:3].tolist()) != set()
 
+    def test_rows_match_oracle_with_ties_and_gaps(self, rng):
+        # exact 0, 1/2 and 1, and few enough values that ties are common
+        grid = np.array([0.0, 0.25, 0.5, 0.6, 0.75, 1.0])
+        listed = 0
+        for trial in range(60):
+            n = 3 + trial % 10
+            ii, jj = np.triu_indices(n, k=1)
+            probs = grid[rng.integers(0, grid.size, ii.size)]
+            kept = rng.random(ii.size) >= (0.25 if trial % 2 else 0.0)
+            P = np.full((n, n), 0.5)
+            P[ii, jj] = probs
+            P[jj, ii] = 1.0 - probs
+            present = np.zeros((n, n), dtype=bool)
+            present[ii[kept], jj[kept]] = present[jj[kept], ii[kept]] = True
+            prob_map = {
+                (int(a), int(b)): float(p) for a, b, p in zip(ii[kept], jj[kept], probs[kept])
+            }
+            checked, viol = _kernels.transitivity_scan(P, present)
+            assert viol.dtype == np.int64 and viol.shape[1] == 5
+            got = [(x, y, z, bool(m), bool(w)) for x, y, z, m, w in viol.tolist()]
+            assert got == oracles.transitivity_rows(prob_map)
+            assert checked == oracles.transitivity_counts(prob_map)[0]
+            listed += len(got)
+        assert listed > 0
 
-class TestJacobi:
+
+class TestSymEigvals:
     def test_zero_matrix(self):
         np.testing.assert_array_equal(_kernels.sym_eigvals(np.zeros((3, 3))), np.zeros(3))
 
