@@ -241,7 +241,9 @@ def cmd_theory(args) -> int:
     certificate = theory.sample_complexity_report(fm, sel, w_star=w, delta=args.delta)
     payload: dict = {
         "selection": args.selection.to_dict(),
-        "identifiability": theory.identifiability_check(fm, sel).to_dict(),
+        "identifiability": theory.IdentifiabilityResult(
+            certificate.identifiable, certificate.rank, certificate.d
+        ).to_dict(),
         "certificate": certificate.to_dict(),
     }
     if args.selection.kind == "full" and fm.n > fm.d:
@@ -257,7 +259,7 @@ def cmd_theory(args) -> int:
     if w is not None:
         payload["b_star"] = certificate.b_star
         payload["ranking_recovery"] = theory.ranking_recovery_report(
-            fm, sel, w, k=1, delta=args.delta, c5=1.0, certificate=certificate
+            fm, w, certificate, k=1, c5=1.0
         ).to_dict()
     dataio.write_json(args.out, payload)
     _write_manifest(args.out + ".manifest.json", "theory", args, inputs)
@@ -300,9 +302,16 @@ def _spec_number(key: str, value, kind=numbers.Integral):
 
 def cmd_sweep(args) -> int:
     spec = dataio.read_json(args.spec)
+    if not isinstance(spec, dict):
+        raise PreconditionError(f"sweep spec must be a JSON object, got {type(spec).__name__}")
     for key in ("d", "n", "selections", "m_grid", "seeds"):
         if key not in spec:
             raise PreconditionError(f"sweep spec missing key {key!r}")
+    for key in ("selections", "m_grid", "seeds"):
+        if not isinstance(spec[key], list):
+            raise PreconditionError(
+                f"sweep spec {key} must be an array, got {type(spec[key]).__name__}"
+            )
     d, n = _spec_number("d", spec["d"]), _spec_number("n", spec["n"])
     mu = _spec_number("mu", spec.get("mu", 0.0), numbers.Real)
     workers = _spec_number("workers", spec.get("workers", 1))

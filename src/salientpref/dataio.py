@@ -282,7 +282,11 @@ def save_ranking_csv(path: str, fm: FeatureMatrix, order, utilities) -> None:
 
 
 def load_weights_json(path: str) -> np.ndarray:
-    """Accept either a fit-result JSON (key ``w_hat``) or a plain ``w`` list."""
+    """Accept either a fit-result JSON (key ``w_hat``) or a plain ``w`` list.
+
+    The weights must be a JSON array of JSON numbers; bools and strings are
+    rejected, not coerced.
+    """
     obj = read_json(path)
     if isinstance(obj, dict) and "w_hat" in obj:
         w = obj["w_hat"]
@@ -290,4 +294,8 @@ def load_weights_json(path: str) -> np.ndarray:
         w = obj["w"]
     else:
         raise PreconditionError(f"{path}: expected a JSON object with 'w_hat' or 'w'")
+    if not isinstance(w, list) or any(
+        isinstance(v, bool) or not isinstance(v, (int, float)) for v in w
+    ):
+        raise PreconditionError(f"{path}: weights must be a JSON array of numbers")
     return np.asarray(w, dtype=np.float64)

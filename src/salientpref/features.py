@@ -132,8 +132,8 @@ def mask(x, subset) -> np.ndarray:
 def center_columns(fm: FeatureMatrix) -> FeatureMatrix:
     """Subtract the column mean from every column.
 
-    Pairwise differences ``U_i - U_j`` are unchanged exactly (a common vector
-    is subtracted), so pairwise comparison probabilities are unaffected.
+    Pairwise differences ``U_i - U_j`` are unchanged up to rounding (a common
+    vector is subtracted), so pairwise comparison probabilities are unaffected.
     """
     centered = fm.matrix - fm.matrix.mean(axis=1, keepdims=True)
     return FeatureMatrix(centered, fm.item_ids)

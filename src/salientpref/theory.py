@@ -27,8 +27,10 @@ and for m >= max(m1, m2), with probability at least 1 - delta,
 Two specializations put closed forms or bounds for lambda, eta and zeta into
 these same formulas: full selection on column-centered features (lambda is
 n * eigmin(U U^T) / C(n,2)), and single-coordinate selection (bounds in terms
-of the coordinate partition sizes).  A third turns the weight error into a
-Kendall-distance guarantee via the sorted utility gaps.  Eigenvalues of the
+of the coordinate partition sizes).  Ranking recovery turns the weight
+error into a Kendall-distance guarantee via the k-th sorted utility gap, and
+the empirical guarantee check fits sampled data against the error bound; both
+read the ``SampleComplexityReport`` rather than recompute it.  Eigenvalues of the
 small d x d certificate matrices come from LAPACK; zeta takes the
 eigendecomposition of E[Z] and solves a secular equation per pair (see
 ``_kernels.zeta_scan``).
@@ -43,33 +45,38 @@ import numpy as np
 
 from . import _kernels
 from .errors import PreconditionError
-from .estimator import FitConfig, fit
-from .features import FeatureMatrix, check_weights
+from .estimator import FitConfig, fit, max_abs_margin
+from .features import FeatureMatrix, center_columns, check_weights
 from .model import sample_comparisons
 from .ranking import utility_gaps
-from .selection import RealizedSelection, all_pairs
+from .selection import RealizedSelection, SelectionSpec, realize
 
 LAMBDA_REL_TOL = 1e-10
 
 
 class _Report:
     """``to_dict`` over the dataclass fields, in order: a trailing ``_`` is
-    dropped from a field name and a tuple becomes a list."""
+    dropped from a field name and a tuple becomes a list; ``_extra()`` adds
+    derived keys."""
 
     def to_dict(self) -> dict:
         out = {}
         for field in fields(self):
             value = getattr(self, field.name)
             out[field.name.removesuffix("_")] = list(value) if isinstance(value, tuple) else value
-        return out
+        return out | self._extra()
+
+    def _extra(self) -> dict:
+        return {}
 
 
 def _spectrum(X: np.ndarray):
-    """E[Z] = X^T X / P, its ascending ``(eigenvalues, eigenvectors)``, and the
-    tolerance at or below which an eigenvalue counts as zero."""
+    """E[Z] = X^T X / P, its ascending ``(eigenvalues, eigenvectors)``, and its
+    rank: the number of eigenvalues above 1e-10 of trace(E[Z]) / d."""
     EZ = X.T @ X / X.shape[0]
+    spectrum = np.linalg.eigh(EZ)
     tol = LAMBDA_REL_TOL * float(np.trace(EZ)) / X.shape[1]
-    return EZ, np.linalg.eigh(EZ), tol
+    return EZ, spectrum, int(np.count_nonzero(spectrum[0] > tol))
 
 
 @dataclass(frozen=True)
@@ -84,12 +91,11 @@ def identifiability_check(
 ) -> IdentifiabilityResult:
     """Numerical rank of E[Z], the span of the masked differences.
 
-    Eigenvalues at or below 1e-10 of trace(E[Z]) / d count as zero, the same
-    rule ``sample_complexity_report`` applies to lambda, so the two verdicts
-    always agree.
+    Eigenvalues at or below 1e-10 of trace(E[Z]) / d count as zero.  This is
+    the rank ``sample_complexity_report`` records, so the two verdicts always
+    agree; a caller holding the certificate reads it from there instead.
     """
-    _, (eig, _), tol = _spectrum(sel.diff_table())
-    rank = int(np.count_nonzero(eig > tol))
+    _, _, rank = _spectrum(sel.diff_table())
     return IdentifiabilityResult(rank == features.d, rank, features.d)
 
 
@@ -100,12 +106,9 @@ def _check_delta(delta: float) -> float:
     return delta
 
 
-def _b_star(X: np.ndarray, w_star, d: int) -> float | None:
-    """max over rows x of |<w*, x>|; None without true weights."""
-    if w_star is None:
-        return None
-    w_star = check_weights(w_star, d)
-    return float(np.abs(X @ w_star).max()) if X.size else 0.0
+def _b_star(features: FeatureMatrix, sel: RealizedSelection, w_star) -> float | None:
+    """max over pairs of |<w*, x_ij>|; None without true weights."""
+    return None if w_star is None else max_abs_margin(features, sel, w_star)
 
 
 def _thresholds(lam, eta, zeta, beta, b_star, d, delta, positive):
@@ -151,6 +154,7 @@ class SampleComplexityReport(_ErrorBound):
     beta: float
     b_star: float | None
     identifiable: bool
+    rank: int
     delta: float
     m1: float
     m2: float
@@ -173,7 +177,7 @@ def sample_complexity_report(
     delta = _check_delta(delta)
     d = features.d
     X = np.ascontiguousarray(sel.diff_table())
-    EZ, spectrum, tol = _spectrum(X)
+    EZ, spectrum, rank = _spectrum(X)
     sq = (X**2).sum(axis=1)
     V = (X * sq[:, None]).T @ X / X.shape[0] - EZ @ EZ  # E[(Z - E[Z])^2]
     V = 0.5 * (V + V.T)
@@ -182,8 +186,8 @@ def sample_complexity_report(
     eta = max(float(_kernels.sym_eigvals(V)[-1]), 0.0)
     zeta = float(_kernels.zeta_scan(spectrum, X))
     beta = float(np.abs(X).max()) if X.size else 0.0
-    b_star = _b_star(X, w_star, d)
-    identifiable = lam > tol
+    b_star = _b_star(features, sel, w_star)
+    identifiable = rank == d
     m1, m2, coeff = _thresholds(lam, eta, zeta, beta, b_star, d, delta, identifiable)
     return SampleComplexityReport(
         lambda_=lam,
@@ -192,6 +196,7 @@ def sample_complexity_report(
         beta=beta,
         b_star=b_star,
         identifiable=identifiable,
+        rank=rank,
         delta=delta,
         m1=m1,
         m2=m2,
@@ -228,7 +233,7 @@ def full_selection_report(
     centered features.
 
     Requires n > d.  Columns are centered internally (pairwise differences,
-    hence probabilities and b*, are unchanged); then lambda equals
+    hence probabilities and b*, are unchanged up to rounding); then lambda equals
     n * eigmin(U U^T) / C(n,2) exactly, and zeta, eta admit the closed upper
     bounds reported here.  ``m_lower`` is max(m1, m2) with these three in m2.
     """
@@ -236,22 +241,23 @@ def full_selection_report(
     d, n = features.d, features.n
     if n <= d:
         raise PreconditionError(f"full-selection bounds assume n > d (n={n}, d={d})")
-    U = features.matrix - features.matrix.mean(axis=1, keepdims=True)
+    centered = center_columns(features)
+    U = centered.matrix
     npairs = n * (n - 1) // 2
 
     gram_eigs = _kernels.sym_eigvals(U @ U.T)
     lmin = max(float(gram_eigs[0]), 0.0)
     lmax = float(gram_eigs[-1])
 
-    ii, jj = all_pairs(n)
-    diffs = U[:, ii].T - U[:, jj].T
+    sel = realize(SelectionSpec.full(), centered)
+    diffs = sel.diff_table()
     nu = max(float((diffs**2).sum(axis=1).max()), 1.0)
     beta = float(np.abs(diffs).max())
 
     lambda_closed = n * lmin / npairs
     zeta_upper = nu + n * lmax / npairs
     eta_upper = nu * n * lmax / npairs + (n * lmax / npairs) ** 2
-    b_star = _b_star(diffs, w_star, d)
+    b_star = _b_star(centered, sel, w_star)
     m1, m2, coeff = _thresholds(
         lambda_closed, eta_upper, zeta_upper, beta, b_star, d, delta, lmin > 0.0
     )
@@ -321,7 +327,7 @@ def single_coordinate_report(
     lambda_lower = epsilon**2 * min_pk / npairs
     zeta_upper = beta**2 + beta**2 * max_pk / npairs
     eta_upper = beta**4 / npairs * max(s + s**2 / npairs for s in sizes)
-    b_star = _b_star(X, w_star, d)
+    b_star = _b_star(features, sel, w_star)
     m1, m3, coeff = _thresholds(
         lambda_lower, eta_upper, zeta_upper, beta, b_star, d, delta,
         epsilon > 0.0 and min_pk > 0,
@@ -344,11 +350,15 @@ def single_coordinate_report(
     )
 
 
+def _check_certificate(certificate: SampleComplexityReport, features: FeatureMatrix) -> None:
+    if certificate.b_star is None or (certificate.d, certificate.n) != (features.d, features.n):
+        raise PreconditionError("certificate must come from the same features and true weights")
+
+
 @dataclass(frozen=True)
-class RankingRecoveryBounds:
+class RankingRecoveryBounds(_Report):
     """Sample threshold for Kendall distance at most k - 1 to the true ranking."""
 
-    alpha: tuple[float, ...]
     M: float
     k: int
     alpha_k: float
@@ -364,18 +374,8 @@ class RankingRecoveryBounds:
         """Certified ceiling on the Kendall distance to the true ranking."""
         return self.k - 1
 
-    def to_dict(self) -> dict:
+    def _extra(self) -> dict:
         return {
-            "alpha": list(self.alpha),
-            "M": self.M,
-            "k": self.k,
-            "alpha_k": self.alpha_k,
-            "m_terms": list(self.m_terms),
-            "m_lower": self.m_lower,
-            "delta": self.delta,
-            "c5": self.c5,
-            "b_star": self.b_star,
-            "lambda": self.lambda_,
             "predicted": self.predicted,
             "guarantee": (
                 f"with probability at least {1.0 - self.delta}, a fit on at least "
@@ -387,76 +387,59 @@ class RankingRecoveryBounds:
 
 def ranking_recovery_report(
     features: FeatureMatrix,
-    sel: RealizedSelection,
     w_star,
+    certificate: SampleComplexityReport,
     k: int,
-    delta: float = 0.05,
     c5: float = 1.0,
-    certificate: SampleComplexityReport | None = None,
 ) -> RankingRecoveryBounds:
     """How many samples before the learned ranking is within distance k - 1.
 
-    The third threshold term uses the configurable leading constant ``c5``
-    (its sharp value is not pinned down, so it is a knob, never asserted);
-    a zero utility gap alpha_k makes that term infinite: ties in true
-    utilities void the guarantee at that k.
-
     ``certificate`` is ``sample_complexity_report(features, sel, w_star,
-    delta)`` when the caller already has it; otherwise it is computed here.
+    delta)``; delta, beta, lambda, m1, m2 and b* are read from it.  The third
+    threshold term uses the configurable leading constant ``c5`` (its sharp
+    value is not pinned down, so it is a knob, never asserted); a zero utility
+    gap alpha_k makes that term infinite: ties in true utilities void the
+    guarantee at that k.
     """
-    delta = _check_delta(delta)
     d, n = features.d, features.n
     npairs = n * (n - 1) // 2
     if not 1 <= k <= npairs:
         raise PreconditionError(f"k must lie in [1, C(n,2)] = [1, {npairs}], got {k}")
     if c5 <= 0:
         raise PreconditionError("c5 must be positive")
+    _check_certificate(certificate, features)
     w_star = check_weights(w_star, d)
 
     alpha, M = utility_gaps(features, w_star)
     alpha_k = float(alpha[k - 1])
-    if certificate is None:
-        base = sample_complexity_report(features, sel, w_star=w_star, delta=delta)
-    elif (
-        certificate.b_star is None
-        or certificate.delta != delta
-        or (certificate.d, certificate.n) != (d, n)
-    ):
-        raise PreconditionError(
-            "certificate must come from the same features, true weights and delta"
-        )
-    else:
-        base = certificate
-
-    log4 = math.log(4.0 * d / delta)
-    if alpha_k > 0.0 and base.identifiable:
+    log4 = math.log(4.0 * d / certificate.delta)
+    if alpha_k > 0.0 and certificate.identifiable:
         term3 = (
             c5
             * M**2
-            * math.exp(2.0 * base.b_star)
-            * (base.beta**2 * d + base.beta * math.sqrt(d))
+            * math.exp(2.0 * certificate.b_star)
+            * (certificate.beta**2 * d + certificate.beta * math.sqrt(d))
             * log4
-            / (alpha_k**2 * base.lambda_**2)
+            / (alpha_k**2 * certificate.lambda_**2)
         )
     else:
         term3 = math.inf
-    terms = (base.m1, base.m2, term3)
+    terms = (certificate.m1, certificate.m2, term3)
     return RankingRecoveryBounds(
-        alpha=tuple(float(a) for a in alpha),
         M=M,
         k=k,
         alpha_k=alpha_k,
         m_terms=terms,
         m_lower=max(terms),
-        delta=delta,
+        delta=certificate.delta,
         c5=float(c5),
-        b_star=base.b_star,
-        lambda_=base.lambda_,
+        b_star=certificate.b_star,
+        lambda_=certificate.lambda_,
     )
 
 
 @dataclass(frozen=True)
-class GuaranteeCheck:
+class GuaranteeCheck(_Report):
     """Outcome of sampling-and-fitting trials against the error bound."""
 
     applicable: bool
@@ -467,16 +450,9 @@ class GuaranteeCheck:
     pass_rate: float | None
     errors: tuple[float, ...]
 
-    def to_dict(self) -> dict:
+    def _extra(self) -> dict:
         return {
-            "applicable": self.applicable,
-            "m": self.m,
-            "m_required": self.m_required,
-            "bound": self.bound,
-            "trials": self.trials,
-            "pass_rate": self.pass_rate,
-            "errors": list(self.errors),
-            "status": "ok" if self.applicable else "bound not applicable (m below threshold)",
+            "status": "ok" if self.applicable else "bound not applicable (m below threshold)"
         }
 
 
@@ -485,22 +461,23 @@ def empirical_guarantee_check(
     w_star,
     sel: RealizedSelection,
     m: int,
-    delta: float,
+    certificate: SampleComplexityReport,
     trials: int,
     seed: int,
 ) -> GuaranteeCheck:
     """Fraction of independent fits with error within the certified bound.
 
-    Refuses non-identifiable instances.  When m is below max(m1, m2) the
-    bound's precondition fails and the check is skipped (applicable=False)
-    rather than run against a bound that promises nothing.
+    ``certificate`` is ``sample_complexity_report(features, sel, w_star,
+    delta)``.  Refuses non-identifiable instances.  When m is below
+    max(m1, m2) the bound's precondition fails and the check is skipped
+    (applicable=False) rather than run against a bound that promises nothing.
     """
     if trials < 1:
         raise PreconditionError("need at least one trial")
-    report = sample_complexity_report(features, sel, w_star=w_star, delta=delta)
-    if not report.identifiable:
+    _check_certificate(certificate, features)
+    if not certificate.identifiable:
         raise PreconditionError("instance is not identifiable; the bound never applies")
-    m_required = max(report.m1, report.m2)
+    m_required = max(certificate.m1, certificate.m2)
     if m < m_required:
         return GuaranteeCheck(
             applicable=False,
@@ -511,7 +488,7 @@ def empirical_guarantee_check(
             pass_rate=None,
             errors=(),
         )
-    bound = report.error_bound(m)
+    bound = certificate.error_bound(m)
     w_star = check_weights(w_star, features.d)
     errors = []
     for t in range(trials):

@@ -325,6 +325,38 @@ class TestTheoryCommand:
         payload = read_json(str(tmp_path / "theory.json"))
         assert payload["ranking_recovery"]["lambda"] == payload["certificate"]["lambda"]
 
+    @pytest.mark.parametrize(
+        "selection", ['{"kind":"top_t","t":2}', '{"kind":"full"}', '{"kind":"top_t","t":1}']
+    )
+    def test_one_eigendecomposition_per_run(self, tmp_path, monkeypatch, selection):
+        sim = tmp_path / "sim"
+        run_cli(
+            "simulate", "--d", 3, "--n", 8, "--m", 100,
+            "--selection", selection, "--seed", 5, "--out-dir", sim,
+        )
+        calls = []
+        real = np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        argv = [
+            "theory",
+            "--features", str(sim / "features.csv"),
+            "--selection", selection,
+            "--weights", str(sim / "truth_weights.json"),
+            "--out", str(tmp_path / "theory.json"),
+        ]
+        assert cli.main(argv) == 0
+        assert len(calls) == 1
+        payload = read_json(str(tmp_path / "theory.json"))
+        cert = payload["certificate"]
+        assert payload["identifiability"] == {
+            "identifiable": cert["identifiable"], "rank": cert["rank"], "d": cert["d"]
+        }
+
 
 class TestSweep:
     def test_long_format_csv(self, tmp_path):
@@ -417,14 +449,20 @@ class TestSweep:
     @pytest.mark.parametrize(
         "key, value",
         [("d", 4.9), ("n", "12"), ("m_grid", [500.7]), ("seeds", [True]),
-         ("workers", 2.0), ("mu", "0.1"), ("mu", False)],
+         ("workers", 2.0), ("mu", "0.1"), ("mu", False),
+         ("m_grid", 50), ("seeds", 0), ("selections", {"kind": "full"}), (None, 5)],
     )
     def test_non_integer_spec_values_rejected(self, tmp_path, capsys, key, value):
+        # key None replaces the whole spec with value
         spec = {"d": 2, "n": 5, "selections": [{"kind": "full"}], "m_grid": [50], "seeds": [0]}
-        spec[key] = value
+        if key is None:
+            spec = value
+        else:
+            spec[key] = value
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec), encoding="utf-8")
         out = tmp_path / "o"
         assert cli.main(["sweep", "--spec", str(path), "--out-dir", str(out)]) == 1
-        assert f"sweep spec {key}" in capsys.readouterr().err
+        want = "sweep spec must" if key is None else f"sweep spec {key}"
+        assert want in capsys.readouterr().err
         assert not out.exists()

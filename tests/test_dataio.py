@@ -8,6 +8,7 @@ from salientpref import (
     ComparisonDataset,
     FeatureMatrix,
     ParseError,
+    PreconditionError,
     Provenance,
     UnknownItemError,
 )
@@ -283,6 +284,17 @@ class TestJsonHelpers:
         path = str(tmp_path / "w.json")
         write_json(path, {"w": [0.5]})
         np.testing.assert_array_equal(load_weights_json(path), [0.5])
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"w": [True, False]}, {"w": ["1.5", "2"]}, {"w": {"a": 1}}, {"w": 1.0},
+         {"w_hat": [0.5, None]}, {"w": [[1.0]]}],
+    )
+    def test_weights_must_be_array_of_numbers(self, tmp_path, payload):
+        path = str(tmp_path / "w.json")
+        write_json(path, payload)
+        with pytest.raises(PreconditionError, match="w.json"):
+            load_weights_json(path)
 
 
 class TestFeatureStats:

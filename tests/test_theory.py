@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -116,6 +115,7 @@ class TestIdentifiability:
             EZ = oracles.expected_outer(sel.diff_table())
             want = int(np.sum(np.linalg.eigvalsh(EZ) > 1e-10 * np.trace(EZ) / 2))
             assert identifiability_check(fm, sel).rank == want
+            assert sample_complexity_report(fm, sel).rank == want
 
 
 class TestSampleComplexityReport:
@@ -385,7 +385,7 @@ class TestThresholdOracle:
 
 
 _CERTIFICATE_KEYS = [
-    "lambda", "eta", "zeta", "beta", "b_star", "identifiable", "delta",
+    "lambda", "eta", "zeta", "beta", "b_star", "identifiable", "rank", "delta",
     "m1", "m2", "d", "n", "error_bound_coefficient",
 ]
 _FULL_KEYS = [
@@ -396,6 +396,13 @@ _SINGLE_KEYS = [
     "partition_sizes", "epsilon", "lambda_lower", "zeta_upper", "eta_upper", "beta",
     "b_star", "delta", "m1", "m3", "m_lower", "d", "n", "error_bound_coefficient",
 ]
+_RECOVERY_KEYS = [
+    "M", "k", "alpha_k", "m_terms", "m_lower", "delta", "c5", "b_star", "lambda",
+    "predicted", "guarantee",
+]
+_GUARANTEE_KEYS = [
+    "applicable", "m", "m_required", "bound", "trials", "pass_rate", "errors", "status",
+]
 
 
 @pytest.mark.parametrize(
@@ -405,30 +412,50 @@ _SINGLE_KEYS = [
         (lambda fm, sel: sample_complexity_report(fm, sel, w_star=np.ones(3)), _CERTIFICATE_KEYS),
         (lambda fm, sel: full_selection_report(fm, w_star=np.ones(3)), _FULL_KEYS),
         (lambda fm, sel: single_coordinate_report(fm, sel, w_star=np.ones(3)), _SINGLE_KEYS),
+        (
+            lambda fm, sel: ranking_recovery_report(
+                fm, np.ones(3), sample_complexity_report(fm, sel, w_star=np.ones(3)), k=1
+            ),
+            _RECOVERY_KEYS,
+        ),
+        (
+            lambda fm, sel: empirical_guarantee_check(
+                fm, np.ones(3), sel, 1, sample_complexity_report(fm, sel, w_star=np.ones(3)),
+                trials=1, seed=0,
+            ),
+            _GUARANTEE_KEYS,
+        ),
     ],
-    ids=["identifiability", "certificate", "full_selection", "single_coordinate"],
+    ids=["identifiability", "certificate", "full_selection", "single_coordinate",
+         "ranking_recovery", "guarantee_check"],
 )
 def test_report_schema(rng, build, keys):
     fm = FeatureMatrix(rng.normal(size=(3, 9)))
     out = build(fm, realize(SelectionSpec.top_t(1), fm)).to_dict()
     assert list(out) == keys
-    if "partition_sizes" in out:
-        assert isinstance(out["partition_sizes"], list)
+    for key in ("partition_sizes", "m_terms", "errors"):
+        if key in out:
+            assert isinstance(out[key], list)
+
+
+def recovery(fm, sel, w, k, c5=1.0, delta=0.05):
+    cert = sample_complexity_report(fm, sel, w_star=w, delta=delta)
+    return ranking_recovery_report(fm, w, cert, k=k, c5=c5)
 
 
 class TestRankingRecoveryReport:
     def test_zero_weights_vacuous(self, rng):
         fm = FeatureMatrix(rng.normal(size=(2, 5)))
         sel = realize(SelectionSpec.full(), fm)
-        rep = ranking_recovery_report(fm, sel, np.zeros(2), k=1)
-        assert all(a == 0.0 for a in rep.alpha)
+        rep = recovery(fm, sel, np.zeros(2), k=1)
+        assert rep.alpha_k == 0.0
         assert math.isinf(rep.m_terms[2])
 
     def test_smallest_gap_at_k_one(self, rng):
         fm = FeatureMatrix(rng.normal(size=(2, 5)))
         sel = realize(SelectionSpec.full(), fm)
         w = rng.normal(size=2)
-        rep = ranking_recovery_report(fm, sel, w, k=1)
+        rep = recovery(fm, sel, w, k=1)
         gaps = np.abs(
             (fm.matrix.T @ w)[:, None] - (fm.matrix.T @ w)[None, :]
         )[np.triu_indices(5, k=1)]
@@ -438,52 +465,60 @@ class TestRankingRecoveryReport:
     def test_line_of_items(self):
         fm = fm_from_columns([0.0], [1.0], [3.0])
         sel = realize(SelectionSpec.full(), fm)
-        rep = ranking_recovery_report(fm, sel, np.array([1.0]), k=2)
+        rep = recovery(fm, sel, np.array([1.0]), k=2)
         assert rep.alpha_k == 2.0
 
     def test_k_out_of_range(self, rng):
         fm = FeatureMatrix(rng.normal(size=(2, 4)))
         sel = realize(SelectionSpec.full(), fm)
         with pytest.raises(PreconditionError):
-            ranking_recovery_report(fm, sel, np.zeros(2), k=7)
+            recovery(fm, sel, np.zeros(2), k=7)
 
     def test_c5_scales_third_term(self, rng):
         fm = FeatureMatrix(rng.normal(size=(2, 5)))
         sel = realize(SelectionSpec.full(), fm)
         w = rng.normal(size=2)
-        t1 = ranking_recovery_report(fm, sel, w, k=1, c5=1.0).m_terms[2]
-        t2 = ranking_recovery_report(fm, sel, w, k=1, c5=3.0).m_terms[2]
+        t1 = recovery(fm, sel, w, k=1, c5=1.0).m_terms[2]
+        t2 = recovery(fm, sel, w, k=1, c5=3.0).m_terms[2]
         assert t2 == pytest.approx(3.0 * t1, rel=1e-12)
 
-
-    def test_precomputed_certificate_gives_same_report(self, rng):
+    def test_reads_the_certificate(self, rng):
         fm = FeatureMatrix(rng.normal(size=(3, 7)))
         sel = realize(SelectionSpec.top_t(2), fm)
         w = rng.normal(size=3)
-        cert = sample_complexity_report(fm, sel, w_star=w, delta=0.1)
-        recomputed = ranking_recovery_report(fm, sel, w, k=3, delta=0.1, c5=2.0)
-        reused = ranking_recovery_report(fm, sel, w, k=3, delta=0.1, c5=2.0, certificate=cert)
-        for field in dataclasses.fields(recomputed):
-            assert getattr(reused, field.name) == getattr(recomputed, field.name), field.name
-        assert reused.to_dict() == recomputed.to_dict()
+        reps = {}
+        for delta in (0.05, 0.1):
+            cert = sample_complexity_report(fm, sel, w_star=w, delta=delta)
+            rep = reps[delta] = ranking_recovery_report(fm, w, cert, k=3, c5=2.0)
+            assert (rep.delta, rep.lambda_, rep.b_star) == (delta, cert.lambda_, cert.b_star)
+            assert rep.m_terms[:2] == (cert.m1, cert.m2)
+        # only the log(4d/delta) factor of the third term depends on delta
+        ratio = reps[0.1].m_terms[2] / reps[0.05].m_terms[2]
+        assert ratio == pytest.approx(math.log(4 * 3 / 0.1) / math.log(4 * 3 / 0.05), rel=1e-12)
 
     def test_mismatched_certificate_rejected(self, rng):
         fm = FeatureMatrix(rng.normal(size=(2, 5)))
         sel = realize(SelectionSpec.full(), fm)
         w = rng.normal(size=2)
         without_weights = sample_complexity_report(fm, sel, delta=0.05)
-        other_delta = sample_complexity_report(fm, sel, w_star=w, delta=0.1)
-        for cert in (without_weights, other_delta):
+        other = FeatureMatrix(rng.normal(size=(2, 6)))
+        other_items = sample_complexity_report(
+            other, realize(SelectionSpec.full(), other), w_star=w, delta=0.05
+        )
+        for cert in (without_weights, other_items):
             with pytest.raises(PreconditionError):
-                ranking_recovery_report(fm, sel, w, k=1, delta=0.05, certificate=cert)
+                ranking_recovery_report(fm, w, cert, k=1)
+
+
+def guarantee(fm, w_star, sel, m, delta, trials, seed):
+    cert = sample_complexity_report(fm, sel, w_star=w_star, delta=delta)
+    return empirical_guarantee_check(fm, w_star, sel, m, cert, trials, seed)
 
 
 class TestEmpiricalGuaranteeCheck:
     def test_below_threshold_skipped(self):
         fm, sel = hexagon_instance()
-        chk = empirical_guarantee_check(
-            fm, np.array([0.3, -0.2]), sel, m=10, delta=0.2, trials=3, seed=0
-        )
+        chk = guarantee(fm, np.array([0.3, -0.2]), sel, m=10, delta=0.2, trials=3, seed=0)
         assert not chk.applicable
         assert chk.pass_rate is None
         assert "not applicable" in chk.to_dict()["status"]
@@ -493,9 +528,7 @@ class TestEmpiricalGuaranteeCheck:
         w_star = np.array([0.3, -0.2])
         rep = sample_complexity_report(fm, sel, w_star=w_star, delta=0.2)
         m = int(np.ceil(max(rep.m1, rep.m2)))
-        chk = empirical_guarantee_check(
-            fm, w_star, sel, m=m, delta=0.2, trials=5, seed=1
-        )
+        chk = empirical_guarantee_check(fm, w_star, sel, m, rep, trials=5, seed=1)
         assert chk.applicable
         assert chk.pass_rate == 1.0
 
@@ -503,15 +536,23 @@ class TestEmpiricalGuaranteeCheck:
         fm, sel = hexagon_instance()
         rep = sample_complexity_report(fm, sel, w_star=np.zeros(2), delta=0.2)
         m = int(np.ceil(max(rep.m1, rep.m2)))
-        chk = empirical_guarantee_check(
-            fm, np.zeros(2), sel, m=m, delta=0.2, trials=3, seed=2
-        )
+        chk = empirical_guarantee_check(fm, np.zeros(2), sel, m, rep, trials=3, seed=2)
         assert chk.pass_rate == 1.0
 
     def test_refuses_nonidentifiable(self):
         fm = FeatureMatrix(np.eye(3))
         sel = realize(SelectionSpec.full(), fm)
         with pytest.raises(PreconditionError):
-            empirical_guarantee_check(
-                fm, np.zeros(3), sel, m=1000, delta=0.2, trials=2, seed=0
-            )
+            guarantee(fm, np.zeros(3), sel, m=1000, delta=0.2, trials=2, seed=0)
+
+    def test_mismatched_certificate_rejected(self):
+        fm, sel = hexagon_instance()
+        w_star = np.array([0.3, -0.2])
+        without_weights = sample_complexity_report(fm, sel, delta=0.2)
+        other = FeatureMatrix(np.vstack([np.cos(np.arange(5)), np.sin(np.arange(5))]))
+        other_items = sample_complexity_report(
+            other, realize(SelectionSpec.full(), other), w_star=w_star, delta=0.2
+        )
+        for cert in (without_weights, other_items):
+            with pytest.raises(PreconditionError, match="certificate"):
+                empirical_guarantee_check(fm, w_star, sel, 10**6, cert, trials=1, seed=0)
