@@ -19,11 +19,6 @@ def sigmoid(u):
     return np.where(u >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def softplus(u):
-    """log(1 + exp(u)) without overflow, elementwise."""
-    return np.logaddexp(0.0, np.asarray(u, dtype=np.float64))
-
-
 def logistic_curvature(u):
     """h(u) = e^u / (1 + e^u)^2, the logistic second derivative (symmetric)."""
     e = np.exp(-np.abs(np.asarray(u, dtype=np.float64)))

@@ -320,6 +320,8 @@ def cmd_sweep(args) -> int:
     selections = [SelectionSpec.from_dict(s).to_json() for s in spec["selections"]]
     m_grid = [_spec_number("m_grid entry", m) for m in spec["m_grid"]]
     seeds = [_spec_number("seeds entry", seed) for seed in spec["seeds"]]
+    if any(seed < 0 for seed in seeds):
+        raise PreconditionError(f"sweep spec seeds entries must be >= 0, got {min(seeds)}")
     tasks = [
         (d, n, sel_json, m, seed, mu)
         for sel_json in selections
@@ -357,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--selection", type=_selection_arg, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_nonnegative_int, required=True)
     p.add_argument("--out-dir", type=pathlib.Path, required=True)
     p.set_defaults(func=cmd_simulate)
 

@@ -49,10 +49,10 @@ class FitConfig:
     init: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise PreconditionError("ridge weight mu must be nonnegative")
-        if self.tol_grad <= 0:
-            raise PreconditionError("tol_grad must be positive")
+        if not (np.isfinite(self.mu) and self.mu >= 0):
+            raise PreconditionError(f"ridge weight mu must be finite and >= 0, got {self.mu}")
+        if not (np.isfinite(self.tol_grad) and self.tol_grad > 0):
+            raise PreconditionError(f"tol_grad must be finite and > 0, got {self.tol_grad}")
         if self.max_iters < 1:
             raise PreconditionError("max_iters must be positive")
 
@@ -102,7 +102,7 @@ def fit(
     if data.total.size == 0:
         raise PreconditionError("cannot fit an empty dataset")
     d = features.d
-    X = np.ascontiguousarray(design_matrix(sel, data))
+    X = design_matrix(sel, data)
     total = data.total.astype(np.float64)
     wins = data.wins.astype(np.float64)
     mu = float(cfg.mu)

@@ -23,6 +23,7 @@ Hessian is symmetric positive semidefinite and L is convex.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -95,7 +96,8 @@ class ComparisonDataset:
     accepts pairs in either orientation, in any order and repeated: a pair
     given as (j, i) with j > i has its wins and losses swapped, and repeats
     are summed.  The order of individual outcomes carries no information
-    under the likelihood, so the counts are all a dataset stores.
+    under the likelihood, so the counts are all a dataset stores.  The
+    totals may sum to at most ``sys.maxsize``, so ``len()`` is defined.
     """
 
     pair_i: np.ndarray
@@ -129,6 +131,8 @@ class ComparisonDataset:
                 raise PreconditionError("a pair's total count exceeds 2**53")
             wins, _ = sum_counts(groups, wins, key.size)
             i, j = key // self.n_items, key % self.n_items
+        if sum(total.tolist()) > sys.maxsize:
+            raise PreconditionError(f"the total comparison count exceeds {sys.maxsize}")
         for name, arr in (("pair_i", i), ("pair_j", j), ("wins", wins), ("total", total)):
             object.__setattr__(self, name, _read_only(arr))
 

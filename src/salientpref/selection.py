@@ -21,15 +21,14 @@ Random subsets are drawn per pair from a stream seeded by ``(seed, i, j)``
 (canonical ``i < j``), so the realized map is a fixed deterministic function
 of (spec, features): the same pair always yields the same subset, across
 calls, process runs, and realization orders.  Each kind's rule is coded once,
-batched over pairs, and serves single-pair lookups and the all-pairs table
-alike; nothing is memoized per pair.
+batched over all pairs, and runs once, when :func:`realize` builds the keep
+mask and the masked-difference table; single-pair lookups index that table.
 """
 
 from __future__ import annotations
 
 import json
 import numbers
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,12 +143,11 @@ def all_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class RealizedSelection:
-    """A selection spec bound to a feature matrix.
+    """A selection spec bound to a feature matrix, realized once.
 
-    Subsets are recomputed on demand by :meth:`select` and
-    :meth:`masked_diff`; :meth:`diff_table` builds the keep mask and the
-    masked-difference table for all pairs once, under a lock, and caches both
-    read-only, so concurrent readers see identical results.
+    The constructor runs the subset rule for all pairs and keeps the keep
+    mask and the masked-difference table, both read-only; every reader
+    indexes them, so concurrent readers see identical results.
     """
 
     def __init__(self, spec: SelectionSpec, features: FeatureMatrix):
@@ -160,22 +158,15 @@ class RealizedSelection:
             raise DimensionError(f"random_exactly_k with k={spec.k} exceeds d={d}")
         self.spec = spec
         self.features = features
-        self._lock = threading.Lock()
-        self._keep: np.ndarray | None = None
-        self._diffs: np.ndarray | None = None
+        self._diffs = self._build_diff_table()
 
-    @property
-    def n_pairs(self) -> int:
-        n = self.features.n
-        return n * (n - 1) // 2
-
-    def _canonical(self, i: int, j: int) -> tuple[int, int]:
+    def _row(self, i: int, j: int) -> int:
         n = self.features.n
         if not (0 <= i < n and 0 <= j < n):
             raise InvalidPairError(f"pair ({i}, {j}) out of range for n={n}")
         if i == j:
             raise InvalidPairError(f"item compared with itself: {i}")
-        return (i, j) if i < j else (j, i)
+        return pair_index(min(i, j), max(i, j), n)
 
     def _keep_mask(self, ii: np.ndarray, jj: np.ndarray, diffs: np.ndarray) -> np.ndarray:
         """The subset rule: keep mask (len(ii), d) for canonical pairs (ii, jj).
@@ -201,47 +192,34 @@ class RealizedSelection:
                     keep[r] = rng.random(d) < spec.p
         return keep
 
-    def _pair_keep(self, i: int, j: int) -> np.ndarray:
-        a, b = self._canonical(i, j)
-        U = self.features.matrix
-        return self._keep_mask(
-            np.array([a]), np.array([b]), (U[:, a] - U[:, b])[None, :]
-        )[0]
-
     def select(self, i: int, j: int) -> tuple[int, ...]:
         """Realized coordinate subset for the pair; symmetric in (i, j)."""
-        return tuple(np.flatnonzero(self._pair_keep(i, j)).tolist())
+        return tuple(np.flatnonzero(self._keep[self._row(i, j)]).tolist())
 
     def masked_diff(self, i: int, j: int) -> np.ndarray:
         """Masked feature difference U_i - U_j on the pair's subset."""
-        keep = self._pair_keep(i, j)
         U = self.features.matrix
-        return np.where(keep, U[:, i] - U[:, j], 0.0)
-
-    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
-        with self._lock:
-            if self._diffs is None:
-                self._diffs = self._build_diff_table()
-            return self._keep, self._diffs
+        return np.where(self._keep[self._row(i, j)], U[:, i] - U[:, j], 0.0)
 
     def diff_table(self) -> np.ndarray:
         """Masked differences for all canonical pairs, shape (C(n,2), d).
 
         Row order is lexicographic in (i, j); rows are U_i - U_j masked to the
-        pair's subset.  Built once and cached read-only.
+        pair's subset.  The table is C-contiguous and read-only.
         """
-        return self._tables()[1]
+        return self._diffs
 
     def _build_diff_table(self) -> np.ndarray:
-        U = self.features.matrix
-        ii, jj = all_pairs(U.shape[1])
-        diffs = U[:, ii].T - U[:, jj].T  # (npairs, d)
-        keep = self._keep_mask(ii, jj, diffs)
+        UT = self.features.matrix.T
+        ii, jj = all_pairs(UT.shape[0])
+        table = UT[ii]  # (npairs, d), a fresh C-contiguous copy
+        table -= UT[jj]
+        keep = self._keep_mask(ii, jj, table)
+        np.copyto(table, 0.0, where=~keep)
         keep.setflags(write=False)
+        table.setflags(write=False)
         self._keep = keep
-        out = np.where(keep, diffs, 0.0)
-        out.setflags(write=False)
-        return out
+        return table
 
     def partition_by_coordinate(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Group all pairs by their single selected coordinate.
@@ -250,7 +228,7 @@ class RealizedSelection:
         tuple per coordinate (possibly empty), a partition of all C(n,2)
         pairs, each part in lexicographic pair order.
         """
-        keep = self._tables()[0]
+        keep = self._keep
         ii, jj = all_pairs(self.features.n)
         sizes = keep.sum(axis=1)
         bad = np.flatnonzero(sizes != 1)

@@ -176,7 +176,7 @@ def sample_complexity_report(
     """
     delta = _check_delta(delta)
     d = features.d
-    X = np.ascontiguousarray(sel.diff_table())
+    X = sel.diff_table()
     EZ, spectrum, rank = _spectrum(X)
     sq = (X**2).sum(axis=1)
     V = (X * sq[:, None]).T @ X / X.shape[0] - EZ @ EZ  # E[(Z - E[Z])^2]

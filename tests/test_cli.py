@@ -71,6 +71,17 @@ class TestSimulate:
         )
         assert proc.returncode == 2
 
+    def test_negative_seed_is_usage_error(self, tmp_path):
+        proc = run_cli(
+            "simulate", "--d", 2, "--n", 5, "--m", 10,
+            "--selection", '{"kind":"full"}', "--seed", -1,
+            "--out-dir", tmp_path / "x",
+            check=False,
+        )
+        assert proc.returncode == 2
+        assert "--seed" in proc.stderr and "nonnegative" in proc.stderr
+        assert not (tmp_path / "x").exists()
+
     def test_bad_selection_json_is_usage_error(self, tmp_path):
         proc = run_cli(
             "simulate", "--d", 2, "--n", 5, "--m", 10,
@@ -167,6 +178,30 @@ class TestFitRankEvaluate:
         )
         assert proc.returncode == 1
         assert proc.stderr.strip() != ""
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    def test_total_count_overflow_is_runtime_error(self, tmp_path, capsys, command):
+        # 1,128 pairs of 48 items at 2**53 each: every pair is in range, the
+        # sum is not
+        ids = [f"x{k}" for k in range(48)]
+        (tmp_path / "f.csv").write_text(
+            "item_id,f1\n" + "".join(f"{a},{k}.0\n" for k, a in enumerate(ids)),
+            encoding="utf-8",
+        )
+        (tmp_path / "c.csv").write_text(
+            "winner_id,loser_id,count\n"
+            + "".join(f"{a},{b},{2**53}\n" for k, a in enumerate(ids) for b in ids[k + 1:]),
+            encoding="utf-8",
+        )
+        (tmp_path / "w.json").write_text('{"w": [1.0]}', encoding="utf-8")
+        argv = [command, "--features", str(tmp_path / "f.csv"),
+                "--comparisons", str(tmp_path / "c.csv"),
+                "--selection", '{"kind":"full"}', "--out", str(tmp_path / "o.json")]
+        if command == "evaluate":
+            argv += ["--weights", str(tmp_path / "w.json")]
+        assert cli.main(argv) == 1
+        assert "total comparison count" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
 
 
 class TestDiagnose:
@@ -450,7 +485,8 @@ class TestSweep:
         "key, value",
         [("d", 4.9), ("n", "12"), ("m_grid", [500.7]), ("seeds", [True]),
          ("workers", 2.0), ("mu", "0.1"), ("mu", False),
-         ("m_grid", 50), ("seeds", 0), ("selections", {"kind": "full"}), (None, 5)],
+         ("m_grid", 50), ("seeds", 0), ("selections", {"kind": "full"}), (None, 5),
+         ("seeds", [-2])],
     )
     def test_non_integer_spec_values_rejected(self, tmp_path, capsys, key, value):
         # key None replaces the whole spec with value

@@ -100,12 +100,13 @@ class TestFit:
             fit(fm, sel, empty)
 
     def test_bad_config_rejected(self):
-        with pytest.raises(PreconditionError):
-            FitConfig(mu=-1.0)
-        with pytest.raises(PreconditionError):
-            FitConfig(tol_grad=0.0)
-        with pytest.raises(PreconditionError):
-            FitConfig(max_iters=0)
+        for bad in (
+            {"mu": -1.0}, {"mu": float("nan")}, {"mu": float("inf")},
+            {"tol_grad": 0.0}, {"tol_grad": float("nan")}, {"tol_grad": float("inf")},
+            {"max_iters": 0},
+        ):
+            with pytest.raises(PreconditionError):
+                FitConfig(**bad)
 
     def test_synthetic_recovery(self, rng):
         # d=5, n=40, full selection, m=50k: the estimate lands within 0.1 of

@@ -16,13 +16,6 @@ class TestScalarHelpers:
         assert np.all((s >= 0.0) & (s <= 1.0))
         np.testing.assert_allclose(s + _kernels.sigmoid(-u), 1.0, atol=1e-15)
 
-    def test_softplus_no_overflow(self):
-        u = np.array([-800.0, -50.0, 0.0, 50.0, 800.0])
-        out = _kernels.softplus(u)
-        assert np.all(np.isfinite(out))
-        assert out[2] == pytest.approx(np.log(2.0))
-        assert out[4] == pytest.approx(800.0)
-
     def test_curvature_peak(self):
         assert _kernels.logistic_curvature(0.0) == pytest.approx(0.25)
 

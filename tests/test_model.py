@@ -7,6 +7,7 @@ from salientpref import (
     ComparisonDataset,
     FeatureMatrix,
     InvalidPairError,
+    PreconditionError,
     Provenance,
     SelectionSpec,
     nll,
@@ -48,6 +49,17 @@ class TestComparisonDataset:
         data = single_pair_dataset([(0, 1, 1)] * 3 + [(0, 1, 0)], 2)
         assert len(data) == 4
         assert count_lists(data) == ([0], [1], [3], [4])
+
+    def test_total_count_must_fit_len(self):
+        # each pair may hold 2**53; 1,023 such pairs sum below 2**63 - 1,
+        # all 1,225 pairs of 50 items sum above it
+        i, j = np.triu_indices(50, k=1)
+        total = np.full(i.size, 2**53)
+        data = ComparisonDataset(i[:1023], j[:1023], total[:1023], total[:1023], 50,
+                                 Provenance.synthetic(0))
+        assert len(data) == 1023 * 2**53
+        with pytest.raises(PreconditionError, match="total comparison count"):
+            ComparisonDataset(i, j, total, total, 50, Provenance.synthetic(0))
 
 
 class TestWinProbability:

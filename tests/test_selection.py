@@ -248,7 +248,6 @@ class TestRealizedSelection:
             (i, j): lazy.select(i, j) for i in range(8) for j in range(i + 1, 8)
         }
         bulk = realize(spec, fm)
-        bulk.diff_table()  # forces bulk realization first
         bulk_subsets = {
             (i, j): bulk.select(i, j) for i in range(8) for j in range(i + 1, 8)
         }
@@ -278,39 +277,42 @@ class TestConcurrency:
         for got in results:
             assert got == expected
 
-
-    def test_concurrent_table_built_once(self, rng, monkeypatch):
+    def test_subset_rule_runs_once(self, rng, monkeypatch):
         import concurrent.futures
-        import sys
 
+        from salientpref.selection import RealizedSelection
+
+        calls = []
+        rule = RealizedSelection._keep_mask
+
+        def counting_rule(self, *args):
+            calls.append(1)
+            return rule(self, *args)
+
+        monkeypatch.setattr(RealizedSelection, "_keep_mask", counting_rule)
         fm = FeatureMatrix(rng.normal(size=(5, 30)))
         sel = realize(SelectionSpec.random_exactly_k(1, seed=5), fm)
-        builds = []
-        build = type(sel)._build_diff_table
+        pairs = [(i, j) for i in range(30) for j in range(30) if i != j]
 
-        def counting_build(self):
-            builds.append(1)
-            return build(self)
+        def read_all(_):
+            return (
+                [sel.select(*p) for p in pairs],
+                np.array([sel.masked_diff(*p) for p in pairs]),
+                sel.diff_table(),
+                sel.partition_by_coordinate(),
+            )
 
-        monkeypatch.setattr(type(sel), "_build_diff_table", counting_build)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [
-                    pool.submit(sel.partition_by_coordinate if k % 2 else sel.diff_table)
-                    for k in range(16)
-                ]
-                done, _ = concurrent.futures.wait(futures, timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(done) == 16
-        results = [f.result() for f in futures]
-        tables, partitions = results[0::2], results[1::2]
-        assert len(builds) == 1
-        assert all(t is tables[0] for t in tables)
-        assert all(p == partitions[0] for p in partitions)
-        assert not tables[0].flags.writeable
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(read_all, range(8), timeout=60))
+        assert len(calls) == 1
+        subsets, diffs, table, partition = results[0]
+        for got in results[1:]:
+            assert got[0] == subsets
+            np.testing.assert_array_equal(got[1], diffs)
+            assert got[2] is table
+            assert got[3] == partition
+        assert table.flags.c_contiguous
+        assert not table.flags.writeable
 
 
 class TestPartition:
