@@ -29,16 +29,10 @@ from .errors import (
     UndefinedMetricError,
     UnknownItemError,
 )
-from .estimator import FitConfig, FitResult, fit, max_abs_margin, within_margin_band
-from .features import (
-    FeatureMatrix,
-    center_columns,
-    mask,
-    min_singular_value_after_centering,
-)
+from .estimator import FitConfig, FitResult, fit, max_abs_margin
+from .features import FeatureMatrix, center_columns
 from .model import (
     ComparisonDataset,
-    Provenance,
     all_pair_probabilities,
     nll,
     nll_gradient,
@@ -75,16 +69,13 @@ __all__ = [
     "__version__",
     # features
     "FeatureMatrix",
-    "mask",
     "center_columns",
-    "min_singular_value_after_centering",
     # selection
     "SelectionSpec",
     "RealizedSelection",
     "realize",
     # model
     "ComparisonDataset",
-    "Provenance",
     "win_probability",
     "all_pair_probabilities",
     "sample_comparisons",
@@ -96,7 +87,6 @@ __all__ = [
     "FitResult",
     "fit",
     "max_abs_margin",
-    "within_margin_band",
     # ranking
     "Ranking",
     "rank_from_weights",

@@ -313,12 +313,16 @@ def cmd_sweep(args) -> int:
                 f"sweep spec {key} must be an array, got {type(spec[key]).__name__}"
             )
     d, n = _spec_number("d", spec["d"]), _spec_number("n", spec["n"])
+    if d < 1:
+        raise PreconditionError(f"sweep spec d must be >= 1, got {d}")
     mu = _spec_number("mu", spec.get("mu", 0.0), numbers.Real)
     workers = _spec_number("workers", spec.get("workers", 1))
     if workers < 1:
         raise PreconditionError(f"sweep spec workers must be >= 1, got {workers}")
     selections = [SelectionSpec.from_dict(s).to_json() for s in spec["selections"]]
     m_grid = [_spec_number("m_grid entry", m) for m in spec["m_grid"]]
+    if any(m < 1 for m in m_grid):
+        raise PreconditionError(f"sweep spec m_grid entries must be >= 1, got {min(m_grid)}")
     seeds = [_spec_number("seeds entry", seed) for seed in spec["seeds"]]
     if any(seed < 0 for seed in seeds):
         raise PreconditionError(f"sweep spec seeds entries must be >= 0, got {min(seeds)}")

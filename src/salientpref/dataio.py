@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ParseError, PreconditionError, UnknownItemError
 from .features import FeatureMatrix
-from .model import MAX_COUNT, ComparisonDataset, Provenance, sum_counts
+from .model import MAX_COUNT, ComparisonDataset, sum_counts
 
 
 @dataclass(frozen=True)
@@ -195,9 +195,7 @@ def load_comparisons(
     wins, _ = sum_counts(groups, np.where(won, count, 0), pairs.size)
     keep = total >= min_count
     pairs = pairs[keep]
-    return ComparisonDataset(
-        pairs // n, pairs % n, wins[keep], total[keep], n, Provenance.file(str(path))
-    )
+    return ComparisonDataset(pairs // n, pairs % n, wins[keep], total[keep], n)
 
 
 @dataclass(frozen=True)

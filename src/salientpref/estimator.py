@@ -22,7 +22,7 @@ import numpy as np
 from . import _kernels
 from .errors import NumericalFailureError, PreconditionError
 from .features import FeatureMatrix, check_weights
-from .model import ComparisonDataset, design_matrix
+from .model import ComparisonDataset, check_ridge, design_matrix
 from .selection import RealizedSelection
 
 _ARMIJO_C = 1e-4
@@ -49,8 +49,7 @@ class FitConfig:
     init: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.mu) and self.mu >= 0):
-            raise PreconditionError(f"ridge weight mu must be finite and >= 0, got {self.mu}")
+        check_ridge(self.mu)
         if not (np.isfinite(self.tol_grad) and self.tol_grad > 0):
             raise PreconditionError(f"tol_grad must be finite and > 0, got {self.tol_grad}")
         if self.max_iters < 1:
@@ -183,16 +182,3 @@ def max_abs_margin(features: FeatureMatrix, sel: RealizedSelection, w) -> float:
     if table.shape[0] == 0:
         return 0.0
     return float(np.max(np.abs(table @ w)))
-
-
-def within_margin_band(
-    features: FeatureMatrix, sel: RealizedSelection, w, b: float
-) -> bool:
-    """True iff every pair's |<w, masked difference>| is at most ``b``.
-
-    Membership in the band is checked post hoc; fitting never enforces it.
-    A tolerance of 1e-12 absorbs roundoff at the boundary.
-    """
-    if b < 0:
-        raise PreconditionError("band half-width b must be nonnegative")
-    return max_abs_margin(features, sel, w) <= b + 1e-12

@@ -1,9 +1,10 @@
-"""Item feature matrices, judgment weights, and coordinate masking.
+"""Item feature matrices and judgment weights.
 
 Items live in a d-dimensional feature space.  The feature matrix stores one
 column per item (shape ``(d, n)``); a judgment weight vector ``w`` assigns a
 full-feature utility ``<w, U_j>`` to item ``j``.  A comparison between two
-items may only see a coordinate subset, realized by :func:`mask`.
+items may only see a coordinate subset, chosen per pair by a selection
+function (see :mod:`salientpref.selection`).
 
 Conventions: item and coordinate indices are 0-based throughout the library;
 subsets are strictly increasing tuples of coordinate indices.
@@ -16,7 +17,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _kernels
 from .errors import DimensionError
 
 
@@ -100,35 +100,6 @@ def check_weights(w, d: int) -> np.ndarray:
     return w
 
 
-def check_subset(indices, d: int) -> tuple[int, ...]:
-    """Validate a coordinate subset: nonempty, strictly increasing, within [0, d)."""
-    subset = tuple(int(k) for k in indices)
-    if not subset:
-        raise DimensionError("coordinate subset is empty")
-    for a, b in zip(subset, subset[1:]):
-        if b <= a:
-            raise DimensionError(f"subset {subset} is not strictly increasing")
-    if subset[0] < 0 or subset[-1] >= d:
-        raise DimensionError(f"subset {subset} out of range for d={d}")
-    return subset
-
-
-def mask(x, subset) -> np.ndarray:
-    """Zero out every coordinate of ``x`` not in ``subset``.
-
-    The result agrees with ``x`` on the subset and is 0 elsewhere, so masking
-    is idempotent and the full subset is the identity.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DimensionError("mask expects a 1-d vector")
-    subset = check_subset(subset, x.shape[0])
-    out = np.zeros_like(x)
-    idx = np.fromiter(subset, dtype=np.int64)
-    out[idx] = x[idx]
-    return out
-
-
 def center_columns(fm: FeatureMatrix) -> FeatureMatrix:
     """Subtract the column mean from every column.
 
@@ -137,20 +108,3 @@ def center_columns(fm: FeatureMatrix) -> FeatureMatrix:
     """
     centered = fm.matrix - fm.matrix.mean(axis=1, keepdims=True)
     return FeatureMatrix(centered, fm.item_ids)
-
-
-def min_singular_value_after_centering(fm: FeatureMatrix) -> float:
-    """Smallest singular value of the centered feature matrix.
-
-    Computed from the eigenvalues of the smaller Gram matrix; zero (within
-    1e-10) exactly when the all-ones vector lies in the row space of the
-    original matrix, which is what centering annihilates.
-    """
-    c = fm.matrix - fm.matrix.mean(axis=1, keepdims=True)
-    d, n = c.shape
-    gram = c @ c.T if d <= n else c.T @ c
-    eigs = _kernels.sym_eigvals(gram)
-    smallest = float(eigs[0])
-    if smallest < 0.0:  # roundoff on a PSD matrix
-        smallest = 0.0
-    return float(np.sqrt(smallest))

@@ -35,27 +35,6 @@ from .features import FeatureMatrix, check_weights
 from .selection import RealizedSelection, all_pairs, pair_index
 
 
-@dataclass(frozen=True)
-class Provenance:
-    """Where a dataset came from: a simulation seed or a file path."""
-
-    kind: str  # "synthetic" | "file"
-    seed: int | None = None
-    path: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("synthetic", "file"):
-            raise ValueError(f"unknown provenance kind {self.kind!r}")
-
-    @classmethod
-    def synthetic(cls, seed: int) -> "Provenance":
-        return cls("synthetic", seed=int(seed))
-
-    @classmethod
-    def file(cls, path: str) -> "Provenance":
-        return cls("file", path=str(path))
-
-
 # Largest count a pair may hold: float64 represents every integer up to it
 # exactly, so the likelihood folds and the bincount sums below are exact.
 MAX_COUNT = 2**53
@@ -105,7 +84,6 @@ class ComparisonDataset:
     wins: np.ndarray
     total: np.ndarray
     n_items: int
-    provenance: Provenance
 
     def __post_init__(self):
         i, j, wins, total = (
@@ -153,15 +131,12 @@ class ComparisonDataset:
 
     @classmethod
     def from_records(
-        cls,
-        records: Iterable[tuple[int, int, int]],
-        n_items: int,
-        provenance: Provenance,
+        cls, records: Iterable[tuple[int, int, int]], n_items: int
     ) -> "ComparisonDataset":
         """One (i, j, y) record per comparison, y = 1 iff item i won."""
         rec = np.asarray(list(records), dtype=np.int64).reshape(-1, 3)
         ones = np.ones(rec.shape[0], dtype=np.int64)
-        return cls(rec[:, 0], rec[:, 1], rec[:, 2], ones, n_items, provenance)
+        return cls(rec[:, 0], rec[:, 1], rec[:, 2], ones, n_items)
 
 
 def design_matrix(sel: RealizedSelection, data: ComparisonDataset) -> np.ndarray:
@@ -224,17 +199,21 @@ def sample_comparisons(
     wins = np.bincount(flat[won], minlength=probs.shape[0])
     seen = np.nonzero(total)[0]
     ii, jj = all_pairs(n)
-    return ComparisonDataset(
-        ii[seen], jj[seen], wins[seen], total[seen], n, Provenance.synthetic(seed)
-    )
+    return ComparisonDataset(ii[seen], jj[seen], wins[seen], total[seen], n)
+
+
+def check_ridge(mu) -> float:
+    """Validate the ridge weight: finite and nonnegative."""
+    if not (np.isfinite(mu) and mu >= 0):
+        raise PreconditionError(f"ridge weight mu must be finite and >= 0, got {mu}")
+    return float(mu)
 
 
 def _prepared(features, w, sel, data, mu):
-    if mu < 0:
-        raise PreconditionError("ridge weight mu must be nonnegative")
+    mu = check_ridge(mu)
     w = check_weights(w, features.d)
     X = design_matrix(sel, data)
-    return X, data.total.astype(np.float64), data.wins.astype(np.float64), w, float(mu)
+    return X, data.total.astype(np.float64), data.wins.astype(np.float64), w, mu
 
 
 def nll(features, w, sel, data: ComparisonDataset, mu: float = 0.0) -> float:

@@ -26,14 +26,17 @@ and for m >= max(m1, m2), with probability at least 1 - delta,
 
 Two specializations put closed forms or bounds for lambda, eta and zeta into
 these same formulas: full selection on column-centered features (lambda is
-n * eigmin(U U^T) / C(n,2)), and single-coordinate selection (bounds in terms
-of the coordinate partition sizes).  Ranking recovery turns the weight
-error into a Kendall-distance guarantee via the k-th sorted utility gap, and
-the empirical guarantee check fits sampled data against the error bound; both
-read the ``SampleComplexityReport`` rather than recompute it.  Eigenvalues of the
-small d x d certificate matrices come from LAPACK; zeta takes the
-eigendecomposition of E[Z] and solves a secular equation per pair (see
-``_kernels.zeta_scan``).
+n * eigmin(U U^T) / C(n,2), and nu, beta and b* are closed forms in the
+centered features, so no pair table is built), and single-coordinate
+selection (bounds in terms of the coordinate partition sizes).  A threshold
+term too large for a float (b* past about 355) is infinite, like the terms
+of a non-identifiable instance: the bound then promises nothing.  Ranking
+recovery turns the weight error into a Kendall-distance guarantee via the
+k-th sorted utility gap, and the empirical guarantee check fits sampled data
+against the error bound; both read the ``SampleComplexityReport`` rather than
+recompute it.  Eigenvalues of the small d x d certificate matrices come from
+LAPACK; zeta takes the eigendecomposition of E[Z] and solves a secular
+equation per pair (see ``_kernels.zeta_scan``).
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .estimator import FitConfig, fit, max_abs_margin
 from .features import FeatureMatrix, center_columns, check_weights
 from .model import sample_comparisons
 from .ranking import utility_gaps
-from .selection import RealizedSelection, SelectionSpec, realize
+from .selection import RealizedSelection
 
 LAMBDA_REL_TOL = 1e-10
 
@@ -70,13 +73,18 @@ class _Report:
         return {}
 
 
+def _zero_tol(M: np.ndarray) -> float:
+    """Eigenvalues of the PSD matrix M at or below 1e-10 of trace(M) / dim
+    count as zero."""
+    return LAMBDA_REL_TOL * float(np.trace(M)) / M.shape[0]
+
+
 def _spectrum(X: np.ndarray):
     """E[Z] = X^T X / P, its ascending ``(eigenvalues, eigenvectors)``, and its
-    rank: the number of eigenvalues above 1e-10 of trace(E[Z]) / d."""
+    rank: the number of eigenvalues above the zero tolerance."""
     EZ = X.T @ X / X.shape[0]
     spectrum = np.linalg.eigh(EZ)
-    tol = LAMBDA_REL_TOL * float(np.trace(EZ)) / X.shape[1]
-    return EZ, spectrum, int(np.count_nonzero(spectrum[0] > tol))
+    return EZ, spectrum, int(np.count_nonzero(spectrum[0] > _zero_tol(EZ)))
 
 
 @dataclass(frozen=True)
@@ -116,7 +124,7 @@ def _thresholds(lam, eta, zeta, beta, b_star, d, delta, positive):
 
     ``positive`` says lambda is certified nonzero; otherwise m2 and the
     coefficient are infinite.  The coefficient (the error bound times
-    sqrt(m)) is None when b* is.
+    sqrt(m)) is None when b* is, and infinite when it overflows a float.
     """
     log4 = math.log(4.0 * d / delta)
     log2 = math.log(2.0 * d / delta)
@@ -126,8 +134,11 @@ def _thresholds(lam, eta, zeta, beta, b_star, d, delta, positive):
     m2 = 8.0 * log2 * (6.0 * eta + lam * zeta) / (3.0 * lam**2)
     if b_star is None:
         return m1, m2, None
-    eb = math.exp(b_star)
-    return m1, m2, 4.0 * (1.0 + eb) ** 2 / eb * (1.0 / lam) * math.sqrt(m1)
+    try:
+        eb = math.exp(b_star)
+        return m1, m2, 4.0 * (1.0 + eb) ** 2 / eb * (1.0 / lam) * math.sqrt(m1)
+    except OverflowError:
+        return m1, m2, math.inf
 
 
 class _ErrorBound(_Report):
@@ -224,6 +235,24 @@ class FullSelectionBounds(_ErrorBound):
     error_bound_coefficient: float | None
 
 
+_GRAM_BLOCK = 256
+
+
+def _max_sq_distance(U: np.ndarray) -> float:
+    """max over column pairs of ||U_i - U_j||^2, as sq_i + sq_j - 2 G_ij over
+    row blocks of the Gram matrix U^T U, so memory is O(n * _GRAM_BLOCK)."""
+    sq = np.einsum("ki,ki->i", U, U)
+    best = 0.0
+    for start in range(0, U.shape[1], _GRAM_BLOCK):
+        rows = slice(start, start + _GRAM_BLOCK)
+        G = U[:, rows].T @ U
+        G *= -2.0
+        G += sq[rows, None]
+        G += sq
+        best = max(best, float(G.max()))
+    return best
+
+
 def full_selection_report(
     features: FeatureMatrix,
     delta: float = 0.05,
@@ -235,31 +264,43 @@ def full_selection_report(
     Requires n > d.  Columns are centered internally (pairwise differences,
     hence probabilities and b*, are unchanged up to rounding); then lambda equals
     n * eigmin(U U^T) / C(n,2) exactly, and zeta, eta admit the closed upper
-    bounds reported here.  ``m_lower`` is max(m1, m2) with these three in m2.
+    bounds reported here.  ``m_lower`` is max(m1, m2) with these three in m2;
+    it is infinite when eigmin(U U^T) is at or below 1e-10 of trace(U U^T) / d,
+    the general certificate's zero tolerance (E[Z] = n U U^T / C(n,2)).
+    No pair table is built: with centered U and u = w* U,
+
+        nu   = max(max_ij ||U_i - U_j||^2, 1)
+        beta = max_k (max_i U_ki - min_i U_ki)
+        b*   = max_i u_i - min_i u_i.
+
+    Centering bounds every ||U_i||^2 by the largest pair distance, so the
+    Gram form of nu cancels only at roundoff.
     """
     delta = _check_delta(delta)
     d, n = features.d, features.n
     if n <= d:
         raise PreconditionError(f"full-selection bounds assume n > d (n={n}, d={d})")
-    centered = center_columns(features)
-    U = centered.matrix
+    U = center_columns(features).matrix
     npairs = n * (n - 1) // 2
 
-    gram_eigs = _kernels.sym_eigvals(U @ U.T)
+    gram = U @ U.T
+    gram_eigs = _kernels.sym_eigvals(gram)
     lmin = max(float(gram_eigs[0]), 0.0)
     lmax = float(gram_eigs[-1])
+    positive = lmin > _zero_tol(gram)
 
-    sel = realize(SelectionSpec.full(), centered)
-    diffs = sel.diff_table()
-    nu = max(float((diffs**2).sum(axis=1).max()), 1.0)
-    beta = float(np.abs(diffs).max())
+    nu = max(_max_sq_distance(U), 1.0)
+    beta = float((U.max(axis=1) - U.min(axis=1)).max())
+    b_star = None
+    if w_star is not None:
+        u = check_weights(w_star, d) @ U
+        b_star = float(u.max() - u.min())
 
     lambda_closed = n * lmin / npairs
     zeta_upper = nu + n * lmax / npairs
     eta_upper = nu * n * lmax / npairs + (n * lmax / npairs) ** 2
-    b_star = _b_star(centered, sel, w_star)
     m1, m2, coeff = _thresholds(
-        lambda_closed, eta_upper, zeta_upper, beta, b_star, d, delta, lmin > 0.0
+        lambda_closed, eta_upper, zeta_upper, beta, b_star, d, delta, positive
     )
     return FullSelectionBounds(
         nu=nu,
@@ -413,17 +454,19 @@ def ranking_recovery_report(
     alpha, M = utility_gaps(features, w_star)
     alpha_k = float(alpha[k - 1])
     log4 = math.log(4.0 * d / certificate.delta)
+    term3 = math.inf
     if alpha_k > 0.0 and certificate.identifiable:
-        term3 = (
-            c5
-            * M**2
-            * math.exp(2.0 * certificate.b_star)
-            * (certificate.beta**2 * d + certificate.beta * math.sqrt(d))
-            * log4
-            / (alpha_k**2 * certificate.lambda_**2)
-        )
-    else:
-        term3 = math.inf
+        try:
+            term3 = (
+                c5
+                * M**2
+                * math.exp(2.0 * certificate.b_star)
+                * (certificate.beta**2 * d + certificate.beta * math.sqrt(d))
+                * log4
+                / (alpha_k**2 * certificate.lambda_**2)
+            )
+        except OverflowError:  # b* past about 355: the term stays infinite
+            pass
     terms = (certificate.m1, certificate.m2, term3)
     return RankingRecoveryBounds(
         M=M,

@@ -128,26 +128,42 @@ def _sqrt_m_error(b_star, inv_lambda, m1):
     return 4.0 * (1.0 + eb) ** 2 / eb * inv_lambda * math.sqrt(m1)
 
 
+def full_selection_constants(M, w_star):
+    """(nu, beta, b*) of the full selection, pair by pair.
+
+    The columns of M are centered first; then over every pair i < j,
+    nu = max(max ||U_i - U_j||^2, 1), beta = max ||U_i - U_j||_inf and
+    b* = max |<w*, U_i - U_j>|.
+    """
+    U = np.asarray(M, dtype=np.float64)
+    U = U - U.mean(axis=1, keepdims=True)
+    nu, beta, b_star = 1.0, 0.0, 0.0
+    for i, j in itertools.combinations(range(U.shape[1]), 2):
+        x = U[:, i] - U[:, j]
+        nu = max(nu, float(x @ x))
+        beta = max(beta, float(np.abs(x).max()))
+        b_star = max(b_star, abs(float(x @ w_star)))
+    return nu, beta, b_star
+
+
 def full_selection_thresholds(U, delta, w_star):
     """(m1, m_lower, error coefficient) of the full-selection bounds.
 
     Written out term by term: with the centered Gram eigenvalues lmin, lmax,
     m_lower is max(m1, variance + drift) and 1/lambda is C(n,2) / (n lmin);
-    lmin = 0 makes m_lower and the coefficient infinite.
+    lmin at or below 1e-10 of trace / d makes m_lower and the coefficient
+    infinite.
     """
     U = np.asarray(U, dtype=np.float64)
     d, n = U.shape
+    nu, beta, b_star = full_selection_constants(U, w_star)
     U = U - U.mean(axis=1, keepdims=True)
     npairs = n * (n - 1) // 2
     eigs = np.linalg.eigvalsh(U @ U.T)
     lmin, lmax = max(float(eigs[0]), 0.0), float(eigs[-1])
-    diffs = [U[:, i] - U[:, j] for i, j in itertools.combinations(range(n), 2)]
-    nu = max(max(float(x @ x) for x in diffs), 1.0)
-    beta = max(float(np.abs(x).max()) for x in diffs)
-    b_star = max(abs(float(x @ w_star)) for x in diffs)
     log2 = math.log(2.0 * d / delta)
     m1 = _m1(beta, d, delta)
-    if lmin == 0.0:
+    if lmin <= 1e-10 * float(eigs.sum()) / d:
         return m1, math.inf, math.inf
     variance = (
         48.0 * log2 * npairs**2 / (3.0 * n**2 * lmin**2)

@@ -1,12 +1,13 @@
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from salientpref import cli
-from salientpref.dataio import read_json
+from salientpref import FeatureMatrix, cli
+from salientpref.dataio import read_json, save_features
 
 RUN = [sys.executable, "-m", "salientpref.cli"]
 
@@ -312,6 +313,25 @@ class TestTheoryCommand:
         assert payload["ranking_recovery"]["k"] == 1
         assert payload["b_star"] == payload["certificate"]["b_star"]
 
+    def test_huge_margin_writes_infinity(self, tmp_path):
+        # b* in the thousands overflows exp(b*): the bound terms are infinite
+        fm = FeatureMatrix(np.random.default_rng(5).normal(size=(3, 8)) * 1000.0)
+        save_features(str(tmp_path / "features.csv"), fm)
+        (tmp_path / "w.json").write_text('{"w": [1.0, 1.0, 1.0]}', encoding="utf-8")
+        out = tmp_path / "theory.json"
+        run_cli(
+            "theory",
+            "--features", tmp_path / "features.csv",
+            "--selection", '{"kind":"top_t","t":2}',
+            "--weights", tmp_path / "w.json",
+            "--out", out,
+        )
+        payload = read_json(str(out))
+        assert payload["b_star"] > 709
+        assert math.isinf(payload["certificate"]["error_bound_coefficient"])
+        assert math.isinf(payload["ranking_recovery"]["m_lower"])
+        assert '"error_bound_coefficient": Infinity' in out.read_text(encoding="utf-8")
+
     def test_single_coordinate_report_included(self, tmp_path):
         sim = tmp_path / "sim"
         run_cli(
@@ -486,7 +506,7 @@ class TestSweep:
         [("d", 4.9), ("n", "12"), ("m_grid", [500.7]), ("seeds", [True]),
          ("workers", 2.0), ("mu", "0.1"), ("mu", False),
          ("m_grid", 50), ("seeds", 0), ("selections", {"kind": "full"}), (None, 5),
-         ("seeds", [-2])],
+         ("seeds", [-2]), ("d", 0), ("d", -3), ("m_grid", [0])],
     )
     def test_non_integer_spec_values_rejected(self, tmp_path, capsys, key, value):
         # key None replaces the whole spec with value

@@ -9,7 +9,6 @@ from salientpref import (
     FeatureMatrix,
     ParseError,
     PreconditionError,
-    Provenance,
     UnknownItemError,
 )
 from salientpref.dataio import (
@@ -159,7 +158,7 @@ class TestComparisonsFile:
         for _ in range(40):
             i, j = sorted(rng.choice(3, size=2, replace=False))
             records.append((int(i), int(j), int(rng.integers(0, 2))))
-        data = ComparisonDataset.from_records(records, 3, Provenance.synthetic(0))
+        data = ComparisonDataset.from_records(records, 3)
         path = str(tmp_path / "c.csv")
         save_comparisons(path, data, fm)
         loaded = load_comparisons(path, fm)

@@ -11,7 +11,6 @@ from salientpref import (
     DimensionError,
     FeatureMatrix,
     PreconditionError,
-    Provenance,
     Ranking,
     SelectionSpec,
     all_pair_probabilities,
@@ -24,7 +23,7 @@ from salientpref.dataio import load_comparisons
 
 
 def dataset(records, n):
-    return ComparisonDataset.from_records(records, n, Provenance.synthetic(0))
+    return ComparisonDataset.from_records(records, n)
 
 
 def arrays(probs):

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from salientpref import (
-    DimensionError,
-    FeatureMatrix,
-    center_columns,
-    mask,
-    min_singular_value_after_centering,
-)
+from salientpref import DimensionError, FeatureMatrix, center_columns
 
 
 class TestFeatureMatrix:
@@ -43,49 +36,6 @@ class TestFeatureMatrix:
         assert fm.index_of("y") == 1
         with pytest.raises(KeyError):
             fm.index_of("w")
-
-
-class TestMask:
-    def test_pins_subset_zeroes_rest(self):
-        out = mask(np.array([3.0, -2.0, 5.0]), (0, 2))
-        np.testing.assert_array_equal(out, [3.0, 0.0, 5.0])
-
-    def test_full_subset_is_identity(self):
-        x = np.array([3.0, -2.0, 5.0])
-        np.testing.assert_array_equal(mask(x, (0, 1, 2)), x)
-
-    def test_single_coordinate(self):
-        np.testing.assert_array_equal(mask(np.array([1.0, 1.0]), (1,)), [0.0, 1.0])
-
-    def test_out_of_range(self):
-        with pytest.raises(DimensionError):
-            mask(np.array([1.0, 2.0]), (0, 2))
-
-    def test_empty_subset(self):
-        with pytest.raises(DimensionError):
-            mask(np.array([1.0, 2.0]), ())
-
-    def test_unsorted_subset(self):
-        with pytest.raises(DimensionError):
-            mask(np.array([1.0, 2.0]), (1, 0))
-
-    @given(
-        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12),
-        st.data(),
-    )
-    def test_idempotent(self, values, data):
-        x = np.array(values)
-        d = x.size
-        subset = tuple(
-            sorted(
-                data.draw(
-                    st.sets(st.integers(0, d - 1), min_size=1, max_size=d)
-                )
-            )
-        )
-        once = mask(x, subset)
-        np.testing.assert_array_equal(mask(once, subset), once)
-        np.testing.assert_array_equal(mask(x, tuple(range(d))), x)
 
 
 class TestCenterColumns:
@@ -124,36 +74,3 @@ class TestCenterColumns:
                     rtol=0.0,
                     atol=tol,
                 )
-
-
-class TestMinSingularValue:
-    def test_all_ones_row_collapses(self):
-        fm = FeatureMatrix(np.array([[1.0, 1.0, 1.0]]))
-        assert min_singular_value_after_centering(fm) <= 1e-10
-
-    def test_two_points(self):
-        fm = FeatureMatrix(np.array([[0.0, 2.0]]))
-        assert min_singular_value_after_centering(fm) == pytest.approx(np.sqrt(2.0))
-
-    def test_spanning_triangle(self):
-        fm = FeatureMatrix(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
-        assert min_singular_value_after_centering(fm) > 0.1
-
-    def test_matches_svd(self, rng):
-        for _ in range(20):
-            d = int(rng.integers(1, 5))
-            n = int(rng.integers(d + 1, 9))
-            fm = FeatureMatrix(rng.normal(size=(d, n)))
-            centered = fm.matrix - fm.matrix.mean(axis=1, keepdims=True)
-            want = np.linalg.svd(centered, compute_uv=False)[-1]
-            got = min_singular_value_after_centering(fm)
-            assert got == pytest.approx(want, abs=1e-10)
-
-    def test_ones_in_rowspace_iff_zero(self, rng):
-        # plant the all-ones vector in the row space and watch sigma_min die
-        base = rng.normal(size=(2, 6))
-        planted = np.vstack([base, np.ones(6) - base.sum(axis=0)])
-        fm = FeatureMatrix(planted)
-        v = np.linalg.lstsq(planted.T, np.ones(6), rcond=None)[0]
-        assert np.allclose(planted.T @ v, 1.0)
-        assert min_singular_value_after_centering(fm) <= 1e-10

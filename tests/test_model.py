@@ -8,7 +8,6 @@ from salientpref import (
     FeatureMatrix,
     InvalidPairError,
     PreconditionError,
-    Provenance,
     SelectionSpec,
     nll,
     nll_gradient,
@@ -29,7 +28,7 @@ def fm_from_columns(*cols):
 
 def single_pair_dataset(x_pairs, n_items):
     """Dataset given explicit (i, j, y) records."""
-    return ComparisonDataset.from_records(x_pairs, n_items, Provenance.synthetic(0))
+    return ComparisonDataset.from_records(x_pairs, n_items)
 
 
 class TestComparisonDataset:
@@ -55,11 +54,10 @@ class TestComparisonDataset:
         # all 1,225 pairs of 50 items sum above it
         i, j = np.triu_indices(50, k=1)
         total = np.full(i.size, 2**53)
-        data = ComparisonDataset(i[:1023], j[:1023], total[:1023], total[:1023], 50,
-                                 Provenance.synthetic(0))
+        data = ComparisonDataset(i[:1023], j[:1023], total[:1023], total[:1023], 50)
         assert len(data) == 1023 * 2**53
         with pytest.raises(PreconditionError, match="total comparison count"):
-            ComparisonDataset(i, j, total, total, 50, Provenance.synthetic(0))
+            ComparisonDataset(i, j, total, total, 50)
 
 
 class TestWinProbability:
@@ -122,11 +120,6 @@ class TestSampleComparisons:
         # stored pair is (0, 1); item 1 wins nearly always, so item 0 almost never
         assert data.wins.sum() / len(data) <= 0.001
 
-    def test_provenance_records_seed(self, rng):
-        fm, sel = make_instance(rng, 2, 4, spec=SelectionSpec.full())
-        data = sample_comparisons(fm, np.zeros(2), sel, 10, seed=123)
-        assert data.provenance == Provenance.synthetic(123)
-
 
 class TestNll:
     def test_single_sample_at_zero_margin(self):
@@ -160,12 +153,13 @@ class TestNll:
         )
 
     def test_negative_ridge_rejected(self, rng):
-        from salientpref import PreconditionError
-
+        # the same rule and message as FitConfig: mu finite and >= 0
         fm, sel = make_instance(rng, 2, 4)
         data = sample_comparisons(fm, np.zeros(2), sel, 5, seed=1)
-        with pytest.raises(PreconditionError):
-            nll(fm, np.zeros(2), sel, data, mu=-0.1)
+        for func in (nll, nll_gradient, nll_hessian):
+            for mu in (-0.1, np.nan, np.inf):
+                with pytest.raises(PreconditionError, match="mu must be finite and >= 0"):
+                    func(fm, np.zeros(2), sel, data, mu=mu)
 
     def test_convexity(self, rng):
         for _ in range(30):

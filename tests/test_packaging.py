@@ -1,8 +1,10 @@
 """The declared runtime dependencies are exactly the packages the code imports,
-and the public names the package lists all exist."""
+the public names the package lists all exist, and the README example runs."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -44,3 +46,14 @@ def test_all_names_resolve_once():
     missing = [name for name in salientpref.__all__ if not hasattr(salientpref, name)]
     assert missing == []
     assert len(set(salientpref.__all__)) == len(salientpref.__all__)
+
+
+def test_readme_quick_start_runs():
+    # conftest.py puts the imported package on PYTHONPATH for child processes
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    assert len(blocks) == 1
+    proc = subprocess.run(
+        [sys.executable, "-c", blocks[0]], capture_output=True, text=True, env=os.environ
+    )
+    assert proc.returncode == 0, proc.stderr

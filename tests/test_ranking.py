@@ -9,7 +9,6 @@ from salientpref import (
     ComparisonDataset,
     DimensionError,
     FeatureMatrix,
-    Provenance,
     Ranking,
     SelectionSpec,
     UndefinedMetricError,
@@ -157,7 +156,6 @@ class TestPairwiseAccuracy:
                 for j in range(i + 1, 6)
             ],
             6,
-            Provenance.synthetic(0),
         )
         assert pairwise_accuracy(fm, w, sel, data) == 1.0
 
@@ -170,25 +168,20 @@ class TestPairwiseAccuracy:
                 for j in range(i + 1, 6)
             ],
             6,
-            Provenance.synthetic(0),
         )
         assert pairwise_accuracy(fm, -w, sel, data) == 0.0
 
     def test_single_majority_pair(self):
         fm = fm_from_columns([1.0], [0.0])
         sel = realize(SelectionSpec.full(), fm)
-        data = ComparisonDataset.from_records(
-            [(0, 1, 1)] * 3 + [(0, 1, 0)] * 2, 2, Provenance.synthetic(0)
-        )
+        data = ComparisonDataset.from_records([(0, 1, 1)] * 3 + [(0, 1, 0)] * 2, 2)
         # model gives P = sigma(0.405) ~ 0.6 in favor of the majority winner
         assert pairwise_accuracy(fm, np.array([0.405]), sel, data) == 1.0
 
     def test_tied_pairs_excluded(self):
         fm = fm_from_columns([1.0], [0.0], [2.0])
         sel = realize(SelectionSpec.full(), fm)
-        data = ComparisonDataset.from_records(
-            [(0, 1, 1), (0, 1, 0), (0, 2, 0)], 3, Provenance.synthetic(0)
-        )
+        data = ComparisonDataset.from_records([(0, 1, 1), (0, 1, 0), (0, 2, 0)], 3)
         # pair (0,1) is empirically tied and drops out; only (0,2) counts,
         # where the model's sigma(-1) < 1/2 matches the majority winner
         assert pairwise_accuracy(fm, np.array([1.0]), sel, data) == 1.0
@@ -198,18 +191,14 @@ class TestPairwiseAccuracy:
     def test_no_eligible_pairs(self):
         fm = fm_from_columns([1.0], [0.0])
         sel = realize(SelectionSpec.full(), fm)
-        data = ComparisonDataset.from_records(
-            [(0, 1, 1), (0, 1, 0)], 2, Provenance.synthetic(0)
-        )
+        data = ComparisonDataset.from_records([(0, 1, 1), (0, 1, 0)], 2)
         with pytest.raises(UndefinedMetricError):
             pairwise_accuracy(fm, np.array([1.0]), sel, data)
 
     def test_half_probability_excluded(self):
         fm = fm_from_columns([1.0], [0.0], [2.0])
         sel = realize(SelectionSpec.full(), fm)
-        data = ComparisonDataset.from_records(
-            [(0, 1, 1), (0, 1, 1), (0, 2, 0)], 3, Provenance.synthetic(0)
-        )
+        data = ComparisonDataset.from_records([(0, 1, 1), (0, 1, 1), (0, 2, 0)], 3)
         # zero weights give exactly 1/2 everywhere: nothing is eligible
         with pytest.raises(UndefinedMetricError):
             pairwise_accuracy(fm, np.zeros(1), sel, data)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from salientpref import (
     FeatureMatrix,
     NotSingleCoordinateError,
     PreconditionError,
+    RealizedSelection,
     SelectionSpec,
     center_columns,
     empirical_guarantee_check,
@@ -303,6 +305,54 @@ class TestFullSelectionReport:
         assert rep.b_star is not None
         assert rep.error_bound(4 * 900) == rep.error_bound(900) / 2.0
 
+    def test_constants_match_pairwise_oracle(self, rng):
+        cases = [rng.normal(size=(d, int(rng.integers(d + 1, 25)))) for d in (1, 2, 4, 5)]
+        M = rng.normal(size=(3, 15))
+        cases += [M + 7.0, M * 1e-6, M * 1e6]
+        clusters = rng.normal(size=(3, 16))
+        clusters[:, :8] += 1e4  # two far clusters
+        constant = rng.normal(size=(3, 10))
+        constant[1] = -2.5  # a constant feature row
+        cases += [clusters, constant, np.array([[0.0, 0.1, 0.2]])]
+        for M in cases:
+            w = rng.normal(size=M.shape[0])
+            rep = full_selection_report(FeatureMatrix(M), w_star=w)
+            nu, beta, b_star = oracles.full_selection_constants(M, w)
+            assert rep.beta == beta
+            assert (rep.nu, rep.b_star) == pytest.approx((nu, b_star), rel=1e-12)
+        assert rep.nu == 1.0  # the last case floors nu at one
+
+    def test_builds_no_pair_table(self, rng, monkeypatch):
+        calls = []
+        build = RealizedSelection._build_diff_table
+
+        def counting(self):
+            calls.append(self.spec)
+            return build(self)
+
+        monkeypatch.setattr(RealizedSelection, "_build_diff_table", counting)
+        d, n = 48, 600  # the C(n,2) x d table alone would be 138 MB
+        fm = FeatureMatrix(rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, n)))
+        w = rng.normal(0.0, 1.0 / np.sqrt(d), size=d)
+        tracemalloc.start()
+        try:
+            full_selection_report(fm, w_star=w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == []
+        assert peak < 16 * 2**20
+
+    def test_ones_in_rowspace_degenerates(self, rng):
+        # plant the all-ones vector in the row space: centering annihilates it
+        base = rng.normal(size=(2, 6))
+        planted = np.vstack([base, np.ones(6) - base.sum(axis=0)])
+        v = np.linalg.lstsq(planted.T, np.ones(6), rcond=None)[0]
+        assert np.allclose(planted.T @ v, 1.0)
+        rep = full_selection_report(FeatureMatrix(planted), w_star=np.ones(3))
+        assert rep.lambda_closed <= 1e-10
+        assert math.isinf(rep.m_lower) and math.isinf(rep.error_bound_coefficient)
+
 
 class TestSingleCoordinateReport:
     def test_one_dimension_exact(self, rng):
@@ -508,6 +558,42 @@ class TestRankingRecoveryReport:
         for cert in (without_weights, other_items):
             with pytest.raises(PreconditionError):
                 ranking_recovery_report(fm, w, cert, k=1)
+
+
+@pytest.mark.parametrize("b", [400.0, 800.0])
+class TestHugeMargin:
+    """Past b* of about 355 the exponential terms overflow a float; they are
+    infinite, so the bound promises nothing, and nothing raises."""
+
+    @staticmethod
+    def line(b):
+        # three items on a line, centered, whose widest margin under w = 1 is b
+        return fm_from_columns([-b / 2], [0.0], [b / 2]), np.array([1.0])
+
+    def test_certificate(self, b):
+        fm, w = self.line(b)
+        rep = sample_complexity_report(fm, realize(SelectionSpec.full(), fm), w_star=w)
+        assert rep.b_star == b and rep.identifiable
+        assert math.isfinite(rep.m2) and math.isinf(rep.error_bound_coefficient)
+        assert math.isinf(rep.error_bound(10**6))
+
+    def test_full_selection(self, b):
+        fm, w = self.line(b)
+        rep = full_selection_report(fm, w_star=w)
+        assert rep.b_star == b and math.isfinite(rep.m_lower)
+        assert math.isinf(rep.error_bound_coefficient)
+
+    def test_single_coordinate(self, b):
+        fm, w = self.line(b)
+        rep = single_coordinate_report(fm, realize(SelectionSpec.top_t(1), fm), w_star=w)
+        assert rep.b_star == b and math.isfinite(rep.m_lower)
+        assert math.isinf(rep.error_bound_coefficient)
+
+    def test_ranking_recovery(self, b):
+        fm, w = self.line(b)
+        rep = recovery(fm, realize(SelectionSpec.full(), fm), w, k=1)
+        assert rep.b_star == b and rep.alpha_k == b / 2
+        assert math.isinf(rep.m_terms[2]) and math.isinf(rep.m_lower)
 
 
 def guarantee(fm, w_star, sel, m, delta, trials, seed):
