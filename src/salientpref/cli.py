@@ -214,9 +214,12 @@ def cmd_diagnose(args) -> int:
         if args.selection is None:
             raise PreconditionError("model diagnostics need --selection with --weights")
         w = dataio.load_weights_json(args.weights)
-        sel = realize(args.selection, fm)
-        payload["model"] = diagnostics.model_transitivity_report(fm, w, sel).to_dict()
-        model_probs = all_pair_probabilities(fm, w, sel)
+        if fm.n < 3:
+            raise PreconditionError("transitivity needs at least 3 items")
+        model_probs = all_pair_probabilities(fm, w, realize(args.selection, fm))
+        payload["model"] = diagnostics.count_transitivity_violations(
+            *all_pairs(fm.n), model_probs
+        ).to_dict()
         inputs.append(args.weights)
     if empirical is None and model_probs is None:
         raise PreconditionError("diagnose needs --comparisons or --weights/--selection")

@@ -8,10 +8,18 @@ Three CSV schemas, UTF-8 with ``.`` decimals and no locale handling:
 * rankings: header ``ranker_id,rank,item_id``, each ranker listing a strict
   gapless 1..k ranking of a subset of items.
 
-Reports are written as JSON with sorted keys so identical runs produce
-identical bytes.  Feature standardization is (x - mean) / std per feature
-with the population convention (divisor n); a zero-variance feature is
-shifted but not scaled, and flagged.
+Reports are written by ``write_json``, whose bytes are always those of
+``json.dump(payload, fh, indent=2, sort_keys=True)`` followed by a newline,
+with every ``Records`` in the payload written as its ``tolist()``; identical
+runs therefore produce identical bytes.  A ``Records`` holds listed rows
+(violating triples, disagreeing pairs) as an int64 array plus a per-row
+template.  Its rows stream from the array in chunks of ``CHUNK_ROWS``, one
+``%``-format string per chunk, so no dict or list is built per row and
+memory is bounded by the chunk, not by the listing.
+
+Feature standardization is (x - mean) / std per feature with the population
+convention (divisor n); a zero-variance feature is shifted but not scaled,
+and flagged.
 """
 
 from __future__ import annotations
@@ -259,9 +267,135 @@ def load_rankings(path: str, fm: FeatureMatrix) -> list[SubsetRanking]:
     return out
 
 
+CHUNK_ROWS = 4096
+
+
+@dataclass(frozen=True)
+class Column:
+    """A ``Records`` template leaf: column ``index`` of the row, written as a
+    JSON int, or as ``true``/``false`` (nonzero/zero) when ``boolean``."""
+
+    index: int
+    boolean: bool = False
+
+
+@dataclass(frozen=True, eq=False)
+class Records:
+    """Rows of a read-only 2-d int64 array, each listed as ``template`` with
+    every ``Column`` filled in from the row.
+
+    The template is JSON data (dicts with str keys, lists, scalars) whose
+    ``Column`` leaves name the array's columns.
+    """
+
+    rows: np.ndarray
+    template: object
+
+    def __post_init__(self):
+        rows = np.asarray(self.rows, dtype=np.int64)
+        if rows.ndim != 2:
+            raise ValueError(f"records need a 2-d array, got ndim={rows.ndim}")
+        if rows.flags.writeable:
+            rows = rows.view()
+            rows.setflags(write=False)
+        for token in _frame(self.template, 0, Column):
+            if not isinstance(token, str) and not 0 <= token[0].index < rows.shape[1]:
+                raise ValueError(f"template column {token[0].index} outside {rows.shape[1]} columns")
+        object.__setattr__(self, "rows", rows)
+
+    def tolist(self) -> list:
+        """The rows as plain JSON data: one filled-in template per row."""
+        return [_fill(self.template, row) for row in self.rows.tolist()]
+
+    def _write(self, fh, level: int) -> None:
+        """Write the list as ``json.dump`` would at nesting ``level``."""
+        if not len(self.rows):
+            fh.write("[]")
+            return
+        tokens = list(_frame(self.template, level + 1, Column))
+        item = "\n" + "  " * (level + 1) + "".join(
+            t.replace("%", "%%") if isinstance(t, str) else "%s" for t in tokens
+        )
+        columns = [t[0] for t in tokens if not isinstance(t, str)]
+        for start in range(0, len(self.rows), CHUNK_ROWS):
+            chunk = self.rows[start : start + CHUNK_ROWS]
+            values = [None] * (len(chunk) * len(columns))
+            for k, column in enumerate(columns):
+                cells = chunk[:, column.index]
+                if column.boolean:
+                    cells = _JSON_BOOLS[(cells != 0).astype(np.intp)]
+                values[k :: len(columns)] = cells.tolist()
+            fh.write(("," if start else "[") + ",".join([item] * len(chunk)) % tuple(values))
+        fh.write("\n" + "  " * level + "]")
+
+
+# an object array, so a lookup yields these two strings rather than new ones
+_JSON_BOOLS = np.array(["false", "true"], dtype=object)
+
+
+def _fill(template, row: list):
+    if isinstance(template, Column):
+        value = row[template.index]
+        return value != 0 if template.boolean else value
+    if isinstance(template, dict):
+        return {key: _fill(value, row) for key, value in template.items()}
+    if isinstance(template, (list, tuple)):
+        return [_fill(value, row) for value in template]
+    return template
+
+
+def _holds(obj, kind: type) -> bool:
+    if isinstance(obj, kind):
+        return True
+    if isinstance(obj, dict):
+        obj = obj.values()
+    elif not isinstance(obj, (list, tuple)):
+        return False
+    return any(_holds(value, kind) for value in obj)
+
+
+def _frame(obj, level: int, kind: type):
+    """The text ``json.dumps(obj, indent=2, sort_keys=True)`` writes for
+    ``obj`` nested at ``level``, as tokens: ``(node, level)`` in place of each
+    node of type ``kind``, text otherwise.
+
+    Every subtree without such a node is written by ``json.dumps``, whose
+    output holds no raw newline inside a string, so indenting it is safe;
+    only the dicts and lists that hold such a node are framed here, as
+    ``json`` frames them.
+    """
+    if isinstance(obj, kind):
+        yield obj, level
+    elif not _holds(obj, kind):
+        yield json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)
+    else:
+        inner = "\n" + "  " * (level + 1)
+        is_dict = isinstance(obj, dict)
+        yield "{" if is_dict else "["
+        for k, item in enumerate(sorted(obj.items()) if is_dict else obj):
+            yield "," + inner if k else inner
+            if is_dict:
+                key, item = item
+                if not isinstance(key, str):
+                    raise TypeError(f"keys around listed records must be str, got {key!r}")
+                yield json.dumps(key) + ": "
+            yield from _frame(item, level + 1, kind)
+        yield "\n" + "  " * level + ("}" if is_dict else "]")
+
+
 def write_json(path: str, payload: dict) -> None:
+    """Write ``payload`` as ``json.dump(indent=2, sort_keys=True)`` plus a
+    newline would, each ``Records`` in it written as its ``tolist()``.
+
+    The ``Records`` are found by walking the payload, so no string in it can
+    stand in for one.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        for token in _frame(payload, 0, Records):
+            if isinstance(token, str):
+                fh.write(token)
+            else:
+                token[0]._write(fh, token[1])
         fh.write("\n")
 
 

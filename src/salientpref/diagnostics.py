@@ -96,10 +96,11 @@ class TransitivityReport:
         }[level] / self.triples_checked
 
     def to_dict(self) -> dict:
-        # zip per-column lists: v.tolist() would add one list object per row
-        v = self.violations
-        columns = [v[:, k].tolist() for k in range(3)]
-        columns += [v[:, k].astype(bool).tolist() for k in (3, 4)]
+        """Counts and rates; ``violating_triples`` is a ``dataio.Records``
+        whose ``tolist()`` gives one ``{"triple", "strong", "moderate",
+        "weak"}`` dict per row, and which ``dataio.write_json`` streams."""
+        from .dataio import Column, Records  # the CLI's module: not loaded at package import
+
         return {
             "triples_checked": self.triples_checked,
             "strong_violations": self.strong_violations,
@@ -108,10 +109,15 @@ class TransitivityReport:
             "strong_rate": self.rate("strong"),
             "moderate_rate": self.rate("moderate"),
             "weak_rate": self.rate("weak"),
-            "violating_triples": [
-                {"triple": [x, y, z], "strong": True, "moderate": moderate, "weak": weak}
-                for x, y, z, moderate, weak in zip(*columns)
-            ],
+            "violating_triples": Records(
+                self.violations,
+                {
+                    "moderate": Column(3, boolean=True),
+                    "strong": True,
+                    "triple": [Column(0), Column(1), Column(2)],
+                    "weak": Column(4, boolean=True),
+                },
+            ),
         }
 
 
@@ -155,13 +161,17 @@ def model_transitivity_report(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InconsistencyReport:
-    """Pairs whose two probability sources disagree about the likely winner."""
+    """Pairs whose two probability sources disagree about the likely winner.
+
+    ``disagreeing_pairs`` is a read-only ``(k, 2)`` int64 array of canonical
+    pairs ``(i, j)``, in lexicographic order.
+    """
 
     pairs_compared: int
     inconsistent: int
-    disagreeing_pairs: tuple[tuple[int, int], ...]
+    disagreeing_pairs: np.ndarray
 
     @property
     def rate(self) -> float | None:
@@ -171,11 +181,15 @@ class InconsistencyReport:
         return self.inconsistent / self.pairs_compared
 
     def to_dict(self) -> dict:
+        """Counts and rate; ``disagreeing_pairs`` is a ``dataio.Records`` of
+        ``[i, j]`` lists."""
+        from .dataio import Column, Records  # the CLI's module: not loaded at package import
+
         return {
             "pairs_compared": self.pairs_compared,
             "inconsistent": self.inconsistent,
             "inconsistency_rate": self.rate,
-            "disagreeing_pairs": [list(p) for p in self.disagreeing_pairs],
+            "disagreeing_pairs": Records(self.disagreeing_pairs, [Column(0), Column(1)]),
         }
 
 
@@ -203,8 +217,10 @@ def pairwise_inconsistency(
     else:
         i, j, p, q = _pair_arrays(pair_i, pair_j, prob, reference)
     bad = (0.5 - p) * (0.5 - q) < 0.0
+    disagreeing = np.column_stack([i[bad], j[bad]])
+    disagreeing.setflags(write=False)
     return InconsistencyReport(
         pairs_compared=int(i.size),
         inconsistent=int(bad.sum()),
-        disagreeing_pairs=tuple(zip(i[bad].tolist(), j[bad].tolist())),
+        disagreeing_pairs=disagreeing,
     )

@@ -30,7 +30,10 @@ n * eigmin(U U^T) / C(n,2), and nu, beta and b* are closed forms in the
 centered features, so no pair table is built), and single-coordinate
 selection (bounds in terms of the coordinate partition sizes).  A threshold
 term too large for a float (b* past about 355) is infinite, like the terms
-of a non-identifiable instance: the bound then promises nothing.  Ranking
+of a non-identifiable instance: the bound then promises nothing.  Features
+are finite, so a non-finite lambda, eta, zeta, beta, nu or m1 can only come
+from a feature scale that overflows float64 in squares or fourth powers;
+such a certificate raises ``PreconditionError`` instead.  Ranking
 recovery turns the weight error into a Kendall-distance guarantee via the
 k-th sorted utility gap, and the empirical guarantee check fits sampled data
 against the error bound; both read the ``SampleComplexityReport`` rather than
@@ -41,6 +44,7 @@ equation per pair (see ``_kernels.zeta_scan``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -55,6 +59,7 @@ from .ranking import utility_gaps
 from .selection import RealizedSelection
 
 LAMBDA_REL_TOL = 1e-10
+_SCALE_OVERFLOW = "feature scale overflows float64 in the certificate terms; rescale the features"
 
 
 class _Report:
@@ -79,10 +84,32 @@ def _zero_tol(M: np.ndarray) -> float:
     return LAMBDA_REL_TOL * float(np.trace(M)) / M.shape[0]
 
 
+def _check_finite(*terms) -> None:
+    """Raise when a certificate term is inf or nan: finite features make one
+    only by overflowing float64."""
+    if not all(np.isfinite(term).all() for term in terms):
+        raise PreconditionError(_SCALE_OVERFLOW)
+
+
+def _finite_scale(certificate):
+    """Report a float power that overflows inside ``certificate`` (Python's
+    ``**`` raises ``OverflowError``) as the same ``PreconditionError``."""
+
+    @functools.wraps(certificate)
+    def checked(*args, **kwargs):
+        try:
+            return certificate(*args, **kwargs)
+        except OverflowError:
+            raise PreconditionError(_SCALE_OVERFLOW) from None
+
+    return checked
+
+
 def _spectrum(X: np.ndarray):
     """E[Z] = X^T X / P, its ascending ``(eigenvalues, eigenvectors)``, and its
     rank: the number of eigenvalues above the zero tolerance."""
     EZ = X.T @ X / X.shape[0]
+    _check_finite(EZ)
     spectrum = np.linalg.eigh(EZ)
     return EZ, spectrum, int(np.count_nonzero(spectrum[0] > _zero_tol(EZ)))
 
@@ -125,13 +152,16 @@ def _thresholds(lam, eta, zeta, beta, b_star, d, delta, positive):
     ``positive`` says lambda is certified nonzero; otherwise m2 and the
     coefficient are infinite.  The coefficient (the error bound times
     sqrt(m)) is None when b* is, and infinite when it overflows a float.
+    Raises when lambda, eta, zeta, m1 or a certified m2 is not finite.
     """
     log4 = math.log(4.0 * d / delta)
     log2 = math.log(2.0 * d / delta)
     m1 = (3.0 * beta**2 * log4 * d + 4.0 * math.sqrt(d) * beta * log4) / 6.0
+    _check_finite(lam, eta, zeta, m1)
     if not positive:
         return m1, math.inf, None if b_star is None else math.inf
     m2 = 8.0 * log2 * (6.0 * eta + lam * zeta) / (3.0 * lam**2)
+    _check_finite(m2)
     if b_star is None:
         return m1, m2, None
     try:
@@ -174,6 +204,7 @@ class SampleComplexityReport(_ErrorBound):
     error_bound_coefficient: float | None
 
 
+@_finite_scale
 def sample_complexity_report(
     features: FeatureMatrix,
     sel: RealizedSelection,
@@ -192,6 +223,7 @@ def sample_complexity_report(
     sq = (X**2).sum(axis=1)
     V = (X * sq[:, None]).T @ X / X.shape[0] - EZ @ EZ  # E[(Z - E[Z])^2]
     V = 0.5 * (V + V.T)
+    _check_finite(V)
 
     lam = max(float(spectrum[0][0]), 0.0)
     eta = max(float(_kernels.sym_eigvals(V)[-1]), 0.0)
@@ -240,7 +272,8 @@ _GRAM_BLOCK = 256
 
 def _max_sq_distance(U: np.ndarray) -> float:
     """max over column pairs of ||U_i - U_j||^2, as sq_i + sq_j - 2 G_ij over
-    row blocks of the Gram matrix U^T U, so memory is O(n * _GRAM_BLOCK)."""
+    row blocks of the Gram matrix U^T U, so memory is O(n * _GRAM_BLOCK).
+    An overflowed block (inf - inf) makes the result nan."""
     sq = np.einsum("ki,ki->i", U, U)
     best = 0.0
     for start in range(0, U.shape[1], _GRAM_BLOCK):
@@ -249,10 +282,11 @@ def _max_sq_distance(U: np.ndarray) -> float:
         G *= -2.0
         G += sq[rows, None]
         G += sq
-        best = max(best, float(G.max()))
+        best = float(np.maximum(best, G.max()))
     return best
 
 
+@_finite_scale
 def full_selection_report(
     features: FeatureMatrix,
     delta: float = 0.05,
@@ -284,12 +318,14 @@ def full_selection_report(
     npairs = n * (n - 1) // 2
 
     gram = U @ U.T
+    farthest = _max_sq_distance(U)
+    _check_finite(gram, farthest)
     gram_eigs = _kernels.sym_eigvals(gram)
     lmin = max(float(gram_eigs[0]), 0.0)
     lmax = float(gram_eigs[-1])
     positive = lmin > _zero_tol(gram)
 
-    nu = max(_max_sq_distance(U), 1.0)
+    nu = max(farthest, 1.0)
     beta = float((U.max(axis=1) - U.min(axis=1)).max())
     b_star = None
     if w_star is not None:
@@ -338,6 +374,7 @@ class SingleCoordinateBounds(_ErrorBound):
     error_bound_coefficient: float | None
 
 
+@_finite_scale
 def single_coordinate_report(
     features: FeatureMatrix,
     sel: RealizedSelection,

@@ -1,3 +1,5 @@
+import csv
+import itertools
 import json
 import math
 import subprocess
@@ -6,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from salientpref import FeatureMatrix, cli
-from salientpref.dataio import read_json, save_features
+import oracles
+from salientpref import FeatureMatrix, SelectionSpec, all_pair_probabilities, cli, realize
+from salientpref.dataio import load_features, load_weights_json, read_json, save_features
 
 RUN = [sys.executable, "-m", "salientpref.cli"]
 
@@ -275,6 +278,67 @@ class TestDiagnose:
         assert payload["inconsistency"]["inconsistency_rate"] is None
         assert payload["model"]["triples_checked"] == 1
 
+    @staticmethod
+    def _oracle_section(probs):
+        checked, strong, moderate, weak = oracles.transitivity_counts(probs)
+        return {
+            "triples_checked": checked,
+            "strong_violations": strong,
+            "moderate_violations": moderate,
+            "weak_violations": weak,
+            "strong_rate": strong / checked,
+            "moderate_rate": moderate / checked,
+            "weak_rate": weak / checked,
+            "violating_triples": [
+                {"triple": [x, y, z], "strong": True, "moderate": m, "weak": w}
+                for x, y, z, m, w in oracles.transitivity_rows(probs)
+            ],
+        }
+
+    def test_bytes_match_oracle_payload(self, tmp_path):
+        # a seeded top_t(1) instance whose data and fit both violate often
+        sel = '{"kind":"top_t","t":1}'
+        run_cli("simulate", "--d", 4, "--n", 16, "--m", 30000, "--selection", sel,
+                "--seed", 3, "--out-dir", tmp_path)
+        f, c, fit_out = tmp_path / "features.csv", tmp_path / "comparisons.csv", tmp_path / "fit.json"
+        run_cli("fit", "--features", f, "--comparisons", c, "--selection", sel, "--out", fit_out)
+        out = tmp_path / "diagnose.json"
+        run_cli("diagnose", "--features", f, "--comparisons", c, "--weights", fit_out,
+                "--selection", sel, "--out", out)
+
+        with open(f, newline="", encoding="utf-8") as fh:
+            ids = [row[0] for row in list(csv.reader(fh))[1:]]
+        index = {item: k for k, item in enumerate(ids)}
+        wins, total = {}, {}
+        with open(c, newline="", encoding="utf-8") as fh:
+            for winner, loser, count in list(csv.reader(fh))[1:]:
+                a, b = index[winner], index[loser]
+                pair = (min(a, b), max(a, b))
+                total[pair] = total.get(pair, 0) + int(count)
+                wins[pair] = wins.get(pair, 0) + (int(count) if a < b else 0)
+        empirical = {pair: wins[pair] / total[pair] for pair in total}
+        fm, _ = load_features(str(f))
+        probs = all_pair_probabilities(
+            fm, load_weights_json(str(fit_out)), realize(SelectionSpec.from_json(sel), fm)
+        )
+        model = dict(zip(itertools.combinations(range(len(ids)), 2), probs.tolist()))
+        compared, inconsistent, rate, pairs = oracles.inconsistent_pairs(empirical, model)
+        oracle = {
+            "item_ids": ids,
+            "empirical": self._oracle_section(empirical),
+            "model": self._oracle_section(model),
+            "inconsistency": {
+                "pairs_compared": compared,
+                "inconsistent": inconsistent,
+                "inconsistency_rate": rate,
+                "disagreeing_pairs": [list(pair) for pair in pairs],
+            },
+        }
+        assert min(len(oracle[k]["violating_triples"]) for k in ("empirical", "model")) > 300
+        assert min(oracle[k]["weak_violations"] for k in ("empirical", "model")) > 10
+        assert inconsistent > 10
+        assert out.read_bytes() == (json.dumps(oracle, indent=2, sort_keys=True) + "\n").encode()
+
     def test_negative_min_count_is_usage_error(self, sim_dir, tmp_path):
         proc = run_cli(
             "diagnose",
@@ -331,6 +395,19 @@ class TestTheoryCommand:
         assert math.isinf(payload["certificate"]["error_bound_coefficient"])
         assert math.isinf(payload["ranking_recovery"]["m_lower"])
         assert '"error_bound_coefficient": Infinity' in out.read_text(encoding="utf-8")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("selection", ['{"kind":"top_t","t":1}', '{"kind":"full"}'])
+    def test_overflowing_feature_scale_is_runtime_error(self, tmp_path, capsys, selection):
+        fm = FeatureMatrix(np.random.default_rng(4).normal(size=(2, 6)) * 1e160)
+        save_features(str(tmp_path / "features.csv"), fm)
+        out = tmp_path / "theory.json"
+        argv = ["theory", "--features", str(tmp_path / "features.csv"),
+                "--selection", selection, "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert "feature scale overflows float64" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_single_coordinate_report_included(self, tmp_path):
         sim = tmp_path / "sim"

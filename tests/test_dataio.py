@@ -1,7 +1,11 @@
+import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import count_lists
 from salientpref import (
@@ -12,7 +16,10 @@ from salientpref import (
     UnknownItemError,
 )
 from salientpref.dataio import (
+    CHUNK_ROWS,
+    Column,
     FeatureStats,
+    Records,
     load_comparisons,
     load_features,
     load_rankings,
@@ -294,6 +301,101 @@ class TestJsonHelpers:
         write_json(path, payload)
         with pytest.raises(PreconditionError, match="w.json"):
             load_weights_json(path)
+
+
+TRIPLE = {
+    "moderate": Column(3, boolean=True),
+    "strong": True,
+    "triple": [Column(0), Column(1), Column(2)],
+    "weak": Column(4, boolean=True),
+}
+# literal text that looks like %-format placeholders, quotes and unicode
+TRICKY = ["%s", "%d", "%%", "%(x)s", '"%s"', "\\%s", "é ☃ %", "\n%s\t", "[", "{}", ""]
+TEMPLATES = [
+    TRIPLE,
+    [Column(0), Column(1)],
+    Column(2),
+    {"a %s": [Column(4), {"b": Column(1, boolean=True)}], "c": "%d \"%s\" é", "d": None},
+    [[], {}, Column(0), -1.5, math.inf],
+]
+
+
+@st.composite
+def records(draw):
+    k = draw(st.sampled_from([0, 1, 2, 5, CHUNK_ROWS, CHUNK_ROWS + 1]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = gen.integers(-(2**62), 2**62, size=(k, 5))
+    rows[:, 3:] = gen.integers(0, 2, size=(k, 2)) * gen.integers(1, 3, size=(k, 2))
+    return Records(rows, draw(st.sampled_from(TEMPLATES)))
+
+
+text = st.text() | st.sampled_from(TRICKY)
+leaves = (
+    st.none() | st.booleans() | st.integers() | st.floats() | text
+    | st.sampled_from([math.inf, -math.inf, math.nan])
+)
+payloads = st.recursive(
+    st.booleans().flatmap(lambda listed: records() if listed else leaves),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(text, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def plain(obj):
+    """The payload with every Records replaced by its list."""
+    if isinstance(obj, Records):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: plain(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [plain(value) for value in obj]
+    return obj
+
+
+class TestRecords:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(payload=payloads)
+    def test_write_json_bytes_equal_json_dump(self, tmp_path_factory, payload):
+        path = tmp_path_factory.mktemp("json") / "out.json"
+        write_json(str(path), payload)
+        want = json.dumps(plain(payload), indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == want.encode("utf-8")
+
+    @pytest.mark.parametrize("k", [0, 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS - 1])
+    def test_chunk_edges_inside_a_report(self, tmp_path, k):
+        rows = np.arange(5 * k, dtype=np.int64).reshape(k, 5) % 7
+        listed = Records(rows, TRIPLE)
+        payload = {"item_ids": ["a", "%s"], "r": {"rows": listed, "x": [listed, None]}}
+        write_json(str(tmp_path / "o.json"), payload)
+        want = json.dumps(plain(payload), indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "o.json").read_bytes() == want.encode("utf-8")
+
+    def test_tolist_fills_the_template(self):
+        rows = np.array([[4, 2, 9, 1, 0], [1, 3, 5, 0, 2]])
+        assert Records(rows, TRIPLE).tolist() == [
+            {"moderate": True, "strong": True, "triple": [4, 2, 9], "weak": False},
+            {"moderate": False, "strong": True, "triple": [1, 3, 5], "weak": True},
+        ]
+        assert Records(rows[:, :2], (Column(1), Column(0))).tolist() == [[2, 4], [3, 1]]
+        listed = Records(rows, TRIPLE).tolist()
+        assert all(type(r["weak"]) is bool and type(r["triple"][0]) is int for r in listed)
+
+    def test_rows_are_read_only_int64_without_a_copy(self):
+        rows = np.zeros((3, 2), dtype=np.int64)
+        held = Records(rows, [Column(0), Column(1)]).rows
+        assert held.dtype == np.int64 and not held.flags.writeable
+        assert np.shares_memory(held, rows) and rows.flags.writeable
+
+    def test_bad_shape_or_column_rejected(self):
+        with pytest.raises(ValueError, match="2-d"):
+            Records(np.zeros(3, dtype=np.int64), [Column(0)])
+        with pytest.raises(ValueError, match="column 2"):
+            Records(np.zeros((1, 2), dtype=np.int64), {"x": [Column(2)]})
+
+    def test_non_str_key_around_records_rejected(self, tmp_path):
+        listed = Records(np.zeros((1, 1), dtype=np.int64), [Column(0)])
+        with pytest.raises(TypeError, match="str"):
+            write_json(str(tmp_path / "o.json"), {1: listed})
 
 
 class TestFeatureStats:

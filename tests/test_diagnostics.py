@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -13,13 +14,14 @@ from salientpref import (
     PreconditionError,
     Ranking,
     SelectionSpec,
+    TransitivityReport,
     all_pair_probabilities,
     count_transitivity_violations,
     model_transitivity_report,
     pairwise_inconsistency,
     realize,
 )
-from salientpref.dataio import load_comparisons
+from salientpref.dataio import load_comparisons, write_json
 
 
 def dataset(records, n):
@@ -122,7 +124,8 @@ class TestCountTransitivityViolations:
                 for pair in itertools.combinations(items, 2)
                 if rng.random() < 0.9
             }
-            got = count_transitivity_violations(*arrays(probs)).to_dict()["violating_triples"]
+            listing = count_transitivity_violations(*arrays(probs)).to_dict()["violating_triples"]
+            got = listing.tolist()
             want = [
                 {"triple": [x, y, z], "strong": True, "moderate": m, "weak": w}
                 for x, y, z, m, w in oracles.transitivity_rows(probs)
@@ -147,6 +150,30 @@ class TestCountTransitivityViolations:
         assert report.triples_checked == math.comb(n, 3)
         assert report.strong_violations == 0
         assert peak < 16e6
+
+    def test_writing_the_listing_keeps_memory_bounded(self, tmp_path):
+        # 200,000 listed rows: as dicts they alone take tens of MB
+        k = 200_000
+        gen = np.random.default_rng(5)
+        rows = gen.integers(0, 1000, size=(k, 5))
+        rows[:, 3] = 1
+        rows[:, 4] = gen.integers(0, 2, size=k)
+        weak = int(rows[:, 4].sum())
+        report = TransitivityReport(k, k, k, weak, rows)
+        path = tmp_path / "diagnose.json"
+        tracemalloc.start()
+        try:
+            write_json(str(path), {"model": report.to_dict()})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        with open(path, encoding="utf-8") as fh:
+            listed = json.load(fh)["model"]["violating_triples"]
+        assert len(listed) == k and sum(r["weak"] for r in listed) == weak
+        for r in (0, 4095, 4096, k - 1):
+            x, y, z, _, w = rows[r].tolist()
+            assert listed[r] == {"moderate": True, "strong": True, "triple": [x, y, z], "weak": w == 1}
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
@@ -222,7 +249,10 @@ class TestModelTransitivityReport:
                 (int(a), int(b)): float(p) for a, b, p in zip(ii, jj, probs)
             }
             slow = count_transitivity_violations(*arrays(pmap))
-            assert fast.to_dict() == slow.to_dict()
+            fast_dict, slow_dict = fast.to_dict(), slow.to_dict()
+            listed = fast_dict.pop("violating_triples").tolist()
+            assert listed == slow_dict.pop("violating_triples").tolist()
+            assert fast_dict == slow_dict
             assert (
                 fast.triples_checked,
                 fast.strong_violations,
@@ -264,12 +294,15 @@ class TestPairwiseInconsistency:
         # ranking says 1 above 0 (p2=0), 0 above 2 (p2=1), 1 above 2 (p2=1)
         assert out.pairs_compared == 3
         assert out.inconsistent == 2
-        assert out.disagreeing_pairs == ((0, 1), (1, 2))
+        assert out.disagreeing_pairs.tolist() == [[0, 1], [1, 2]]
+        assert out.disagreeing_pairs.dtype == np.int64 and not out.disagreeing_pairs.flags.writeable
+        assert out.to_dict()["disagreeing_pairs"].tolist() == [[0, 1], [1, 2]]
 
     def test_empty_overlap(self):
         for reference in ([], Ranking(np.array([1, 2]))):
             out = pairwise_inconsistency(*arrays({}), reference)
-            assert (out.pairs_compared, out.inconsistent, out.disagreeing_pairs) == (0, 0, ())
+            assert (out.pairs_compared, out.inconsistent) == (0, 0)
+            assert out.disagreeing_pairs.shape == (0, 2)
             assert out.rate is None
             assert out.to_dict()["inconsistency_rate"] is None
 
@@ -285,7 +318,8 @@ class TestPairwiseInconsistency:
             common = [common[k] for k in rng.permutation(len(common))]
             i, j, p = arrays({pair: p_map[pair] for pair in common})
             out = pairwise_inconsistency(i, j, p, np.array([q_map[pair] for pair in common]))
-            got = (out.pairs_compared, out.inconsistent, out.rate, out.disagreeing_pairs)
+            pairs = tuple(map(tuple, out.disagreeing_pairs.tolist()))
+            got = (out.pairs_compared, out.inconsistent, out.rate, pairs)
             assert got == oracles.inconsistent_pairs(p_map, q_map)
 
     def test_ranking_reference_matches_oracle(self, rng):
@@ -304,7 +338,8 @@ class TestPairwiseInconsistency:
             shuffled = list(p_map)
             shuffled = [shuffled[k] for k in rng.permutation(len(shuffled))]
             out = pairwise_inconsistency(*arrays({pair: p_map[pair] for pair in shuffled}), ranking)
-            got = (out.pairs_compared, out.inconsistent, out.rate, out.disagreeing_pairs)
+            pairs = tuple(map(tuple, out.disagreeing_pairs.tolist()))
+            got = (out.pairs_compared, out.inconsistent, out.rate, pairs)
             assert got == oracles.inconsistent_pairs(p_map, q_map)
 
 

@@ -596,6 +596,40 @@ class TestHugeMargin:
         assert math.isinf(rep.m_terms[2]) and math.isinf(rep.m_lower)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e77, 1e160, 1e300])
+class TestOverflowingScale:
+    """Finite features whose squares or fourth powers overflow float64 make
+    the certificate terms inf or nan: each certificate refuses them."""
+
+    @staticmethod
+    def features(scale):
+        return FeatureMatrix(np.random.default_rng(4).normal(size=(2, 6)) * scale)
+
+    def test_certificate(self, scale):
+        fm = self.features(scale)
+        with pytest.raises(PreconditionError, match="overflows float64"):
+            sample_complexity_report(fm, realize(SelectionSpec.top_t(1), fm))
+
+    def test_full_selection(self, scale):
+        with pytest.raises(PreconditionError, match="overflows float64"):
+            full_selection_report(self.features(scale))
+
+    def test_single_coordinate(self, scale):
+        fm = self.features(scale)
+        with pytest.raises(PreconditionError, match="overflows float64"):
+            single_coordinate_report(fm, realize(SelectionSpec.top_t(1), fm))
+
+
+def test_largest_finite_scale_still_certifies():
+    # 1e60: fourth powers near 1e240 stay finite, so every term is a number
+    fm = FeatureMatrix(np.random.default_rng(4).normal(size=(2, 6)) * 1e60)
+    rep = sample_complexity_report(fm, realize(SelectionSpec.top_t(1), fm))
+    full = full_selection_report(fm)
+    assert all(math.isfinite(v) for v in (rep.eta, rep.m1, rep.m2, full.nu, full.m_lower))
+
+
 def guarantee(fm, w_star, sel, m, delta, trials, seed):
     cert = sample_complexity_report(fm, sel, w_star=w_star, delta=delta)
     return empirical_guarantee_check(fm, w_star, sel, m, cert, trials, seed)
