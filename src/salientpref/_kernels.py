@@ -4,7 +4,8 @@ The likelihood folds run over one row per distinct pair.  Certificate
 eigenvalues come from LAPACK (``np.linalg.eigvalsh``); the zeta scan takes
 the caller's eigendecomposition of E[Z] and solves one secular equation per
 pair; the transitivity scan enumerates chains x -> y -> z through one middle
-item at a time and keeps only the violating rows.
+item at a time and keeps only the violating rows; ``PairStreams`` runs
+numpy's seeded PCG64 generator for many seeds at once.
 """
 
 from __future__ import annotations
@@ -180,3 +181,158 @@ def transitivity_scan(P, present):
     viol = np.concatenate(blocks)
     key = np.sort(viol[:, :3], axis=1)
     return checked, viol[np.lexsort(key.T[::-1])]
+
+
+# ---------------------------------------------------------------------------
+# per-pair random streams: numpy's SeedSequence -> PCG64, for many pairs at once
+#
+# Row r reproduces np.random.default_rng(np.random.SeedSequence([seed, i, j]))
+# for the pair (i, j) = (ii[r], jj[r]), bit for bit, with every pair's stream
+# advanced in lockstep by vectorized integer arithmetic:
+#   seeding   SeedSequence hashes the entropy words (seed as 1 or 2 little-endian
+#             uint32 words, one word for 0; then i and j) into a pool of four
+#             uint32 words and expands it to four uint64 words; PCG64's set_seed
+#             takes the first two as the initial state and the last two as the
+#             stream selector, inc = (selector << 1) | 1, and runs two steps of
+#             the 128-bit LCG state = state * MULT + inc from state 0.
+#   outputs   each draw steps the LCG, then emits the XSL-RR output
+#             rotr64(hi ^ lo, hi >> 58) of the new state.  A 32-bit draw takes
+#             the low half of an output and buffers the high half for the next.
+# The 128-bit state is kept as (hi, lo) uint64 arrays; the high half of the
+# 64 x 64 product lo * MULT_lo comes from 32-bit limbs.  numpy's unsigned
+# array arithmetic wraps, which is exactly the modular arithmetic wanted.
+# ---------------------------------------------------------------------------
+
+_M32 = 0xFFFFFFFF
+_SEED_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_PCG_MULT_LO0, _PCG_MULT_LO1 = _PCG_MULT_LO & _M32, _PCG_MULT_LO >> 32
+
+
+def _uint32_words(value):
+    """A nonnegative int as little-endian uint32 words; [0] for 0."""
+    words = [value & _M32]
+    while value := value >> 32:
+        words.append(value & _M32)
+    return words
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo):
+    """(hi, lo) * MULT + (inc_hi, inc_lo) mod 2**128."""
+    a0, a1 = lo & _M32, lo >> 32
+    p00, p01, p10 = a0 * _PCG_MULT_LO0, a0 * _PCG_MULT_LO1, a1 * _PCG_MULT_LO0
+    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
+    carry_hi = a1 * _PCG_MULT_LO1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    hi = carry_hi + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + inc_hi
+    lo = lo * _PCG_MULT_LO + inc_lo
+    return hi + (lo < inc_lo), lo
+
+
+def _xsl_rr(hi, lo):
+    value = hi ^ lo
+    rot = hi >> 58
+    return value >> rot | value << (-rot & 63)
+
+
+class PairStreams:
+    """Seeded PCG64 streams, one per pair, drawn from in lockstep (see above).
+
+    ``random`` matches successive ``Generator.random`` calls; ``permutation``
+    matches ``Generator.permutation`` on freshly seeded streams only, since
+    it does not advance them.
+    """
+
+    def __init__(self, hi, lo, inc_hi, inc_lo):
+        self.hi, self.lo, self.inc_hi, self.inc_lo = hi, lo, inc_hi, inc_lo
+
+    @classmethod
+    def seeded(cls, seed, ii, jj):
+        """Streams of ``SeedSequence([seed, ii[r], jj[r]])``; 0 <= seed < 2**64."""
+        rows = ii.size
+        entropy = [np.full(rows, word, dtype=np.uint32) for word in _uint32_words(seed)]
+        entropy += [ii.astype(np.uint32), jj.astype(np.uint32)]
+        entropy += [np.zeros(rows, dtype=np.uint32)] * (_SEED_POOL_SIZE - len(entropy))
+        hash_const = _INIT_A
+
+        def hashmix(value):
+            nonlocal hash_const
+            value = value ^ hash_const
+            hash_const = hash_const * _MULT_A & _M32
+            value = value * hash_const
+            return value ^ value >> 16
+
+        pool = [hashmix(word) for word in entropy]
+        for src in range(_SEED_POOL_SIZE):
+            for dst in range(_SEED_POOL_SIZE):
+                if src != dst:
+                    mixed = pool[dst] * _MIX_MULT_L - hashmix(pool[src]) * _MIX_MULT_R
+                    pool[dst] = mixed ^ mixed >> 16
+        hash_const = _INIT_B
+        state = []
+        for k in range(2 * _SEED_POOL_SIZE):
+            value = pool[k % _SEED_POOL_SIZE] ^ hash_const
+            hash_const = hash_const * _MULT_B & _M32
+            value = value * hash_const
+            state.append((value ^ value >> 16).astype(np.uint64))
+        s_hi, s_lo, q_hi, q_lo = (state[2 * k] | state[2 * k + 1] << 32 for k in range(4))
+        inc_hi, inc_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
+        lo = inc_lo + s_lo
+        hi, lo = _lcg_step(inc_hi + s_hi + (lo < s_lo), lo, inc_hi, inc_lo)
+        return cls(hi, lo, inc_hi, inc_lo)
+
+    def take(self, rows):
+        """The streams at ``rows`` (an index or boolean mask), as a new object."""
+        return PairStreams(self.hi[rows], self.lo[rows], self.inc_hi[rows], self.inc_lo[rows])
+
+    def random(self, count):
+        """(rows, count) float64 uniforms on [0, 1), as ``Generator.random(count)``."""
+        out = np.empty((self.hi.size, count))
+        hi, lo = self.hi, self.lo
+        for t in range(count):
+            hi, lo = _lcg_step(hi, lo, self.inc_hi, self.inc_lo)
+            out[:, t] = _xsl_rr(hi, lo) >> 11
+        self.hi, self.lo = hi, lo
+        out *= 2.0**-53
+        return out
+
+    def permutation(self, d):
+        """(rows, d) intp, each row as ``Generator.permutation(d)``.
+
+        numpy's Fisher-Yates swaps position i = d-1, ..., 1 with a draw j in
+        [0, i]: 32-bit draws masked to the smallest all-ones mask >= i until
+        one is <= i.  Rows advance independently, one 32-bit draw per pass,
+        and leave the pass loop when their last swap is done.
+        """
+        rows = self.hi.size
+        perm = np.tile(np.arange(d), (rows, 1))
+        flat = perm.reshape(-1)
+        masks = np.array([(1 << i.bit_length()) - 1 for i in range(d)], dtype=np.uint64)
+        steps = np.full(rows if d > 1 else 0, d - 1)  # next position to swap
+        base = np.arange(steps.size) * d
+        hi, lo, inc_hi, inc_lo = self.hi, self.lo, self.inc_hi, self.inc_lo
+        high = None  # the buffered high halves, after a low-half draw
+        while base.size:
+            if high is None:
+                hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+                out = _xsl_rr(hi, lo)
+                word, high = out & _M32, out >> 32
+            else:
+                word, high = high, None
+            j = (word & masks[steps]).astype(np.intp)
+            accept = j <= steps
+            at = base + steps
+            other = np.where(accept, base + j, at)
+            top = flat[at]
+            flat[at] = flat[other]
+            flat[other] = top
+            steps -= accept
+            going = steps > 0
+            if not going.all():
+                base, steps, hi, lo, inc_hi, inc_lo = (
+                    a[going] for a in (base, steps, hi, lo, inc_hi, inc_lo)
+                )
+                high = None if high is None else high[going]
+        return perm

@@ -278,10 +278,11 @@ def _sweep_cell(task: tuple) -> list[tuple]:
     result = fit(fm, sel, data, FitConfig(mu=mu))
     true_rank = rank_from_weights(fm, w_star)
     est_rank = rank_from_weights(fm, result.w_hat)
-    report = diagnostics.model_transitivity_report(fm, w_star, sel)
-    inconsistency = diagnostics.pairwise_inconsistency(
-        *all_pairs(n), all_pair_probabilities(fm, w_star, sel), true_rank
-    )
+    if n < 3:
+        raise PreconditionError("transitivity needs at least 3 items")
+    pairs, probs = all_pairs(n), all_pair_probabilities(fm, w_star, sel)
+    report = diagnostics.count_transitivity_violations(*pairs, probs)
+    inconsistency = diagnostics.pairwise_inconsistency(*pairs, probs, true_rank)
     metrics = {
         "w_error": float(np.linalg.norm(result.w_hat - w_star)),
         "kendall_tau": kendall_correlation(true_rank, est_rank),

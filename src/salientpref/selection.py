@@ -20,9 +20,15 @@ subset.  Four kinds are supported:
 Random subsets are drawn per pair from a stream seeded by ``(seed, i, j)``
 (canonical ``i < j``), so the realized map is a fixed deterministic function
 of (spec, features): the same pair always yields the same subset, across
-calls, process runs, and realization orders.  Each kind's rule is coded once,
-batched over all pairs, and runs once, when :func:`realize` builds the keep
-mask and the masked-difference table; single-pair lookups index that table.
+calls, process runs, and realization orders.  The stream is numpy's
+``default_rng(SeedSequence([seed, i, j]))`` (PCG64): ``random_exactly_k``
+keeps the first k entries of its ``permutation(d)``, ``random_bernoulli`` the
+coordinates where ``random(d) < p``, drawing again while none is kept.
+``_kernels.PairStreams`` computes those streams for a block of pairs at once,
+bit for bit; a test pins it to the installed numpy.  Each kind's rule is
+coded once, batched over all pairs, and runs once, when :func:`realize` builds
+the keep mask and the masked-difference table; single-pair lookups index
+that table.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import DimensionError, InvalidPairError, NotSingleCoordinateError
 from .features import FeatureMatrix
 
@@ -43,6 +50,9 @@ _PARAMS = {
     "random_exactly_k": ("k", "seed"),
     "random_bernoulli": ("p", "seed"),
 }
+
+# pairs whose random streams are drawn together; bounds the draw's working set
+_DRAW_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -182,14 +192,19 @@ class RealizedSelection:
             order = np.argsort(-np.abs(diffs), axis=1, kind="stable")
             np.put_along_axis(keep, order[:, : spec.t], True, axis=1)
             return keep
-        for r, (a, b) in enumerate(zip(ii.tolist(), jj.tolist())):
-            rng = np.random.default_rng(np.random.SeedSequence([spec.seed, a, b]))
+        for lo in range(0, npairs, _DRAW_BLOCK):
+            block = slice(lo, lo + _DRAW_BLOCK)
+            streams = _kernels.PairStreams.seeded(spec.seed, ii[block], jj[block])
             if spec.kind == "random_exactly_k":
-                keep[r, rng.permutation(d)[: spec.k]] = True
-            else:
-                # random_bernoulli: redraw until at least one coordinate survives
-                while not keep[r].any():
-                    keep[r] = rng.random(d) < spec.p
+                np.put_along_axis(keep[block], streams.permutation(d)[:, : spec.k], True, axis=1)
+                continue
+            # random_bernoulli: redraw the empty rows until each keeps a coordinate
+            rows = np.arange(npairs)[block]
+            while rows.size:
+                draw = streams.random(d) < spec.p
+                keep[rows] = draw
+                empty = ~draw.any(axis=1)
+                rows, streams = rows[empty], streams.take(empty)
         return keep
 
     def select(self, i: int, j: int) -> tuple[int, ...]:

@@ -33,19 +33,23 @@ term too large for a float (b* past about 355) is infinite, like the terms
 of a non-identifiable instance: the bound then promises nothing.  Features
 are finite, so a non-finite lambda, eta, zeta, beta, nu or m1 can only come
 from a feature scale that overflows float64 in squares or fourth powers;
-such a certificate raises ``PreconditionError`` instead.  Ranking
-recovery turns the weight error into a Kendall-distance guarantee via the
-k-th sorted utility gap, and the empirical guarantee check fits sampled data
-against the error bound; both read the ``SampleComplexityReport`` rather than
-recompute it.  Eigenvalues of the small d x d certificate matrices come from
-LAPACK; zeta takes the eigendecomposition of E[Z] and solves a secular
-equation per pair (see ``_kernels.zeta_scan``).
+such a certificate raises ``PreconditionError`` instead, as does one whose
+certified lambda**2 leaves the normal float64 range (features of about
+1e-77 and below), where m2 would divide by zero or by digits already lost.
+Ranking recovery turns the weight error into a Kendall-distance guarantee
+via the k-th sorted utility gap, and the empirical guarantee check fits
+sampled data against the error bound; both read the
+``SampleComplexityReport`` rather than recompute it.  Eigenvalues of the
+small d x d certificate matrices come from LAPACK; zeta takes the
+eigendecomposition of E[Z] and solves a secular equation per pair (see
+``_kernels.zeta_scan``).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -60,6 +64,7 @@ from .selection import RealizedSelection
 
 LAMBDA_REL_TOL = 1e-10
 _SCALE_OVERFLOW = "feature scale overflows float64 in the certificate terms; rescale the features"
+_SCALE_UNDERFLOW = "feature scale underflows float64 in lambda**2; rescale the features"
 
 
 class _Report:
@@ -151,8 +156,10 @@ def _thresholds(lam, eta, zeta, beta, b_star, d, delta, positive):
 
     ``positive`` says lambda is certified nonzero; otherwise m2 and the
     coefficient are infinite.  The coefficient (the error bound times
-    sqrt(m)) is None when b* is, and infinite when it overflows a float.
-    Raises when lambda, eta, zeta, m1 or a certified m2 is not finite.
+    sqrt(m)) is None when b* is, and infinite when b* or the coefficient
+    overflows a float.  Raises when lambda, eta, zeta, m1 or a certified m2
+    is not finite, and when a certified lambda**2 falls below the normal
+    float64 range (eta, of the same order, has then lost its digits too).
     """
     log4 = math.log(4.0 * d / delta)
     log2 = math.log(2.0 * d / delta)
@@ -160,10 +167,15 @@ def _thresholds(lam, eta, zeta, beta, b_star, d, delta, positive):
     _check_finite(lam, eta, zeta, m1)
     if not positive:
         return m1, math.inf, None if b_star is None else math.inf
-    m2 = 8.0 * log2 * (6.0 * eta + lam * zeta) / (3.0 * lam**2)
+    lam_sq = lam**2
+    if lam_sq < sys.float_info.min:
+        raise PreconditionError(_SCALE_UNDERFLOW)
+    m2 = 8.0 * log2 * (6.0 * eta + lam * zeta) / (3.0 * lam_sq)
     _check_finite(m2)
     if b_star is None:
         return m1, m2, None
+    if not math.isfinite(b_star):
+        return m1, m2, math.inf
     try:
         eb = math.exp(b_star)
         return m1, m2, 4.0 * (1.0 + eb) ** 2 / eb * (1.0 / lam) * math.sqrt(m1)

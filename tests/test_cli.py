@@ -409,6 +409,17 @@ class TestTheoryCommand:
         assert "feature scale overflows float64" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("selection", ['{"kind":"top_t","t":1}', '{"kind":"full"}'])
+    def test_underflowing_feature_scale_is_runtime_error(self, tmp_path, capsys, selection):
+        fm = FeatureMatrix(np.random.default_rng(4).normal(size=(2, 6)) * 1e-100)
+        save_features(str(tmp_path / "features.csv"), fm)
+        out = tmp_path / "theory.json"
+        argv = ["theory", "--features", str(tmp_path / "features.csv"),
+                "--selection", selection, "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert "feature scale underflows float64" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_coordinate_report_included(self, tmp_path):
         sim = tmp_path / "sim"
         run_cli(

@@ -622,6 +622,48 @@ class TestOverflowingScale:
             single_coordinate_report(fm, realize(SelectionSpec.top_t(1), fm))
 
 
+@pytest.mark.parametrize("scale", [1e-100, 1e-160])
+class TestUnderflowingScale:
+    """Features so small that a certified lambda**2 leaves the normal float64
+    range (eta has lost its digits too): m2 cannot be trusted, so each
+    certificate refuses them rather than divide by zero."""
+
+    @staticmethod
+    def features(scale):
+        return FeatureMatrix(np.random.default_rng(4).normal(size=(2, 6)) * scale)
+
+    def test_certificate(self, scale):
+        fm = self.features(scale)
+        with pytest.raises(PreconditionError, match="underflows float64"):
+            sample_complexity_report(fm, realize(SelectionSpec.top_t(1), fm))
+
+    def test_full_selection(self, scale):
+        with pytest.raises(PreconditionError, match="underflows float64"):
+            full_selection_report(self.features(scale))
+
+
+def test_smallest_normal_scale_still_certifies():
+    # 1e-60: lambda near 1e-120 squares to about 1e-240, still a normal float
+    base = FeatureMatrix(np.random.default_rng(4).normal(size=(2, 6)))
+    fm = FeatureMatrix(base.matrix * 1e-60)
+    rep = sample_complexity_report(fm, realize(SelectionSpec.top_t(1), fm))
+    ref = sample_complexity_report(base, realize(SelectionSpec.top_t(1), base))
+    assert rep.identifiable and math.isfinite(rep.m2)
+    assert rep.m2 == pytest.approx(ref.m2, rel=1e-9)
+    assert math.isfinite(full_selection_report(fm).m_lower)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_infinite_b_star_gives_infinite_coefficient():
+    # b* overflows to inf: exp(inf) raises nothing, and (1 + inf)**2 / inf
+    # would be nan, but an infinite margin means an infinite bound
+    fm = FeatureMatrix(np.random.default_rng(4).normal(size=(2, 6)))
+    rep = sample_complexity_report(fm, realize(SelectionSpec.full(), fm), w_star=[1e308, 1e308])
+    assert rep.b_star == math.inf
+    assert rep.error_bound_coefficient == math.inf
+    assert rep.error_bound(100) == math.inf
+
+
 def test_largest_finite_scale_still_certifies():
     # 1e60: fourth powers near 1e240 stay finite, so every term is a number
     fm = FeatureMatrix(np.random.default_rng(4).normal(size=(2, 6)) * 1e60)
