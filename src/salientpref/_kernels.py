@@ -1,7 +1,9 @@
 """Hot numeric kernels, all vectorized numpy.
 
 The likelihood folds run over one row per distinct pair.  Certificate
-eigenvalues come from LAPACK (``np.linalg.eigvalsh``); the zeta scan takes
+eigenvalues come from LAPACK (``np.linalg.eigvalsh``), and one zero rule
+(``zero_tol``) gives the rank of a design's second moment to both the
+certificates and the fit; the zeta scan takes
 the caller's eigendecomposition of E[Z] and solves one secular equation per
 pair; the transitivity scan enumerates chains x -> y -> z through one middle
 item at a time and keeps only the violating rows; ``PairStreams`` runs
@@ -65,6 +67,30 @@ def sym_eigvals(A):
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("expected a square 2-d array")
     return np.linalg.eigvalsh(A)
+
+
+# An eigenvalue of a PSD second-moment matrix counts as zero at or below
+# LAMBDA_REL_TOL of its mean eigenvalue, trace / dim.  The certificates and
+# the fit's ``data_rank`` share this one rule.
+LAMBDA_REL_TOL = 1e-10
+
+
+def zero_tol(M):
+    """The zero tolerance of the PSD matrix M: LAMBDA_REL_TOL * trace(M) / dim."""
+    return LAMBDA_REL_TOL * float(np.trace(M)) / M.shape[0]
+
+
+def second_moment(X):
+    """E[Z] = X^T X / P over the P rows of X."""
+    return X.T @ X / X.shape[0]
+
+
+def psd_spectrum(M):
+    """The ascending ``(eigenvalues, eigenvectors)`` of the PSD matrix M and
+    its rank: the number of eigenvalues above ``zero_tol``.  M must be
+    finite; callers check it first, since LAPACK may fail on inf or nan."""
+    spectrum = np.linalg.eigh(M)
+    return spectrum, int(np.count_nonzero(spectrum[0] > zero_tol(M)))
 
 
 # ---------------------------------------------------------------------------

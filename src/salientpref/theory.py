@@ -35,7 +35,11 @@ are finite, so a non-finite lambda, eta, zeta, beta, nu or m1 can only come
 from a feature scale that overflows float64 in squares or fourth powers;
 such a certificate raises ``PreconditionError`` instead, as does one whose
 certified lambda**2 leaves the normal float64 range (features of about
-1e-77 and below), where m2 would divide by zero or by digits already lost.
+1e-77 and below), where m2 would divide by zero or by digits already lost,
+and one whose E[Z] (U U^T for full selection) is exactly zero although some
+difference is not: every square underflowed, and a zero spectrum would
+misreport the instance as unidentifiable.  Identical features, whose
+differences are all zero, are reported as not identifiable.
 Ranking recovery turns the weight error into a Kendall-distance guarantee
 via the k-th sorted utility gap, and the empirical guarantee check fits
 sampled data against the error bound; both read the
@@ -62,9 +66,8 @@ from .model import sample_comparisons
 from .ranking import utility_gaps
 from .selection import RealizedSelection
 
-LAMBDA_REL_TOL = 1e-10
 _SCALE_OVERFLOW = "feature scale overflows float64 in the certificate terms; rescale the features"
-_SCALE_UNDERFLOW = "feature scale underflows float64 in lambda**2; rescale the features"
+_SCALE_UNDERFLOW = "feature scale underflows float64 in the certificate terms; rescale the features"
 
 
 class _Report:
@@ -81,12 +84,6 @@ class _Report:
 
     def _extra(self) -> dict:
         return {}
-
-
-def _zero_tol(M: np.ndarray) -> float:
-    """Eigenvalues of the PSD matrix M at or below 1e-10 of trace(M) / dim
-    count as zero."""
-    return LAMBDA_REL_TOL * float(np.trace(M)) / M.shape[0]
 
 
 def _check_finite(*terms) -> None:
@@ -110,13 +107,23 @@ def _finite_scale(certificate):
     return checked
 
 
+def _check_underflow(moment: np.ndarray, values: np.ndarray) -> None:
+    """Raise when a second moment of nonzero values is exactly zero: every
+    square underflowed, so a zero spectrum would misreport the scale as
+    unidentifiable.  Values that are all zero leave it zero rightly."""
+    if np.trace(moment) == 0.0 and values.any():
+        raise PreconditionError(_SCALE_UNDERFLOW)
+
+
 def _spectrum(X: np.ndarray):
-    """E[Z] = X^T X / P, its ascending ``(eigenvalues, eigenvectors)``, and its
-    rank: the number of eigenvalues above the zero tolerance."""
-    EZ = X.T @ X / X.shape[0]
+    """E[Z] = X^T X / P, its ascending ``(eigenvalues, eigenvectors)`` and its
+    rank, refused before the eigendecomposition when E[Z] overflows or
+    underflows."""
+    EZ = _kernels.second_moment(X)
     _check_finite(EZ)
-    spectrum = np.linalg.eigh(EZ)
-    return EZ, spectrum, int(np.count_nonzero(spectrum[0] > _zero_tol(EZ)))
+    _check_underflow(EZ, X)
+    spectrum, rank = _kernels.psd_spectrum(EZ)
+    return EZ, spectrum, rank
 
 
 @dataclass(frozen=True)
@@ -332,10 +339,11 @@ def full_selection_report(
     gram = U @ U.T
     farthest = _max_sq_distance(U)
     _check_finite(gram, farthest)
+    _check_underflow(gram, U)
     gram_eigs = _kernels.sym_eigvals(gram)
     lmin = max(float(gram_eigs[0]), 0.0)
     lmax = float(gram_eigs[-1])
-    positive = lmin > _zero_tol(gram)
+    positive = lmin > _kernels.zero_tol(gram)
 
     nu = max(farthest, 1.0)
     beta = float((U.max(axis=1) - U.min(axis=1)).max())

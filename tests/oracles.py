@@ -79,6 +79,15 @@ def logistic_newton(rows, y, iters=50):
     return w
 
 
+def logistic_newton_on_span(rows, y, iters=50):
+    """Minimum-norm per-sample logistic MLE when the rows span only part of
+    R^d: plain Newton in an orthonormal basis of their span (right singular
+    vectors above numpy's ``matrix_rank`` cutoff), mapped back."""
+    _, sv, Vt = np.linalg.svd(rows, full_matrices=False)
+    basis = Vt[sv > sv[0] * max(rows.shape) * np.finfo(np.float64).eps].T
+    return basis @ logistic_newton(rows @ basis, y, iters)
+
+
 def kendall_distance_enum(pos_a, pos_b):
     """Discordant-pair count by explicit enumeration."""
     n = len(pos_a)

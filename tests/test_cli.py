@@ -120,6 +120,7 @@ class TestFitRankEvaluate:
         )
         result = read_json(str(fit_out))
         assert result["converged"] is True
+        assert result["data_rank"] == len(result["w_hat"])
         truth = read_json(str(sim_dir / "truth_weights.json"))
         err = np.linalg.norm(np.array(result["w_hat"]) - np.array(truth["w"]))
         assert err < 0.5

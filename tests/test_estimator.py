@@ -16,11 +16,49 @@ from salientpref import (
     nll,
     realize,
     sample_comparisons,
+    sample_complexity_report,
 )
+from salientpref.selection import all_pairs
 
 
 def fm_from_columns(*cols):
     return FeatureMatrix(np.column_stack([np.asarray(c, float) for c in cols]))
+
+
+def per_sample(fm, spec, data):
+    """One oracle design row and one 0/1 outcome per comparison."""
+    _, table = oracles.masked_diff_table(fm.matrix, spec.to_dict())
+    n = fm.n
+    rows, y = [], []
+    for a, b, wins, total in zip(*count_lists(data)):
+        rows += [table[a * (2 * n - a - 1) // 2 + (b - a - 1)]] * total
+        y += [1.0] * wins + [0.0] * (total - wins)
+    return np.array(rows), np.array(y)
+
+
+def rank4_features(rotate):
+    """d=5, n=30 features whose coordinate 0 is constant, so no pair's
+    difference has a component there; ``rotate`` turns that unobserved
+    direction into a random unit vector, returned alongside."""
+    gen = np.random.default_rng(0)
+    U = gen.normal(0.0, 1.0 / np.sqrt(5), size=(5, 30))
+    U[0] = 0.3
+    R = np.linalg.qr(gen.normal(size=(5, 5)))[0] if rotate else np.eye(5)
+    return FeatureMatrix(R @ U), gen.normal(size=5), R[:, 0]
+
+
+def separable_instance(seed):
+    """200 single-count pairs (d=5, n=30, top_t(2)) whose outcomes follow
+    sign(<w, x>): the likelihood keeps rising along w, so no MLE exists."""
+    gen = np.random.default_rng(seed)
+    fm = FeatureMatrix(gen.normal(0.0, 1.0 / np.sqrt(5), size=(5, 30)))
+    sel = realize(SelectionSpec.top_t(2), fm)
+    w = gen.normal(size=5)
+    ii, jj = all_pairs(30)
+    pick = np.sort(gen.choice(ii.size, 200, replace=False))
+    wins = sel.diff_table()[pick] @ w > 0
+    records = [(int(a), int(b), int(y)) for a, b, y in zip(ii[pick], jj[pick], wins)]
+    return fm, sel, ComparisonDataset.from_records(records, 30)
 
 
 class TestFit:
@@ -178,17 +216,66 @@ class TestFit:
             (b, a, 1 - yy) if k % 2 else (a, b, yy)
             for k, (a, b, yy) in enumerate(records[r] for r in order)
         ]
-        per_sample = ComparisonDataset.from_records(shuffled, 9)
+        one_each = ComparisonDataset.from_records(shuffled, 9)
         counted = ComparisonDataset(data.pair_i, data.pair_j, data.wins, data.total, 9)
-        a, b = fit(fm, sel, per_sample), fit(fm, sel, counted)
+        a, b = fit(fm, sel, one_each), fit(fm, sel, counted)
         assert a.converged and b.converged
         np.testing.assert_allclose(a.w_hat, b.w_hat, rtol=1e-12, atol=0.0)
         # and the per-sample Newton oracle, on one design row per comparison
-        rows = sel.diff_table()[
-            [r * (2 * 9 - r - 1) // 2 + (c - r - 1) for r, c, _ in records]
-        ]
-        want = oracles.logistic_newton(rows, np.array([yy for _, _, yy in records], float))
+        want = oracles.logistic_newton(*per_sample(fm, SelectionSpec.top_t(2), data))
         np.testing.assert_allclose(b.w_hat, want, rtol=1e-10, atol=1e-12)
+
+
+class TestDegenerateData:
+    """Designs that leave w partly unobserved, and data that no finite w
+    fits best: the fit says which, in a few Newton steps."""
+
+    @pytest.mark.parametrize(
+        "rotate, spec", [(False, SelectionSpec.top_t(2)), (True, SelectionSpec.full())]
+    )
+    def test_rank_deficient_design_converges_on_its_span(self, rotate, spec):
+        fm, w_star, null = rank4_features(rotate)
+        sel = realize(spec, fm)
+        data = sample_comparisons(fm, w_star, sel, 3000, seed=1)
+        res = fit(fm, sel, data)
+        assert res.converged and res.iterations <= 10
+        assert res.data_rank == 4
+        if not rotate:
+            assert res.w_hat[0] == 0.0
+        assert abs(res.w_hat @ null) <= 1e-12 * np.linalg.norm(res.w_hat)
+        want = oracles.logistic_newton_on_span(*per_sample(fm, spec, data))
+        np.testing.assert_allclose(res.w_hat, want, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_separated_data_reported(self, seed):
+        fm, sel, data = separable_instance(seed)
+        res = fit(fm, sel, data)
+        assert res.stop_reason == "separated" and not res.converged
+        assert res.to_dict()["stop_reason"] == "separated"
+        # the fitted direction certifies it: the objective keeps falling
+        v = res.w_hat / np.linalg.norm(res.w_hat)
+        along = [nll(fm, t * v, sel, data) for t in np.logspace(0, 3, 61)]
+        assert np.all(np.diff(along) <= 0.0)
+
+    def test_ridge_skips_the_separation_test(self):
+        fm, sel, data = separable_instance(0)
+        res = fit(fm, sel, data, FitConfig(mu=1e-3))
+        assert res.converged and np.linalg.norm(res.w_hat) < 100
+
+    @pytest.mark.parametrize(
+        "spec",
+        [SelectionSpec.full(), SelectionSpec.top_t(1), SelectionSpec.top_t(2),
+         SelectionSpec.random_exactly_k(2, 5)],
+    )
+    def test_data_rank_is_certificate_rank_when_every_pair_is_observed(self, spec):
+        for fm in (rank4_features(False)[0], FeatureMatrix(
+                np.random.default_rng(3).normal(size=(5, 30)))):
+            sel = realize(spec, fm)
+            ii, jj = all_pairs(fm.n)
+            records = [(int(a), int(b), k % 2) for k, (a, b) in enumerate(zip(ii, jj))]
+            res = fit(fm, sel, ComparisonDataset.from_records(records, fm.n))
+            assert res.data_rank == sample_complexity_report(fm, sel).rank
+            assert res.to_dict()["data_rank"] == res.data_rank
 
 
 class TestMarginBand:

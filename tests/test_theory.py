@@ -622,6 +622,30 @@ class TestOverflowingScale:
             single_coordinate_report(fm, realize(SelectionSpec.top_t(1), fm))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_overflow_refused_before_eigendecomposition(monkeypatch):
+    # LAPACK's answer on inf or nan depends on the build; it is never asked
+    def finite_only(solver):
+        def checked(M, *args, **kwargs):
+            assert np.isfinite(M).all(), "eigensolver called on a non-finite matrix"
+            return solver(M, *args, **kwargs)
+        return checked
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, finite_only(getattr(np.linalg, name)))
+    fm = TestOverflowingScale.features(1e160)
+    sel = realize(SelectionSpec.top_t(1), fm)
+    for certify in (
+        lambda: sample_complexity_report(fm, sel),
+        lambda: identifiability_check(fm, sel),
+        lambda: full_selection_report(fm),
+        lambda: single_coordinate_report(fm, sel),
+    ):
+        with pytest.raises(PreconditionError, match="overflows float64"):
+            certify()
+
+
 @pytest.mark.parametrize("scale", [1e-100, 1e-160])
 class TestUnderflowingScale:
     """Features so small that a certified lambda**2 leaves the normal float64
@@ -640,6 +664,33 @@ class TestUnderflowingScale:
     def test_full_selection(self, scale):
         with pytest.raises(PreconditionError, match="underflows float64"):
             full_selection_report(self.features(scale))
+
+
+def test_underflowed_moment_is_refused():
+    # x1e-200: every square underflows, so E[Z] and U U^T are exactly zero
+    # although the differences are not; x1 the same features are identifiable
+    base = np.random.default_rng(4).normal(size=(2, 6))
+    fm = FeatureMatrix(base * 1e-200)
+    sel = realize(SelectionSpec.top_t(1), fm)
+    for certify in (
+        lambda: sample_complexity_report(fm, sel),
+        lambda: identifiability_check(fm, sel),
+        lambda: full_selection_report(fm),
+    ):
+        with pytest.raises(PreconditionError, match="underflows float64"):
+            certify()
+    ok = FeatureMatrix(base)
+    assert identifiability_check(ok, realize(SelectionSpec.top_t(1), ok)).identifiable
+
+
+def test_identical_features_are_unidentifiable_not_refused():
+    # all differences are zero: E[Z] is rightly zero, so no scale is at fault
+    fm = FeatureMatrix(np.full((2, 6), 1e-200))
+    sel = realize(SelectionSpec.top_t(1), fm)
+    rep = sample_complexity_report(fm, sel)
+    assert rep.rank == 0 and not rep.identifiable and rep.m2 == math.inf
+    assert not identifiability_check(fm, sel).identifiable
+    assert full_selection_report(fm).m_lower == math.inf
 
 
 def test_smallest_normal_scale_still_certifies():
