@@ -121,7 +121,7 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     fm, w_star = _simulate_instance(args.d, args.n, args.seed)
     sel = realize(args.selection, fm)
-    data = sample_comparisons(fm, w_star, sel, args.m, _derived_seed(args.seed, 2))
+    data = sample_comparisons(sel, w_star, args.m, _derived_seed(args.seed, 2))
     dataio.save_features(str(out / "features.csv"), fm)
     dataio.save_comparisons(str(out / "comparisons.csv"), data, fm)
     dataio.write_json(
@@ -142,7 +142,7 @@ def cmd_fit(args) -> int:
     fm, _ = dataio.load_features(args.features)
     data = dataio.load_comparisons(args.comparisons, fm)
     sel = realize(args.selection, fm)
-    result = fit(fm, sel, data, FitConfig(mu=args.mu, tol_grad=args.tol))
+    result = fit(sel, data, FitConfig(mu=args.mu, tol_grad=args.tol))
     payload = result.to_dict()
     payload["m"] = len(data)
     payload["mu"] = args.mu
@@ -189,7 +189,7 @@ def cmd_evaluate(args) -> int:
         sel = realize(args.selection, fm)
         payload = {
             "metric": "pairwise_accuracy",
-            "value": pairwise_accuracy(fm, w, sel, data),
+            "value": pairwise_accuracy(sel, w, data),
             "m": len(data),
             "selection": args.selection.to_dict(),
         }
@@ -216,7 +216,7 @@ def cmd_diagnose(args) -> int:
         w = dataio.load_weights_json(args.weights)
         if fm.n < 3:
             raise PreconditionError("transitivity needs at least 3 items")
-        model_probs = all_pair_probabilities(fm, w, realize(args.selection, fm))
+        model_probs = all_pair_probabilities(realize(args.selection, fm), w)
         payload["model"] = diagnostics.count_transitivity_violations(
             *all_pairs(fm.n), model_probs
         ).to_dict()
@@ -241,7 +241,7 @@ def cmd_theory(args) -> int:
     if args.weights:
         w = dataio.load_weights_json(args.weights)
         inputs.append(args.weights)
-    certificate = theory.sample_complexity_report(fm, sel, w_star=w, delta=args.delta)
+    certificate = theory.sample_complexity_report(sel, w_star=w, delta=args.delta)
     payload: dict = {
         "selection": args.selection.to_dict(),
         "identifiability": theory.IdentifiabilityResult(
@@ -255,7 +255,7 @@ def cmd_theory(args) -> int:
         ).to_dict()
     try:
         payload["single_coordinate"] = theory.single_coordinate_report(
-            fm, sel, delta=args.delta, w_star=w
+            sel, delta=args.delta, w_star=w
         ).to_dict()
     except NotSingleCoordinateError:
         pass
@@ -274,13 +274,11 @@ def _sweep_cell(task: tuple) -> list[tuple]:
     spec = SelectionSpec.from_json(sel_json)
     fm, w_star = _simulate_instance(d, n, seed)
     sel = realize(spec, fm)
-    data = sample_comparisons(fm, w_star, sel, m, _derived_seed(seed, 2))
-    result = fit(fm, sel, data, FitConfig(mu=mu))
+    data = sample_comparisons(sel, w_star, m, _derived_seed(seed, 2))
+    result = fit(sel, data, FitConfig(mu=mu))
     true_rank = rank_from_weights(fm, w_star)
     est_rank = rank_from_weights(fm, result.w_hat)
-    if n < 3:
-        raise PreconditionError("transitivity needs at least 3 items")
-    pairs, probs = all_pairs(n), all_pair_probabilities(fm, w_star, sel)
+    pairs, probs = all_pairs(n), all_pair_probabilities(sel, w_star)
     report = diagnostics.count_transitivity_violations(*pairs, probs)
     inconsistency = diagnostics.pairwise_inconsistency(*pairs, probs, true_rank)
     metrics = {
@@ -319,6 +317,8 @@ def cmd_sweep(args) -> int:
     d, n = _spec_number("d", spec["d"]), _spec_number("n", spec["n"])
     if d < 1:
         raise PreconditionError(f"sweep spec d must be >= 1, got {d}")
+    if n < 3:
+        raise PreconditionError(f"sweep spec n must be >= 3, got {n}")
     mu = _spec_number("mu", spec.get("mu", 0.0), numbers.Real)
     workers = _spec_number("workers", spec.get("workers", 1))
     if workers < 1:

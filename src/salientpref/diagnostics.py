@@ -31,7 +31,6 @@ import numpy as np
 
 from . import _kernels
 from .errors import DimensionError, PreconditionError
-from .features import FeatureMatrix
 from .model import all_pair_probabilities
 from .ranking import Ranking
 from .selection import RealizedSelection, all_pairs
@@ -150,15 +149,12 @@ def count_transitivity_violations(pair_i, pair_j, prob) -> TransitivityReport:
     )
 
 
-def model_transitivity_report(
-    features: FeatureMatrix, w, sel: RealizedSelection
-) -> TransitivityReport:
+def model_transitivity_report(sel: RealizedSelection, w) -> TransitivityReport:
     """Exact model probabilities for all pairs, scanned for violations."""
-    if features.n < 3:
+    n = sel.features.n
+    if n < 3:
         raise PreconditionError("transitivity needs at least 3 items")
-    return count_transitivity_violations(
-        *all_pairs(features.n), all_pair_probabilities(features, w, sel)
-    )
+    return count_transitivity_violations(*all_pairs(n), all_pair_probabilities(sel, w))
 
 
 @dataclass(frozen=True, eq=False)

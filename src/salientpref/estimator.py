@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import NumericalFailureError, PreconditionError
-from .features import FeatureMatrix, check_weights
+from .features import check_weights
 from .model import ComparisonDataset, check_ridge, design_matrix
 from .selection import RealizedSelection
 
@@ -120,7 +120,6 @@ def _separates(X, total, wins, w) -> bool:
 
 
 def fit(
-    features: FeatureMatrix,
     sel: RealizedSelection,
     data: ComparisonDataset,
     cfg: FitConfig = FitConfig(),
@@ -151,7 +150,7 @@ def fit(
     """
     if data.total.size == 0:
         raise PreconditionError("cannot fit an empty dataset")
-    d = features.d
+    d = sel.features.d
     X = design_matrix(sel, data)
     total = data.total.astype(np.float64)
     wins = data.wins.astype(np.float64)
@@ -218,13 +217,13 @@ def fit(
     )
 
 
-def max_abs_margin(features: FeatureMatrix, sel: RealizedSelection, w) -> float:
+def max_abs_margin(sel: RealizedSelection, w) -> float:
     """Largest |<w, masked difference>| over all pairs.
 
     This is the widest in-context utility margin the weights produce; the
     estimation-error certificates are exponential in it.
     """
-    w = check_weights(w, features.d)
+    w = check_weights(w, sel.features.d)
     table = sel.diff_table()
     if table.shape[0] == 0:
         return 0.0

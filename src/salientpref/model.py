@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DimensionError, InvalidPairError, PreconditionError
-from .features import FeatureMatrix, check_weights
+from .features import check_weights
 from .selection import RealizedSelection, all_pairs, pair_index
 
 
@@ -149,36 +149,24 @@ def design_matrix(sel: RealizedSelection, data: ComparisonDataset) -> np.ndarray
     return sel.diff_table()[pair_index(data.pair_i, data.pair_j, n)]
 
 
-def win_probability(
-    features: FeatureMatrix,
-    w,
-    sel: RealizedSelection,
-    i: int,
-    j: int,
-) -> float:
+def win_probability(sel: RealizedSelection, w, i: int, j: int) -> float:
     """P(item i beats item j) under weights ``w``.
 
     Exactly antisymmetric: swapping i and j negates the masked difference, so
     the two probabilities sum to 1.
     """
-    w = check_weights(w, features.d)
+    w = check_weights(w, sel.features.d)
     x = sel.masked_diff(i, j)
     return float(_kernels.sigmoid(float(x @ w)))
 
 
-def all_pair_probabilities(features: FeatureMatrix, w, sel: RealizedSelection):
+def all_pair_probabilities(sel: RealizedSelection, w):
     """P(i beats j) for every canonical pair, in lexicographic pair order."""
-    w = check_weights(w, features.d)
+    w = check_weights(w, sel.features.d)
     return _kernels.sigmoid(sel.diff_table() @ w)
 
 
-def sample_comparisons(
-    features: FeatureMatrix,
-    w_star,
-    sel: RealizedSelection,
-    m: int,
-    seed: int,
-) -> ComparisonDataset:
+def sample_comparisons(sel: RealizedSelection, w_star, m: int, seed: int) -> ComparisonDataset:
     """Draw ``m`` independent comparisons: uniform pairs, logistic outcomes.
 
     Each sample picks a pair uniformly at random (with replacement) from all
@@ -187,11 +175,10 @@ def sample_comparisons(
     """
     if m < 1:
         raise PreconditionError(f"need m >= 1 samples, got {m}")
-    n = features.n
+    n = sel.features.n
     if n < 2:
         raise PreconditionError("need at least 2 items to compare")
-    w_star = check_weights(w_star, features.d)
-    probs = all_pair_probabilities(features, w_star, sel)
+    probs = all_pair_probabilities(sel, w_star)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     flat = rng.integers(0, probs.shape[0], size=m)
     won = rng.random(m) < probs[flat]
@@ -209,21 +196,21 @@ def check_ridge(mu) -> float:
     return float(mu)
 
 
-def _prepared(features, w, sel, data, mu):
+def _prepared(sel, w, data, mu):
     mu = check_ridge(mu)
-    w = check_weights(w, features.d)
+    w = check_weights(w, sel.features.d)
     X = design_matrix(sel, data)
     return X, data.total.astype(np.float64), data.wins.astype(np.float64), w, mu
 
 
-def nll(features, w, sel, data: ComparisonDataset, mu: float = 0.0) -> float:
+def nll(sel: RealizedSelection, w, data: ComparisonDataset, mu: float = 0.0) -> float:
     """Ridge-regularized negative log-likelihood of ``w``."""
-    return float(_kernels.nll_value(*_prepared(features, w, sel, data, mu)))
+    return float(_kernels.nll_value(*_prepared(sel, w, data, mu)))
 
 
-def nll_gradient(features, w, sel, data: ComparisonDataset, mu: float = 0.0):
-    return _kernels.nll_grad(*_prepared(features, w, sel, data, mu))
+def nll_gradient(sel: RealizedSelection, w, data: ComparisonDataset, mu: float = 0.0):
+    return _kernels.nll_grad(*_prepared(sel, w, data, mu))
 
 
-def nll_hessian(features, w, sel, data: ComparisonDataset, mu: float = 0.0):
-    return _kernels.nll_hess(*_prepared(features, w, sel, data, mu))
+def nll_hessian(sel: RealizedSelection, w, data: ComparisonDataset, mu: float = 0.0):
+    return _kernels.nll_hess(*_prepared(sel, w, data, mu))

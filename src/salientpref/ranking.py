@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import DimensionError, UndefinedMetricError
 from .features import FeatureMatrix, check_weights
-from .model import ComparisonDataset, all_pair_probabilities
-from .selection import RealizedSelection, all_pairs, pair_index
+from .model import ComparisonDataset, design_matrix
+from .selection import RealizedSelection, all_pairs
 
 
 @dataclass(frozen=True)
@@ -89,12 +90,7 @@ def kendall_correlation(a: Ranking, b: Ranking) -> float:
     return 1.0 - 2.0 * kendall_distance(a, b) / npairs
 
 
-def pairwise_accuracy(
-    features: FeatureMatrix,
-    w,
-    sel: RealizedSelection,
-    data: ComparisonDataset,
-) -> float:
+def pairwise_accuracy(sel: RealizedSelection, w, data: ComparisonDataset) -> float:
     """Fraction of majority-decided pairs whose majority the model predicts.
 
     A pair is eligible when its empirical outcome counts have a strict
@@ -103,8 +99,8 @@ def pairwise_accuracy(
     """
     if data.total.size == 0:
         raise UndefinedMetricError("dataset contains no pairs")
-    probs = all_pair_probabilities(features, w, sel)
-    p = probs[pair_index(data.pair_i, data.pair_j, features.n)]
+    w = check_weights(w, sel.features.d)
+    p = _kernels.sigmoid(design_matrix(sel, data) @ w)
     losses = data.total - data.wins
     eligible = (data.wins != losses) & (p != 0.5)
     n_eligible = int(np.count_nonzero(eligible))

@@ -236,27 +236,24 @@ class RealizedSelection:
         self._keep = keep
         return table
 
-    def partition_by_coordinate(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Group all pairs by their single selected coordinate.
+    def single_coordinate(self) -> np.ndarray:
+        """Each pair's one selected coordinate, in lexicographic pair order.
 
-        Requires every realized subset to be a singleton; returns one pair
-        tuple per coordinate (possibly empty), a partition of all C(n,2)
-        pairs, each part in lexicographic pair order.
+        Requires every realized subset to be a singleton; returns a read-only
+        int64 array of length C(n,2).
         """
         keep = self._keep
-        ii, jj = all_pairs(self.features.n)
         sizes = keep.sum(axis=1)
         bad = np.flatnonzero(sizes != 1)
         if bad.size:
             r = bad[0]
+            ii, jj = all_pairs(self.features.n)
             raise NotSingleCoordinateError(
                 f"pair ({ii[r]}, {jj[r]}) selects {sizes[r]} coordinates, need 1"
             )
-        coord = keep.argmax(axis=1)
-        return tuple(
-            tuple(zip(ii[coord == k].tolist(), jj[coord == k].tolist()))
-            for k in range(self.features.d)
-        )
+        coords = keep.argmax(axis=1).astype(np.int64, copy=False)
+        coords.setflags(write=False)
+        return coords
 
 
 def realize(spec: SelectionSpec, features: FeatureMatrix) -> RealizedSelection:

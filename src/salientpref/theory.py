@@ -133,9 +133,7 @@ class IdentifiabilityResult(_Report):
     d: int
 
 
-def identifiability_check(
-    features: FeatureMatrix, sel: RealizedSelection
-) -> IdentifiabilityResult:
+def identifiability_check(sel: RealizedSelection) -> IdentifiabilityResult:
     """Numerical rank of E[Z], the span of the masked differences.
 
     Eigenvalues at or below 1e-10 of trace(E[Z]) / d count as zero.  This is
@@ -143,7 +141,8 @@ def identifiability_check(
     agree; a caller holding the certificate reads it from there instead.
     """
     _, _, rank = _spectrum(sel.diff_table())
-    return IdentifiabilityResult(rank == features.d, rank, features.d)
+    d = sel.features.d
+    return IdentifiabilityResult(rank == d, rank, d)
 
 
 def _check_delta(delta: float) -> float:
@@ -153,9 +152,9 @@ def _check_delta(delta: float) -> float:
     return delta
 
 
-def _b_star(features: FeatureMatrix, sel: RealizedSelection, w_star) -> float | None:
+def _b_star(sel: RealizedSelection, w_star) -> float | None:
     """max over pairs of |<w*, x_ij>|; None without true weights."""
-    return None if w_star is None else max_abs_margin(features, sel, w_star)
+    return None if w_star is None else max_abs_margin(sel, w_star)
 
 
 def _thresholds(lam, eta, zeta, beta, b_star, d, delta, positive):
@@ -225,7 +224,6 @@ class SampleComplexityReport(_ErrorBound):
 
 @_finite_scale
 def sample_complexity_report(
-    features: FeatureMatrix,
     sel: RealizedSelection,
     w_star=None,
     delta: float = 0.05,
@@ -236,7 +234,7 @@ def sample_complexity_report(
     raised: m2 and the error bound become infinite.
     """
     delta = _check_delta(delta)
-    d = features.d
+    d, n = sel.features.d, sel.features.n
     X = sel.diff_table()
     EZ, spectrum, rank = _spectrum(X)
     sq = (X**2).sum(axis=1)
@@ -248,7 +246,7 @@ def sample_complexity_report(
     eta = max(float(_kernels.sym_eigvals(V)[-1]), 0.0)
     zeta = float(_kernels.zeta_scan(spectrum, X))
     beta = float(np.abs(X).max()) if X.size else 0.0
-    b_star = _b_star(features, sel, w_star)
+    b_star = _b_star(sel, w_star)
     identifiable = rank == d
     m1, m2, coeff = _thresholds(lam, eta, zeta, beta, b_star, d, delta, identifiable)
     return SampleComplexityReport(
@@ -263,7 +261,7 @@ def sample_complexity_report(
         m1=m1,
         m2=m2,
         d=d,
-        n=features.n,
+        n=n,
         error_bound_coefficient=coeff,
     )
 
@@ -396,7 +394,6 @@ class SingleCoordinateBounds(_ErrorBound):
 
 @_finite_scale
 def single_coordinate_report(
-    features: FeatureMatrix,
     sel: RealizedSelection,
     delta: float = 0.05,
     w_star=None,
@@ -410,9 +407,8 @@ def single_coordinate_report(
     Raises if any realized subset is not a singleton.
     """
     delta = _check_delta(delta)
-    d, n = features.d, features.n
-    partition = sel.partition_by_coordinate()
-    sizes = tuple(len(g) for g in partition)
+    d, n = sel.features.d, sel.features.n
+    sizes = tuple(np.bincount(sel.single_coordinate(), minlength=d).tolist())
     npairs = n * (n - 1) // 2
 
     X = sel.diff_table()
@@ -425,7 +421,7 @@ def single_coordinate_report(
     lambda_lower = epsilon**2 * min_pk / npairs
     zeta_upper = beta**2 + beta**2 * max_pk / npairs
     eta_upper = beta**4 / npairs * max(s + s**2 / npairs for s in sizes)
-    b_star = _b_star(features, sel, w_star)
+    b_star = _b_star(sel, w_star)
     m1, m3, coeff = _thresholds(
         lambda_lower, eta_upper, zeta_upper, beta, b_star, d, delta,
         epsilon > 0.0 and min_pk > 0,
@@ -492,12 +488,12 @@ def ranking_recovery_report(
 ) -> RankingRecoveryBounds:
     """How many samples before the learned ranking is within distance k - 1.
 
-    ``certificate`` is ``sample_complexity_report(features, sel, w_star,
-    delta)``; delta, beta, lambda, m1, m2 and b* are read from it.  The third
-    threshold term uses the configurable leading constant ``c5`` (its sharp
-    value is not pinned down, so it is a knob, never asserted); a zero utility
-    gap alpha_k makes that term infinite: ties in true utilities void the
-    guarantee at that k.
+    ``certificate`` is ``sample_complexity_report(sel, w_star, delta)`` for
+    a selection realized on ``features``; delta, beta, lambda, m1, m2 and b*
+    are read from it.  The third threshold term uses the configurable leading
+    constant ``c5`` (its sharp value is not pinned down, so it is a knob,
+    never asserted); a zero utility gap alpha_k makes that term infinite: ties
+    in true utilities void the guarantee at that k.
     """
     d, n = features.d, features.n
     npairs = n * (n - 1) // 2
@@ -557,9 +553,8 @@ class GuaranteeCheck(_Report):
 
 
 def empirical_guarantee_check(
-    features: FeatureMatrix,
-    w_star,
     sel: RealizedSelection,
+    w_star,
     m: int,
     certificate: SampleComplexityReport,
     trials: int,
@@ -567,14 +562,14 @@ def empirical_guarantee_check(
 ) -> GuaranteeCheck:
     """Fraction of independent fits with error within the certified bound.
 
-    ``certificate`` is ``sample_complexity_report(features, sel, w_star,
-    delta)``.  Refuses non-identifiable instances.  When m is below
+    ``certificate`` is ``sample_complexity_report(sel, w_star, delta)``.
+    Refuses non-identifiable instances.  When m is below
     max(m1, m2) the bound's precondition fails and the check is skipped
     (applicable=False) rather than run against a bound that promises nothing.
     """
     if trials < 1:
         raise PreconditionError("need at least one trial")
-    _check_certificate(certificate, features)
+    _check_certificate(certificate, sel.features)
     if not certificate.identifiable:
         raise PreconditionError("instance is not identifiable; the bound never applies")
     m_required = max(certificate.m1, certificate.m2)
@@ -589,12 +584,12 @@ def empirical_guarantee_check(
             errors=(),
         )
     bound = certificate.error_bound(m)
-    w_star = check_weights(w_star, features.d)
+    w_star = check_weights(w_star, sel.features.d)
     errors = []
     for t in range(trials):
         trial_seed = int(np.random.SeedSequence([seed, t]).generate_state(1)[0])
-        data = sample_comparisons(features, w_star, sel, m, trial_seed)
-        result = fit(features, sel, data, FitConfig(mu=0.0))
+        data = sample_comparisons(sel, w_star, m, trial_seed)
+        result = fit(sel, data, FitConfig(mu=0.0))
         errors.append(float(np.linalg.norm(result.w_hat - w_star)))
     passes = sum(e <= bound for e in errors)
     return GuaranteeCheck(

@@ -88,20 +88,20 @@ def test_criterion_1_gradient_hessian_vs_finite_differences():
             fm = FeatureMatrix(gen.normal(size=(d, n)))
             sel = realize(mixed_selection(gen, d), fm)
             data = sample_comparisons(
-                fm, gen.normal(size=d), sel, int(gen.integers(5, 40)), seed=3
+                sel, gen.normal(size=d), int(gen.integers(5, 40)), seed=3
             )
             w = gen.normal(size=d)
             mu = float(gen.uniform(0.0, 0.5))
 
-            got_g = nll_gradient(fm, w, sel, data, mu)
-            want_g = oracles.fd_gradient(lambda v: nll(fm, v, sel, data, mu), w)
+            got_g = nll_gradient(sel, w, data, mu)
+            want_g = oracles.fd_gradient(lambda v: nll(sel, v, data, mu), w)
             assert np.linalg.norm(got_g - want_g) <= 1e-5 * max(
                 1.0, np.linalg.norm(want_g)
             )
 
-            got_h = nll_hessian(fm, w, sel, data, mu)
+            got_h = nll_hessian(sel, w, data, mu)
             want_h = oracles.fd_hessian(
-                lambda v: nll_gradient(fm, v, sel, data, mu), w
+                lambda v: nll_gradient(sel, v, data, mu), w
             )
             assert np.linalg.norm(got_h - want_h) <= 1e-5 * max(
                 1.0, np.linalg.norm(want_h)
@@ -126,7 +126,7 @@ def test_criterion_2_transitivity_ground_truth():
         for _ in range(50):
             fm = FeatureMatrix(gen.normal(size=(5, 15)))
             sel = realize(SelectionSpec.full(), fm)
-            rep = model_transitivity_report(fm, gen.normal(size=5), sel)
+            rep = model_transitivity_report(sel, gen.normal(size=5))
             assert rep.strong_violations == 0
 
         # top-1 masking creates intransitive preferences for some seed
@@ -136,7 +136,7 @@ def test_criterion_2_transitivity_ground_truth():
             fm = FeatureMatrix(g.normal(0.0, 1.0 / np.sqrt(10), size=(10, 100)))
             w = g.normal(0.0, 1.0 / np.sqrt(10), size=10)
             sel = realize(SelectionSpec.top_t(1), fm)
-            if model_transitivity_report(fm, w, sel).strong_violations > 0:
+            if model_transitivity_report(sel, w).strong_violations > 0:
                 found = True
                 break
         assert found
@@ -164,7 +164,7 @@ def test_criterion_3_full_selection_identity():
         for _ in range(20):
             fm = center_columns(FeatureMatrix(gen.normal(size=(4, 20))))
             sel = realize(SelectionSpec.full(), fm)
-            direct = sample_complexity_report(fm, sel)
+            direct = sample_complexity_report(sel)
             closed = full_selection_report(fm)
             assert abs(closed.lambda_closed - direct.lambda_) <= 1e-8 * max(
                 1.0, direct.lambda_
@@ -175,7 +175,7 @@ def test_criterion_3_full_selection_identity():
         for d in (2, 3, 6):
             fm = FeatureMatrix(np.eye(d))
             sel = realize(SelectionSpec.full(), fm)
-            assert sample_complexity_report(fm, sel).lambda_ <= 1e-10
+            assert sample_complexity_report(sel).lambda_ <= 1e-10
 
 
 def test_criterion_4_single_coordinate_bounds():
@@ -184,8 +184,8 @@ def test_criterion_4_single_coordinate_bounds():
         for _ in range(20):
             fm = FeatureMatrix(gen.normal(size=(5, 20)))
             sel = realize(SelectionSpec.top_t(1), fm)
-            direct = sample_complexity_report(fm, sel)
-            bounds = single_coordinate_report(fm, sel)
+            direct = sample_complexity_report(sel)
+            bounds = single_coordinate_report(sel)
             assert direct.lambda_ >= bounds.lambda_lower - 1e-10
             assert direct.zeta <= bounds.zeta_upper + 1e-8
             assert direct.eta <= bounds.eta_upper + 1e-8
@@ -213,8 +213,8 @@ def test_criterion_5_identifiability_equivalence():
             cases.append((fm, realize(SelectionSpec.top_t(1), fm), False))
         assert len(cases) == 40
         for fm, sel, expect in cases:
-            rank_says = identifiability_check(fm, sel).identifiable
-            lambda_says = sample_complexity_report(fm, sel).identifiable
+            rank_says = identifiability_check(sel).identifiable
+            lambda_says = sample_complexity_report(sel).identifiable
             assert rank_says == lambda_says == expect
 
 
@@ -229,8 +229,8 @@ def test_criterion_6_estimation_rate():
             w_star = g.normal(0.0, 1.0 / np.sqrt(5), size=5)
             sel = realize(SelectionSpec.full(), fm)
             for k, m in enumerate(ms):
-                data = sample_comparisons(fm, w_star, sel, m, seed=seed * 10 + k)
-                res = fit(fm, sel, data)
+                data = sample_comparisons(sel, w_star, m, seed=seed * 10 + k)
+                res = fit(sel, data)
                 assert res.converged
                 errors[m].append(float(np.linalg.norm(res.w_hat - w_star)))
         medians = [float(np.median(errors[m])) for m in ms]
@@ -248,10 +248,10 @@ def test_criterion_7_guarantee_soundness():
         sel = realize(SelectionSpec.full(), fm)
         w_star = np.array([0.3, -0.2])
         delta = 0.2
-        rep = sample_complexity_report(fm, sel, w_star=w_star, delta=delta)
+        rep = sample_complexity_report(sel, w_star=w_star, delta=delta)
         assert rep.identifiable
         m = int(np.ceil(max(rep.m1, rep.m2)))
-        chk = empirical_guarantee_check(fm, w_star, sel, m, rep, trials=20, seed=7)
+        chk = empirical_guarantee_check(sel, w_star, m, rep, trials=20, seed=7)
         assert chk.applicable
         assert chk.pass_rate == 1.0, chk.errors
 
@@ -278,7 +278,7 @@ def test_criterion_8_ranking_metrics_and_bound_scaling():
         gen = np.random.default_rng(808)
         fm = FeatureMatrix(gen.normal(size=(3, 9)))
         sel = realize(SelectionSpec.top_t(2), fm)
-        rep = sample_complexity_report(fm, sel, w_star=gen.normal(size=3))
+        rep = sample_complexity_report(sel, w_star=gen.normal(size=3))
         for m in (1, 8, 117, 4096, 123456):
             assert rep.error_bound(4 * m) == rep.error_bound(m) / 2.0
 

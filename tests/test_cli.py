@@ -320,7 +320,7 @@ class TestDiagnose:
         empirical = {pair: wins[pair] / total[pair] for pair in total}
         fm, _ = load_features(str(f))
         probs = all_pair_probabilities(
-            fm, load_weights_json(str(fit_out)), realize(SelectionSpec.from_json(sel), fm)
+            realize(SelectionSpec.from_json(sel), fm), load_weights_json(str(fit_out))
         )
         model = dict(zip(itertools.combinations(range(len(ids)), 2), probs.tolist()))
         compared, inconsistent, rate, pairs = oracles.inconsistent_pairs(empirical, model)
@@ -595,7 +595,7 @@ class TestSweep:
         [("d", 4.9), ("n", "12"), ("m_grid", [500.7]), ("seeds", [True]),
          ("workers", 2.0), ("mu", "0.1"), ("mu", False),
          ("m_grid", 50), ("seeds", 0), ("selections", {"kind": "full"}), (None, 5),
-         ("seeds", [-2]), ("d", 0), ("d", -3), ("m_grid", [0])],
+         ("seeds", [-2]), ("d", 0), ("d", -3), ("m_grid", [0]), ("n", 2), ("n", -4)],
     )
     def test_non_integer_spec_values_rejected(self, tmp_path, capsys, key, value):
         # key None replaces the whole spec with value

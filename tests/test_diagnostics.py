@@ -209,7 +209,7 @@ class TestModelTransitivityReport:
         for _ in range(10):
             fm = FeatureMatrix(rng.normal(size=(4, 8)))
             sel = realize(SelectionSpec.full(), fm)
-            report = model_transitivity_report(fm, rng.normal(size=4), sel)
+            report = model_transitivity_report(sel, rng.normal(size=4))
             assert report.strong_violations == 0
 
     def test_one_dimension_never_violates(self, rng):
@@ -219,7 +219,7 @@ class TestModelTransitivityReport:
         ):
             fm = FeatureMatrix(rng.normal(size=(1, 8)))
             sel = realize(spec, fm)
-            report = model_transitivity_report(fm, rng.normal(size=1), sel)
+            report = model_transitivity_report(sel, rng.normal(size=1))
             assert report.strong_violations == 0
 
     def test_aggressive_masking_violates(self):
@@ -230,7 +230,7 @@ class TestModelTransitivityReport:
             fm = FeatureMatrix(gen.normal(0.0, 1.0 / np.sqrt(10), size=(10, 30)))
             w = gen.normal(0.0, 1.0 / np.sqrt(10), size=10)
             sel = realize(SelectionSpec.top_t(1), fm)
-            if model_transitivity_report(fm, w, sel).strong_violations > 0:
+            if model_transitivity_report(sel, w).strong_violations > 0:
                 found = True
                 break
         assert found
@@ -242,8 +242,8 @@ class TestModelTransitivityReport:
             fm = FeatureMatrix(rng.normal(size=(d, n)))
             sel = realize(SelectionSpec.top_t(1), fm)
             w = rng.normal(size=d) * 3
-            fast = model_transitivity_report(fm, w, sel)
-            probs = all_pair_probabilities(fm, w, sel)
+            fast = model_transitivity_report(sel, w)
+            probs = all_pair_probabilities(sel, w)
             ii, jj = np.triu_indices(n, k=1)
             pmap = {
                 (int(a), int(b)): float(p) for a, b, p in zip(ii, jj, probs)
@@ -264,12 +264,12 @@ class TestModelTransitivityReport:
         fm = FeatureMatrix(rng.normal(size=(2, 2)))
         sel = realize(SelectionSpec.full(), fm)
         with pytest.raises(PreconditionError):
-            model_transitivity_report(fm, np.zeros(2), sel)
+            model_transitivity_report(sel, np.zeros(2))
 
     def test_rates(self, rng):
         fm = FeatureMatrix(rng.normal(size=(4, 8)))
         sel = realize(SelectionSpec.full(), fm)
-        report = model_transitivity_report(fm, rng.normal(size=4), sel)
+        report = model_transitivity_report(sel, rng.normal(size=4))
         assert report.rate("strong") == 0.0
         assert report.triples_checked > 0
 

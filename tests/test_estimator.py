@@ -66,31 +66,31 @@ class TestFit:
         fm = fm_from_columns([1.0, -2.0], [0.0, 0.0])
         sel = realize(SelectionSpec.full(), fm)
         data = ComparisonDataset.from_records([(0, 1, 1), (0, 1, 0)] * 4, 2)
-        res = fit(fm, sel, data)
+        res = fit(sel, data)
         assert res.converged
         np.testing.assert_array_equal(res.w_hat, np.zeros(2))
         assert res.final_grad_norm <= 1e-8
 
     def test_huge_ridge_crushes_weights(self, rng):
         fm, sel = make_instance(rng, 3, 6, spec=SelectionSpec.full())
-        data = sample_comparisons(fm, rng.normal(size=3), sel, 200, seed=2)
-        res = fit(fm, sel, data, FitConfig(mu=1e8))
+        data = sample_comparisons(sel, rng.normal(size=3), 200, seed=2)
+        res = fit(sel, data, FitConfig(mu=1e8))
         assert res.converged
         assert np.linalg.norm(res.w_hat) <= 1e-4
 
     def test_deterministic(self, rng):
         fm, sel = make_instance(rng, 4, 8, spec=SelectionSpec.top_t(2))
-        data = sample_comparisons(fm, rng.normal(size=4), sel, 300, seed=5)
-        a = fit(fm, sel, data)
-        b = fit(fm, sel, data)
+        data = sample_comparisons(sel, rng.normal(size=4), 300, seed=5)
+        a = fit(sel, data)
+        b = fit(sel, data)
         np.testing.assert_array_equal(a.w_hat, b.w_hat)
         assert a.iterations == b.iterations
 
     def test_objective_monotone(self, rng):
         fm, sel = make_instance(rng, 5, 10, spec=SelectionSpec.full())
-        data = sample_comparisons(fm, rng.normal(size=5) * 2, sel, 400, seed=6)
+        data = sample_comparisons(sel, rng.normal(size=5) * 2, 400, seed=6)
         trace: list = []
-        fit(fm, sel, data, trace=trace)
+        fit(sel, data, trace=trace)
         trace = np.array(trace)
         # nonincreasing up to the line search's machine-precision slack
         assert np.all(np.diff(trace) <= 1e-12 * (1.0 + np.abs(trace[:-1])))
@@ -100,38 +100,38 @@ class TestFit:
             d = int(rng.integers(1, 6))
             fm, sel = make_instance(rng, d, int(rng.integers(3, 9)))
             w_star = rng.normal(size=d)
-            data = sample_comparisons(fm, w_star, sel, 500, seed=11)
-            res = fit(fm, sel, data)
-            best = nll(fm, res.w_hat, sel, data)
-            assert best <= nll(fm, w_star, sel, data) + 1e-9
-            assert best <= nll(fm, np.zeros(d), sel, data) + 1e-9
+            data = sample_comparisons(sel, w_star, 500, seed=11)
+            res = fit(sel, data)
+            best = nll(sel, res.w_hat, data)
+            assert best <= nll(sel, w_star, data) + 1e-9
+            assert best <= nll(sel, np.zeros(d), data) + 1e-9
 
     def test_given_init_same_optimum(self, rng):
         fm, sel = make_instance(rng, 3, 7, spec=SelectionSpec.full())
-        data = sample_comparisons(fm, rng.normal(size=3), sel, 400, seed=3)
-        a = fit(fm, sel, data)
-        b = fit(fm, sel, data, FitConfig(init=rng.normal(size=3)))
+        data = sample_comparisons(sel, rng.normal(size=3), 400, seed=3)
+        a = fit(sel, data)
+        b = fit(sel, data, FitConfig(init=rng.normal(size=3)))
         assert a.converged and b.converged
         np.testing.assert_allclose(a.w_hat, b.w_hat, atol=1e-7)
 
     def test_nonconvergence_reported_not_raised(self, rng):
         fm, sel = make_instance(rng, 3, 7, spec=SelectionSpec.full())
-        data = sample_comparisons(fm, rng.normal(size=3) * 3, sel, 400, seed=4)
-        res = fit(fm, sel, data, FitConfig(max_iters=1))
+        data = sample_comparisons(sel, rng.normal(size=3) * 3, 400, seed=4)
+        res = fit(sel, data, FitConfig(max_iters=1))
         assert not res.converged
         assert res.iterations == 1
 
     def test_nan_init_raises(self, rng):
         fm, sel = make_instance(rng, 2, 4, spec=SelectionSpec.full())
-        data = sample_comparisons(fm, np.zeros(2), sel, 20, seed=1)
+        data = sample_comparisons(sel, np.zeros(2), 20, seed=1)
         with pytest.raises(NumericalFailureError):
-            fit(fm, sel, data, FitConfig(init=np.array([1e308, 1e308])))
+            fit(sel, data, FitConfig(init=np.array([1e308, 1e308])))
 
     def test_empty_dataset_rejected(self, rng):
         fm, sel = make_instance(rng, 2, 4, spec=SelectionSpec.full())
         empty = ComparisonDataset.from_records([], 4)
         with pytest.raises(PreconditionError):
-            fit(fm, sel, empty)
+            fit(sel, empty)
 
     def test_bad_config_rejected(self):
         for bad in (
@@ -152,8 +152,8 @@ class TestFit:
             fm = FeatureMatrix(gen.normal(0.0, 1.0 / np.sqrt(5), size=(5, 40)))
             w_star = gen.normal(0.0, 1.0 / np.sqrt(5), size=5)
             sel = realize(SelectionSpec.full(), fm)
-            data = sample_comparisons(fm, w_star, sel, 50_000, seed=trial)
-            res = fit(fm, sel, data)
+            data = sample_comparisons(sel, w_star, 50_000, seed=trial)
+            res = fit(sel, data)
             assert res.converged
             if np.linalg.norm(res.w_hat - w_star) <= 0.1:
                 hits += 1
@@ -165,9 +165,9 @@ class TestFit:
         fm = FeatureMatrix(rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, n)))
         sel = realize(SelectionSpec.full(), fm)
         w_star = rng.normal(0.0, 1.0 / np.sqrt(d), size=d)
-        data = sample_comparisons(fm, w_star, sel, 2000, seed=9)
+        data = sample_comparisons(sel, w_star, 2000, seed=9)
         trace: list = []
-        res = fit(fm, sel, data, FitConfig(tol_grad=1e-3, max_iters=4000), trace=trace)
+        res = fit(sel, data, FitConfig(tol_grad=1e-3, max_iters=4000), trace=trace)
         assert trace[-1] < trace[0]
         assert res.converged
         assert res.final_grad_norm <= 1e-3
@@ -180,30 +180,30 @@ class TestFit:
         fm = FeatureMatrix(gen.normal(0.0, 1.0 / np.sqrt(d), size=(d, n)))
         sel = realize(SelectionSpec.full(), fm)
         w_star = gen.normal(0.0, 1.0 / np.sqrt(d), size=d)
-        data = sample_comparisons(fm, w_star, sel, 50_000, seed=1)
-        res = fit(fm, sel, data)
+        data = sample_comparisons(sel, w_star, 50_000, seed=1)
+        res = fit(sel, data)
         assert res.converged and res.stop_reason == "converged"
         assert res.final_grad_norm <= FitConfig().tol_grad
         assert res.iterations <= 20
 
     def test_stop_reasons(self, rng, monkeypatch):
         fm, sel = make_instance(rng, 3, 7, spec=SelectionSpec.full())
-        data = sample_comparisons(fm, rng.normal(size=3), sel, 400, seed=4)
-        assert fit(fm, sel, data).to_dict()["stop_reason"] == "converged"
-        capped = fit(fm, sel, data, FitConfig(max_iters=1))
+        data = sample_comparisons(sel, rng.normal(size=3), 400, seed=4)
+        assert fit(sel, data).to_dict()["stop_reason"] == "converged"
+        capped = fit(sel, data, FitConfig(max_iters=1))
         assert capped.stop_reason == "max_iters" and not capped.converged
         # an objective that is infinite away from the start passes no line search
         real = _kernels.nll_value
         monkeypatch.setattr(
             _kernels, "nll_value", lambda X, t, y, w, mu: np.inf if w.any() else real(X, t, y, w, mu)
         )
-        stuck = fit(fm, sel, data)
+        stuck = fit(sel, data)
         assert stuck.stop_reason == "stalled" and not stuck.converged
         assert stuck.iterations == 1 and not stuck.w_hat.any()
 
     def test_counts_and_samples_give_same_fit(self, rng):
         fm, sel = make_instance(rng, 4, 9, spec=SelectionSpec.top_t(2))
-        data = sample_comparisons(fm, rng.normal(size=4), sel, 3000, seed=12)
+        data = sample_comparisons(sel, rng.normal(size=4), 3000, seed=12)
         # each pair's wins, then its losses
         records = [
             record
@@ -218,7 +218,7 @@ class TestFit:
         ]
         one_each = ComparisonDataset.from_records(shuffled, 9)
         counted = ComparisonDataset(data.pair_i, data.pair_j, data.wins, data.total, 9)
-        a, b = fit(fm, sel, one_each), fit(fm, sel, counted)
+        a, b = fit(sel, one_each), fit(sel, counted)
         assert a.converged and b.converged
         np.testing.assert_allclose(a.w_hat, b.w_hat, rtol=1e-12, atol=0.0)
         # and the per-sample Newton oracle, on one design row per comparison
@@ -236,8 +236,8 @@ class TestDegenerateData:
     def test_rank_deficient_design_converges_on_its_span(self, rotate, spec):
         fm, w_star, null = rank4_features(rotate)
         sel = realize(spec, fm)
-        data = sample_comparisons(fm, w_star, sel, 3000, seed=1)
-        res = fit(fm, sel, data)
+        data = sample_comparisons(sel, w_star, 3000, seed=1)
+        res = fit(sel, data)
         assert res.converged and res.iterations <= 10
         assert res.data_rank == 4
         if not rotate:
@@ -249,17 +249,17 @@ class TestDegenerateData:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_separated_data_reported(self, seed):
         fm, sel, data = separable_instance(seed)
-        res = fit(fm, sel, data)
+        res = fit(sel, data)
         assert res.stop_reason == "separated" and not res.converged
         assert res.to_dict()["stop_reason"] == "separated"
         # the fitted direction certifies it: the objective keeps falling
         v = res.w_hat / np.linalg.norm(res.w_hat)
-        along = [nll(fm, t * v, sel, data) for t in np.logspace(0, 3, 61)]
+        along = [nll(sel, t * v, data) for t in np.logspace(0, 3, 61)]
         assert np.all(np.diff(along) <= 0.0)
 
     def test_ridge_skips_the_separation_test(self):
         fm, sel, data = separable_instance(0)
-        res = fit(fm, sel, data, FitConfig(mu=1e-3))
+        res = fit(sel, data, FitConfig(mu=1e-3))
         assert res.converged and np.linalg.norm(res.w_hat) < 100
 
     @pytest.mark.parametrize(
@@ -273,8 +273,8 @@ class TestDegenerateData:
             sel = realize(spec, fm)
             ii, jj = all_pairs(fm.n)
             records = [(int(a), int(b), k % 2) for k, (a, b) in enumerate(zip(ii, jj))]
-            res = fit(fm, sel, ComparisonDataset.from_records(records, fm.n))
-            assert res.data_rank == sample_complexity_report(fm, sel).rank
+            res = fit(sel, ComparisonDataset.from_records(records, fm.n))
+            assert res.data_rank == sample_complexity_report(sel).rank
             assert res.to_dict()["data_rank"] == res.data_rank
 
 
@@ -283,7 +283,7 @@ class TestMarginBand:
 
     def test_zero_weights_always_inside(self, rng):
         fm, sel = make_instance(rng, 3, 5)
-        assert max_abs_margin(fm, sel, np.zeros(3)) == 0.0
+        assert max_abs_margin(sel, np.zeros(3)) == 0.0
 
     def test_own_margin_is_inside(self, rng):
         for spec in (SelectionSpec.full(), SelectionSpec.top_t(2),
@@ -291,6 +291,6 @@ class TestMarginBand:
             fm, sel = make_instance(rng, 4, 6, spec)
             w = rng.normal(size=4)
             _, table = oracles.masked_diff_table(fm.matrix, spec.to_dict())
-            assert max_abs_margin(fm, sel, w) == pytest.approx(
+            assert max_abs_margin(sel, w) == pytest.approx(
                 np.abs(table @ w).max(), rel=1e-12
             )

@@ -64,12 +64,12 @@ class TestWinProbability:
     def test_orthogonal_weights_give_half(self):
         fm = fm_from_columns([1.0, 0.0], [0.0, 0.0])
         sel = realize(SelectionSpec.full(), fm)
-        assert win_probability(fm, np.array([0.0, 5.0]), sel, 0, 1) == 0.5
+        assert win_probability(sel, np.array([0.0, 5.0]), 0, 1) == 0.5
 
     def test_log_three_quarters(self):
         fm = fm_from_columns([1.0], [0.0])
         sel = realize(SelectionSpec.full(), fm)
-        p = win_probability(fm, np.array([np.log(3.0)]), sel, 0, 1)
+        p = win_probability(sel, np.array([np.log(3.0)]), 0, 1)
         assert p == pytest.approx(0.75, abs=1e-15)
 
     def test_masking_silences_heavy_coordinate(self):
@@ -77,7 +77,7 @@ class TestWinProbability:
         # masks it out and only the log-3 coordinate matters
         fm = fm_from_columns([1.0, 9.0], [0.0, 9.0])
         sel = realize(SelectionSpec.top_t(1), fm)
-        p = win_probability(fm, np.array([np.log(3.0), 100.0]), sel, 0, 1)
+        p = win_probability(sel, np.array([np.log(3.0), 100.0]), 0, 1)
         assert p == pytest.approx(0.75, abs=1e-15)
 
     def test_antisymmetry(self, rng):
@@ -87,36 +87,36 @@ class TestWinProbability:
             fm, sel = make_instance(rng, d, n)
             w = rng.normal(size=d)
             i, j = sorted(rng.choice(n, size=2, replace=False))
-            p = win_probability(fm, w, sel, i, j)
-            q = win_probability(fm, w, sel, j, i)
+            p = win_probability(sel, w, i, j)
+            q = win_probability(sel, w, j, i)
             assert abs(p + q - 1.0) <= 1e-15
 
     def test_self_pair_rejected(self, rng):
         fm, sel = make_instance(rng, 2, 3)
         with pytest.raises(InvalidPairError):
-            win_probability(fm, np.zeros(2), sel, 1, 1)
+            win_probability(sel, np.zeros(2), 1, 1)
 
 
 class TestSampleComparisons:
     def test_zero_weights_balanced_per_pair(self, rng):
         fm = FeatureMatrix(rng.normal(size=(3, 4)))
         sel = realize(SelectionSpec.full(), fm)
-        data = sample_comparisons(fm, np.zeros(3), sel, 100_000, seed=4)
+        data = sample_comparisons(sel, np.zeros(3), 100_000, seed=4)
         for i, j, wins, total in zip(*count_lists(data)):
             assert abs(wins / total - 0.5) <= 0.02, (i, j)
 
     def test_deterministic(self, rng):
         fm = FeatureMatrix(rng.normal(size=(2, 6)))
         sel = realize(SelectionSpec.top_t(1), fm)
-        a = sample_comparisons(fm, np.ones(2), sel, 500, seed=9)
-        b = sample_comparisons(fm, np.ones(2), sel, 500, seed=9)
+        a = sample_comparisons(sel, np.ones(2), 500, seed=9)
+        b = sample_comparisons(sel, np.ones(2), 500, seed=9)
         for name in ("pair_i", "pair_j", "wins", "total"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_strong_preference_dominates(self):
         fm = fm_from_columns([0.0], [1.0])
         sel = realize(SelectionSpec.full(), fm)
-        data = sample_comparisons(fm, np.array([10.0]), sel, 10_000, seed=0)
+        data = sample_comparisons(sel, np.array([10.0]), 10_000, seed=0)
         # stored pair is (0, 1); item 1 wins nearly always, so item 0 almost never
         assert data.wins.sum() / len(data) <= 0.001
 
@@ -126,51 +126,51 @@ class TestNll:
         fm = fm_from_columns([1.0], [0.0])
         sel = realize(SelectionSpec.full(), fm)
         data = single_pair_dataset([(0, 1, 1)], 2)
-        assert nll(fm, np.zeros(1), sel, data) == pytest.approx(np.log(2.0), abs=1e-12)
+        assert nll(sel, np.zeros(1), data) == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_large_margin_tail(self):
         fm = fm_from_columns([0.0], [50.0])
         sel = realize(SelectionSpec.full(), fm)
         data = single_pair_dataset([(0, 1, 1)], 2)  # y = 1 with margin u = 50
         # softplus(50) - 50, frozen from a 50-digit evaluation
-        assert nll(fm, np.array([-1.0]), sel, data) == pytest.approx(
+        assert nll(sel, np.array([-1.0]), data) == pytest.approx(
             SOFTPLUS_50_TAIL, rel=1e-12
         )
 
     def test_zero_weights_give_m_log_two(self, rng):
         fm, sel = make_instance(rng, 4, 9)
-        data = sample_comparisons(fm, rng.normal(size=4), sel, 57, seed=3)
-        assert nll(fm, np.zeros(4), sel, data) == pytest.approx(
+        data = sample_comparisons(sel, rng.normal(size=4), 57, seed=3)
+        assert nll(sel, np.zeros(4), data) == pytest.approx(
             57 * np.log(2.0), rel=1e-12
         )
 
     def test_ridge_term(self, rng):
         fm, sel = make_instance(rng, 3, 5)
-        data = sample_comparisons(fm, np.zeros(3), sel, 11, seed=1)
+        data = sample_comparisons(sel, np.zeros(3), 11, seed=1)
         w = rng.normal(size=3)
-        assert nll(fm, w, sel, data, mu=2.5) == pytest.approx(
-            nll(fm, w, sel, data) + 2.5 * w @ w, rel=1e-12
+        assert nll(sel, w, data, mu=2.5) == pytest.approx(
+            nll(sel, w, data) + 2.5 * w @ w, rel=1e-12
         )
 
     def test_negative_ridge_rejected(self, rng):
         # the same rule and message as FitConfig: mu finite and >= 0
         fm, sel = make_instance(rng, 2, 4)
-        data = sample_comparisons(fm, np.zeros(2), sel, 5, seed=1)
+        data = sample_comparisons(sel, np.zeros(2), 5, seed=1)
         for func in (nll, nll_gradient, nll_hessian):
             for mu in (-0.1, np.nan, np.inf):
                 with pytest.raises(PreconditionError, match="mu must be finite and >= 0"):
-                    func(fm, np.zeros(2), sel, data, mu=mu)
+                    func(sel, np.zeros(2), data, mu=mu)
 
     def test_convexity(self, rng):
         for _ in range(30):
             d = int(rng.integers(1, 5))
             fm, sel = make_instance(rng, d, int(rng.integers(2, 7)))
-            data = sample_comparisons(fm, rng.normal(size=d), sel, 40, seed=7)
+            data = sample_comparisons(sel, rng.normal(size=d), 40, seed=7)
             w1 = rng.normal(size=d) * 3
             w2 = rng.normal(size=d) * 3
             alpha = float(rng.uniform(0.05, 0.95))
-            mid = nll(fm, alpha * w1 + (1 - alpha) * w2, sel, data)
-            chord = alpha * nll(fm, w1, sel, data) + (1 - alpha) * nll(fm, w2, sel, data)
+            mid = nll(sel, alpha * w1 + (1 - alpha) * w2, data)
+            chord = alpha * nll(sel, w1, data) + (1 - alpha) * nll(sel, w2, data)
             assert mid <= chord + 1e-12
 
 
@@ -180,7 +180,7 @@ class TestGradient:
         sel = realize(SelectionSpec.full(), fm)
         data = single_pair_dataset([(0, 1, 1)], 2)
         np.testing.assert_allclose(
-            nll_gradient(fm, np.zeros(2), sel, data), [-0.5, 0.0], atol=1e-15
+            nll_gradient(sel, np.zeros(2), data), [-0.5, 0.0], atol=1e-15
         )
 
     def test_balanced_labels_cancel(self):
@@ -188,18 +188,18 @@ class TestGradient:
         sel = realize(SelectionSpec.full(), fm)
         data = single_pair_dataset([(0, 1, 1), (0, 1, 0)], 2)
         np.testing.assert_allclose(
-            nll_gradient(fm, np.zeros(2), sel, data), [0.0, 0.0], atol=1e-15
+            nll_gradient(sel, np.zeros(2), data), [0.0, 0.0], atol=1e-15
         )
 
     def test_matches_finite_differences(self, rng):
         for _ in range(20):
             d = int(rng.integers(1, 7))
             fm, sel = make_instance(rng, d, int(rng.integers(2, 9)))
-            data = sample_comparisons(fm, rng.normal(size=d), sel, 25, seed=5)
+            data = sample_comparisons(sel, rng.normal(size=d), 25, seed=5)
             w = rng.normal(size=d)
             mu = float(rng.uniform(0, 0.5))
-            got = nll_gradient(fm, w, sel, data, mu)
-            want = oracles.fd_gradient(lambda v: nll(fm, v, sel, data, mu), w)
+            got = nll_gradient(sel, w, data, mu)
+            want = oracles.fd_gradient(lambda v: nll(sel, v, data, mu), w)
             assert np.linalg.norm(got - want) <= 1e-5 * max(1.0, np.linalg.norm(want))
 
 
@@ -209,7 +209,7 @@ class TestHessian:
         sel = realize(SelectionSpec.full(), fm)
         data = single_pair_dataset([(0, 1, 1)], 2)
         np.testing.assert_allclose(
-            nll_hessian(fm, np.zeros(2), sel, data),
+            nll_hessian(sel, np.zeros(2), data),
             [[0.25, 0.0], [0.0, 0.0]],
             atol=1e-15,
         )
@@ -225,8 +225,8 @@ class TestHessian:
         for _ in range(10):
             d = int(rng.integers(1, 6))
             fm, sel = make_instance(rng, d, int(rng.integers(2, 7)))
-            data = sample_comparisons(fm, rng.normal(size=d), sel, 30, seed=2)
-            H = nll_hessian(fm, rng.normal(size=d), sel, data, mu=0.0)
+            data = sample_comparisons(sel, rng.normal(size=d), 30, seed=2)
+            H = nll_hessian(sel, rng.normal(size=d), data, mu=0.0)
             np.testing.assert_allclose(H, H.T, atol=1e-14)
             assert np.linalg.eigvalsh(H)[0] >= -1e-10
 
@@ -234,12 +234,12 @@ class TestHessian:
         for _ in range(20):
             d = int(rng.integers(1, 7))
             fm, sel = make_instance(rng, d, int(rng.integers(2, 9)))
-            data = sample_comparisons(fm, rng.normal(size=d), sel, 25, seed=8)
+            data = sample_comparisons(sel, rng.normal(size=d), 25, seed=8)
             w = rng.normal(size=d)
             mu = float(rng.uniform(0, 0.5))
-            got = nll_hessian(fm, w, sel, data, mu)
+            got = nll_hessian(sel, w, data, mu)
             want = oracles.fd_hessian(
-                lambda v: nll_gradient(fm, v, sel, data, mu), w
+                lambda v: nll_gradient(sel, v, data, mu), w
             )
             scale = max(1.0, np.linalg.norm(want))
             assert np.linalg.norm(got - want) <= 1e-5 * scale
@@ -260,8 +260,8 @@ class TestFullSelectionTransitivityStructure:
                     for k in range(n):
                         if len({i, j, k}) < 3:
                             continue
-                        pij = win_probability(fm, w, sel, i, j)
-                        pjk = win_probability(fm, w, sel, j, k)
-                        pik = win_probability(fm, w, sel, i, k)
+                        pij = win_probability(sel, w, i, j)
+                        pjk = win_probability(sel, w, j, k)
+                        pik = win_probability(sel, w, i, k)
                         if pij >= 0.5 and pjk >= 0.5:
                             assert pik >= max(pij, pjk) - 1e-12

@@ -1,7 +1,9 @@
 """The declared runtime dependencies are exactly the packages the code imports,
-the public names the package lists all exist, and the README example runs."""
+the public names the package lists all exist, no public function takes both a
+selection and the features it was realized on, and the README example runs."""
 
 import ast
+import inspect
 import os
 import re
 import subprocess
@@ -46,6 +48,24 @@ def test_all_names_resolve_once():
     missing = [name for name in salientpref.__all__ if not hasattr(salientpref, name)]
     assert missing == []
     assert len(set(salientpref.__all__)) == len(salientpref.__all__)
+
+
+def test_no_public_callable_takes_features_beside_a_selection():
+    # a RealizedSelection carries its features, so a second argument could
+    # only disagree with it; exception classes have no signature to read
+    callables = [
+        (name, obj)
+        for name in salientpref.__all__
+        if callable(obj := getattr(salientpref, name))
+        and not (isinstance(obj, type) and issubclass(obj, BaseException))
+    ]
+    assert len(callables) > 30
+    both = [
+        name
+        for name, obj in callables
+        if {"features", "sel"} <= set(inspect.signature(obj).parameters)
+    ]
+    assert both == []
 
 
 def test_readme_quick_start_runs():

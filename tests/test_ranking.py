@@ -157,7 +157,7 @@ class TestPairwiseAccuracy:
             ],
             6,
         )
-        assert pairwise_accuracy(fm, w, sel, data) == 1.0
+        assert pairwise_accuracy(sel, w, data) == 1.0
 
     def test_adversarial_model(self, rng):
         fm, sel, w = self._fixture(rng)
@@ -169,14 +169,14 @@ class TestPairwiseAccuracy:
             ],
             6,
         )
-        assert pairwise_accuracy(fm, -w, sel, data) == 0.0
+        assert pairwise_accuracy(sel, -w, data) == 0.0
 
     def test_single_majority_pair(self):
         fm = fm_from_columns([1.0], [0.0])
         sel = realize(SelectionSpec.full(), fm)
         data = ComparisonDataset.from_records([(0, 1, 1)] * 3 + [(0, 1, 0)] * 2, 2)
         # model gives P = sigma(0.405) ~ 0.6 in favor of the majority winner
-        assert pairwise_accuracy(fm, np.array([0.405]), sel, data) == 1.0
+        assert pairwise_accuracy(sel, np.array([0.405]), data) == 1.0
 
     def test_tied_pairs_excluded(self):
         fm = fm_from_columns([1.0], [0.0], [2.0])
@@ -184,16 +184,26 @@ class TestPairwiseAccuracy:
         data = ComparisonDataset.from_records([(0, 1, 1), (0, 1, 0), (0, 2, 0)], 3)
         # pair (0,1) is empirically tied and drops out; only (0,2) counts,
         # where the model's sigma(-1) < 1/2 matches the majority winner
-        assert pairwise_accuracy(fm, np.array([1.0]), sel, data) == 1.0
+        assert pairwise_accuracy(sel, np.array([1.0]), data) == 1.0
         # flipped weights disagree on that single eligible pair
-        assert pairwise_accuracy(fm, np.array([-1.0]), sel, data) == 0.0
+        assert pairwise_accuracy(sel, np.array([-1.0]), data) == 0.0
 
     def test_no_eligible_pairs(self):
         fm = fm_from_columns([1.0], [0.0])
         sel = realize(SelectionSpec.full(), fm)
         data = ComparisonDataset.from_records([(0, 1, 1), (0, 1, 0)], 2)
         with pytest.raises(UndefinedMetricError):
-            pairwise_accuracy(fm, np.array([1.0]), sel, data)
+            pairwise_accuracy(sel, np.array([1.0]), data)
+
+    def test_dataset_of_another_item_count_rejected(self, rng):
+        # scoring pairs of a 6- or 10-item dataset against an 8-item selection
+        # would read the wrong rows of its table
+        fm = FeatureMatrix(rng.normal(size=(3, 8)))
+        sel = realize(SelectionSpec.top_t(2), fm)
+        for n_items in (6, 10):
+            data = ComparisonDataset.from_records([(0, 1, 1), (4, 5, 0)], n_items)
+            with pytest.raises(DimensionError, match=f"dataset indexes {n_items} items"):
+                pairwise_accuracy(sel, np.ones(3), data)
 
     def test_half_probability_excluded(self):
         fm = fm_from_columns([1.0], [0.0], [2.0])
@@ -201,7 +211,7 @@ class TestPairwiseAccuracy:
         data = ComparisonDataset.from_records([(0, 1, 1), (0, 1, 1), (0, 2, 0)], 3)
         # zero weights give exactly 1/2 everywhere: nothing is eligible
         with pytest.raises(UndefinedMetricError):
-            pairwise_accuracy(fm, np.zeros(1), sel, data)
+            pairwise_accuracy(sel, np.zeros(1), data)
 
 
 class TestUtilityGaps:

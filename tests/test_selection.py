@@ -301,48 +301,56 @@ class TestConcurrency:
                 [sel.select(*p) for p in pairs],
                 np.array([sel.masked_diff(*p) for p in pairs]),
                 sel.diff_table(),
-                sel.partition_by_coordinate(),
+                sel.single_coordinate(),
             )
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(read_all, range(8), timeout=60))
         assert len(calls) == 1
-        subsets, diffs, table, partition = results[0]
+        subsets, diffs, table, coords = results[0]
         for got in results[1:]:
             assert got[0] == subsets
             np.testing.assert_array_equal(got[1], diffs)
             assert got[2] is table
-            assert got[3] == partition
+            np.testing.assert_array_equal(got[3], coords)
         assert table.flags.c_contiguous
         assert not table.flags.writeable
 
 
+def assert_single_coordinates(sel, expected):
+    """``single_coordinate()`` is ``expected``: read-only int64, one entry per
+    pair in lexicographic pair order."""
+    coords = sel.single_coordinate()
+    assert coords.dtype == np.int64
+    assert not coords.flags.writeable
+    np.testing.assert_array_equal(coords, np.asarray(expected, dtype=np.int64))
+
+
 class TestPartition:
+    """The pairs partition by their one selected coordinate."""
+
     def test_single_dimension_collects_everything(self, rng):
         fm = FeatureMatrix(rng.normal(size=(1, 5)))
-        sel = realize(SelectionSpec.top_t(1), fm)
-        (part,) = sel.partition_by_coordinate()
-        assert len(part) == 10
+        assert_single_coordinates(realize(SelectionSpec.top_t(1), fm), [0] * 10)
 
     def test_three_item_example(self):
         fm = fm_from_columns([0.0, 0.0], [1.0, 0.0], [1.0, 5.0])
-        sel = realize(SelectionSpec.top_t(1), fm)
-        p0, p1 = sel.partition_by_coordinate()
-        assert p0 == ((0, 1),)
-        assert set(p1) == {(0, 2), (1, 2)}
+        # pairs (0, 1), (0, 2), (1, 2)
+        assert_single_coordinates(realize(SelectionSpec.top_t(1), fm), [0, 1, 1])
 
     def test_full_selection_rejected(self, rng):
         fm = FeatureMatrix(rng.normal(size=(2, 4)))
         sel = realize(SelectionSpec.full(), fm)
         with pytest.raises(NotSingleCoordinateError):
-            sel.partition_by_coordinate()
+            sel.single_coordinate()
 
     def test_partition_is_disjoint_cover(self, rng):
         fm = FeatureMatrix(rng.normal(size=(4, 9)))
         sel = realize(SelectionSpec.random_exactly_k(1, seed=2), fm)
-        parts = sel.partition_by_coordinate()
-        seen = [p for part in parts for p in part]
-        assert len(seen) == len(set(seen)) == 36
+        coords = sel.single_coordinate()
+        assert coords.shape == (36,)
+        assert ((coords >= 0) & (coords < 4)).all()
+        np.testing.assert_array_equal(sel.diff_table() != 0, np.eye(4, dtype=bool)[coords])
 
 
 def oracle_features(rng):
@@ -392,10 +400,8 @@ class TestAgainstOracle:
     def test_partition(self, rng, spec):
         U = oracle_features(rng)
         subsets, _ = oracles.masked_diff_table(U, spec.to_dict())
-        expected = tuple(
-            tuple(p for p, s in zip(self.PAIRS, subsets) if s == (k,)) for k in range(4)
-        )
-        assert realize(spec, FeatureMatrix(U)).partition_by_coordinate() == expected
+        expected = [k for (k,) in subsets]
+        assert_single_coordinates(realize(spec, FeatureMatrix(U)), expected)
 
     def test_partition_names_first_non_singleton_pair(self, rng):
         U = oracle_features(rng)
@@ -403,7 +409,7 @@ class TestAgainstOracle:
         subsets, _ = oracles.masked_diff_table(U, spec.to_dict())
         first = next(p for p, s in zip(self.PAIRS, subsets) if len(s) != 1)
         with pytest.raises(NotSingleCoordinateError, match=rf"pair \({first[0]}, {first[1]}\)"):
-            realize(spec, FeatureMatrix(U)).partition_by_coordinate()
+            realize(spec, FeatureMatrix(U)).single_coordinate()
 
 
 def assert_matches_numpy_rule(spec, n, d):

@@ -69,21 +69,21 @@ class TestIdentifiability:
         for d in (2, 3, 5):
             fm = FeatureMatrix(np.eye(d))
             sel = realize(SelectionSpec.full(), fm)
-            res = identifiability_check(fm, sel)
+            res = identifiability_check(sel)
             assert not res.identifiable
             assert res.rank == d - 1
 
     def test_spanning_triangle(self):
         fm = fm_from_columns([0.0, 0.0], [1.0, 0.0], [0.0, 1.0])
         sel = realize(SelectionSpec.full(), fm)
-        assert identifiability_check(fm, sel).identifiable
+        assert identifiability_check(sel).identifiable
 
     def test_starved_coordinate(self):
         # second coordinate constant: top-1 never selects it, so its weight
         # is invisible and the rank drops
         fm = fm_from_columns([0.0, 5.0], [1.0, 5.0], [3.0, 5.0])
         sel = realize(SelectionSpec.top_t(1), fm)
-        res = identifiability_check(fm, sel)
+        res = identifiability_check(sel)
         assert not res.identifiable
         assert res.rank <= 1
 
@@ -95,16 +95,16 @@ class TestIdentifiability:
             fm = FeatureMatrix(rng.normal(size=(d, n)))
             for spec in (SelectionSpec.full(), SelectionSpec.top_t(1)):
                 sel = realize(spec, fm)
-                rep = sample_complexity_report(fm, sel)
-                assert rep.identifiable == identifiability_check(fm, sel).identifiable
+                rep = sample_complexity_report(sel)
+                assert rep.identifiable == identifiability_check(sel).identifiable
         # a second feature 1e-7 the scale of the first: singular values 1e-7
         # apart, eigenvalues of E[Z] 1e-14 apart, below the zero tolerance
         M = rng.normal(size=(2, 8))
         M[1] *= 1e-7
         fm = FeatureMatrix(M)
         sel = realize(SelectionSpec.full(), fm)
-        res = identifiability_check(fm, sel)
-        assert not sample_complexity_report(fm, sel).identifiable
+        res = identifiability_check(sel)
+        assert not sample_complexity_report(sel).identifiable
         assert not res.identifiable
         assert res.rank == 1
 
@@ -116,8 +116,8 @@ class TestIdentifiability:
             sel = realize(SelectionSpec.full(), fm)
             EZ = oracles.expected_outer(sel.diff_table())
             want = int(np.sum(np.linalg.eigvalsh(EZ) > 1e-10 * np.trace(EZ) / 2))
-            assert identifiability_check(fm, sel).rank == want
-            assert sample_complexity_report(fm, sel).rank == want
+            assert identifiability_check(sel).rank == want
+            assert sample_complexity_report(sel).rank == want
 
 
 class TestSampleComplexityReport:
@@ -125,7 +125,7 @@ class TestSampleComplexityReport:
         a, b = 1.5, -0.5
         fm = fm_from_columns([a], [b])
         sel = realize(SelectionSpec.full(), fm)
-        rep = sample_complexity_report(fm, sel)
+        rep = sample_complexity_report(sel)
         assert rep.lambda_ == pytest.approx((a - b) ** 2, rel=1e-12)
         assert rep.zeta == pytest.approx(0.0, abs=1e-12)
         assert rep.eta == pytest.approx(0.0, abs=1e-12)
@@ -134,7 +134,7 @@ class TestSampleComplexityReport:
     def test_identity_features_degenerate(self):
         fm = FeatureMatrix(np.eye(3))
         sel = realize(SelectionSpec.full(), fm)
-        rep = sample_complexity_report(fm, sel)
+        rep = sample_complexity_report(sel)
         assert rep.lambda_ <= 1e-10
         assert not rep.identifiable
         assert math.isinf(rep.m2)
@@ -146,7 +146,7 @@ class TestSampleComplexityReport:
             fm = FeatureMatrix(rng.normal(size=(d, n)))
             for spec in (SelectionSpec.full(), SelectionSpec.top_t(1)):
                 sel = realize(spec, fm)
-                rep = sample_complexity_report(fm, sel)
+                rep = sample_complexity_report(sel)
                 lam, eta, zeta, beta = oracles.certificate_quantities(sel.diff_table())
                 assert rep.lambda_ == pytest.approx(lam, abs=1e-10)
                 assert rep.eta == pytest.approx(eta, rel=1e-8, abs=1e-10)
@@ -156,7 +156,7 @@ class TestSampleComplexityReport:
     def test_matches_bruteforce_centered_medium(self, rng):
         fm = center_columns(FeatureMatrix(rng.normal(size=(4, 25))))
         sel = realize(SelectionSpec.full(), fm)
-        rep = sample_complexity_report(fm, sel)
+        rep = sample_complexity_report(sel)
         lam, _, _, _ = oracles.certificate_quantities(sel.diff_table())
         assert abs(rep.lambda_ - lam) <= 1e-10
 
@@ -171,7 +171,7 @@ class TestSampleComplexityReport:
     def test_threshold_formulas(self):
         fm, sel = hexagon_instance()
         delta = 0.1
-        rep = sample_complexity_report(fm, sel, delta=delta)
+        rep = sample_complexity_report(sel, delta=delta)
         d = 2
         log4 = math.log(4 * d / delta)
         log2 = math.log(2 * d / delta)
@@ -182,20 +182,20 @@ class TestSampleComplexityReport:
 
     def test_b_star_needs_weights(self):
         fm, sel = hexagon_instance()
-        rep = sample_complexity_report(fm, sel)
+        rep = sample_complexity_report(sel)
         assert rep.b_star is None
         with pytest.raises(PreconditionError):
             rep.error_bound(100)
 
     def test_error_bound_quarter_sample_halves_exactly(self):
         fm, sel = hexagon_instance()
-        rep = sample_complexity_report(fm, sel, w_star=np.array([0.4, 0.1]))
+        rep = sample_complexity_report(sel, w_star=np.array([0.4, 0.1]))
         for m in (7, 100, 12345):
             assert rep.error_bound(4 * m) == rep.error_bound(m) / 2.0
 
     def test_error_bound_decreasing(self):
         fm, sel = hexagon_instance()
-        rep = sample_complexity_report(fm, sel, w_star=np.array([0.4, 0.1]))
+        rep = sample_complexity_report(sel, w_star=np.array([0.4, 0.1]))
         ms = np.array([10, 100, 1000, 10000])
         vals = [rep.error_bound(m) for m in ms]
         assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -204,13 +204,13 @@ class TestSampleComplexityReport:
         fm, sel = hexagon_instance()
         for delta in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(PreconditionError):
-                sample_complexity_report(fm, sel, delta=delta)
+                sample_complexity_report(sel, delta=delta)
 
 
-def assert_zeta_matches_oracle(fm, sel):
+def assert_zeta_matches_oracle(sel):
     X = sel.diff_table()
     want = oracles.certificate_quantities(X)[2]
-    got = sample_complexity_report(fm, sel).zeta
+    got = sample_complexity_report(sel).zeta
     # absolute slack only for a zeta at roundoff distance from zero
     assert got == pytest.approx(want, rel=1e-10, abs=1e-12 * float(np.abs(X).max()) ** 2)
 
@@ -218,11 +218,11 @@ def assert_zeta_matches_oracle(fm, sel):
 class TestZetaEdgeCases:
     def test_one_feature(self, rng):
         fm = FeatureMatrix(rng.normal(size=(1, 9)))
-        assert_zeta_matches_oracle(fm, realize(SelectionSpec.full(), fm))
+        assert_zeta_matches_oracle(realize(SelectionSpec.full(), fm))
 
     def test_one_pair(self, rng):
         fm = FeatureMatrix(rng.normal(size=(3, 2)))
-        assert_zeta_matches_oracle(fm, realize(SelectionSpec.full(), fm))
+        assert_zeta_matches_oracle(realize(SelectionSpec.full(), fm))
 
     def test_difference_orthogonal_to_top_eigenvector(self):
         # E[Z] = diag(16, 4) / 6; items 0, 1 differ along e2 only, so z_d = 0
@@ -230,13 +230,13 @@ class TestZetaEdgeCases:
         sel = realize(SelectionSpec.full(), fm)
         X = sel.diff_table()
         np.testing.assert_allclose(X.T @ X / X.shape[0], np.diag([16.0, 4.0]) / 6.0)
-        assert_zeta_matches_oracle(fm, sel)
+        assert_zeta_matches_oracle(sel)
 
     def test_repeated_top_eigenvalue(self):
         fm, sel = hexagon_instance()
         eigs = np.linalg.eigvalsh(oracles.expected_outer(sel.diff_table()))
         assert eigs[-1] - eigs[-2] <= 1e-12 * eigs[-1]
-        assert_zeta_matches_oracle(fm, sel)
+        assert_zeta_matches_oracle(sel)
 
     def test_tied_items(self, rng):
         M = rng.normal(size=(3, 8))
@@ -246,13 +246,13 @@ class TestZetaEdgeCases:
         for spec in (SelectionSpec.full(), SelectionSpec.top_t(2)):
             sel = realize(spec, fm)
             assert not np.abs(sel.diff_table()).sum(axis=1).all()
-            assert_zeta_matches_oracle(fm, sel)
+            assert_zeta_matches_oracle(sel)
 
     @pytest.mark.parametrize("scale", [1e-6, 1e6])
     def test_scaled_features(self, rng, scale):
         fm = FeatureMatrix(rng.normal(size=(4, 12)) * scale)
         for spec in (SelectionSpec.full(), SelectionSpec.top_t(2)):
-            assert_zeta_matches_oracle(fm, realize(spec, fm))
+            assert_zeta_matches_oracle(realize(spec, fm))
 
     @pytest.mark.parametrize("d", [2, 5, 30])
     def test_random_instances_every_selection_kind(self, rng, d):
@@ -265,7 +265,7 @@ class TestZetaEdgeCases:
         )
         for spec in specs:
             fm = FeatureMatrix(rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, n)))
-            assert_zeta_matches_oracle(fm, realize(spec, fm))
+            assert_zeta_matches_oracle(realize(spec, fm))
 
 
 class TestFullSelectionReport:
@@ -273,7 +273,7 @@ class TestFullSelectionReport:
         for _ in range(5):
             fm = center_columns(FeatureMatrix(rng.normal(size=(4, 20))))
             sel = realize(SelectionSpec.full(), fm)
-            direct = sample_complexity_report(fm, sel)
+            direct = sample_complexity_report(sel)
             closed = full_selection_report(fm)
             assert abs(closed.lambda_closed - direct.lambda_) <= 1e-8 * max(
                 1.0, direct.lambda_
@@ -358,22 +358,22 @@ class TestSingleCoordinateReport:
     def test_one_dimension_exact(self, rng):
         fm = FeatureMatrix(rng.normal(size=(1, 6)))
         sel = realize(SelectionSpec.top_t(1), fm)
-        rep = single_coordinate_report(fm, sel)
+        rep = single_coordinate_report(sel)
         assert rep.partition_sizes == (15,)
         assert rep.lambda_lower == pytest.approx(rep.epsilon**2, rel=1e-12)
 
     def test_partition_example(self):
         fm = fm_from_columns([0.0, 0.0], [1.0, 0.0], [1.0, 5.0])
         sel = realize(SelectionSpec.top_t(1), fm)
-        rep = single_coordinate_report(fm, sel)
+        rep = single_coordinate_report(sel)
         assert rep.partition_sizes == (1, 2)
 
     def test_lower_bound_below_direct_lambda(self, rng):
         for _ in range(8):
             fm = FeatureMatrix(rng.normal(size=(5, 20)))
             sel = realize(SelectionSpec.top_t(1), fm)
-            direct = sample_complexity_report(fm, sel)
-            rep = single_coordinate_report(fm, sel)
+            direct = sample_complexity_report(sel)
+            rep = single_coordinate_report(sel)
             assert direct.lambda_ >= rep.lambda_lower - 1e-10
             assert direct.zeta <= rep.zeta_upper + 1e-8
             assert direct.eta <= rep.eta_upper + 1e-8
@@ -382,12 +382,12 @@ class TestSingleCoordinateReport:
         fm = FeatureMatrix(rng.normal(size=(3, 5)))
         sel = realize(SelectionSpec.full(), fm)
         with pytest.raises(NotSingleCoordinateError):
-            single_coordinate_report(fm, sel)
+            single_coordinate_report(sel)
 
     def test_starved_coordinate_degenerates(self):
         fm = fm_from_columns([0.0, 5.0], [1.0, 5.0], [3.0, 5.0])
         sel = realize(SelectionSpec.top_t(1), fm)
-        rep = single_coordinate_report(fm, sel)
+        rep = single_coordinate_report(sel)
         assert rep.partition_sizes == (3, 0)
         assert rep.lambda_lower == 0.0
         assert math.isinf(rep.m3)
@@ -427,7 +427,7 @@ class TestThresholdOracle:
             infinite.append(math.isinf(want[1]))
             fm = FeatureMatrix(M)
             rep = single_coordinate_report(
-                fm, realize(SelectionSpec.top_t(1), fm), delta=delta, w_star=w
+                realize(SelectionSpec.top_t(1), fm), delta=delta, w_star=w
             )
             got = (rep.m1, rep.m3, rep.m_lower, rep.error_bound_coefficient)
             assert got == pytest.approx(want, rel=1e-12)
@@ -458,19 +458,19 @@ _GUARANTEE_KEYS = [
 @pytest.mark.parametrize(
     "build, keys",
     [
-        (identifiability_check, ["identifiable", "rank", "d"]),
-        (lambda fm, sel: sample_complexity_report(fm, sel, w_star=np.ones(3)), _CERTIFICATE_KEYS),
+        (lambda fm, sel: identifiability_check(sel), ["identifiable", "rank", "d"]),
+        (lambda fm, sel: sample_complexity_report(sel, w_star=np.ones(3)), _CERTIFICATE_KEYS),
         (lambda fm, sel: full_selection_report(fm, w_star=np.ones(3)), _FULL_KEYS),
-        (lambda fm, sel: single_coordinate_report(fm, sel, w_star=np.ones(3)), _SINGLE_KEYS),
+        (lambda fm, sel: single_coordinate_report(sel, w_star=np.ones(3)), _SINGLE_KEYS),
         (
             lambda fm, sel: ranking_recovery_report(
-                fm, np.ones(3), sample_complexity_report(fm, sel, w_star=np.ones(3)), k=1
+                fm, np.ones(3), sample_complexity_report(sel, w_star=np.ones(3)), k=1
             ),
             _RECOVERY_KEYS,
         ),
         (
             lambda fm, sel: empirical_guarantee_check(
-                fm, np.ones(3), sel, 1, sample_complexity_report(fm, sel, w_star=np.ones(3)),
+                sel, np.ones(3), 1, sample_complexity_report(sel, w_star=np.ones(3)),
                 trials=1, seed=0,
             ),
             _GUARANTEE_KEYS,
@@ -489,7 +489,7 @@ def test_report_schema(rng, build, keys):
 
 
 def recovery(fm, sel, w, k, c5=1.0, delta=0.05):
-    cert = sample_complexity_report(fm, sel, w_star=w, delta=delta)
+    cert = sample_complexity_report(sel, w_star=w, delta=delta)
     return ranking_recovery_report(fm, w, cert, k=k, c5=c5)
 
 
@@ -538,7 +538,7 @@ class TestRankingRecoveryReport:
         w = rng.normal(size=3)
         reps = {}
         for delta in (0.05, 0.1):
-            cert = sample_complexity_report(fm, sel, w_star=w, delta=delta)
+            cert = sample_complexity_report(sel, w_star=w, delta=delta)
             rep = reps[delta] = ranking_recovery_report(fm, w, cert, k=3, c5=2.0)
             assert (rep.delta, rep.lambda_, rep.b_star) == (delta, cert.lambda_, cert.b_star)
             assert rep.m_terms[:2] == (cert.m1, cert.m2)
@@ -550,10 +550,10 @@ class TestRankingRecoveryReport:
         fm = FeatureMatrix(rng.normal(size=(2, 5)))
         sel = realize(SelectionSpec.full(), fm)
         w = rng.normal(size=2)
-        without_weights = sample_complexity_report(fm, sel, delta=0.05)
+        without_weights = sample_complexity_report(sel, delta=0.05)
         other = FeatureMatrix(rng.normal(size=(2, 6)))
         other_items = sample_complexity_report(
-            other, realize(SelectionSpec.full(), other), w_star=w, delta=0.05
+            realize(SelectionSpec.full(), other), w_star=w, delta=0.05
         )
         for cert in (without_weights, other_items):
             with pytest.raises(PreconditionError):
@@ -572,7 +572,7 @@ class TestHugeMargin:
 
     def test_certificate(self, b):
         fm, w = self.line(b)
-        rep = sample_complexity_report(fm, realize(SelectionSpec.full(), fm), w_star=w)
+        rep = sample_complexity_report(realize(SelectionSpec.full(), fm), w_star=w)
         assert rep.b_star == b and rep.identifiable
         assert math.isfinite(rep.m2) and math.isinf(rep.error_bound_coefficient)
         assert math.isinf(rep.error_bound(10**6))
@@ -585,7 +585,7 @@ class TestHugeMargin:
 
     def test_single_coordinate(self, b):
         fm, w = self.line(b)
-        rep = single_coordinate_report(fm, realize(SelectionSpec.top_t(1), fm), w_star=w)
+        rep = single_coordinate_report(realize(SelectionSpec.top_t(1), fm), w_star=w)
         assert rep.b_star == b and math.isfinite(rep.m_lower)
         assert math.isinf(rep.error_bound_coefficient)
 
@@ -610,7 +610,7 @@ class TestOverflowingScale:
     def test_certificate(self, scale):
         fm = self.features(scale)
         with pytest.raises(PreconditionError, match="overflows float64"):
-            sample_complexity_report(fm, realize(SelectionSpec.top_t(1), fm))
+            sample_complexity_report(realize(SelectionSpec.top_t(1), fm))
 
     def test_full_selection(self, scale):
         with pytest.raises(PreconditionError, match="overflows float64"):
@@ -619,7 +619,7 @@ class TestOverflowingScale:
     def test_single_coordinate(self, scale):
         fm = self.features(scale)
         with pytest.raises(PreconditionError, match="overflows float64"):
-            single_coordinate_report(fm, realize(SelectionSpec.top_t(1), fm))
+            single_coordinate_report(realize(SelectionSpec.top_t(1), fm))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -637,10 +637,10 @@ def test_overflow_refused_before_eigendecomposition(monkeypatch):
     fm = TestOverflowingScale.features(1e160)
     sel = realize(SelectionSpec.top_t(1), fm)
     for certify in (
-        lambda: sample_complexity_report(fm, sel),
-        lambda: identifiability_check(fm, sel),
+        lambda: sample_complexity_report(sel),
+        lambda: identifiability_check(sel),
         lambda: full_selection_report(fm),
-        lambda: single_coordinate_report(fm, sel),
+        lambda: single_coordinate_report(sel),
     ):
         with pytest.raises(PreconditionError, match="overflows float64"):
             certify()
@@ -659,7 +659,7 @@ class TestUnderflowingScale:
     def test_certificate(self, scale):
         fm = self.features(scale)
         with pytest.raises(PreconditionError, match="underflows float64"):
-            sample_complexity_report(fm, realize(SelectionSpec.top_t(1), fm))
+            sample_complexity_report(realize(SelectionSpec.top_t(1), fm))
 
     def test_full_selection(self, scale):
         with pytest.raises(PreconditionError, match="underflows float64"):
@@ -673,23 +673,23 @@ def test_underflowed_moment_is_refused():
     fm = FeatureMatrix(base * 1e-200)
     sel = realize(SelectionSpec.top_t(1), fm)
     for certify in (
-        lambda: sample_complexity_report(fm, sel),
-        lambda: identifiability_check(fm, sel),
+        lambda: sample_complexity_report(sel),
+        lambda: identifiability_check(sel),
         lambda: full_selection_report(fm),
     ):
         with pytest.raises(PreconditionError, match="underflows float64"):
             certify()
     ok = FeatureMatrix(base)
-    assert identifiability_check(ok, realize(SelectionSpec.top_t(1), ok)).identifiable
+    assert identifiability_check(realize(SelectionSpec.top_t(1), ok)).identifiable
 
 
 def test_identical_features_are_unidentifiable_not_refused():
     # all differences are zero: E[Z] is rightly zero, so no scale is at fault
     fm = FeatureMatrix(np.full((2, 6), 1e-200))
     sel = realize(SelectionSpec.top_t(1), fm)
-    rep = sample_complexity_report(fm, sel)
+    rep = sample_complexity_report(sel)
     assert rep.rank == 0 and not rep.identifiable and rep.m2 == math.inf
-    assert not identifiability_check(fm, sel).identifiable
+    assert not identifiability_check(sel).identifiable
     assert full_selection_report(fm).m_lower == math.inf
 
 
@@ -697,8 +697,8 @@ def test_smallest_normal_scale_still_certifies():
     # 1e-60: lambda near 1e-120 squares to about 1e-240, still a normal float
     base = FeatureMatrix(np.random.default_rng(4).normal(size=(2, 6)))
     fm = FeatureMatrix(base.matrix * 1e-60)
-    rep = sample_complexity_report(fm, realize(SelectionSpec.top_t(1), fm))
-    ref = sample_complexity_report(base, realize(SelectionSpec.top_t(1), base))
+    rep = sample_complexity_report(realize(SelectionSpec.top_t(1), fm))
+    ref = sample_complexity_report(realize(SelectionSpec.top_t(1), base))
     assert rep.identifiable and math.isfinite(rep.m2)
     assert rep.m2 == pytest.approx(ref.m2, rel=1e-9)
     assert math.isfinite(full_selection_report(fm).m_lower)
@@ -709,7 +709,7 @@ def test_infinite_b_star_gives_infinite_coefficient():
     # b* overflows to inf: exp(inf) raises nothing, and (1 + inf)**2 / inf
     # would be nan, but an infinite margin means an infinite bound
     fm = FeatureMatrix(np.random.default_rng(4).normal(size=(2, 6)))
-    rep = sample_complexity_report(fm, realize(SelectionSpec.full(), fm), w_star=[1e308, 1e308])
+    rep = sample_complexity_report(realize(SelectionSpec.full(), fm), w_star=[1e308, 1e308])
     assert rep.b_star == math.inf
     assert rep.error_bound_coefficient == math.inf
     assert rep.error_bound(100) == math.inf
@@ -718,20 +718,20 @@ def test_infinite_b_star_gives_infinite_coefficient():
 def test_largest_finite_scale_still_certifies():
     # 1e60: fourth powers near 1e240 stay finite, so every term is a number
     fm = FeatureMatrix(np.random.default_rng(4).normal(size=(2, 6)) * 1e60)
-    rep = sample_complexity_report(fm, realize(SelectionSpec.top_t(1), fm))
+    rep = sample_complexity_report(realize(SelectionSpec.top_t(1), fm))
     full = full_selection_report(fm)
     assert all(math.isfinite(v) for v in (rep.eta, rep.m1, rep.m2, full.nu, full.m_lower))
 
 
-def guarantee(fm, w_star, sel, m, delta, trials, seed):
-    cert = sample_complexity_report(fm, sel, w_star=w_star, delta=delta)
-    return empirical_guarantee_check(fm, w_star, sel, m, cert, trials, seed)
+def guarantee(sel, w_star, m, delta, trials, seed):
+    cert = sample_complexity_report(sel, w_star=w_star, delta=delta)
+    return empirical_guarantee_check(sel, w_star, m, cert, trials, seed)
 
 
 class TestEmpiricalGuaranteeCheck:
     def test_below_threshold_skipped(self):
         fm, sel = hexagon_instance()
-        chk = guarantee(fm, np.array([0.3, -0.2]), sel, m=10, delta=0.2, trials=3, seed=0)
+        chk = guarantee(sel, np.array([0.3, -0.2]), m=10, delta=0.2, trials=3, seed=0)
         assert not chk.applicable
         assert chk.pass_rate is None
         assert "not applicable" in chk.to_dict()["status"]
@@ -739,33 +739,33 @@ class TestEmpiricalGuaranteeCheck:
     def test_valid_regime_all_pass(self):
         fm, sel = hexagon_instance()
         w_star = np.array([0.3, -0.2])
-        rep = sample_complexity_report(fm, sel, w_star=w_star, delta=0.2)
+        rep = sample_complexity_report(sel, w_star=w_star, delta=0.2)
         m = int(np.ceil(max(rep.m1, rep.m2)))
-        chk = empirical_guarantee_check(fm, w_star, sel, m, rep, trials=5, seed=1)
+        chk = empirical_guarantee_check(sel, w_star, m, rep, trials=5, seed=1)
         assert chk.applicable
         assert chk.pass_rate == 1.0
 
     def test_zero_truth_trivially_inside(self):
         fm, sel = hexagon_instance()
-        rep = sample_complexity_report(fm, sel, w_star=np.zeros(2), delta=0.2)
+        rep = sample_complexity_report(sel, w_star=np.zeros(2), delta=0.2)
         m = int(np.ceil(max(rep.m1, rep.m2)))
-        chk = empirical_guarantee_check(fm, np.zeros(2), sel, m, rep, trials=3, seed=2)
+        chk = empirical_guarantee_check(sel, np.zeros(2), m, rep, trials=3, seed=2)
         assert chk.pass_rate == 1.0
 
     def test_refuses_nonidentifiable(self):
         fm = FeatureMatrix(np.eye(3))
         sel = realize(SelectionSpec.full(), fm)
         with pytest.raises(PreconditionError):
-            guarantee(fm, np.zeros(3), sel, m=1000, delta=0.2, trials=2, seed=0)
+            guarantee(sel, np.zeros(3), m=1000, delta=0.2, trials=2, seed=0)
 
     def test_mismatched_certificate_rejected(self):
         fm, sel = hexagon_instance()
         w_star = np.array([0.3, -0.2])
-        without_weights = sample_complexity_report(fm, sel, delta=0.2)
+        without_weights = sample_complexity_report(sel, delta=0.2)
         other = FeatureMatrix(np.vstack([np.cos(np.arange(5)), np.sin(np.arange(5))]))
         other_items = sample_complexity_report(
-            other, realize(SelectionSpec.full(), other), w_star=w_star, delta=0.2
+            realize(SelectionSpec.full(), other), w_star=w_star, delta=0.2
         )
         for cert in (without_weights, other_items):
             with pytest.raises(PreconditionError, match="certificate"):
-                empirical_guarantee_check(fm, w_star, sel, 10**6, cert, trials=1, seed=0)
+                empirical_guarantee_check(sel, w_star, 10**6, cert, trials=1, seed=0)
