@@ -38,7 +38,6 @@ from .model import (
     nll_gradient,
     nll_hessian,
     sample_comparisons,
-    win_probability,
 )
 from .ranking import (
     Ranking,
@@ -76,7 +75,6 @@ __all__ = [
     "realize",
     # model
     "ComparisonDataset",
-    "win_probability",
     "all_pair_probabilities",
     "sample_comparisons",
     "nll",

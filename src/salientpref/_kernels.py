@@ -22,6 +22,11 @@ def sigmoid(u):
     return np.where(u >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def largest_margin(X, w):
+    """max_p |<w, X_p>| over the rows of X (0 for none): b* for the true w."""
+    return float(np.max(np.abs(X @ w))) if X.shape[0] else 0.0
+
+
 def logistic_curvature(u):
     """h(u) = e^u / (1 + e^u)^2, the logistic second derivative (symmetric)."""
     e = np.exp(-np.abs(np.asarray(u, dtype=np.float64)))

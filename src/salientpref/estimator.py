@@ -223,8 +223,4 @@ def max_abs_margin(sel: RealizedSelection, w) -> float:
     This is the widest in-context utility margin the weights produce; the
     estimation-error certificates are exponential in it.
     """
-    w = check_weights(w, sel.features.d)
-    table = sel.diff_table()
-    if table.shape[0] == 0:
-        return 0.0
-    return float(np.max(np.abs(table @ w)))
+    return _kernels.largest_margin(sel.diff_table(), check_weights(w, sel.features.d))

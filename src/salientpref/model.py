@@ -19,6 +19,9 @@ closed form:
 
 ``h`` is symmetric, positive, at most 1/4, and nonincreasing in |u|, so the
 Hessian is symmetric positive semidefinite and L is convex.
+
+The likelihood and the sampler realize ``x_p`` only for the pairs they hold
+(``RealizedSelection.rows``); ``all_pair_probabilities`` realizes all C(n,2).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from . import _kernels
 from .errors import DimensionError, InvalidPairError, PreconditionError
 from .features import check_weights
-from .selection import RealizedSelection, all_pairs, pair_index
+from .selection import RealizedSelection, all_pairs
 
 
 # Largest count a pair may hold: float64 represents every integer up to it
@@ -146,18 +149,7 @@ def design_matrix(sel: RealizedSelection, data: ComparisonDataset) -> np.ndarray
         raise DimensionError(
             f"dataset indexes {data.n_items} items, features have {n}"
         )
-    return sel.diff_table()[pair_index(data.pair_i, data.pair_j, n)]
-
-
-def win_probability(sel: RealizedSelection, w, i: int, j: int) -> float:
-    """P(item i beats item j) under weights ``w``.
-
-    Exactly antisymmetric: swapping i and j negates the masked difference, so
-    the two probabilities sum to 1.
-    """
-    w = check_weights(w, sel.features.d)
-    x = sel.masked_diff(i, j)
-    return float(_kernels.sigmoid(float(x @ w)))
+    return sel.rows(data.pair_i, data.pair_j)
 
 
 def all_pair_probabilities(sel: RealizedSelection, w):
@@ -172,21 +164,26 @@ def sample_comparisons(sel: RealizedSelection, w_star, m: int, seed: int) -> Com
     Each sample picks a pair uniformly at random (with replacement) from all
     C(n,2) pairs, then flips a coin with the model's win probability; the
     draws are then counted per pair.  Fully deterministic given ``seed``.
+    The pairs are drawn before any probability is read, so the model is
+    evaluated only at the distinct pairs drawn.
     """
     if m < 1:
         raise PreconditionError(f"need m >= 1 samples, got {m}")
     n = sel.features.n
     if n < 2:
         raise PreconditionError("need at least 2 items to compare")
-    probs = all_pair_probabilities(sel, w_star)
+    w_star = check_weights(w_star, sel.features.d)
+    npairs = n * (n - 1) // 2
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    flat = rng.integers(0, probs.shape[0], size=m)
-    won = rng.random(m) < probs[flat]
-    total = np.bincount(flat, minlength=probs.shape[0])
-    wins = np.bincount(flat[won], minlength=probs.shape[0])
+    flat = rng.integers(0, npairs, size=m)
+    total = np.bincount(flat, minlength=npairs)
     seen = np.nonzero(total)[0]
-    ii, jj = all_pairs(n)
-    return ComparisonDataset(ii[seen], jj[seen], wins[seen], total[seen], n)
+    ii, jj = (pairs[seen] for pairs in all_pairs(n))
+    probs = np.zeros(npairs)
+    probs[seen] = _kernels.sigmoid(sel.rows(ii, jj) @ w_star)
+    won = rng.random(m) < probs[flat]
+    wins = np.bincount(flat[won], minlength=npairs)
+    return ComparisonDataset(ii, jj, wins[seen], total[seen], n)
 
 
 def check_ridge(mu) -> float:

@@ -26,9 +26,10 @@ keeps the first k entries of its ``permutation(d)``, ``random_bernoulli`` the
 coordinates where ``random(d) < p``, drawing again while none is kept.
 ``_kernels.PairStreams`` computes those streams for a block of pairs at once,
 bit for bit; a test pins it to the installed numpy.  Each kind's rule is
-coded once, batched over all pairs, and runs once, when :func:`realize` builds
-the keep mask and the masked-difference table; single-pair lookups index
-that table.
+coded once, batched over pairs.  :func:`realize` only binds the spec to the
+features; ``RealizedSelection.rows`` and ``keep`` run the rule on the pairs a
+reader asks for, so fitting and scoring a dataset reads its distinct pairs
+only, and ``diff_table`` reads all C(n,2) of them.
 """
 
 from __future__ import annotations
@@ -153,12 +154,11 @@ def all_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class RealizedSelection:
-    """A selection spec bound to a feature matrix, realized once.
-
-    The constructor runs the subset rule for all pairs and keeps the keep
-    mask and the masked-difference table, both read-only; every reader
-    indexes them, so concurrent readers see identical results.
-    """
+    """A selection spec bound to a feature matrix; the constructor builds
+    nothing.  ``keep`` and ``rows`` run the one subset rule, ``_keep_mask``,
+    on the pairs they are given.  A pair's subset depends on (spec, features,
+    i, j) alone, so any order, subset or repetition of pairs reads the same
+    rows, and readers share no state."""
 
     def __init__(self, spec: SelectionSpec, features: FeatureMatrix):
         d = features.d
@@ -168,15 +168,23 @@ class RealizedSelection:
             raise DimensionError(f"random_exactly_k with k={spec.k} exceeds d={d}")
         self.spec = spec
         self.features = features
-        self._diffs = self._build_diff_table()
 
-    def _row(self, i: int, j: int) -> int:
+    def _raw_diffs(self, ii, jj):
+        """Checked int64 pairs and their raw differences U_i - U_j, fresh rows."""
+        ii, jj = np.asarray(ii), np.asarray(jj)
+        integer = {ii.dtype.kind, jj.dtype.kind} <= {"i", "u"}
+        if ii.ndim != 1 or ii.shape != jj.shape or not (integer or ii.size == 0):
+            raise InvalidPairError("pairs must be given as equal-length 1-d integer arrays")
+        ii, jj = ii.astype(np.int64, copy=False), jj.astype(np.int64, copy=False)
         n = self.features.n
-        if not (0 <= i < n and 0 <= j < n):
-            raise InvalidPairError(f"pair ({i}, {j}) out of range for n={n}")
-        if i == j:
-            raise InvalidPairError(f"item compared with itself: {i}")
-        return pair_index(min(i, j), max(i, j), n)
+        bad = np.flatnonzero((ii < 0) | (ii >= jj) | (jj >= n))
+        if bad.size:
+            i, j = ii[bad[0]], jj[bad[0]]
+            raise InvalidPairError(f"pair ({i}, {j}) is not canonical: need 0 <= i < j < n={n}")
+        UT = self.features.matrix.T
+        diffs = UT[ii]
+        diffs -= UT[jj]
+        return ii, jj, diffs
 
     def _keep_mask(self, ii: np.ndarray, jj: np.ndarray, diffs: np.ndarray) -> np.ndarray:
         """The subset rule: keep mask (len(ii), d) for canonical pairs (ii, jj).
@@ -207,47 +215,45 @@ class RealizedSelection:
                 rows, streams = rows[empty], streams.take(empty)
         return keep
 
-    def select(self, i: int, j: int) -> tuple[int, ...]:
-        """Realized coordinate subset for the pair; symmetric in (i, j)."""
-        return tuple(np.flatnonzero(self._keep[self._row(i, j)]).tolist())
+    def keep(self, ii, jj) -> np.ndarray:
+        """Read-only bool mask (len(ii), d) of each pair's selected coordinates.
 
-    def masked_diff(self, i: int, j: int) -> np.ndarray:
-        """Masked feature difference U_i - U_j on the pair's subset."""
-        U = self.features.matrix
-        return np.where(self._keep[self._row(i, j)], U[:, i] - U[:, j], 0.0)
+        ``ii``, ``jj``: equal-length 1-d integer arrays of canonical pairs
+        ``0 <= i < j < n``, in any order, repeats allowed; else ``InvalidPairError``.
+        """
+        mask = self._keep_mask(*self._raw_diffs(ii, jj))
+        mask.setflags(write=False)
+        return mask
+
+    def rows(self, ii, jj) -> np.ndarray:
+        """Read-only, C-contiguous masked differences U_i - U_j, zero off each
+        pair's subset, shape (len(ii), d); the pairs are taken as by ``keep``."""
+        ii, jj, table = self._raw_diffs(ii, jj)
+        np.copyto(table, 0.0, where=~self._keep_mask(ii, jj, table))
+        table.setflags(write=False)
+        return table
 
     def diff_table(self) -> np.ndarray:
-        """Masked differences for all canonical pairs, shape (C(n,2), d).
-
-        Row order is lexicographic in (i, j); rows are U_i - U_j masked to the
-        pair's subset.  The table is C-contiguous and read-only.
-        """
-        return self._diffs
-
-    def _build_diff_table(self) -> np.ndarray:
-        UT = self.features.matrix.T
-        ii, jj = all_pairs(UT.shape[0])
-        table = UT[ii]  # (npairs, d), a fresh C-contiguous copy
-        table -= UT[jj]
-        keep = self._keep_mask(ii, jj, table)
-        np.copyto(table, 0.0, where=~keep)
-        keep.setflags(write=False)
-        table.setflags(write=False)
-        self._keep = keep
-        return table
+        """``rows`` of all C(n,2) pairs in lexicographic order, built per call."""
+        return self.rows(*all_pairs(self.features.n))
 
     def single_coordinate(self) -> np.ndarray:
         """Each pair's one selected coordinate, in lexicographic pair order.
 
         Requires every realized subset to be a singleton; returns a read-only
-        int64 array of length C(n,2).
+        int64 array of length C(n,2).  A kind whose subset size is fixed and
+        not 1 is refused from the spec, without realizing any pair.
         """
-        keep = self._keep
+        spec, n = self.spec, self.features.n
+        size = {"full": self.features.d, "top_t": spec.t, "random_exactly_k": spec.k}.get(spec.kind)
+        if size not in (None, 1) and n >= 2:
+            raise NotSingleCoordinateError(f"pair (0, 1) selects {size} coordinates, need 1")
+        ii, jj = all_pairs(n)
+        keep = self.keep(ii, jj)
         sizes = keep.sum(axis=1)
         bad = np.flatnonzero(sizes != 1)
         if bad.size:
             r = bad[0]
-            ii, jj = all_pairs(self.features.n)
             raise NotSingleCoordinateError(
                 f"pair ({ii[r]}, {jj[r]}) selects {sizes[r]} coordinates, need 1"
             )

@@ -51,6 +51,7 @@ eigendecomposition of E[Z] and solves a secular equation per pair (see
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import sys
@@ -60,11 +61,11 @@ import numpy as np
 
 from . import _kernels
 from .errors import PreconditionError
-from .estimator import FitConfig, fit, max_abs_margin
+from .estimator import FitConfig, fit
 from .features import FeatureMatrix, center_columns, check_weights
 from .model import sample_comparisons
 from .ranking import utility_gaps
-from .selection import RealizedSelection
+from .selection import RealizedSelection, all_pairs
 
 _SCALE_OVERFLOW = "feature scale overflows float64 in the certificate terms; rescale the features"
 _SCALE_UNDERFLOW = "feature scale underflows float64 in the certificate terms; rescale the features"
@@ -150,11 +151,6 @@ def _check_delta(delta: float) -> float:
     if not 0.0 < delta < 1.0:
         raise PreconditionError(f"delta must lie in (0, 1), got {delta}")
     return delta
-
-
-def _b_star(sel: RealizedSelection, w_star) -> float | None:
-    """max over pairs of |<w*, x_ij>|; None without true weights."""
-    return None if w_star is None else max_abs_margin(sel, w_star)
 
 
 def _thresholds(lam, eta, zeta, beta, b_star, d, delta, positive):
@@ -246,7 +242,7 @@ def sample_complexity_report(
     eta = max(float(_kernels.sym_eigvals(V)[-1]), 0.0)
     zeta = float(_kernels.zeta_scan(spectrum, X))
     beta = float(np.abs(X).max()) if X.size else 0.0
-    b_star = _b_star(sel, w_star)
+    b_star = None if w_star is None else _kernels.largest_margin(X, check_weights(w_star, d))
     identifiable = rank == d
     m1, m2, coeff = _thresholds(lam, eta, zeta, beta, b_star, d, delta, identifiable)
     return SampleComplexityReport(
@@ -408,20 +404,21 @@ def single_coordinate_report(
     """
     delta = _check_delta(delta)
     d, n = sel.features.d, sel.features.n
-    sizes = tuple(np.bincount(sel.single_coordinate(), minlength=d).tolist())
+    coords = sel.single_coordinate()
+    sizes = tuple(np.bincount(coords, minlength=d).tolist())
     npairs = n * (n - 1) // 2
 
-    X = sel.diff_table()
-    row_inf = np.abs(X).max(axis=1)
-    epsilon = float(row_inf.min())
-    beta = float(row_inf.max())
+    # a pair's masked difference is zero off its one coordinate c: keep x_c
+    ii, jj = all_pairs(n)
+    x = sel.features.matrix[coords, ii] - sel.features.matrix[coords, jj]
+    epsilon, beta = float(np.abs(x).min()), float(np.abs(x).max())
 
     min_pk = min(sizes)
     max_pk = max(sizes)
     lambda_lower = epsilon**2 * min_pk / npairs
     zeta_upper = beta**2 + beta**2 * max_pk / npairs
     eta_upper = beta**4 / npairs * max(s + s**2 / npairs for s in sizes)
-    b_star = _b_star(sel, w_star)
+    b_star = None if w_star is None else float(np.abs(check_weights(w_star, d)[coords] * x).max())
     m1, m3, coeff = _thresholds(
         lambda_lower, eta_upper, zeta_upper, beta, b_star, d, delta,
         epsilon > 0.0 and min_pk > 0,
@@ -536,7 +533,11 @@ def ranking_recovery_report(
 
 @dataclass(frozen=True)
 class GuaranteeCheck(_Report):
-    """Outcome of sampling-and-fitting trials against the error bound."""
+    """Outcome of sampling-and-fitting trials against the error bound.
+
+    ``stop_reasons`` counts the fits by stop reason.  ``errors`` and
+    ``pass_rate`` cover the converged fits only, the estimates the bound is
+    about; ``pass_rate`` is None when none converged."""
 
     applicable: bool
     m: int
@@ -545,6 +546,7 @@ class GuaranteeCheck(_Report):
     trials: int
     pass_rate: float | None
     errors: tuple[float, ...]
+    stop_reasons: dict[str, int]
 
     def _extra(self) -> dict:
         return {
@@ -560,7 +562,8 @@ def empirical_guarantee_check(
     trials: int,
     seed: int,
 ) -> GuaranteeCheck:
-    """Fraction of independent fits with error within the certified bound.
+    """Fraction of independent converged fits with error within the
+    certified bound.
 
     ``certificate`` is ``sample_complexity_report(sel, w_star, delta)``.
     Refuses non-identifiable instances.  When m is below
@@ -573,31 +576,24 @@ def empirical_guarantee_check(
     if not certificate.identifiable:
         raise PreconditionError("instance is not identifiable; the bound never applies")
     m_required = max(certificate.m1, certificate.m2)
-    if m < m_required:
-        return GuaranteeCheck(
-            applicable=False,
-            m=m,
-            m_required=m_required,
-            bound=None,
-            trials=trials,
-            pass_rate=None,
-            errors=(),
-        )
-    bound = certificate.error_bound(m)
-    w_star = check_weights(w_star, sel.features.d)
-    errors = []
-    for t in range(trials):
-        trial_seed = int(np.random.SeedSequence([seed, t]).generate_state(1)[0])
-        data = sample_comparisons(sel, w_star, m, trial_seed)
-        result = fit(sel, data, FitConfig(mu=0.0))
-        errors.append(float(np.linalg.norm(result.w_hat - w_star)))
-    passes = sum(e <= bound for e in errors)
+    applicable = m >= m_required
+    bound, errors, reasons = None, [], collections.Counter()
+    if applicable:
+        bound = certificate.error_bound(m)
+        w_star = check_weights(w_star, sel.features.d)
+        for t in range(trials):
+            trial_seed = int(np.random.SeedSequence([seed, t]).generate_state(1)[0])
+            result = fit(sel, sample_comparisons(sel, w_star, m, trial_seed), FitConfig(mu=0.0))
+            reasons[result.stop_reason] += 1
+            if result.converged:
+                errors.append(float(np.linalg.norm(result.w_hat - w_star)))
     return GuaranteeCheck(
-        applicable=True,
+        applicable=applicable,
         m=m,
         m_required=m_required,
         bound=bound,
         trials=trials,
-        pass_rate=passes / trials,
+        pass_rate=sum(e <= bound for e in errors) / len(errors) if errors else None,
         errors=tuple(errors),
+        stop_reasons=dict(sorted(reasons.items())),
     )

@@ -9,12 +9,12 @@ from salientpref import (
     InvalidPairError,
     PreconditionError,
     SelectionSpec,
+    all_pair_probabilities,
     nll,
     nll_gradient,
     nll_hessian,
     realize,
     sample_comparisons,
-    win_probability,
 )
 from salientpref._kernels import logistic_curvature
 
@@ -61,15 +61,17 @@ class TestComparisonDataset:
 
 
 class TestWinProbability:
+    """P(i beats j) for the canonical pairs, from ``all_pair_probabilities``."""
+
     def test_orthogonal_weights_give_half(self):
         fm = fm_from_columns([1.0, 0.0], [0.0, 0.0])
         sel = realize(SelectionSpec.full(), fm)
-        assert win_probability(sel, np.array([0.0, 5.0]), 0, 1) == 0.5
+        assert all_pair_probabilities(sel, np.array([0.0, 5.0])).tolist() == [0.5]
 
     def test_log_three_quarters(self):
         fm = fm_from_columns([1.0], [0.0])
         sel = realize(SelectionSpec.full(), fm)
-        p = win_probability(sel, np.array([np.log(3.0)]), 0, 1)
+        (p,) = all_pair_probabilities(sel, np.array([np.log(3.0)]))
         assert p == pytest.approx(0.75, abs=1e-15)
 
     def test_masking_silences_heavy_coordinate(self):
@@ -77,24 +79,24 @@ class TestWinProbability:
         # masks it out and only the log-3 coordinate matters
         fm = fm_from_columns([1.0, 9.0], [0.0, 9.0])
         sel = realize(SelectionSpec.top_t(1), fm)
-        p = win_probability(sel, np.array([np.log(3.0), 100.0]), 0, 1)
+        (p,) = all_pair_probabilities(sel, np.array([np.log(3.0), 100.0]))
         assert p == pytest.approx(0.75, abs=1e-15)
 
     def test_antisymmetry(self, rng):
+        # P(j beats i) is the logistic of the negated margin <-w, x_ij>
         for _ in range(25):
             d = int(rng.integers(1, 6))
             n = int(rng.integers(2, 8))
             fm, sel = make_instance(rng, d, n)
             w = rng.normal(size=d)
-            i, j = sorted(rng.choice(n, size=2, replace=False))
-            p = win_probability(sel, w, i, j)
-            q = win_probability(sel, w, j, i)
-            assert abs(p + q - 1.0) <= 1e-15
+            p = all_pair_probabilities(sel, w)
+            q = all_pair_probabilities(sel, -w)
+            assert np.abs(p + q - 1.0).max() <= 1e-15
 
     def test_self_pair_rejected(self, rng):
         fm, sel = make_instance(rng, 2, 3)
         with pytest.raises(InvalidPairError):
-            win_probability(sel, np.zeros(2), 1, 1)
+            sel.rows([1], [1])
 
 
 class TestSampleComparisons:
@@ -255,13 +257,15 @@ class TestFullSelectionTransitivityStructure:
             fm = FeatureMatrix(rng.normal(size=(d, n)))
             sel = realize(SelectionSpec.full(), fm)
             w = rng.normal(size=d)
+            ii, jj = np.triu_indices(n, k=1)
+            P = np.zeros((n, n))
+            P[ii, jj] = all_pair_probabilities(sel, w)
+            P[jj, ii] = all_pair_probabilities(sel, -w)
             for i in range(n):
                 for j in range(n):
                     for k in range(n):
                         if len({i, j, k}) < 3:
                             continue
-                        pij = win_probability(sel, w, i, j)
-                        pjk = win_probability(sel, w, j, k)
-                        pik = win_probability(sel, w, i, k)
+                        pij, pjk, pik = P[i, j], P[j, k], P[i, k]
                         if pij >= 0.5 and pjk >= 0.5:
                             assert pik >= max(pij, pjk) - 1e-12

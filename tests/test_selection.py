@@ -12,6 +12,7 @@ from salientpref import (
     SelectionSpec,
     realize,
 )
+from salientpref.selection import RealizedSelection, all_pairs
 
 
 def fm_from_columns(*cols):
@@ -94,53 +95,72 @@ class TestSelectionSpec:
         assert SelectionSpec.random_bernoulli(1, seed=0).p == 1.0
 
 
+def canonical_pairs(n):
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def pair_arrays(pairs):
+    ii, jj = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return ii, jj
+
+
+def subsets(sel, pairs):
+    """Each pair's selected coordinates, read from ``keep``."""
+    return [tuple(np.flatnonzero(row).tolist()) for row in sel.keep(*pair_arrays(pairs))]
+
+
+def subset(sel, i, j):
+    return subsets(sel, [(i, j)])[0]
+
+
+def assert_reads_match_table(sel, order, reference=None):
+    """``rows`` and ``keep`` of the pairs listed by ``order`` (positions in
+    lexicographic pair order, in any order, possibly repeated) equal the
+    matching rows of ``diff_table()`` and of the all-pairs keep mask, read
+    from ``reference`` (``sel`` itself by default)."""
+    reference = reference or sel
+    ii, jj = all_pairs(sel.features.n)
+    order = np.asarray(order, dtype=np.int64)
+    np.testing.assert_array_equal(sel.rows(ii[order], jj[order]), reference.diff_table()[order])
+    np.testing.assert_array_equal(sel.keep(ii[order], jj[order]), reference.keep(ii, jj)[order])
+
+
 class TestTopT:
     def test_picks_only_differing_coordinate(self):
         fm = fm_from_columns([1.0, 0.0], [0.0, 0.0])
         sel = realize(SelectionSpec.top_t(1), fm)
-        assert sel.select(0, 1) == (0,)
+        assert subset(sel, 0, 1) == (0,)
 
     def test_t_equals_d_selects_everything(self, rng):
         fm = FeatureMatrix(rng.normal(size=(2, 4)))
         sel = realize(SelectionSpec.top_t(2), fm)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert sel.select(i, j) == (0, 1)
+        assert subsets(sel, canonical_pairs(4)) == [(0, 1)] * 6
 
     def test_tie_breaks_to_lower_coordinate(self):
         fm = fm_from_columns([2.0, 5.0], [4.0, 3.0])
         sel = realize(SelectionSpec.top_t(1), fm)
-        assert sel.select(0, 1) == (0,)
+        assert subset(sel, 0, 1) == (0,)
 
     def test_tie_break_identical_in_bulk_table(self):
-        # every coordinate differs by the same amount: the table row must
-        # keep the lazy path's lower-index tie rule
+        # every coordinate differs by the same amount: the lower-index tie
+        # rule holds in the table and in reads of the pairs in reverse order
         fm = fm_from_columns([1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [2.0, 2.0, 2.0])
-        lazy = realize(SelectionSpec.top_t(2), fm)
-        subsets = {(i, j): lazy.select(i, j) for i in range(3) for j in range(i + 1, 3)}
-        bulk = realize(SelectionSpec.top_t(2), fm)
-        table = bulk.diff_table()
-        assert subsets == {
-            (i, j): bulk.select(i, j) for i in range(3) for j in range(i + 1, 3)
-        }
-        assert subsets[(0, 1)] == (0, 1)
-        np.testing.assert_array_equal(table[0], [1.0, 1.0, 0.0])
+        sel = realize(SelectionSpec.top_t(2), fm)
+        assert subsets(sel, canonical_pairs(3)) == [(0, 1)] * 3
+        np.testing.assert_array_equal(sel.diff_table()[0], [1.0, 1.0, 0.0])
+        assert_reads_match_table(sel, [2, 1, 0])
 
     def test_cardinality_always_t(self, rng):
         fm = FeatureMatrix(rng.normal(size=(6, 8)))
         for t in (1, 3, 6):
             sel = realize(SelectionSpec.top_t(t), fm)
-            for i in range(8):
-                for j in range(i + 1, 8):
-                    assert len(sel.select(i, j)) == t
+            assert [len(s) for s in subsets(sel, canonical_pairs(8))] == [t] * 28
 
     def test_equals_full_at_t_d(self, rng):
         fm = FeatureMatrix(rng.normal(size=(4, 6)))
         top = realize(SelectionSpec.top_t(4), fm)
         full = realize(SelectionSpec.full(), fm)
-        for i in range(6):
-            for j in range(i + 1, 6):
-                assert top.select(i, j) == full.select(i, j)
+        assert subsets(top, canonical_pairs(6)) == subsets(full, canonical_pairs(6))
 
     def test_maximizes_two_point_variance(self, rng):
         # ranking by |difference| is ranking by the two-point sample variance
@@ -153,7 +173,7 @@ class TestTopT:
                     for k in range(5)
                 ]
                 order = sorted(range(5), key=lambda k: (-variances[k], k))
-                assert sel.select(i, j) == tuple(sorted(order[:2]))
+                assert subset(sel, i, j) == tuple(sorted(order[:2]))
 
     def test_t_above_d_rejected(self, rng):
         fm = FeatureMatrix(rng.normal(size=(2, 3)))
@@ -165,25 +185,22 @@ class TestFull:
     def test_all_coordinates(self, rng):
         fm = FeatureMatrix(rng.normal(size=(3, 4)))
         sel = realize(SelectionSpec.full(), fm)
-        assert sel.select(2, 0) == (0, 1, 2)
+        assert subset(sel, 0, 2) == (0, 1, 2)
 
 
 class TestRandomKinds:
     def test_exactly_k_cardinality(self, rng):
         fm = FeatureMatrix(rng.normal(size=(7, 9)))
         sel = realize(SelectionSpec.random_exactly_k(3, seed=1), fm)
-        for i in range(9):
-            for j in range(i + 1, 9):
-                assert len(sel.select(i, j)) == 3
+        assert [len(s) for s in subsets(sel, canonical_pairs(9))] == [3] * 36
 
     def test_bernoulli_never_empty(self, rng):
         fm = FeatureMatrix(rng.normal(size=(3, 14)))
         sel = realize(SelectionSpec.random_bernoulli(0.05, seed=3), fm)
-        for i in range(14):
-            for j in range(i + 1, 14):
-                assert len(sel.select(i, j)) >= 1
+        assert all(len(s) >= 1 for s in subsets(sel, canonical_pairs(14)))
 
     def test_deterministic_across_instances(self, rng):
+        # a shuffled read of one instance equals the table of another
         fm = FeatureMatrix(rng.normal(size=(5, 10)))
         for spec in (
             SelectionSpec.random_exactly_k(2, seed=9),
@@ -191,40 +208,63 @@ class TestRandomKinds:
         ):
             a = realize(spec, fm)
             b = realize(spec, fm)
-            for i in range(10):
-                for j in range(i + 1, 10):
-                    assert a.select(i, j) == b.select(i, j)
+            assert_reads_match_table(b, rng.permutation(45), reference=a)
 
     def test_order_of_realization_irrelevant(self, rng):
         fm = FeatureMatrix(rng.normal(size=(4, 6)))
-        spec = SelectionSpec.random_exactly_k(2, seed=77)
-        forward = realize(spec, fm)
-        backward = realize(spec, fm)
-        pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
-        got_fwd = {p: forward.select(*p) for p in pairs}
-        got_bwd = {p: backward.select(*p) for p in reversed(pairs)}
-        assert got_fwd == got_bwd
+        sel = realize(SelectionSpec.random_exactly_k(2, seed=77), fm)
+        assert_reads_match_table(sel, np.arange(15)[::-1])
 
 
 class TestRealizedSelection:
     def test_symmetry(self, rng):
+        # the pair (i, j) of the features is (n-1-j, n-1-i) of the features
+        # with their items reversed: the same subset, the negated row
         fm = FeatureMatrix(rng.normal(size=(4, 5)))
         sel = realize(SelectionSpec.top_t(2), fm)
-        for i in range(5):
-            for j in range(i + 1, 5):
-                assert sel.select(i, j) == sel.select(j, i)
+        flipped = realize(SelectionSpec.top_t(2), FeatureMatrix(fm.matrix[:, ::-1]))
+        ii, jj = all_pairs(5)
+        np.testing.assert_array_equal(flipped.keep(4 - jj, 4 - ii), sel.keep(ii, jj))
 
     def test_self_pair_rejected(self, rng):
         fm = FeatureMatrix(rng.normal(size=(2, 3)))
         sel = realize(SelectionSpec.full(), fm)
         with pytest.raises(InvalidPairError):
-            sel.select(1, 1)
+            sel.keep([1], [1])
+        with pytest.raises(InvalidPairError):
+            sel.rows([1], [1])
 
     def test_out_of_range_rejected(self, rng):
         fm = FeatureMatrix(rng.normal(size=(2, 3)))
         sel = realize(SelectionSpec.full(), fm)
         with pytest.raises(InvalidPairError):
-            sel.select(0, 3)
+            sel.keep([0], [3])
+        with pytest.raises(InvalidPairError):
+            sel.rows([0], [3])
+
+    @pytest.mark.parametrize(
+        "ii, jj",
+        [
+            ([0, 2], [1, 2]),  # i == j
+            ([0, 2], [1, 1]),  # i > j
+            ([-1], [1]),
+            ([0], [4]),
+            ([0, 1], [2]),  # mismatched lengths
+            ([[0]], [[1]]),  # not 1-d
+            ([0.0], [1.0]),  # not integers
+        ],
+    )
+    def test_non_canonical_pairs_rejected(self, rng, ii, jj):
+        sel = realize(SelectionSpec.top_t(1), FeatureMatrix(rng.normal(size=(2, 4))))
+        for read in (sel.rows, sel.keep):
+            with pytest.raises(InvalidPairError):
+                read(np.asarray(ii), np.asarray(jj))
+
+    def test_no_pairs_read_no_rows(self, rng):
+        sel = realize(SelectionSpec.random_exactly_k(1, seed=3), FeatureMatrix(rng.normal(size=(3, 4))))
+        empty = np.array([], dtype=np.int64)
+        assert sel.rows(empty, empty).shape == (0, 3)
+        assert sel.keep(empty, empty).shape == (0, 3)
 
     def test_diff_table_matches_per_pair(self, rng):
         fm = FeatureMatrix(rng.normal(size=(5, 7)))
@@ -236,29 +276,20 @@ class TestRealizedSelection:
         ):
             sel = realize(spec, fm)
             table = sel.diff_table()
-            row = 0
-            for i in range(7):
-                for j in range(i + 1, 7):
-                    np.testing.assert_array_equal(table[row], sel.masked_diff(i, j))
-                    row += 1
+            for row, (i, j) in enumerate(canonical_pairs(7)):
+                np.testing.assert_array_equal(table[row], sel.rows([i], [j])[0])
 
     def test_bulk_and_lazy_subsets_agree(self, rng):
+        # a read that repeats pairs gives each repeat the same row
         fm = FeatureMatrix(rng.normal(size=(6, 8)))
-        spec = SelectionSpec.top_t(3)
-        lazy = realize(spec, fm)
-        lazy_subsets = {
-            (i, j): lazy.select(i, j) for i in range(8) for j in range(i + 1, 8)
-        }
-        bulk = realize(spec, fm)
-        bulk_subsets = {
-            (i, j): bulk.select(i, j) for i in range(8) for j in range(i + 1, 8)
-        }
-        assert lazy_subsets == bulk_subsets
+        sel = realize(SelectionSpec.top_t(3), fm)
+        assert_reads_match_table(sel, [5, 5, 0, 27, 5, 0, 13])
 
     def test_masked_diff_antisymmetric(self, rng):
         fm = FeatureMatrix(rng.normal(size=(3, 4)))
         sel = realize(SelectionSpec.top_t(1), fm)
-        np.testing.assert_array_equal(sel.masked_diff(0, 2), -sel.masked_diff(2, 0))
+        flipped = realize(SelectionSpec.top_t(1), FeatureMatrix(fm.matrix[:, ::-1]))
+        np.testing.assert_array_equal(flipped.rows([1], [3]), -sel.rows([0], [2]))
 
 
 class TestConcurrency:
@@ -267,54 +298,42 @@ class TestConcurrency:
 
         fm = FeatureMatrix(rng.normal(size=(6, 16)))
         sel = realize(SelectionSpec.random_bernoulli(0.4, seed=21), fm)
-        pairs = [(i, j) for i in range(16) for j in range(i + 1, 16)]
+        pairs = canonical_pairs(16)
 
         def read_all(_):
-            return {p: sel.select(*p) for p in pairs}
+            return subsets(sel, pairs)
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(read_all, range(8)))
-        reference = realize(sel.spec, fm)
-        expected = {p: reference.select(*p) for p in pairs}
+            results = list(pool.map(read_all, range(8), timeout=60))
+        expected = subsets(realize(sel.spec, fm), pairs)
         for got in results:
             assert got == expected
 
-    def test_subset_rule_runs_once(self, rng, monkeypatch):
+    def test_concurrent_reads_are_read_only_and_contiguous(self, rng):
         import concurrent.futures
 
-        from salientpref.selection import RealizedSelection
-
-        calls = []
-        rule = RealizedSelection._keep_mask
-
-        def counting_rule(self, *args):
-            calls.append(1)
-            return rule(self, *args)
-
-        monkeypatch.setattr(RealizedSelection, "_keep_mask", counting_rule)
         fm = FeatureMatrix(rng.normal(size=(5, 30)))
         sel = realize(SelectionSpec.random_exactly_k(1, seed=5), fm)
-        pairs = [(i, j) for i in range(30) for j in range(30) if i != j]
+        ii, jj = all_pairs(30)
+        order = np.random.default_rng(5).permutation(ii.size)
 
         def read_all(_):
             return (
-                [sel.select(*p) for p in pairs],
-                np.array([sel.masked_diff(*p) for p in pairs]),
+                sel.keep(ii[order], jj[order]),
+                sel.rows(ii[order], jj[order]),
                 sel.diff_table(),
                 sel.single_coordinate(),
             )
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(read_all, range(8), timeout=60))
-        assert len(calls) == 1
-        subsets, diffs, table, coords = results[0]
-        for got in results[1:]:
-            assert got[0] == subsets
-            np.testing.assert_array_equal(got[1], diffs)
-            assert got[2] is table
-            np.testing.assert_array_equal(got[3], coords)
-        assert table.flags.c_contiguous
-        assert not table.flags.writeable
+        keep, rows, table, coords = results[0]
+        np.testing.assert_array_equal(rows, table[order])
+        for got in results:
+            for arr, want in zip(got, (keep, rows, table, coords)):
+                np.testing.assert_array_equal(arr, want)
+                assert arr.flags.c_contiguous
+                assert not arr.flags.writeable
 
 
 def assert_single_coordinates(sel, expected):
@@ -342,6 +361,26 @@ class TestPartition:
         fm = FeatureMatrix(rng.normal(size=(2, 4)))
         sel = realize(SelectionSpec.full(), fm)
         with pytest.raises(NotSingleCoordinateError):
+            sel.single_coordinate()
+
+    @pytest.mark.parametrize(
+        "spec, size",
+        [
+            (SelectionSpec.full(), 3),
+            (SelectionSpec.top_t(2), 2),
+            (SelectionSpec.random_exactly_k(3, seed=1), 3),
+        ],
+        ids=lambda v: v.kind if isinstance(v, SelectionSpec) else str(v),
+    )
+    def test_fixed_size_refused_without_realizing(self, rng, monkeypatch, spec, size):
+        def rule_must_not_run(*args):
+            raise AssertionError("the subset rule ran")
+
+        monkeypatch.setattr(RealizedSelection, "_keep_mask", rule_must_not_run)
+        sel = realize(spec, FeatureMatrix(rng.normal(size=(3, 5))))
+        with pytest.raises(
+            NotSingleCoordinateError, match=rf"pair \(0, 1\) selects {size} coordinates, need 1"
+        ):
             sel.single_coordinate()
 
     def test_partition_is_disjoint_cover(self, rng):
@@ -377,20 +416,31 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.to_json())
     def test_table_select_and_masked_diff(self, rng, spec):
         U = oracle_features(rng)
-        subsets, table = oracles.masked_diff_table(U, spec.to_dict())
+        want, table = oracles.masked_diff_table(U, spec.to_dict())
         sel = realize(spec, FeatureMatrix(U))
         np.testing.assert_array_equal(sel.diff_table(), table)
-        for (i, j), subset, row in zip(self.PAIRS, subsets, table):
-            assert sel.select(i, j) == subset
-            assert sel.select(j, i) == subset
-            np.testing.assert_array_equal(sel.masked_diff(i, j), row)
-            np.testing.assert_array_equal(sel.masked_diff(j, i), -row)
+        assert subsets(sel, self.PAIRS) == want
+        for (i, j), row in zip(self.PAIRS, table):
+            np.testing.assert_array_equal(sel.rows([i], [j])[0], row)
         # identical items still select a nonempty subset, on zero differences
-        same = subsets[self.PAIRS.index((2, 5))]
+        same = want[self.PAIRS.index((2, 5))]
         assert same and not table[self.PAIRS.index((2, 5))].any()
+        assert subset(sel, 2, 5) == same and not sel.rows([2], [5]).any()
         if spec.kind == "top_t":
             assert same == tuple(range(spec.t))
-            assert subsets[self.PAIRS.index((0, 7))] == tuple(range(spec.t))
+            assert want[self.PAIRS.index((0, 7))] == tuple(range(spec.t))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.to_json())
+    def test_rows_and_keep_of_shuffled_subset(self, rng, spec):
+        U = oracle_features(rng)
+        want, table = oracles.masked_diff_table(U, spec.to_dict())
+        sel = realize(spec, FeatureMatrix(U))
+        # a dozen pairs, the identical pair (2, 5) and a repeat, shuffled
+        order = rng.permutation(len(self.PAIRS))[:12]
+        order = rng.permutation(np.append(order, [self.PAIRS.index((2, 5)), order[0]]))
+        pairs = [self.PAIRS[k] for k in order]
+        np.testing.assert_array_equal(sel.rows(*pair_arrays(pairs)), table[order])
+        assert subsets(sel, pairs) == [want[k] for k in order]
 
     @pytest.mark.parametrize(
         "spec",
@@ -412,14 +462,18 @@ class TestAgainstOracle:
             realize(spec, FeatureMatrix(U)).single_coordinate()
 
 
-def assert_matches_numpy_rule(spec, n, d):
-    """The batched draw reproduces the per-pair np.random rule exactly."""
+def assert_matches_numpy_rule(spec, n, d, order=()):
+    """The batched draw reproduces the per-pair np.random rule exactly, on
+    the table and on a read of the pairs at positions ``order``."""
     U = np.random.default_rng(n * 100 + d).normal(size=(d, n))
-    subsets, table = oracles.masked_diff_table(U, spec.to_dict())
+    want, table = oracles.masked_diff_table(U, spec.to_dict())
     sel = realize(spec, FeatureMatrix(U))
     np.testing.assert_array_equal(sel.diff_table(), table)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    assert [sel.select(i, j) for i, j in pairs] == subsets
+    assert subsets(sel, canonical_pairs(n)) == want
+    order = np.asarray(order, dtype=np.int64)
+    pairs = [canonical_pairs(n)[k] for k in order]
+    np.testing.assert_array_equal(sel.rows(*pair_arrays(pairs)), table[order])
+    assert subsets(sel, pairs) == [want[k] for k in order]
 
 
 # one- and two-word seed entropy, and the seed 0 that SeedSequence reads as [0]
@@ -472,4 +526,6 @@ class TestStreamsMatchNumpy:
             spec = SelectionSpec.random_exactly_k(data.draw(st.integers(1, d), label="k"), seed)
         else:
             spec = SelectionSpec.random_bernoulli(data.draw(st.floats(0.05, 1.0), label="p"), seed)
-        assert_matches_numpy_rule(spec, n, d)
+        npairs = n * (n - 1) // 2
+        order = data.draw(st.lists(st.integers(0, npairs - 1), max_size=2 * npairs), label="order")
+        assert_matches_numpy_rule(spec, n, d, order)

@@ -324,13 +324,13 @@ class TestFullSelectionReport:
 
     def test_builds_no_pair_table(self, rng, monkeypatch):
         calls = []
-        build = RealizedSelection._build_diff_table
+        rule = RealizedSelection._keep_mask
 
-        def counting(self):
+        def counting(self, *args):
             calls.append(self.spec)
-            return build(self)
+            return rule(self, *args)
 
-        monkeypatch.setattr(RealizedSelection, "_build_diff_table", counting)
+        monkeypatch.setattr(RealizedSelection, "_keep_mask", counting)
         d, n = 48, 600  # the C(n,2) x d table alone would be 138 MB
         fm = FeatureMatrix(rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, n)))
         w = rng.normal(0.0, 1.0 / np.sqrt(d), size=d)
@@ -451,7 +451,8 @@ _RECOVERY_KEYS = [
     "predicted", "guarantee",
 ]
 _GUARANTEE_KEYS = [
-    "applicable", "m", "m_required", "bound", "trials", "pass_rate", "errors", "status",
+    "applicable", "m", "m_required", "bound", "trials", "pass_rate", "errors", "stop_reasons",
+    "status",
 ]
 
 
@@ -744,6 +745,42 @@ class TestEmpiricalGuaranteeCheck:
         chk = empirical_guarantee_check(sel, w_star, m, rep, trials=5, seed=1)
         assert chk.applicable
         assert chk.pass_rate == 1.0
+
+    def test_only_converged_fits_are_scored(self, monkeypatch):
+        import dataclasses
+        import itertools
+
+        import salientpref.theory
+
+        fm, sel = hexagon_instance()
+        w_star = np.array([0.3, -0.2])
+        rep = sample_complexity_report(sel, w_star=w_star, delta=0.2)
+        m = int(np.ceil(max(rep.m1, rep.m2)))
+        every = empirical_guarantee_check(sel, w_star, m, rep, trials=3, seed=1)
+        assert every.stop_reasons == {"converged": 3}
+        real_fit = salientpref.theory.fit
+
+        def fit_stopping(stopped):
+            trial = itertools.count()
+
+            def stopping_fit(*args, **kwargs):
+                result = real_fit(*args, **kwargs)
+                if next(trial) in stopped:
+                    result = dataclasses.replace(result, stop_reason="max_iters")
+                return result
+
+            return stopping_fit
+
+        monkeypatch.setattr(salientpref.theory, "fit", fit_stopping({1}))
+        chk = empirical_guarantee_check(sel, w_star, m, rep, trials=3, seed=1)
+        assert chk.stop_reasons == {"converged": 2, "max_iters": 1}
+        assert chk.errors == (every.errors[0], every.errors[2])
+        assert chk.pass_rate == 1.0
+
+        monkeypatch.setattr(salientpref.theory, "fit", fit_stopping({0, 1, 2}))
+        chk = empirical_guarantee_check(sel, w_star, m, rep, trials=3, seed=1)
+        assert chk.stop_reasons == {"max_iters": 3}
+        assert chk.errors == () and chk.pass_rate is None
 
     def test_zero_truth_trivially_inside(self):
         fm, sel = hexagon_instance()
