@@ -5,12 +5,15 @@ eigenvalues come from LAPACK (``np.linalg.eigvalsh``), and one zero rule
 (``zero_tol``) gives the rank of a design's second moment to both the
 certificates and the fit; the zeta scan takes
 the caller's eigendecomposition of E[Z] and solves one secular equation per
-pair; the transitivity scan enumerates chains x -> y -> z through one middle
-item at a time and keeps only the violating rows; ``PairStreams`` runs
-numpy's seeded PCG64 generator for many seeds at once.
+pair; the transitivity scan enumerates the triples with all three pairs
+present in lexicographic order, orients each by a table lookup and keeps only
+the violating rows; ``PairStreams`` runs numpy's seeded PCG64 generator for
+many seeds at once.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -177,41 +180,80 @@ def zeta_scan(spectrum, X):
 # ---------------------------------------------------------------------------
 # stochastic-transitivity triple scan
 #
-# An unordered triple whose three pairwise probabilities are all present is
-# checked through its first chain orientation (x, y, z) in lexicographic order,
-# a chain being P[x, y] > 1/2 and P[y, z] > 1/2, and classified:
+# An unordered triple a < b < c whose three pairwise probabilities are all
+# present is checked through its first chain orientation (x, y, z) among the
+# six permutations of (a, b, c) in lexicographic order, a chain being
+# P[x, y] > 1/2 and P[y, z] > 1/2, and classified:
 #   strong violation    P[x, z] < max(P[x, y], P[y, z])
 #   moderate violation  P[x, z] < min(P[x, y], P[y, z])
 #   weak violation      P[x, z] < 1/2
-# The scan enumerates chains through each middle item y: x over the items that
-# beat y, z over those y beats.  A triple has at most one chain unless it is a
-# cycle x -> y -> z -> x, which has three; the one starting at the triple's
-# smallest item is the first in lexicographic order, so it alone is kept.
-# Only violating rows (x, y, z, moderate, weak) outlive their block, sorted at
-# the end into lexicographic order of the sorted triple, so memory is
-# O(n^2 + violations).  A listed row is always a strong violation since weak
-# implies moderate implies strong here.
+# The scan walks the present pairs u < v in lexicographic order.  Pair (a, b)
+# is followed in that list by the pairs (a, c), c > b, of the same row; each
+# such wedge is a candidate triple (a, b, c), so triples come out in
+# lexicographic order with no sort.  A pair's link code is
+# (P[u, v] > 1/2) + 2 (P[v, u] > 1/2): 0 no link, 1 u -> v, 2 v -> u, and
+# _ABSENT for a pair that is not present.  P must never put both directions
+# above 1/2; P[v, u] = 1 - P[u, v], as the diagnostics build it, never does.
+# The codes of (a, b), (b, c) and (a, c), as base-4 digits, index
+# _ORIENTATION, which holds the first chain orientation, or -1 when there is
+# none or (b, c) is absent.  Wedges are expanded _TRIPLE_BLOCK at a time and
+# only violating rows (x, y, z, moderate, weak) outlive their block, so memory
+# is O(n^2 + violations).  A listed row is always a strong violation since
+# weak implies moderate implies strong here.
 # ---------------------------------------------------------------------------
+
+_TRIPLE_BLOCK = 1 << 13  # wedges expanded per block
+_ABSENT = 3
+_PERMUTATIONS = np.array(list(itertools.permutations(range(3))), dtype=np.intp)
+
+
+def _orientation_table():
+    table = np.full(64, -1, dtype=np.intp)
+    for ab, bc, ac in itertools.product(range(_ABSENT), repeat=3):
+        links = {(0, 1): ab == 1, (1, 0): ab == 2, (1, 2): bc == 1,
+                 (2, 1): bc == 2, (0, 2): ac == 1, (2, 0): ac == 2}
+        for k, (x, y, z) in enumerate(_PERMUTATIONS.tolist()):
+            if links[x, y] and links[y, z]:
+                table[16 * ab + 4 * bc + ac] = k
+                break
+    return table
+
+
+_ORIENTATION = _orientation_table()
 
 
 def transitivity_scan(P, present):
-    link = present & (P > 0.5)
+    n = P.shape[0]
+    prob = np.ravel(P)
+    ui, uj = np.nonzero(np.triu(present, 1))
+    pair_code = (prob[ui * n + uj] > 0.5) + 2 * (prob[uj * n + ui] > 0.5)
+    code = np.full(n * n, _ABSENT, dtype=np.int8)
+    code[ui * n + uj] = pair_code
+    # pair k = (a, b) opens the wedges (a, b, uj[k']) for k < k' < its row's end
+    row_end = np.cumsum(np.bincount(ui, minlength=n))[ui]
+    wedges = row_end - np.arange(ui.size) - 1
+    wedge_end = np.cumsum(wedges)
+    wedge_start = wedge_end - wedges
+    total = int(wedge_end[-1]) if ui.size else 0
     checked = 0
     blocks = [np.empty((0, 5), dtype=np.int64)]
-    for y in range(P.shape[0]):
-        xs, zs = np.flatnonzero(link[:, y]), np.flatnonzero(link[y])
-        xc = xs[:, None]
-        xi, zi = np.nonzero(present[xc, zs] & (~link[zs, xc] | ((xc < y) & (xc < zs))))
-        x, z = xs[xi], zs[zi]
-        checked += x.size
-        pxy, pyz, pxz = P[x, y], P[y, z], P[x, z]
-        rows = np.column_stack(
-            (x, np.full_like(x, y), z, pxz < np.minimum(pxy, pyz), pxz < 0.5)
-        )
-        blocks.append(rows[pxz < np.maximum(pxy, pyz)].astype(np.int64, copy=False))
-    viol = np.concatenate(blocks)
-    key = np.sort(viol[:, :3], axis=1)
-    return checked, viol[np.lexsort(key.T[::-1])]
+    for start in range(0, total, _TRIPLE_BLOCK):
+        stop = min(start + _TRIPLE_BLOCK, total)
+        first, last = np.searchsorted(wedge_end, (start, stop - 1), side="right")
+        ks = np.arange(first, last + 1)
+        runs = np.minimum(wedge_end[ks], stop) - np.maximum(wedge_start[ks], start)
+        k = np.repeat(ks, runs)
+        kc = k + 1 + (np.arange(start, stop) - wedge_start[k])
+        b, c = uj[k], uj[kc]
+        orient = _ORIENTATION[16 * pair_code[k] + 4 * code[b * n + c] + pair_code[kc]]
+        chained = np.flatnonzero(orient >= 0)
+        checked += chained.size
+        abc = np.column_stack((ui[k[chained]], b[chained], c[chained])).ravel()
+        xyz = abc[np.arange(0, abc.size, 3)[:, None] + _PERMUTATIONS[orient[chained]]]
+        pxy, pyz, pxz = prob[xyz[:, [0, 1, 0]] * n + xyz[:, [1, 2, 2]]].T
+        rows = np.column_stack((xyz, pxz < np.minimum(pxy, pyz), pxz < 0.5))
+        blocks.append(rows[pxz < np.maximum(pxy, pyz)])
+    return checked, np.concatenate(blocks)
 
 
 # ---------------------------------------------------------------------------

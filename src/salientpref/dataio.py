@@ -13,9 +13,11 @@ Reports are written by ``write_json``, whose bytes are always those of
 with every ``Records`` in the payload written as its ``tolist()``; identical
 runs therefore produce identical bytes.  A ``Records`` holds listed rows
 (violating triples, disagreeing pairs) as an int64 array plus a per-row
-template.  Its rows stream from the array in chunks of ``CHUNK_ROWS``, one
-``%``-format string per chunk, so no dict or list is built per row and
-memory is bounded by the chunk, not by the listing.
+template.  Its rows stream from the array in chunks of ``CHUNK_ROWS``: per
+chunk and column, one string is made for each distinct value (the template
+text before the column, then the value), and the chunk is written as one
+join of those strings.  No dict or list is built per row, and memory is
+bounded by the chunk, not by the listing.
 
 Feature standardization is (x - mean) / std per feature with the population
 convention (divisor n); a zero-variance feature is shifted but not scaled,
@@ -149,6 +151,40 @@ def save_comparisons(path: str, data: ComparisonDataset, fm: FeatureMatrix) -> N
             writer.writerow([winner, loser, str(count)])
 
 
+def _row_error(path: str, lineno: int, row: list[str], index: dict) -> Exception | None:
+    """The error of the first check that one comparisons row fails, or None."""
+    if len(row) != 3:
+        return ParseError(str(path), lineno, f"expected 3 cells, got {len(row)}")
+    winner, loser, count_text = row
+    try:
+        count = int(count_text)
+    except ValueError:
+        return ParseError(str(path), lineno, f"bad count {count_text!r}")
+    if count < 1:
+        return ParseError(str(path), lineno, f"count must be >= 1, got {count}")
+    if count > MAX_COUNT:
+        return ParseError(str(path), lineno, f"count {count} exceeds 2**53")
+    if winner == loser:
+        return ParseError(str(path), lineno, f"item {winner!r} compared with itself")
+    for item in (winner, loser):
+        if item not in index:
+            return UnknownItemError(f"{path}:{lineno}: unknown item id {item!r}")
+    return None
+
+
+def _checked_columns(rows: list, index: dict):
+    """The winner indices, loser indices and counts of rows that all pass, else None."""
+    try:
+        count = np.array([int(text) for _, (_, _, text) in rows], dtype=np.int64)
+    except (ValueError, OverflowError):  # a ragged row, a bad count, or beyond int64
+        return None
+    wi = np.array([index.get(row[0], -1) for _, row in rows], dtype=np.int64)
+    li = np.array([index.get(row[1], -1) for _, row in rows], dtype=np.int64)
+    if np.any((count < 1) | (count > MAX_COUNT) | (wi == li) | (wi < 0) | (li < 0)):
+        return None
+    return wi, li, count
+
+
 def load_comparisons(
     path: str,
     fm: FeatureMatrix,
@@ -165,42 +201,20 @@ def load_comparisons(
     if header != ["winner_id", "loser_id", "count"]:
         raise ParseError(str(path), 1, "expected header winner_id,loser_id,count")
     n = fm.n
-    keys: list[int] = []
-    won: list[bool] = []
-    counts: list[int] = []
-    lines: list[int] = []
-    for lineno, row in rows:
-        if len(row) != 3:
-            raise ParseError(str(path), lineno, f"expected 3 cells, got {len(row)}")
-        winner, loser, count_text = row
-        try:
-            count = int(count_text)
-        except ValueError:
-            raise ParseError(str(path), lineno, f"bad count {count_text!r}") from None
-        if count < 1:
-            raise ParseError(str(path), lineno, f"count must be >= 1, got {count}")
-        if count > MAX_COUNT:
-            raise ParseError(str(path), lineno, f"count {count} exceeds 2**53")
-        if winner == loser:
-            raise ParseError(str(path), lineno, f"item {winner!r} compared with itself")
-        try:
-            wi = fm.index_of(winner)
-        except KeyError:
-            raise UnknownItemError(f"{path}:{lineno}: unknown item id {winner!r}") from None
-        try:
-            li = fm.index_of(loser)
-        except KeyError:
-            raise UnknownItemError(f"{path}:{lineno}: unknown item id {loser!r}") from None
-        keys.append(min(wi, li) * n + max(wi, li))
-        won.append(wi < li)
-        counts.append(count)
-        lines.append(lineno)
-    count = np.asarray(counts, dtype=np.int64)
-    pairs, groups = np.unique(np.asarray(keys, dtype=np.int64), return_inverse=True)
+    # the rows are checked column-wise; if any fails, the first bad row in
+    # file order is found by the per-row checks, for its message and line
+    columns = _checked_columns(rows, fm._id_index)
+    if columns is None:
+        for lineno, row in rows:
+            error = _row_error(path, lineno, row, fm._id_index)
+            if error is not None:
+                raise error
+    wi, li, count = columns
+    pairs, groups = np.unique(np.minimum(wi, li) * n + np.maximum(wi, li), return_inverse=True)
     total, over = sum_counts(groups, count, pairs.size)
     if over is not None:
-        raise ParseError(str(path), lines[over], "pair total exceeds 2**53")
-    wins, _ = sum_counts(groups, np.where(won, count, 0), pairs.size)
+        raise ParseError(str(path), rows[over][0], "pair total exceeds 2**53")
+    wins, _ = sum_counts(groups, np.where(wi < li, count, 0), pairs.size)
     keep = total >= min_count
     pairs = pairs[keep]
     return ComparisonDataset(pairs // n, pairs % n, wins[keep], total[keep], n)
@@ -312,25 +326,32 @@ class Records:
         if not len(self.rows):
             fh.write("[]")
             return
-        tokens = list(_frame(self.template, level + 1, Column))
-        item = "\n" + "  " * (level + 1) + "".join(
-            t.replace("%", "%%") if isinstance(t, str) else "%s" for t in tokens
-        )
-        columns = [t[0] for t in tokens if not isinstance(t, str)]
+        # each run of template text becomes the prefix of the Column after it
+        prefixes, columns, text = [], [], "\n" + "  " * (level + 1)
+        for token in _frame(self.template, level + 1, Column):
+            if isinstance(token, str):
+                text += token
+            else:
+                prefixes.append(text)
+                columns.append(token[0])
+                text = ""
+        width = len(columns) + 1
         for start in range(0, len(self.rows), CHUNK_ROWS):
             chunk = self.rows[start : start + CHUNK_ROWS]
-            values = [None] * (len(chunk) * len(columns))
-            for k, column in enumerate(columns):
+            # a row's pieces: one string per column, then the text after the
+            # last column and, for every row but the chunk's last, a comma
+            pieces = [text + ","] * (len(chunk) * width)
+            pieces[-1] = text
+            for k, (prefix, column) in enumerate(zip(prefixes, columns)):
                 cells = chunk[:, column.index]
                 if column.boolean:
-                    cells = _JSON_BOOLS[(cells != 0).astype(np.intp)]
-                values[k :: len(columns)] = cells.tolist()
-            fh.write(("," if start else "[") + ",".join([item] * len(chunk)) % tuple(values))
+                    values, which = ("false", "true"), (cells != 0).astype(np.intp)
+                else:
+                    values, which = np.unique(cells, return_inverse=True)
+                strings = np.array([prefix + str(v) for v in values], dtype=object)
+                pieces[k::width] = strings[which].tolist()
+            fh.write(("," if start else "[") + "".join(pieces))
         fh.write("\n" + "  " * level + "]")
-
-
-# an object array, so a lookup yields these two strings rather than new ones
-_JSON_BOOLS = np.array(["false", "true"], dtype=object)
 
 
 def _fill(template, row: list):

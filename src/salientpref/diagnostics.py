@@ -15,10 +15,10 @@ them, and these reports count how often.
 An unordered triple is checked once: of its six orientations (x, y, z), the
 first in lexicographic order whose two chained probabilities P(x>y) and
 P(y>z) strictly exceed 1/2 is classified.  Probabilities equal to exactly 1/2
-never qualify as a chain link.  The scan realises this by enumerating the
-chains x -> y -> z through each middle item y.  A triple has one chain, or
-three when it is a cycle; of a cycle's three, the one starting at its
-smallest item is the first in lexicographic order and the only one kept.  A
+never qualify as a chain link.  The scan enumerates the sorted triples
+a < b < c whose three pairs are present, in lexicographic order, and finds each
+one's orientation by a single table lookup on the directions of its three
+links, so violating rows come out in listing order with no sort.  A
 triple that violates the weak form also violates the moderate and strong
 forms, so the three counters are nested.
 """

@@ -220,6 +220,76 @@ class TestComparisonsFile:
         assert count_lists(load_comparisons(str(path), fm)) == ([0], [1], [2**53 - 1], [2**53])
 
 
+# one bad row each, after a good row: (row, error type, message after "path:line: ")
+ROW_FAULTS = {
+    "ragged": ("alpha,beta", ParseError, "expected 3 cells, got 2"),
+    "long": ("alpha,beta,1,2", ParseError, "expected 3 cells, got 4"),
+    "non_integer": ("alpha,beta,1.5", ParseError, "bad count '1.5'"),
+    "empty_count": ("alpha,beta,", ParseError, "bad count ''"),
+    "zero": ("alpha,beta,0", ParseError, "count must be >= 1, got 0"),
+    "negative": ("alpha,beta,-3", ParseError, "count must be >= 1, got -3"),
+    "far_below": (f"alpha,beta,{-(2**70)}", ParseError, f"count must be >= 1, got {-(2**70)}"),
+    "above_exact": (f"alpha,beta,{2**53 + 1}", ParseError, f"count {2**53 + 1} exceeds 2**53"),
+    "far_above": (f"alpha,beta,{2**70}", ParseError, f"count {2**70} exceeds 2**53"),
+    "self": ("beta,beta,1", ParseError, "item 'beta' compared with itself"),
+    "unknown_self": ("delta,delta,1", ParseError, "item 'delta' compared with itself"),
+    "unknown_winner": ("delta,beta,1", UnknownItemError, "unknown item id 'delta'"),
+    "unknown_loser": ("beta,delta,1", UnknownItemError, "unknown item id 'delta'"),
+    "both_unknown": ("delta,omega,1", UnknownItemError, "unknown item id 'delta'"),
+    "count_before_id": ("delta,beta,0", ParseError, "count must be >= 1, got 0"),
+}
+
+
+def raised_message(exc) -> str:
+    # a KeyError's str() is the repr of its argument
+    return exc.args[0] if isinstance(exc, UnknownItemError) else str(exc)
+
+
+class TestComparisonsFileErrors:
+    @pytest.mark.parametrize("fault", sorted(ROW_FAULTS))
+    def test_fault_after_a_good_row(self, tmp_path, features_csv, fault):
+        fm, _ = load_features(features_csv)
+        row, kind, message = ROW_FAULTS[fault]
+        path = tmp_path / "c.csv"
+        path.write_text(
+            f"winner_id,loser_id,count\nalpha,gamma,2\n{row}\nbeta,gamma,1\n", encoding="utf-8"
+        )
+        with pytest.raises(kind) as info:
+            load_comparisons(str(path), fm)
+        assert raised_message(info.value) == f"{path}:3: {message}"
+        if kind is ParseError:
+            assert info.value.line == 3
+
+    def test_blank_lines_keep_their_numbers(self, tmp_path, features_csv):
+        fm, _ = load_features(features_csv)
+        path = tmp_path / "c.csv"
+        path.write_text(
+            "winner_id,loser_id,count\n\nalpha,gamma,2\n\nbeta,beta,1\n", encoding="utf-8"
+        )
+        with pytest.raises(ParseError) as info:
+            load_comparisons(str(path), fm)
+        assert str(info.value) == f"{path}:5: item 'beta' compared with itself"
+
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            ("unknown_loser", "ragged", "non_integer"),
+            ("self", "zero", "ragged"),
+            ("non_integer", "unknown_winner", "above_exact"),
+            ("far_above", "non_integer", "unknown_loser"),
+        ],
+    )
+    def test_first_of_three_faults_is_reported(self, tmp_path, features_csv, faults):
+        fm, _ = load_features(features_csv)
+        rows = "".join(ROW_FAULTS[f][0] + "\n" for f in faults)
+        path = tmp_path / "c.csv"
+        path.write_text(f"winner_id,loser_id,count\nalpha,gamma,2\n{rows}", encoding="utf-8")
+        _, kind, message = ROW_FAULTS[faults[0]]
+        with pytest.raises(kind) as info:
+            load_comparisons(str(path), fm)
+        assert raised_message(info.value) == f"{path}:3: {message}"
+
+
 class TestRankingsFile:
     def test_basic_ranking(self, tmp_path, features_csv):
         fm, _ = load_features(features_csv)

@@ -120,6 +120,89 @@ class TestTransitivityScan:
             listed += len(got)
         assert listed > 0
 
+    @staticmethod
+    def _from_map(n, prob_map):
+        # as diagnostics builds them: P[j, i] = 1 - P[i, j]
+        P = np.full((n, n), 0.5)
+        present = np.zeros((n, n), dtype=bool)
+        for (a, b), p in prob_map.items():
+            P[a, b], P[b, a] = p, 1.0 - p
+            present[a, b] = present[b, a] = True
+        return P, present
+
+    def _assert_matches_oracle(self, n, prob_map):
+        checked, viol = _kernels.transitivity_scan(*self._from_map(n, prob_map))
+        assert viol.dtype == np.int64 and viol.shape[1] == 5
+        got = [(x, y, z, bool(m), bool(w)) for x, y, z, m, w in viol.tolist()]
+        assert got == oracles.transitivity_rows(prob_map)
+        assert checked == oracles.transitivity_counts(prob_map)[0]
+        return checked, viol
+
+    def test_roundoff_tie_is_no_link(self, rng):
+        p = 0.5 - 2.0**-54
+        assert p < 0.5 and 1.0 - p == 0.5
+        # (0, 1) links neither way, so no orientation of {0, 1, 2} chains
+        checked, _ = self._assert_matches_oracle(3, {(0, 1): p, (1, 2): 0.9, (0, 2): 0.9})
+        assert checked == 0
+        # the same pair in the other direction, and near-ties among other values
+        checked, _ = self._assert_matches_oracle(3, {(0, 1): 1.0 - p, (1, 2): 0.9, (0, 2): 0.9})
+        assert checked == 0
+        grid = np.array([p, 0.5, 0.5 + 2.0**-53, 0.3, 0.7, 0.0, 1.0])
+        for trial in range(40):
+            n = 3 + trial % 6
+            ii, jj = np.triu_indices(n, k=1)
+            probs = grid[rng.integers(0, grid.size, ii.size)]
+            self._assert_matches_oracle(
+                n, {(int(a), int(b)): float(q) for a, b, q in zip(ii, jj, probs)}
+            )
+
+    def test_exact_ties_check_nothing(self):
+        n = 6
+        ii, jj = np.triu_indices(n, k=1)
+        checked, viol = self._assert_matches_oracle(
+            n, {(int(a), int(b)): 0.5 for a, b in zip(ii, jj)}
+        )
+        assert checked == 0 and viol.shape == (0, 5)
+
+    def test_sparse_presence_and_items_in_no_pair(self, rng):
+        listed = 0
+        for trial in range(30):
+            n = 12
+            ii, jj = np.triu_indices(n, k=1)
+            used = rng.random(n) < 0.7  # the other items occur in no pair
+            kept = used[ii] & used[jj] & (rng.random(ii.size) < 0.6)
+            probs = rng.random(ii.size)
+            prob_map = {
+                (int(a), int(b)): float(q) for a, b, q in zip(ii[kept], jj[kept], probs[kept])
+            }
+            listed += len(self._assert_matches_oracle(n, prob_map)[1])
+        assert listed > 0
+
+    def test_zero_pairs(self):
+        for n in (0, 1, 2, 5):
+            checked, viol = _kernels.transitivity_scan(
+                np.full((n, n), 0.5), np.zeros((n, n), dtype=bool)
+            )
+            assert checked == 0
+            assert viol.dtype == np.int64 and viol.shape == (0, 5)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_block_edges_inside_a_run(self, rng, monkeypatch, block):
+        n = 30
+        ii, jj = np.triu_indices(n, k=1)
+        kept = rng.random(ii.size) < 0.5
+        probs = rng.random(ii.size)
+        P, present = self._from_map(
+            n, {(int(a), int(b)): float(q) for a, b, q in zip(ii[kept], jj[kept], probs[kept])}
+        )
+        monkeypatch.setattr(_kernels, "_TRIPLE_BLOCK", n**3)
+        checked, viol = _kernels.transitivity_scan(P, present)
+        assert len(viol) > 0
+        monkeypatch.setattr(_kernels, "_TRIPLE_BLOCK", block)
+        checked_blocked, viol_blocked = _kernels.transitivity_scan(P, present)
+        assert checked_blocked == checked
+        np.testing.assert_array_equal(viol_blocked, viol)
+
 
 class TestSymEigvals:
     def test_zero_matrix(self):
