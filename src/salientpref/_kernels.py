@@ -3,12 +3,12 @@
 The likelihood folds run over one row per distinct pair.  Certificate
 eigenvalues come from LAPACK (``np.linalg.eigvalsh``), and one zero rule
 (``zero_tol``) gives the rank of a design's second moment to both the
-certificates and the fit; the zeta scan takes
-the caller's eigendecomposition of E[Z] and solves one secular equation per
-pair; the transitivity scan enumerates the triples with all three pairs
-present in lexicographic order, orients each by a table lookup and keeps only
-the violating rows; ``PairStreams`` runs numpy's seeded PCG64 generator for
-many seeds at once.
+certificates and the fit; the zeta scan takes the caller's eigendecomposition
+of E[Z], brackets every pair's secular root in two O(d) passes and solves only
+the pairs whose bracket can hold the smallest root; the transitivity scan
+enumerates the triples with all three pairs present in lexicographic order,
+orients each by a table lookup and keeps only the violating rows;
+``PairStreams`` runs numpy's seeded PCG64 generator for many seeds at once.
 """
 
 from __future__ import annotations
@@ -108,14 +108,37 @@ def psd_spectrum(M):
 # g_k = lam[-1] - lam[k], the top eigenvalue of EZ - x x^T is lam[-1] - t,
 # where t is the root in [0, min(z_d^2, g_{d-1})] of the secular equation
 # (Golub 1973; Bunch, Nielsen & Sorensen 1978)
-#     phi(t) = t (1 + sum_{k<d} z_k^2 / (g_k - t)) - z_d^2 = 0.
+#     phi(t) = t (1 + S(t)) - z_d^2 = 0,   S(t) = sum_{k<d} z_k^2 / (g_k - t).
 # A zero bracket (z_d = 0, a repeated top eigenvalue, a zero row) gives t = 0.
 # phi is increasing and convex on the bracket, so a Newton step taken right of
 # the root stays right of it; a step that leaves the sign bracket of phi falls
 # back to bisection.
+#
+# Only the smallest root counts, so only the rows that can hold it are solved.
+# S increases on [0, g_{d-1}) and t = z_d^2 / (1 + S(t)), so every root lies
+# in [L, U]:
+#     U = min(z_d^2 / (1 + S(0)), g_{d-1}),
+#     L = z_d^2 / (1 + S(U')) with U' = U (1 + s), or L = 0 if U' >= g_{d-1}.
+# A row is solved when L <= B (1 + s).  The bound B is the smallest U or
+# solved root seen so far, earlier blocks included; s is _ZETA_SLACK.  A NaN
+# anywhere in a row's z makes its U NaN and its L 0: the row is solved, and
+# its root is 0 as before.
+# Why the slack suffices.  L, U and the solver's root come from the same z and
+# g, and each has a relative error e of at most about 2 (d + 4) 2^-53, barring
+# underflow: S sums d - 1 nonnegative terms of two roundings each, and the
+# solver stops within 4 ulps at a root where phi' >= 1 + S while phi's own
+# error is about 2 e z_d^2.  So U' lies above the exact U, hence above the
+# exact root, S(U') >= S(t), and L is at most the root times (1 + e).  A
+# pruned row's computed root thus exceeds B (1 + s)(1 - e)^2, while some
+# row's computed root is at most B (1 + e)^2, since B is a solved root or the
+# U of a row whose root lies below it.  s = 1e-9 exceeds 4 e for d up to
+# about 10^6, so the row with the smallest computed root is never pruned and
+# zeta is bit for bit the one a solve of every row gives.  The bound pass is
+# two O(d) sweeps over the block's z table through one scratch table.
 # ---------------------------------------------------------------------------
 
 _ZETA_BLOCK = 1_000_000  # entries of the per-block z table
+_ZETA_SLACK = 1e-9
 _SECULAR_MAX_STEPS = 200
 _SECULAR_RTOL = 4.0 * np.finfo(np.float64).eps
 
@@ -155,6 +178,17 @@ def _secular_roots(zk2, zd2, gaps, hi):
     return t
 
 
+def _root_brackets(zk2, zd2, gaps):
+    """Per row, the bracket ``(L, U)`` of the root (see above); all gaps > 0."""
+    scratch = np.divide(zk2, gaps)
+    upper = np.minimum(zd2 / (1.0 + scratch.sum(axis=1)), gaps[-1])
+    shift = upper * (1.0 + _ZETA_SLACK)
+    inside = shift < gaps[-1]
+    np.subtract(gaps, np.where(inside, shift, 0.0)[:, None], out=scratch)
+    np.divide(zk2, scratch, out=scratch)
+    return np.where(inside, zd2 / (1.0 + scratch.sum(axis=1)), 0.0), upper
+
+
 def zeta_scan(spectrum, X):
     """max over rows x_p of X of the largest eigenvalue of EZ - x_p x_p^T.
 
@@ -165,15 +199,21 @@ def zeta_scan(spectrum, X):
     gaps = top - lam[:-1]
     npairs, d = X.shape
     step = max(1, _ZETA_BLOCK // d)
-    t_min = np.inf
+    t_min = u_min = np.inf
     for lo in range(0, npairs, step):
-        z2 = (X[lo : lo + step] @ Q) ** 2
-        zd2 = z2[:, -1]
+        z2 = X[lo : lo + step] @ Q
+        z2 *= z2
+        zk2, zd2 = z2[:, :-1], z2[:, -1]
         if d == 1:  # no other eigenvalue: the root is z_1^2 itself
             t = zd2
         else:
-            t = _secular_roots(z2[:, :-1], zd2, gaps, np.minimum(zd2, gaps[-1]))
-        t_min = min(t_min, float(t.min()))
+            if gaps[-1] > 0.0:  # else every root is 0 and the solver says so
+                lower, upper = _root_brackets(zk2, zd2, gaps)
+                u_min = min(u_min, float(upper.min()))
+                keep = lower <= min(u_min, t_min) * (1.0 + _ZETA_SLACK)
+                zk2, zd2 = zk2[keep], zd2[keep]
+            t = _secular_roots(zk2, zd2, gaps, np.minimum(zd2, gaps[-1]))
+        t_min = min(t_min, float(np.min(t, initial=np.inf)))
     return float(top - t_min)
 
 

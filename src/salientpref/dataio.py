@@ -64,14 +64,21 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _read_rows(path: str, expected_header: list[str] | None = None):
+def _read_rows(path: str):
+    """The header and the non-empty records, each with its first physical line
+    (a quoted field may span lines)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ParseError(str(path), 1, "empty file") from None
-        rows = [(lineno, row) for lineno, row in enumerate(reader, start=2) if row]
+        rows = []
+        lineno = reader.line_num + 1
+        for row in reader:
+            if row:
+                rows.append((lineno, row))
+            lineno = reader.line_num + 1
     return header, rows
 
 

@@ -48,3 +48,7 @@ class ParseError(SalientPrefError, ValueError):
 
 class UnknownItemError(SalientPrefError, KeyError):
     """An item identifier is absent from the feature matrix."""
+
+    def __str__(self) -> str:
+        # KeyError's str() is the repr of its argument; the message reads bare
+        return BaseException.__str__(self)

@@ -184,6 +184,15 @@ class TestFitRankEvaluate:
         assert proc.returncode == 1
         assert proc.stderr.strip() != ""
 
+    def test_unknown_item_error_prints_bare(self, tmp_path, capsys):
+        (tmp_path / "f.csv").write_text("item_id,f1\na,0.0\nb,1.0\n", encoding="utf-8")
+        c = tmp_path / "c.csv"
+        c.write_text("winner_id,loser_id,count\na,b,1\na,zz,1\n", encoding="utf-8")
+        argv = ["fit", "--features", str(tmp_path / "f.csv"), "--comparisons", str(c),
+                "--selection", '{"kind":"full"}', "--out", str(tmp_path / "o.json")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"salientpref fit: {c}:3: unknown item id 'zz'\n"
+
     @pytest.mark.parametrize("command", ["fit", "evaluate"])
     def test_total_count_overflow_is_runtime_error(self, tmp_path, capsys, command):
         # 1,128 pairs of 48 items at 2**53 each: every pair is in range, the

@@ -240,11 +240,6 @@ ROW_FAULTS = {
 }
 
 
-def raised_message(exc) -> str:
-    # a KeyError's str() is the repr of its argument
-    return exc.args[0] if isinstance(exc, UnknownItemError) else str(exc)
-
-
 class TestComparisonsFileErrors:
     @pytest.mark.parametrize("fault", sorted(ROW_FAULTS))
     def test_fault_after_a_good_row(self, tmp_path, features_csv, fault):
@@ -256,7 +251,7 @@ class TestComparisonsFileErrors:
         )
         with pytest.raises(kind) as info:
             load_comparisons(str(path), fm)
-        assert raised_message(info.value) == f"{path}:3: {message}"
+        assert str(info.value) == f"{path}:3: {message}"
         if kind is ParseError:
             assert info.value.line == 3
 
@@ -287,7 +282,36 @@ class TestComparisonsFileErrors:
         _, kind, message = ROW_FAULTS[faults[0]]
         with pytest.raises(kind) as info:
             load_comparisons(str(path), fm)
-        assert raised_message(info.value) == f"{path}:3: {message}"
+        assert str(info.value) == f"{path}:3: {message}"
+
+
+class TestPhysicalLineNumbers:
+    # a quoted field spanning lines 2-3 must not shift the line of a later fault
+
+    def test_comparisons(self, tmp_path, features_csv):
+        fm, _ = load_features(features_csv)
+        path = tmp_path / "c.csv"
+        path.write_text(
+            'winner_id,loser_id,count\nalpha,beta,"1\n"\ngamma,zz,1\n', encoding="utf-8"
+        )
+        with pytest.raises(UnknownItemError) as info:
+            load_comparisons(str(path), fm)
+        assert str(info.value) == f"{path}:4: unknown item id 'zz'"
+
+    def test_features(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text('item_id,f1\n"a\nb",1.0\nc,x\n', encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_features(str(path))
+        assert str(info.value) == f"{path}:4: non-numeric feature cell"
+
+    def test_rankings(self, tmp_path, features_csv):
+        fm, _ = load_features(features_csv)
+        path = tmp_path / "r.csv"
+        path.write_text('ranker_id,rank,item_id\n"r\n1",1,alpha\nr2,x,beta\n', encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_rankings(str(path), fm)
+        assert str(info.value) == f"{path}:4: bad rank 'x'"
 
 
 class TestRankingsFile:

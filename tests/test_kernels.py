@@ -2,11 +2,14 @@
 oracle, and the zeta and triple scans against enumeration oracles.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
-from salientpref import _kernels
+from conftest import random_features
+from salientpref import FeatureMatrix, SelectionSpec, _kernels, realize
 
 
 class TestScalarHelpers:
@@ -50,12 +53,164 @@ class TestNllKernels:
         )
 
 
+SECULAR_ROOTS = _kernels._secular_roots  # unspied, for the reference
+
+
+def zeta_every_row(spectrum, X):
+    """zeta from the secular root of every row, block by block as the scan
+    forms z: what the scan gave before it pruned rows."""
+    lam, Q = spectrum
+    gaps = lam[-1] - lam[:-1]
+    d = X.shape[1]
+    step = max(1, _kernels._ZETA_BLOCK // d)
+    t_min = np.inf
+    for lo in range(0, X.shape[0], step):
+        z2 = (X[lo : lo + step] @ Q) ** 2
+        zd2 = z2[:, -1]
+        if d > 1:
+            zd2 = SECULAR_ROOTS(z2[:, :-1], zd2, gaps, np.minimum(zd2, gaps[-1]))
+        t_min = min(t_min, float(zd2.min()))
+    return float(lam[-1] - t_min)
+
+
+def spectrum_of(X):
+    return np.linalg.eigh(X.T @ X / X.shape[0])
+
+
+def every_kind(d):
+    return (
+        SelectionSpec.full(),
+        SelectionSpec.top_t(max(1, d // 2)),
+        SelectionSpec.random_exactly_k(max(1, d // 3), 11),
+        SelectionSpec.random_bernoulli(0.5, 12),
+    )
+
+
+@pytest.fixture(scope="module")
+def wide_table():
+    # the certify_wide shape: d=48, n=120 (7,140 pairs), random_exactly_k(8)
+    fm = FeatureMatrix(np.random.default_rng(7).normal(size=(48, 120)))
+    return realize(SelectionSpec.random_exactly_k(8, 8), fm).diff_table()
+
+
+@pytest.fixture
+def solved_rows(monkeypatch):
+    """The row counts the scan hands to the secular solver, call by call."""
+    seen = []
+
+    def spy(zk2, zd2, gaps, hi):
+        seen.append(zd2.shape[0])
+        return SECULAR_ROOTS(zk2, zd2, gaps, hi)
+
+    monkeypatch.setattr(_kernels, "_secular_roots", spy)
+    return seen
+
+
+def synthetic_spectrum(rng, lam):
+    Q, _ = np.linalg.qr(rng.normal(size=(len(lam), len(lam))))
+    return np.asarray(lam, dtype=np.float64), Q
+
+
+@pytest.mark.filterwarnings("error")
 class TestZetaScan:
     def test_matches_oracle(self, rng):
         X = rng.normal(size=(120, 5))
         EZ = X.T @ X / X.shape[0]
         _, _, want, _ = oracles.certificate_quantities(X)
         assert _kernels.zeta_scan(np.linalg.eigh(EZ), X) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 48])
+    def test_bit_identical_to_every_row_every_kind(self, rng, d):
+        for spec in every_kind(d):
+            X = realize(spec, random_features(rng, d, 40)).diff_table()
+            spectrum = spectrum_of(X)
+            assert _kernels.zeta_scan(spectrum, X) == zeta_every_row(spectrum, X)
+
+    @pytest.mark.parametrize("d", [2, 5, 48])
+    def test_bound_carries_across_blocks(self, rng, monkeypatch, solved_rows, d):
+        monkeypatch.setattr(_kernels, "_ZETA_BLOCK", 7 * d)
+        for spec in every_kind(d):
+            X = realize(spec, random_features(rng, d, 30)).diff_table()
+            spectrum = spectrum_of(X)
+            solved_rows.clear()
+            assert _kernels.zeta_scan(spectrum, X) == zeta_every_row(spectrum, X)
+            assert len(solved_rows) == -(-X.shape[0] // 7)
+
+    def test_later_blocks_solve_nothing_past_the_bound(self, rng, monkeypatch, solved_rows):
+        # the smallest root is in the first block; every later row is far above it
+        lam, Q = synthetic_spectrum(rng, [1.0, 2.0, 3.0, 4.0])
+        z = rng.uniform(1.0, 2.0, size=(40, 4))
+        z[:, -1] *= 0.5
+        z[0, -1] = 1e-3
+        X = z @ Q.T
+        monkeypatch.setattr(_kernels, "_ZETA_BLOCK", 4 * 10)
+        assert _kernels.zeta_scan((lam, Q), X) == zeta_every_row((lam, Q), X)
+        assert solved_rows[0] >= 1 and solved_rows[1:] == [0, 0, 0]
+
+    def test_smallest_upper_end_need_not_hold_the_smallest_root(self, solved_rows):
+        # row 1's root is its upper end, 0.4; row 0's upper end is 0.45 but
+        # its pole term pulls its root to about 0.354, below 0.4
+        lam, Q = np.array([1.0, 2.0, 3.0]), np.eye(3)
+        X = np.array([[0.0, 1.0, np.sqrt(0.9)], [0.0, 0.0, np.sqrt(0.4)]])
+        zeta = _kernels.zeta_scan((lam, Q), X)
+        assert zeta == zeta_every_row((lam, Q), X)
+        assert zeta == pytest.approx(3.0 - 0.354, abs=1e-3)
+        assert solved_rows == [2]
+
+    def test_nan_row_is_solved(self, rng, solved_rows):
+        lam, Q = synthetic_spectrum(rng, [1.0, 2.0, 3.0])
+        X = rng.normal(size=(25, 3))
+        X[4, 0] = np.nan
+        assert _kernels.zeta_scan((lam, Q), X) == zeta_every_row((lam, Q), X)
+        assert solved_rows[0] >= 1
+
+    def test_zero_rows(self, rng):
+        for d in (1, 3):
+            spectrum = synthetic_spectrum(rng, np.arange(1.0, d + 1))
+            assert _kernels.zeta_scan(spectrum, np.empty((0, d))) == -np.inf
+
+    def test_row_orthogonal_to_top_eigenvector(self, rng):
+        lam, Q = synthetic_spectrum(rng, [1.0, 2.0, 3.0])
+        z = rng.normal(size=(25, 3))
+        z[9, -1] = 0.0
+        X = z @ Q.T
+        zeta = _kernels.zeta_scan((lam, Q), X)
+        assert zeta == zeta_every_row((lam, Q), X)
+        assert zeta == pytest.approx(3.0, rel=1e-12)
+
+    def test_repeated_top_eigenvalue(self, rng):
+        lam, Q = synthetic_spectrum(rng, [1.0, 3.0, 3.0])
+        X = rng.normal(size=(25, 3))
+        assert _kernels.zeta_scan((lam, Q), X) == zeta_every_row((lam, Q), X) == 3.0
+
+    def test_every_lower_end_zero_solves_every_row(self, rng, solved_rows):
+        # the top two eigenvalues 1e-6 apart and rows along the top
+        # eigenvector: every bracket reaches the pole, so nothing is pruned
+        lam, Q = synthetic_spectrum(rng, [0.5, 1.0 - 1e-6, 1.0])
+        z = rng.uniform(1.0, 2.0, size=(30, 3)) * [0.1, 0.1, 1.0]
+        X = z @ Q.T
+        z2 = (X @ Q) ** 2
+        gaps = lam[-1] - lam[:-1]
+        lower, upper = _kernels._root_brackets(z2[:, :-1], z2[:, -1], gaps)
+        assert np.all(upper == gaps[-1]) and np.all(lower == 0.0)
+        assert _kernels.zeta_scan((lam, Q), X) == zeta_every_row((lam, Q), X)
+        assert solved_rows == [30]
+
+    def test_wide_table_solves_few_pairs(self, wide_table, solved_rows):
+        spectrum = spectrum_of(wide_table)
+        assert _kernels.zeta_scan(spectrum, wide_table) == zeta_every_row(spectrum, wide_table)
+        assert sum(solved_rows) <= 0.05 * wide_table.shape[0]
+
+    def test_memory_stays_within_a_few_tables(self, wide_table):
+        spectrum = spectrum_of(wide_table)
+        tracemalloc.start()
+        try:
+            _kernels.zeta_scan(spectrum, wide_table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert wide_table.shape == (7140, 48)
+        assert peak <= 4 * wide_table.nbytes
 
 
 class TestTransitivityScan:
