@@ -20,8 +20,10 @@ closed form:
 ``h`` is symmetric, positive, at most 1/4, and nonincreasing in |u|, so the
 Hessian is symmetric positive semidefinite and L is convex.
 
-The likelihood and the sampler realize ``x_p`` only for the pairs they hold
-(``RealizedSelection.rows``); ``all_pair_probabilities`` realizes all C(n,2).
+The likelihood realizes ``x_p`` only for the pairs a dataset holds, and the
+sampler only for the pairs it draws (``RealizedSelection.rows``); the sampler
+also keeps one int64 count per pair of all C(n,2), but nothing m long.
+``all_pair_probabilities`` realizes all C(n,2).
 """
 
 from __future__ import annotations
@@ -35,12 +37,15 @@ import numpy as np
 from . import _kernels
 from .errors import DimensionError, InvalidPairError, PreconditionError
 from .features import check_weights
-from .selection import RealizedSelection, all_pairs
+from .selection import RealizedSelection, pair_index
 
 
 # Largest count a pair may hold: float64 represents every integer up to it
 # exactly, so the likelihood folds and the bincount sums below are exact.
 MAX_COUNT = 2**53
+
+# comparisons sample_comparisons draws per block; bounds its working set
+_SAMPLE_BLOCK = 1 << 16
 
 
 def sum_counts(groups: np.ndarray, counts: np.ndarray, size: int):
@@ -158,14 +163,27 @@ def all_pair_probabilities(sel: RealizedSelection, w):
     return _kernels.sigmoid(sel.diff_table() @ w)
 
 
+def _block_sizes(m: int):
+    """Sizes of the consecutive blocks of at most ``_SAMPLE_BLOCK`` that make up m."""
+    return (min(_SAMPLE_BLOCK, m - lo) for lo in range(0, m, _SAMPLE_BLOCK))
+
+
 def sample_comparisons(sel: RealizedSelection, w_star, m: int, seed: int) -> ComparisonDataset:
     """Draw ``m`` independent comparisons: uniform pairs, logistic outcomes.
 
     Each sample picks a pair uniformly at random (with replacement) from all
     C(n,2) pairs, then flips a coin with the model's win probability; the
-    draws are then counted per pair.  Fully deterministic given ``seed``.
-    The pairs are drawn before any probability is read, so the model is
-    evaluated only at the distinct pairs drawn.
+    draws are then counted per pair.  Fully deterministic given ``seed``: the
+    stream holds the m pair draws, then the m coin flips.
+
+    The draws are made ``_SAMPLE_BLOCK`` at a time, in two passes.  The first
+    counts the pairs drawn, in one int64 slot per pair; the model is then
+    evaluated only at the distinct pairs drawn.  The second replays the pair
+    draws from a second generator on the same seed and flips each block's
+    coins from the first, which now sits past all the pair draws.  PCG64
+    keeps the spare half of a 64-bit draw in the bit generator, not per call,
+    so blocked draws equal one call and the counts match the unblocked draws
+    bit for bit.  Memory is O(C(n,2) + block), independent of m.
     """
     if m < 1:
         raise PreconditionError(f"need m >= 1 samples, got {m}")
@@ -174,16 +192,24 @@ def sample_comparisons(sel: RealizedSelection, w_star, m: int, seed: int) -> Com
         raise PreconditionError("need at least 2 items to compare")
     w_star = check_weights(w_star, sel.features.d)
     npairs = n * (n - 1) // 2
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    flat = rng.integers(0, npairs, size=m)
-    total = np.bincount(flat, minlength=npairs)
-    seen = np.nonzero(total)[0]
-    ii, jj = (pairs[seen] for pairs in all_pairs(n))
-    probs = np.zeros(npairs)
-    probs[seen] = _kernels.sigmoid(sel.rows(ii, jj) @ w_star)
-    won = rng.random(m) < probs[flat]
-    wins = np.bincount(flat[won], minlength=npairs)
-    return ComparisonDataset(ii, jj, wins[seen], total[seen], n)
+    seq = np.random.SeedSequence(seed)
+    rng, replay = np.random.default_rng(seq), np.random.default_rng(seq)
+    slot = np.zeros(npairs, dtype=np.int64)
+    for size in _block_sizes(m):
+        np.add.at(slot, rng.integers(0, npairs, size=size), 1)
+    seen = np.flatnonzero(slot)
+    total = slot[seen]
+    slot[seen] = np.arange(seen.size)  # each drawn pair's position in seen
+    items = np.arange(n)
+    starts = pair_index(items, items + 1, n)  # each item's first pair (i, i + 1)
+    ii = np.searchsorted(starts, seen, side="right") - 1
+    jj = seen - starts[ii] + ii + 1
+    probs = _kernels.sigmoid(sel.rows(ii, jj) @ w_star)
+    wins = np.zeros(seen.size, dtype=np.int64)
+    for size in _block_sizes(m):
+        k = slot[replay.integers(0, npairs, size=size)]
+        np.add.at(wins, k[rng.random(size) < probs[k]], 1)
+    return ComparisonDataset(ii, jj, wins, total, n)
 
 
 def check_ridge(mu) -> float:

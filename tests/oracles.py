@@ -343,3 +343,32 @@ def masked_diff_table(U, spec):
             subsets.append(tuple(sorted(subset)))
             rows.append([diff[k] if k in subset else 0.0 for k in range(d)])
     return subsets, np.array(rows, dtype=np.float64)
+
+
+def sample_comparisons_counts(win_prob, n, m, seed):
+    """The sampler's counts from one call per kind of draw, written plainly.
+
+    From ``default_rng(SeedSequence(seed))``: m pair indices uniform over the
+    C(n,2) canonical pairs in lexicographic order, then m uniform coins;
+    comparison s is won by the pair's first item iff coin s < its win
+    probability.  ``win_prob(ii, jj)`` gives the probabilities of the distinct
+    pairs drawn.  Returns the lists (pair_i, pair_j, wins, total) over those
+    pairs, in lexicographic order.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    flat = rng.integers(0, n * (n - 1) // 2, size=m)
+    coins = rng.random(m)
+    total = np.bincount(flat)
+    seen = np.flatnonzero(total)
+    pair_i, pair_j = [], []
+    for f in seen.tolist():
+        i = 0
+        while f >= n - 1 - i:  # skip row i's n - 1 - i pairs
+            f -= n - 1 - i
+            i += 1
+        pair_i.append(i)
+        pair_j.append(i + 1 + f)
+    probs = np.zeros(total.size)
+    probs[seen] = win_prob(np.array(pair_i), np.array(pair_j))
+    wins = np.bincount(flat[coins < probs[flat]], minlength=total.size)
+    return pair_i, pair_j, wins[seen].tolist(), total[seen].tolist()

@@ -2,6 +2,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -105,6 +106,31 @@ class TestSimulate:
         assert proc.returncode == 2
         assert "t must be an integer" in proc.stderr
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="needs /proc/self/status for VmHWM"
+    )
+    def test_memory_does_not_grow_with_m(self, tmp_path):
+        # peak resident memory (VmHWM, kB) after the imports, then after 5M draws
+        script = (
+            "import sys\n"
+            "from salientpref import cli\n"
+            "def hwm():\n"
+            "    with open('/proc/self/status') as f:\n"
+            "        return next(int(l.split()[1]) for l in f if l.startswith('VmHWM:'))\n"
+            "before = hwm()\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(before, hwm(), code)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "simulate", "--d", "10", "--n", "100",
+             "--m", "5000000", "--selection", '{"kind":"top_t","t":2}', "--seed", "3",
+             "--out-dir", str(tmp_path)],
+            capture_output=True, text=True, check=True,
+        )
+        before, after, code = map(int, proc.stdout.split())
+        assert code == 0
+        assert after - before <= 20_000
 
 
 class TestFitRankEvaluate:

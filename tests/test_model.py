@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from salientpref import (
     realize,
     sample_comparisons,
 )
+from salientpref import model
 from salientpref._kernels import logistic_curvature
 
 # log(1 + e^50) - 50 evaluated at 50 decimal digits, rounded to float64
@@ -121,6 +124,56 @@ class TestSampleComparisons:
         data = sample_comparisons(sel, np.array([10.0]), 10_000, seed=0)
         # stored pair is (0, 1); item 1 wins nearly always, so item 0 almost never
         assert data.wins.sum() / len(data) <= 0.001
+
+
+class TestSampleComparisonsBlocks:
+    """Blocked draws and their replay count exactly what one call would."""
+
+    SPECS = (
+        SelectionSpec.full(),
+        SelectionSpec.top_t(2),
+        SelectionSpec.random_exactly_k(2, 11),
+        SelectionSpec.random_bernoulli(0.4, 5),
+    )
+    W = np.array([1.5, -2.0, 0.7])
+
+    def _check(self, spec, n, m, seed):
+        fm = FeatureMatrix(np.random.default_rng(n).normal(size=(3, n)))
+        sel = realize(spec, fm)
+
+        def win_prob(ii, jj):
+            return 1.0 / (1.0 + np.exp(-(sel.rows(ii, jj) @ self.W)))
+
+        data = sample_comparisons(sel, self.W, m, seed)
+        want = oracles.sample_comparisons_counts(win_prob, n, m, seed)
+        assert count_lists(data) == want, (spec, n, m, seed)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("block", [1, 7, 4096, None])
+    def test_counts_match_one_call_draws(self, monkeypatch, block, spec):
+        if block is not None:
+            monkeypatch.setattr(model, "_SAMPLE_BLOCK", block)
+        b = model._SAMPLE_BLOCK
+        for seed in (0, 2**40 + 3):
+            for n in (2, 3, 60):
+                for m in sorted({1, b - 1, b, b + 1, 3 * b + 5} - {0}):
+                    self._check(spec, n, m, seed)
+            # far more pairs than draws
+            self._check(spec, 3000, 50, seed)
+
+    def test_memory_does_not_grow_with_m(self):
+        fm = FeatureMatrix(np.random.default_rng(3).normal(size=(10, 100)))
+        sel = realize(SelectionSpec.top_t(2), fm)
+        w = np.random.default_rng(4).normal(size=10)
+        tracemalloc.start()
+        try:
+            data = sample_comparisons(sel, w, 1_000_000, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(data) == 1_000_000
+        assert data.total.size == 4950
+        assert peak <= 4e6
 
 
 class TestNll:
