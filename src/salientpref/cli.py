@@ -251,18 +251,18 @@ def cmd_theory(args) -> int:
     }
     if args.selection.kind == "full" and fm.n > fm.d:
         payload["full_selection"] = theory.full_selection_report(
-            fm, delta=args.delta, w_star=w
+            fm, w_star=w, delta=args.delta
         ).to_dict()
     try:
         payload["single_coordinate"] = theory.single_coordinate_report(
-            sel, delta=args.delta, w_star=w
+            sel, w_star=w, delta=args.delta
         ).to_dict()
     except NotSingleCoordinateError:
         pass
     if w is not None:
         payload["b_star"] = certificate.b_star
         payload["ranking_recovery"] = theory.ranking_recovery_report(
-            fm, w, certificate, k=1, c5=1.0
+            certificate, k=1, c5=1.0
         ).to_dict()
     dataio.write_json(args.out, payload)
     _write_manifest(args.out + ".manifest.json", "theory", args, inputs)

@@ -40,13 +40,12 @@ and one whose E[Z] (U U^T for full selection) is exactly zero although some
 difference is not: every square underflowed, and a zero spectrum would
 misreport the instance as unidentifiable.  Identical features, whose
 differences are all zero, are reported as not identifiable.
-Ranking recovery turns the weight error into a Kendall-distance guarantee
-via the k-th sorted utility gap, and the empirical guarantee check fits
-sampled data against the error bound; both read the
-``SampleComplexityReport`` rather than recompute it.  Eigenvalues of the
-small d x d certificate matrices come from LAPACK; zeta takes the
-eigendecomposition of E[Z] and solves a secular equation per pair (see
-``_kernels.zeta_scan``).
+Ranking recovery turns the weight error into a Kendall-distance guarantee via
+the k-th sorted utility gap, and the empirical guarantee check fits sampled
+data against the error bound; both take only the certificate, which holds its
+selection and true weights.  Eigenvalues of the small d x d certificate
+matrices come from LAPACK; zeta takes the eigendecomposition of E[Z] and
+solves a secular equation per pair (see ``_kernels.zeta_scan``).
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ import collections
 import functools
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -69,18 +68,19 @@ from .selection import RealizedSelection, all_pairs
 
 _SCALE_OVERFLOW = "feature scale overflows float64 in the certificate terms; rescale the features"
 _SCALE_UNDERFLOW = "feature scale underflows float64 in the certificate terms; rescale the features"
+_NO_TRUE_WEIGHTS = "certificate was made without the true weights w_star"
 
 
 class _Report:
-    """``to_dict`` over the dataclass fields, in order: a trailing ``_`` is
-    dropped from a field name and a tuple becomes a list; ``_extra()`` adds
-    derived keys."""
+    """``to_dict`` over the dataclass fields that ``==`` compares, in order: a
+    trailing ``_`` is dropped from a field name and a tuple becomes a list;
+    ``_extra()`` adds derived keys."""
 
     def to_dict(self) -> dict:
         out = {}
-        for field in fields(self):
-            value = getattr(self, field.name)
-            out[field.name.removesuffix("_")] = list(value) if isinstance(value, tuple) else value
+        for f in filter(lambda f: f.compare, fields(self)):
+            value = getattr(self, f.name)
+            out[f.name.removesuffix("_")] = list(value) if isinstance(value, tuple) else value
         return out | self._extra()
 
     def _extra(self) -> dict:
@@ -201,7 +201,8 @@ class _ErrorBound(_Report):
 
 @dataclass(frozen=True)
 class SampleComplexityReport(_ErrorBound):
-    """Certificate for an arbitrary selection function."""
+    """Certificate for an arbitrary selection function.  ``sel`` and the
+    read-only ``w_star`` it certifies are not in to_dict, == or repr."""
 
     lambda_: float
     eta: float
@@ -216,6 +217,8 @@ class SampleComplexityReport(_ErrorBound):
     d: int
     n: int
     error_bound_coefficient: float | None
+    sel: RealizedSelection = field(compare=False, repr=False)
+    w_star: np.ndarray | None = field(compare=False, repr=False)
 
 
 @_finite_scale
@@ -242,7 +245,10 @@ def sample_complexity_report(
     eta = max(float(_kernels.sym_eigvals(V)[-1]), 0.0)
     zeta = float(_kernels.zeta_scan(spectrum, X))
     beta = float(np.abs(X).max()) if X.size else 0.0
-    b_star = None if w_star is None else _kernels.largest_margin(X, check_weights(w_star, d))
+    if w_star is not None:
+        w_star = check_weights(w_star, d).copy()
+        w_star.setflags(write=False)
+    b_star = None if w_star is None else _kernels.largest_margin(X, w_star)
     identifiable = rank == d
     m1, m2, coeff = _thresholds(lam, eta, zeta, beta, b_star, d, delta, identifiable)
     return SampleComplexityReport(
@@ -259,6 +265,8 @@ def sample_complexity_report(
         d=d,
         n=n,
         error_bound_coefficient=coeff,
+        sel=sel,
+        w_star=w_star,
     )
 
 
@@ -302,8 +310,8 @@ def _max_sq_distance(U: np.ndarray) -> float:
 @_finite_scale
 def full_selection_report(
     features: FeatureMatrix,
-    delta: float = 0.05,
     w_star=None,
+    delta: float = 0.05,
 ) -> FullSelectionBounds:
     """Certificate for the all-features selection via the Gram matrix of the
     centered features.
@@ -391,8 +399,8 @@ class SingleCoordinateBounds(_ErrorBound):
 @_finite_scale
 def single_coordinate_report(
     sel: RealizedSelection,
-    delta: float = 0.05,
     w_star=None,
+    delta: float = 0.05,
 ) -> SingleCoordinateBounds:
     """Certificate when |subset| = 1 for every pair.
 
@@ -441,11 +449,6 @@ def single_coordinate_report(
     )
 
 
-def _check_certificate(certificate: SampleComplexityReport, features: FeatureMatrix) -> None:
-    if certificate.b_star is None or (certificate.d, certificate.n) != (features.d, features.n):
-        raise PreconditionError("certificate must come from the same features and true weights")
-
-
 @dataclass(frozen=True)
 class RankingRecoveryBounds(_Report):
     """Sample threshold for Kendall distance at most k - 1 to the true ranking."""
@@ -477,31 +480,29 @@ class RankingRecoveryBounds(_Report):
 
 
 def ranking_recovery_report(
-    features: FeatureMatrix,
-    w_star,
     certificate: SampleComplexityReport,
     k: int,
     c5: float = 1.0,
 ) -> RankingRecoveryBounds:
     """How many samples before the learned ranking is within distance k - 1.
 
-    ``certificate`` is ``sample_complexity_report(sel, w_star, delta)`` for
-    a selection realized on ``features``; delta, beta, lambda, m1, m2 and b*
-    are read from it.  The third threshold term uses the configurable leading
-    constant ``c5`` (its sharp value is not pinned down, so it is a knob,
-    never asserted); a zero utility gap alpha_k makes that term infinite: ties
-    in true utilities void the guarantee at that k.
+    ``certificate`` is ``sample_complexity_report(sel, w_star, delta)``, made
+    with w*; the features, w*, delta, beta, lambda, m1, m2 and b* are read
+    from it.  The third threshold term uses the configurable leading constant
+    ``c5`` (its sharp value is not pinned down, so it is a knob, never
+    asserted); a zero utility gap alpha_k makes that term infinite: ties in
+    true utilities void the guarantee at that k.
     """
-    d, n = features.d, features.n
+    d, n = certificate.d, certificate.n
     npairs = n * (n - 1) // 2
     if not 1 <= k <= npairs:
         raise PreconditionError(f"k must lie in [1, C(n,2)] = [1, {npairs}], got {k}")
     if c5 <= 0:
         raise PreconditionError("c5 must be positive")
-    _check_certificate(certificate, features)
-    w_star = check_weights(w_star, d)
+    if certificate.w_star is None:
+        raise PreconditionError(_NO_TRUE_WEIGHTS)
 
-    alpha, M = utility_gaps(features, w_star)
+    alpha, M = utility_gaps(certificate.sel.features, certificate.w_star)
     alpha_k = float(alpha[k - 1])
     log4 = math.log(4.0 * d / certificate.delta)
     term3 = math.inf
@@ -555,24 +556,23 @@ class GuaranteeCheck(_Report):
 
 
 def empirical_guarantee_check(
-    sel: RealizedSelection,
-    w_star,
-    m: int,
     certificate: SampleComplexityReport,
+    m: int,
     trials: int,
     seed: int,
 ) -> GuaranteeCheck:
     """Fraction of independent converged fits with error within the
     certified bound.
 
-    ``certificate`` is ``sample_complexity_report(sel, w_star, delta)``.
-    Refuses non-identifiable instances.  When m is below
-    max(m1, m2) the bound's precondition fails and the check is skipped
-    (applicable=False) rather than run against a bound that promises nothing.
+    ``certificate`` is ``sample_complexity_report(sel, w_star, delta)``, made
+    with w* for an identifiable instance (else this raises); the trials
+    resample and refit that instance.  Below max(m1, m2) samples the bound
+    promises nothing, so the check is skipped (applicable=False).
     """
     if trials < 1:
         raise PreconditionError("need at least one trial")
-    _check_certificate(certificate, sel.features)
+    if certificate.w_star is None:
+        raise PreconditionError(_NO_TRUE_WEIGHTS)
     if not certificate.identifiable:
         raise PreconditionError("instance is not identifiable; the bound never applies")
     m_required = max(certificate.m1, certificate.m2)
@@ -580,7 +580,7 @@ def empirical_guarantee_check(
     bound, errors, reasons = None, [], collections.Counter()
     if applicable:
         bound = certificate.error_bound(m)
-        w_star = check_weights(w_star, sel.features.d)
+        sel, w_star = certificate.sel, certificate.w_star
         for t in range(trials):
             trial_seed = int(np.random.SeedSequence([seed, t]).generate_state(1)[0])
             result = fit(sel, sample_comparisons(sel, w_star, m, trial_seed), FitConfig(mu=0.0))

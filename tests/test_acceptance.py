@@ -251,7 +251,7 @@ def test_criterion_7_guarantee_soundness():
         rep = sample_complexity_report(sel, w_star=w_star, delta=delta)
         assert rep.identifiable
         m = int(np.ceil(max(rep.m1, rep.m2)))
-        chk = empirical_guarantee_check(sel, w_star, m, rep, trials=20, seed=7)
+        chk = empirical_guarantee_check(rep, m, trials=20, seed=7)
         assert chk.applicable
         assert chk.pass_rate == 1.0, chk.errors
 

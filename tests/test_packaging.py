@@ -1,6 +1,7 @@
 """The declared runtime dependencies are exactly the packages the code imports,
 the public names the package lists all exist, no public function takes both a
-selection and the features it was realized on, and the README example runs."""
+selection and the features it was realized on, nor a certificate beside the
+instance it certifies, and the README example runs."""
 
 import ast
 import inspect
@@ -50,20 +51,32 @@ def test_all_names_resolve_once():
     assert len(set(salientpref.__all__)) == len(salientpref.__all__)
 
 
-def test_no_public_callable_takes_features_beside_a_selection():
-    # a RealizedSelection carries its features, so a second argument could
-    # only disagree with it; exception classes have no signature to read
-    callables = [
-        (name, obj)
+def public_signatures():
+    """Parameter names of each public callable; exception classes have no
+    signature to read."""
+    out = {
+        name: set(inspect.signature(obj).parameters)
         for name in salientpref.__all__
         if callable(obj := getattr(salientpref, name))
         and not (isinstance(obj, type) and issubclass(obj, BaseException))
-    ]
-    assert len(callables) > 30
+    }
+    assert len(out) > 30
+    return out
+
+
+def test_no_public_callable_takes_features_beside_a_selection():
+    # a RealizedSelection carries its features, so a second argument could
+    # only disagree with it
+    both = [name for name, params in public_signatures().items() if {"features", "sel"} <= params]
+    assert both == []
+
+
+def test_no_public_callable_takes_a_certificate_beside_its_instance():
+    # a certificate carries its selection (hence features) and true weights
     both = [
         name
-        for name, obj in callables
-        if {"features", "sel"} <= set(inspect.signature(obj).parameters)
+        for name, params in public_signatures().items()
+        if "certificate" in params and params & {"features", "sel", "w_star"}
     ]
     assert both == []
 

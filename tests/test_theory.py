@@ -21,6 +21,7 @@ from salientpref import (
     single_coordinate_report,
 )
 from salientpref._kernels import sym_eigvals
+from salientpref.cli import _simulate_instance
 
 
 def fm_from_columns(*cols):
@@ -301,7 +302,7 @@ class TestFullSelectionReport:
     def test_error_bound_with_weights(self, rng):
         fm = center_columns(FeatureMatrix(rng.normal(size=(3, 12))))
         w = rng.normal(size=3) * 0.2
-        rep = full_selection_report(fm, delta=0.1, w_star=w)
+        rep = full_selection_report(fm, w_star=w, delta=0.1)
         assert rep.b_star is not None
         assert rep.error_bound(4 * 900) == rep.error_bound(900) / 2.0
 
@@ -408,7 +409,8 @@ class TestThresholdOracle:
             delta = float(rng.uniform(0.01, 0.5))
             want = oracles.full_selection_thresholds(M, delta, w)
             infinite.append(math.isinf(want[1]))
-            rep = full_selection_report(FeatureMatrix(M), delta=delta, w_star=w)
+            rep = full_selection_report(FeatureMatrix(M), w_star=w, delta=delta)
+            assert full_selection_report(FeatureMatrix(M), w, delta) == rep
             got = (rep.m1, rep.m_lower, rep.error_bound_coefficient)
             assert got == pytest.approx(want, rel=1e-12)
         assert infinite[0] and not all(infinite)
@@ -426,9 +428,9 @@ class TestThresholdOracle:
             want = oracles.single_coordinate_thresholds(M, delta, w)
             infinite.append(math.isinf(want[1]))
             fm = FeatureMatrix(M)
-            rep = single_coordinate_report(
-                realize(SelectionSpec.top_t(1), fm), delta=delta, w_star=w
-            )
+            sel = realize(SelectionSpec.top_t(1), fm)
+            rep = single_coordinate_report(sel, w_star=w, delta=delta)
+            assert single_coordinate_report(sel, w, delta) == rep
             got = (rep.m1, rep.m3, rep.m_lower, rep.error_bound_coefficient)
             assert got == pytest.approx(want, rel=1e-12)
         assert infinite[0] and not all(infinite)
@@ -465,14 +467,13 @@ _GUARANTEE_KEYS = [
         (lambda fm, sel: single_coordinate_report(sel, w_star=np.ones(3)), _SINGLE_KEYS),
         (
             lambda fm, sel: ranking_recovery_report(
-                fm, np.ones(3), sample_complexity_report(sel, w_star=np.ones(3)), k=1
+                sample_complexity_report(sel, w_star=np.ones(3)), k=1
             ),
             _RECOVERY_KEYS,
         ),
         (
             lambda fm, sel: empirical_guarantee_check(
-                sel, np.ones(3), 1, sample_complexity_report(sel, w_star=np.ones(3)),
-                trials=1, seed=0,
+                sample_complexity_report(sel, w_star=np.ones(3)), 1, trials=1, seed=0
             ),
             _GUARANTEE_KEYS,
         ),
@@ -489,16 +490,47 @@ def test_report_schema(rng, build, keys):
             assert isinstance(out[key], list)
 
 
-def recovery(fm, sel, w, k, c5=1.0, delta=0.05):
+def test_certificate_carries_its_instance(rng):
+    fm = FeatureMatrix(rng.normal(size=(3, 9)))
+    sel = realize(SelectionSpec.top_t(2), fm)
+    w = rng.normal(size=3)
+    cert = sample_complexity_report(sel, w_star=w)
+    assert cert.sel is sel and np.array_equal(cert.w_star, w)
+    assert not cert.w_star.flags.writeable
+    w[0] += 1.0  # the caller's array is copied, not held
+    assert not np.array_equal(cert.w_star, w)
+    assert sample_complexity_report(sel, w_star=w) != cert
+    assert "w_star" not in repr(cert) and sample_complexity_report(sel).w_star is None
+
+
+def test_feature_units_move_m1_but_not_m2_or_b_star():
+    # features x s with w* / s give the same probabilities: m2 and b* are
+    # unit-free, while m1 (through beta) and the error bound follow the units
+    fm, w = _simulate_instance(6, 40, 7)
+    reps = [
+        sample_complexity_report(
+            realize(SelectionSpec.top_t(2), FeatureMatrix(fm.matrix * s)), w_star=w / s
+        )
+        for s in (1e-3, 1.0, 1e3)
+    ]
+    for rep in reps:
+        assert rep.m2 == pytest.approx(reps[1].m2, rel=1e-12)
+        assert rep.b_star == pytest.approx(reps[1].b_star, rel=1e-12)
+    assert reps[0].m1 < reps[1].m1 < reps[2].m1
+    coefficients = [rep.error_bound_coefficient for rep in reps]
+    assert coefficients == sorted(coefficients, reverse=True)
+
+
+def recovery(sel, w, k, c5=1.0, delta=0.05):
     cert = sample_complexity_report(sel, w_star=w, delta=delta)
-    return ranking_recovery_report(fm, w, cert, k=k, c5=c5)
+    return ranking_recovery_report(cert, k=k, c5=c5)
 
 
 class TestRankingRecoveryReport:
     def test_zero_weights_vacuous(self, rng):
         fm = FeatureMatrix(rng.normal(size=(2, 5)))
         sel = realize(SelectionSpec.full(), fm)
-        rep = recovery(fm, sel, np.zeros(2), k=1)
+        rep = recovery(sel, np.zeros(2), k=1)
         assert rep.alpha_k == 0.0
         assert math.isinf(rep.m_terms[2])
 
@@ -506,7 +538,7 @@ class TestRankingRecoveryReport:
         fm = FeatureMatrix(rng.normal(size=(2, 5)))
         sel = realize(SelectionSpec.full(), fm)
         w = rng.normal(size=2)
-        rep = recovery(fm, sel, w, k=1)
+        rep = recovery(sel, w, k=1)
         gaps = np.abs(
             (fm.matrix.T @ w)[:, None] - (fm.matrix.T @ w)[None, :]
         )[np.triu_indices(5, k=1)]
@@ -516,21 +548,21 @@ class TestRankingRecoveryReport:
     def test_line_of_items(self):
         fm = fm_from_columns([0.0], [1.0], [3.0])
         sel = realize(SelectionSpec.full(), fm)
-        rep = recovery(fm, sel, np.array([1.0]), k=2)
+        rep = recovery(sel, np.array([1.0]), k=2)
         assert rep.alpha_k == 2.0
 
     def test_k_out_of_range(self, rng):
         fm = FeatureMatrix(rng.normal(size=(2, 4)))
         sel = realize(SelectionSpec.full(), fm)
         with pytest.raises(PreconditionError):
-            recovery(fm, sel, np.zeros(2), k=7)
+            recovery(sel, np.zeros(2), k=7)
 
     def test_c5_scales_third_term(self, rng):
         fm = FeatureMatrix(rng.normal(size=(2, 5)))
         sel = realize(SelectionSpec.full(), fm)
         w = rng.normal(size=2)
-        t1 = recovery(fm, sel, w, k=1, c5=1.0).m_terms[2]
-        t2 = recovery(fm, sel, w, k=1, c5=3.0).m_terms[2]
+        t1 = recovery(sel, w, k=1, c5=1.0).m_terms[2]
+        t2 = recovery(sel, w, k=1, c5=3.0).m_terms[2]
         assert t2 == pytest.approx(3.0 * t1, rel=1e-12)
 
     def test_reads_the_certificate(self, rng):
@@ -540,7 +572,8 @@ class TestRankingRecoveryReport:
         reps = {}
         for delta in (0.05, 0.1):
             cert = sample_complexity_report(sel, w_star=w, delta=delta)
-            rep = reps[delta] = ranking_recovery_report(fm, w, cert, k=3, c5=2.0)
+            assert sample_complexity_report(sel, w, delta) == cert
+            rep = reps[delta] = ranking_recovery_report(cert, k=3, c5=2.0)
             assert (rep.delta, rep.lambda_, rep.b_star) == (delta, cert.lambda_, cert.b_star)
             assert rep.m_terms[:2] == (cert.m1, cert.m2)
         # only the log(4d/delta) factor of the third term depends on delta
@@ -550,15 +583,9 @@ class TestRankingRecoveryReport:
     def test_mismatched_certificate_rejected(self, rng):
         fm = FeatureMatrix(rng.normal(size=(2, 5)))
         sel = realize(SelectionSpec.full(), fm)
-        w = rng.normal(size=2)
         without_weights = sample_complexity_report(sel, delta=0.05)
-        other = FeatureMatrix(rng.normal(size=(2, 6)))
-        other_items = sample_complexity_report(
-            realize(SelectionSpec.full(), other), w_star=w, delta=0.05
-        )
-        for cert in (without_weights, other_items):
-            with pytest.raises(PreconditionError):
-                ranking_recovery_report(fm, w, cert, k=1)
+        with pytest.raises(PreconditionError):
+            ranking_recovery_report(without_weights, k=1)
 
 
 @pytest.mark.parametrize("b", [400.0, 800.0])
@@ -592,7 +619,7 @@ class TestHugeMargin:
 
     def test_ranking_recovery(self, b):
         fm, w = self.line(b)
-        rep = recovery(fm, realize(SelectionSpec.full(), fm), w, k=1)
+        rep = recovery(realize(SelectionSpec.full(), fm), w, k=1)
         assert rep.b_star == b and rep.alpha_k == b / 2
         assert math.isinf(rep.m_terms[2]) and math.isinf(rep.m_lower)
 
@@ -726,7 +753,7 @@ def test_largest_finite_scale_still_certifies():
 
 def guarantee(sel, w_star, m, delta, trials, seed):
     cert = sample_complexity_report(sel, w_star=w_star, delta=delta)
-    return empirical_guarantee_check(sel, w_star, m, cert, trials, seed)
+    return empirical_guarantee_check(cert, m, trials, seed)
 
 
 class TestEmpiricalGuaranteeCheck:
@@ -742,7 +769,7 @@ class TestEmpiricalGuaranteeCheck:
         w_star = np.array([0.3, -0.2])
         rep = sample_complexity_report(sel, w_star=w_star, delta=0.2)
         m = int(np.ceil(max(rep.m1, rep.m2)))
-        chk = empirical_guarantee_check(sel, w_star, m, rep, trials=5, seed=1)
+        chk = empirical_guarantee_check(rep, m, trials=5, seed=1)
         assert chk.applicable
         assert chk.pass_rate == 1.0
 
@@ -756,7 +783,7 @@ class TestEmpiricalGuaranteeCheck:
         w_star = np.array([0.3, -0.2])
         rep = sample_complexity_report(sel, w_star=w_star, delta=0.2)
         m = int(np.ceil(max(rep.m1, rep.m2)))
-        every = empirical_guarantee_check(sel, w_star, m, rep, trials=3, seed=1)
+        every = empirical_guarantee_check(rep, m, trials=3, seed=1)
         assert every.stop_reasons == {"converged": 3}
         real_fit = salientpref.theory.fit
 
@@ -772,13 +799,13 @@ class TestEmpiricalGuaranteeCheck:
             return stopping_fit
 
         monkeypatch.setattr(salientpref.theory, "fit", fit_stopping({1}))
-        chk = empirical_guarantee_check(sel, w_star, m, rep, trials=3, seed=1)
+        chk = empirical_guarantee_check(rep, m, trials=3, seed=1)
         assert chk.stop_reasons == {"converged": 2, "max_iters": 1}
         assert chk.errors == (every.errors[0], every.errors[2])
         assert chk.pass_rate == 1.0
 
         monkeypatch.setattr(salientpref.theory, "fit", fit_stopping({0, 1, 2}))
-        chk = empirical_guarantee_check(sel, w_star, m, rep, trials=3, seed=1)
+        chk = empirical_guarantee_check(rep, m, trials=3, seed=1)
         assert chk.stop_reasons == {"max_iters": 3}
         assert chk.errors == () and chk.pass_rate is None
 
@@ -786,7 +813,7 @@ class TestEmpiricalGuaranteeCheck:
         fm, sel = hexagon_instance()
         rep = sample_complexity_report(sel, w_star=np.zeros(2), delta=0.2)
         m = int(np.ceil(max(rep.m1, rep.m2)))
-        chk = empirical_guarantee_check(sel, np.zeros(2), m, rep, trials=3, seed=2)
+        chk = empirical_guarantee_check(rep, m, trials=3, seed=2)
         assert chk.pass_rate == 1.0
 
     def test_refuses_nonidentifiable(self):
@@ -797,12 +824,6 @@ class TestEmpiricalGuaranteeCheck:
 
     def test_mismatched_certificate_rejected(self):
         fm, sel = hexagon_instance()
-        w_star = np.array([0.3, -0.2])
         without_weights = sample_complexity_report(sel, delta=0.2)
-        other = FeatureMatrix(np.vstack([np.cos(np.arange(5)), np.sin(np.arange(5))]))
-        other_items = sample_complexity_report(
-            realize(SelectionSpec.full(), other), w_star=w_star, delta=0.2
-        )
-        for cert in (without_weights, other_items):
-            with pytest.raises(PreconditionError, match="certificate"):
-                empirical_guarantee_check(sel, w_star, 10**6, cert, trials=1, seed=0)
+        with pytest.raises(PreconditionError, match="certificate"):
+            empirical_guarantee_check(without_weights, 10**6, trials=1, seed=0)
