@@ -29,7 +29,7 @@ from .errors import (
     UndefinedMetricError,
     UnknownItemError,
 )
-from .estimator import FitConfig, FitResult, fit, max_abs_margin
+from .estimator import FitConfig, FitResult, fit
 from .features import FeatureMatrix, center_columns
 from .model import (
     ComparisonDataset,
@@ -52,13 +52,11 @@ from .selection import RealizedSelection, SelectionSpec, realize
 from .theory import (
     FullSelectionBounds,
     GuaranteeCheck,
-    IdentifiabilityResult,
     RankingRecoveryBounds,
     SampleComplexityReport,
     SingleCoordinateBounds,
     empirical_guarantee_check,
     full_selection_report,
-    identifiability_check,
     ranking_recovery_report,
     sample_complexity_report,
     single_coordinate_report,
@@ -84,7 +82,6 @@ __all__ = [
     "FitConfig",
     "FitResult",
     "fit",
-    "max_abs_margin",
     # ranking
     "Ranking",
     "rank_from_weights",
@@ -100,13 +97,11 @@ __all__ = [
     "model_transitivity_report",
     "pairwise_inconsistency",
     # theory
-    "IdentifiabilityResult",
     "SampleComplexityReport",
     "FullSelectionBounds",
     "SingleCoordinateBounds",
     "RankingRecoveryBounds",
     "GuaranteeCheck",
-    "identifiability_check",
     "sample_complexity_report",
     "full_selection_report",
     "single_coordinate_report",

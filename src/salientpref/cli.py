@@ -139,7 +139,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    fm, _ = dataio.load_features(args.features)
+    fm = dataio.load_features(args.features)
     data = dataio.load_comparisons(args.comparisons, fm)
     sel = realize(args.selection, fm)
     result = fit(sel, data, FitConfig(mu=args.mu, tol_grad=args.tol))
@@ -153,7 +153,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    fm, _ = dataio.load_features(args.features)
+    fm = dataio.load_features(args.features)
     w = dataio.load_weights_json(args.weights)
     ranking = rank_from_weights(fm, w)
     utilities = fm.matrix.T @ w
@@ -163,7 +163,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    fm, _ = dataio.load_features(args.features)
+    fm = dataio.load_features(args.features)
     w = dataio.load_weights_json(args.weights)
     inputs = [args.features, args.weights]
     if args.rankings:
@@ -200,7 +200,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    fm, _ = dataio.load_features(args.features)
+    fm = dataio.load_features(args.features)
     payload: dict = {"item_ids": list(fm.item_ids)}
     inputs = [args.features]
     empirical = None
@@ -234,7 +234,7 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_theory(args) -> int:
-    fm, _ = dataio.load_features(args.features)
+    fm = dataio.load_features(args.features)
     sel = realize(args.selection, fm)
     inputs = [args.features]
     w = None
@@ -244,9 +244,11 @@ def cmd_theory(args) -> int:
     certificate = theory.sample_complexity_report(sel, w_star=w, delta=args.delta)
     payload: dict = {
         "selection": args.selection.to_dict(),
-        "identifiability": theory.IdentifiabilityResult(
-            certificate.identifiable, certificate.rank, certificate.d
-        ).to_dict(),
+        "identifiability": {
+            "identifiable": certificate.identifiable,
+            "rank": certificate.rank,
+            "d": certificate.d,
+        },
         "certificate": certificate.to_dict(),
     }
     if args.selection.kind == "full" and fm.n > fm.d:

@@ -19,9 +19,11 @@ text before the column, then the value), and the chunk is written as one
 join of those strings.  No dict or list is built per row, and memory is
 bounded by the chunk, not by the listing.
 
-Feature standardization is (x - mean) / std per feature with the population
-convention (divisor n); a zero-variance feature is shifted but not scaled,
-and flagged.
+Features are read as written.  ``FeatureStats`` is the one standardization
+rule: (x - mean) / std per feature with the population convention (divisor
+n), where a zero-variance feature is shifted but not scaled and listed in
+``constant_features``.  Stats taken from training features by ``from_matrix``
+can be applied to evaluation features by ``apply``.
 """
 
 from __future__ import annotations
@@ -91,17 +93,8 @@ def save_features(path: str, fm: FeatureMatrix) -> None:
             writer.writerow([item] + [_fmt(v) for v in fm.matrix[:, j]])
 
 
-def load_features(
-    path: str,
-    standardize: bool = False,
-    stats_from: str | None = None,
-) -> tuple[FeatureMatrix, FeatureStats | None]:
-    """Read a features CSV; optionally standardize.
-
-    With ``stats_from``, the mean/std come from that file (train-set stats
-    applied to an evaluation set) instead of from ``path``.  Returns the
-    matrix together with the stats actually applied (None when raw).
-    """
+def load_features(path: str) -> FeatureMatrix:
+    """Read a features CSV; the values are returned as written."""
     header, rows = _read_rows(path)
     if len(header) < 2 or header[0] != "item_id":
         raise ParseError(str(path), 1, "expected header item_id,f1,...,fd")
@@ -125,21 +118,7 @@ def load_features(
         ids.append(item)
         cols.append(vals)
     matrix = np.asarray(cols, dtype=np.float64).T  # rows are items on disk
-    stats = None
-    if standardize:
-        if stats_from is not None:
-            source, _ = load_features(stats_from, standardize=False)
-            stats = FeatureStats.from_matrix(source.matrix)
-        else:
-            stats = FeatureStats.from_matrix(matrix)
-        if stats.constant_features:
-            warnings.warn(
-                f"features {list(stats.constant_features)} have zero variance; "
-                "shifted but not scaled",
-                stacklevel=2,
-            )
-        matrix = stats.apply(matrix)
-    return FeatureMatrix(matrix, tuple(ids)), stats
+    return FeatureMatrix(matrix, tuple(ids))
 
 
 def save_comparisons(path: str, data: ComparisonDataset, fm: FeatureMatrix) -> None:
@@ -241,7 +220,8 @@ class SubsetRanking:
 def load_rankings(path: str, fm: FeatureMatrix) -> list[SubsetRanking]:
     """Read k-wise rankings, restricted to items the feature file knows.
 
-    Per ranker the stated ranks must be exactly 1..k with no ties or gaps.
+    Per ranker the stated ranks must be exactly 1..k with no ties or gaps,
+    and no item may be listed twice.
     Items missing from the features are dropped and ranks re-compacted;
     rankers left with fewer than 2 items are dropped with a warning.
     """
@@ -250,6 +230,7 @@ def load_rankings(path: str, fm: FeatureMatrix) -> list[SubsetRanking]:
         raise ParseError(str(path), 1, "expected header ranker_id,rank,item_id")
     by_ranker: dict[str, list[tuple[int, str, int]]] = {}
     order: list[str] = []
+    listed: set[tuple[str, str]] = set()
     for lineno, row in rows:
         if len(row) != 3:
             raise ParseError(str(path), lineno, f"expected 3 cells, got {len(row)}")
@@ -258,6 +239,9 @@ def load_rankings(path: str, fm: FeatureMatrix) -> list[SubsetRanking]:
             rank = int(rank_text)
         except ValueError:
             raise ParseError(str(path), lineno, f"bad rank {rank_text!r}") from None
+        if (ranker, item) in listed:
+            raise ParseError(str(path), lineno, f"ranker {ranker!r} repeats item {item!r}")
+        listed.add((ranker, item))
         if ranker not in by_ranker:
             by_ranker[ranker] = []
             order.append(ranker)

@@ -25,7 +25,7 @@ import numpy as np
 from . import _kernels
 from .errors import NumericalFailureError, PreconditionError
 from .features import check_weights
-from .model import ComparisonDataset, check_ridge, design_matrix
+from .model import ComparisonDataset, _check_positive_int, check_ridge, design_matrix
 from .selection import RealizedSelection
 
 _ARMIJO_C = 1e-4
@@ -59,8 +59,7 @@ class FitConfig:
         check_ridge(self.mu)
         if not (np.isfinite(self.tol_grad) and self.tol_grad > 0):
             raise PreconditionError(f"tol_grad must be finite and > 0, got {self.tol_grad}")
-        if self.max_iters < 1:
-            raise PreconditionError("max_iters must be positive")
+        object.__setattr__(self, "max_iters", _check_positive_int("max_iters", self.max_iters))
 
 
 @dataclass(frozen=True)
@@ -215,12 +214,3 @@ def fit(
         stop_reason=stop_reason,
         data_rank=data_rank,
     )
-
-
-def max_abs_margin(sel: RealizedSelection, w) -> float:
-    """Largest |<w, masked difference>| over all pairs.
-
-    This is the widest in-context utility margin the weights produce; the
-    estimation-error certificates are exponential in it.
-    """
-    return _kernels.largest_margin(sel.diff_table(), check_weights(w, sel.features.d))

@@ -28,6 +28,7 @@ also keeps one int64 count per pair of all C(n,2), but nothing m long.
 
 from __future__ import annotations
 
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Iterable
@@ -185,8 +186,7 @@ def sample_comparisons(sel: RealizedSelection, w_star, m: int, seed: int) -> Com
     so blocked draws equal one call and the counts match the unblocked draws
     bit for bit.  Memory is O(C(n,2) + block), independent of m.
     """
-    if m < 1:
-        raise PreconditionError(f"need m >= 1 samples, got {m}")
+    m = _check_positive_int("m", m)
     n = sel.features.n
     if n < 2:
         raise PreconditionError("need at least 2 items to compare")
@@ -210,6 +210,14 @@ def sample_comparisons(sel: RealizedSelection, w_star, m: int, seed: int) -> Com
         k = slot[replay.integers(0, npairs, size=size)]
         np.add.at(wins, k[rng.random(size) < probs[k]], 1)
     return ComparisonDataset(ii, jj, wins, total, n)
+
+
+def _check_positive_int(name: str, value) -> int:
+    """``value`` as a plain int, by ``SelectionSpec``'s rule: an integer (never
+    a bool, never coerced from a float or a string) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise PreconditionError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def check_ridge(mu) -> float:

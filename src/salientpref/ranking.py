@@ -112,11 +112,16 @@ def pairwise_accuracy(sel: RealizedSelection, w, data: ComparisonDataset) -> flo
 
 def subset_kendall(full: Ranking, items) -> float:
     """Kendall correlation between a full ranking restricted to ``items`` and
-    the best-to-worst order in which ``items`` are listed."""
+    the best-to-worst order in which ``items`` are listed.  The items must be
+    distinct indices in [0, n)."""
     items = np.asarray(items, dtype=np.int64)
     k = items.shape[0]
     if k < 2:
         raise DimensionError("need at least 2 items to correlate")
+    if items.min() < 0 or items.max() >= full.n:
+        raise DimensionError(f"items must lie in [0, {full.n}), got {items.tolist()}")
+    if np.unique(items).size != k:
+        raise DimensionError(f"items must be distinct, got {items.tolist()}")
     pos = full.positions[items]
     induced = np.empty(k, dtype=np.int64)
     induced[np.argsort(pos, kind="stable")] = np.arange(1, k + 1)

@@ -10,10 +10,11 @@ Monte Carlo).  With ``x_ij`` the masked feature difference of a pair and
     beta   = max over pairs of ||x_ij||_inf
     b_star = max over pairs of |<w*, x_ij>|   (needs the true weights)
 
-One eigendecomposition of E[Z] serves both identifiability and the
-certificate.  An eigenvalue counts as zero at or below 1e-10 of trace(E[Z])/d;
-the rank is the number of the others, and the model is identifiable exactly
-when the rank is d, that is when lambda clears the same tolerance.  The
+One eigendecomposition of E[Z] gives both the certificate's identifiability
+verdict (``identifiable`` and ``rank``) and lambda.  An eigenvalue counts
+as zero at or below 1e-10 of trace(E[Z])/d; the rank is the number of the
+others, and the model is identifiable exactly when the rank is d, that is
+when lambda clears the same tolerance.  The
 sample thresholds, with log terms L4 = log(4d/delta), L2 = log(2d/delta), are
 
     m1 = (3 beta^2 L4 d + 4 sqrt(d) beta L4) / 6
@@ -62,7 +63,7 @@ from . import _kernels
 from .errors import PreconditionError
 from .estimator import FitConfig, fit
 from .features import FeatureMatrix, center_columns, check_weights
-from .model import sample_comparisons
+from .model import _check_positive_int, sample_comparisons
 from .ranking import utility_gaps
 from .selection import RealizedSelection, all_pairs
 
@@ -127,25 +128,6 @@ def _spectrum(X: np.ndarray):
     return EZ, spectrum, rank
 
 
-@dataclass(frozen=True)
-class IdentifiabilityResult(_Report):
-    identifiable: bool
-    rank: int
-    d: int
-
-
-def identifiability_check(sel: RealizedSelection) -> IdentifiabilityResult:
-    """Numerical rank of E[Z], the span of the masked differences.
-
-    Eigenvalues at or below 1e-10 of trace(E[Z]) / d count as zero.  This is
-    the rank ``sample_complexity_report`` records, so the two verdicts always
-    agree; a caller holding the certificate reads it from there instead.
-    """
-    _, _, rank = _spectrum(sel.diff_table())
-    d = sel.features.d
-    return IdentifiabilityResult(rank == d, rank, d)
-
-
 def _check_delta(delta: float) -> float:
     delta = float(delta)
     if not 0.0 < delta < 1.0:
@@ -194,8 +176,8 @@ class _ErrorBound(_Report):
         """Estimation-error bound at sample size ``m``; scales as 1/sqrt(m)."""
         if self.error_bound_coefficient is None:
             raise PreconditionError("error bound needs true weights (b_star unknown)")
-        if m <= 0:
-            raise PreconditionError("sample size must be positive")
+        if not m > 0:  # also refuses nan
+            raise PreconditionError(f"sample size must be positive, got {m}")
         return self.error_bound_coefficient / math.sqrt(m)
 
 
@@ -488,14 +470,16 @@ def ranking_recovery_report(
 
     ``certificate`` is ``sample_complexity_report(sel, w_star, delta)``, made
     with w*; the features, w*, delta, beta, lambda, m1, m2 and b* are read
-    from it.  The third threshold term uses the configurable leading constant
-    ``c5`` (its sharp value is not pinned down, so it is a knob, never
-    asserted); a zero utility gap alpha_k makes that term infinite: ties in
-    true utilities void the guarantee at that k.
+    from it.  ``k`` is an integer in [1, C(n,2)].  The third threshold term
+    uses the configurable leading constant ``c5`` (its sharp value is not
+    pinned down, so it is a knob, never asserted); a zero utility gap alpha_k
+    makes that term infinite: ties in true utilities void the guarantee at
+    that k.
     """
     d, n = certificate.d, certificate.n
     npairs = n * (n - 1) // 2
-    if not 1 <= k <= npairs:
+    k = _check_positive_int("k", k)
+    if k > npairs:
         raise PreconditionError(f"k must lie in [1, C(n,2)] = [1, {npairs}], got {k}")
     if c5 <= 0:
         raise PreconditionError("c5 must be positive")
@@ -566,11 +550,12 @@ def empirical_guarantee_check(
 
     ``certificate`` is ``sample_complexity_report(sel, w_star, delta)``, made
     with w* for an identifiable instance (else this raises); the trials
-    resample and refit that instance.  Below max(m1, m2) samples the bound
-    promises nothing, so the check is skipped (applicable=False).
+    resample and refit that instance.  ``m`` and ``trials`` are integers of
+    at least 1.  Below max(m1, m2) samples the bound promises nothing, so the
+    check is skipped (applicable=False).
     """
-    if trials < 1:
-        raise PreconditionError("need at least one trial")
+    m = _check_positive_int("m", m)
+    trials = _check_positive_int("trials", trials)
     if certificate.w_star is None:
         raise PreconditionError(_NO_TRUE_WEIGHTS)
     if not certificate.identifiable:

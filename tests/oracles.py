@@ -108,6 +108,12 @@ def expected_outer(diffs):
     return acc / diffs.shape[0]
 
 
+def moment_rank(diffs):
+    """Eigenvalues of E[x x^T] above 1e-10 of its trace / d, counted."""
+    EZ = expected_outer(diffs)
+    return int(np.sum(np.linalg.eigvalsh(EZ) > 1e-10 * np.trace(EZ) / diffs.shape[1]))
+
+
 def certificate_quantities(diffs):
     """lambda, eta, zeta, beta by direct dense linear algebra (numpy only)."""
     npairs, _ = diffs.shape

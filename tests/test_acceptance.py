@@ -24,7 +24,6 @@ from salientpref import (
     empirical_guarantee_check,
     fit,
     full_selection_report,
-    identifiability_check,
     kendall_correlation,
     kendall_distance,
     model_transitivity_report,
@@ -192,7 +191,7 @@ def test_criterion_4_single_coordinate_bounds():
 
 
 def test_criterion_5_identifiability_equivalence():
-    with criterion(5, "rank test agrees with lambda positivity on 40 instances"):
+    with criterion(5, "certified identifiability agrees with an oracle rank test on 40 instances"):
         gen = np.random.default_rng(505)
         cases = []
         for _ in range(14):  # generic identifiable instances
@@ -213,9 +212,10 @@ def test_criterion_5_identifiability_equivalence():
             cases.append((fm, realize(SelectionSpec.top_t(1), fm), False))
         assert len(cases) == 40
         for fm, sel, expect in cases:
-            rank_says = identifiability_check(sel).identifiable
-            lambda_says = sample_complexity_report(sel).identifiable
-            assert rank_says == lambda_says == expect
+            _, table = oracles.masked_diff_table(fm.matrix, sel.spec.to_dict())
+            rank_says = oracles.moment_rank(table) == fm.d
+            certificate_says = sample_complexity_report(sel).identifiable
+            assert rank_says == certificate_says == expect
 
 
 def test_criterion_6_estimation_rate():
@@ -346,7 +346,7 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
 
         # schema round trips on the artifacts just produced
         sim = tmp_path / "run1" / "sim"
-        fm, _ = load_features(str(sim / "features.csv"))
+        fm = load_features(str(sim / "features.csv"))
         back = tmp_path / "features_back.csv"
         save_features(str(back), fm)
         assert back.read_bytes() == (sim / "features.csv").read_bytes()

@@ -353,7 +353,7 @@ class TestDiagnose:
                 total[pair] = total.get(pair, 0) + int(count)
                 wins[pair] = wins.get(pair, 0) + (int(count) if a < b else 0)
         empirical = {pair: wins[pair] / total[pair] for pair in total}
-        fm, _ = load_features(str(f))
+        fm = load_features(str(f))
         probs = all_pair_probabilities(
             realize(SelectionSpec.from_json(sel), fm), load_weights_json(str(fit_out))
         )
@@ -412,6 +412,21 @@ class TestTheoryCommand:
         assert "single_coordinate" not in payload
         assert payload["ranking_recovery"]["k"] == 1
         assert payload["b_star"] == payload["certificate"]["b_star"]
+
+    def test_identifiability_section_schema(self, tmp_path):
+        # a starved coordinate: top_t(1) never selects the constant feature
+        fm = FeatureMatrix(np.vstack([np.arange(6.0), np.full(6, 2.0)]))
+        save_features(str(tmp_path / "features.csv"), fm)
+        out = tmp_path / "theory.json"
+        run_cli(
+            "theory",
+            "--features", tmp_path / "features.csv",
+            "--selection", '{"kind":"top_t","t":1}',
+            "--out", out,
+        )
+        section = read_json(str(out))["identifiability"]
+        assert list(section) == ["d", "identifiable", "rank"]
+        assert section == {"d": 2, "identifiable": False, "rank": 1}
 
     def test_huge_margin_writes_infinity(self, tmp_path):
         # b* in the thousands overflows exp(b*): the bound terms are infinite

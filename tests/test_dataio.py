@@ -49,49 +49,55 @@ class TestFeaturesFile:
         fm = FeatureMatrix(rng.normal(size=(3, 5)) * 1e3, tuple("abcde"))
         path = str(tmp_path / "f.csv")
         save_features(path, fm)
-        loaded, stats = load_features(path)
+        loaded = load_features(path)
+        assert isinstance(loaded, FeatureMatrix)
         np.testing.assert_array_equal(loaded.matrix, fm.matrix)
         assert loaded.item_ids == fm.item_ids
-        assert stats is None
 
     def test_standardize_population_convention(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("item_id,f1\na,0.0\nb,2.0\n", encoding="utf-8")
-        loaded, stats = load_features(str(path), standardize=True)
-        np.testing.assert_allclose(loaded.matrix, [[-1.0, 1.0]])
+        raw = load_features(str(path)).matrix
+        stats = FeatureStats.from_matrix(raw)
+        np.testing.assert_allclose(stats.apply(raw), [[-1.0, 1.0]])
         np.testing.assert_allclose(stats.mean, [1.0])
         np.testing.assert_allclose(stats.std, [1.0])
 
     def test_no_standardize_passthrough(self, features_csv):
-        loaded, _ = load_features(features_csv)
+        loaded = load_features(features_csv)
         np.testing.assert_array_equal(loaded.matrix, [[0.0, 2.0, 4.0], [1.0, 1.0, 1.0]])
 
     def test_constant_feature_flagged(self, features_csv):
-        with pytest.warns(UserWarning, match="zero variance"):
-            loaded, stats = load_features(features_csv, standardize=True)
+        raw = load_features(features_csv).matrix
+        stats = FeatureStats.from_matrix(raw)
         assert stats.constant_features == (1,)
-        np.testing.assert_allclose(loaded.matrix[1], [0.0, 0.0, 0.0])
-        np.testing.assert_allclose(loaded.matrix[0], [-1.22474487, 0.0, 1.22474487])
+        standardized = stats.apply(raw)
+        np.testing.assert_allclose(standardized[1], [0.0, 0.0, 0.0])
+        np.testing.assert_allclose(standardized[0], [-1.22474487, 0.0, 1.22474487])
 
-    def test_stats_from_training_file(self, tmp_path, features_csv):
+    def test_training_stats_applied_to_evaluation_file(self, tmp_path, features_csv):
         eval_path = tmp_path / "eval.csv"
         eval_path.write_text("item_id,f1,f2\nx,2.0,3.0\ny,6.0,5.0\n", encoding="utf-8")
-        with pytest.warns(UserWarning):
-            loaded, stats = load_features(
-                str(eval_path), standardize=True, stats_from=features_csv
-            )
-        # training mean 2, training (population) std sqrt(8/3)
+        stats = FeatureStats.from_matrix(load_features(features_csv).matrix)
+        standardized = stats.apply(load_features(str(eval_path)).matrix)
+        # training mean 2, training (population) std sqrt(8/3); the training
+        # file's constant second feature is shifted by its mean only
         np.testing.assert_allclose(stats.mean, [2.0, 1.0])
-        np.testing.assert_allclose(loaded.matrix[0], [0.0, np.sqrt(6.0)])
+        assert stats.constant_features == (1,)
+        np.testing.assert_allclose(standardized[0], [0.0, np.sqrt(6.0)])
+        np.testing.assert_allclose(standardized[1], [2.0, 4.0])
 
     def test_standardize_idempotent_on_source(self, tmp_path, rng):
         fm = FeatureMatrix(rng.normal(size=(2, 6)))
         path = str(tmp_path / "f.csv")
         save_features(path, fm)
-        loaded, stats = load_features(path, standardize=True, stats_from=path)
-        own, own_stats = load_features(path, standardize=True)
-        np.testing.assert_array_equal(loaded.matrix, own.matrix)
+        own = load_features(path).matrix
+        stats = FeatureStats.from_matrix(load_features(path).matrix)
+        own_stats = FeatureStats.from_matrix(own)
+        np.testing.assert_array_equal(stats.apply(own), own_stats.apply(own))
         np.testing.assert_array_equal(stats.mean, own_stats.mean)
+        once = own_stats.apply(own)
+        np.testing.assert_allclose(FeatureStats.from_matrix(once).apply(once), once, atol=1e-12)
 
     def test_duplicate_id_with_line(self, tmp_path):
         path = tmp_path / "f.csv"
@@ -120,7 +126,7 @@ class TestFeaturesFile:
 
 class TestComparisonsFile:
     def test_expansion_and_orientation(self, tmp_path, features_csv):
-        fm, _ = load_features(features_csv)
+        fm = load_features(features_csv)
         path = tmp_path / "c.csv"
         path.write_text(
             "winner_id,loser_id,count\nalpha,beta,3\nbeta,alpha,1\n", encoding="utf-8"
@@ -130,14 +136,14 @@ class TestComparisonsFile:
         assert count_lists(data) == ([0], [1], [3], [4])
 
     def test_reverse_orientation_single(self, tmp_path, features_csv):
-        fm, _ = load_features(features_csv)
+        fm = load_features(features_csv)
         path = tmp_path / "c.csv"
         path.write_text("winner_id,loser_id,count\nbeta,alpha,1\n", encoding="utf-8")
         data = load_comparisons(str(path), fm)
         assert count_lists(data) == ([0], [1], [0], [1])
 
     def test_min_count_drops_sparse_pairs(self, tmp_path, features_csv):
-        fm, _ = load_features(features_csv)
+        fm = load_features(features_csv)
         path = tmp_path / "c.csv"
         path.write_text(
             "winner_id,loser_id,count\nalpha,beta,4\nalpha,gamma,5\n", encoding="utf-8"
@@ -146,21 +152,21 @@ class TestComparisonsFile:
         assert count_lists(data) == ([0], [2], [5], [5])
 
     def test_unknown_id_reported(self, tmp_path, features_csv):
-        fm, _ = load_features(features_csv)
+        fm = load_features(features_csv)
         path = tmp_path / "c.csv"
         path.write_text("winner_id,loser_id,count\nalpha,delta,1\n", encoding="utf-8")
         with pytest.raises(UnknownItemError, match="delta"):
             load_comparisons(str(path), fm)
 
     def test_self_comparison_rejected(self, tmp_path, features_csv):
-        fm, _ = load_features(features_csv)
+        fm = load_features(features_csv)
         path = tmp_path / "c.csv"
         path.write_text("winner_id,loser_id,count\nalpha,alpha,1\n", encoding="utf-8")
         with pytest.raises(ParseError):
             load_comparisons(str(path), fm)
 
     def test_round_trip_aggregates(self, tmp_path, features_csv, rng):
-        fm, _ = load_features(features_csv)
+        fm = load_features(features_csv)
         records = []
         for _ in range(40):
             i, j = sorted(rng.choice(3, size=2, replace=False))
@@ -176,7 +182,7 @@ class TestComparisonsFile:
         assert open(path).read() == open(path2).read()
 
     def test_huge_count_is_not_expanded(self, tmp_path, features_csv):
-        fm, _ = load_features(features_csv)
+        fm = load_features(features_csv)
         path = tmp_path / "c.csv"
         path.write_text(
             "winner_id,loser_id,count\nbeta,alpha,100000000\n", encoding="utf-8"
@@ -192,7 +198,7 @@ class TestComparisonsFile:
         assert peak < 2_000_000
 
     def test_count_beyond_exact_range_rejected(self, tmp_path, features_csv):
-        fm, _ = load_features(features_csv)
+        fm = load_features(features_csv)
         path = tmp_path / "c.csv"
         path.write_text(
             f"winner_id,loser_id,count\nalpha,gamma,1\nalpha,beta,{2**53 + 1}\n",
@@ -202,7 +208,7 @@ class TestComparisonsFile:
             load_comparisons(str(path), fm)
 
     def test_pair_total_beyond_exact_range_rejected(self, tmp_path, features_csv):
-        fm, _ = load_features(features_csv)
+        fm = load_features(features_csv)
         path = tmp_path / "c.csv"
         path.write_text(
             "winner_id,loser_id,count\n"
@@ -243,7 +249,7 @@ ROW_FAULTS = {
 class TestComparisonsFileErrors:
     @pytest.mark.parametrize("fault", sorted(ROW_FAULTS))
     def test_fault_after_a_good_row(self, tmp_path, features_csv, fault):
-        fm, _ = load_features(features_csv)
+        fm = load_features(features_csv)
         row, kind, message = ROW_FAULTS[fault]
         path = tmp_path / "c.csv"
         path.write_text(
@@ -256,7 +262,7 @@ class TestComparisonsFileErrors:
             assert info.value.line == 3
 
     def test_blank_lines_keep_their_numbers(self, tmp_path, features_csv):
-        fm, _ = load_features(features_csv)
+        fm = load_features(features_csv)
         path = tmp_path / "c.csv"
         path.write_text(
             "winner_id,loser_id,count\n\nalpha,gamma,2\n\nbeta,beta,1\n", encoding="utf-8"
@@ -275,7 +281,7 @@ class TestComparisonsFileErrors:
         ],
     )
     def test_first_of_three_faults_is_reported(self, tmp_path, features_csv, faults):
-        fm, _ = load_features(features_csv)
+        fm = load_features(features_csv)
         rows = "".join(ROW_FAULTS[f][0] + "\n" for f in faults)
         path = tmp_path / "c.csv"
         path.write_text(f"winner_id,loser_id,count\nalpha,gamma,2\n{rows}", encoding="utf-8")
@@ -289,7 +295,7 @@ class TestPhysicalLineNumbers:
     # a quoted field spanning lines 2-3 must not shift the line of a later fault
 
     def test_comparisons(self, tmp_path, features_csv):
-        fm, _ = load_features(features_csv)
+        fm = load_features(features_csv)
         path = tmp_path / "c.csv"
         path.write_text(
             'winner_id,loser_id,count\nalpha,beta,"1\n"\ngamma,zz,1\n', encoding="utf-8"
@@ -306,7 +312,7 @@ class TestPhysicalLineNumbers:
         assert str(info.value) == f"{path}:4: non-numeric feature cell"
 
     def test_rankings(self, tmp_path, features_csv):
-        fm, _ = load_features(features_csv)
+        fm = load_features(features_csv)
         path = tmp_path / "r.csv"
         path.write_text('ranker_id,rank,item_id\n"r\n1",1,alpha\nr2,x,beta\n', encoding="utf-8")
         with pytest.raises(ParseError) as info:
@@ -316,7 +322,7 @@ class TestPhysicalLineNumbers:
 
 class TestRankingsFile:
     def test_basic_ranking(self, tmp_path, features_csv):
-        fm, _ = load_features(features_csv)
+        fm = load_features(features_csv)
         path = tmp_path / "r.csv"
         path.write_text(
             "ranker_id,rank,item_id\nr1,1,gamma\nr1,2,alpha\nr1,3,beta\n",
@@ -327,7 +333,7 @@ class TestRankingsFile:
         assert ranking.items == (2, 0, 1)
 
     def test_unknown_item_dropped_and_compacted(self, tmp_path, features_csv):
-        fm, _ = load_features(features_csv)
+        fm = load_features(features_csv)
         path = tmp_path / "r.csv"
         path.write_text(
             "ranker_id,rank,item_id\nr1,1,gamma\nr1,2,missing\nr1,3,beta\n",
@@ -337,7 +343,7 @@ class TestRankingsFile:
         assert ranking.items == (2, 1)
 
     def test_short_ranker_dropped_with_warning(self, tmp_path, features_csv):
-        fm, _ = load_features(features_csv)
+        fm = load_features(features_csv)
         path = tmp_path / "r.csv"
         path.write_text(
             "ranker_id,rank,item_id\n"
@@ -350,7 +356,7 @@ class TestRankingsFile:
         assert [r.ranker_id for r in rankings] == ["r2"]
 
     def test_duplicate_rank_rejected(self, tmp_path, features_csv):
-        fm, _ = load_features(features_csv)
+        fm = load_features(features_csv)
         path = tmp_path / "r.csv"
         path.write_text(
             "ranker_id,rank,item_id\nr1,1,alpha\nr1,1,beta\n", encoding="utf-8"
@@ -358,8 +364,20 @@ class TestRankingsFile:
         with pytest.raises(ParseError, match="r1"):
             load_rankings(str(path), fm)
 
+    def test_repeated_item_rejected_at_its_line(self, tmp_path, features_csv):
+        fm = load_features(features_csv)
+        path = tmp_path / "r.csv"
+        path.write_text(
+            "ranker_id,rank,item_id\nr1,1,alpha\nr1,2,beta\nr1,3,alpha\n"
+            "r2,1,alpha\nr2,2,beta\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError) as info:
+            load_rankings(str(path), fm)
+        assert str(info.value) == f"{path}:4: ranker 'r1' repeats item 'alpha'"
+
     def test_gapped_ranks_rejected(self, tmp_path, features_csv):
-        fm, _ = load_features(features_csv)
+        fm = load_features(features_csv)
         path = tmp_path / "r.csv"
         path.write_text(
             "ranker_id,rank,item_id\nr1,1,alpha\nr1,3,beta\n", encoding="utf-8"

@@ -12,7 +12,6 @@ from salientpref import (
     PreconditionError,
     SelectionSpec,
     fit,
-    max_abs_margin,
     nll,
     realize,
     sample_comparisons,
@@ -141,6 +140,16 @@ class TestFit:
         ):
             with pytest.raises(PreconditionError):
                 FitConfig(**bad)
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, "5"])
+    def test_max_iters_must_be_an_integer(self, bad):
+        # a float cap would never equal the iteration count, so it never fired
+        with pytest.raises(PreconditionError, match="max_iters"):
+            FitConfig(max_iters=bad)
+
+    def test_max_iters_is_stored_as_a_plain_int(self):
+        cfg = FitConfig(max_iters=np.int64(3))
+        assert cfg.max_iters == 3 and type(cfg.max_iters) is int
 
     def test_synthetic_recovery(self, rng):
         # d=5, n=40, full selection, m=50k: the estimate lands within 0.1 of
@@ -279,11 +288,12 @@ class TestDegenerateData:
 
 
 class TestMarginBand:
-    """``max_abs_margin`` is the widest |<w, masked difference>| over pairs."""
+    """A certificate's ``b_star`` is the widest |<w, masked difference>| over
+    pairs."""
 
     def test_zero_weights_always_inside(self, rng):
         fm, sel = make_instance(rng, 3, 5)
-        assert max_abs_margin(sel, np.zeros(3)) == 0.0
+        assert sample_complexity_report(sel, w_star=np.zeros(3)).b_star == 0.0
 
     def test_own_margin_is_inside(self, rng):
         for spec in (SelectionSpec.full(), SelectionSpec.top_t(2),
@@ -291,6 +301,6 @@ class TestMarginBand:
             fm, sel = make_instance(rng, 4, 6, spec)
             w = rng.normal(size=4)
             _, table = oracles.masked_diff_table(fm.matrix, spec.to_dict())
-            assert max_abs_margin(sel, w) == pytest.approx(
+            assert sample_complexity_report(sel, w_star=w).b_star == pytest.approx(
                 np.abs(table @ w).max(), rel=1e-12
             )

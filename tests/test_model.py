@@ -118,6 +118,12 @@ class TestSampleComparisons:
         for name in ("pair_i", "pair_j", "wins", "total"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
+    @pytest.mark.parametrize("bad", [100.0, True, "100"])
+    def test_m_must_be_an_integer(self, bad):
+        sel = realize(SelectionSpec.full(), fm_from_columns([0.0], [1.0]))
+        with pytest.raises(PreconditionError, match="m must be an integer >= 1"):
+            sample_comparisons(sel, np.ones(1), bad, seed=0)
+
     def test_strong_preference_dominates(self):
         fm = fm_from_columns([0.0], [1.0])
         sel = realize(SelectionSpec.full(), fm)

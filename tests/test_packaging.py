@@ -1,7 +1,8 @@
 """The declared runtime dependencies are exactly the packages the code imports,
-the public names the package lists all exist, no public function takes both a
-selection and the features it was realized on, nor a certificate beside the
-instance it certifies, and the README example runs."""
+the public names the package lists all exist and match a pinned list, no
+public function takes both a selection and the features it was realized on,
+nor a certificate beside the instance it certifies, and the README example
+runs."""
 
 import ast
 import inspect
@@ -49,6 +50,27 @@ def test_all_names_resolve_once():
     missing = [name for name in salientpref.__all__ if not hasattr(salientpref, name)]
     assert missing == []
     assert len(set(salientpref.__all__)) == len(salientpref.__all__)
+
+
+# the public names; adding or removing one is a visible change to this list
+PUBLIC_NAMES = [
+    "ComparisonDataset", "DimensionError", "FeatureMatrix", "FitConfig", "FitResult",
+    "FullSelectionBounds", "GuaranteeCheck", "InconsistencyReport", "InvalidPairError",
+    "NotSingleCoordinateError", "NumericalFailureError", "ParseError", "PreconditionError",
+    "Ranking", "RankingRecoveryBounds", "RealizedSelection", "SalientPrefError",
+    "SampleComplexityReport", "SelectionSpec", "SingleCoordinateBounds", "TransitivityReport",
+    "UndefinedMetricError", "UnknownItemError", "__version__", "all_pair_probabilities",
+    "center_columns", "count_transitivity_violations", "empirical_guarantee_check", "fit",
+    "full_selection_report", "kendall_correlation", "kendall_distance",
+    "model_transitivity_report", "nll", "nll_gradient", "nll_hessian", "pairwise_accuracy",
+    "pairwise_inconsistency", "rank_from_weights", "ranking_recovery_report", "realize",
+    "sample_comparisons", "sample_complexity_report", "single_coordinate_report",
+    "subset_kendall", "utility_gaps",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(salientpref.__all__) == PUBLIC_NAMES
 
 
 def public_signatures():

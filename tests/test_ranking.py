@@ -140,6 +140,13 @@ class TestSubsetKendall:
         assert subset_kendall(full, [0, 1, 3]) == 1.0
         assert subset_kendall(full, [3, 1, 0]) == -1.0
 
+    @pytest.mark.parametrize("items", [[0, -1], [0, 4], [0, 2, 0]])
+    def test_items_outside_or_repeated_rejected(self, items):
+        # -1 used to wrap to the last item, and a repeat to count as a tie
+        full = Ranking(np.array([1, 2, 3, 4]))
+        with pytest.raises(DimensionError, match="items must"):
+            subset_kendall(full, items)
+
 
 class TestPairwiseAccuracy:
     def _fixture(self, rng):

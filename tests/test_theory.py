@@ -14,7 +14,6 @@ from salientpref import (
     center_columns,
     empirical_guarantee_check,
     full_selection_report,
-    identifiability_check,
     ranking_recovery_report,
     realize,
     sample_complexity_report,
@@ -66,46 +65,48 @@ class TestSymEigvals:
 
 
 class TestIdentifiability:
+    """The certificate's ``identifiable`` and ``rank``."""
+
     def test_standard_basis_loses_a_direction(self):
         for d in (2, 3, 5):
             fm = FeatureMatrix(np.eye(d))
             sel = realize(SelectionSpec.full(), fm)
-            res = identifiability_check(sel)
+            res = sample_complexity_report(sel)
             assert not res.identifiable
             assert res.rank == d - 1
 
     def test_spanning_triangle(self):
         fm = fm_from_columns([0.0, 0.0], [1.0, 0.0], [0.0, 1.0])
         sel = realize(SelectionSpec.full(), fm)
-        assert identifiability_check(sel).identifiable
+        assert sample_complexity_report(sel).identifiable
 
     def test_starved_coordinate(self):
         # second coordinate constant: top-1 never selects it, so its weight
         # is invisible and the rank drops
         fm = fm_from_columns([0.0, 5.0], [1.0, 5.0], [3.0, 5.0])
         sel = realize(SelectionSpec.top_t(1), fm)
-        res = identifiability_check(sel)
+        res = sample_complexity_report(sel)
         assert not res.identifiable
         assert res.rank <= 1
 
     def test_matches_lambda_sign(self, rng):
-        # the rank test and the lambda-positivity test are the same predicate
+        # the verdict is the rank test of an independently built E[Z]
         for _ in range(10):
             d = int(rng.integers(2, 5))
             n = int(rng.integers(d + 1, 9))
             fm = FeatureMatrix(rng.normal(size=(d, n)))
             for spec in (SelectionSpec.full(), SelectionSpec.top_t(1)):
-                sel = realize(spec, fm)
-                rep = sample_complexity_report(sel)
-                assert rep.identifiable == identifiability_check(sel).identifiable
+                rep = sample_complexity_report(realize(spec, fm))
+                _, table = oracles.masked_diff_table(fm.matrix, spec.to_dict())
+                assert rep.identifiable == (oracles.moment_rank(table) == d)
         # a second feature 1e-7 the scale of the first: singular values 1e-7
         # apart, eigenvalues of E[Z] 1e-14 apart, below the zero tolerance
         M = rng.normal(size=(2, 8))
         M[1] *= 1e-7
         fm = FeatureMatrix(M)
-        sel = realize(SelectionSpec.full(), fm)
-        res = identifiability_check(sel)
-        assert not sample_complexity_report(sel).identifiable
+        res = sample_complexity_report(realize(SelectionSpec.full(), fm))
+        _, table = oracles.masked_diff_table(M, SelectionSpec.full().to_dict())
+        assert oracles.moment_rank(table) == 1
         assert not res.identifiable
         assert res.rank == 1
 
@@ -117,7 +118,6 @@ class TestIdentifiability:
             sel = realize(SelectionSpec.full(), fm)
             EZ = oracles.expected_outer(sel.diff_table())
             want = int(np.sum(np.linalg.eigvalsh(EZ) > 1e-10 * np.trace(EZ) / 2))
-            assert identifiability_check(sel).rank == want
             assert sample_complexity_report(sel).rank == want
 
 
@@ -187,6 +187,12 @@ class TestSampleComplexityReport:
         assert rep.b_star is None
         with pytest.raises(PreconditionError):
             rep.error_bound(100)
+
+    def test_error_bound_refuses_nan(self):
+        fm, sel = hexagon_instance()
+        rep = sample_complexity_report(sel, w_star=np.array([0.4, 0.1]))
+        with pytest.raises(PreconditionError, match="sample size"):
+            rep.error_bound(float("nan"))
 
     def test_error_bound_quarter_sample_halves_exactly(self):
         fm, sel = hexagon_instance()
@@ -461,7 +467,6 @@ _GUARANTEE_KEYS = [
 @pytest.mark.parametrize(
     "build, keys",
     [
-        (lambda fm, sel: identifiability_check(sel), ["identifiable", "rank", "d"]),
         (lambda fm, sel: sample_complexity_report(sel, w_star=np.ones(3)), _CERTIFICATE_KEYS),
         (lambda fm, sel: full_selection_report(fm, w_star=np.ones(3)), _FULL_KEYS),
         (lambda fm, sel: single_coordinate_report(sel, w_star=np.ones(3)), _SINGLE_KEYS),
@@ -478,7 +483,7 @@ _GUARANTEE_KEYS = [
             _GUARANTEE_KEYS,
         ),
     ],
-    ids=["identifiability", "certificate", "full_selection", "single_coordinate",
+    ids=["certificate", "full_selection", "single_coordinate",
          "ranking_recovery", "guarantee_check"],
 )
 def test_report_schema(rng, build, keys):
@@ -556,6 +561,18 @@ class TestRankingRecoveryReport:
         sel = realize(SelectionSpec.full(), fm)
         with pytest.raises(PreconditionError):
             recovery(sel, np.zeros(2), k=7)
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, "1"])
+    def test_k_must_be_an_integer(self, rng, bad):
+        fm = FeatureMatrix(rng.normal(size=(2, 4)))
+        sel = realize(SelectionSpec.full(), fm)
+        with pytest.raises(PreconditionError, match="k must be an integer"):
+            recovery(sel, np.ones(2), k=bad)
+
+    def test_k_is_stored_as_a_plain_int(self, rng):
+        fm = FeatureMatrix(rng.normal(size=(2, 4)))
+        rep = recovery(realize(SelectionSpec.full(), fm), np.ones(2), k=np.int64(2))
+        assert rep.k == 2 and type(rep.k) is int and type(rep.to_dict()["k"]) is int
 
     def test_c5_scales_third_term(self, rng):
         fm = FeatureMatrix(rng.normal(size=(2, 5)))
@@ -666,7 +683,6 @@ def test_overflow_refused_before_eigendecomposition(monkeypatch):
     sel = realize(SelectionSpec.top_t(1), fm)
     for certify in (
         lambda: sample_complexity_report(sel),
-        lambda: identifiability_check(sel),
         lambda: full_selection_report(fm),
         lambda: single_coordinate_report(sel),
     ):
@@ -702,13 +718,12 @@ def test_underflowed_moment_is_refused():
     sel = realize(SelectionSpec.top_t(1), fm)
     for certify in (
         lambda: sample_complexity_report(sel),
-        lambda: identifiability_check(sel),
         lambda: full_selection_report(fm),
     ):
         with pytest.raises(PreconditionError, match="underflows float64"):
             certify()
     ok = FeatureMatrix(base)
-    assert identifiability_check(realize(SelectionSpec.top_t(1), ok)).identifiable
+    assert sample_complexity_report(realize(SelectionSpec.top_t(1), ok)).identifiable
 
 
 def test_identical_features_are_unidentifiable_not_refused():
@@ -717,7 +732,8 @@ def test_identical_features_are_unidentifiable_not_refused():
     sel = realize(SelectionSpec.top_t(1), fm)
     rep = sample_complexity_report(sel)
     assert rep.rank == 0 and not rep.identifiable and rep.m2 == math.inf
-    assert not identifiability_check(sel).identifiable
+    _, table = oracles.masked_diff_table(fm.matrix, SelectionSpec.top_t(1).to_dict())
+    assert oracles.moment_rank(table) == 0
     assert full_selection_report(fm).m_lower == math.inf
 
 
@@ -815,6 +831,19 @@ class TestEmpiricalGuaranteeCheck:
         m = int(np.ceil(max(rep.m1, rep.m2)))
         chk = empirical_guarantee_check(rep, m, trials=3, seed=2)
         assert chk.pass_rate == 1.0
+
+    @pytest.mark.parametrize(
+        "bad, m, trials",
+        [("m", -3, 1), ("m", 0, 1), ("m", 2.5, 1), ("m", True, 1),
+         ("trials", 10, 1.5), ("trials", 10, True), ("trials", 10, -1)],
+    )
+    def test_integer_arguments_checked_before_applicability(self, bad, m, trials):
+        # each m here is below the threshold, where the check used to skip
+        # (applicable=False) without reading m or trials
+        fm, sel = hexagon_instance()
+        rep = sample_complexity_report(sel, w_star=np.array([0.3, -0.2]), delta=0.2)
+        with pytest.raises(PreconditionError, match=f"{bad} must be an integer >= 1"):
+            empirical_guarantee_check(rep, m, trials=trials, seed=0)
 
     def test_refuses_nonidentifiable(self):
         fm = FeatureMatrix(np.eye(3))
