@@ -29,7 +29,7 @@ from .errors import (
     UndefinedMetricError,
     UnknownItemError,
 )
-from .estimator import FitConfig, FitResult, fit
+from .estimator import FitResult, fit
 from .features import FeatureMatrix, center_columns
 from .model import (
     ComparisonDataset,
@@ -79,7 +79,6 @@ __all__ = [
     "nll_gradient",
     "nll_hessian",
     # estimator
-    "FitConfig",
     "FitResult",
     "fit",
     # ranking

@@ -19,6 +19,7 @@ import concurrent.futures
 import csv
 import datetime
 import hashlib
+import inspect
 import json
 import math
 import numbers
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import __version__, dataio, diagnostics, theory
 from .errors import NotSingleCoordinateError, PreconditionError, SalientPrefError
-from .estimator import FitConfig, fit
+from .estimator import fit
 from .features import FeatureMatrix
 from .model import all_pair_probabilities, sample_comparisons
 from .ranking import (
@@ -142,7 +143,7 @@ def cmd_fit(args) -> int:
     fm = dataio.load_features(args.features)
     data = dataio.load_comparisons(args.comparisons, fm)
     sel = realize(args.selection, fm)
-    result = fit(sel, data, FitConfig(mu=args.mu, tol_grad=args.tol))
+    result = fit(sel, data, mu=args.mu, tol_grad=args.tol)
     payload = result.to_dict()
     payload["m"] = len(data)
     payload["mu"] = args.mu
@@ -263,9 +264,7 @@ def cmd_theory(args) -> int:
         pass
     if w is not None:
         payload["b_star"] = certificate.b_star
-        payload["ranking_recovery"] = theory.ranking_recovery_report(
-            certificate, k=1, c5=1.0
-        ).to_dict()
+        payload["ranking_recovery"] = theory.ranking_recovery_report(certificate, k=1).to_dict()
     dataio.write_json(args.out, payload)
     _write_manifest(args.out + ".manifest.json", "theory", args, inputs)
     return 0
@@ -277,7 +276,7 @@ def _sweep_cell(task: tuple) -> list[tuple]:
     fm, w_star = _simulate_instance(d, n, seed)
     sel = realize(spec, fm)
     data = sample_comparisons(sel, w_star, m, _derived_seed(seed, 2))
-    result = fit(sel, data, FitConfig(mu=mu))
+    result = fit(sel, data, mu=mu)
     true_rank = rank_from_weights(fm, w_star)
     est_rank = rank_from_weights(fm, result.w_hat)
     pairs, probs = all_pairs(n), all_pair_probabilities(sel, w_star)
@@ -378,7 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--comparisons", required=True)
     p.add_argument("--selection", type=_selection_arg, required=True)
     p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument(
+        "--tol", type=float, default=inspect.signature(fit).parameters["tol_grad"].default
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 

@@ -231,6 +231,7 @@ def load_rankings(path: str, fm: FeatureMatrix) -> list[SubsetRanking]:
     by_ranker: dict[str, list[tuple[int, str, int]]] = {}
     order: list[str] = []
     listed: set[tuple[str, str]] = set()
+    ranked: set[tuple[str, int]] = set()
     for lineno, row in rows:
         if len(row) != 3:
             raise ParseError(str(path), lineno, f"expected 3 cells, got {len(row)}")
@@ -241,7 +242,10 @@ def load_rankings(path: str, fm: FeatureMatrix) -> list[SubsetRanking]:
             raise ParseError(str(path), lineno, f"bad rank {rank_text!r}") from None
         if (ranker, item) in listed:
             raise ParseError(str(path), lineno, f"ranker {ranker!r} repeats item {item!r}")
+        if (ranker, rank) in ranked:
+            raise ParseError(str(path), lineno, f"ranker {ranker!r} repeats a rank")
         listed.add((ranker, item))
+        ranked.add((ranker, rank))
         if ranker not in by_ranker:
             by_ranker[ranker] = []
             order.append(ranker)
@@ -250,8 +254,6 @@ def load_rankings(path: str, fm: FeatureMatrix) -> list[SubsetRanking]:
     for ranker in order:
         entries = sorted(by_ranker[ranker])
         ranks = [r for r, _, _ in entries]
-        if len(set(ranks)) != len(ranks):
-            raise ParseError(str(path), entries[0][2], f"ranker {ranker!r} repeats a rank")
         if ranks != list(range(1, len(ranks) + 1)):
             raise ParseError(
                 str(path), entries[0][2], f"ranker {ranker!r} has gapped ranks {ranks}"

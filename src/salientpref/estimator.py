@@ -18,14 +18,13 @@ maximum likelihood estimate does not exist).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
 from .errors import NumericalFailureError, PreconditionError
-from .features import check_weights
-from .model import ComparisonDataset, _check_positive_int, check_ridge, design_matrix
+from .model import ComparisonDataset, check_ridge, design_matrix
 from .selection import RealizedSelection
 
 _ARMIJO_C = 1e-4
@@ -38,28 +37,8 @@ _ARMIJO_EPS = 1e-12
 _EPS = np.finfo(np.float64).eps
 # Separation test: margins within this fraction of max |X| count as zero.
 _SEPARATION_REL_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Optimizer settings.
-
-    ``init=None`` starts from the zero vector (objective m*log 2, a
-    scale-free starting point; by convexity the start does not change the
-    answer on the observed span).  Non-convergence is reported in the
-    result, not raised.
-    """
-
-    mu: float = 0.0
-    tol_grad: float = 1e-8
-    max_iters: int = 5000
-    init: np.ndarray | None = None
-
-    def __post_init__(self):
-        check_ridge(self.mu)
-        if not (np.isfinite(self.tol_grad) and self.tol_grad > 0):
-            raise PreconditionError(f"tol_grad must be finite and > 0, got {self.tol_grad}")
-        object.__setattr__(self, "max_iters", _check_positive_int("max_iters", self.max_iters))
+# Newton steps before the fit stops as ``max_iters``.
+_MAX_ITERS = 5000
 
 
 @dataclass(frozen=True)
@@ -70,6 +49,10 @@ class FitResult:
     iterations: int
     stop_reason: str  # "converged", "max_iters", "stalled" or "separated"
     data_rank: int  # rank of the observed design's second moment X^T X / P
+    # one (objective, grad_norm, step, backtracks) record per iterate, the
+    # zero start first; ``step`` is the length of the move that reached the
+    # iterate and ``backtracks`` the halvings its line search took
+    history: tuple[tuple[float, float, float, int], ...] = field(repr=False)
 
     @property
     def converged(self) -> bool:
@@ -121,21 +104,23 @@ def _separates(X, total, wins, w) -> bool:
 def fit(
     sel: RealizedSelection,
     data: ComparisonDataset,
-    cfg: FitConfig = FitConfig(),
-    trace: list | None = None,
+    *,
+    mu: float = 0.0,
+    tol_grad: float = 1e-8,
 ) -> FitResult:
-    """Minimize the regularized negative log-likelihood.
+    """Minimize ``nll(w) + mu * ||w||^2`` by damped Newton from w = 0.
 
-    Returns a stationary point with gradient norm <= ``cfg.tol_grad`` when
-    converged; otherwise the last accepted iterate with ``converged=False``.
-    When ``trace`` is a list, the objective value after every accepted step
-    is appended to it.
+    ``mu`` is a finite ridge >= 0 and ``tol_grad`` a finite gradient-norm
+    tolerance > 0.  Returns a stationary point with gradient norm <=
+    ``tol_grad`` when converged; otherwise the last accepted iterate with
+    ``converged=False`` (after at most ``_MAX_ITERS`` Newton steps).
+    ``history`` records every iterate, the start included.
 
     ``data_rank`` is the rank of the observed design's second moment
     ``X^T X / P`` under the certificates' zero rule (``_kernels.zero_tol``).  Without a
     ridge the likelihood sees w only on the span of the observed rows, and
     every step stays in the span of the gradient and Hessian, so from the
-    default zero start the fit converges to the minimum-norm maximiser: when
+    zero start the fit converges to the minimum-norm maximiser: when
     ``data_rank < d``, the weights along the unobserved directions are 0 by
     convention.
 
@@ -147,35 +132,34 @@ def fit(
     negative one can miss a separating direction that differs from the
     fitted one (finding it for certain needs a linear program).
     """
+    mu = check_ridge(mu)
+    if not (np.isfinite(tol_grad) and tol_grad > 0):
+        raise PreconditionError(f"tol_grad must be finite and > 0, got {tol_grad}")
     if data.total.size == 0:
         raise PreconditionError("cannot fit an empty dataset")
-    d = sel.features.d
     X = design_matrix(sel, data)
     total = data.total.astype(np.float64)
     wins = data.wins.astype(np.float64)
-    mu = float(cfg.mu)
-    if cfg.init is None:
-        w = np.zeros(d)
-    else:
-        w = check_weights(cfg.init, d).copy()
+    w = np.zeros(sel.features.d)
     moment = _kernels.second_moment(X)
     _check_finite("design second moment", moment)
     data_rank = _kernels.psd_spectrum(moment)[1]
 
     f = float(_kernels.nll_value(X, total, wins, w, mu))
     _check_finite("objective", f)
-    if trace is not None:
-        trace.append(f)
+    history = []
+    move, backtracks = 0.0, 0
     iterations = 0
 
     while True:
         g = _kernels.nll_grad(X, total, wins, w, mu)
         _check_finite("gradient", g)
         grad_norm = float(np.linalg.norm(g))
-        if grad_norm <= cfg.tol_grad:
+        history.append((f, grad_norm, move, backtracks))
+        if grad_norm <= tol_grad:
             stop_reason = "converged"
             break
-        if iterations == cfg.max_iters:
+        if iterations == _MAX_ITERS:
             stop_reason = "max_iters"
             break
         iterations += 1
@@ -190,7 +174,7 @@ def fit(
 
         slack = _ARMIJO_EPS * (1.0 + abs(f))
         t = 1.0
-        for _ in range(_MAX_BACKTRACKS):
+        for backtracks in range(_MAX_BACKTRACKS):
             w_try = w + t * step
             f_try = float(_kernels.nll_value(X, total, wins, w_try, mu))
             if np.isfinite(f_try) and f_try <= f + _ARMIJO_C * t * slope + slack:
@@ -200,8 +184,7 @@ def fit(
             stop_reason = "stalled"
             break
         w, f = w_try, f_try
-        if trace is not None:
-            trace.append(f)
+        move = t * float(np.linalg.norm(step))
 
     if mu == 0.0 and _separates(X, total, wins, w):
         stop_reason = "separated"
@@ -213,4 +196,5 @@ def fit(
         iterations=iterations,
         stop_reason=stop_reason,
         data_rank=data_rank,
+        history=tuple(history),
     )

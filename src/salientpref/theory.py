@@ -61,7 +61,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import PreconditionError
-from .estimator import FitConfig, fit
+from .estimator import fit
 from .features import FeatureMatrix, center_columns, check_weights
 from .model import _check_positive_int, sample_comparisons
 from .ranking import utility_gaps
@@ -431,6 +431,12 @@ def single_coordinate_report(
     )
 
 
+# The leading constant of the ranking-recovery threshold's third term.  The
+# paper leaves c5 unspecified, so 1.0 is a convention, not a derived value;
+# it is reported with the bound so a reader can rescale that term.
+_C5 = 1.0
+
+
 @dataclass(frozen=True)
 class RankingRecoveryBounds(_Report):
     """Sample threshold for Kendall distance at most k - 1 to the true ranking."""
@@ -441,7 +447,7 @@ class RankingRecoveryBounds(_Report):
     m_terms: tuple[float, float, float]
     m_lower: float
     delta: float
-    c5: float
+    c5: float = field(default=_C5, init=False)
     b_star: float
     lambda_: float
 
@@ -461,28 +467,21 @@ class RankingRecoveryBounds(_Report):
         }
 
 
-def ranking_recovery_report(
-    certificate: SampleComplexityReport,
-    k: int,
-    c5: float = 1.0,
-) -> RankingRecoveryBounds:
+def ranking_recovery_report(certificate: SampleComplexityReport, k: int) -> RankingRecoveryBounds:
     """How many samples before the learned ranking is within distance k - 1.
 
     ``certificate`` is ``sample_complexity_report(sel, w_star, delta)``, made
     with w*; the features, w*, delta, beta, lambda, m1, m2 and b* are read
     from it.  ``k`` is an integer in [1, C(n,2)].  The third threshold term
-    uses the configurable leading constant ``c5`` (its sharp value is not
-    pinned down, so it is a knob, never asserted); a zero utility gap alpha_k
-    makes that term infinite: ties in true utilities void the guarantee at
-    that k.
+    has the leading constant ``_C5``, reported as ``c5``; a zero utility gap
+    alpha_k makes that term infinite: ties in true utilities void the
+    guarantee at that k.
     """
     d, n = certificate.d, certificate.n
     npairs = n * (n - 1) // 2
     k = _check_positive_int("k", k)
     if k > npairs:
         raise PreconditionError(f"k must lie in [1, C(n,2)] = [1, {npairs}], got {k}")
-    if c5 <= 0:
-        raise PreconditionError("c5 must be positive")
     if certificate.w_star is None:
         raise PreconditionError(_NO_TRUE_WEIGHTS)
 
@@ -493,7 +492,7 @@ def ranking_recovery_report(
     if alpha_k > 0.0 and certificate.identifiable:
         try:
             term3 = (
-                c5
+                _C5
                 * M**2
                 * math.exp(2.0 * certificate.b_star)
                 * (certificate.beta**2 * d + certificate.beta * math.sqrt(d))
@@ -510,7 +509,6 @@ def ranking_recovery_report(
         m_terms=terms,
         m_lower=max(terms),
         delta=certificate.delta,
-        c5=float(c5),
         b_star=certificate.b_star,
         lambda_=certificate.lambda_,
     )
@@ -568,7 +566,7 @@ def empirical_guarantee_check(
         sel, w_star = certificate.sel, certificate.w_star
         for t in range(trials):
             trial_seed = int(np.random.SeedSequence([seed, t]).generate_state(1)[0])
-            result = fit(sel, sample_comparisons(sel, w_star, m, trial_seed), FitConfig(mu=0.0))
+            result = fit(sel, sample_comparisons(sel, w_star, m, trial_seed))
             reasons[result.stop_reason] += 1
             if result.converged:
                 errors.append(float(np.linalg.norm(result.w_hat - w_star)))

@@ -376,6 +376,16 @@ class TestRankingsFile:
             load_rankings(str(path), fm)
         assert str(info.value) == f"{path}:4: ranker 'r1' repeats item 'alpha'"
 
+    def test_repeated_rank_rejected_at_its_line(self, tmp_path, features_csv):
+        fm = load_features(features_csv)
+        path = tmp_path / "r.csv"
+        path.write_text(
+            "ranker_id,rank,item_id\nr1,1,alpha\nr1,2,beta\nr1,2,gamma\n", encoding="utf-8"
+        )
+        with pytest.raises(ParseError) as info:
+            load_rankings(str(path), fm)
+        assert str(info.value) == f"{path}:4: ranker 'r1' repeats a rank"
+
     def test_gapped_ranks_rejected(self, tmp_path, features_csv):
         fm = load_features(features_csv)
         path = tmp_path / "r.csv"

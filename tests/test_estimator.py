@@ -3,11 +3,10 @@ import pytest
 
 import oracles
 from conftest import count_lists, make_instance
-from salientpref import _kernels
+from salientpref import _kernels, estimator
 from salientpref import (
     ComparisonDataset,
     FeatureMatrix,
-    FitConfig,
     NumericalFailureError,
     PreconditionError,
     SelectionSpec,
@@ -60,6 +59,24 @@ def separable_instance(seed):
     return fm, sel, ComparisonDataset.from_records(records, 30)
 
 
+def stopped_fit(reason, rng, monkeypatch):
+    """A fit that stops for ``reason``: capped at one Newton step, stalled by
+    an objective that is infinite away from the start, or separated."""
+    if reason == "separated":
+        return separable_instance(0)[1:]
+    fm, sel = make_instance(rng, 3, 7, spec=SelectionSpec.full())
+    data = sample_comparisons(sel, rng.normal(size=3), 400, seed=4)
+    if reason == "max_iters":
+        monkeypatch.setattr(estimator, "_MAX_ITERS", 1)
+    elif reason == "stalled":
+        real = _kernels.nll_value
+        monkeypatch.setattr(
+            _kernels, "nll_value",
+            lambda X, t, y, w, mu: np.inf if w.any() else real(X, t, y, w, mu),
+        )
+    return sel, data
+
+
 class TestFit:
     def test_balanced_pair_stays_at_zero(self):
         fm = fm_from_columns([1.0, -2.0], [0.0, 0.0])
@@ -73,7 +90,7 @@ class TestFit:
     def test_huge_ridge_crushes_weights(self, rng):
         fm, sel = make_instance(rng, 3, 6, spec=SelectionSpec.full())
         data = sample_comparisons(sel, rng.normal(size=3), 200, seed=2)
-        res = fit(sel, data, FitConfig(mu=1e8))
+        res = fit(sel, data, mu=1e8)
         assert res.converged
         assert np.linalg.norm(res.w_hat) <= 1e-4
 
@@ -88,11 +105,9 @@ class TestFit:
     def test_objective_monotone(self, rng):
         fm, sel = make_instance(rng, 5, 10, spec=SelectionSpec.full())
         data = sample_comparisons(sel, rng.normal(size=5) * 2, 400, seed=6)
-        trace: list = []
-        fit(sel, data, trace=trace)
-        trace = np.array(trace)
+        objectives = np.array([record[0] for record in fit(sel, data).history])
         # nonincreasing up to the line search's machine-precision slack
-        assert np.all(np.diff(trace) <= 1e-12 * (1.0 + np.abs(trace[:-1])))
+        assert np.all(np.diff(objectives) <= 1e-12 * (1.0 + np.abs(objectives[:-1])))
 
     def test_beats_reference_vectors(self, rng):
         for _ in range(5):
@@ -105,26 +120,23 @@ class TestFit:
             assert best <= nll(sel, w_star, data) + 1e-9
             assert best <= nll(sel, np.zeros(d), data) + 1e-9
 
-    def test_given_init_same_optimum(self, rng):
-        fm, sel = make_instance(rng, 3, 7, spec=SelectionSpec.full())
-        data = sample_comparisons(sel, rng.normal(size=3), 400, seed=3)
-        a = fit(sel, data)
-        b = fit(sel, data, FitConfig(init=rng.normal(size=3)))
-        assert a.converged and b.converged
-        np.testing.assert_allclose(a.w_hat, b.w_hat, atol=1e-7)
-
-    def test_nonconvergence_reported_not_raised(self, rng):
+    def test_nonconvergence_reported_not_raised(self, rng, monkeypatch):
         fm, sel = make_instance(rng, 3, 7, spec=SelectionSpec.full())
         data = sample_comparisons(sel, rng.normal(size=3) * 3, 400, seed=4)
-        res = fit(sel, data, FitConfig(max_iters=1))
+        monkeypatch.setattr(estimator, "_MAX_ITERS", 1)
+        res = fit(sel, data)
         assert not res.converged
         assert res.iterations == 1
 
-    def test_nan_init_raises(self, rng):
-        fm, sel = make_instance(rng, 2, 4, spec=SelectionSpec.full())
-        data = sample_comparisons(sel, np.zeros(2), 20, seed=1)
-        with pytest.raises(NumericalFailureError):
-            fit(sel, data, FitConfig(init=np.array([1e308, 1e308])))
+    def test_overflowing_design_raises(self):
+        # finite features whose difference 1e308 - (-1e308) overflows to inf
+        fm = FeatureMatrix(np.array([[1e308, -1e308, 0.0]]))
+        sel = realize(SelectionSpec.full(), fm)
+        data = ComparisonDataset.from_records([(0, 1, 1), (1, 2, 0)], 3)
+        with np.errstate(over="ignore"), pytest.raises(
+            NumericalFailureError, match="design second moment"
+        ):
+            fit(sel, data)
 
     def test_empty_dataset_rejected(self, rng):
         fm, sel = make_instance(rng, 2, 4, spec=SelectionSpec.full())
@@ -132,24 +144,17 @@ class TestFit:
         with pytest.raises(PreconditionError):
             fit(sel, empty)
 
-    def test_bad_config_rejected(self):
+    def test_bad_config_rejected(self, rng, monkeypatch):
+        fm, sel = make_instance(rng, 2, 4, spec=SelectionSpec.full())
+        data = sample_comparisons(sel, np.zeros(2), 20, seed=1)
+        # both are checked before the design matrix is built
+        monkeypatch.setattr(estimator, "design_matrix", None)
         for bad in (
             {"mu": -1.0}, {"mu": float("nan")}, {"mu": float("inf")},
             {"tol_grad": 0.0}, {"tol_grad": float("nan")}, {"tol_grad": float("inf")},
-            {"max_iters": 0},
         ):
-            with pytest.raises(PreconditionError):
-                FitConfig(**bad)
-
-    @pytest.mark.parametrize("bad", [1.5, 2.0, True, "5"])
-    def test_max_iters_must_be_an_integer(self, bad):
-        # a float cap would never equal the iteration count, so it never fired
-        with pytest.raises(PreconditionError, match="max_iters"):
-            FitConfig(max_iters=bad)
-
-    def test_max_iters_is_stored_as_a_plain_int(self):
-        cfg = FitConfig(max_iters=np.int64(3))
-        assert cfg.max_iters == 3 and type(cfg.max_iters) is int
+            with pytest.raises(PreconditionError, match=next(iter(bad))):
+                fit(sel, data, **bad)
 
     def test_synthetic_recovery(self, rng):
         # d=5, n=40, full selection, m=50k: the estimate lands within 0.1 of
@@ -175,9 +180,8 @@ class TestFit:
         sel = realize(SelectionSpec.full(), fm)
         w_star = rng.normal(0.0, 1.0 / np.sqrt(d), size=d)
         data = sample_comparisons(sel, w_star, 2000, seed=9)
-        trace: list = []
-        res = fit(sel, data, FitConfig(tol_grad=1e-3, max_iters=4000), trace=trace)
-        assert trace[-1] < trace[0]
+        res = fit(sel, data, tol_grad=1e-3)
+        assert res.history[-1][0] < res.history[0][0]
         assert res.converged
         assert res.final_grad_norm <= 1e-3
 
@@ -192,23 +196,17 @@ class TestFit:
         data = sample_comparisons(sel, w_star, 50_000, seed=1)
         res = fit(sel, data)
         assert res.converged and res.stop_reason == "converged"
-        assert res.final_grad_norm <= FitConfig().tol_grad
+        assert res.final_grad_norm <= 1e-8
         assert res.iterations <= 20
 
     def test_stop_reasons(self, rng, monkeypatch):
-        fm, sel = make_instance(rng, 3, 7, spec=SelectionSpec.full())
-        data = sample_comparisons(sel, rng.normal(size=3), 400, seed=4)
-        assert fit(sel, data).to_dict()["stop_reason"] == "converged"
-        capped = fit(sel, data, FitConfig(max_iters=1))
-        assert capped.stop_reason == "max_iters" and not capped.converged
-        # an objective that is infinite away from the start passes no line search
-        real = _kernels.nll_value
-        monkeypatch.setattr(
-            _kernels, "nll_value", lambda X, t, y, w, mu: np.inf if w.any() else real(X, t, y, w, mu)
-        )
-        stuck = fit(sel, data)
-        assert stuck.stop_reason == "stalled" and not stuck.converged
-        assert stuck.iterations == 1 and not stuck.w_hat.any()
+        for reason in ("converged", "max_iters", "stalled"):
+            res = fit(*stopped_fit(reason, rng, monkeypatch))
+            assert res.to_dict()["stop_reason"] == reason
+            assert res.converged == (reason == "converged")
+            monkeypatch.undo()
+        # the stalled fit never left the start
+        assert res.iterations == 1 and not res.w_hat.any()
 
     def test_counts_and_samples_give_same_fit(self, rng):
         fm, sel = make_instance(rng, 4, 9, spec=SelectionSpec.top_t(2))
@@ -233,6 +231,51 @@ class TestFit:
         # and the per-sample Newton oracle, on one design row per comparison
         want = oracles.logistic_newton(*per_sample(fm, SelectionSpec.top_t(2), data))
         np.testing.assert_allclose(b.w_hat, want, rtol=1e-10, atol=1e-12)
+
+
+class TestHistory:
+    """``history``: one (objective, grad_norm, step, backtracks) record per
+    iterate, from the zero start to the returned one."""
+
+    @pytest.mark.parametrize("reason", ["converged", "max_iters", "stalled", "separated"])
+    def test_records_run_from_the_start_to_the_result(self, reason, rng, monkeypatch):
+        sel, data = stopped_fit(reason, rng, monkeypatch)
+        res = fit(sel, data)
+        assert res.stop_reason == reason
+        assert res.history == fit(sel, data).history
+        assert "history" not in res.to_dict()
+        assert all(
+            [type(v) for v in record] == [float, float, float, int] for record in res.history
+        )
+        objective, grad_norm, step, backtracks = res.history[0]
+        assert objective == pytest.approx(np.log(2.0) * data.total.sum(), rel=1e-12)
+        assert (step, backtracks) == (0.0, 0)
+        assert res.history[-1][:2] == (res.final_objective, res.final_grad_norm)
+        objectives = np.array([record[0] for record in res.history])
+        assert np.all(np.diff(objectives) <= 1e-12 * (1.0 + np.abs(objectives[:-1])))
+        # a stalled step is attempted but never reached, so it has no record
+        accepted = res.iterations - (reason == "stalled")
+        assert len(res.history) == accepted + 1
+        assert all(record[2] > 0.0 for record in res.history[1:])
+
+    def test_step_is_the_length_of_the_move(self, rng, monkeypatch):
+        sel, data = stopped_fit("max_iters", rng, monkeypatch)
+        res = fit(sel, data)
+        assert res.history[1][2] == pytest.approx(np.linalg.norm(res.w_hat), rel=1e-12)
+
+    def test_backtracks_are_counted(self, rng, monkeypatch):
+        # an objective that is infinite beyond |w| = 1e-3 rejects full steps
+        fm, sel = make_instance(rng, 3, 7, spec=SelectionSpec.full())
+        data = sample_comparisons(sel, rng.normal(size=3) * 3, 400, seed=4)
+        real = _kernels.nll_value
+        monkeypatch.setattr(
+            _kernels, "nll_value",
+            lambda X, t, y, w, mu: np.inf if np.linalg.norm(w) > 1e-3 else real(X, t, y, w, mu),
+        )
+        monkeypatch.setattr(estimator, "_MAX_ITERS", 1)
+        res = fit(sel, data)
+        (_, _, step, backtracks) = res.history[1]
+        assert backtracks > 0 and step <= 1e-3
 
 
 class TestDegenerateData:
@@ -268,7 +311,7 @@ class TestDegenerateData:
 
     def test_ridge_skips_the_separation_test(self):
         fm, sel, data = separable_instance(0)
-        res = fit(sel, data, FitConfig(mu=1e-3))
+        res = fit(sel, data, mu=1e-3)
         assert res.converged and np.linalg.norm(res.w_hat) < 100
 
     @pytest.mark.parametrize(

@@ -214,7 +214,7 @@ class TestNll:
         )
 
     def test_negative_ridge_rejected(self, rng):
-        # the same rule and message as FitConfig: mu finite and >= 0
+        # the same rule and message as fit: mu finite and >= 0
         fm, sel = make_instance(rng, 2, 4)
         data = sample_comparisons(sel, np.zeros(2), 5, seed=1)
         for func in (nll, nll_gradient, nll_hessian):

@@ -1,8 +1,8 @@
 """The declared runtime dependencies are exactly the packages the code imports,
-the public names the package lists all exist and match a pinned list, no
-public function takes both a selection and the features it was realized on,
-nor a certificate beside the instance it certifies, and the README example
-runs."""
+the public names the package lists all exist and match a pinned list, as do
+the parameters of its public callables, no public function takes both a
+selection and the features it was realized on, nor a certificate beside the
+instance it certifies, and the README example runs."""
 
 import ast
 import inspect
@@ -54,7 +54,7 @@ def test_all_names_resolve_once():
 
 # the public names; adding or removing one is a visible change to this list
 PUBLIC_NAMES = [
-    "ComparisonDataset", "DimensionError", "FeatureMatrix", "FitConfig", "FitResult",
+    "ComparisonDataset", "DimensionError", "FeatureMatrix", "FitResult",
     "FullSelectionBounds", "GuaranteeCheck", "InconsistencyReport", "InvalidPairError",
     "NotSingleCoordinateError", "NumericalFailureError", "ParseError", "PreconditionError",
     "Ranking", "RankingRecoveryBounds", "RealizedSelection", "SalientPrefError",
@@ -74,22 +74,86 @@ def test_public_names_are_pinned():
 
 
 def public_signatures():
-    """Parameter names of each public callable; exception classes have no
-    signature to read."""
-    out = {
-        name: set(inspect.signature(obj).parameters)
+    """Parameter names, in order, of each public callable; exception classes
+    have no signature to read."""
+    return {
+        name: tuple(inspect.signature(obj).parameters)
         for name in salientpref.__all__
         if callable(obj := getattr(salientpref, name))
         and not (isinstance(obj, type) and issubclass(obj, BaseException))
     }
-    assert len(out) > 30
-    return out
+
+
+# the parameters of every public callable; adding, removing or renaming an
+# option is a visible change to this dict
+PUBLIC_SIGNATURES = {
+    "ComparisonDataset": ("pair_i", "pair_j", "wins", "total", "n_items"),
+    "FeatureMatrix": ("matrix", "item_ids"),
+    "FitResult": (
+        "w_hat", "final_grad_norm", "final_objective", "iterations", "stop_reason", "data_rank",
+        "history",
+    ),
+    "FullSelectionBounds": (
+        "nu", "lambda_closed", "zeta_upper", "eta_upper", "beta", "b_star", "delta", "m1",
+        "m_lower", "d", "n", "error_bound_coefficient",
+    ),
+    "GuaranteeCheck": (
+        "applicable", "m", "m_required", "bound", "trials", "pass_rate", "errors", "stop_reasons",
+    ),
+    "InconsistencyReport": ("pairs_compared", "inconsistent", "disagreeing_pairs"),
+    "Ranking": ("positions",),
+    "RankingRecoveryBounds": (
+        "M", "k", "alpha_k", "m_terms", "m_lower", "delta", "b_star", "lambda_",
+    ),
+    "RealizedSelection": ("spec", "features"),
+    "SampleComplexityReport": (
+        "lambda_", "eta", "zeta", "beta", "b_star", "identifiable", "rank", "delta", "m1", "m2",
+        "d", "n", "error_bound_coefficient", "sel", "w_star",
+    ),
+    "SelectionSpec": ("kind", "t", "k", "p", "seed"),
+    "SingleCoordinateBounds": (
+        "partition_sizes", "epsilon", "lambda_lower", "zeta_upper", "eta_upper", "beta", "b_star",
+        "delta", "m1", "m3", "m_lower", "d", "n", "error_bound_coefficient",
+    ),
+    "TransitivityReport": (
+        "triples_checked", "strong_violations", "moderate_violations", "weak_violations",
+        "violations",
+    ),
+    "all_pair_probabilities": ("sel", "w"),
+    "center_columns": ("fm",),
+    "count_transitivity_violations": ("pair_i", "pair_j", "prob"),
+    "empirical_guarantee_check": ("certificate", "m", "trials", "seed"),
+    "fit": ("sel", "data", "mu", "tol_grad"),
+    "full_selection_report": ("features", "w_star", "delta"),
+    "kendall_correlation": ("a", "b"),
+    "kendall_distance": ("a", "b"),
+    "model_transitivity_report": ("sel", "w"),
+    "nll": ("sel", "w", "data", "mu"),
+    "nll_gradient": ("sel", "w", "data", "mu"),
+    "nll_hessian": ("sel", "w", "data", "mu"),
+    "pairwise_accuracy": ("sel", "w", "data"),
+    "pairwise_inconsistency": ("pair_i", "pair_j", "prob", "reference"),
+    "rank_from_weights": ("features", "w"),
+    "ranking_recovery_report": ("certificate", "k"),
+    "realize": ("spec", "features"),
+    "sample_comparisons": ("sel", "w_star", "m", "seed"),
+    "sample_complexity_report": ("sel", "w_star", "delta"),
+    "single_coordinate_report": ("sel", "w_star", "delta"),
+    "subset_kendall": ("full", "items"),
+    "utility_gaps": ("features", "w_star"),
+}
+
+
+def test_public_signatures_are_pinned():
+    assert public_signatures() == PUBLIC_SIGNATURES
 
 
 def test_no_public_callable_takes_features_beside_a_selection():
     # a RealizedSelection carries its features, so a second argument could
     # only disagree with it
-    both = [name for name, params in public_signatures().items() if {"features", "sel"} <= params]
+    both = [
+        name for name, params in public_signatures().items() if {"features", "sel"} <= set(params)
+    ]
     assert both == []
 
 
@@ -98,7 +162,7 @@ def test_no_public_callable_takes_a_certificate_beside_its_instance():
     both = [
         name
         for name, params in public_signatures().items()
-        if "certificate" in params and params & {"features", "sel", "w_star"}
+        if "certificate" in params and set(params) & {"features", "sel", "w_star"}
     ]
     assert both == []
 

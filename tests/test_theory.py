@@ -526,9 +526,9 @@ def test_feature_units_move_m1_but_not_m2_or_b_star():
     assert coefficients == sorted(coefficients, reverse=True)
 
 
-def recovery(sel, w, k, c5=1.0, delta=0.05):
+def recovery(sel, w, k, delta=0.05):
     cert = sample_complexity_report(sel, w_star=w, delta=delta)
-    return ranking_recovery_report(cert, k=k, c5=c5)
+    return ranking_recovery_report(cert, k=k)
 
 
 class TestRankingRecoveryReport:
@@ -574,14 +574,6 @@ class TestRankingRecoveryReport:
         rep = recovery(realize(SelectionSpec.full(), fm), np.ones(2), k=np.int64(2))
         assert rep.k == 2 and type(rep.k) is int and type(rep.to_dict()["k"]) is int
 
-    def test_c5_scales_third_term(self, rng):
-        fm = FeatureMatrix(rng.normal(size=(2, 5)))
-        sel = realize(SelectionSpec.full(), fm)
-        w = rng.normal(size=2)
-        t1 = recovery(sel, w, k=1, c5=1.0).m_terms[2]
-        t2 = recovery(sel, w, k=1, c5=3.0).m_terms[2]
-        assert t2 == pytest.approx(3.0 * t1, rel=1e-12)
-
     def test_reads_the_certificate(self, rng):
         fm = FeatureMatrix(rng.normal(size=(3, 7)))
         sel = realize(SelectionSpec.top_t(2), fm)
@@ -590,8 +582,9 @@ class TestRankingRecoveryReport:
         for delta in (0.05, 0.1):
             cert = sample_complexity_report(sel, w_star=w, delta=delta)
             assert sample_complexity_report(sel, w, delta) == cert
-            rep = reps[delta] = ranking_recovery_report(cert, k=3, c5=2.0)
+            rep = reps[delta] = ranking_recovery_report(cert, k=3)
             assert (rep.delta, rep.lambda_, rep.b_star) == (delta, cert.lambda_, cert.b_star)
+            assert rep.c5 == rep.to_dict()["c5"] == 1.0
             assert rep.m_terms[:2] == (cert.m1, cert.m2)
         # only the log(4d/delta) factor of the third term depends on delta
         ratio = reps[0.1].m_terms[2] / reps[0.05].m_terms[2]
