@@ -10,6 +10,13 @@ All simulation randomness flows from the single ``--seed`` through numpy
 SeedSequence chains: [seed, 0] draws the features, [seed, 1] the true
 weights, [seed, 2] the comparisons; random selection functions draw each
 pair's subset from SeedSequence([spec_seed, i, j]).
+
+``sweep`` runs one task per (selection, seed) instance.  A task simulates the
+instance, realizes its selection and computes the true ranking and the true
+model's transitivity and inconsistency rates once; then, for each m of the
+grid, it samples m comparisons from stream [seed, 2], fits and ranks.  The
+four rates are repeated on every m row.  ``workers`` processes map over the
+instances, at most one per instance and one per CPU.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from . import __version__, dataio, diagnostics, theory
 from .errors import NotSingleCoordinateError, PreconditionError, SalientPrefError
 from .estimator import fit
 from .features import FeatureMatrix
-from .model import all_pair_probabilities, sample_comparisons
+from .model import all_pair_probabilities, check_real, sample_comparisons
 from .ranking import (
     kendall_correlation,
     kendall_distance,
@@ -270,37 +277,49 @@ def cmd_theory(args) -> int:
     return 0
 
 
-def _sweep_cell(task: tuple) -> list[tuple]:
-    d, n, sel_json, m, seed, mu = task
-    spec = SelectionSpec.from_json(sel_json)
+def _sweep_instance(task: tuple) -> list[tuple]:
+    d, n, sel_json, m_grid, seed, mu = task
     fm, w_star = _simulate_instance(d, n, seed)
-    sel = realize(spec, fm)
-    data = sample_comparisons(sel, w_star, m, _derived_seed(seed, 2))
-    result = fit(sel, data, mu=mu)
+    sel = realize(SelectionSpec.from_json(sel_json), fm)
     true_rank = rank_from_weights(fm, w_star)
-    est_rank = rank_from_weights(fm, result.w_hat)
     pairs, probs = all_pairs(n), all_pair_probabilities(sel, w_star)
     report = diagnostics.count_transitivity_violations(*pairs, probs)
-    inconsistency = diagnostics.pairwise_inconsistency(*pairs, probs, true_rank)
-    metrics = {
-        "w_error": float(np.linalg.norm(result.w_hat - w_star)),
-        "kendall_tau": kendall_correlation(true_rank, est_rank),
-        "kendall_distance": float(kendall_distance(true_rank, est_rank)),
+    rates = {
         "strong_rate": report.rate("strong") or 0.0,
         "moderate_rate": report.rate("moderate") or 0.0,
         "weak_rate": report.rate("weak") or 0.0,
-        "inconsistency_rate": inconsistency.rate,
-        "converged": float(result.converged),
+        "inconsistency_rate": diagnostics.pairwise_inconsistency(*pairs, probs, true_rank).rate,
     }
-    return [(sel_json, m, seed, name, value) for name, value in metrics.items()]
+    rows = []
+    for m in m_grid:
+        result = fit(sel, sample_comparisons(sel, w_star, m, _derived_seed(seed, 2)), mu=mu)
+        est_rank = rank_from_weights(fm, result.w_hat)
+        metrics = {
+            "w_error": float(np.linalg.norm(result.w_hat - w_star)),
+            "kendall_tau": kendall_correlation(true_rank, est_rank),
+            "kendall_distance": float(kendall_distance(true_rank, est_rank)),
+            "converged": float(result.converged),
+            **rates,
+        }
+        rows += [(sel_json, m, seed, name, value) for name, value in metrics.items()]
+    return rows
 
 
-def _spec_number(key: str, value, kind=numbers.Integral):
-    """A sweep-spec value by SelectionSpec's rule: never a bool, never coerced."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        noun = "an integer" if kind is numbers.Integral else "a real number"
-        raise PreconditionError(f"sweep spec {key} must be {noun}, got {value!r}")
-    return int(value) if kind is numbers.Integral else float(value)
+def _spec_int(key: str, value) -> int:
+    """A sweep-spec integer by SelectionSpec's rule: never a bool, never coerced."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise PreconditionError(f"sweep spec {key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _distinct(key: str, values: list) -> list:
+    """A sweep-spec array whose entries appear once each: a repeat would repeat rows."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise PreconditionError(f"sweep spec {key} repeats {value!r}")
+        seen.add(value)
+    return values
 
 
 def cmd_sweep(args) -> int:
@@ -315,34 +334,34 @@ def cmd_sweep(args) -> int:
             raise PreconditionError(
                 f"sweep spec {key} must be an array, got {type(spec[key]).__name__}"
             )
-    d, n = _spec_number("d", spec["d"]), _spec_number("n", spec["n"])
+        if not spec[key]:
+            raise PreconditionError(f"sweep spec {key} must not be empty")
+    d, n = _spec_int("d", spec["d"]), _spec_int("n", spec["n"])
     if d < 1:
         raise PreconditionError(f"sweep spec d must be >= 1, got {d}")
     if n < 3:
         raise PreconditionError(f"sweep spec n must be >= 3, got {n}")
-    mu = _spec_number("mu", spec.get("mu", 0.0), numbers.Real)
-    workers = _spec_number("workers", spec.get("workers", 1))
+    mu = check_real("sweep spec mu", spec.get("mu", 0.0))
+    if not (math.isfinite(mu) and mu >= 0):
+        raise PreconditionError(f"sweep spec mu must be finite and >= 0, got {mu}")
+    workers = _spec_int("workers", spec.get("workers", 1))
     if workers < 1:
         raise PreconditionError(f"sweep spec workers must be >= 1, got {workers}")
     selections = [SelectionSpec.from_dict(s).to_json() for s in spec["selections"]]
-    m_grid = [_spec_number("m_grid entry", m) for m in spec["m_grid"]]
+    selections = _distinct("selections", selections)
+    m_grid = _distinct("m_grid", [_spec_int("m_grid entry", m) for m in spec["m_grid"]])
     if any(m < 1 for m in m_grid):
         raise PreconditionError(f"sweep spec m_grid entries must be >= 1, got {min(m_grid)}")
-    seeds = [_spec_number("seeds entry", seed) for seed in spec["seeds"]]
+    seeds = _distinct("seeds", [_spec_int("seeds entry", seed) for seed in spec["seeds"]])
     if any(seed < 0 for seed in seeds):
         raise PreconditionError(f"sweep spec seeds entries must be >= 0, got {min(seeds)}")
-    tasks = [
-        (d, n, sel_json, m, seed, mu)
-        for sel_json in selections
-        for m in m_grid
-        for seed in seeds
-    ]
+    tasks = [(d, n, sel_json, m_grid, seed, mu) for sel_json in selections for seed in seeds]
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_sweep_cell, tasks))
+            chunks = list(pool.map(_sweep_instance, tasks))
     else:
-        chunks = [_sweep_cell(t) for t in tasks]
+        chunks = [_sweep_instance(t) for t in tasks]
     rows = sorted(row for chunk in chunks for row in chunk)
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import NumericalFailureError, PreconditionError
-from .model import ComparisonDataset, check_ridge, design_matrix
+from .model import ComparisonDataset, check_real, check_ridge, design_matrix
 from .selection import RealizedSelection
 
 _ARMIJO_C = 1e-4
@@ -133,6 +133,7 @@ def fit(
     fitted one (finding it for certain needs a linear program).
     """
     mu = check_ridge(mu)
+    tol_grad = check_real("tol_grad", tol_grad)
     if not (np.isfinite(tol_grad) and tol_grad > 0):
         raise PreconditionError(f"tol_grad must be finite and > 0, got {tol_grad}")
     if data.total.size == 0:

@@ -220,11 +220,20 @@ def _check_positive_int(name: str, value) -> int:
     return int(value)
 
 
+def check_real(name: str, value) -> float:
+    """``value`` as a float, by ``SelectionSpec``'s rule for ``p``: a real
+    number, never a bool and never coerced from a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise PreconditionError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def check_ridge(mu) -> float:
-    """Validate the ridge weight: finite and nonnegative."""
+    """Validate the ridge weight: a finite, nonnegative real number."""
+    mu = check_real("ridge weight mu", mu)
     if not (np.isfinite(mu) and mu >= 0):
         raise PreconditionError(f"ridge weight mu must be finite and >= 0, got {mu}")
-    return float(mu)
+    return mu
 
 
 def _prepared(sel, w, data, mu):

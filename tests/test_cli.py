@@ -10,7 +10,20 @@ import numpy as np
 import pytest
 
 import oracles
-from salientpref import FeatureMatrix, SelectionSpec, all_pair_probabilities, cli, realize
+from salientpref import (
+    FeatureMatrix,
+    SelectionSpec,
+    all_pair_probabilities,
+    cli,
+    count_transitivity_violations,
+    fit,
+    kendall_correlation,
+    kendall_distance,
+    pairwise_inconsistency,
+    rank_from_weights,
+    realize,
+    sample_comparisons,
+)
 from salientpref.dataio import load_features, load_weights_json, read_json, save_features
 
 RUN = [sys.executable, "-m", "salientpref.cli"]
@@ -603,13 +616,86 @@ class TestSweep:
         run_cli("sweep", "--spec", spec, "--out-dir", parallel)
         assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
 
+    def test_instance_work_runs_once_per_selection_and_seed(self, tmp_path, monkeypatch):
+        # 2 selections x 3 m x 2 seeds: 4 instances, 12 cells
+        calls = {"simulate": 0, "probabilities": 0, "transitivity": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "_simulate_instance",
+                            counted("simulate", cli._simulate_instance))
+        monkeypatch.setattr(cli, "all_pair_probabilities",
+                            counted("probabilities", cli.all_pair_probabilities))
+        monkeypatch.setattr(cli.diagnostics, "count_transitivity_violations",
+                            counted("transitivity",
+                                    cli.diagnostics.count_transitivity_violations))
+        spec = {"d": 2, "n": 6, "selections": [{"kind": "full"}, {"kind": "top_t", "t": 1}],
+                "m_grid": [40, 80, 120], "seeds": [0, 1]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--spec", str(path), "--out-dir", str(out)]) == 0
+        assert calls == {"simulate": 4, "probabilities": 4, "transitivity": 4}
+        assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 12 * 8
+
+    def test_rows_match_per_cell_recomputation(self, tmp_path):
+        # every row equals, bit for bit, the cell recomputed through the public
+        # API from the documented seed scheme
+        d, n, mu = 3, 9, 0.01
+        selections = [{"kind": "full"}, {"kind": "top_t", "t": 1},
+                      {"kind": "random_exactly_k", "k": 2, "seed": 4}]
+        spec = {"d": d, "n": n, "selections": selections, "m_grid": [30, 300],
+                "seeds": [2, 5], "mu": mu}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--spec", str(path), "--out-dir", str(out)]) == 0
+        with open(out / "sweep.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 3 * 2 * 2 * 8
+        pair_i, pair_j = np.array(list(itertools.combinations(range(n), 2))).T
+
+        def stream(seed, k):
+            return np.random.SeedSequence([seed, k])
+
+        expected = {}
+        for sel_dict, m, seed in itertools.product(selections, spec["m_grid"], spec["seeds"]):
+            sel_spec = SelectionSpec.from_dict(sel_dict)
+            scale = 1.0 / math.sqrt(d)
+            fm = FeatureMatrix(np.random.default_rng(stream(seed, 0)).normal(0, scale, (d, n)))
+            w_star = np.random.default_rng(stream(seed, 1)).normal(0, scale, d)
+            sel = realize(sel_spec, fm)
+            data = sample_comparisons(sel, w_star, m, int(stream(seed, 2).generate_state(1)[0]))
+            result = fit(sel, data, mu=mu)
+            true_rank = rank_from_weights(fm, w_star)
+            est_rank = rank_from_weights(fm, result.w_hat)
+            probs = all_pair_probabilities(sel, w_star)
+            report = count_transitivity_violations(pair_i, pair_j, probs)
+            cell = {
+                "w_error": float(np.linalg.norm(result.w_hat - w_star)),
+                "kendall_tau": kendall_correlation(true_rank, est_rank),
+                "kendall_distance": float(kendall_distance(true_rank, est_rank)),
+                "strong_rate": report.rate("strong"),
+                "moderate_rate": report.rate("moderate"),
+                "weak_rate": report.rate("weak"),
+                "inconsistency_rate":
+                    pairwise_inconsistency(pair_i, pair_j, probs, true_rank).rate,
+                "converged": float(result.converged),
+            }
+            for metric, value in cell.items():
+                expected[(sel_spec.to_json(), str(m), str(seed), metric)] = value
+        got = {tuple(row[:4]): float(row[4]) for row in rows}
+        assert got == expected
+
     def test_workers_clamped_to_tasks_and_cpus(self, tmp_path, monkeypatch):
-        spec = {"d": 2, "n": 5, "selections": [{"kind": "full"}], "m_grid": [50],
-                "seeds": [0, 1, 2], "workers": 10**6}
         requested = []
 
         class RecordingPool:
-            # runs the cells serially and records the pool size asked for
+            # runs the instances serially and records the pool size asked for
             def __init__(self, max_workers):
                 requested.append(max_workers)
 
@@ -623,14 +709,18 @@ class TestSweep:
                 return map(fn, tasks)
 
         monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        for cpus, want in ((8, [3]), (2, [2]), (1, []), (None, [])):
-            monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-            requested.clear()
-            path = tmp_path / "spec.json"
-            path.write_text(json.dumps(spec), encoding="utf-8")
-            out = tmp_path / f"out{cpus}"
-            assert cli.main(["sweep", "--spec", str(path), "--out-dir", str(out)]) == 0
-            assert requested == want
+        # one task per (selection, seed): the m grid adds no worker
+        for m_grid, seeds, want_at_8 in (([50], [0, 1, 2], 3), ([50, 60, 70], [0, 1], 2)):
+            spec = {"d": 2, "n": 5, "selections": [{"kind": "full"}], "m_grid": m_grid,
+                    "seeds": seeds, "workers": 10**6}
+            for cpus, want in ((8, [want_at_8]), (2, [2]), (1, []), (None, [])):
+                monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+                requested.clear()
+                path = tmp_path / "spec.json"
+                path.write_text(json.dumps(spec), encoding="utf-8")
+                out = tmp_path / f"out{len(m_grid)}_{cpus}"
+                assert cli.main(["sweep", "--spec", str(path), "--out-dir", str(out)]) == 0
+                assert requested == want
 
     def test_workers_below_one_rejected(self, tmp_path, capsys):
         path = tmp_path / "spec.json"
@@ -645,7 +735,15 @@ class TestSweep:
         [("d", 4.9), ("n", "12"), ("m_grid", [500.7]), ("seeds", [True]),
          ("workers", 2.0), ("mu", "0.1"), ("mu", False),
          ("m_grid", 50), ("seeds", 0), ("selections", {"kind": "full"}), (None, 5),
-         ("seeds", [-2]), ("d", 0), ("d", -3), ("m_grid", [0]), ("n", 2), ("n", -4)],
+         ("seeds", [-2]), ("d", 0), ("d", -3), ("m_grid", [0]), ("n", 2), ("n", -4),
+         ("selections", [{"kind": "full"}, {"kind": "full"}]),
+         # equal after SelectionSpec normalisation: key order, p 1 and 1.0
+         ("selections", [{"kind": "top_t", "t": 1}, {"t": 1, "kind": "top_t"}]),
+         ("selections", [{"kind": "random_bernoulli", "p": 1, "seed": 3},
+                         {"kind": "random_bernoulli", "p": 1.0, "seed": 3}]),
+         ("m_grid", [50, 60, 50]), ("seeds", [0, 0]),
+         ("mu", -0.5), ("mu", float("nan")), ("mu", float("inf")),
+         ("selections", []), ("m_grid", []), ("seeds", [])],
     )
     def test_non_integer_spec_values_rejected(self, tmp_path, capsys, key, value):
         # key None replaces the whole spec with value

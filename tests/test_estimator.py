@@ -156,6 +156,17 @@ class TestFit:
             with pytest.raises(PreconditionError, match=next(iter(bad))):
                 fit(sel, data, **bad)
 
+    @pytest.mark.parametrize("name", ["mu", "tol_grad"])
+    @pytest.mark.parametrize("value", [True, False, "0.1", None, 1j])
+    def test_non_real_config_rejected(self, rng, monkeypatch, name, value):
+        # SelectionSpec's rule for p: a bool is not taken as 1.0 or 0.0, and a
+        # string raises PreconditionError rather than a bare TypeError
+        fm, sel = make_instance(rng, 2, 4, spec=SelectionSpec.full())
+        data = sample_comparisons(sel, np.zeros(2), 20, seed=1)
+        monkeypatch.setattr(estimator, "design_matrix", None)
+        with pytest.raises(PreconditionError, match=f"{name} must be a real number"):
+            fit(sel, data, **{name: value})
+
     def test_synthetic_recovery(self, rng):
         # d=5, n=40, full selection, m=50k: the estimate lands within 0.1 of
         # the truth in at least 18 of 20 seeded trials

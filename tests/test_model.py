@@ -222,6 +222,18 @@ class TestNll:
                 with pytest.raises(PreconditionError, match="mu must be finite and >= 0"):
                     func(sel, np.zeros(2), data, mu=mu)
 
+    def test_non_real_ridge_rejected(self, rng):
+        # SelectionSpec's rule for p: a real number, never a bool or a string
+        fm, sel = make_instance(rng, 2, 4)
+        data = sample_comparisons(sel, np.zeros(2), 5, seed=1)
+        for func in (nll, nll_gradient, nll_hessian):
+            for mu in (True, False, "0.1", None, 1j):
+                with pytest.raises(PreconditionError, match="mu must be a real number"):
+                    func(sel, np.zeros(2), data, mu=mu)
+        # numpy scalars and integers are real numbers
+        for mu in (np.float32(0.5), np.int64(2), 3):
+            assert nll(sel, np.ones(2), data, mu=mu) == nll(sel, np.ones(2), data, mu=float(mu))
+
     def test_convexity(self, rng):
         for _ in range(30):
             d = int(rng.integers(1, 5))
