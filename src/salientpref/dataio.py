@@ -8,6 +8,19 @@ Three CSV schemas, UTF-8 with ``.`` decimals and no locale handling:
 * rankings: header ``ranker_id,rank,item_id``, each ranker listing a strict
   gapless 1..k ranking of a subset of items.
 
+Comparisons are read by ``csv.reader`` in chunks of at most ``_CSV_CHUNK``
+non-empty records, each record with the physical line it began on.  Each
+chunk is checked and converted a column at a time (row lengths, ``int`` of
+the counts, item ids through the id index, then one numpy check of the
+values), and only its int64 column arrays, its line numbers among them,
+outlive it.  When a chunk fails a check, its records are checked one at a
+time (``_row_error``) to raise the first bad one with its line; a pair total
+beyond 2**53 takes its line from the kept line numbers.  The file is read
+once, so a pipe serves as well as a regular file.  The writers order rows
+with numpy and hand them to ``csv.writer`` a chunk at a time.  Features and
+rankings keep the per-record reader: their files are small, and the
+rankings' checks are per ranker.
+
 Reports are written by ``write_json``, whose bytes are always those of
 ``json.dump(payload, fh, indent=2, sort_keys=True)`` followed by a newline,
 with every ``Records`` in the payload written as its ``tolist()``; identical
@@ -32,6 +45,7 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -62,35 +76,59 @@ class FeatureStats:
         return (matrix - self.mean[:, None]) / self.std[:, None]
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+# Records per chunk.  A constant: the chunk's records and line numbers are the
+# comparisons loader's only per-record objects, and a larger chunk puts more
+# of them in the high-water mark.
+_CSV_CHUNK = 1024
+
+
+def _csv_header(reader, path: str) -> list[str]:
+    try:
+        return next(reader)
+    except StopIteration:
+        raise ParseError(str(path), 1, "empty file") from None
+
+
+def _chunks(reader):
+    """The non-empty records left in ``reader``, at most ``_CSV_CHUNK`` at a
+    time and in file order, as a list of their first physical lines (a quoted
+    field may span lines) and a list of the records."""
+    lines, rows = [], []
+    lineno = reader.line_num + 1
+    for row in reader:
+        if row:
+            lines.append(lineno)
+            rows.append(row)
+            if len(rows) == _CSV_CHUNK:
+                yield lines, rows
+                lines, rows = [], []
+        lineno = reader.line_num + 1
+    if rows:
+        yield lines, rows
 
 
 def _read_rows(path: str):
-    """The header and the non-empty records, each with its first physical line
-    (a quoted field may span lines)."""
+    """The header and the (first physical line, record) pairs of a whole file."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(str(path), 1, "empty file") from None
-        rows = []
-        lineno = reader.line_num + 1
-        for row in reader:
-            if row:
-                rows.append((lineno, row))
-            lineno = reader.line_num + 1
-    return header, rows
+        header = _csv_header(reader, path)
+        return header, [record for chunk in _chunks(reader) for record in zip(*chunk)]
+
+
+def _write_rows(path: str, header: list[str], columns) -> None:
+    """``header``, then one record per position of the equal-length 1-d arrays
+    ``columns``, a chunk at a time: ``csv.writer`` writes a str as it is (quoted
+    when it must be), an int by ``str`` and a float by ``repr``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for start in range(0, len(columns[0]), _CSV_CHUNK):
+            writer.writerows(zip(*(c[start : start + _CSV_CHUNK].tolist() for c in columns)))
 
 
 def save_features(path: str, fm: FeatureMatrix) -> None:
-    d = fm.d
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["item_id"] + [f"f{k + 1}" for k in range(d)])
-        for j, item in enumerate(fm.item_ids):
-            writer.writerow([item] + [_fmt(v) for v in fm.matrix[:, j]])
+    header = ["item_id"] + [f"f{k + 1}" for k in range(fm.d)]
+    _write_rows(path, header, (np.asarray(fm.item_ids, dtype=object), *fm.matrix))
 
 
 def load_features(path: str) -> FeatureMatrix:
@@ -123,18 +161,19 @@ def load_features(path: str) -> FeatureMatrix:
 
 def save_comparisons(path: str, data: ComparisonDataset, fm: FeatureMatrix) -> None:
     """Canonical ``winner_id,loser_id,count`` rows, one per pair and winner
-    with a nonzero count, sorted."""
-    ids = fm.item_ids
-    pairs = list(zip(data.pair_i.tolist(), data.pair_j.tolist()))
-    losses = (data.total - data.wins).tolist()
-    rows = [(ids[a], ids[b], c) for (a, b), c in zip(pairs, data.wins.tolist()) if c]
-    rows += [(ids[b], ids[a], c) for (a, b), c in zip(pairs, losses) if c]
-    rows.sort()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["winner_id", "loser_id", "count"])
-        for winner, loser, count in rows:
-            writer.writerow([winner, loser, str(count)])
+    with a nonzero count, sorted by winner id, then loser id, in Python's
+    string order."""
+    losses = data.total - data.wins
+    won, lost = data.wins > 0, losses > 0
+    winner = np.concatenate([data.pair_i[won], data.pair_j[lost]])
+    loser = np.concatenate([data.pair_j[won], data.pair_i[lost]])
+    count = np.concatenate([data.wins[won], losses[lost]])
+    ids = np.asarray(fm.item_ids, dtype=object)
+    rank = np.empty(fm.n, dtype=np.int64)
+    rank[np.argsort(ids)] = np.arange(fm.n)  # an object array sorts by Python's <
+    order = np.lexsort((rank[loser], rank[winner]))
+    header = ["winner_id", "loser_id", "count"]
+    _write_rows(path, header, (ids[winner[order]], ids[loser[order]], count[order]))
 
 
 def _row_error(path: str, lineno: int, row: list[str], index: dict) -> Exception | None:
@@ -158,17 +197,22 @@ def _row_error(path: str, lineno: int, row: list[str], index: dict) -> Exception
     return None
 
 
-def _checked_columns(rows: list, index: dict):
-    """The winner indices, loser indices and counts of rows that all pass, else None."""
-    try:
-        count = np.array([int(text) for _, (_, _, text) in rows], dtype=np.int64)
-    except (ValueError, OverflowError):  # a ragged row, a bad count, or beyond int64
+def _comparison_block(lines: list, rows: list, index: dict):
+    """The lines, winner indices, loser indices and counts of a chunk whose
+    records all pass ``_row_error``, else None."""
+    if set(map(len, rows)) != {3}:
         return None
-    wi = np.array([index.get(row[0], -1) for _, row in rows], dtype=np.int64)
-    li = np.array([index.get(row[1], -1) for _, row in rows], dtype=np.int64)
+    winners, losers, counts = zip(*rows)
+    k = len(rows)
+    try:
+        count = np.fromiter(map(int, counts), np.int64, k)
+    except (ValueError, OverflowError):  # a bad count, or one beyond int64
+        return None
+    wi = np.fromiter(map(index.get, winners, repeat(-1)), np.int64, k)
+    li = np.fromiter(map(index.get, losers, repeat(-1)), np.int64, k)
     if np.any((count < 1) | (count > MAX_COUNT) | (wi == li) | (wi < 0) | (li < 0)):
         return None
-    return wi, li, count
+    return np.fromiter(lines, np.int64, k), wi, li, count
 
 
 def load_comparisons(
@@ -183,23 +227,24 @@ def load_comparisons(
     filter sums both orientations.  A row's count and each pair's total may
     be at most 2**53, the largest count held exactly.
     """
-    header, rows = _read_rows(path)
-    if header != ["winner_id", "loser_id", "count"]:
-        raise ParseError(str(path), 1, "expected header winner_id,loser_id,count")
-    n = fm.n
-    # the rows are checked column-wise; if any fails, the first bad row in
-    # file order is found by the per-row checks, for its message and line
-    columns = _checked_columns(rows, fm._id_index)
-    if columns is None:
-        for lineno, row in rows:
-            error = _row_error(path, lineno, row, fm._id_index)
-            if error is not None:
-                raise error
-    wi, li, count = columns
+    n, index = fm.n, fm._id_index
+    empty = np.empty(0, dtype=np.int64)
+    blocks = [(empty, empty, empty, empty)]
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if _csv_header(reader, path) != ["winner_id", "loser_id", "count"]:
+            raise ParseError(str(path), 1, "expected header winner_id,loser_id,count")
+        for lines, rows in _chunks(reader):
+            block = _comparison_block(lines, rows, index)
+            if block is None:  # raise the chunk's first bad record
+                raise next(filter(None, map(_row_error, repeat(path), lines, rows, repeat(index))))
+            blocks.append(block)
+    line, wi, li, count = map(np.concatenate, zip(*blocks))
+    del blocks  # copied into the columns: free them before the grouping peaks
     pairs, groups = np.unique(np.minimum(wi, li) * n + np.maximum(wi, li), return_inverse=True)
     total, over = sum_counts(groups, count, pairs.size)
     if over is not None:
-        raise ParseError(str(path), rows[over][0], "pair total exceeds 2**53")
+        raise ParseError(str(path), int(line[over]), "pair total exceeds 2**53")
     wins, _ = sum_counts(groups, np.where(wi < li, count, 0), pairs.size)
     keep = total >= min_count
     pairs = pairs[keep]
@@ -420,11 +465,10 @@ def read_json(path: str) -> dict:
 
 def save_ranking_csv(path: str, fm: FeatureMatrix, order, utilities) -> None:
     """Estimated ranking output: ``rank,item_id,utility`` best first."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "item_id", "utility"])
-        for r, item_idx in enumerate(order, start=1):
-            writer.writerow([str(r), fm.item_ids[item_idx], _fmt(utilities[item_idx])])
+    order = np.asarray(order)
+    columns = (np.arange(1, order.size + 1), np.asarray(fm.item_ids, dtype=object)[order],
+               np.asarray(utilities, dtype=np.float64)[order])
+    _write_rows(path, ["rank", "item_id", "utility"], columns)
 
 
 def load_weights_json(path: str) -> np.ndarray:

@@ -2,15 +2,20 @@
 
 Everything here is written from the definitions with the dumbest correct
 algorithm available (finite differences, explicit enumeration, dense
-restacking) and deliberately shares no code with the package.
+restacking) and deliberately shares no code with the package.  The CSV
+readers and writers raise the package's error types, so that a test can
+compare the errors too.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
 import numpy as np
+
+from salientpref.errors import ParseError, UnknownItemError
 
 
 def fd_gradient(f, w, rel_step=1e-6):
@@ -378,3 +383,135 @@ def sample_comparisons_counts(win_prob, n, m, seed):
     probs[seen] = win_prob(np.array(pair_i), np.array(pair_j))
     wins = np.bincount(flat[coins < probs[flat]], minlength=total.size)
     return pair_i, pair_j, wins[seen].tolist(), total[seen].tolist()
+
+
+# CSV files, a record at a time: the reference for the chunked readers and
+# writers of ``salientpref.dataio``.
+
+MAX_COUNT = 2**53
+
+
+def csv_records(path):
+    """The header and the non-empty records, each with its first physical line
+    (a quoted field may span lines)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(str(path), 1, "empty file") from None
+        rows = []
+        lineno = reader.line_num + 1
+        for row in reader:
+            if row:
+                rows.append((lineno, row))
+            lineno = reader.line_num + 1
+    return header, rows
+
+
+def read_features(path):
+    """The item ids and the (d, n) float64 values of a features file, each
+    record checked in turn."""
+    header, rows = csv_records(path)
+    if len(header) < 2 or header[0] != "item_id":
+        raise ParseError(str(path), 1, "expected header item_id,f1,...,fd")
+    d = len(header) - 1
+    ids, seen, cols = [], set(), []
+    for lineno, row in rows:
+        if len(row) != d + 1:
+            raise ParseError(str(path), lineno, f"expected {d + 1} cells, got {len(row)}")
+        item = row[0]
+        if item in seen:
+            raise ParseError(str(path), lineno, f"duplicate item id {item!r}")
+        seen.add(item)
+        try:
+            vals = [float(c) for c in row[1:]]
+        except ValueError:
+            raise ParseError(str(path), lineno, "non-numeric feature cell") from None
+        if not all(math.isfinite(v) for v in vals):
+            raise ParseError(str(path), lineno, "non-finite feature value")
+        ids.append(item)
+        cols.append(vals)
+    return tuple(ids), np.array(cols, dtype=np.float64).reshape(len(cols), d).T
+
+
+def _comparison_error(path, lineno, row, index):
+    if len(row) != 3:
+        return ParseError(str(path), lineno, f"expected 3 cells, got {len(row)}")
+    winner, loser, count_text = row
+    try:
+        count = int(count_text)
+    except ValueError:
+        return ParseError(str(path), lineno, f"bad count {count_text!r}")
+    if count < 1:
+        return ParseError(str(path), lineno, f"count must be >= 1, got {count}")
+    if count > MAX_COUNT:
+        return ParseError(str(path), lineno, f"count {count} exceeds 2**53")
+    if winner == loser:
+        return ParseError(str(path), lineno, f"item {winner!r} compared with itself")
+    for item in (winner, loser):
+        if item not in index:
+            return UnknownItemError(f"{path}:{lineno}: unknown item id {item!r}")
+    return None
+
+
+def read_comparisons(path, item_ids, min_count=0):
+    """The (pair_i, pair_j, wins, total) int64 arrays of a comparisons file.
+
+    Every record is checked first, in file order.  Then each record's count
+    is added to its canonical pair in Python ints; the first record at which
+    a pair's running total passes 2**53 is the error.
+    """
+    header, rows = csv_records(path)
+    if header != ["winner_id", "loser_id", "count"]:
+        raise ParseError(str(path), 1, "expected header winner_id,loser_id,count")
+    index = {item: k for k, item in enumerate(item_ids)}
+    for lineno, row in rows:
+        error = _comparison_error(path, lineno, row, index)
+        if error is not None:
+            raise error
+    totals, wins = {}, {}
+    for lineno, (winner, loser, count_text) in rows:
+        a, b = index[winner], index[loser]
+        pair = (min(a, b), max(a, b))
+        totals[pair] = totals.get(pair, 0) + int(count_text)
+        wins[pair] = wins.get(pair, 0) + (int(count_text) if a < b else 0)
+        if totals[pair] > MAX_COUNT:
+            raise ParseError(str(path), lineno, "pair total exceeds 2**53")
+    kept = sorted(p for p in totals if totals[p] >= min_count)
+    columns = ([p[0] for p in kept], [p[1] for p in kept], [wins[p] for p in kept],
+               [totals[p] for p in kept])
+    return tuple(np.array(c, dtype=np.int64) for c in columns)
+
+
+def write_features(path, matrix, item_ids):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["item_id"] + [f"f{k + 1}" for k in range(matrix.shape[0])])
+        for j, item in enumerate(item_ids):
+            writer.writerow([item] + [repr(float(v)) for v in matrix[:, j]])
+
+
+def write_comparisons(path, pair_i, pair_j, wins, total, item_ids):
+    """One ``winner_id,loser_id,count`` row per pair and winner with a nonzero
+    count, sorted as tuples of Python strings."""
+    rows = []
+    for a, b, w, t in zip(pair_i.tolist(), pair_j.tolist(), wins.tolist(), total.tolist()):
+        if w:
+            rows.append((item_ids[a], item_ids[b], w))
+        if t - w:
+            rows.append((item_ids[b], item_ids[a], t - w))
+    rows.sort()
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["winner_id", "loser_id", "count"])
+        for winner, loser, count in rows:
+            writer.writerow([winner, loser, str(count)])
+
+
+def write_ranking(path, item_ids, order, utilities):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["rank", "item_id", "utility"])
+        for r, item_idx in enumerate(order, start=1):
+            writer.writerow([str(r), item_ids[item_idx], repr(float(utilities[item_idx]))])

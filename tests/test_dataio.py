@@ -1,12 +1,19 @@
+import contextlib
+import csv
+import io
 import json
 import math
+import os
+import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import count_lists
 from salientpref import (
     ComparisonDataset,
@@ -14,6 +21,7 @@ from salientpref import (
     ParseError,
     PreconditionError,
     UnknownItemError,
+    dataio,
 )
 from salientpref.dataio import (
     CHUNK_ROWS,
@@ -27,6 +35,7 @@ from salientpref.dataio import (
     read_json,
     save_comparisons,
     save_features,
+    save_ranking_csv,
     write_json,
 )
 
@@ -246,6 +255,38 @@ ROW_FAULTS = {
 }
 
 
+GOOD_ROWS = ("alpha,gamma,2", "beta,gamma,1", "gamma,alpha,3")  # no (alpha, beta) pair
+
+
+def later_chunk_text(row, at, first='alpha,gamma,"1\n"', end="\n"):
+    """Comparisons text whose record ``at`` (from 1) is ``row``, then one good
+    record.  Record 1 is ``first``, whose quoted count spans two lines, and a
+    blank line follows it and precedes ``row``.  Returns the text and the
+    physical line of ``row``: ``at + 4``."""
+    middle = [GOOD_ROWS[k % 3] for k in range(at - 2)]
+    lines = ["winner_id,loser_id,count", first, "", *middle, "", row, "beta,gamma,1", ""]
+    return "\n".join(lines).replace("\n", end), at + 4
+
+
+@contextlib.contextmanager
+def piped(text):
+    """A path that reads ``text`` once, through a pipe, and is empty when
+    opened again (as a shell's ``<(gunzip -c file)`` is)."""
+    read_fd, write_fd = os.pipe()
+
+    def write():
+        with os.fdopen(write_fd, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        yield f"/dev/fd/{read_fd}"
+    finally:
+        os.close(read_fd)
+        writer.join()
+
+
 class TestComparisonsFileErrors:
     @pytest.mark.parametrize("fault", sorted(ROW_FAULTS))
     def test_fault_after_a_good_row(self, tmp_path, features_csv, fault):
@@ -260,6 +301,20 @@ class TestComparisonsFileErrors:
         assert str(info.value) == f"{path}:3: {message}"
         if kind is ParseError:
             assert info.value.line == 3
+
+    @pytest.mark.parametrize("fault", sorted(ROW_FAULTS))
+    def test_fault_in_a_later_chunk(self, tmp_path, features_csv, fault):
+        fm = load_features(features_csv)
+        row, kind, message = ROW_FAULTS[fault]
+        text, line = later_chunk_text(row, 2500)
+        path = tmp_path / "c.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with pytest.raises(kind) as info:
+            load_comparisons(str(path), fm)
+        assert str(info.value) == f"{path}:2504: {message}" and line == 2504
+        with pytest.raises(kind) as want:
+            oracles.read_comparisons(str(path), fm.item_ids)
+        assert str(want.value) == str(info.value)
 
     def test_blank_lines_keep_their_numbers(self, tmp_path, features_csv):
         fm = load_features(features_csv)
@@ -304,6 +359,44 @@ class TestPhysicalLineNumbers:
             load_comparisons(str(path), fm)
         assert str(info.value) == f"{path}:4: unknown item id 'zz'"
 
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    @pytest.mark.parametrize("fault", sorted(ROW_FAULTS))
+    def test_comparisons_in_a_later_chunk(self, tmp_path, features_csv, fault, end):
+        fm = load_features(features_csv)
+        row, kind, message = ROW_FAULTS[fault]
+        text, line = later_chunk_text(row, 2500, end=end)
+        path = tmp_path / "c.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with pytest.raises(kind) as info:
+            load_comparisons(str(path), fm)
+        assert str(info.value) == f"{path}:{line}: {message}"
+
+    def test_pair_total_crossing_in_a_later_chunk(self, tmp_path, features_csv):
+        fm = load_features(features_csv)
+        # (alpha, beta) holds 2**53 - 1 from record 1 and crosses 2**53 at record 2500
+        text, line = later_chunk_text("beta,alpha,2", 2500, first=f'alpha,beta,"{2**53 - 1}\n"')
+        path = tmp_path / "c.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_comparisons(str(path), fm)
+        assert str(info.value) == f"{path}:2504: pair total exceeds 2**53" and line == 2504
+        with pytest.raises(ParseError) as want:
+            oracles.read_comparisons(str(path), fm.item_ids)
+        assert str(want.value) == str(info.value)
+
+    @pytest.mark.parametrize("fault", ["ragged", "far_above", "unknown_loser", "pair_total"])
+    def test_comparisons_through_a_pipe(self, features_csv, fault):
+        fm = load_features(features_csv)
+        if fault == "pair_total":
+            row, kind, message = "beta,alpha,2", ParseError, "pair total exceeds 2**53"
+            text, line = later_chunk_text(row, 2500, first=f'alpha,beta,"{2**53 - 1}\n"')
+        else:
+            row, kind, message = ROW_FAULTS[fault]
+            text, line = later_chunk_text(row, 2500)
+        with piped(text) as path, pytest.raises(kind) as info:
+            load_comparisons(path, fm)
+        assert str(info.value) == f"{path}:{line}: {message}"
+
     def test_features(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text('item_id,f1\n"a\nb",1.0\nc,x\n', encoding="utf-8")
@@ -318,6 +411,142 @@ class TestPhysicalLineNumbers:
         with pytest.raises(ParseError) as info:
             load_rankings(str(path), fm)
         assert str(info.value) == f"{path}:4: bad rank 'x'"
+
+
+ID_CHARS = st.sampled_from([",", '"', "\r", "\n", "é", "☃", "a", "b", " "])
+item_id_lists = st.lists(
+    st.text(ID_CHARS, max_size=4) | st.text(st.characters(codec="utf-8"), max_size=3),
+    min_size=2, max_size=7, unique=True,
+)
+chunk_sizes = st.sampled_from([1, 2, 3, dataio._CSV_CHUNK])
+# text files: ids that need quoting or are empty; counts int() accepts however written
+TEXT_IDS = ("alpha", "beta", 'q"x', "a,b", "é\r\n", "")
+COUNT_TEXTS = ("1", "+5", " 5", "5 ", "1_000", "007", "\t2\n", str(2**53))
+BAD_ROWS = (("alpha", "beta"), ("alpha", "beta", "1", "2"), ("alpha", "beta", "1.5"),
+            ("alpha", "beta", "0"), ("beta", "beta", "1"), ("delta", "beta", "1"),
+            ("alpha", "beta", str(2**70)))
+
+
+def outcome(load):
+    """What ``load()`` returns, or the type and message of the error it raises."""
+    try:
+        return load()
+    except (ParseError, UnknownItemError) as exc:
+        return type(exc), str(exc)
+
+
+def written(records, end, blanks):
+    """CSV text of ``records`` ended by ``end``, a blank line before record k when blanks[k]."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator=end)
+    for record, blank in zip(records, blanks):
+        if blank:
+            buf.write(end)
+        writer.writerow(record)
+    return buf.getvalue()
+
+
+class TestChunkedCsv:
+    """The chunked comparisons reader and the writers against the record-at-a-time oracles."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(ids=item_id_lists, chunk=chunk_sizes, data=st.data())
+    def test_writers_match_oracle_and_read_back(self, tmp_path_factory, ids, chunk, data):
+        n = len(ids)
+        d = data.draw(st.integers(1, 3))
+        values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                    min_size=d * n, max_size=d * n))
+        fm = FeatureMatrix(np.array(values).reshape(d, n), tuple(ids))
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        kept = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+        total = [data.draw(st.integers(1, 2**53)) for _ in kept]
+        wins = [data.draw(st.integers(0, t)) for t in total]
+        cd = ComparisonDataset([a for a, _ in kept], [b for _, b in kept], wins, total, n)
+        order = data.draw(st.permutations(range(n)))
+        utilities = fm.matrix[-1]
+        min_count = data.draw(st.sampled_from([0, 1, 2**52]))
+        tmp = tmp_path_factory.mktemp("csv")
+        with mock.patch.object(dataio, "_CSV_CHUNK", chunk):
+            save_features(str(tmp / "f.csv"), fm)
+            save_comparisons(str(tmp / "c.csv"), cd, fm)
+            save_ranking_csv(str(tmp / "r.csv"), fm, np.array(order), utilities)
+            loaded = load_features(str(tmp / "f.csv"))
+            data_back = load_comparisons(str(tmp / "c.csv"), fm, min_count)
+        oracles.write_features(str(tmp / "of.csv"), fm.matrix, fm.item_ids)
+        oracles.write_comparisons(str(tmp / "oc.csv"), cd.pair_i, cd.pair_j, cd.wins, cd.total,
+                                  fm.item_ids)
+        oracles.write_ranking(str(tmp / "or.csv"), fm.item_ids, order, utilities)
+        for name in ("f.csv", "c.csv", "r.csv"):
+            assert (tmp / name).read_bytes() == (tmp / f"o{name}").read_bytes(), name
+        want_ids, want_matrix = oracles.read_features(str(tmp / "f.csv"))
+        assert loaded.item_ids == want_ids == fm.item_ids
+        assert loaded.matrix.tobytes() == want_matrix.tobytes() == fm.matrix.tobytes()
+        want = oracles.read_comparisons(str(tmp / "c.csv"), fm.item_ids, min_count)
+        assert count_lists(data_back) == tuple(a.tolist() for a in want)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(chunk=chunk_sizes, end=st.sampled_from(["\n", "\r\n", "\r"]), data=st.data())
+    def test_comparisons_text_matches_oracle(self, tmp_path_factory, chunk, end, data):
+        good = st.tuples(st.sampled_from(TEXT_IDS), st.sampled_from(TEXT_IDS),
+                         st.sampled_from(COUNT_TEXTS)).filter(lambda r: r[0] != r[1])
+        records = data.draw(st.lists(good | st.sampled_from(BAD_ROWS), max_size=12)
+                            if data.draw(st.booleans()) else st.lists(good, max_size=12))
+        blanks = data.draw(st.lists(st.booleans(), min_size=len(records), max_size=len(records)))
+        min_count = data.draw(st.sampled_from([0, 2, 6]))
+        fm = FeatureMatrix(np.zeros((1, len(TEXT_IDS))), TEXT_IDS)
+        path = str(tmp_path_factory.mktemp("csv") / "c.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(written([("winner_id", "loser_id", "count"), *records], end, [False, *blanks]))
+        with mock.patch.object(dataio, "_CSV_CHUNK", chunk):
+            got = outcome(lambda: count_lists(load_comparisons(path, fm, min_count)))
+        want = outcome(lambda: tuple(
+            a.tolist() for a in oracles.read_comparisons(path, fm.item_ids, min_count)))
+        assert got == want
+
+    def test_header_only_file(self, tmp_path, features_csv):
+        fm = load_features(features_csv)
+        for end in ("\n", "\r\n", "\r", ""):
+            path = tmp_path / "c.csv"
+            path.write_text("winner_id,loser_id,count" + end, encoding="utf-8", newline="")
+            assert count_lists(load_comparisons(str(path), fm)) == ([], [], [], [])
+
+    def test_clean_file_never_reaches_the_per_row_code(self, tmp_path, monkeypatch, rng):
+        n, rows = 50, 3 * dataio._CSV_CHUNK + 5
+        fm = FeatureMatrix(rng.normal(size=(2, n)), tuple(f"id {k}" for k in range(n)))
+        winner = rng.integers(0, n, rows)
+        loser = (winner + rng.integers(1, n, rows)) % n
+        lines = [f"id {a},id {b},{c}\n" for a, b, c in zip(winner, loser, rng.integers(1, 9, rows))]
+        (tmp_path / "c.csv").write_text("winner_id,loser_id,count\n" + "".join(lines))
+        calls = []
+        monkeypatch.setattr(dataio, "_read_rows", lambda *args: calls.append("_read_rows"))
+        monkeypatch.setattr(dataio, "_row_error", lambda *args: calls.append("_row_error"))
+        got = count_lists(load_comparisons(str(tmp_path / "c.csv"), fm))
+        assert calls == []
+        want = oracles.read_comparisons(str(tmp_path / "c.csv"), fm.item_ids)
+        assert got == tuple(a.tolist() for a in want)
+
+    def test_memory_per_record(self, tmp_path, rng):
+        # 50,000 records: 32 bytes each in the columns built (line, winner,
+        # loser, count), so at most one chunk's per-record objects and the
+        # pair grouping's arrays on top
+        n, rows = 400, 50_000
+        fm = FeatureMatrix(rng.normal(size=(3, n)))
+        winner = rng.integers(0, n, rows)
+        loser = (winner + rng.integers(1, n, rows)) % n
+        path = tmp_path / "c.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("winner_id,loser_id,count\n")
+            fh.writelines(f"item{a},item{b},{c}\n"
+                          for a, b, c in zip(winner, loser, rng.integers(1, 9, rows)))
+        fm._id_index  # built once per features, not per file
+        tracemalloc.start()
+        try:
+            data = load_comparisons(str(path), fm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert int(data.total.sum()) > rows
+        assert peak / rows < 200
 
 
 class TestRankingsFile:
