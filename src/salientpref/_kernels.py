@@ -7,7 +7,7 @@ certificates and the fit; the zeta scan takes the caller's eigendecomposition
 of E[Z], brackets every pair's secular root in two O(d) passes and solves only
 the pairs whose bracket can hold the smallest root; the transitivity scan
 enumerates the triples with all three pairs present in lexicographic order,
-orients each by a table lookup and keeps only the violating rows;
+orients each by a table lookup and keeps one int64 key per violating row;
 ``PairStreams`` runs numpy's seeded PCG64 generator for many seeds at once.
 """
 
@@ -237,9 +237,13 @@ def zeta_scan(spectrum, X):
 # The codes of (a, b), (b, c) and (a, c), as base-4 digits, index
 # _ORIENTATION, which holds the first chain orientation, or -1 when there is
 # none or (b, c) is absent.  Wedges are expanded _TRIPLE_BLOCK at a time and
-# only violating rows (x, y, z, moderate, weak) outlive their block, so memory
-# is O(n^2 + violations).  A listed row is always a strong violation since
-# weak implies moderate implies strong here.
+# only the violating rows outlive their block, each packed into one int64 key
+#     key = ((x n + y) n + z) 4 + 2 moderate + weak
+# over the scan's n item indices: 8 bytes per listed row, so memory is
+# O(n^2) plus 8 bytes per violation.  The caller keeps 4 n^3 below 2^63.
+# ``unpack`` is the one decoder; callers decode a chunk of keys at a time.
+# A listed row is always a strong violation since weak implies moderate
+# implies strong here.
 # ---------------------------------------------------------------------------
 
 _TRIPLE_BLOCK = 1 << 13  # wedges expanded per block
@@ -276,7 +280,7 @@ def transitivity_scan(P, present):
     wedge_start = wedge_end - wedges
     total = int(wedge_end[-1]) if ui.size else 0
     checked = 0
-    blocks = [np.empty((0, 5), dtype=np.int64)]
+    blocks = [np.empty(0, dtype=np.int64)]
     for start in range(0, total, _TRIPLE_BLOCK):
         stop = min(start + _TRIPLE_BLOCK, total)
         first, last = np.searchsorted(wedge_end, (start, stop - 1), side="right")
@@ -291,9 +295,25 @@ def transitivity_scan(P, present):
         abc = np.column_stack((ui[k[chained]], b[chained], c[chained])).ravel()
         xyz = abc[np.arange(0, abc.size, 3)[:, None] + _PERMUTATIONS[orient[chained]]]
         pxy, pyz, pxz = prob[xyz[:, [0, 1, 0]] * n + xyz[:, [1, 2, 2]]].T
-        rows = np.column_stack((xyz, pxz < np.minimum(pxy, pyz), pxz < 0.5))
-        blocks.append(rows[pxz < np.maximum(pxy, pyz)])
+        strong = pxz < np.maximum(pxy, pyz)
+        x, y, z = xyz[strong].T
+        pxy, pyz, pxz = pxy[strong], pyz[strong], pxz[strong]
+        blocks.append(((x * n + y) * n + z) * 4 + 2 * (pxz < np.minimum(pxy, pyz)) + (pxz < 0.5))
     return checked, np.concatenate(blocks)
+
+
+def unpack(keys, items):
+    """The ``(k, 5)`` int64 rows ``(x, y, z, moderate, weak)`` of the keys of
+    ``transitivity_scan``, with each scan index i read as ``items[i]``."""
+    m = items.size
+    rows = np.empty((keys.size, 5), dtype=np.int64)
+    rows[:, 3], rows[:, 4] = keys >> 1 & 1, keys & 1
+    index = keys >> 2
+    for col in (2, 1):
+        index, rows[:, col] = np.divmod(index, m)
+    rows[:, 0] = index
+    rows[:, :3] = items[rows[:, :3]]
+    return rows
 
 
 # ---------------------------------------------------------------------------

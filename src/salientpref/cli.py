@@ -3,8 +3,10 @@
 Every subcommand writes its primary outputs plus a run manifest (subcommand,
 flags, seed, library version, input digests) sufficient to reproduce the run;
 identical flags and inputs produce byte-identical primary outputs, while
-timestamps live only in the manifest.  Exit codes: 0 success, 1 runtime
-failure, 2 usage error.
+timestamps and the process's peak resident memory (``peak_rss_mb``) live only
+in the manifest.  An input that is not a regular file, such as a pipe, has
+digest null: it has been read once and is not opened again.  Exit codes:
+0 success, 1 runtime failure, 2 usage error.
 
 All simulation randomness flows from the single ``--seed`` through numpy
 SeedSequence chains: [seed, 0] draws the features, [seed, 1] the true
@@ -32,6 +34,7 @@ import math
 import numbers
 import os
 import pathlib
+import stat
 import sys
 
 import numpy as np
@@ -78,12 +81,32 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _sha256(path: str) -> str:
+def _sha256(path: str) -> str | None:
+    """The sha256 of a regular file.  None for anything else, such as a pipe
+    or a FIFO: the stage has already read it, and it cannot be read again."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return None
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident set in MB: VmHWM from /proc/self/status,
+    else ``ru_maxrss``, which on Linux also covers the spawning process."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    import resource  # POSIX only
+
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
 
 
 def _write_manifest(path, subcommand: str, args: argparse.Namespace, inputs: list[str]):
@@ -102,6 +125,7 @@ def _write_manifest(path, subcommand: str, args: argparse.Namespace, inputs: lis
         "seed": flags.get("seed"),
         "library_version": __version__,
         "input_digests": {p: _sha256(p) for p in inputs},
+        "peak_rss_mb": _peak_rss_mb(),
         "seed_scheme": SEED_SCHEME,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }

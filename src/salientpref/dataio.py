@@ -25,12 +25,13 @@ Reports are written by ``write_json``, whose bytes are always those of
 ``json.dump(payload, fh, indent=2, sort_keys=True)`` followed by a newline,
 with every ``Records`` in the payload written as its ``tolist()``; identical
 runs therefore produce identical bytes.  A ``Records`` holds listed rows
-(violating triples, disagreeing pairs) as an int64 array plus a per-row
-template.  Its rows stream from the array in chunks of ``CHUNK_ROWS``: per
-chunk and column, one string is made for each distinct value (the template
-text before the column, then the value), and the chunk is written as one
-join of those strings.  No dict or list is built per row, and memory is
-bounded by the chunk, not by the listing.
+(violating triples, disagreeing pairs) as an int64 array, or as a row source
+that decodes rows on request (``diagnostics.ViolationRows``, 8 bytes per
+row), plus a per-row template.  Its rows are read in chunks of
+``CHUNK_ROWS``: per chunk and column, one string is made for each distinct
+value (the template text before the column, then the value), and the chunk
+is written as one join of those strings.  No dict or list is built per row,
+and the memory the writer adds is bounded by the chunk, not by the listing.
 
 Features are read as written.  ``FeatureStats`` is the one standardization
 rule: (x - mean) / std per feature with the population convention (divisor
@@ -333,31 +334,43 @@ class Column:
 
 @dataclass(frozen=True, eq=False)
 class Records:
-    """Rows of a read-only 2-d int64 array, each listed as ``template`` with
-    every ``Column`` filled in from the row.
+    """Listed rows, each written as ``template`` with every ``Column`` filled
+    in from the row.
 
-    The template is JSON data (dicts with str keys, lists, scalars) whose
-    ``Column`` leaves name the array's columns.
+    ``rows`` is a 2-d int64 array, held read-only, or a row source: an object
+    whose ``len()`` is its number of rows and whose slices are 2-d int64
+    arrays, such as ``diagnostics.ViolationRows``.  Rows are read from either
+    ``CHUNK_ROWS`` at a time.  The template is JSON data (dicts with str keys,
+    lists, scalars) whose ``Column`` leaves name the rows' columns.
     """
 
-    rows: np.ndarray
+    rows: object
     template: object
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.int64)
-        if rows.ndim != 2:
-            raise ValueError(f"records need a 2-d array, got ndim={rows.ndim}")
-        if rows.flags.writeable:
-            rows = rows.view()
-            rows.setflags(write=False)
+        rows = self.rows
+        if isinstance(rows, np.ndarray):
+            rows = np.asarray(rows, dtype=np.int64)
+            if rows.flags.writeable:
+                rows = rows.view()
+                rows.setflags(write=False)
+        shape = np.shape(rows[:0])
+        if len(shape) != 2:
+            raise ValueError(f"records need a 2-d array, got ndim={len(shape)}")
         for token in _frame(self.template, 0, Column):
-            if not isinstance(token, str) and not 0 <= token[0].index < rows.shape[1]:
-                raise ValueError(f"template column {token[0].index} outside {rows.shape[1]} columns")
+            if not isinstance(token, str) and not 0 <= token[0].index < shape[1]:
+                raise ValueError(f"template column {token[0].index} outside {shape[1]} columns")
         object.__setattr__(self, "rows", rows)
+
+    def _row_chunks(self):
+        for start in range(0, len(self.rows), CHUNK_ROWS):
+            yield start, self.rows[start : start + CHUNK_ROWS]
 
     def tolist(self) -> list:
         """The rows as plain JSON data: one filled-in template per row."""
-        return [_fill(self.template, row) for row in self.rows.tolist()]
+        return [
+            _fill(self.template, row) for _, chunk in self._row_chunks() for row in chunk.tolist()
+        ]
 
     def _write(self, fh, level: int) -> None:
         """Write the list as ``json.dump`` would at nesting ``level``."""
@@ -374,8 +387,7 @@ class Records:
                 columns.append(token[0])
                 text = ""
         width = len(columns) + 1
-        for start in range(0, len(self.rows), CHUNK_ROWS):
-            chunk = self.rows[start : start + CHUNK_ROWS]
+        for start, chunk in self._row_chunks():
             # a row's pieces: one string per column, then the text after the
             # last column and, for every row but the chunk's last, a comma
             pieces = [text + ","] * (len(chunk) * width)

@@ -21,6 +21,11 @@ one's orientation by a single table lookup on the directions of its three
 links, so violating rows come out in listing order with no sort.  A
 triple that violates the weak form also violates the moderate and strong
 forms, so the three counters are nested.
+
+A report holds its listed rows as one int64 key each, 8 bytes per row, and
+reads its counts from the key bits; ``ViolationRows`` decodes the keys into
+``(x, y, z, moderate, weak)`` rows in item ids only a slice at a time, so
+``dataio.write_json`` never builds the whole decoded listing.
 """
 
 from __future__ import annotations
@@ -60,20 +65,48 @@ def _pair_arrays(pair_i, pair_j, *probs) -> list[np.ndarray]:
     return [a[order] for a in (i, j, *probs)]
 
 
+class ViolationRows:
+    """The rows ``(x, y, z, moderate, weak)`` of a transitivity report, held
+    as one int64 key each (8 bytes per row; see ``_kernels.transitivity_scan``)
+    and decoded only on request: ``len()`` is the number of rows, a slice is a
+    ``(k, 5)`` int64 array of those rows and ``np.asarray`` decodes them all.
+    """
+
+    __slots__ = ("_keys", "_items")
+
+    def __init__(self, keys: np.ndarray, items: np.ndarray):
+        self._keys, self._items = keys, items
+
+    def __len__(self) -> int:
+        return self._keys.size
+
+    def __getitem__(self, index: slice) -> np.ndarray:
+        if not isinstance(index, slice):
+            raise TypeError("violation rows are read a slice at a time")
+        return _kernels.unpack(self._keys[index], self._items)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("violation rows are decoded into a new array")
+        return self[:] if dtype is None else self[:].astype(dtype, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class TransitivityReport:
     """Counts of violating triples and the rows listing them.
 
-    ``violations`` is a read-only ``(k, 5)`` int64 array with one row
-    ``(x, y, z, moderate, weak)`` per checked orientation that violates strong
-    transitivity, in lexicographic order of the sorted triple.
+    ``violations`` holds one row ``(x, y, z, moderate, weak)`` per checked
+    orientation that violates strong transitivity, in lexicographic order of
+    the sorted triple: a ``ViolationRows`` from the scan, or a ``(k, 5)``
+    int64 array.  ``np.asarray(report.violations)`` gives the
+    array either way.
     """
 
     triples_checked: int
     strong_violations: int
     moderate_violations: int
     weak_violations: int
-    violations: np.ndarray
+    violations: "ViolationRows | np.ndarray"
 
     def __post_init__(self):
         if not (
@@ -131,21 +164,25 @@ def count_transitivity_violations(pair_i, pair_j, prob) -> TransitivityReport:
     # dense (P, present) over the items that occur, in increasing item order,
     # so the scan enumerates and orients triples exactly as over item indices
     items, idx = np.unique(np.concatenate([i, j]), return_inverse=True)
+    if 4 * items.size**3 >= 2**63:
+        raise PreconditionError(
+            f"triple scan over {items.size} items: its int64 keys need 4 * m**3 < 2**63"
+        )
     a, b = idx[: i.size], idx[i.size :]
     P = np.full((items.size, items.size), 0.5)
     present = np.zeros((items.size, items.size), dtype=bool)
     P[a, b] = probs
     P[b, a] = 1.0 - probs
     present[a, b] = present[b, a] = True
-    checked, viol = _kernels.transitivity_scan(P, present)
-    viol[:, :3] = items[viol[:, :3]]
-    viol.setflags(write=False)
+    checked, keys = _kernels.transitivity_scan(P, present)
+    keys.setflags(write=False)
+    items.setflags(write=False)
     return TransitivityReport(
         triples_checked=int(checked),
-        strong_violations=len(viol),
-        moderate_violations=int(viol[:, 3].sum()),
-        weak_violations=int(viol[:, 4].sum()),
-        violations=viol,
+        strong_violations=keys.size,
+        moderate_violations=int(np.count_nonzero(keys & 2)),
+        weak_violations=int(np.count_nonzero(keys & 1)),
+        violations=ViolationRows(keys, items),
     )
 
 

@@ -1,4 +1,7 @@
+import contextlib
 import os
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -49,3 +52,33 @@ def make_instance(rng, d, n, spec=None):
 def count_lists(data):
     """A dataset's four count arrays as lists: pair_i, pair_j, wins, total."""
     return tuple(a.tolist() for a in (data.pair_i, data.pair_j, data.wins, data.total))
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes traced by ``tracemalloc`` while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@contextlib.contextmanager
+def piped(text):
+    """A path that reads ``text`` once, through a pipe, and is empty when
+    opened again (as a shell's ``<(gunzip -c file)`` is)."""
+    read_fd, write_fd = os.pipe()
+
+    def write():
+        with os.fdopen(write_fd, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        yield f"/dev/fd/{read_fd}"
+    finally:
+        os.close(read_fd)
+        writer.join()

@@ -1,15 +1,18 @@
 import csv
+import hashlib
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 import oracles
+from conftest import piped
 from salientpref import (
     FeatureMatrix,
     SelectionSpec,
@@ -255,6 +258,79 @@ class TestFitRankEvaluate:
         assert cli.main(argv) == 1
         assert "total comparison count" in capsys.readouterr().err
         assert not (tmp_path / "o.json").exists()
+
+
+class TestManifest:
+    SEL = '{"kind":"top_t","t":2}'
+
+    def _fit_argv(self, sim_dir, comparisons, out):
+        return ["fit", "--features", str(sim_dir / "features.csv"), "--comparisons",
+                str(comparisons), "--selection", self.SEL, "--out", str(out)]
+
+    def _fit(self, sim_dir, comparisons, out):
+        assert cli.main(self._fit_argv(sim_dir, comparisons, out)) == 0
+        return read_json(f"{out}.manifest.json")
+
+    @staticmethod
+    def _sha256(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_regular_inputs_keep_their_digests(self, sim_dir, tmp_path):
+        manifest = self._fit(sim_dir, sim_dir / "comparisons.csv", tmp_path / "fit.json")
+        assert manifest["input_digests"] == {
+            str(sim_dir / name): self._sha256(sim_dir / name)
+            for name in ("features.csv", "comparisons.csv")
+        }
+
+    def test_pipe_input_has_null_digest(self, sim_dir, tmp_path):
+        self._fit(sim_dir, sim_dir / "comparisons.csv", tmp_path / "regular.json")
+        with piped((sim_dir / "comparisons.csv").read_text(encoding="utf-8")) as path:
+            manifest = self._fit(sim_dir, path, tmp_path / "piped.json")
+        assert (tmp_path / "piped.json").read_bytes() == (tmp_path / "regular.json").read_bytes()
+        assert manifest["input_digests"] == {
+            str(sim_dir / "features.csv"): self._sha256(sim_dir / "features.csv"),
+            path: None,
+        }
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_fifo_input_does_not_block(self, sim_dir, tmp_path):
+        fifo = tmp_path / "comparisons.fifo"
+        os.mkfifo(fifo)
+        text = (sim_dir / "comparisons.csv").read_bytes()
+
+        def write():
+            with open(fifo, "wb") as fh:
+                fh.write(text)
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            # a second open of the FIFO for its digest would wait for a writer forever
+            proc = subprocess.run(RUN + self._fit_argv(sim_dir, fifo, tmp_path / "fifo.json"),
+                                  capture_output=True, text=True, timeout=60)
+        finally:
+            if writer.is_alive():  # the child never opened the FIFO: release the writer
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join()
+        assert proc.returncode == 0, proc.stderr
+        self._fit(sim_dir, sim_dir / "comparisons.csv", tmp_path / "regular.json")
+        assert (tmp_path / "fifo.json").read_bytes() == (tmp_path / "regular.json").read_bytes()
+        assert read_json(str(tmp_path / "fifo.json.manifest.json"))["input_digests"][str(fifo)] is None
+
+    def test_peak_rss_recorded(self, sim_dir, tmp_path):
+        manifests = [read_json(str(sim_dir / "manifest.json")),
+                     self._fit(sim_dir, sim_dir / "comparisons.csv", tmp_path / "a.json"),
+                     self._fit(sim_dir, sim_dir / "comparisons.csv", tmp_path / "b.json")]
+        for manifest in manifests:
+            assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_peak_rss_falls_back_to_getrusage(self, monkeypatch):
+        def no_proc(path, *args, **kwargs):
+            raise FileNotFoundError(path)
+
+        monkeypatch.setattr(cli, "open", no_proc, raising=False)
+        assert cli._peak_rss_mb() > 0
 
 
 class TestDiagnose:

@@ -1,11 +1,8 @@
-import contextlib
 import csv
 import io
 import json
 import math
 import os
-import threading
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import count_lists
+from conftest import count_lists, piped, traced_peak
 from salientpref import (
     ComparisonDataset,
     FeatureMatrix,
@@ -196,12 +193,7 @@ class TestComparisonsFile:
         path.write_text(
             "winner_id,loser_id,count\nbeta,alpha,100000000\n", encoding="utf-8"
         )
-        tracemalloc.start()
-        try:
-            data = load_comparisons(str(path), fm)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        data, peak = traced_peak(load_comparisons, str(path), fm)
         assert len(data) == 10**8
         assert count_lists(data) == ([0], [1], [0], [10**8])
         assert peak < 2_000_000
@@ -266,25 +258,6 @@ def later_chunk_text(row, at, first='alpha,gamma,"1\n"', end="\n"):
     middle = [GOOD_ROWS[k % 3] for k in range(at - 2)]
     lines = ["winner_id,loser_id,count", first, "", *middle, "", row, "beta,gamma,1", ""]
     return "\n".join(lines).replace("\n", end), at + 4
-
-
-@contextlib.contextmanager
-def piped(text):
-    """A path that reads ``text`` once, through a pipe, and is empty when
-    opened again (as a shell's ``<(gunzip -c file)`` is)."""
-    read_fd, write_fd = os.pipe()
-
-    def write():
-        with os.fdopen(write_fd, "wb") as fh:
-            fh.write(text.encode("utf-8"))
-
-    writer = threading.Thread(target=write)
-    writer.start()
-    try:
-        yield f"/dev/fd/{read_fd}"
-    finally:
-        os.close(read_fd)
-        writer.join()
 
 
 class TestComparisonsFileErrors:
@@ -539,12 +512,7 @@ class TestChunkedCsv:
             fh.writelines(f"item{a},item{b},{c}\n"
                           for a, b, c in zip(winner, loser, rng.integers(1, 9, rows)))
         fm._id_index  # built once per features, not per file
-        tracemalloc.start()
-        try:
-            data = load_comparisons(str(path), fm)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        data, peak = traced_peak(load_comparisons, str(path), fm)
         assert int(data.total.sum()) > rows
         assert peak / rows < 200
 

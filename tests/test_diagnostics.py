@@ -1,12 +1,12 @@
 import itertools
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
+from conftest import traced_peak
 from salientpref import (
     ComparisonDataset,
     DimensionError,
@@ -21,6 +21,7 @@ from salientpref import (
     pairwise_inconsistency,
     realize,
 )
+from salientpref import _kernels, dataio
 from salientpref.dataio import load_comparisons, write_json
 
 
@@ -141,12 +142,7 @@ class TestCountTransitivityViolations:
         utility = np.random.default_rng(3).permutation(n)
         i, j = np.triu_indices(n, k=1)
         prob = (utility[i] > utility[j]).astype(np.float64)
-        tracemalloc.start()
-        try:
-            report = count_transitivity_violations(i, j, prob)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        report, peak = traced_peak(count_transitivity_violations, i, j, prob)
         assert report.triples_checked == math.comb(n, 3)
         assert report.strong_violations == 0
         assert peak < 16e6
@@ -161,12 +157,7 @@ class TestCountTransitivityViolations:
         weak = int(rows[:, 4].sum())
         report = TransitivityReport(k, k, k, weak, rows)
         path = tmp_path / "diagnose.json"
-        tracemalloc.start()
-        try:
-            write_json(str(path), {"model": report.to_dict()})
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(write_json, str(path), {"model": report.to_dict()})
         assert peak < 4e6
         with open(path, encoding="utf-8") as fh:
             listed = json.load(fh)["model"]["violating_triples"]
@@ -202,6 +193,135 @@ class TestCountTransitivityViolations:
                 r.weak_violations,
             )
             assert got == want
+
+
+def dense_instance(seed, n=100):
+    """Uniform probabilities on every pair of n items."""
+    i, j = np.triu_indices(n, k=1)
+    return i, j, np.random.default_rng(seed).random(i.size)
+
+
+class TestPackedListing:
+    """The rows held one int64 key each, against the enumeration oracle."""
+
+    @staticmethod
+    def _check(probs):
+        report = count_transitivity_violations(*arrays(probs))
+        want = oracles.transitivity_rows(probs)
+        rows = np.asarray(report.violations)
+        assert rows.dtype == np.int64 and rows.shape == (len(want), 5)
+        assert rows.tolist() == [[x, y, z, int(m), int(w)] for x, y, z, m, w in want]
+        assert len(report.violations) == len(want)
+        np.testing.assert_array_equal(report.violations[1:4], rows[1:4])
+        assert report.to_dict()["violating_triples"].tolist() == [
+            {"triple": [x, y, z], "strong": True, "moderate": m, "weak": w}
+            for x, y, z, m, w in want
+        ]
+        return len(want)
+
+    def test_dense_instances_with_exact_ties(self, rng):
+        assert sum(self._check(random_edge_map(rng, 3 + k % 8, 1.0)) for k in range(40)) > 0
+
+    def test_sparse_instances(self, rng):
+        assert sum(self._check(random_edge_map(rng, 12, 0.5)) for _ in range(30)) > 0
+
+    def test_all_ties_list_nothing(self):
+        probs = {pair: 0.5 for pair in itertools.combinations(range(6), 2)}
+        assert self._check(probs) == 0
+
+    @pytest.mark.parametrize("base", [10**6 - 3, 2 * 10**6, 2**62 - 40])
+    def test_large_sparse_ids(self, rng, base):
+        # with every id a key digit, 4 (max id + 1)**3 would pass 2**63 for the
+        # last two bases: the key digits are the scan's own item indices
+        ids = base + np.array([0, 3, 4, 9, 17, 30])
+        listed = 0
+        for _ in range(20):
+            probs = random_edge_map(rng, ids.size, 0.9)
+            listed += self._check({(int(ids[a]), int(ids[b])): p for (a, b), p in probs.items()})
+        assert listed > 0
+
+    @pytest.mark.parametrize("block", [1, 7, "n**3"])
+    def test_listing_does_not_depend_on_the_block(self, rng, monkeypatch, block):
+        n = 14
+        monkeypatch.setattr(_kernels, "_TRIPLE_BLOCK", n**3 if block == "n**3" else block)
+        assert sum(self._check(random_edge_map(rng, n, 0.8)) for _ in range(5)) > 0
+
+    def test_rows_decode_a_chunk_at_a_time(self, tmp_path, monkeypatch):
+        report = count_transitivity_violations(*dense_instance(0, n=60))
+        decoded = []
+        unpack = _kernels.unpack
+        monkeypatch.setattr(_kernels, "unpack", lambda keys, items: decoded.append(keys.size)
+                            or unpack(keys, items))
+        payload = {"model": report.to_dict()}
+        assert sum(decoded) == 0
+        write_json(str(tmp_path / "d.json"), payload)
+        assert len(report.violations) > 2 * dataio.CHUNK_ROWS
+        assert max(decoded) == dataio.CHUNK_ROWS and sum(decoded) == len(report.violations)
+
+    def test_key_overflow_refused_before_any_square_allocation(self, monkeypatch):
+        m = 1_321_123  # the fewest items with 4 m**3 >= 2**63
+        assert 4 * m**3 >= 2**63 > 4 * (m - 1) ** 3
+        k = np.arange((m + 1) // 2, dtype=np.int64)
+        i, j, prob = 2 * k, 2 * k + 1, np.full(k.size, 0.75)
+
+        def refuse_square(make):
+            def guarded(shape, *args, **kwargs):
+                assert math.prod(np.atleast_1d(shape).tolist()) < m * m, "an n x n allocation"
+                return make(shape, *args, **kwargs)
+            return guarded
+
+        monkeypatch.setattr(np, "full", refuse_square(np.full))
+        monkeypatch.setattr(np, "zeros", refuse_square(np.zeros))
+
+        def refused():
+            with pytest.raises(PreconditionError, match=f"{2 * k.size} items.*int64 keys"):
+                count_transitivity_violations(i, j, prob)
+
+        _, peak = traced_peak(refused)
+        assert peak < 100e6  # O(pairs); an n x n bool matrix would be 1.7 TB
+
+
+class TestListingMemory:
+    """Memory bounds stated from the design: one int64 key per listed row,
+    kept in per-block arrays and their concatenation (16 bytes a row at the
+    scan's peak), plus the scan's working set of a few blocks."""
+
+    def test_scan_keeps_one_key_per_listed_row(self):
+        i, j, prob = dense_instance(0)
+        report, peak = traced_peak(count_transitivity_violations, i, j, prob)
+        rows = len(report.violations)
+        assert rows >= 90_000
+        assert peak < 16 * rows + 2e6
+
+    def test_diagnose_two_reports_in_bounded_memory(self, tmp_path):
+        path = str(tmp_path / "diagnose.json")
+
+        def diagnose():
+            payload = {
+                name: count_transitivity_violations(*dense_instance(seed)).to_dict()
+                for name, seed in (("empirical", 1), ("model", 2))
+            }
+            write_json(path, payload)
+            return payload
+
+        payload, peak = traced_peak(diagnose)
+        rows = [len(payload[name]["violating_triples"].rows) for name in payload]
+        assert min(rows) >= 90_000
+        # the first listing held while the second scan peaks
+        assert peak < 24 * max(rows) + 2e6
+        # writing alone: a chunk's decoded rows and text, whatever the listing
+        _, peak = traced_peak(write_json, path, payload)
+        assert peak < 3e6
+        with open(path, encoding="utf-8") as fh:
+            written = json.load(fh)
+        for name in payload:
+            listed = np.asarray(payload[name]["violating_triples"].rows)
+            assert len(written[name]["violating_triples"]) == len(listed)
+            for r in (0, 4095, 4096, len(listed) - 1):
+                x, y, z, m, w = listed[r].tolist()
+                assert written[name]["violating_triples"][r] == {
+                    "moderate": m == 1, "strong": True, "triple": [x, y, z], "weak": w == 1
+                }
 
 
 class TestModelTransitivityReport:

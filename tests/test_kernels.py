@@ -2,13 +2,11 @@
 oracle, and the zeta and triple scans against enumeration oracles.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 import oracles
-from conftest import random_features
+from conftest import random_features, traced_peak
 from salientpref import FeatureMatrix, SelectionSpec, _kernels, realize
 
 
@@ -203,14 +201,16 @@ class TestZetaScan:
 
     def test_memory_stays_within_a_few_tables(self, wide_table):
         spectrum = spectrum_of(wide_table)
-        tracemalloc.start()
-        try:
-            _kernels.zeta_scan(spectrum, wide_table)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(_kernels.zeta_scan, spectrum, wide_table)
         assert wide_table.shape == (7140, 48)
         assert peak <= 4 * wide_table.nbytes
+
+
+def scan_rows(P, present):
+    """The scan's count and its keys decoded by ``unpack`` over item indices."""
+    checked, keys = _kernels.transitivity_scan(P, present)
+    assert keys.dtype == np.int64 and keys.ndim == 1
+    return checked, _kernels.unpack(keys, np.arange(P.shape[0], dtype=np.int64))
 
 
 class TestTransitivityScan:
@@ -229,7 +229,7 @@ class TestTransitivityScan:
         for n in (3, 4, 5, 6):
             P, present, probs = self._dense(rng, n)
             want = oracles.transitivity_counts(probs)
-            checked, viol = _kernels.transitivity_scan(P, present)
+            checked, viol = scan_rows(P, present)
             got = (
                 checked,
                 viol.shape[0],
@@ -243,7 +243,7 @@ class TestTransitivityScan:
         P, present, probs = self._dense(rng, n)
         present[0, 1] = present[1, 0] = False
         del probs[(0, 1)]
-        checked, viol = _kernels.transitivity_scan(P, present)
+        checked, viol = scan_rows(P, present)
         want = oracles.transitivity_counts(probs)
         assert (checked, viol.shape[0]) == want[:2]
         # no surviving triple may involve the missing pair
@@ -267,7 +267,7 @@ class TestTransitivityScan:
             prob_map = {
                 (int(a), int(b)): float(p) for a, b, p in zip(ii[kept], jj[kept], probs[kept])
             }
-            checked, viol = _kernels.transitivity_scan(P, present)
+            checked, viol = scan_rows(P, present)
             assert viol.dtype == np.int64 and viol.shape[1] == 5
             got = [(x, y, z, bool(m), bool(w)) for x, y, z, m, w in viol.tolist()]
             assert got == oracles.transitivity_rows(prob_map)
@@ -286,7 +286,7 @@ class TestTransitivityScan:
         return P, present
 
     def _assert_matches_oracle(self, n, prob_map):
-        checked, viol = _kernels.transitivity_scan(*self._from_map(n, prob_map))
+        checked, viol = scan_rows(*self._from_map(n, prob_map))
         assert viol.dtype == np.int64 and viol.shape[1] == 5
         got = [(x, y, z, bool(m), bool(w)) for x, y, z, m, w in viol.tolist()]
         assert got == oracles.transitivity_rows(prob_map)
@@ -335,9 +335,7 @@ class TestTransitivityScan:
 
     def test_zero_pairs(self):
         for n in (0, 1, 2, 5):
-            checked, viol = _kernels.transitivity_scan(
-                np.full((n, n), 0.5), np.zeros((n, n), dtype=bool)
-            )
+            checked, viol = scan_rows(np.full((n, n), 0.5), np.zeros((n, n), dtype=bool))
             assert checked == 0
             assert viol.dtype == np.int64 and viol.shape == (0, 5)
 
@@ -351,12 +349,25 @@ class TestTransitivityScan:
             n, {(int(a), int(b)): float(q) for a, b, q in zip(ii[kept], jj[kept], probs[kept])}
         )
         monkeypatch.setattr(_kernels, "_TRIPLE_BLOCK", n**3)
-        checked, viol = _kernels.transitivity_scan(P, present)
-        assert len(viol) > 0
+        checked, keys = _kernels.transitivity_scan(P, present)
+        assert len(keys) > 0
         monkeypatch.setattr(_kernels, "_TRIPLE_BLOCK", block)
-        checked_blocked, viol_blocked = _kernels.transitivity_scan(P, present)
+        checked_blocked, keys_blocked = _kernels.transitivity_scan(P, present)
         assert checked_blocked == checked
-        np.testing.assert_array_equal(viol_blocked, viol)
+        np.testing.assert_array_equal(keys_blocked, keys)
+
+    def test_unpack_inverts_the_key(self, rng):
+        # keys over m scan indices; items are sparse ids up to 2**62
+        m = 1000
+        rows = rng.integers(0, m, size=(500, 5))
+        rows[:, 3:] = rng.integers(0, 2, size=(500, 2))
+        keys = ((rows[:, 0] * m + rows[:, 1]) * m + rows[:, 2]) * 4 + 2 * rows[:, 3] + rows[:, 4]
+        items = np.sort(rng.choice(2**62, size=m, replace=False)).astype(np.int64)
+        got = _kernels.unpack(keys, items)
+        assert got.dtype == np.int64 and got.shape == (500, 5)
+        np.testing.assert_array_equal(got[:, :3], items[rows[:, :3]])
+        np.testing.assert_array_equal(got[:, 3:], rows[:, 3:])
+        assert _kernels.unpack(keys[:0], items).shape == (0, 5)
 
 
 class TestSymEigvals:

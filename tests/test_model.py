@@ -1,10 +1,8 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 import oracles
-from conftest import count_lists, make_instance
+from conftest import count_lists, make_instance, traced_peak
 from salientpref import (
     ComparisonDataset,
     FeatureMatrix,
@@ -171,12 +169,7 @@ class TestSampleComparisonsBlocks:
         fm = FeatureMatrix(np.random.default_rng(3).normal(size=(10, 100)))
         sel = realize(SelectionSpec.top_t(2), fm)
         w = np.random.default_rng(4).normal(size=10)
-        tracemalloc.start()
-        try:
-            data = sample_comparisons(sel, w, 1_000_000, seed=5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        data, peak = traced_peak(lambda: sample_comparisons(sel, w, 1_000_000, seed=5))
         assert len(data) == 1_000_000
         assert data.total.size == 4950
         assert peak <= 4e6

@@ -1,10 +1,10 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
+from conftest import traced_peak
 from salientpref import (
     FeatureMatrix,
     NotSingleCoordinateError,
@@ -341,12 +341,7 @@ class TestFullSelectionReport:
         d, n = 48, 600  # the C(n,2) x d table alone would be 138 MB
         fm = FeatureMatrix(rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, n)))
         w = rng.normal(0.0, 1.0 / np.sqrt(d), size=d)
-        tracemalloc.start()
-        try:
-            full_selection_report(fm, w_star=w)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: full_selection_report(fm, w_star=w))
         assert calls == []
         assert peak < 16 * 2**20
 
