@@ -27,11 +27,16 @@ with every ``Records`` in the payload written as its ``tolist()``; identical
 runs therefore produce identical bytes.  A ``Records`` holds listed rows
 (violating triples, disagreeing pairs) as an int64 array, or as a row source
 that decodes rows on request (``diagnostics.ViolationRows``, 8 bytes per
-row), plus a per-row template.  Its rows are read in chunks of
-``CHUNK_ROWS``: per chunk and column, one string is made for each distinct
-value (the template text before the column, then the value), and the chunk
-is written as one join of those strings.  No dict or list is built per row,
-and the memory the writer adds is bounded by the chunk, not by the listing.
+row), plus a per-row template.  The writer reads the rows as codes into
+per-column labels: a ``ViolationRows`` gives the scan's own item indices,
+with the items as labels, and an array's codes index each column's distinct
+values.  A column's strings, the template text before it followed by each
+label's JSON text, are made once per listing, not once per chunk, and
+adjacent columns share one table of their concatenations while it holds at
+most ``CHUNK_ROWS`` strings.  The rows are read in chunks of ``CHUNK_ROWS``,
+and each chunk is written as one join of one gather of its codes per table.
+No dict or list is built per row; the writer's memory is the tables plus
+one chunk's codes and text, not the listing.
 
 Features are read as written.  ``FeatureStats`` is the one standardization
 rule: (x - mean) / std per feature with the population convention (divisor
@@ -320,7 +325,10 @@ def load_rankings(path: str, fm: FeatureMatrix) -> list[SubsetRanking]:
     return out
 
 
-CHUNK_ROWS = 4096
+# Rows per chunk of a Records listing.  A chunk's text and its UTF-8 copy are
+# the writer's largest objects, about 330 KB each for triple rows; twice as
+# many rows wrote no faster and raised diagnose's high-water mark by 0.6 MB.
+CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -338,10 +346,13 @@ class Records:
     in from the row.
 
     ``rows`` is a 2-d int64 array, held read-only, or a row source: an object
-    whose ``len()`` is its number of rows and whose slices are 2-d int64
-    arrays, such as ``diagnostics.ViolationRows``.  Rows are read from either
-    ``CHUNK_ROWS`` at a time.  The template is JSON data (dicts with str keys,
-    lists, scalars) whose ``Column`` leaves name the rows' columns.
+    whose ``len()`` is its number of rows, whose slices are 2-d int64 arrays,
+    and which gives its rows as codes: ``labels``, one 1-d int64 array per
+    column, and ``codes(index)``, the rows of the slice ``index`` as an int
+    array whose column c indexes ``labels[c]``.  ``diagnostics.ViolationRows``
+    is one.  Rows are read from either ``CHUNK_ROWS`` at a time.  The template
+    is JSON data (dicts with str keys, lists, scalars) whose ``Column`` leaves
+    name the rows' columns.
     """
 
     rows: object
@@ -362,46 +373,75 @@ class Records:
                 raise ValueError(f"template column {token[0].index} outside {shape[1]} columns")
         object.__setattr__(self, "rows", rows)
 
-    def _row_chunks(self):
-        for start in range(0, len(self.rows), CHUNK_ROWS):
-            yield start, self.rows[start : start + CHUNK_ROWS]
-
     def tolist(self) -> list:
         """The rows as plain JSON data: one filled-in template per row."""
         return [
-            _fill(self.template, row) for _, chunk in self._row_chunks() for row in chunk.tolist()
+            _fill(self.template, row)
+            for start in range(0, len(self.rows), CHUNK_ROWS)
+            for row in self.rows[start : start + CHUNK_ROWS].tolist()
         ]
 
     def _write(self, fh, level: int) -> None:
-        """Write the list as ``json.dump`` would at nesting ``level``."""
-        if not len(self.rows):
+        """Write the list as ``json.dump`` would at nesting ``level``.
+
+        A template column's strings are the template text before it followed
+        by each label's JSON text.  Adjacent columns share one table, of every
+        concatenation of their strings, while it holds at most ``CHUNK_ROWS``
+        strings; a row reads it at the mixed-radix code of those columns.  The
+        last table's strings end with the text after the last column and a
+        comma.  A chunk is written as one join of one gather per table.
+        """
+        total = len(self.rows)
+        if not total:
             fh.write("[]")
             return
-        # each run of template text becomes the prefix of the Column after it
-        prefixes, columns, text = [], [], "\n" + "  " * (level + 1)
+        source = _ArrayCodes(self.rows) if isinstance(self.rows, np.ndarray) else self.rows
+        # per table: its (column, label count) pairs and its strings
+        tables, text = [], "\n" + "  " * (level + 1)
         for token in _frame(self.template, level + 1, Column):
             if isinstance(token, str):
                 text += token
-            else:
-                prefixes.append(text)
-                columns.append(token[0])
-                text = ""
-        width = len(columns) + 1
-        for start, chunk in self._row_chunks():
-            # a row's pieces: one string per column, then the text after the
-            # last column and, for every row but the chunk's last, a comma
-            pieces = [text + ","] * (len(chunk) * width)
-            pieces[-1] = text
-            for k, (prefix, column) in enumerate(zip(prefixes, columns)):
-                cells = chunk[:, column.index]
-                if column.boolean:
-                    values, which = ("false", "true"), (cells != 0).astype(np.intp)
-                else:
-                    values, which = np.unique(cells, return_inverse=True)
-                strings = np.array([prefix + str(v) for v in values], dtype=object)
-                pieces[k::width] = strings[which].tolist()
-            fh.write(("," if start else "[") + "".join(pieces))
+                continue
+            column = token[0]
+            labels = source.labels[column.index].tolist()
+            if column.boolean:
+                labels = ["true" if v else "false" for v in labels]
+            strings = [text + str(label) for label in labels]
+            text = ""
+            columns = []
+            if tables and len(tables[-1][1]) * len(strings) <= CHUNK_ROWS:
+                columns, table = tables.pop()
+                strings = [head + tail for head in table for tail in strings]
+            tables.append((columns + [(column.index, len(labels))], strings))
+        columns, table = tables.pop() if tables else ([], [""])
+        tables.append((columns, [head + text + "," for head in table]))
+        tables = [(columns, np.array(table, dtype=object)) for columns, table in tables]
+        fh.write("[")
+        for start in range(0, total, CHUNK_ROWS):
+            codes = source.codes(slice(start, start + CHUNK_ROWS))
+            pieces = [""] * (len(codes) * len(tables))
+            for k, (columns, table) in enumerate(tables):
+                code = np.zeros(len(codes), dtype=np.intp)
+                for column, size in columns:
+                    code = code * size + codes[:, column]
+                pieces[k :: len(tables)] = table[code].tolist()
+            if start + CHUNK_ROWS >= total:
+                pieces[-1] = pieces[-1][:-1]  # no comma after the listing's last row
+            fh.write("".join(pieces))
         fh.write("\n" + "  " * level + "]")
+
+
+class _ArrayCodes:
+    """A 2-d int64 array's rows as codes into each column's distinct values,
+    found a slice at a time by ``np.searchsorted``."""
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+        self.labels = [np.unique(column) for column in rows.T]
+
+    def codes(self, index: slice) -> np.ndarray:
+        chunk = self.rows[index]
+        return np.column_stack([np.searchsorted(*pair) for pair in zip(self.labels, chunk.T)])
 
 
 def _fill(template, row: list):

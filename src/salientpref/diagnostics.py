@@ -23,9 +23,11 @@ triple that violates the weak form also violates the moderate and strong
 forms, so the three counters are nested.
 
 A report holds its listed rows as one int64 key each, 8 bytes per row, and
-reads its counts from the key bits; ``ViolationRows`` decodes the keys into
-``(x, y, z, moderate, weak)`` rows in item ids only a slice at a time, so
-``dataio.write_json`` never builds the whole decoded listing.
+reads its counts from the key bits.  ``ViolationRows`` decodes the keys only
+a slice at a time: into ``(x, y, z, moderate, weak)`` rows in item ids on
+request, and for ``dataio.write_json`` into codes, the scan's own item
+indices, which index the writer's tables of strings directly.  So the writer
+never builds the whole decoded listing, nor any row of item ids.
 """
 
 from __future__ import annotations
@@ -70,6 +72,8 @@ class ViolationRows:
     as one int64 key each (8 bytes per row; see ``_kernels.transitivity_scan``)
     and decoded only on request: ``len()`` is the number of rows, a slice is a
     ``(k, 5)`` int64 array of those rows and ``np.asarray`` decodes them all.
+    ``codes`` decodes a slice without reading the item ids: ``x, y, z`` as
+    indices into ``labels`` (the items), the flags as indices into ``[0, 1]``.
     """
 
     __slots__ = ("_keys", "_items")
@@ -80,10 +84,20 @@ class ViolationRows:
     def __len__(self) -> int:
         return self._keys.size
 
+    @property
+    def labels(self) -> tuple:
+        flags = np.arange(2, dtype=np.int64)
+        return (self._items,) * 3 + (flags,) * 2
+
+    def codes(self, index: slice) -> np.ndarray:
+        return _kernels.unpack(self._keys[index], self._items.size)
+
     def __getitem__(self, index: slice) -> np.ndarray:
         if not isinstance(index, slice):
             raise TypeError("violation rows are read a slice at a time")
-        return _kernels.unpack(self._keys[index], self._items)
+        rows = self.codes(index)
+        rows[:, :3] = self._items[rows[:, :3]]
+        return rows
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if copy is False:

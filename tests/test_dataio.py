@@ -17,8 +17,11 @@ from salientpref import (
     FeatureMatrix,
     ParseError,
     PreconditionError,
+    TransitivityReport,
     UnknownItemError,
+    count_transitivity_violations,
     dataio,
+    pairwise_inconsistency,
 )
 from salientpref.dataio import (
     CHUNK_ROWS,
@@ -35,6 +38,7 @@ from salientpref.dataio import (
     save_ranking_csv,
     write_json,
 )
+from salientpref.diagnostics import ViolationRows
 
 
 @pytest.fixture
@@ -636,6 +640,7 @@ TEMPLATES = [
     Column(2),
     {"a %s": [Column(4), {"b": Column(1, boolean=True)}], "c": "%d \"%s\" é", "d": None},
     [[], {}, Column(0), -1.5, math.inf],
+    {"no columns": [1, "%s"]},
 ]
 
 
@@ -715,6 +720,43 @@ class TestRecords:
         listed = Records(np.zeros((1, 1), dtype=np.int64), [Column(0)])
         with pytest.raises(TypeError, match="str"):
             write_json(str(tmp_path / "o.json"), {1: listed})
+
+
+def first_rows(report, k):
+    """The report with its listing cut to the first ``k`` rows."""
+    keys, items = report.violations._keys[:k], report.violations._items
+    moderate, weak = (int(np.count_nonzero(keys & bit)) for bit in (2, 1))
+    return TransitivityReport(report.triples_checked, k, moderate, weak, ViolationRows(keys, items))
+
+
+class TestReportListings:
+    """Real diagnostics reports through ``write_json``: the bytes of
+    ``json.dumps`` over their ``tolist()``, for sparse large ids and listings
+    on either side of a chunk edge."""
+
+    @pytest.mark.parametrize("base", [0, 10**6 - 3, 2 * 10**6, 2**62 - 40])
+    def test_reports_write_as_json_dumps(self, tmp_path, base):
+        gen = np.random.default_rng(base % 2**32)
+        n = 40
+        ids = base + np.cumsum(gen.integers(1, 9, size=n))
+        i, j = np.triu_indices(n, k=1)
+        kept = gen.random(i.size) < 0.95
+        pair_i, pair_j, prob = ids[i[kept]], ids[j[kept]], gen.random(int(kept.sum()))
+        report = count_transitivity_violations(pair_i, pair_j, prob)
+        assert len(report.violations) > CHUNK_ROWS + 1
+        inconsistency = pairwise_inconsistency(pair_i, pair_j, prob, gen.random(prob.size))
+        assert inconsistency.inconsistent > 0
+        for k in (0, 1, CHUNK_ROWS, CHUNK_ROWS + 1, len(report.violations)):
+            payload = {
+                "item_ids": ids.tolist(),
+                "empirical": first_rows(report, k).to_dict(),
+                "inconsistency": inconsistency.to_dict(),
+            }
+            path = tmp_path / f"{k}.json"
+            write_json(str(path), payload)
+            want = json.dumps(plain(payload), indent=2, sort_keys=True) + "\n"
+            assert path.read_bytes() == want.encode("utf-8")
+            assert len(json.loads(want)["empirical"]["violating_triples"]) == k
 
 
 class TestFeatureStats:

@@ -23,6 +23,7 @@ from salientpref import (
 )
 from salientpref import _kernels, dataio
 from salientpref.dataio import load_comparisons, write_json
+from salientpref.diagnostics import ViolationRows
 
 
 def dataset(records, n):
@@ -162,7 +163,7 @@ class TestCountTransitivityViolations:
         with open(path, encoding="utf-8") as fh:
             listed = json.load(fh)["model"]["violating_triples"]
         assert len(listed) == k and sum(r["weak"] for r in listed) == weak
-        for r in (0, 4095, 4096, k - 1):
+        for r in (0, dataio.CHUNK_ROWS - 1, dataio.CHUNK_ROWS, k - 1):
             x, y, z, _, w = rows[r].tolist()
             assert listed[r] == {"moderate": True, "strong": True, "triple": [x, y, z], "weak": w == 1}
 
@@ -247,16 +248,26 @@ class TestPackedListing:
         assert sum(self._check(random_edge_map(rng, n, 0.8)) for _ in range(5)) > 0
 
     def test_rows_decode_a_chunk_at_a_time(self, tmp_path, monkeypatch):
+        # the writer decodes keys into scan indices, one chunk at a time, and
+        # reads item ids from its tables: it never builds rows of item ids
         report = count_transitivity_violations(*dense_instance(0, n=60))
         decoded = []
         unpack = _kernels.unpack
-        monkeypatch.setattr(_kernels, "unpack", lambda keys, items: decoded.append(keys.size)
-                            or unpack(keys, items))
+        monkeypatch.setattr(_kernels, "unpack", lambda keys, m: decoded.append((keys.size, m))
+                            or unpack(keys, m))
         payload = {"model": report.to_dict()}
-        assert sum(decoded) == 0
+        assert sum(size for size, _ in decoded) == 0
+        decoded.clear()
+
+        def item_rows(self, index):
+            raise AssertionError("rows decoded into item ids")
+
+        monkeypatch.setattr(ViolationRows, "__getitem__", item_rows)
         write_json(str(tmp_path / "d.json"), payload)
+        sizes = [size for size, _ in decoded]
         assert len(report.violations) > 2 * dataio.CHUNK_ROWS
-        assert max(decoded) == dataio.CHUNK_ROWS and sum(decoded) == len(report.violations)
+        assert max(sizes) == dataio.CHUNK_ROWS and sum(sizes) == len(report.violations)
+        assert {m for _, m in decoded} == {60}
 
     def test_key_overflow_refused_before_any_square_allocation(self, monkeypatch):
         m = 1_321_123  # the fewest items with 4 m**3 >= 2**63
@@ -293,6 +304,17 @@ class TestListingMemory:
         assert rows >= 90_000
         assert peak < 16 * rows + 2e6
 
+    def test_scan_releases_its_block_arrays(self):
+        # the keys twice (the per-block arrays and their concatenation, 16
+        # bytes a row) plus 0.6 MB for the per-pair arrays and one block's
+        # working set, which must be gone before the concatenation
+        i, j, prob = dense_instance(0)
+        P = np.full((100, 100), 0.5)
+        P[i, j], P[j, i] = prob, 1.0 - prob
+        (_, keys), peak = traced_peak(_kernels.transitivity_scan, P, ~np.eye(100, dtype=bool))
+        assert keys.size == 121_248
+        assert peak < 16 * keys.size + 0.6e6
+
     def test_diagnose_two_reports_in_bounded_memory(self, tmp_path):
         path = str(tmp_path / "diagnose.json")
 
@@ -317,7 +339,7 @@ class TestListingMemory:
         for name in payload:
             listed = np.asarray(payload[name]["violating_triples"].rows)
             assert len(written[name]["violating_triples"]) == len(listed)
-            for r in (0, 4095, 4096, len(listed) - 1):
+            for r in (0, dataio.CHUNK_ROWS - 1, dataio.CHUNK_ROWS, len(listed) - 1):
                 x, y, z, m, w = listed[r].tolist()
                 assert written[name]["violating_triples"][r] == {
                     "moderate": m == 1, "strong": True, "triple": [x, y, z], "weak": w == 1

@@ -210,7 +210,7 @@ def scan_rows(P, present):
     """The scan's count and its keys decoded by ``unpack`` over item indices."""
     checked, keys = _kernels.transitivity_scan(P, present)
     assert keys.dtype == np.int64 and keys.ndim == 1
-    return checked, _kernels.unpack(keys, np.arange(P.shape[0], dtype=np.int64))
+    return checked, _kernels.unpack(keys, P.shape[0])
 
 
 class TestTransitivityScan:
@@ -357,17 +357,15 @@ class TestTransitivityScan:
         np.testing.assert_array_equal(keys_blocked, keys)
 
     def test_unpack_inverts_the_key(self, rng):
-        # keys over m scan indices; items are sparse ids up to 2**62
-        m = 1000
-        rows = rng.integers(0, m, size=(500, 5))
-        rows[:, 3:] = rng.integers(0, 2, size=(500, 2))
-        keys = ((rows[:, 0] * m + rows[:, 1]) * m + rows[:, 2]) * 4 + 2 * rows[:, 3] + rows[:, 4]
-        items = np.sort(rng.choice(2**62, size=m, replace=False)).astype(np.int64)
-        got = _kernels.unpack(keys, items)
-        assert got.dtype == np.int64 and got.shape == (500, 5)
-        np.testing.assert_array_equal(got[:, :3], items[rows[:, :3]])
-        np.testing.assert_array_equal(got[:, 3:], rows[:, 3:])
-        assert _kernels.unpack(keys[:0], items).shape == (0, 5)
+        # keys over m scan indices, up to the largest m whose keys fit int64
+        for m in (1000, 1_321_122):
+            rows = rng.integers(0, m, size=(500, 5))
+            rows[:, 3:] = rng.integers(0, 2, size=(500, 2))
+            keys = ((rows[:, 0] * m + rows[:, 1]) * m + rows[:, 2]) * 4 + 2 * rows[:, 3] + rows[:, 4]
+            got = _kernels.unpack(keys, m)
+            assert got.dtype == np.int64 and got.shape == (500, 5)
+            np.testing.assert_array_equal(got, rows)
+            assert _kernels.unpack(keys[:0], m).shape == (0, 5)
 
 
 class TestSymEigvals:
