@@ -1,12 +1,12 @@
 """Command-line entry point: reproducible simulate / fit / evaluate pipelines.
 
 Every subcommand writes its primary outputs plus a run manifest (subcommand,
-flags, seed, library version, input digests) sufficient to reproduce the run;
-identical flags and inputs produce byte-identical primary outputs, while
-timestamps and the process's peak resident memory (``peak_rss_mb``) live only
-in the manifest.  An input that is not a regular file, such as a pipe, has
-digest null: it has been read once and is not opened again.  Exit codes:
-0 success, 1 runtime failure, 2 usage error.
+flags, seed, library, numpy and Python versions, input digests) sufficient to
+reproduce the run; identical flags and inputs produce byte-identical primary
+outputs, while timestamps and the process's peak resident memory
+(``peak_rss_mb``) live only in the manifest.  An input that is not a regular
+file, such as a pipe, has digest null: it has been read once and is not
+opened again.  Exit codes: 0 success, 1 runtime failure, 2 usage error.
 
 All simulation randomness flows from the single ``--seed`` through numpy
 SeedSequence chains: [seed, 0] draws the features, [seed, 1] the true
@@ -25,15 +25,14 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import csv
 import datetime
 import hashlib
 import inspect
 import json
 import math
-import numbers
 import os
 import pathlib
+import platform
 import stat
 import sys
 
@@ -42,8 +41,8 @@ import numpy as np
 from . import __version__, dataio, diagnostics, theory
 from .errors import NotSingleCoordinateError, PreconditionError, SalientPrefError
 from .estimator import fit
-from .features import FeatureMatrix
-from .model import all_pair_probabilities, check_real, sample_comparisons
+from .features import FeatureMatrix, check_int
+from .model import all_pair_probabilities, check_ridge, sample_comparisons
 from .ranking import (
     kendall_correlation,
     kendall_distance,
@@ -124,6 +123,8 @@ def _write_manifest(path, subcommand: str, args: argparse.Namespace, inputs: lis
         "flags": flags,
         "seed": flags.get("seed"),
         "library_version": __version__,
+        "numpy_version": np.__version__,
+        "python_version": platform.python_version(),
         "input_digests": {p: _sha256(p) for p in inputs},
         "peak_rss_mb": _peak_rss_mb(),
         "seed_scheme": SEED_SCHEME,
@@ -329,13 +330,6 @@ def _sweep_instance(task: tuple) -> list[tuple]:
     return rows
 
 
-def _spec_int(key: str, value) -> int:
-    """A sweep-spec integer by SelectionSpec's rule: never a bool, never coerced."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise PreconditionError(f"sweep spec {key} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _distinct(key: str, values: list) -> list:
     """A sweep-spec array whose entries appear once each: a repeat would repeat rows."""
     seen = set()
@@ -350,6 +344,9 @@ def cmd_sweep(args) -> int:
     spec = dataio.read_json(args.spec)
     if not isinstance(spec, dict):
         raise PreconditionError(f"sweep spec must be a JSON object, got {type(spec).__name__}")
+    extra = set(spec) - {"d", "n", "selections", "m_grid", "seeds", "mu", "workers"}
+    if extra:
+        raise PreconditionError(f"unknown sweep spec keys: {sorted(extra)}")
     for key in ("d", "n", "selections", "m_grid", "seeds"):
         if key not in spec:
             raise PreconditionError(f"sweep spec missing key {key!r}")
@@ -360,25 +357,16 @@ def cmd_sweep(args) -> int:
             )
         if not spec[key]:
             raise PreconditionError(f"sweep spec {key} must not be empty")
-    d, n = _spec_int("d", spec["d"]), _spec_int("n", spec["n"])
-    if d < 1:
-        raise PreconditionError(f"sweep spec d must be >= 1, got {d}")
-    if n < 3:
-        raise PreconditionError(f"sweep spec n must be >= 3, got {n}")
-    mu = check_real("sweep spec mu", spec.get("mu", 0.0))
-    if not (math.isfinite(mu) and mu >= 0):
-        raise PreconditionError(f"sweep spec mu must be finite and >= 0, got {mu}")
-    workers = _spec_int("workers", spec.get("workers", 1))
-    if workers < 1:
-        raise PreconditionError(f"sweep spec workers must be >= 1, got {workers}")
+    d = check_int("sweep spec d", spec["d"], 1)
+    n = check_int("sweep spec n", spec["n"], 3)
+    mu = check_ridge(spec.get("mu", 0.0), "sweep spec mu")
+    workers = check_int("sweep spec workers", spec.get("workers", 1), 1)
     selections = [SelectionSpec.from_dict(s).to_json() for s in spec["selections"]]
     selections = _distinct("selections", selections)
-    m_grid = _distinct("m_grid", [_spec_int("m_grid entry", m) for m in spec["m_grid"]])
-    if any(m < 1 for m in m_grid):
-        raise PreconditionError(f"sweep spec m_grid entries must be >= 1, got {min(m_grid)}")
-    seeds = _distinct("seeds", [_spec_int("seeds entry", seed) for seed in spec["seeds"]])
-    if any(seed < 0 for seed in seeds):
-        raise PreconditionError(f"sweep spec seeds entries must be >= 0, got {min(seeds)}")
+    m_grid = [check_int("sweep spec m_grid entry", m, 1) for m in spec["m_grid"]]
+    m_grid = _distinct("m_grid", m_grid)
+    seeds = [check_int("sweep spec seeds entry", seed, 0) for seed in spec["seeds"]]
+    seeds = _distinct("seeds", seeds)
     tasks = [(d, n, sel_json, m_grid, seed, mu) for sel_json in selections for seed in seeds]
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
@@ -389,11 +377,10 @@ def cmd_sweep(args) -> int:
     rows = sorted(row for chunk in chunks for row in chunk)
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["selection", "m", "seed", "metric", "value"])
-        for sel_json, m, seed, metric, value in rows:
-            writer.writerow([sel_json, str(m), str(seed), metric, repr(float(value))])
+    columns = [np.array(c, dtype=object) for c in zip(*rows)]
+    columns[-1] = columns[-1].astype(np.float64)  # csv writes a float by repr
+    header = ["selection", "m", "seed", "metric", "value"]
+    dataio._write_rows(str(out / "sweep.csv"), header, columns)
     _write_manifest(str(out / "manifest.json"), "sweep", args, [args.spec])
     return 0
 

@@ -56,8 +56,8 @@ from itertools import repeat
 import numpy as np
 
 from .errors import ParseError, PreconditionError, UnknownItemError
-from .features import FeatureMatrix
-from .model import MAX_COUNT, ComparisonDataset, sum_counts
+from .features import FeatureMatrix, check_int
+from .model import MAX_COUNT, ComparisonDataset, merge_pairs
 
 
 @dataclass(frozen=True)
@@ -231,8 +231,10 @@ def load_comparisons(
     Each row's count is added to its canonical pair (i < j): to the pair's
     total, and to its wins when the winner is i.  The pair total for the
     filter sums both orientations.  A row's count and each pair's total may
-    be at most 2**53, the largest count held exactly.
+    be at most 2**53, the largest count held exactly.  ``min_count`` is an
+    integer >= 0.
     """
+    min_count = check_int("min_count", min_count, 0)
     n, index = fm.n, fm._id_index
     empty = np.empty(0, dtype=np.int64)
     blocks = [(empty, empty, empty, empty)]
@@ -247,11 +249,11 @@ def load_comparisons(
             blocks.append(block)
     line, wi, li, count = map(np.concatenate, zip(*blocks))
     del blocks  # copied into the columns: free them before the grouping peaks
-    pairs, groups = np.unique(np.minimum(wi, li) * n + np.maximum(wi, li), return_inverse=True)
-    total, over = sum_counts(groups, count, pairs.size)
+    pairs, wins, total, over = merge_pairs(
+        np.minimum(wi, li) * n + np.maximum(wi, li), np.where(wi < li, count, 0), count
+    )
     if over is not None:
         raise ParseError(str(path), int(line[over]), "pair total exceeds 2**53")
-    wins, _ = sum_counts(groups, np.where(wi < li, count, 0), pairs.size)
     keep = total >= min_count
     pairs = pairs[keep]
     return ComparisonDataset(pairs // n, pairs % n, wins[keep], total[keep], n)

@@ -40,25 +40,23 @@ from . import _kernels
 from .errors import DimensionError, PreconditionError
 from .model import all_pair_probabilities
 from .ranking import Ranking
-from .selection import RealizedSelection, all_pairs
+from .selection import RealizedSelection, all_pairs, check_pairs
 
 
 def _pair_arrays(pair_i, pair_j, *probs) -> list[np.ndarray]:
     """Checked int64 pairs and aligned float64 probabilities, all 1-d, sorted
-    into lexicographic pair order."""
-    i = np.asarray(pair_i, dtype=np.int64)
-    j = np.asarray(pair_j, dtype=np.int64)
+    into lexicographic pair order.  The pairs are checked by
+    ``selection.check_pairs``: integers, canonical."""
+    i, j = np.asarray(pair_i), np.asarray(pair_j)
     probs = [np.asarray(p, dtype=np.float64) for p in probs]
     if i.ndim != 1 or any(a.shape != i.shape for a in (j, *probs)):
         raise DimensionError("pair and probability arrays must be 1-d and of equal length")
+    i, j = check_pairs(i, j, canonical=True)
     for p in probs:
         bad = np.nonzero(~((p >= 0.0) & (p <= 1.0)))[0]
         if bad.size:
             k = bad[0]
             raise ValueError(f"probability for pair {(int(i[k]), int(j[k]))} outside [0, 1]: {p[k]}")
-    bad = np.nonzero((i < 0) | (i >= j))[0]
-    if bad.size:
-        raise ValueError(f"pair {(int(i[bad[0]]), int(j[bad[0]]))} is not canonical (need 0 <= i < j)")
     order = np.lexsort((j, i))
     repeat = np.nonzero((np.diff(i[order]) == 0) & (np.diff(j[order]) == 0))[0]
     if repeat.size:

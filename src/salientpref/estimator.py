@@ -24,7 +24,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import NumericalFailureError, PreconditionError
-from .model import ComparisonDataset, check_real, check_ridge, design_matrix
+from .features import check_real
+from .model import ComparisonDataset, check_ridge, design_matrix
 from .selection import RealizedSelection
 
 _ARMIJO_C = 1e-4

@@ -7,21 +7,43 @@ items may only see a coordinate subset, chosen per pair by a selection
 function (see :mod:`salientpref.selection`).
 
 Conventions: item and coordinate indices are 0-based throughout the library;
-subsets are strictly increasing tuples of coordinate indices.
+subsets are strictly increasing tuples of coordinate indices.  The scalar
+input rule, ``check_int`` and ``check_real``, lives here too: every module
+can import this one.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, PreconditionError
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+def check_int(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as a plain int: an integer (never a bool, never coerced from
+    a float or a string), at least ``minimum`` when one is given."""
+    rule = "an integer" if minimum is None else f"an integer >= {minimum}"
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integer or (minimum is not None and value < minimum):
+        raise PreconditionError(f"{name} must be {rule}, got {value!r}")
+    return int(value)
+
+
+def check_real(name: str, value) -> float:
+    """``value`` as a float: a real number, never a bool and never coerced
+    from a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise PreconditionError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` as a C-contiguous array marked read-only."""
+    a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
 
@@ -55,7 +77,7 @@ class FeatureMatrix:
             raise DimensionError(f"{len(ids)} item ids for {n} items")
         if len(set(ids)) != n:
             raise DimensionError("item ids must be pairwise distinct")
-        object.__setattr__(self, "matrix", _readonly(m))
+        object.__setattr__(self, "matrix", read_only(m))
         object.__setattr__(self, "item_ids", ids)
 
     @property
@@ -85,9 +107,7 @@ class FeatureMatrix:
     def from_columns(cls, columns, item_ids=None) -> "FeatureMatrix":
         """Build from an iterable of per-item vectors."""
         cols = np.column_stack([np.asarray(c, dtype=np.float64) for c in columns])
-        if item_ids is None:
-            item_ids = tuple(f"item{k}" for k in range(cols.shape[1]))
-        return cls(cols, tuple(item_ids))
+        return cls(cols, item_ids)
 
 
 def check_weights(w, d: int) -> np.ndarray:

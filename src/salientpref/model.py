@@ -28,7 +28,6 @@ also keeps one int64 count per pair of all C(n,2), but nothing m long.
 
 from __future__ import annotations
 
-import numbers
 import sys
 from dataclasses import dataclass
 from typing import Iterable
@@ -36,9 +35,9 @@ from typing import Iterable
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionError, InvalidPairError, PreconditionError
-from .features import check_weights
-from .selection import RealizedSelection, pair_index
+from .errors import DimensionError, PreconditionError
+from .features import check_int, check_real, check_weights, read_only
+from .selection import RealizedSelection, check_pairs, pair_index
 
 
 # Largest count a pair may hold: float64 represents every integer up to it
@@ -49,29 +48,29 @@ MAX_COUNT = 2**53
 _SAMPLE_BLOCK = 1 << 16
 
 
-def sum_counts(groups: np.ndarray, counts: np.ndarray, size: int):
-    """Exact per-group sums of nonnegative int64 ``counts``, each <= MAX_COUNT.
+def merge_pairs(keys: np.ndarray, wins: np.ndarray, total: np.ndarray):
+    """Exact sums of the counts of repeated pairs.
 
-    Returns ``(sums, first)``, where ``first`` is the position in ``counts`` at
-    which some group's running sum first exceeds MAX_COUNT, or None.  A
-    float64 bincount is exact while every running sum stays at or below 2**53;
-    only a group whose float sum reaches that is summed again in int64, where
-    no running sum can wrap before it crosses MAX_COUNT.
+    ``keys`` holds one int64 key per entry, ``i * n + j``, in any order and
+    repeated; the entries' int64 counts satisfy 0 <= wins <= total <=
+    MAX_COUNT.  Returns ``(keys, wins, total, first)``: the distinct keys in
+    increasing order, each one's summed wins and totals, and the position of
+    the entry at which some pair's running total first exceeds MAX_COUNT, or
+    None.  A float64 bincount is exact while every running sum stays at or
+    below 2**53, and a pair's wins never exceed its total; only a pair whose
+    float total reaches 2**53 is summed again in int64, where no running sum
+    can wrap before it crosses MAX_COUNT.
     """
-    sums = np.bincount(groups, weights=counts, minlength=size)
+    keys, groups = np.unique(keys, return_inverse=True)
+    sums = np.bincount(groups, weights=total, minlength=keys.size)
     first = None
     for g in np.nonzero(sums >= MAX_COUNT)[0]:
         rows = np.nonzero(groups == g)[0]
-        over = np.nonzero(np.cumsum(counts[rows]) > MAX_COUNT)[0]
+        over = np.nonzero(np.cumsum(total[rows]) > MAX_COUNT)[0]
         if over.size and (first is None or rows[over[0]] < first):
             first = int(rows[over[0]])
-    return sums.astype(np.int64), first
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
-    arr.setflags(write=False)
-    return arr
+    wins = np.bincount(groups, weights=wins, minlength=keys.size)
+    return keys, wins.astype(np.int64), sums.astype(np.int64), first
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,33 +94,27 @@ class ComparisonDataset:
     n_items: int
 
     def __post_init__(self):
-        i, j, wins, total = (
-            np.asarray(a, dtype=np.int64)
-            for a in (self.pair_i, self.pair_j, self.wins, self.total)
-        )
+        i, j = np.asarray(self.pair_i), np.asarray(self.pair_j)
+        wins, total = (np.asarray(a, dtype=np.int64) for a in (self.wins, self.total))
         if not (i.shape == j.shape == wins.shape == total.shape) or i.ndim != 1:
             raise DimensionError("pair_i, pair_j, wins, total must be 1-d arrays of equal length")
-        if np.any(i == j):
-            raise InvalidPairError("a sample compares an item with itself")
-        if i.size and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= self.n_items):
-            raise InvalidPairError("sample indices out of range")
+        i, j = check_pairs(i, j)  # integers; canonical once oriented below
+        swap = i > j
+        lo, hi = np.where(swap, j, i), np.where(swap, i, j)
+        i, j = check_pairs(lo, hi, canonical=True, n=self.n_items)
         if np.any((total < 1) | (total > MAX_COUNT) | (wins < 0) | (wins > total)):
             raise ValueError("each pair needs 1 <= total <= 2**53 and 0 <= wins <= total")
-        swap = i > j
-        i, j = np.where(swap, j, i), np.where(swap, i, j)
         wins = np.where(swap, total - wins, wins)
         key = i * self.n_items + j
         if np.any(np.diff(key) <= 0):  # unsorted or repeated pairs: merge them
-            key, groups = np.unique(key, return_inverse=True)
-            total, over = sum_counts(groups, total, key.size)
+            key, wins, total, over = merge_pairs(key, wins, total)
             if over is not None:
                 raise PreconditionError("a pair's total count exceeds 2**53")
-            wins, _ = sum_counts(groups, wins, key.size)
             i, j = key // self.n_items, key % self.n_items
         if sum(total.tolist()) > sys.maxsize:
             raise PreconditionError(f"the total comparison count exceeds {sys.maxsize}")
         for name, arr in (("pair_i", i), ("pair_j", j), ("wins", wins), ("total", total)):
-            object.__setattr__(self, name, _read_only(arr))
+            object.__setattr__(self, name, read_only(arr))
 
     def __len__(self) -> int:
         """Number of comparisons: the sum of the pair totals."""
@@ -132,11 +125,11 @@ class ComparisonDataset:
 
     @property
     def i(self) -> np.ndarray:
-        return _read_only(np.repeat(self.pair_i, self.total))
+        return read_only(np.repeat(self.pair_i, self.total))
 
     @property
     def j(self) -> np.ndarray:
-        return _read_only(np.repeat(self.pair_j, self.total))
+        return read_only(np.repeat(self.pair_j, self.total))
 
     @classmethod
     def from_records(
@@ -186,7 +179,8 @@ def sample_comparisons(sel: RealizedSelection, w_star, m: int, seed: int) -> Com
     so blocked draws equal one call and the counts match the unblocked draws
     bit for bit.  Memory is O(C(n,2) + block), independent of m.
     """
-    m = _check_positive_int("m", m)
+    m = check_int("m", m, 1)
+    seed = check_int("seed", seed, 0)
     n = sel.features.n
     if n < 2:
         raise PreconditionError("need at least 2 items to compare")
@@ -212,27 +206,11 @@ def sample_comparisons(sel: RealizedSelection, w_star, m: int, seed: int) -> Com
     return ComparisonDataset(ii, jj, wins, total, n)
 
 
-def _check_positive_int(name: str, value) -> int:
-    """``value`` as a plain int, by ``SelectionSpec``'s rule: an integer (never
-    a bool, never coerced from a float or a string) of at least 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise PreconditionError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
-def check_real(name: str, value) -> float:
-    """``value`` as a float, by ``SelectionSpec``'s rule for ``p``: a real
-    number, never a bool and never coerced from a string."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise PreconditionError(f"{name} must be a real number, got {value!r}")
-    return float(value)
-
-
-def check_ridge(mu) -> float:
+def check_ridge(mu, name: str = "ridge weight mu") -> float:
     """Validate the ridge weight: a finite, nonnegative real number."""
-    mu = check_real("ridge weight mu", mu)
+    mu = check_real(name, mu)
     if not (np.isfinite(mu) and mu >= 0):
-        raise PreconditionError(f"ridge weight mu must be finite and >= 0, got {mu}")
+        raise PreconditionError(f"{name} must be finite and >= 0, got {mu}")
     return mu
 
 

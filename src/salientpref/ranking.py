@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DimensionError, UndefinedMetricError
-from .features import FeatureMatrix, check_weights
+from .features import FeatureMatrix, check_weights, read_only
 from .model import ComparisonDataset, design_matrix
 from .selection import RealizedSelection, all_pairs
 
@@ -37,9 +37,7 @@ class Ranking:
         n = pos.shape[0]
         if not np.array_equal(np.sort(pos), np.arange(1, n + 1)):
             raise DimensionError("positions must be a permutation of 1..n")
-        pos = np.ascontiguousarray(pos)
-        pos.setflags(write=False)
-        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "positions", read_only(pos))
 
     @property
     def n(self) -> int:

@@ -35,14 +35,13 @@ only, and ``diff_table`` reads all C(n,2) of them.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionError, InvalidPairError, NotSingleCoordinateError
-from .features import FeatureMatrix
+from .errors import DimensionError, InvalidPairError, NotSingleCoordinateError, PreconditionError
+from .features import FeatureMatrix, check_int, check_real
 
 # parameters each kind takes, in to_dict order
 _PARAMS = {
@@ -60,8 +59,9 @@ _DRAW_BLOCK = 4096
 class SelectionSpec:
     """Parameter record for one selection function.
 
-    ``t``, ``k`` and ``seed`` must be integers and ``p`` a real number (never
-    a bool); a parameter the kind does not use must be left unset.
+    ``t``, ``k`` and ``seed`` must be integers and ``p`` a real number, by
+    ``features.check_int`` and ``check_real``; a parameter the kind does not
+    use must be left unset.
     """
 
     kind: str
@@ -81,22 +81,17 @@ class SelectionSpec:
                     raise ValueError(f"{self.kind} takes no parameter {name!r}")
             elif value is None:
                 raise ValueError(f"{self.kind} requires {name!r}")
-            elif name == "p":
-                if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                    raise ValueError(f"p must be a real number, got {value!r}")
-                object.__setattr__(self, name, float(value))
             else:
-                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                    raise ValueError(f"{name} must be an integer, got {value!r}")
-                object.__setattr__(self, name, int(value))
+                check = check_real if name == "p" else check_int
+                object.__setattr__(self, name, check(name, value))
         if self.kind == "top_t" and self.t < 1:
-            raise ValueError("top_t requires an integer t >= 1")
+            raise PreconditionError("top_t requires an integer t >= 1")
         if self.kind == "random_exactly_k" and self.k < 1:
-            raise ValueError("random_exactly_k requires an integer k >= 1")
+            raise PreconditionError("random_exactly_k requires an integer k >= 1")
         if self.kind == "random_bernoulli" and not 0.0 < self.p <= 1.0:
-            raise ValueError("random_bernoulli requires p in (0, 1]")
+            raise PreconditionError("random_bernoulli requires p in (0, 1]")
         if self.seed is not None and not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+            raise PreconditionError("seed must fit in 64 unsigned bits")
 
     @classmethod
     def full(cls) -> "SelectionSpec":
@@ -153,6 +148,28 @@ def all_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(n, k=1)
 
 
+def check_pairs(ii, jj, canonical: bool = False, n: int | None = None):
+    """``ii`` and ``jj`` as int64 arrays of item indices, one pair per position.
+
+    They must be equal-length 1-d integer arrays (an empty one may have any
+    dtype); bools, floats and strings are refused, never cast.  With
+    ``canonical``, each pair must also have 0 <= i < j, and j < n when ``n``
+    is given.  Any failure raises ``InvalidPairError``.
+    """
+    ii, jj = np.asarray(ii), np.asarray(jj)
+    integer = {ii.dtype.kind, jj.dtype.kind} <= {"i", "u"}
+    if ii.ndim != 1 or ii.shape != jj.shape or not (integer or ii.size == 0):
+        raise InvalidPairError("pairs must be given as equal-length 1-d integer arrays")
+    ii, jj = ii.astype(np.int64, copy=False), jj.astype(np.int64, copy=False)
+    if canonical:
+        bad = np.flatnonzero((ii < 0) | (ii >= jj) | (n is not None and jj >= n))
+        if bad.size:
+            need = "0 <= i < j" + ("" if n is None else f" < n={n}")
+            i, j = ii[bad[0]], jj[bad[0]]
+            raise InvalidPairError(f"pair ({i}, {j}) is not canonical: need {need}")
+    return ii, jj
+
+
 class RealizedSelection:
     """A selection spec bound to a feature matrix; the constructor builds
     nothing.  ``keep`` and ``rows`` run the one subset rule, ``_keep_mask``,
@@ -171,16 +188,7 @@ class RealizedSelection:
 
     def _raw_diffs(self, ii, jj):
         """Checked int64 pairs and their raw differences U_i - U_j, fresh rows."""
-        ii, jj = np.asarray(ii), np.asarray(jj)
-        integer = {ii.dtype.kind, jj.dtype.kind} <= {"i", "u"}
-        if ii.ndim != 1 or ii.shape != jj.shape or not (integer or ii.size == 0):
-            raise InvalidPairError("pairs must be given as equal-length 1-d integer arrays")
-        ii, jj = ii.astype(np.int64, copy=False), jj.astype(np.int64, copy=False)
-        n = self.features.n
-        bad = np.flatnonzero((ii < 0) | (ii >= jj) | (jj >= n))
-        if bad.size:
-            i, j = ii[bad[0]], jj[bad[0]]
-            raise InvalidPairError(f"pair ({i}, {j}) is not canonical: need 0 <= i < j < n={n}")
+        ii, jj = check_pairs(ii, jj, canonical=True, n=self.features.n)
         UT = self.features.matrix.T
         diffs = UT[ii]
         diffs -= UT[jj]

@@ -62,8 +62,8 @@ import numpy as np
 from . import _kernels
 from .errors import PreconditionError
 from .estimator import fit
-from .features import FeatureMatrix, center_columns, check_weights
-from .model import _check_positive_int, sample_comparisons
+from .features import FeatureMatrix, center_columns, check_int, check_real, check_weights
+from .model import sample_comparisons
 from .ranking import utility_gaps
 from .selection import RealizedSelection, all_pairs
 
@@ -129,7 +129,7 @@ def _spectrum(X: np.ndarray):
 
 
 def _check_delta(delta: float) -> float:
-    delta = float(delta)
+    delta = check_real("delta", delta)
     if not 0.0 < delta < 1.0:
         raise PreconditionError(f"delta must lie in (0, 1), got {delta}")
     return delta
@@ -479,7 +479,7 @@ def ranking_recovery_report(certificate: SampleComplexityReport, k: int) -> Rank
     """
     d, n = certificate.d, certificate.n
     npairs = n * (n - 1) // 2
-    k = _check_positive_int("k", k)
+    k = check_int("k", k, 1)
     if k > npairs:
         raise PreconditionError(f"k must lie in [1, C(n,2)] = [1, {npairs}], got {k}")
     if certificate.w_star is None:
@@ -549,11 +549,12 @@ def empirical_guarantee_check(
     ``certificate`` is ``sample_complexity_report(sel, w_star, delta)``, made
     with w* for an identifiable instance (else this raises); the trials
     resample and refit that instance.  ``m`` and ``trials`` are integers of
-    at least 1.  Below max(m1, m2) samples the bound promises nothing, so the
-    check is skipped (applicable=False).
+    at least 1 and ``seed`` one of at least 0.  Below max(m1, m2) samples
+    the bound promises nothing, so the check is skipped (applicable=False).
     """
-    m = _check_positive_int("m", m)
-    trials = _check_positive_int("trials", trials)
+    m = check_int("m", m, 1)
+    trials = check_int("trials", trials, 1)
+    seed = check_int("seed", seed, 0)
     if certificate.w_star is None:
         raise PreconditionError(_NO_TRUE_WEIGHTS)
     if not certificate.identifiable:

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -82,6 +83,8 @@ class TestSimulate:
         assert manifest["seed"] == 7
         assert manifest["flags"]["selection"] == {"kind": "top_t", "t": 2}
         assert "library_version" in manifest
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["python_version"] == platform.python_version()
 
     def test_zero_dimension_is_usage_error(self, tmp_path):
         proc = run_cli(
@@ -834,4 +837,19 @@ class TestSweep:
         assert cli.main(["sweep", "--spec", str(path), "--out-dir", str(out)]) == 1
         want = "sweep spec must" if key is None else f"sweep spec {key}"
         assert want in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_spec_keys_rejected(self, tmp_path, capsys, monkeypatch):
+        # misspelt keys used to be ignored: this ran one worker with mu 0
+        def no_instance(task):
+            raise AssertionError("an instance ran before the spec was checked")
+
+        monkeypatch.setattr(cli, "_sweep_instance", no_instance)
+        spec = {"d": 2, "n": 5, "selections": [{"kind": "full"}], "m_grid": [50], "seeds": [0],
+                "worker": 4, "mu ": 0.5}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--spec", str(path), "--out-dir", str(out)]) == 1
+        assert "unknown sweep spec keys: ['mu ', 'worker']" in capsys.readouterr().err
         assert not out.exists()

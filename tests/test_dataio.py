@@ -161,6 +161,15 @@ class TestComparisonsFile:
         data = load_comparisons(str(path), fm, min_count=5)
         assert count_lists(data) == ([0], [2], [5], [5])
 
+    @pytest.mark.parametrize("min_count", [2.5, True, "x", -1])
+    def test_min_count_must_be_an_integer(self, tmp_path, features_csv, min_count):
+        # 2.5 used to filter as 3 and True as 1
+        fm = load_features(features_csv)
+        path = tmp_path / "c.csv"
+        path.write_text("winner_id,loser_id,count\nalpha,beta,2\n", encoding="utf-8")
+        with pytest.raises(PreconditionError, match="min_count must be an integer >= 0"):
+            load_comparisons(str(path), fm, min_count=min_count)
+
     def test_unknown_id_reported(self, tmp_path, features_csv):
         fm = load_features(features_csv)
         path = tmp_path / "c.csv"

@@ -11,6 +11,7 @@ from salientpref import (
     ComparisonDataset,
     DimensionError,
     FeatureMatrix,
+    InvalidPairError,
     PreconditionError,
     Ranking,
     SelectionSpec,
@@ -523,6 +524,16 @@ class TestPairArrayChecks:
     def test_repeated_pair(self, call):
         with pytest.raises(ValueError, match=r"pair \(0, 2\) is repeated"):
             call([0, 1, 0], [2, 2, 2], [0.5, 0.5, 0.7])
+
+    @pytest.mark.parametrize(
+        "i, j",
+        [([0.9, 0.2, 1.7], [1.2, 2.9, 2.1]), (["0", "0", "1"], ["1", "2", "2"]),
+         ([False, False, True], [True, True, True]), ([0, 0, 1], [1.0, 2.0, 2.0])],
+    )
+    def test_pair_ids_must_be_integers(self, call, i, j):
+        # the floats used to be truncated to the pairs (0, 1), (0, 2), (1, 2)
+        with pytest.raises(InvalidPairError, match="integer arrays"):
+            call(i, j, [0.7, 0.6, 0.8])
 
 
 class TestReferenceChecks:

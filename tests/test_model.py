@@ -45,6 +45,18 @@ class TestComparisonDataset:
         with pytest.raises(InvalidPairError):
             single_pair_dataset([(0, 5, 1)], 3)
 
+    @pytest.mark.parametrize(
+        "i, j", [([0.9], [1.7]), (["0"], ["1"]), ([False], [True]), ([0], [1.0])]
+    )
+    def test_pair_ids_must_be_integers(self, i, j):
+        # ([0.9], [1.7]) used to hold the pair (0, 1) with wins 1 and total 2
+        with pytest.raises(InvalidPairError, match="integer arrays"):
+            ComparisonDataset(i, j, [1.5], [2.9], 3)
+
+    def test_empty_ids_of_any_dtype(self):
+        data = ComparisonDataset([], [], [], [], 3)
+        assert len(data) == 0 and data.pair_i.dtype == np.int64
+
     def test_multiplicity_kept(self):
         data = single_pair_dataset([(0, 1, 1)] * 3 + [(0, 1, 0)], 2)
         assert len(data) == 4
@@ -121,6 +133,13 @@ class TestSampleComparisons:
         sel = realize(SelectionSpec.full(), fm_from_columns([0.0], [1.0]))
         with pytest.raises(PreconditionError, match="m must be an integer >= 1"):
             sample_comparisons(sel, np.ones(1), bad, seed=0)
+
+    @pytest.mark.parametrize("bad", [True, 1.5, -1, "3"])
+    def test_seed_must_be_an_integer(self, bad):
+        # True used to run as seed 1; the others escaped as numpy errors
+        sel = realize(SelectionSpec.full(), fm_from_columns([0.0], [1.0]))
+        with pytest.raises(PreconditionError, match="seed must be an integer >= 0"):
+            sample_comparisons(sel, np.ones(1), 100, seed=bad)
 
     def test_strong_preference_dominates(self):
         fm = fm_from_columns([0.0], [1.0])

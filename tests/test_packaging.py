@@ -2,7 +2,8 @@
 the public names the package lists all exist and match a pinned list, as do
 the parameters of its public callables, no public function takes both a
 selection and the features it was realized on, nor a certificate beside the
-instance it certifies, and the README example runs."""
+instance it certifies, only ``features.py`` holds the scalar input rule, and
+the README example runs."""
 
 import ast
 import inspect
@@ -165,6 +166,23 @@ def test_no_public_callable_takes_a_certificate_beside_its_instance():
         if "certificate" in params and set(params) & {"features", "sel", "w_star"}
     ]
     assert both == []
+
+
+def test_only_features_imports_numbers():
+    # features.check_int and check_real are the one scalar input rule; another
+    # module that imports numbers is on its way to a second copy of it
+    importers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(module.split(".")[0] == "numbers" for module in modules):
+                importers.add(path.name)
+    assert importers == {"features.py"}
 
 
 def test_readme_quick_start_runs():

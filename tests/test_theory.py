@@ -213,6 +213,20 @@ class TestSampleComplexityReport:
             with pytest.raises(PreconditionError):
                 sample_complexity_report(sel, delta=delta)
 
+    @pytest.mark.parametrize("delta", ["0.1", True, "x"])
+    @pytest.mark.parametrize(
+        "report, spec",
+        [(sample_complexity_report, SelectionSpec.full()),
+         (full_selection_report, None),
+         (single_coordinate_report, SelectionSpec.top_t(1))],
+        ids=["sample_complexity", "full_selection", "single_coordinate"],
+    )
+    def test_delta_must_be_a_real_number(self, report, spec, delta):
+        # "0.1" used to be read as 0.1
+        fm, _ = hexagon_instance()
+        with pytest.raises(PreconditionError, match="delta must be a real number"):
+            report(fm if spec is None else realize(spec, fm), delta=delta)
+
 
 def assert_zeta_matches_oracle(sel):
     X = sel.diff_table()
@@ -832,6 +846,14 @@ class TestEmpiricalGuaranteeCheck:
         rep = sample_complexity_report(sel, w_star=np.array([0.3, -0.2]), delta=0.2)
         with pytest.raises(PreconditionError, match=f"{bad} must be an integer >= 1"):
             empirical_guarantee_check(rep, m, trials=trials, seed=0)
+
+    @pytest.mark.parametrize("seed", ["x", 1.5, -1, True])
+    def test_seed_checked_before_applicability(self, seed):
+        # m=10 is below the threshold, where the seed used to go unread
+        fm, sel = hexagon_instance()
+        rep = sample_complexity_report(sel, w_star=np.array([0.3, -0.2]), delta=0.2)
+        with pytest.raises(PreconditionError, match="seed must be an integer >= 0"):
+            empirical_guarantee_check(rep, 10, trials=1, seed=seed)
 
     def test_refuses_nonidentifiable(self):
         fm = FeatureMatrix(np.eye(3))
