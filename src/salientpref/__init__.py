@@ -51,11 +51,9 @@ from .ranking import (
 from .selection import RealizedSelection, SelectionSpec, realize
 from .theory import (
     FullSelectionBounds,
-    GuaranteeCheck,
     RankingRecoveryBounds,
     SampleComplexityReport,
     SingleCoordinateBounds,
-    empirical_guarantee_check,
     full_selection_report,
     ranking_recovery_report,
     sample_complexity_report,
@@ -100,12 +98,10 @@ __all__ = [
     "FullSelectionBounds",
     "SingleCoordinateBounds",
     "RankingRecoveryBounds",
-    "GuaranteeCheck",
     "sample_complexity_report",
     "full_selection_report",
     "single_coordinate_report",
     "ranking_recovery_report",
-    "empirical_guarantee_check",
     # errors
     "SalientPrefError",
     "DimensionError",

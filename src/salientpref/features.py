@@ -8,8 +8,8 @@ function (see :mod:`salientpref.selection`).
 
 Conventions: item and coordinate indices are 0-based throughout the library;
 subsets are strictly increasing tuples of coordinate indices.  The scalar
-input rule, ``check_int`` and ``check_real``, lives here too: every module
-can import this one.
+input rule, ``check_int`` and ``check_real``, and its array form,
+``is_int_array``, live here too: every module can import this one.
 """
 
 from __future__ import annotations
@@ -39,6 +39,20 @@ def check_real(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise PreconditionError(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def is_int_array(a: np.ndarray) -> bool:
+    """The array form of the integer rule: an integer dtype, or an empty
+    array of any dtype; bool, float and string arrays never pass."""
+    return a.dtype.kind in "iu" or a.size == 0
+
+
+def check_int_array(name: str, a) -> np.ndarray:
+    """``a`` as an int64 array, refused (never cast) unless ``is_int_array``."""
+    a = np.asarray(a)
+    if not is_int_array(a):
+        raise PreconditionError(f"{name} must be an integer array, got dtype {a.dtype}")
+    return a.astype(np.int64, copy=False)
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
@@ -88,11 +102,6 @@ class FeatureMatrix:
     def n(self) -> int:
         return self.matrix.shape[1]
 
-    def column(self, j: int) -> np.ndarray:
-        if not 0 <= j < self.n:
-            raise DimensionError(f"item index {j} out of range for n={self.n}")
-        return self.matrix[:, j]
-
     @cached_property
     def _id_index(self) -> dict[str, int]:
         return {s: k for k, s in enumerate(self.item_ids)}
@@ -102,12 +111,6 @@ class FeatureMatrix:
             return self._id_index[item_id]
         except KeyError:
             raise KeyError(f"unknown item id {item_id!r}") from None
-
-    @classmethod
-    def from_columns(cls, columns, item_ids=None) -> "FeatureMatrix":
-        """Build from an iterable of per-item vectors."""
-        cols = np.column_stack([np.asarray(c, dtype=np.float64) for c in columns])
-        return cls(cols, item_ids)
 
 
 def check_weights(w, d: int) -> np.ndarray:

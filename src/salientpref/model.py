@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DimensionError, PreconditionError
-from .features import check_int, check_real, check_weights, read_only
+from .features import check_int, check_int_array, check_real, check_weights, read_only
 from .selection import RealizedSelection, check_pairs, pair_index
 
 
@@ -94,27 +94,29 @@ class ComparisonDataset:
     n_items: int
 
     def __post_init__(self):
-        i, j = np.asarray(self.pair_i), np.asarray(self.pair_j)
-        wins, total = (np.asarray(a, dtype=np.int64) for a in (self.wins, self.total))
+        n = check_int("n_items", self.n_items, 0)
+        i, j, wins, total = map(np.asarray, (self.pair_i, self.pair_j, self.wins, self.total))
         if not (i.shape == j.shape == wins.shape == total.shape) or i.ndim != 1:
             raise DimensionError("pair_i, pair_j, wins, total must be 1-d arrays of equal length")
         i, j = check_pairs(i, j)  # integers; canonical once oriented below
+        wins, total = check_int_array("wins", wins), check_int_array("total", total)
         swap = i > j
         lo, hi = np.where(swap, j, i), np.where(swap, i, j)
-        i, j = check_pairs(lo, hi, canonical=True, n=self.n_items)
+        i, j = check_pairs(lo, hi, canonical=True, n=n)
         if np.any((total < 1) | (total > MAX_COUNT) | (wins < 0) | (wins > total)):
             raise ValueError("each pair needs 1 <= total <= 2**53 and 0 <= wins <= total")
         wins = np.where(swap, total - wins, wins)
-        key = i * self.n_items + j
+        key = i * n + j
         if np.any(np.diff(key) <= 0):  # unsorted or repeated pairs: merge them
             key, wins, total, over = merge_pairs(key, wins, total)
             if over is not None:
                 raise PreconditionError("a pair's total count exceeds 2**53")
-            i, j = key // self.n_items, key % self.n_items
+            i, j = key // n, key % n
         if sum(total.tolist()) > sys.maxsize:
             raise PreconditionError(f"the total comparison count exceeds {sys.maxsize}")
         for name, arr in (("pair_i", i), ("pair_j", j), ("wins", wins), ("total", total)):
             object.__setattr__(self, name, read_only(arr))
+        object.__setattr__(self, "n_items", n)
 
     def __len__(self) -> int:
         """Number of comparisons: the sum of the pair totals."""
@@ -136,7 +138,7 @@ class ComparisonDataset:
         cls, records: Iterable[tuple[int, int, int]], n_items: int
     ) -> "ComparisonDataset":
         """One (i, j, y) record per comparison, y = 1 iff item i won."""
-        rec = np.asarray(list(records), dtype=np.int64).reshape(-1, 3)
+        rec = check_int_array("records", list(records)).reshape(-1, 3)
         ones = np.ones(rec.shape[0], dtype=np.int64)
         return cls(rec[:, 0], rec[:, 1], rec[:, 2], ones, n_items)
 

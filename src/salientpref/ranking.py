@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DimensionError, UndefinedMetricError
-from .features import FeatureMatrix, check_weights, read_only
+from .features import FeatureMatrix, check_int_array, check_weights, read_only
 from .model import ComparisonDataset, design_matrix
 from .selection import RealizedSelection, all_pairs
 
@@ -31,7 +31,7 @@ class Ranking:
     positions: np.ndarray
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=np.int64)
+        pos = check_int_array("positions", self.positions)
         if pos.ndim != 1 or pos.shape[0] < 1:
             raise DimensionError("positions must be a nonempty 1-d array")
         n = pos.shape[0]
@@ -46,7 +46,7 @@ class Ranking:
     @classmethod
     def from_order(cls, order) -> "Ranking":
         """Build from a best-to-worst item ordering."""
-        order = np.asarray(order, dtype=np.int64)
+        order = check_int_array("order", order)
         pos = np.empty_like(order)
         pos[order] = np.arange(1, order.shape[0] + 1)
         return cls(pos)
@@ -112,7 +112,7 @@ def subset_kendall(full: Ranking, items) -> float:
     """Kendall correlation between a full ranking restricted to ``items`` and
     the best-to-worst order in which ``items`` are listed.  The items must be
     distinct indices in [0, n)."""
-    items = np.asarray(items, dtype=np.int64)
+    items = check_int_array("items", items)
     k = items.shape[0]
     if k < 2:
         raise DimensionError("need at least 2 items to correlate")

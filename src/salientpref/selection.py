@@ -41,7 +41,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DimensionError, InvalidPairError, NotSingleCoordinateError, PreconditionError
-from .features import FeatureMatrix, check_int, check_real
+from .features import FeatureMatrix, check_int, check_real, is_int_array
 
 # parameters each kind takes, in to_dict order
 _PARAMS = {
@@ -157,8 +157,7 @@ def check_pairs(ii, jj, canonical: bool = False, n: int | None = None):
     is given.  Any failure raises ``InvalidPairError``.
     """
     ii, jj = np.asarray(ii), np.asarray(jj)
-    integer = {ii.dtype.kind, jj.dtype.kind} <= {"i", "u"}
-    if ii.ndim != 1 or ii.shape != jj.shape or not (integer or ii.size == 0):
+    if ii.ndim != 1 or ii.shape != jj.shape or not (is_int_array(ii) and is_int_array(jj)):
         raise InvalidPairError("pairs must be given as equal-length 1-d integer arrays")
     ii, jj = ii.astype(np.int64, copy=False), jj.astype(np.int64, copy=False)
     if canonical:

@@ -42,8 +42,7 @@ difference is not: every square underflowed, and a zero spectrum would
 misreport the instance as unidentifiable.  Identical features, whose
 differences are all zero, are reported as not identifiable.
 Ranking recovery turns the weight error into a Kendall-distance guarantee via
-the k-th sorted utility gap, and the empirical guarantee check fits sampled
-data against the error bound; both take only the certificate, which holds its
+the k-th sorted utility gap; it takes only the certificate, which holds its
 selection and true weights.  Eigenvalues of the small d x d certificate
 matrices come from LAPACK; zeta takes the eigendecomposition of E[Z] and
 solves a secular equation per pair (see ``_kernels.zeta_scan``).
@@ -51,7 +50,6 @@ solves a secular equation per pair (see ``_kernels.zeta_scan``).
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 import sys
@@ -61,9 +59,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import PreconditionError
-from .estimator import fit
 from .features import FeatureMatrix, center_columns, check_int, check_real, check_weights
-from .model import sample_comparisons
 from .ranking import utility_gaps
 from .selection import RealizedSelection, all_pairs
 
@@ -511,73 +507,4 @@ def ranking_recovery_report(certificate: SampleComplexityReport, k: int) -> Rank
         delta=certificate.delta,
         b_star=certificate.b_star,
         lambda_=certificate.lambda_,
-    )
-
-
-@dataclass(frozen=True)
-class GuaranteeCheck(_Report):
-    """Outcome of sampling-and-fitting trials against the error bound.
-
-    ``stop_reasons`` counts the fits by stop reason.  ``errors`` and
-    ``pass_rate`` cover the converged fits only, the estimates the bound is
-    about; ``pass_rate`` is None when none converged."""
-
-    applicable: bool
-    m: int
-    m_required: float
-    bound: float | None
-    trials: int
-    pass_rate: float | None
-    errors: tuple[float, ...]
-    stop_reasons: dict[str, int]
-
-    def _extra(self) -> dict:
-        return {
-            "status": "ok" if self.applicable else "bound not applicable (m below threshold)"
-        }
-
-
-def empirical_guarantee_check(
-    certificate: SampleComplexityReport,
-    m: int,
-    trials: int,
-    seed: int,
-) -> GuaranteeCheck:
-    """Fraction of independent converged fits with error within the
-    certified bound.
-
-    ``certificate`` is ``sample_complexity_report(sel, w_star, delta)``, made
-    with w* for an identifiable instance (else this raises); the trials
-    resample and refit that instance.  ``m`` and ``trials`` are integers of
-    at least 1 and ``seed`` one of at least 0.  Below max(m1, m2) samples
-    the bound promises nothing, so the check is skipped (applicable=False).
-    """
-    m = check_int("m", m, 1)
-    trials = check_int("trials", trials, 1)
-    seed = check_int("seed", seed, 0)
-    if certificate.w_star is None:
-        raise PreconditionError(_NO_TRUE_WEIGHTS)
-    if not certificate.identifiable:
-        raise PreconditionError("instance is not identifiable; the bound never applies")
-    m_required = max(certificate.m1, certificate.m2)
-    applicable = m >= m_required
-    bound, errors, reasons = None, [], collections.Counter()
-    if applicable:
-        bound = certificate.error_bound(m)
-        sel, w_star = certificate.sel, certificate.w_star
-        for t in range(trials):
-            trial_seed = int(np.random.SeedSequence([seed, t]).generate_state(1)[0])
-            result = fit(sel, sample_comparisons(sel, w_star, m, trial_seed))
-            reasons[result.stop_reason] += 1
-            if result.converged:
-                errors.append(float(np.linalg.norm(result.w_hat - w_star)))
-    return GuaranteeCheck(
-        applicable=applicable,
-        m=m,
-        m_required=m_required,
-        bound=bound,
-        trials=trials,
-        pass_rate=sum(e <= bound for e in errors) / len(errors) if errors else None,
-        errors=tuple(errors),
-        stop_reasons=dict(sorted(reasons.items())),
     )

@@ -21,7 +21,6 @@ from salientpref import (
     SelectionSpec,
     center_columns,
     count_transitivity_violations,
-    empirical_guarantee_check,
     fit,
     full_selection_report,
     kendall_correlation,
@@ -251,9 +250,14 @@ def test_criterion_7_guarantee_soundness():
         rep = sample_complexity_report(sel, w_star=w_star, delta=delta)
         assert rep.identifiable
         m = int(np.ceil(max(rep.m1, rep.m2)))
-        chk = empirical_guarantee_check(rep, m, trials=20, seed=7)
-        assert chk.applicable
-        assert chk.pass_rate == 1.0, chk.errors
+        assert m == 80 and m >= max(rep.m1, rep.m2)
+        bound = rep.error_bound(m)
+        for t in range(20):
+            trial_seed = int(np.random.SeedSequence([7, t]).generate_state(1)[0])
+            res = fit(sel, sample_comparisons(sel, w_star, m, trial_seed))
+            assert res.converged, (t, res.stop_reason)
+            error = float(np.linalg.norm(res.w_hat - w_star))
+            assert error <= bound, (t, error, bound)
 
 
 def test_criterion_8_ranking_metrics_and_bound_scaling():

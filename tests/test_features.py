@@ -8,7 +8,6 @@ class TestFeatureMatrix:
     def test_shape_accessors(self, rng):
         fm = FeatureMatrix(rng.normal(size=(3, 5)))
         assert fm.d == 3 and fm.n == 5
-        assert fm.column(2).shape == (3,)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(DimensionError):

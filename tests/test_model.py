@@ -53,6 +53,28 @@ class TestComparisonDataset:
         with pytest.raises(InvalidPairError, match="integer arrays"):
             ComparisonDataset(i, j, [1.5], [2.9], 3)
 
+    @pytest.mark.parametrize(
+        "wins, total, name",
+        [([1.5], [2.9], "wins"), ([True], [1], "wins"), ([0], [True], "total"),
+         ([0], ["1"], "total")],
+        ids=["float_wins", "bool_wins", "bool_total", "string_total"],
+    )
+    def test_counts_must_be_integers(self, wins, total, name):
+        # ([1.5], [2.9]) used to hold wins 1 and total 2, and True to count as 1
+        with pytest.raises(PreconditionError, match=f"{name} must be an integer array"):
+            ComparisonDataset([0], [1], wins, total, 3)
+
+    @pytest.mark.parametrize("n_items", [3.5, True, "3", -1])
+    def test_n_items_must_be_an_integer(self, n_items):
+        # 3.5 used to be stored as the item count
+        with pytest.raises(PreconditionError, match="n_items must be an integer >= 0"):
+            ComparisonDataset([0], [1], [1], [1], n_items)
+
+    def test_records_must_be_integers(self):
+        # (0, 1.7, 1) used to be stored as the pair (0, 1)
+        with pytest.raises(PreconditionError, match="records must be an integer array"):
+            ComparisonDataset.from_records([(0, 1.7, 1)], 3)
+
     def test_empty_ids_of_any_dtype(self):
         data = ComparisonDataset([], [], [], [], 3)
         assert len(data) == 0 and data.pair_i.dtype == np.int64

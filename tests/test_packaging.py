@@ -56,12 +56,12 @@ def test_all_names_resolve_once():
 # the public names; adding or removing one is a visible change to this list
 PUBLIC_NAMES = [
     "ComparisonDataset", "DimensionError", "FeatureMatrix", "FitResult",
-    "FullSelectionBounds", "GuaranteeCheck", "InconsistencyReport", "InvalidPairError",
+    "FullSelectionBounds", "InconsistencyReport", "InvalidPairError",
     "NotSingleCoordinateError", "NumericalFailureError", "ParseError", "PreconditionError",
     "Ranking", "RankingRecoveryBounds", "RealizedSelection", "SalientPrefError",
     "SampleComplexityReport", "SelectionSpec", "SingleCoordinateBounds", "TransitivityReport",
     "UndefinedMetricError", "UnknownItemError", "__version__", "all_pair_probabilities",
-    "center_columns", "count_transitivity_violations", "empirical_guarantee_check", "fit",
+    "center_columns", "count_transitivity_violations", "fit",
     "full_selection_report", "kendall_correlation", "kendall_distance",
     "model_transitivity_report", "nll", "nll_gradient", "nll_hessian", "pairwise_accuracy",
     "pairwise_inconsistency", "rank_from_weights", "ranking_recovery_report", "realize",
@@ -98,9 +98,6 @@ PUBLIC_SIGNATURES = {
         "nu", "lambda_closed", "zeta_upper", "eta_upper", "beta", "b_star", "delta", "m1",
         "m_lower", "d", "n", "error_bound_coefficient",
     ),
-    "GuaranteeCheck": (
-        "applicable", "m", "m_required", "bound", "trials", "pass_rate", "errors", "stop_reasons",
-    ),
     "InconsistencyReport": ("pairs_compared", "inconsistent", "disagreeing_pairs"),
     "Ranking": ("positions",),
     "RankingRecoveryBounds": (
@@ -123,7 +120,6 @@ PUBLIC_SIGNATURES = {
     "all_pair_probabilities": ("sel", "w"),
     "center_columns": ("fm",),
     "count_transitivity_violations": ("pair_i", "pair_j", "prob"),
-    "empirical_guarantee_check": ("certificate", "m", "trials", "seed"),
     "fit": ("sel", "data", "mu", "tol_grad"),
     "full_selection_report": ("features", "w_star", "delta"),
     "kendall_correlation": ("a", "b"),
@@ -183,6 +179,16 @@ def test_only_features_imports_numbers():
             if any(module.split(".")[0] == "numbers" for module in modules):
                 importers.add(path.name)
     assert importers == {"features.py"}
+
+
+def test_theory_neither_samples_nor_fits():
+    # theory computes certificates from the instance alone; sampling data and
+    # fitting it against a certificate is the caller's business
+    siblings = set()
+    for node in ast.walk(ast.parse((PACKAGE / "theory.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            siblings.update([node.module] if node.module else [a.name for a in node.names])
+    assert not siblings & {"estimator", "model"}, sorted(siblings)
 
 
 def test_readme_quick_start_runs():

@@ -9,6 +9,7 @@ from salientpref import (
     ComparisonDataset,
     DimensionError,
     FeatureMatrix,
+    PreconditionError,
     Ranking,
     SelectionSpec,
     UndefinedMetricError,
@@ -38,6 +39,21 @@ class TestRankingType:
         r = Ranking.from_order([2, 0, 1])
         np.testing.assert_array_equal(r.order(), [2, 0, 1])
         np.testing.assert_array_equal(r.positions, [2, 3, 1])
+
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            # the floats used to truncate to the ranking [1, 2, 3], True to [1]
+            (lambda: Ranking([1.5, 2.2, 3.9]), "positions"),
+            (lambda: Ranking([True]), "positions"),
+            (lambda: Ranking.from_order([0.5, 1.9, 2.2]), "order"),
+            (lambda: Ranking.from_order(["0", "1", "2"]), "order"),
+        ],
+        ids=["float_positions", "bool_positions", "float_order", "string_order"],
+    )
+    def test_positions_and_order_must_be_integers(self, build, name):
+        with pytest.raises(PreconditionError, match=f"{name} must be an integer array"):
+            build()
 
 
 class TestRankFromWeights:
@@ -146,6 +162,14 @@ class TestSubsetKendall:
         full = Ranking(np.array([1, 2, 3, 4]))
         with pytest.raises(DimensionError, match="items must"):
             subset_kendall(full, items)
+
+    @pytest.mark.parametrize(
+        "items", [[0.2, 2.7], [False, True], ["0", "2"]], ids=["float", "bool", "string"]
+    )
+    def test_items_must_be_integers(self, items):
+        # [0.2, 2.7] used to read as items [0, 2] and return 1.0
+        with pytest.raises(PreconditionError, match="items must be an integer array"):
+            subset_kendall(Ranking([1, 2, 3]), items)
 
 
 class TestPairwiseAccuracy:

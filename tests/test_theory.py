@@ -12,7 +12,6 @@ from salientpref import (
     RealizedSelection,
     SelectionSpec,
     center_columns,
-    empirical_guarantee_check,
     full_selection_report,
     ranking_recovery_report,
     realize,
@@ -467,10 +466,6 @@ _RECOVERY_KEYS = [
     "M", "k", "alpha_k", "m_terms", "m_lower", "delta", "c5", "b_star", "lambda",
     "predicted", "guarantee",
 ]
-_GUARANTEE_KEYS = [
-    "applicable", "m", "m_required", "bound", "trials", "pass_rate", "errors", "stop_reasons",
-    "status",
-]
 
 
 @pytest.mark.parametrize(
@@ -485,21 +480,14 @@ _GUARANTEE_KEYS = [
             ),
             _RECOVERY_KEYS,
         ),
-        (
-            lambda fm, sel: empirical_guarantee_check(
-                sample_complexity_report(sel, w_star=np.ones(3)), 1, trials=1, seed=0
-            ),
-            _GUARANTEE_KEYS,
-        ),
     ],
-    ids=["certificate", "full_selection", "single_coordinate",
-         "ranking_recovery", "guarantee_check"],
+    ids=["certificate", "full_selection", "single_coordinate", "ranking_recovery"],
 )
 def test_report_schema(rng, build, keys):
     fm = FeatureMatrix(rng.normal(size=(3, 9)))
     out = build(fm, realize(SelectionSpec.top_t(1), fm)).to_dict()
     assert list(out) == keys
-    for key in ("partition_sizes", "m_terms", "errors"):
+    for key in ("partition_sizes", "m_terms"):
         if key in out:
             assert isinstance(out[key], list)
 
@@ -767,102 +755,3 @@ def test_largest_finite_scale_still_certifies():
     rep = sample_complexity_report(realize(SelectionSpec.top_t(1), fm))
     full = full_selection_report(fm)
     assert all(math.isfinite(v) for v in (rep.eta, rep.m1, rep.m2, full.nu, full.m_lower))
-
-
-def guarantee(sel, w_star, m, delta, trials, seed):
-    cert = sample_complexity_report(sel, w_star=w_star, delta=delta)
-    return empirical_guarantee_check(cert, m, trials, seed)
-
-
-class TestEmpiricalGuaranteeCheck:
-    def test_below_threshold_skipped(self):
-        fm, sel = hexagon_instance()
-        chk = guarantee(sel, np.array([0.3, -0.2]), m=10, delta=0.2, trials=3, seed=0)
-        assert not chk.applicable
-        assert chk.pass_rate is None
-        assert "not applicable" in chk.to_dict()["status"]
-
-    def test_valid_regime_all_pass(self):
-        fm, sel = hexagon_instance()
-        w_star = np.array([0.3, -0.2])
-        rep = sample_complexity_report(sel, w_star=w_star, delta=0.2)
-        m = int(np.ceil(max(rep.m1, rep.m2)))
-        chk = empirical_guarantee_check(rep, m, trials=5, seed=1)
-        assert chk.applicable
-        assert chk.pass_rate == 1.0
-
-    def test_only_converged_fits_are_scored(self, monkeypatch):
-        import dataclasses
-        import itertools
-
-        import salientpref.theory
-
-        fm, sel = hexagon_instance()
-        w_star = np.array([0.3, -0.2])
-        rep = sample_complexity_report(sel, w_star=w_star, delta=0.2)
-        m = int(np.ceil(max(rep.m1, rep.m2)))
-        every = empirical_guarantee_check(rep, m, trials=3, seed=1)
-        assert every.stop_reasons == {"converged": 3}
-        real_fit = salientpref.theory.fit
-
-        def fit_stopping(stopped):
-            trial = itertools.count()
-
-            def stopping_fit(*args, **kwargs):
-                result = real_fit(*args, **kwargs)
-                if next(trial) in stopped:
-                    result = dataclasses.replace(result, stop_reason="max_iters")
-                return result
-
-            return stopping_fit
-
-        monkeypatch.setattr(salientpref.theory, "fit", fit_stopping({1}))
-        chk = empirical_guarantee_check(rep, m, trials=3, seed=1)
-        assert chk.stop_reasons == {"converged": 2, "max_iters": 1}
-        assert chk.errors == (every.errors[0], every.errors[2])
-        assert chk.pass_rate == 1.0
-
-        monkeypatch.setattr(salientpref.theory, "fit", fit_stopping({0, 1, 2}))
-        chk = empirical_guarantee_check(rep, m, trials=3, seed=1)
-        assert chk.stop_reasons == {"max_iters": 3}
-        assert chk.errors == () and chk.pass_rate is None
-
-    def test_zero_truth_trivially_inside(self):
-        fm, sel = hexagon_instance()
-        rep = sample_complexity_report(sel, w_star=np.zeros(2), delta=0.2)
-        m = int(np.ceil(max(rep.m1, rep.m2)))
-        chk = empirical_guarantee_check(rep, m, trials=3, seed=2)
-        assert chk.pass_rate == 1.0
-
-    @pytest.mark.parametrize(
-        "bad, m, trials",
-        [("m", -3, 1), ("m", 0, 1), ("m", 2.5, 1), ("m", True, 1),
-         ("trials", 10, 1.5), ("trials", 10, True), ("trials", 10, -1)],
-    )
-    def test_integer_arguments_checked_before_applicability(self, bad, m, trials):
-        # each m here is below the threshold, where the check used to skip
-        # (applicable=False) without reading m or trials
-        fm, sel = hexagon_instance()
-        rep = sample_complexity_report(sel, w_star=np.array([0.3, -0.2]), delta=0.2)
-        with pytest.raises(PreconditionError, match=f"{bad} must be an integer >= 1"):
-            empirical_guarantee_check(rep, m, trials=trials, seed=0)
-
-    @pytest.mark.parametrize("seed", ["x", 1.5, -1, True])
-    def test_seed_checked_before_applicability(self, seed):
-        # m=10 is below the threshold, where the seed used to go unread
-        fm, sel = hexagon_instance()
-        rep = sample_complexity_report(sel, w_star=np.array([0.3, -0.2]), delta=0.2)
-        with pytest.raises(PreconditionError, match="seed must be an integer >= 0"):
-            empirical_guarantee_check(rep, 10, trials=1, seed=seed)
-
-    def test_refuses_nonidentifiable(self):
-        fm = FeatureMatrix(np.eye(3))
-        sel = realize(SelectionSpec.full(), fm)
-        with pytest.raises(PreconditionError):
-            guarantee(sel, np.zeros(3), m=1000, delta=0.2, trials=2, seed=0)
-
-    def test_mismatched_certificate_rejected(self):
-        fm, sel = hexagon_instance()
-        without_weights = sample_complexity_report(sel, delta=0.2)
-        with pytest.raises(PreconditionError, match="certificate"):
-            empirical_guarantee_check(without_weights, 10**6, trials=1, seed=0)
