@@ -22,21 +22,14 @@ rankings keep the per-record reader: their files are small, and the
 rankings' checks are per ranker.
 
 Reports are written by ``write_json``, whose bytes are always those of
-``json.dump(payload, fh, indent=2, sort_keys=True)`` followed by a newline,
-with every ``Records`` in the payload written as its ``tolist()``; identical
-runs therefore produce identical bytes.  A ``Records`` holds listed rows
-(violating triples, disagreeing pairs) as an int64 array, or as a row source
-that decodes rows on request (``diagnostics.ViolationRows``, 8 bytes per
-row), plus a per-row template.  The writer reads the rows as codes into
-per-column labels: a ``ViolationRows`` gives the scan's own item indices,
-with the items as labels, and an array's codes index each column's distinct
-values.  A column's strings, the template text before it followed by each
-label's JSON text, are made once per listing, not once per chunk, and
-adjacent columns share one table of their concatenations while it holds at
-most ``CHUNK_ROWS`` strings.  The rows are read in chunks of ``CHUNK_ROWS``,
-and each chunk is written as one join of one gather of its codes per table.
-No dict or list is built per row; the writer's memory is the tables plus
-one chunk's codes and text, not the listing.
+``json.dump(payload, fh, indent=2, sort_keys=True)`` followed by a newline;
+identical runs therefore produce identical bytes.  A ``Listing`` in the
+payload (violating triples, disagreeing pairs) is written as the list of its
+rows, in chunks of ``CHUNK_ROWS``: its owner gives a few tables of row text,
+made once per write, and each chunk's rows as indices into them, so a chunk
+is one join of one gather per table.  No dict or list is built per row; the
+writer's memory is the tables plus one chunk's codes and text, not the
+listing.
 
 Features are read as written.  ``FeatureStats`` is the one standardization
 rule: (x - mean) / std per feature with the population convention (divisor
@@ -50,6 +43,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -327,188 +321,94 @@ def load_rankings(path: str, fm: FeatureMatrix) -> list[SubsetRanking]:
     return out
 
 
-# Rows per chunk of a Records listing.  A chunk's text and its UTF-8 copy are
-# the writer's largest objects, about 330 KB each for triple rows; twice as
-# many rows wrote no faster and raised diagnose's high-water mark by 0.6 MB.
+# Rows per chunk of a listing.  A chunk's text and its UTF-8 copy are the
+# writer's largest objects, about 330 KB each for triple rows; twice as many
+# rows wrote no faster and raised diagnose's high-water mark by 0.6 MB.
 CHUNK_ROWS = 2048
 
 
-@dataclass(frozen=True)
-class Column:
-    """A ``Records`` template leaf: column ``index`` of the row, written as a
-    JSON int, or as ``true``/``false`` (nonzero/zero) when ``boolean``."""
-
-    index: int
-    boolean: bool = False
-
-
 @dataclass(frozen=True, eq=False)
-class Records:
-    """Listed rows, each written as ``template`` with every ``Column`` filled
-    in from the row.
+class Listing:
+    """Listed rows that ``write_json`` writes as a JSON list.
 
-    ``rows`` is a 2-d int64 array, held read-only, or a row source: an object
-    whose ``len()`` is its number of rows, whose slices are 2-d int64 arrays,
-    and which gives its rows as codes: ``labels``, one 1-d int64 array per
-    column, and ``codes(index)``, the rows of the slice ``index`` as an int
-    array whose column c indexes ``labels[c]``.  ``diagnostics.ViolationRows``
-    is one.  Rows are read from either ``CHUNK_ROWS`` at a time.  The template
-    is JSON data (dicts with str keys, lists, scalars) whose ``Column`` leaves
-    name the rows' columns.
+    ``rows`` is the number of rows.  ``tables(level)`` gives a few object
+    arrays of strings for rows nested at ``level``: a row's text is one
+    string from each table, in order, and the last table's strings end with
+    a comma.  ``codes(index)`` gives the rows of the slice ``index`` as an
+    int array with one column of table indices per table.
     """
 
-    rows: object
-    template: object
-
-    def __post_init__(self):
-        rows = self.rows
-        if isinstance(rows, np.ndarray):
-            rows = np.asarray(rows, dtype=np.int64)
-            if rows.flags.writeable:
-                rows = rows.view()
-                rows.setflags(write=False)
-        shape = np.shape(rows[:0])
-        if len(shape) != 2:
-            raise ValueError(f"records need a 2-d array, got ndim={len(shape)}")
-        for token in _frame(self.template, 0, Column):
-            if not isinstance(token, str) and not 0 <= token[0].index < shape[1]:
-                raise ValueError(f"template column {token[0].index} outside {shape[1]} columns")
-        object.__setattr__(self, "rows", rows)
-
-    def tolist(self) -> list:
-        """The rows as plain JSON data: one filled-in template per row."""
-        return [
-            _fill(self.template, row)
-            for start in range(0, len(self.rows), CHUNK_ROWS)
-            for row in self.rows[start : start + CHUNK_ROWS].tolist()
-        ]
+    rows: int
+    tables: Callable[[int], list]
+    codes: Callable[[slice], np.ndarray]
 
     def _write(self, fh, level: int) -> None:
-        """Write the list as ``json.dump`` would at nesting ``level``.
-
-        A template column's strings are the template text before it followed
-        by each label's JSON text.  Adjacent columns share one table, of every
-        concatenation of their strings, while it holds at most ``CHUNK_ROWS``
-        strings; a row reads it at the mixed-radix code of those columns.  The
-        last table's strings end with the text after the last column and a
-        comma.  A chunk is written as one join of one gather per table.
-        """
-        total = len(self.rows)
-        if not total:
+        """Write the list as ``json.dump`` would at nesting ``level``, a
+        chunk of ``CHUNK_ROWS`` rows at a time, each chunk as one join of
+        one gather per table."""
+        if not self.rows:
             fh.write("[]")
             return
-        source = _ArrayCodes(self.rows) if isinstance(self.rows, np.ndarray) else self.rows
-        # per table: its (column, label count) pairs and its strings
-        tables, text = [], "\n" + "  " * (level + 1)
-        for token in _frame(self.template, level + 1, Column):
-            if isinstance(token, str):
-                text += token
-                continue
-            column = token[0]
-            labels = source.labels[column.index].tolist()
-            if column.boolean:
-                labels = ["true" if v else "false" for v in labels]
-            strings = [text + str(label) for label in labels]
-            text = ""
-            columns = []
-            if tables and len(tables[-1][1]) * len(strings) <= CHUNK_ROWS:
-                columns, table = tables.pop()
-                strings = [head + tail for head in table for tail in strings]
-            tables.append((columns + [(column.index, len(labels))], strings))
-        columns, table = tables.pop() if tables else ([], [""])
-        tables.append((columns, [head + text + "," for head in table]))
-        tables = [(columns, np.array(table, dtype=object)) for columns, table in tables]
+        tables = self.tables(level + 1)
         fh.write("[")
-        for start in range(0, total, CHUNK_ROWS):
-            codes = source.codes(slice(start, start + CHUNK_ROWS))
-            pieces = [""] * (len(codes) * len(tables))
-            for k, (columns, table) in enumerate(tables):
-                code = np.zeros(len(codes), dtype=np.intp)
-                for column, size in columns:
-                    code = code * size + codes[:, column]
-                pieces[k :: len(tables)] = table[code].tolist()
-            if start + CHUNK_ROWS >= total:
+        for start in range(0, self.rows, CHUNK_ROWS):
+            codes = self.codes(slice(start, start + CHUNK_ROWS))
+            pieces = [""] * codes.size
+            for k, table in enumerate(tables):
+                pieces[k :: len(tables)] = table[codes[:, k]].tolist()
+            if start + CHUNK_ROWS >= self.rows:
                 pieces[-1] = pieces[-1][:-1]  # no comma after the listing's last row
             fh.write("".join(pieces))
         fh.write("\n" + "  " * level + "]")
 
 
-class _ArrayCodes:
-    """A 2-d int64 array's rows as codes into each column's distinct values,
-    found a slice at a time by ``np.searchsorted``."""
-
-    def __init__(self, rows: np.ndarray):
-        self.rows = rows
-        self.labels = [np.unique(column) for column in rows.T]
-
-    def codes(self, index: slice) -> np.ndarray:
-        chunk = self.rows[index]
-        return np.column_stack([np.searchsorted(*pair) for pair in zip(self.labels, chunk.T)])
-
-
-def _fill(template, row: list):
-    if isinstance(template, Column):
-        value = row[template.index]
-        return value != 0 if template.boolean else value
-    if isinstance(template, dict):
-        return {key: _fill(value, row) for key, value in template.items()}
-    if isinstance(template, (list, tuple)):
-        return [_fill(value, row) for value in template]
-    return template
-
-
-def _holds(obj, kind: type) -> bool:
-    if isinstance(obj, kind):
+def _holds(obj) -> bool:
+    if isinstance(obj, Listing):
         return True
     if isinstance(obj, dict):
         obj = obj.values()
     elif not isinstance(obj, (list, tuple)):
         return False
-    return any(_holds(value, kind) for value in obj)
+    return any(map(_holds, obj))
 
 
-def _frame(obj, level: int, kind: type):
-    """The text ``json.dumps(obj, indent=2, sort_keys=True)`` writes for
-    ``obj`` nested at ``level``, as tokens: ``(node, level)`` in place of each
-    node of type ``kind``, text otherwise.
+def _frame(fh, obj, level: int) -> None:
+    """Write ``obj`` nested at ``level`` as ``json.dumps(obj, indent=2,
+    sort_keys=True)`` would, each ``Listing`` in it as the list of its rows.
 
-    Every subtree without such a node is written by ``json.dumps``, whose
+    Every subtree without a listing is written by ``json.dumps``, whose
     output holds no raw newline inside a string, so indenting it is safe;
-    only the dicts and lists that hold such a node are framed here, as
+    only the dicts and lists that hold a listing are framed here, as
     ``json`` frames them.
     """
-    if isinstance(obj, kind):
-        yield obj, level
-    elif not _holds(obj, kind):
-        yield json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)
+    if isinstance(obj, Listing):
+        obj._write(fh, level)
+    elif not _holds(obj):
+        fh.write(json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level))
     else:
         inner = "\n" + "  " * (level + 1)
         is_dict = isinstance(obj, dict)
-        yield "{" if is_dict else "["
+        fh.write("{" if is_dict else "[")
         for k, item in enumerate(sorted(obj.items()) if is_dict else obj):
-            yield "," + inner if k else inner
+            fh.write("," + inner if k else inner)
             if is_dict:
                 key, item = item
                 if not isinstance(key, str):
-                    raise TypeError(f"keys around listed records must be str, got {key!r}")
-                yield json.dumps(key) + ": "
-            yield from _frame(item, level + 1, kind)
-        yield "\n" + "  " * level + ("}" if is_dict else "]")
+                    raise TypeError(f"keys around a listing must be str, got {key!r}")
+                fh.write(json.dumps(key) + ": ")
+            _frame(fh, item, level + 1)
+        fh.write("\n" + "  " * level + ("}" if is_dict else "]"))
 
 
 def write_json(path: str, payload: dict) -> None:
     """Write ``payload`` as ``json.dump(indent=2, sort_keys=True)`` plus a
-    newline would, each ``Records`` in it written as its ``tolist()``.
+    newline would, each ``Listing`` in it written as the list of its rows.
 
-    The ``Records`` are found by walking the payload, so no string in it can
+    The listings are found by walking the payload, so no string in it can
     stand in for one.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        for token in _frame(payload, 0, Records):
-            if isinstance(token, str):
-                fh.write(token)
-            else:
-                token[0]._write(fh, token[1])
+        _frame(fh, payload, 0)
         fh.write("\n")
 
 

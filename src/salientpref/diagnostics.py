@@ -23,16 +23,18 @@ triple that violates the weak form also violates the moderate and strong
 forms, so the three counters are nested.
 
 A report holds its listed rows as one int64 key each, 8 bytes per row, and
-reads its counts from the key bits.  ``ViolationRows`` decodes the keys only
-a slice at a time: into ``(x, y, z, moderate, weak)`` rows in item ids on
-request, and for ``dataio.write_json`` into codes, the scan's own item
-indices, which index the writer's tables of strings directly.  So the writer
-never builds the whole decoded listing, nor any row of item ids.
+reads its counts from the key bits.  ``ViolationRows`` decodes the keys into
+``(x, y, z, moderate, weak)`` rows in item ids only on request.  Each
+report's ``to_dict`` gives its listing to ``dataio.write_json`` as a few
+tables of row text and, a chunk at a time, each row's indices into them: a
+chunk of triple keys decodes into the scan's own item indices, which index
+the tables directly, so the writer never builds any row of item ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -68,10 +70,9 @@ def _pair_arrays(pair_i, pair_j, *probs) -> list[np.ndarray]:
 class ViolationRows:
     """The rows ``(x, y, z, moderate, weak)`` of a transitivity report, held
     as one int64 key each (8 bytes per row; see ``_kernels.transitivity_scan``)
-    and decoded only on request: ``len()`` is the number of rows, a slice is a
-    ``(k, 5)`` int64 array of those rows and ``np.asarray`` decodes them all.
-    ``codes`` decodes a slice without reading the item ids: ``x, y, z`` as
-    indices into ``labels`` (the items), the flags as indices into ``[0, 1]``.
+    over the scan's item indices, and decoded only on request: ``len()`` is
+    the number of rows, a slice is a ``(k, 5)`` int64 array of those rows in
+    item ids and ``np.asarray`` decodes them all.
     """
 
     __slots__ = ("_keys", "_items")
@@ -82,18 +83,10 @@ class ViolationRows:
     def __len__(self) -> int:
         return self._keys.size
 
-    @property
-    def labels(self) -> tuple:
-        flags = np.arange(2, dtype=np.int64)
-        return (self._items,) * 3 + (flags,) * 2
-
-    def codes(self, index: slice) -> np.ndarray:
-        return _kernels.unpack(self._keys[index], self._items.size)
-
     def __getitem__(self, index: slice) -> np.ndarray:
         if not isinstance(index, slice):
             raise TypeError("violation rows are read a slice at a time")
-        rows = self.codes(index)
+        rows = _kernels.unpack(self._keys[index], self._items.size)
         rows[:, :3] = self._items[rows[:, :3]]
         return rows
 
@@ -103,22 +96,43 @@ class ViolationRows:
         return self[:] if dtype is None else self[:].astype(dtype, copy=False)
 
 
+def _triple_tables(items: np.ndarray, level: int) -> list[np.ndarray]:
+    """The text of a listed triple nested at ``level``, in three tables: the
+    moderate flag with x, then y, then z with the weak flag."""
+    r1, r2, r3 = ("\n" + "  " * (level + k) for k in range(3))
+    ids, flags = items.tolist(), ("false", "true")
+    tables = (
+        [f'{r1}{{{r2}"moderate": {f},{r2}"strong": true,{r2}"triple": [{r3}{x},'
+         for f in flags for x in ids],
+        [f"{r3}{y}," for y in ids],
+        [f'{r3}{z}{r2}],{r2}"weak": {f}{r1}}},' for z in ids for f in flags],
+    )
+    return [np.array(table, dtype=object) for table in tables]
+
+
+def _triple_codes(keys: np.ndarray, m: int, index: slice) -> np.ndarray:
+    """The rows of ``keys[index]`` as indices into ``_triple_tables``."""
+    rows = _kernels.unpack(keys[index], m)
+    rows[:, 0] += rows[:, 3] * m
+    rows[:, 2] = 2 * rows[:, 2] + rows[:, 4]
+    return rows[:, :3]
+
+
 @dataclass(frozen=True, eq=False)
 class TransitivityReport:
     """Counts of violating triples and the rows listing them.
 
     ``violations`` holds one row ``(x, y, z, moderate, weak)`` per checked
     orientation that violates strong transitivity, in lexicographic order of
-    the sorted triple: a ``ViolationRows`` from the scan, or a ``(k, 5)``
-    int64 array.  ``np.asarray(report.violations)`` gives the
-    array either way.
+    the sorted triple; ``np.asarray(report.violations)`` decodes them into a
+    ``(k, 5)`` int64 array.
     """
 
     triples_checked: int
     strong_violations: int
     moderate_violations: int
     weak_violations: int
-    violations: "ViolationRows | np.ndarray"
+    violations: ViolationRows
 
     def __post_init__(self):
         if not (
@@ -140,11 +154,12 @@ class TransitivityReport:
         }[level] / self.triples_checked
 
     def to_dict(self) -> dict:
-        """Counts and rates; ``violating_triples`` is a ``dataio.Records``
-        whose ``tolist()`` gives one ``{"triple", "strong", "moderate",
-        "weak"}`` dict per row, and which ``dataio.write_json`` streams."""
-        from .dataio import Column, Records  # the CLI's module: not loaded at package import
+        """Counts and rates; ``violating_triples`` is a ``dataio.Listing``
+        that ``dataio.write_json`` writes as one ``{"moderate", "strong",
+        "triple", "weak"}`` object per row."""
+        from .dataio import Listing  # the CLI's module: not loaded at package import
 
+        keys, items = self.violations._keys, self.violations._items
         return {
             "triples_checked": self.triples_checked,
             "strong_violations": self.strong_violations,
@@ -153,14 +168,8 @@ class TransitivityReport:
             "strong_rate": self.rate("strong"),
             "moderate_rate": self.rate("moderate"),
             "weak_rate": self.rate("weak"),
-            "violating_triples": Records(
-                self.violations,
-                {
-                    "moderate": Column(3, boolean=True),
-                    "strong": True,
-                    "triple": [Column(0), Column(1), Column(2)],
-                    "weak": Column(4, boolean=True),
-                },
+            "violating_triples": Listing(
+                keys.size, partial(_triple_tables, items), partial(_triple_codes, keys, items.size)
             ),
         }
 
@@ -206,6 +215,15 @@ def model_transitivity_report(sel: RealizedSelection, w) -> TransitivityReport:
     return count_transitivity_violations(*all_pairs(n), all_pair_probabilities(sel, w))
 
 
+def _pair_tables(values: np.ndarray, level: int) -> list[np.ndarray]:
+    """The text of a listed pair nested at ``level``, in two tables: i, then
+    j, each over the pairs' distinct ``values``."""
+    r1, r2 = ("\n" + "  " * (level + k) for k in range(2))
+    ids = values.tolist()
+    tables = [f"{r1}[{r2}{i}," for i in ids], [f"{r2}{j}{r1}]," for j in ids]
+    return [np.array(table, dtype=object) for table in tables]
+
+
 @dataclass(frozen=True, eq=False)
 class InconsistencyReport:
     """Pairs whose two probability sources disagree about the likely winner.
@@ -226,15 +244,21 @@ class InconsistencyReport:
         return self.inconsistent / self.pairs_compared
 
     def to_dict(self) -> dict:
-        """Counts and rate; ``disagreeing_pairs`` is a ``dataio.Records`` of
-        ``[i, j]`` lists."""
-        from .dataio import Column, Records  # the CLI's module: not loaded at package import
+        """Counts and rate; ``disagreeing_pairs`` is a ``dataio.Listing``
+        that ``dataio.write_json`` writes as one ``[i, j]`` list per pair."""
+        from .dataio import Listing  # the CLI's module: not loaded at package import
 
+        pairs = self.disagreeing_pairs
+        values = np.unique(pairs)
         return {
             "pairs_compared": self.pairs_compared,
             "inconsistent": self.inconsistent,
             "inconsistency_rate": self.rate,
-            "disagreeing_pairs": Records(self.disagreeing_pairs, [Column(0), Column(1)]),
+            "disagreeing_pairs": Listing(
+                len(pairs),
+                partial(_pair_tables, values),
+                lambda index: np.searchsorted(values, pairs[index]),
+            ),
         }
 
 

@@ -48,10 +48,16 @@ def is_int_array(a: np.ndarray) -> bool:
 
 
 def check_int_array(name: str, a) -> np.ndarray:
-    """``a`` as an int64 array, refused (never cast) unless ``is_int_array``."""
-    a = np.asarray(a)
+    """``a`` as an int64 array, refused (never cast) unless ``is_int_array``.
+    Input that is not an array may hold no bool either: numpy reads
+    ``[True, 2]`` as int64."""
+    given, a = a, np.asarray(a)
     if not is_int_array(a):
         raise PreconditionError(f"{name} must be an integer array, got dtype {a.dtype}")
+    if not isinstance(given, np.ndarray) and any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(given, dtype=object).flat
+    ):
+        raise PreconditionError(f"{name} must be an integer array, got a bool")
     return a.astype(np.int64, copy=False)
 
 

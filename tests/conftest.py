@@ -1,4 +1,5 @@
 import contextlib
+import json
 import os
 import threading
 import tracemalloc
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import salientpref
-from salientpref import FeatureMatrix, SelectionSpec, realize
+from salientpref import FeatureMatrix, SelectionSpec, dataio, realize
 
 # CLI tests run ``python -m salientpref.cli`` in child processes: let them
 # import the same package this process imported.
@@ -52,6 +53,21 @@ def make_instance(rng, d, n, spec=None):
 def count_lists(data):
     """A dataset's four count arrays as lists: pair_i, pair_j, wins, total."""
     return tuple(a.tolist() for a in (data.pair_i, data.pair_j, data.wins, data.total))
+
+
+def written(path, payload):
+    """``payload`` as ``dataio.write_json`` writes it to ``path``, read back."""
+    dataio.write_json(str(path), payload)
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def triple_objects(rows) -> list[dict]:
+    """The JSON objects ``diagnose`` lists for ``(x, y, z, moderate, weak)`` rows."""
+    return [
+        {"moderate": m == 1, "strong": True, "triple": [x, y, z], "weak": w == 1}
+        for x, y, z, m, w in np.asarray(rows).tolist()
+    ]
 
 
 def traced_peak(fn, *args):

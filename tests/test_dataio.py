@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import math
@@ -11,10 +12,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import count_lists, piped, traced_peak
+from conftest import count_lists, piped, traced_peak, triple_objects
 from salientpref import (
     ComparisonDataset,
     FeatureMatrix,
+    InconsistencyReport,
     ParseError,
     PreconditionError,
     TransitivityReport,
@@ -25,9 +27,7 @@ from salientpref import (
 )
 from salientpref.dataio import (
     CHUNK_ROWS,
-    Column,
     FeatureStats,
-    Records,
     load_comparisons,
     load_features,
     load_rankings,
@@ -635,100 +635,22 @@ class TestJsonHelpers:
             load_weights_json(path)
 
 
-TRIPLE = {
-    "moderate": Column(3, boolean=True),
-    "strong": True,
-    "triple": [Column(0), Column(1), Column(2)],
-    "weak": Column(4, boolean=True),
-}
 # literal text that looks like %-format placeholders, quotes and unicode
 TRICKY = ["%s", "%d", "%%", "%(x)s", '"%s"', "\\%s", "é ☃ %", "\n%s\t", "[", "{}", ""]
-TEMPLATES = [
-    TRIPLE,
-    [Column(0), Column(1)],
-    Column(2),
-    {"a %s": [Column(4), {"b": Column(1, boolean=True)}], "c": "%d \"%s\" é", "d": None},
-    [[], {}, Column(0), -1.5, math.inf],
-    {"no columns": [1, "%s"]},
-]
+BASES = (0, 10**6 - 3, 2 * 10**6, 2**62 - 40)
 
 
-@st.composite
-def records(draw):
-    k = draw(st.sampled_from([0, 1, 2, 5, CHUNK_ROWS, CHUNK_ROWS + 1]))
-    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rows = gen.integers(-(2**62), 2**62, size=(k, 5))
-    rows[:, 3:] = gen.integers(0, 2, size=(k, 2)) * gen.integers(1, 3, size=(k, 2))
-    return Records(rows, draw(st.sampled_from(TEMPLATES)))
-
-
-text = st.text() | st.sampled_from(TRICKY)
-leaves = (
-    st.none() | st.booleans() | st.integers() | st.floats() | text
-    | st.sampled_from([math.inf, -math.inf, math.nan])
-)
-payloads = st.recursive(
-    st.booleans().flatmap(lambda listed: records() if listed else leaves),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(text, inner, max_size=3),
-    max_leaves=6,
-)
-
-
-def plain(obj):
-    """The payload with every Records replaced by its list."""
-    if isinstance(obj, Records):
-        return obj.tolist()
-    if isinstance(obj, dict):
-        return {key: plain(value) for key, value in obj.items()}
-    if isinstance(obj, list):
-        return [plain(value) for value in obj]
-    return obj
-
-
-class TestRecords:
-    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(payload=payloads)
-    def test_write_json_bytes_equal_json_dump(self, tmp_path_factory, payload):
-        path = tmp_path_factory.mktemp("json") / "out.json"
-        write_json(str(path), payload)
-        want = json.dumps(plain(payload), indent=2, sort_keys=True) + "\n"
-        assert path.read_bytes() == want.encode("utf-8")
-
-    @pytest.mark.parametrize("k", [0, 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS - 1])
-    def test_chunk_edges_inside_a_report(self, tmp_path, k):
-        rows = np.arange(5 * k, dtype=np.int64).reshape(k, 5) % 7
-        listed = Records(rows, TRIPLE)
-        payload = {"item_ids": ["a", "%s"], "r": {"rows": listed, "x": [listed, None]}}
-        write_json(str(tmp_path / "o.json"), payload)
-        want = json.dumps(plain(payload), indent=2, sort_keys=True) + "\n"
-        assert (tmp_path / "o.json").read_bytes() == want.encode("utf-8")
-
-    def test_tolist_fills_the_template(self):
-        rows = np.array([[4, 2, 9, 1, 0], [1, 3, 5, 0, 2]])
-        assert Records(rows, TRIPLE).tolist() == [
-            {"moderate": True, "strong": True, "triple": [4, 2, 9], "weak": False},
-            {"moderate": False, "strong": True, "triple": [1, 3, 5], "weak": True},
-        ]
-        assert Records(rows[:, :2], (Column(1), Column(0))).tolist() == [[2, 4], [3, 1]]
-        listed = Records(rows, TRIPLE).tolist()
-        assert all(type(r["weak"]) is bool and type(r["triple"][0]) is int for r in listed)
-
-    def test_rows_are_read_only_int64_without_a_copy(self):
-        rows = np.zeros((3, 2), dtype=np.int64)
-        held = Records(rows, [Column(0), Column(1)]).rows
-        assert held.dtype == np.int64 and not held.flags.writeable
-        assert np.shares_memory(held, rows) and rows.flags.writeable
-
-    def test_bad_shape_or_column_rejected(self):
-        with pytest.raises(ValueError, match="2-d"):
-            Records(np.zeros(3, dtype=np.int64), [Column(0)])
-        with pytest.raises(ValueError, match="column 2"):
-            Records(np.zeros((1, 2), dtype=np.int64), {"x": [Column(2)]})
-
-    def test_non_str_key_around_records_rejected(self, tmp_path):
-        listed = Records(np.zeros((1, 1), dtype=np.int64), [Column(0)])
-        with pytest.raises(TypeError, match="str"):
-            write_json(str(tmp_path / "o.json"), {1: listed})
+@functools.cache
+def dense_report(base):
+    """A transitivity report over 40 sparse ids from ``base``, listing more
+    than three chunks of rows."""
+    gen = np.random.default_rng(base % 2**32)
+    n = 40
+    ids = base + np.cumsum(gen.integers(1, 9, size=n))
+    i, j = np.triu_indices(n, k=1)
+    kept = gen.random(i.size) < 0.95
+    pair_i, pair_j, prob = ids[i[kept]], ids[j[kept]], gen.random(int(kept.sum()))
+    return ids, (pair_i, pair_j, prob), count_transitivity_violations(pair_i, pair_j, prob)
 
 
 def first_rows(report, k):
@@ -738,34 +660,110 @@ def first_rows(report, k):
     return TransitivityReport(report.triples_checked, k, moderate, weak, ViolationRows(keys, items))
 
 
+def triple_listing(base, k):
+    """The first ``k`` violating triples of ``dense_report(base)``: the
+    listing and the list ``json`` would write for it."""
+    cut = first_rows(dense_report(base)[2], k)
+    return cut.to_dict()["violating_triples"], triple_objects(cut.violations)
+
+
+def pair_listing(base, k, seed):
+    """``k`` canonical pairs of the report's ids: the listing and its list."""
+    ids = dense_report(base)[0]
+    gen = np.random.default_rng(seed)
+    i = gen.integers(0, ids.size - 1, size=k)
+    pairs = np.column_stack([ids[i], ids[gen.integers(i + 1, ids.size)]])
+    return InconsistencyReport(k, k, pairs).to_dict()["disagreeing_pairs"], pairs.tolist()
+
+
+@st.composite
+def listings(draw):
+    k = draw(st.sampled_from([0, 1, 2, 5, CHUNK_ROWS, CHUNK_ROWS + 1]))
+    base = draw(st.sampled_from(BASES))
+    if draw(st.booleans()):
+        return triple_listing(base, k)
+    return pair_listing(base, k, draw(st.integers(0, 2**32 - 1)))
+
+
+def both(values):
+    """(payloads, plain payloads) from a list or dict of such pairs."""
+    if isinstance(values, dict):
+        return tuple({key: pair[side] for key, pair in values.items()} for side in (0, 1))
+    return tuple([pair[side] for pair in values] for side in (0, 1))
+
+
+text = st.text() | st.sampled_from(TRICKY)
+leaves = (
+    st.none() | st.booleans() | st.integers() | st.floats() | text
+    | st.sampled_from([math.inf, -math.inf, math.nan])
+).map(lambda leaf: (leaf, leaf))
+# (payload, the same payload with each listing replaced by its list)
+payloads = st.recursive(
+    st.booleans().flatmap(lambda listed: listings() if listed else leaves),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(text, inner, max_size=3)
+    ).map(both),
+    max_leaves=6,
+)
+
+
+def assert_written_as_json_dumps(path, payload, plain):
+    write_json(str(path), payload)
+    want = json.dumps(plain, indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+class TestRecords:
+    """Listed records, triples and pairs, through ``write_json`` at any depth."""
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(payload=payloads)
+    def test_write_json_bytes_equal_json_dump(self, tmp_path_factory, payload):
+        path = tmp_path_factory.mktemp("json") / "out.json"
+        assert_written_as_json_dumps(path, *payload)
+
+    @pytest.mark.parametrize("k", [0, 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS - 1])
+    def test_chunk_edges_inside_a_report(self, tmp_path, k):
+        (triples, triple_list), (pairs, pair_list) = triple_listing(0, k), pair_listing(0, k, k)
+        payload = {"item_ids": ["a", "%s"], "r": {"rows": triples, "x": [pairs, None]}}
+        plain = {"item_ids": ["a", "%s"], "r": {"rows": triple_list, "x": [pair_list, None]}}
+        assert_written_as_json_dumps(tmp_path / "o.json", payload, plain)
+
+    def test_non_str_key_around_records_rejected(self, tmp_path):
+        listed, _ = pair_listing(0, 1, 0)
+        with pytest.raises(TypeError, match="str"):
+            write_json(str(tmp_path / "o.json"), {1: listed})
+
+
 class TestReportListings:
     """Real diagnostics reports through ``write_json``: the bytes of
-    ``json.dumps`` over their ``tolist()``, for sparse large ids and listings
-    on either side of a chunk edge."""
+    ``json.dumps`` over their rows, for sparse large ids and listings on
+    either side of a chunk edge."""
 
-    @pytest.mark.parametrize("base", [0, 10**6 - 3, 2 * 10**6, 2**62 - 40])
+    @pytest.mark.parametrize("base", BASES)
     def test_reports_write_as_json_dumps(self, tmp_path, base):
-        gen = np.random.default_rng(base % 2**32)
-        n = 40
-        ids = base + np.cumsum(gen.integers(1, 9, size=n))
-        i, j = np.triu_indices(n, k=1)
-        kept = gen.random(i.size) < 0.95
-        pair_i, pair_j, prob = ids[i[kept]], ids[j[kept]], gen.random(int(kept.sum()))
-        report = count_transitivity_violations(pair_i, pair_j, prob)
+        ids, (pair_i, pair_j, prob), report = dense_report(base)
         assert len(report.violations) > CHUNK_ROWS + 1
+        gen = np.random.default_rng(base % 2**32)
         inconsistency = pairwise_inconsistency(pair_i, pair_j, prob, gen.random(prob.size))
         assert inconsistency.inconsistent > 0
         for k in (0, 1, CHUNK_ROWS, CHUNK_ROWS + 1, len(report.violations)):
+            cut = first_rows(report, k)
             payload = {
                 "item_ids": ids.tolist(),
-                "empirical": first_rows(report, k).to_dict(),
+                "empirical": cut.to_dict(),
                 "inconsistency": inconsistency.to_dict(),
             }
-            path = tmp_path / f"{k}.json"
-            write_json(str(path), payload)
-            want = json.dumps(plain(payload), indent=2, sort_keys=True) + "\n"
-            assert path.read_bytes() == want.encode("utf-8")
-            assert len(json.loads(want)["empirical"]["violating_triples"]) == k
+            plain = {
+                "item_ids": ids.tolist(),
+                "empirical": {**cut.to_dict(), "violating_triples": triple_objects(cut.violations)},
+                "inconsistency": {
+                    **inconsistency.to_dict(),
+                    "disagreeing_pairs": inconsistency.disagreeing_pairs.tolist(),
+                },
+            }
+            assert_written_as_json_dumps(tmp_path / f"{k}.json", payload, plain)
+            assert len(plain["empirical"]["violating_triples"]) == k
 
 
 class TestFeatureStats:

@@ -1,12 +1,14 @@
 import itertools
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import traced_peak
+from conftest import traced_peak, written
 from salientpref import (
     ComparisonDataset,
     DimensionError,
@@ -117,7 +119,7 @@ class TestCountTransitivityViolations:
         report = count_transitivity_violations(*arrays(probs))
         assert report.triples_checked == 0
 
-    def test_listed_rows_match_oracle_on_sparse_items(self, rng):
+    def test_listed_rows_match_oracle_on_sparse_items(self, rng, tmp_path):
         items = (2, 5, 7, 11, 13)
         grid = (0.0, 0.3, 0.5, 0.7, 1.0)
         listed = 0
@@ -128,7 +130,7 @@ class TestCountTransitivityViolations:
                 if rng.random() < 0.9
             }
             listing = count_transitivity_violations(*arrays(probs)).to_dict()["violating_triples"]
-            got = listing.tolist()
+            got = written(tmp_path / "d.json", listing)
             want = [
                 {"triple": [x, y, z], "strong": True, "moderate": m, "weak": w}
                 for x, y, z, m, w in oracles.transitivity_rows(probs)
@@ -151,13 +153,15 @@ class TestCountTransitivityViolations:
 
     def test_writing_the_listing_keeps_memory_bounded(self, tmp_path):
         # 200,000 listed rows: as dicts they alone take tens of MB
-        k = 200_000
+        k, m = 200_000, 1000
         gen = np.random.default_rng(5)
-        rows = gen.integers(0, 1000, size=(k, 5))
+        rows = gen.integers(0, m, size=(k, 5))
         rows[:, 3] = 1
         rows[:, 4] = gen.integers(0, 2, size=k)
         weak = int(rows[:, 4].sum())
-        report = TransitivityReport(k, k, k, weak, rows)
+        keys = ((rows[:, 0] * m + rows[:, 1]) * m + rows[:, 2]) * 4 + 2 * rows[:, 3] + rows[:, 4]
+        items = np.arange(m, dtype=np.int64)
+        report = TransitivityReport(k, k, k, weak, ViolationRows(keys, items))
         path = tmp_path / "diagnose.json"
         _, peak = traced_peak(write_json, str(path), {"model": report.to_dict()})
         assert peak < 4e6
@@ -215,7 +219,9 @@ class TestPackedListing:
         assert rows.tolist() == [[x, y, z, int(m), int(w)] for x, y, z, m, w in want]
         assert len(report.violations) == len(want)
         np.testing.assert_array_equal(report.violations[1:4], rows[1:4])
-        assert report.to_dict()["violating_triples"].tolist() == [
+        with tempfile.TemporaryDirectory() as tmp:
+            listed = written(Path(tmp) / "d.json", report.to_dict()["violating_triples"])
+        assert listed == [
             {"triple": [x, y, z], "strong": True, "moderate": m, "weak": w}
             for x, y, z, m, w in want
         ]
@@ -320,15 +326,16 @@ class TestListingMemory:
         path = str(tmp_path / "diagnose.json")
 
         def diagnose():
-            payload = {
-                name: count_transitivity_violations(*dense_instance(seed)).to_dict()
+            reports = {
+                name: count_transitivity_violations(*dense_instance(seed))
                 for name, seed in (("empirical", 1), ("model", 2))
             }
+            payload = {name: report.to_dict() for name, report in reports.items()}
             write_json(path, payload)
-            return payload
+            return reports, payload
 
-        payload, peak = traced_peak(diagnose)
-        rows = [len(payload[name]["violating_triples"].rows) for name in payload]
+        (reports, payload), peak = traced_peak(diagnose)
+        rows = [len(report.violations) for report in reports.values()]
         assert min(rows) >= 90_000
         # the first listing held while the second scan peaks
         assert peak < 24 * max(rows) + 2e6
@@ -338,7 +345,7 @@ class TestListingMemory:
         with open(path, encoding="utf-8") as fh:
             written = json.load(fh)
         for name in payload:
-            listed = np.asarray(payload[name]["violating_triples"].rows)
+            listed = np.asarray(reports[name].violations)
             assert len(written[name]["violating_triples"]) == len(listed)
             for r in (0, dataio.CHUNK_ROWS - 1, dataio.CHUNK_ROWS, len(listed) - 1):
                 x, y, z, m, w = listed[r].tolist()
@@ -378,7 +385,7 @@ class TestModelTransitivityReport:
                 break
         assert found
 
-    def test_matches_pure_python_path(self, rng):
+    def test_matches_pure_python_path(self, rng, tmp_path):
         for _ in range(8):
             d = int(rng.integers(2, 5))
             n = int(rng.integers(3, 9))
@@ -393,9 +400,9 @@ class TestModelTransitivityReport:
             }
             slow = count_transitivity_violations(*arrays(pmap))
             fast_dict, slow_dict = fast.to_dict(), slow.to_dict()
-            listed = fast_dict.pop("violating_triples").tolist()
-            assert listed == slow_dict.pop("violating_triples").tolist()
-            assert fast_dict == slow_dict
+            np.testing.assert_array_equal(np.asarray(fast.violations), np.asarray(slow.violations))
+            fast_json = written(tmp_path / "fast.json", fast_dict)
+            assert fast_json == written(tmp_path / "slow.json", slow_dict)
             assert (
                 fast.triples_checked,
                 fast.strong_violations,
@@ -430,7 +437,7 @@ class TestPairwiseInconsistency:
         out = pairwise_inconsistency(*arrays({(0, 1): 0.5}), [0.9])
         assert out.inconsistent == 0
 
-    def test_ranking_reference(self):
+    def test_ranking_reference(self, tmp_path):
         ranking = Ranking(np.array([2, 1, 3]))  # item 1 best
         p = {(0, 1): 0.7, (0, 2): 0.7, (1, 2): 0.2}
         out = pairwise_inconsistency(*arrays(p), ranking)
@@ -439,7 +446,7 @@ class TestPairwiseInconsistency:
         assert out.inconsistent == 2
         assert out.disagreeing_pairs.tolist() == [[0, 1], [1, 2]]
         assert out.disagreeing_pairs.dtype == np.int64 and not out.disagreeing_pairs.flags.writeable
-        assert out.to_dict()["disagreeing_pairs"].tolist() == [[0, 1], [1, 2]]
+        assert written(tmp_path / "d.json", out.to_dict())["disagreeing_pairs"] == [[0, 1], [1, 2]]
 
     def test_empty_overlap(self):
         for reference in ([], Ranking(np.array([1, 2]))):

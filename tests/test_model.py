@@ -75,6 +75,11 @@ class TestComparisonDataset:
         with pytest.raises(PreconditionError, match="records must be an integer array"):
             ComparisonDataset.from_records([(0, 1.7, 1)], 3)
 
+    def test_a_bool_in_a_record(self):
+        # (0, 1, True) used to be stored as a win of item 0
+        with pytest.raises(PreconditionError, match="records must be an integer array, got a bool"):
+            ComparisonDataset.from_records([(0, 1, True)], 3)
+
     def test_empty_ids_of_any_dtype(self):
         data = ComparisonDataset([], [], [], [], 3)
         assert len(data) == 0 and data.pair_i.dtype == np.int64

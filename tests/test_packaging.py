@@ -2,8 +2,8 @@
 the public names the package lists all exist and match a pinned list, as do
 the parameters of its public callables, no public function takes both a
 selection and the features it was realized on, nor a certificate beside the
-instance it certifies, only ``features.py`` holds the scalar input rule, and
-the README example runs."""
+instance it certifies, only ``features.py`` holds the scalar input rule, importing the package
+leaves ``dataio`` unloaded, and the README example runs."""
 
 import ast
 import inspect
@@ -189,6 +189,20 @@ def test_theory_neither_samples_nor_fits():
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             siblings.update([node.module] if node.module else [a.name for a in node.names])
     assert not siblings & {"estimator", "model"}, sorted(siblings)
+
+
+def test_package_import_leaves_the_file_formats_unloaded():
+    # dataio (and csv with it) is the CLI's module: the reports import it
+    # inside to_dict, so importing the package must not load it
+    code = (
+        "import sys, salientpref\n"
+        "print(sorted({'salientpref.dataio', 'csv'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=os.environ
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_readme_quick_start_runs():

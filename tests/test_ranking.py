@@ -55,6 +55,12 @@ class TestRankingType:
         with pytest.raises(PreconditionError, match=f"{name} must be an integer array"):
             build()
 
+    @pytest.mark.parametrize("flag", [True, np.True_], ids=["python", "numpy"])
+    def test_a_bool_among_integer_positions(self, flag):
+        # numpy reads [True, 2, 3] as int64: it used to give positions [1, 2, 3]
+        with pytest.raises(PreconditionError, match="positions must be .* got a bool"):
+            Ranking([flag, 2, 3])
+
 
 class TestRankFromWeights:
     def test_sorts_by_utility(self):
@@ -170,6 +176,11 @@ class TestSubsetKendall:
         # [0.2, 2.7] used to read as items [0, 2] and return 1.0
         with pytest.raises(PreconditionError, match="items must be an integer array"):
             subset_kendall(Ranking([1, 2, 3]), items)
+
+    def test_a_bool_among_integer_items(self):
+        # [False, 2] used to read as the items [0, 2]
+        with pytest.raises(PreconditionError, match="items must be an integer array, got a bool"):
+            subset_kendall(Ranking([1, 2, 3]), [False, 2])
 
 
 class TestPairwiseAccuracy:
