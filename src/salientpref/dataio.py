@@ -21,15 +21,17 @@ with numpy and hand them to ``csv.writer`` a chunk at a time.  Features and
 rankings keep the per-record reader: their files are small, and the
 rankings' checks are per ranker.
 
-Reports are written by ``write_json``, whose bytes are always those of
-``json.dump(payload, fh, indent=2, sort_keys=True)`` followed by a newline;
-identical runs therefore produce identical bytes.  A ``Listing`` in the
-payload (violating triples, disagreeing pairs) is written as the list of its
-rows, in chunks of ``CHUNK_ROWS``: its owner gives a few tables of row text,
-made once per write, and each chunk's rows as indices into them, so a chunk
-is one join of one gather per table.  No dict or list is built per row; the
-writer's memory is the tables plus one chunk's codes and text, not the
-listing.
+Reports are written by ``write_json`` as ``json.dump(payload, fh, indent=2,
+sort_keys=True)`` followed by a newline would write them, except for each
+``Listing`` in the payload (violating triples, disagreeing pairs): its rows go
+one to a line, each ``json.dumps(row, sort_keys=True)`` with the indent that
+``indent=2`` gives an element at its depth, so ``json.load`` reads the same
+values and a row takes one line where ``indent=2`` spreads it over up to ten.
+Identical runs produce identical bytes.  A listing is written in chunks of
+``CHUNK_ROWS`` rows: its owner gives a few tables of row text, made once, and
+each chunk's rows as indices into them, so a chunk is one join of one gather
+per table.  No dict or list is built per row; the writer's memory is the
+tables plus one chunk's codes and text, not the listing.
 
 Features are read as written.  ``FeatureStats`` is the one standardization
 rule: (x - mean) / std per feature with the population convention (divisor
@@ -322,44 +324,45 @@ def load_rankings(path: str, fm: FeatureMatrix) -> list[SubsetRanking]:
 
 
 # Rows per chunk of a listing.  A chunk's text and its UTF-8 copy are the
-# writer's largest objects, about 330 KB each for triple rows; twice as many
-# rows wrote no faster and raised diagnose's high-water mark by 0.6 MB.
+# writer's largest objects, about 165 KB each for one-line triple rows; twice
+# as many rows wrote no faster and raised the write's traced peak from 0.5 to
+# 1.0 MB.
 CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True, eq=False)
 class Listing:
-    """Listed rows that ``write_json`` writes as a JSON list.
+    """Listed rows that ``write_json`` writes as a JSON list, one row a line.
 
-    ``rows`` is the number of rows.  ``tables(level)`` gives a few object
-    arrays of strings for rows nested at ``level``: a row's text is one
-    string from each table, in order, and the last table's strings end with
-    a comma.  ``codes(index)`` gives the rows of the slice ``index`` as an
-    int array with one column of table indices per table.
+    ``rows`` is the number of rows.  ``tables`` holds a few object arrays of
+    strings: a row's text, ``json.dumps(row, sort_keys=True)``, is one string
+    from each table, in order.  ``codes(index)`` gives the rows of the slice
+    ``index`` as an int array with one column of table indices per table.
     """
 
     rows: int
-    tables: Callable[[int], list]
+    tables: tuple[np.ndarray, ...]
     codes: Callable[[slice], np.ndarray]
 
     def _write(self, fh, level: int) -> None:
-        """Write the list as ``json.dump`` would at nesting ``level``, a
-        chunk of ``CHUNK_ROWS`` rows at a time, each chunk as one join of
-        one gather per table."""
+        """Write the list nested at ``level``, each row on its own line with
+        the indent ``json.dump(indent=2)`` gives an element there, a chunk of
+        ``CHUNK_ROWS`` rows at a time, each chunk as one join of one gather
+        per table."""
         if not self.rows:
             fh.write("[]")
             return
-        tables = self.tables(level + 1)
-        fh.write("[")
+        inner = "\n" + "  " * (level + 1)
+        width = len(self.tables) + 1  # a row's pieces, then what follows it
+        fh.write("[" + inner)
         for start in range(0, self.rows, CHUNK_ROWS):
             codes = self.codes(slice(start, start + CHUNK_ROWS))
-            pieces = [""] * codes.size
-            for k, table in enumerate(tables):
-                pieces[k :: len(tables)] = table[codes[:, k]].tolist()
+            pieces = ["," + inner] * (len(codes) * width)
+            for k, table in enumerate(self.tables):
+                pieces[k::width] = table[codes[:, k]].tolist()
             if start + CHUNK_ROWS >= self.rows:
-                pieces[-1] = pieces[-1][:-1]  # no comma after the listing's last row
+                pieces[-1] = "\n" + "  " * level + "]"
             fh.write("".join(pieces))
-        fh.write("\n" + "  " * level + "]")
 
 
 def _holds(obj) -> bool:
@@ -374,7 +377,8 @@ def _holds(obj) -> bool:
 
 def _frame(fh, obj, level: int) -> None:
     """Write ``obj`` nested at ``level`` as ``json.dumps(obj, indent=2,
-    sort_keys=True)`` would, each ``Listing`` in it as the list of its rows.
+    sort_keys=True)`` would, each ``Listing`` in it as its list of one-line
+    rows.
 
     Every subtree without a listing is written by ``json.dumps``, whose
     output holds no raw newline inside a string, so indenting it is safe;
@@ -402,7 +406,9 @@ def _frame(fh, obj, level: int) -> None:
 
 def write_json(path: str, payload: dict) -> None:
     """Write ``payload`` as ``json.dump(indent=2, sort_keys=True)`` plus a
-    newline would, each ``Listing`` in it written as the list of its rows.
+    newline would, except that each ``Listing`` in it is written one row a
+    line, as ``json.dumps(row, sort_keys=True)``: ``json.load`` of the file
+    gives the payload with each listing as the list of its rows.
 
     The listings are found by walking the payload, so no string in it can
     stand in for one.

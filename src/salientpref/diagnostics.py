@@ -26,15 +26,16 @@ A report holds its listed rows as one int64 key each, 8 bytes per row, and
 reads its counts from the key bits.  ``ViolationRows`` decodes the keys into
 ``(x, y, z, moderate, weak)`` rows in item ids only on request.  Each
 report's ``to_dict`` gives its listing to ``dataio.write_json`` as a few
-tables of row text and, a chunk at a time, each row's indices into them: a
-chunk of triple keys decodes into the scan's own item indices, which index
-the tables directly, so the writer never builds any row of item ids.
+tables of row text, which put together give a row's one-line
+``json.dumps(row, sort_keys=True)``, and, a chunk at a time, each row's
+indices into them: a chunk of triple keys decodes into the scan's own item
+indices, which index the tables directly, so the writer never builds any row
+of item ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -47,13 +48,13 @@ from .selection import RealizedSelection, all_pairs, check_pairs
 
 def _pair_arrays(pair_i, pair_j, *probs) -> list[np.ndarray]:
     """Checked int64 pairs and aligned float64 probabilities, all 1-d, sorted
-    into lexicographic pair order.  The pairs are checked by
-    ``selection.check_pairs``: integers, canonical."""
+    into lexicographic pair order.  The pairs as given are checked by
+    ``selection.check_pairs``: integers, a list's items too, canonical."""
     i, j = np.asarray(pair_i), np.asarray(pair_j)
     probs = [np.asarray(p, dtype=np.float64) for p in probs]
     if i.ndim != 1 or any(a.shape != i.shape for a in (j, *probs)):
         raise DimensionError("pair and probability arrays must be 1-d and of equal length")
-    i, j = check_pairs(i, j, canonical=True)
+    i, j = check_pairs(pair_i, pair_j, canonical=True)
     for p in probs:
         bad = np.nonzero(~((p >= 0.0) & (p <= 1.0)))[0]
         if bad.size:
@@ -96,23 +97,21 @@ class ViolationRows:
         return self[:] if dtype is None else self[:].astype(dtype, copy=False)
 
 
-def _triple_tables(items: np.ndarray, level: int) -> list[np.ndarray]:
-    """The text of a listed triple nested at ``level``, in three tables: the
-    moderate flag with x, then y, then z with the weak flag."""
-    r1, r2, r3 = ("\n" + "  " * (level + k) for k in range(3))
+def _triple_tables(items: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The one-line text of a listed triple in three tables: the moderate
+    flag with x, then y, then z with the weak flag."""
     ids, flags = items.tolist(), ("false", "true")
     tables = (
-        [f'{r1}{{{r2}"moderate": {f},{r2}"strong": true,{r2}"triple": [{r3}{x},'
-         for f in flags for x in ids],
-        [f"{r3}{y}," for y in ids],
-        [f'{r3}{z}{r2}],{r2}"weak": {f}{r1}}},' for z in ids for f in flags],
+        [f'{{"moderate": {f}, "strong": true, "triple": [{x}, ' for f in flags for x in ids],
+        [f"{y}, " for y in ids],
+        [f'{z}], "weak": {f}}}' for z in ids for f in flags],
     )
-    return [np.array(table, dtype=object) for table in tables]
+    return tuple(np.array(table, dtype=object) for table in tables)
 
 
-def _triple_codes(keys: np.ndarray, m: int, index: slice) -> np.ndarray:
-    """The rows of ``keys[index]`` as indices into ``_triple_tables``."""
-    rows = _kernels.unpack(keys[index], m)
+def _triple_codes(keys: np.ndarray, m: int) -> np.ndarray:
+    """The rows of ``keys`` as indices into ``_triple_tables``."""
+    rows = _kernels.unpack(keys, m)
     rows[:, 0] += rows[:, 3] * m
     rows[:, 2] = 2 * rows[:, 2] + rows[:, 4]
     return rows[:, :3]
@@ -156,7 +155,7 @@ class TransitivityReport:
     def to_dict(self) -> dict:
         """Counts and rates; ``violating_triples`` is a ``dataio.Listing``
         that ``dataio.write_json`` writes as one ``{"moderate", "strong",
-        "triple", "weak"}`` object per row."""
+        "triple", "weak"}`` object per row, a row a line."""
         from .dataio import Listing  # the CLI's module: not loaded at package import
 
         keys, items = self.violations._keys, self.violations._items
@@ -169,7 +168,9 @@ class TransitivityReport:
             "moderate_rate": self.rate("moderate"),
             "weak_rate": self.rate("weak"),
             "violating_triples": Listing(
-                keys.size, partial(_triple_tables, items), partial(_triple_codes, keys, items.size)
+                keys.size,
+                _triple_tables(items),
+                lambda index: _triple_codes(keys[index], items.size),
             ),
         }
 
@@ -215,13 +216,12 @@ def model_transitivity_report(sel: RealizedSelection, w) -> TransitivityReport:
     return count_transitivity_violations(*all_pairs(n), all_pair_probabilities(sel, w))
 
 
-def _pair_tables(values: np.ndarray, level: int) -> list[np.ndarray]:
-    """The text of a listed pair nested at ``level``, in two tables: i, then
-    j, each over the pairs' distinct ``values``."""
-    r1, r2 = ("\n" + "  " * (level + k) for k in range(2))
+def _pair_tables(values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The one-line text of a listed pair in two tables: i, then j, each
+    over the pairs' distinct ``values``."""
     ids = values.tolist()
-    tables = [f"{r1}[{r2}{i}," for i in ids], [f"{r2}{j}{r1}]," for j in ids]
-    return [np.array(table, dtype=object) for table in tables]
+    tables = [f"[{i}, " for i in ids], [f"{j}]" for j in ids]
+    return tuple(np.array(table, dtype=object) for table in tables)
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,7 +245,8 @@ class InconsistencyReport:
 
     def to_dict(self) -> dict:
         """Counts and rate; ``disagreeing_pairs`` is a ``dataio.Listing``
-        that ``dataio.write_json`` writes as one ``[i, j]`` list per pair."""
+        that ``dataio.write_json`` writes as one ``[i, j]`` list per pair, a
+        pair a line."""
         from .dataio import Listing  # the CLI's module: not loaded at package import
 
         pairs = self.disagreeing_pairs
@@ -256,7 +257,7 @@ class InconsistencyReport:
             "inconsistency_rate": self.rate,
             "disagreeing_pairs": Listing(
                 len(pairs),
-                partial(_pair_tables, values),
+                _pair_tables(values),
                 lambda index: np.searchsorted(values, pairs[index]),
             ),
         }

@@ -9,7 +9,7 @@ function (see :mod:`salientpref.selection`).
 Conventions: item and coordinate indices are 0-based throughout the library;
 subsets are strictly increasing tuples of coordinate indices.  The scalar
 input rule, ``check_int`` and ``check_real``, and its array form,
-``is_int_array``, live here too: every module can import this one.
+``check_int_array``, live here too: every module can import this one.
 """
 
 from __future__ import annotations
@@ -41,18 +41,13 @@ def check_real(name: str, value) -> float:
     return float(value)
 
 
-def is_int_array(a: np.ndarray) -> bool:
-    """The array form of the integer rule: an integer dtype, or an empty
-    array of any dtype; bool, float and string arrays never pass."""
-    return a.dtype.kind in "iu" or a.size == 0
-
-
 def check_int_array(name: str, a) -> np.ndarray:
-    """``a`` as an int64 array, refused (never cast) unless ``is_int_array``.
-    Input that is not an array may hold no bool either: numpy reads
-    ``[True, 2]`` as int64."""
+    """``a`` as an int64 array by the array form of the integer rule: an
+    integer dtype, or an empty array of any dtype; bool, float and string
+    arrays are refused, never cast.  Input that is not an array may hold no
+    bool either: numpy reads ``[True, 2]`` as int64."""
     given, a = a, np.asarray(a)
-    if not is_int_array(a):
+    if not (a.dtype.kind in "iu" or a.size == 0):
         raise PreconditionError(f"{name} must be an integer array, got dtype {a.dtype}")
     if not isinstance(given, np.ndarray) and any(
         isinstance(v, (bool, np.bool_)) for v in np.asarray(given, dtype=object).flat

@@ -98,7 +98,8 @@ class ComparisonDataset:
         i, j, wins, total = map(np.asarray, (self.pair_i, self.pair_j, self.wins, self.total))
         if not (i.shape == j.shape == wins.shape == total.shape) or i.ndim != 1:
             raise DimensionError("pair_i, pair_j, wins, total must be 1-d arrays of equal length")
-        i, j = check_pairs(i, j)  # integers; canonical once oriented below
+        # integers, a list's items too; canonical once oriented below
+        i, j = check_pairs(self.pair_i, self.pair_j)
         wins, total = check_int_array("wins", wins), check_int_array("total", total)
         swap = i > j
         lo, hi = np.where(swap, j, i), np.where(swap, i, j)

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DimensionError, InvalidPairError, NotSingleCoordinateError, PreconditionError
-from .features import FeatureMatrix, check_int, check_real, is_int_array
+from .features import FeatureMatrix, check_int, check_int_array, check_real
 
 # parameters each kind takes, in to_dict order
 _PARAMS = {
@@ -151,15 +151,19 @@ def all_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 def check_pairs(ii, jj, canonical: bool = False, n: int | None = None):
     """``ii`` and ``jj`` as int64 arrays of item indices, one pair per position.
 
-    They must be equal-length 1-d integer arrays (an empty one may have any
-    dtype); bools, floats and strings are refused, never cast.  With
-    ``canonical``, each pair must also have 0 <= i < j, and j < n when ``n``
-    is given.  Any failure raises ``InvalidPairError``.
+    They must be equal-length 1-d integer arrays by
+    ``features.check_int_array`` (an empty one may have any dtype); bools,
+    floats and strings are refused, never cast, and so is a bool inside a
+    list.  With ``canonical``, each pair must also have 0 <= i < j, and
+    j < n when ``n`` is given.  Any failure raises ``InvalidPairError``.
     """
-    ii, jj = np.asarray(ii), np.asarray(jj)
-    if ii.ndim != 1 or ii.shape != jj.shape or not (is_int_array(ii) and is_int_array(jj)):
-        raise InvalidPairError("pairs must be given as equal-length 1-d integer arrays")
-    ii, jj = ii.astype(np.int64, copy=False), jj.astype(np.int64, copy=False)
+    rule = "pairs must be given as equal-length 1-d integer arrays"
+    try:
+        ii, jj = check_int_array("pair_i", ii), check_int_array("pair_j", jj)
+    except PreconditionError as exc:
+        raise InvalidPairError(f"{rule}: {exc}") from None
+    if ii.ndim != 1 or ii.shape != jj.shape:
+        raise InvalidPairError(rule)
     if canonical:
         bad = np.flatnonzero((ii < 0) | (ii >= jj) | (n is not None and jj >= n))
         if bad.size:

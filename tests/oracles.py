@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import json
 import math
 
 import numpy as np
@@ -515,3 +516,46 @@ def write_ranking(path, item_ids, order, utilities):
         writer.writerow(["rank", "item_id", "utility"])
         for r, item_idx in enumerate(order, start=1):
             writer.writerow([str(r), item_ids[item_idx], repr(float(utilities[item_idx]))])
+
+
+# JSON reports: the reference for ``salientpref.dataio.write_json``.
+
+
+class Rows(list):
+    """A list that ``json_text`` writes as a listing: one row a line."""
+
+
+def json_text(plain):
+    """``plain`` as a report file: ``json.dumps(plain, indent=2,
+    sort_keys=True)`` and a newline, except that each ``Rows`` in it has one
+    row a line, ``json.dumps(row, sort_keys=True)``, indented as ``indent=2``
+    indents an element of that list.
+
+    Each ``Rows`` is dumped as a marker string found nowhere else in the
+    text, and the marker is then replaced by the rows, indented from the
+    marker's own line."""
+    stem = "rows@"
+    while stem in json.dumps(plain):
+        stem += "@"
+    blocks = {}
+
+    def mark(obj):
+        if isinstance(obj, Rows):
+            marker = f"{stem}{len(blocks)}"
+            blocks[json.dumps(marker)] = obj
+            return marker
+        if isinstance(obj, dict):
+            return {key: mark(value) for key, value in obj.items()}
+        if isinstance(obj, list):
+            return [mark(value) for value in obj]
+        return obj
+
+    text = json.dumps(mark(plain), indent=2, sort_keys=True)
+    for marker, rows in blocks.items():
+        at = text.index(marker)
+        head = text[text.rfind("\n", 0, at) + 1 : at]  # the marker's line, up to it
+        pad = " " * (len(head) - len(head.lstrip(" ")))
+        lines = [pad + "  " + json.dumps(row, sort_keys=True) for row in rows]
+        block = "[\n" + ",\n".join(lines) + "\n" + pad + "]" if rows else "[]"
+        text = text[:at] + block + text[at + len(marker) :]
+    return text + "\n"

@@ -417,10 +417,10 @@ class TestDiagnose:
             "strong_rate": strong / checked,
             "moderate_rate": moderate / checked,
             "weak_rate": weak / checked,
-            "violating_triples": [
+            "violating_triples": oracles.Rows(
                 {"triple": [x, y, z], "strong": True, "moderate": m, "weak": w}
                 for x, y, z, m, w in oracles.transitivity_rows(probs)
-            ],
+            ),
         }
 
     def test_bytes_match_oracle_payload(self, tmp_path):
@@ -459,13 +459,14 @@ class TestDiagnose:
                 "pairs_compared": compared,
                 "inconsistent": inconsistent,
                 "inconsistency_rate": rate,
-                "disagreeing_pairs": [list(pair) for pair in pairs],
+                "disagreeing_pairs": oracles.Rows(list(pair) for pair in pairs),
             },
         }
         assert min(len(oracle[k]["violating_triples"]) for k in ("empirical", "model")) > 300
         assert min(oracle[k]["weak_violations"] for k in ("empirical", "model")) > 10
         assert inconsistent > 10
-        assert out.read_bytes() == (json.dumps(oracle, indent=2, sort_keys=True) + "\n").encode()
+        assert out.read_bytes() == oracles.json_text(oracle).encode()
+        assert json.loads(out.read_text(encoding="utf-8")) == oracle
 
     def test_negative_min_count_is_usage_error(self, sim_dir, tmp_path):
         proc = run_cli(

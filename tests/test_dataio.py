@@ -662,18 +662,19 @@ def first_rows(report, k):
 
 def triple_listing(base, k):
     """The first ``k`` violating triples of ``dense_report(base)``: the
-    listing and the list ``json`` would write for it."""
+    listing and the ``oracles.Rows`` of its row objects."""
     cut = first_rows(dense_report(base)[2], k)
-    return cut.to_dict()["violating_triples"], triple_objects(cut.violations)
+    return cut.to_dict()["violating_triples"], oracles.Rows(triple_objects(cut.violations))
 
 
 def pair_listing(base, k, seed):
-    """``k`` canonical pairs of the report's ids: the listing and its list."""
+    """``k`` canonical pairs of the report's ids: the listing and its rows."""
     ids = dense_report(base)[0]
     gen = np.random.default_rng(seed)
     i = gen.integers(0, ids.size - 1, size=k)
     pairs = np.column_stack([ids[i], ids[gen.integers(i + 1, ids.size)]])
-    return InconsistencyReport(k, k, pairs).to_dict()["disagreeing_pairs"], pairs.tolist()
+    listing = InconsistencyReport(k, k, pairs).to_dict()["disagreeing_pairs"]
+    return listing, oracles.Rows(pairs.tolist())
 
 
 @st.composite
@@ -697,7 +698,7 @@ leaves = (
     st.none() | st.booleans() | st.integers() | st.floats() | text
     | st.sampled_from([math.inf, -math.inf, math.nan])
 ).map(lambda leaf: (leaf, leaf))
-# (payload, the same payload with each listing replaced by its list)
+# (payload, the same payload with each listing replaced by its rows)
 payloads = st.recursive(
     st.booleans().flatmap(lambda listed: listings() if listed else leaves),
     lambda inner: (
@@ -707,27 +708,31 @@ payloads = st.recursive(
 )
 
 
-def assert_written_as_json_dumps(path, payload, plain):
+def assert_written_as_oracle(path, payload, plain):
+    """``write_json`` writes the bytes of ``oracles.json_text``, which load
+    as ``plain``: the dumps are compared so that a NaN equals itself."""
     write_json(str(path), payload)
-    want = json.dumps(plain, indent=2, sort_keys=True) + "\n"
-    assert path.read_bytes() == want.encode("utf-8")
+    assert path.read_bytes() == oracles.json_text(plain).encode("utf-8")
+    loaded = json.loads(path.read_text(encoding="utf-8"))
+    assert json.dumps(loaded, sort_keys=True) == json.dumps(plain, sort_keys=True)
 
 
 class TestRecords:
-    """Listed records, triples and pairs, through ``write_json`` at any depth."""
+    """Listed records, triples and pairs, through ``write_json`` at any depth:
+    ``json.dumps(indent=2)`` around one-line rows."""
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(payload=payloads)
     def test_write_json_bytes_equal_json_dump(self, tmp_path_factory, payload):
         path = tmp_path_factory.mktemp("json") / "out.json"
-        assert_written_as_json_dumps(path, *payload)
+        assert_written_as_oracle(path, *payload)
 
     @pytest.mark.parametrize("k", [0, 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS - 1])
     def test_chunk_edges_inside_a_report(self, tmp_path, k):
         (triples, triple_list), (pairs, pair_list) = triple_listing(0, k), pair_listing(0, k, k)
         payload = {"item_ids": ["a", "%s"], "r": {"rows": triples, "x": [pairs, None]}}
         plain = {"item_ids": ["a", "%s"], "r": {"rows": triple_list, "x": [pair_list, None]}}
-        assert_written_as_json_dumps(tmp_path / "o.json", payload, plain)
+        assert_written_as_oracle(tmp_path / "o.json", payload, plain)
 
     def test_non_str_key_around_records_rejected(self, tmp_path):
         listed, _ = pair_listing(0, 1, 0)
@@ -737,8 +742,8 @@ class TestRecords:
 
 class TestReportListings:
     """Real diagnostics reports through ``write_json``: the bytes of
-    ``json.dumps`` over their rows, for sparse large ids and listings on
-    either side of a chunk edge."""
+    ``oracles.json_text`` over their rows, for sparse large ids and listings
+    on either side of a chunk edge."""
 
     @pytest.mark.parametrize("base", BASES)
     def test_reports_write_as_json_dumps(self, tmp_path, base):
@@ -756,13 +761,16 @@ class TestReportListings:
             }
             plain = {
                 "item_ids": ids.tolist(),
-                "empirical": {**cut.to_dict(), "violating_triples": triple_objects(cut.violations)},
+                "empirical": {
+                    **cut.to_dict(),
+                    "violating_triples": oracles.Rows(triple_objects(cut.violations)),
+                },
                 "inconsistency": {
                     **inconsistency.to_dict(),
-                    "disagreeing_pairs": inconsistency.disagreeing_pairs.tolist(),
+                    "disagreeing_pairs": oracles.Rows(inconsistency.disagreeing_pairs.tolist()),
                 },
             }
-            assert_written_as_json_dumps(tmp_path / f"{k}.json", payload, plain)
+            assert_written_as_oracle(tmp_path / f"{k}.json", payload, plain)
             assert len(plain["empirical"]["violating_triples"]) == k
 
 

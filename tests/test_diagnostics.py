@@ -542,6 +542,17 @@ class TestPairArrayChecks:
         with pytest.raises(InvalidPairError, match="integer arrays"):
             call(i, j, [0.7, 0.6, 0.8])
 
+    def test_a_bool_inside_a_list_of_pair_ids(self, call):
+        # numpy reads [0, 0, True] as int64: it used to be checked as the
+        # pairs (0, 1), (0, 2), (1, 2)
+        with pytest.raises(InvalidPairError, match="got a bool"):
+            call([0, 0, True], [True, 2, 2], [0.9, 0.1, 0.9])
+
+    def test_integer_ndarray_pair_ids_pass(self, call, tmp_path):
+        i, j = np.array([0, 0, 1], dtype=np.int32), np.array([1, 2, 2], dtype=np.uint8)
+        got = written(tmp_path / "a.json", call(i, j, [0.9, 0.1, 0.9]).to_dict())
+        assert got == written(tmp_path / "b.json", call([0, 0, 1], [1, 2, 2], [0.9, 0.1, 0.9]).to_dict())
+
 
 class TestReferenceChecks:
     def test_reference_length_must_match(self):

@@ -53,6 +53,18 @@ class TestComparisonDataset:
         with pytest.raises(InvalidPairError, match="integer arrays"):
             ComparisonDataset(i, j, [1.5], [2.9], 3)
 
+    def test_a_bool_inside_a_list_of_pair_ids(self):
+        # numpy reads [True, 0] as int64: it used to hold the pairs (1, 2) and (0, 2)
+        with pytest.raises(InvalidPairError, match="got a bool"):
+            ComparisonDataset([True, 0], [2, 2], [1, 1], [1, 1], 3)
+        with pytest.raises(InvalidPairError, match="got a bool"):
+            ComparisonDataset([1, 0], [2, np.True_], [1, 1], [1, 1], 3)
+
+    def test_integer_ndarray_pair_ids_pass(self):
+        data = ComparisonDataset(np.array([1, 0], dtype=np.int32), np.array([2, 2]), [1, 1],
+                                 [1, 1], 3)
+        assert count_lists(data) == ([0, 1], [2, 2], [1, 1], [1, 1])
+
     @pytest.mark.parametrize(
         "wins, total, name",
         [([1.5], [2.9], "wins"), ([True], [1], "wins"), ([0], [True], "total"),
