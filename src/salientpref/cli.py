@@ -54,7 +54,9 @@ from .selection import SelectionSpec, all_pairs, pair_index, realize
 
 SEED_SCHEME = (
     "numpy SeedSequence chains rooted at --seed: [seed,0] features, "
-    "[seed,1] weights, [seed,2] comparisons; random selections use "
+    "[seed,1] weights, [seed,2] comparisons as counts per pair (binomial "
+    "splits of the pair index level by level, then the pair of each "
+    "single-comparison node, then the wins per pair); random selections use "
     "SeedSequence([spec_seed, i, j]) per pair"
 )
 
@@ -108,7 +110,8 @@ def _peak_rss_mb() -> float:
     return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
 
 
-def _write_manifest(path, subcommand: str, args: argparse.Namespace, inputs: list[str]):
+def _write_manifest(path, subcommand: str, args: argparse.Namespace, inputs: list[str],
+                    data_shape: dict | None = None):
     flags = {}
     for key, value in sorted(vars(args).items()):
         if key in ("func", "command"):
@@ -130,6 +133,8 @@ def _write_manifest(path, subcommand: str, args: argparse.Namespace, inputs: lis
         "seed_scheme": SEED_SCHEME,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
+    if data_shape is not None:
+        manifest["data_shape"] = data_shape
     dataio.write_json(path, manifest)
 
 
@@ -167,7 +172,8 @@ def cmd_simulate(args) -> int:
             "selection": args.selection.to_dict(),
         },
     )
-    _write_manifest(str(out / "manifest.json"), "simulate", args, [])
+    shape = {"n": args.n, "d": args.d, "m": args.m, "distinct_pairs": int(data.total.size)}
+    _write_manifest(str(out / "manifest.json"), "simulate", args, [], shape)
     return 0
 
 

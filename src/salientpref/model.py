@@ -21,9 +21,10 @@ closed form:
 Hessian is symmetric positive semidefinite and L is convex.
 
 The likelihood realizes ``x_p`` only for the pairs a dataset holds, and the
-sampler only for the pairs it draws (``RealizedSelection.rows``); the sampler
-also keeps one int64 count per pair of all C(n,2), but nothing m long.
-``all_pair_probabilities`` realizes all C(n,2).
+sampler only for the pairs it draws (``RealizedSelection.rows``).  The sampler
+draws each pair's count, not each comparison, so it holds nothing m long or
+C(n,2) long: its memory is O(min(m, C(n,2))).  ``all_pair_probabilities``
+realizes all C(n,2).
 """
 
 from __future__ import annotations
@@ -43,9 +44,6 @@ from .selection import RealizedSelection, check_pairs, pair_index
 # Largest count a pair may hold: float64 represents every integer up to it
 # exactly, so the likelihood folds and the bincount sums below are exact.
 MAX_COUNT = 2**53
-
-# comparisons sample_comparisons draws per block; bounds its working set
-_SAMPLE_BLOCK = 1 << 16
 
 
 def merge_pairs(keys: np.ndarray, wins: np.ndarray, total: np.ndarray):
@@ -160,53 +158,63 @@ def all_pair_probabilities(sel: RealizedSelection, w):
     return _kernels.sigmoid(sel.diff_table() @ w)
 
 
-def _block_sizes(m: int):
-    """Sizes of the consecutive blocks of at most ``_SAMPLE_BLOCK`` that make up m."""
-    return (min(_SAMPLE_BLOCK, m - lo) for lo in range(0, m, _SAMPLE_BLOCK))
-
-
 def sample_comparisons(sel: RealizedSelection, w_star, m: int, seed: int) -> ComparisonDataset:
     """Draw ``m`` independent comparisons: uniform pairs, logistic outcomes.
 
-    Each sample picks a pair uniformly at random (with replacement) from all
-    C(n,2) pairs, then flips a coin with the model's win probability; the
-    draws are then counted per pair.  Fully deterministic given ``seed``: the
-    stream holds the m pair draws, then the m coin flips.
+    Each comparison picks a pair uniformly at random (with replacement) from
+    all C(n,2) pairs and is won by the pair's first item with the model's
+    probability.  Only the counts per pair are drawn, exactly: the totals of
+    m uniform picks are Multinomial(m, uniform), and given its total a pair's
+    wins are Binomial(total, p).
 
-    The draws are made ``_SAMPLE_BLOCK`` at a time, in two passes.  The first
-    counts the pairs drawn, in one int64 slot per pair; the model is then
-    evaluated only at the distinct pairs drawn.  The second replays the pair
-    draws from a second generator on the same seed and flips each block's
-    coins from the first, which now sits past all the pair draws.  PCG64
-    keeps the spare half of a 64-bit draw in the bit generator, not per call,
-    so blocked draws equal one call and the counts match the unblocked draws
-    bit for bit.  Memory is O(C(n,2) + block), independent of m.
+    The totals come from binomial splitting over the lexicographic pair index.
+    A node ``(start, size, count)`` holds ``count`` comparisons among the
+    ``size`` pairs from ``start``.  Starting from ``(0, C(n,2), m)``, each level
+    splits every node with ``size > 1`` and ``count > 1``, in pair order, into
+    a left half of ``size // 2`` pairs holding Binomial(count, (size // 2) /
+    size) of its comparisons and a right half holding the rest.  Empty halves
+    are dropped; the other nodes are finished and set aside, and are put in
+    pair order once at the end.  Each finished node with one comparison among
+    several pairs then picks its pair uniformly, in pair order.  The model is
+    evaluated only at the pairs drawn, whose wins are drawn last, in pair
+    order.  So the stream holds the splits level by level, then the
+    single-comparison picks, then the wins; the draw is fully deterministic
+    given ``seed``.  Memory is O(min(m, C(n,2)) + n), and time is
+    O(min(m, C(n,2)) log C(n,2)): once m >= C(n,2) it no longer grows with m.
     """
     m = check_int("m", m, 1)
+    if m > sys.maxsize:
+        raise PreconditionError(f"m must be at most {sys.maxsize}, got {m}")
     seed = check_int("seed", seed, 0)
     n = sel.features.n
     if n < 2:
         raise PreconditionError("need at least 2 items to compare")
     w_star = check_weights(w_star, sel.features.d)
-    npairs = n * (n - 1) // 2
-    seq = np.random.SeedSequence(seed)
-    rng, replay = np.random.default_rng(seq), np.random.default_rng(seq)
-    slot = np.zeros(npairs, dtype=np.int64)
-    for size in _block_sizes(m):
-        np.add.at(slot, rng.integers(0, npairs, size=size), 1)
-    seen = np.flatnonzero(slot)
-    total = slot[seen]
-    slot[seen] = np.arange(seen.size)  # each drawn pair's position in seen
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    nodes = np.array([[0], [n * (n - 1) // 2], [m]], dtype=np.int64)  # rows start, size, count
+    finished = []
+    while nodes.shape[1]:
+        size, count = nodes[1], nodes[2]
+        split = (size > 1) & (count > 1)
+        finished.append(nodes.compress((count > 0) & ~split, axis=1))
+        start, size, count = nodes.compress(split, axis=1)
+        half = size // 2
+        left = rng.binomial(count, half / size)
+        # each split node becomes its left child, then its right child
+        nodes = np.empty((3, start.size, 2), dtype=np.int64)
+        nodes[:, :, 0] = start, half, left
+        nodes[:, :, 1] = start + half, size - half, count - left
+        nodes = nodes.reshape(3, -1)
+    nodes = np.concatenate(finished, axis=1)
+    start, size, count = nodes.take(np.argsort(nodes[0]), axis=1)
+    single = size > 1  # one comparison among several pairs
+    start[single] += rng.integers(0, size[single])
     items = np.arange(n)
     starts = pair_index(items, items + 1, n)  # each item's first pair (i, i + 1)
-    ii = np.searchsorted(starts, seen, side="right") - 1
-    jj = seen - starts[ii] + ii + 1
+    ii = np.searchsorted(starts, start, side="right") - 1
+    jj = start - starts[ii] + ii + 1
     probs = _kernels.sigmoid(sel.rows(ii, jj) @ w_star)
-    wins = np.zeros(seen.size, dtype=np.int64)
-    for size in _block_sizes(m):
-        k = slot[replay.integers(0, npairs, size=size)]
-        np.add.at(wins, k[rng.random(size) < probs[k]], 1)
-    return ComparisonDataset(ii, jj, wins, total, n)
+    return ComparisonDataset(ii, jj, rng.binomial(count, probs), count, n)
 
 
 def check_ridge(mu, name: str = "ridge weight mu") -> float:

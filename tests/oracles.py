@@ -358,32 +358,45 @@ def masked_diff_table(U, spec):
 
 
 def sample_comparisons_counts(win_prob, n, m, seed):
-    """The sampler's counts from one call per kind of draw, written plainly.
+    """The sampler's counts from one scalar draw at a time, written plainly.
 
-    From ``default_rng(SeedSequence(seed))``: m pair indices uniform over the
-    C(n,2) canonical pairs in lexicographic order, then m uniform coins;
-    comparison s is won by the pair's first item iff coin s < its win
-    probability.  ``win_prob(ii, jj)`` gives the probabilities of the distinct
-    pairs drawn.  Returns the lists (pair_i, pair_j, wins, total) over those
-    pairs, in lexicographic order.
+    From ``default_rng(SeedSequence(seed))``, over the C(n,2) canonical pairs
+    in lexicographic order: the nodes ``(start, size, count)`` begin as
+    ``[(0, C(n,2), m)]``; each level, in node order, draws the left count
+    Binomial(count, (size // 2) / size) of every node with size > 1 and
+    count > 1, replaces the node by its halves and drops the empty ones.
+    Each node then left with one comparison among several pairs draws its
+    pair's offset, ``integers(0, size)``, in node order; last, each drawn
+    pair draws its wins, Binomial(total, win probability), in pair order.
+    ``win_prob(ii, jj)`` gives the probabilities of the distinct pairs drawn.
+    Returns the lists (pair_i, pair_j, wins, total) over those pairs, in
+    lexicographic order.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    flat = rng.integers(0, n * (n - 1) // 2, size=m)
-    coins = rng.random(m)
-    total = np.bincount(flat)
-    seen = np.flatnonzero(total)
-    pair_i, pair_j = [], []
-    for f in seen.tolist():
+    nodes = [(0, n * (n - 1) // 2, m)]
+    while any(size > 1 and count > 1 for _, size, count in nodes):
+        children = []
+        for start, size, count in nodes:
+            if size > 1 and count > 1:
+                half = size // 2
+                left = int(rng.binomial(count, half / size))
+                children += [(start, half, left), (start + half, size - half, count - left)]
+            else:
+                children.append((start, size, count))
+        nodes = [node for node in children if node[2] > 0]
+    pair_i, pair_j, total = [], [], []
+    for start, size, count in nodes:
+        f = start + (int(rng.integers(0, size)) if size > 1 else 0)
         i = 0
         while f >= n - 1 - i:  # skip row i's n - 1 - i pairs
             f -= n - 1 - i
             i += 1
         pair_i.append(i)
         pair_j.append(i + 1 + f)
-    probs = np.zeros(total.size)
-    probs[seen] = win_prob(np.array(pair_i), np.array(pair_j))
-    wins = np.bincount(flat[coins < probs[flat]], minlength=total.size)
-    return pair_i, pair_j, wins[seen].tolist(), total[seen].tolist()
+        total.append(count)
+    probs = win_prob(np.array(pair_i), np.array(pair_j))
+    wins = [int(rng.binomial(t, float(p))) for t, p in zip(total, probs)]
+    return pair_i, pair_j, wins, total
 
 
 # CSV files, a record at a time: the reference for the chunked readers and

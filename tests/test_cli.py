@@ -86,6 +86,12 @@ class TestSimulate:
         assert manifest["numpy_version"] == np.__version__
         assert manifest["python_version"] == platform.python_version()
 
+    def test_manifest_records_the_data_shape(self, sim_dir):
+        manifest = read_json(str(sim_dir / "manifest.json"))
+        rows = (sim_dir / "comparisons.csv").read_text(encoding="utf-8").splitlines()[1:]
+        pairs = {frozenset(row.split(",")[:2]) for row in rows}
+        assert manifest["data_shape"] == {"n": 12, "d": 3, "m": 3000, "distinct_pairs": len(pairs)}
+
     def test_zero_dimension_is_usage_error(self, tmp_path):
         proc = run_cli(
             "simulate", "--d", 0, "--n", 5, "--m", 10,

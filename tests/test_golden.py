@@ -11,7 +11,8 @@ in ``golden/digests.json``.  Under another numpy or BLAS, floats may move at
 roundoff (``theory.json`` does when BLAS threads are not pinned), so there
 the test fails and names both environments: no digest recorded here vouches
 for those outputs.  Re-pin in that environment, or after changing an output
-on purpose, with ``PYTHONPATH=src python tests/test_golden.py``, and name
+on purpose, with ``PYTHONPATH=src python tests/test_golden.py``, which
+prints the name of each digest that differs from the pinned one, and name
 each changed file in CHANGES.md.
 """
 
@@ -82,6 +83,10 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as scratch:
         record = run_stages(Path(scratch))
+    before = json.loads(DIGESTS.read_text(encoding="utf-8"))["sha256"] if DIGESTS.exists() else {}
+    for name in sorted(before.keys() | record["sha256"].keys()):
+        if before.get(name) != record["sha256"].get(name):
+            print(f"changed: {name}")
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(record['sha256'])} digests to {DIGESTS}")

@@ -16,8 +16,8 @@ from salientpref import (
     realize,
     sample_comparisons,
 )
-from salientpref import model
 from salientpref._kernels import logistic_curvature
+from salientpref.selection import pair_index
 
 # log(1 + e^50) - 50 evaluated at 50 decimal digits, rounded to float64
 SOFTPLUS_50_TAIL = 1.9287498479639178e-22
@@ -173,6 +173,11 @@ class TestSampleComparisons:
         with pytest.raises(PreconditionError, match="m must be an integer >= 1"):
             sample_comparisons(sel, np.ones(1), bad, seed=0)
 
+    def test_m_beyond_the_count_range_is_refused(self):
+        sel = realize(SelectionSpec.full(), fm_from_columns([0.0], [1.0]))
+        with pytest.raises(PreconditionError, match="m must be at most"):
+            sample_comparisons(sel, np.ones(1), 2**63, seed=0)
+
     @pytest.mark.parametrize("bad", [True, 1.5, -1, "3"])
     def test_seed_must_be_an_integer(self, bad):
         # True used to run as seed 1; the others escaped as numpy errors
@@ -188,8 +193,19 @@ class TestSampleComparisons:
         assert data.wins.sum() / len(data) <= 0.001
 
 
+def win_probs(sel, w, ii, jj):
+    """P(ii beats jj) under the model, straight from the logistic formula."""
+    return 1.0 / (1.0 + np.exp(-(sel.rows(ii, jj) @ w)))
+
+
+def wilson_hilferty_z(stat, df):
+    """The normal score of a chi-square statistic with ``df`` degrees of freedom."""
+    return ((stat / df) ** (1 / 3) - (1 - 2 / (9 * df))) / np.sqrt(2 / (9 * df))
+
+
 class TestSampleComparisonsBlocks:
-    """Blocked draws and their replay count exactly what one call would."""
+    """Binomial splits of the pair index into blocks: the draw against its
+    oracle, its distribution and its memory."""
 
     SPECS = (
         SelectionSpec.full(),
@@ -202,26 +218,69 @@ class TestSampleComparisonsBlocks:
     def _check(self, spec, n, m, seed):
         fm = FeatureMatrix(np.random.default_rng(n).normal(size=(3, n)))
         sel = realize(spec, fm)
-
-        def win_prob(ii, jj):
-            return 1.0 / (1.0 + np.exp(-(sel.rows(ii, jj) @ self.W)))
-
         data = sample_comparisons(sel, self.W, m, seed)
-        want = oracles.sample_comparisons_counts(win_prob, n, m, seed)
+        want = oracles.sample_comparisons_counts(
+            lambda ii, jj: win_probs(sel, self.W, ii, jj), n, m, seed)
         assert count_lists(data) == want, (spec, n, m, seed)
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
-    @pytest.mark.parametrize("block", [1, 7, 4096, None])
-    def test_counts_match_one_call_draws(self, monkeypatch, block, spec):
-        if block is not None:
-            monkeypatch.setattr(model, "_SAMPLE_BLOCK", block)
-        b = model._SAMPLE_BLOCK
+    @pytest.mark.parametrize("b", [1, 7, 4096, None])
+    def test_counts_match_one_call_draws(self, b, spec):
+        # m straddles the scale b (None stands for 2**16): 1, b - 1, b, b + 1, 3b + 5
+        b = 2**16 if b is None else b
         for seed in (0, 2**40 + 3):
             for n in (2, 3, 60):
                 for m in sorted({1, b - 1, b, b + 1, 3 * b + 5} - {0}):
                     self._check(spec, n, m, seed)
             # far more pairs than draws
             self._check(spec, 3000, 50, seed)
+
+    @pytest.mark.parametrize("n, m, seeds", [(12, 3300, 40), (40, 780, 40), (40, 30, 400)])
+    def test_totals_are_uniform_over_pairs(self, n, m, seeds):
+        # pooled over seeds the totals are Multinomial(seeds * m, uniform)
+        sel = realize(SelectionSpec.full(), FeatureMatrix(np.random.default_rng(1).normal(size=(2, n))))
+        npairs = n * (n - 1) // 2
+        pooled = np.zeros(npairs)
+        for seed in range(seeds):
+            data = sample_comparisons(sel, np.ones(2), m, seed)
+            pooled[pair_index(data.pair_i, data.pair_j, n)] += data.total
+        expected = seeds * m / npairs
+        stat = float(((pooled - expected) ** 2).sum() / expected)
+        assert abs(wilson_hilferty_z(stat, npairs - 1)) <= 4.0, stat
+
+    def test_wins_are_binomial_in_the_total(self):
+        rng = np.random.default_rng(8)
+        fm, sel = make_instance(rng, 3, 30, SelectionSpec.top_t(2))
+        w = rng.normal(size=3) * 2
+        excess = variance = 0.0
+        for seed in range(20):
+            data = sample_comparisons(sel, w, 20_000, seed)
+            p = win_probs(sel, w, data.pair_i, data.pair_j)
+            excess += float((data.wins - data.total * p).sum())
+            variance += float((data.total * p * (1 - p)).sum())
+        assert abs(excess / np.sqrt(variance)) <= 4.0, excess
+
+    def test_huge_m_over_few_pairs(self):
+        # 10**12 comparisons over 6 pairs cost a few dozen binomial draws
+        sel = realize(SelectionSpec.full(), fm_from_columns([0.0, 1.0], [1.0, 0.5], [0.3, -1.0], [2.0, 0.0]))
+        w = np.array([0.8, -0.4])
+        m = 10**12
+        data = sample_comparisons(sel, w, m, seed=3)
+        assert len(data) == m
+        assert data.total.size == 6
+        assert np.abs(data.total - m / 6).max() <= 10 * np.sqrt(m * (1 / 6) * (5 / 6))
+        p = win_probs(sel, w, data.pair_i, data.pair_j)
+        sd = np.sqrt(data.total * p * (1 - p))
+        assert np.all(np.abs(data.wins - data.total * p) <= 10 * sd)
+
+    def test_memory_follows_the_draws_not_the_pairs(self):
+        # C(8000, 2) int64 counts would be 256 MB; 20,000 draws need a few MB
+        fm = FeatureMatrix(np.random.default_rng(3).normal(size=(3, 8000)))
+        sel = realize(SelectionSpec.top_t(2), fm)
+        w = np.random.default_rng(4).normal(size=3)
+        data, peak = traced_peak(lambda: sample_comparisons(sel, w, 20_000, seed=5))
+        assert len(data) == 20_000
+        assert peak <= 32e6
 
     def test_memory_does_not_grow_with_m(self):
         fm = FeatureMatrix(np.random.default_rng(3).normal(size=(10, 100)))
