@@ -5,7 +5,8 @@ eigenvalues come from LAPACK (``np.linalg.eigvalsh``), and one zero rule
 (``zero_tol``) gives the rank of a design's second moment to both the
 certificates and the fit; the zeta scan takes the caller's eigendecomposition
 of E[Z], brackets every pair's secular root in two O(d) passes and solves only
-the pairs whose bracket can hold the smallest root; the transitivity scan
+the pairs whose bracket can hold the smallest root, taking the pairs a block
+at a time (``ZetaScan``); the transitivity scan
 enumerates the triples with all three pairs present in lexicographic order,
 orients each by a table lookup and keeps one int64 key per violating row;
 ``PairStreams`` runs numpy's seeded PCG64 generator for many seeds at once.
@@ -28,6 +29,16 @@ def sigmoid(u):
 def largest_margin(X, w):
     """max_p |<w, X_p>| over the rows of X (0 for none): b* for the true w."""
     return float(np.max(np.abs(X @ w))) if X.shape[0] else 0.0
+
+
+def zero_off(table, keep):
+    """Zero ``table`` wherever the bool array ``keep`` is False, in place,
+    bit for bit as ``np.copyto(table, 0.0, where=~keep)`` but without its
+    branch per entry: each float64's bits are ANDed with 0 or all ones."""
+    mask = np.negative(keep.view(np.int8), dtype=np.int64)
+    bits = table.view(np.int64)
+    np.bitwise_and(bits, mask, out=bits)
+    return table
 
 
 def logistic_curvature(u):
@@ -88,6 +99,16 @@ def zero_tol(M):
     return LAMBDA_REL_TOL * float(np.trace(M)) / M.shape[0]
 
 
+# Entries (pairs x d) of one float block: every pass over many pairs forms
+# their masked differences, and its float temporaries, this many at a time.
+FLOAT_BLOCK = 65_536
+
+
+def block_rows(d):
+    """Pairs per float block at dimension ``d``: at least one."""
+    return max(1, FLOAT_BLOCK // d)
+
+
 def second_moment(X):
     """E[Z] = X^T X / P over the P rows of X."""
     return X.T @ X / X.shape[0]
@@ -120,7 +141,12 @@ def psd_spectrum(M):
 #     U = min(z_d^2 / (1 + S(0)), g_{d-1}),
 #     L = z_d^2 / (1 + S(U')) with U' = U (1 + s), or L = 0 if U' >= g_{d-1}.
 # A row is solved when L <= B (1 + s).  The bound B is the smallest U or
-# solved root seen so far, earlier blocks included; s is _ZETA_SLACK.  A NaN
+# solved root seen so far, earlier blocks included; s is _ZETA_SLACK.  The
+# caller hands the rows over in blocks (at most FLOAT_BLOCK entries each), so
+# B carries across them.  A row whose L passes B when its block comes is held.
+# The held rows whose L still passes B are solved once they fill a float block,
+# and at once while no root is known, so that B soon falls to a root: a scan
+# that prunes little makes few solver calls, each over many rows.  A NaN
 # anywhere in a row's z makes its U NaN and its L 0: the row is solved, and
 # its root is 0 as before.
 # Why the slack suffices.  L, U and the solver's root come from the same z and
@@ -137,7 +163,6 @@ def psd_spectrum(M):
 # two O(d) sweeps over the block's z table through one scratch table.
 # ---------------------------------------------------------------------------
 
-_ZETA_BLOCK = 1_000_000  # entries of the per-block z table
 _ZETA_SLACK = 1e-9
 _SECULAR_MAX_STEPS = 200
 _SECULAR_RTOL = 4.0 * np.finfo(np.float64).eps
@@ -189,32 +214,61 @@ def _root_brackets(zk2, zd2, gaps):
     return np.where(inside, zd2 / (1.0 + scratch.sum(axis=1)), 0.0), upper
 
 
-def zeta_scan(spectrum, X):
-    """max over rows x_p of X of the largest eigenvalue of EZ - x_p x_p^T.
+class ZetaScan:
+    """max over rows x_p of the largest eigenvalue of EZ - x_p x_p^T, for
+    rows handed over a block at a time by ``add``; ``zeta()`` reads the result.
 
     ``spectrum`` is ``np.linalg.eigh(EZ)``: ascending eigenvalues, eigenvectors.
     """
-    lam, Q = spectrum
-    top = lam[-1]
-    gaps = top - lam[:-1]
-    npairs, d = X.shape
-    step = max(1, _ZETA_BLOCK // d)
-    t_min = u_min = np.inf
-    for lo in range(0, npairs, step):
-        z2 = X[lo : lo + step] @ Q
+
+    def __init__(self, spectrum):
+        lam, self.Q = spectrum
+        self.top = lam[-1]
+        self.gaps = self.top - lam[:-1]
+        self.t_min = self.u_min = np.inf
+        self.held, self.held_entries = [], 0  # (zk2, zd2, L) of unsolved rows
+
+    def add(self, X):
+        """Bracket the roots of the rows of ``X``, one block, and hold the
+        rows that may hold the smallest one; solve them once they fill a
+        float block, or while no root is known."""
+        if not self.gaps.size:  # d = 1, no other eigenvalue: the root is z_1^2 itself
+            t = (X @ self.Q)[:, 0] ** 2
+            self.t_min = min(self.t_min, float(np.min(t, initial=np.inf)))
+            return
+        zk2, zd2, lower = self._candidates(X)
+        self.held.append((zk2, zd2, lower))
+        self.held_entries += zk2.size
+        if self.held_entries >= FLOAT_BLOCK or self.t_min == np.inf:
+            self._solve()
+
+    def _candidates(self, X):
+        """``(z_k^2, z_d^2, L)`` of the rows of ``X`` whose L passes the bound."""
+        z2 = X @ self.Q
         z2 *= z2
         zk2, zd2 = z2[:, :-1], z2[:, -1]
-        if d == 1:  # no other eigenvalue: the root is z_1^2 itself
-            t = zd2
-        else:
-            if gaps[-1] > 0.0:  # else every root is 0 and the solver says so
-                lower, upper = _root_brackets(zk2, zd2, gaps)
-                u_min = min(u_min, float(upper.min()))
-                keep = lower <= min(u_min, t_min) * (1.0 + _ZETA_SLACK)
-                zk2, zd2 = zk2[keep], zd2[keep]
-            t = _secular_roots(zk2, zd2, gaps, np.minimum(zd2, gaps[-1]))
-        t_min = min(t_min, float(np.min(t, initial=np.inf)))
-    return float(top - t_min)
+        if self.gaps[-1] > 0.0:  # else every root is 0 and the solver says so
+            lower, upper = _root_brackets(zk2, zd2, self.gaps)
+            self.u_min = min(self.u_min, float(upper.min(initial=np.inf)))
+            keep = lower <= min(self.u_min, self.t_min) * (1.0 + _ZETA_SLACK)
+            return zk2[keep], zd2[keep], lower[keep]
+        return zk2, zd2, np.zeros_like(zd2)
+
+    def _solve(self):
+        """Solve the held rows whose L still passes the bound."""
+        zk2, zd2, lower = (p[0] if len(p) == 1 else np.concatenate(p) for p in zip(*self.held))
+        self.held, self.held_entries = [], 0
+        keep = lower <= min(self.u_min, self.t_min) * (1.0 + _ZETA_SLACK)
+        if not keep.all():
+            zk2, zd2 = zk2[keep], zd2[keep]
+        t = _secular_roots(zk2, zd2, self.gaps, np.minimum(zd2, self.gaps[-1]))
+        self.t_min = min(self.t_min, float(np.min(t, initial=np.inf)))
+
+    def zeta(self) -> float:
+        """zeta over every row added so far."""
+        if self.held_entries:
+            self._solve()
+        return float(self.top - self.t_min)
 
 
 # ---------------------------------------------------------------------------
@@ -449,19 +503,24 @@ class PairStreams:
         out *= 2.0**-53
         return out
 
-    def permutation(self, d):
-        """(rows, d) intp, each row as ``Generator.permutation(d)``.
+    def permutation(self, d, stop):
+        """(rows, d), each row as ``Generator.permutation(d)`` from position
+        ``stop`` on (``stop`` = 1: the whole row), in the smallest integer
+        type that holds d - 1.
 
         numpy's Fisher-Yates swaps position i = d-1, ..., 1 with a draw j in
         [0, i]: 32-bit draws masked to the smallest all-ones mask >= i until
         one is <= i.  Rows advance independently, one 32-bit draw per pass,
-        and leave the pass loop when their last swap is done.
+        and leave the pass loop when their last swap is done.  The swaps end at
+        position ``stop``: positions from ``stop`` on hold what the whole
+        shuffle puts there, so the first ``stop`` positions hold the rest of
+        the values, as a set.
         """
         rows = self.hi.size
-        perm = np.tile(np.arange(d), (rows, 1))
+        perm = np.tile(np.arange(d, dtype=np.min_scalar_type(d - 1)), (rows, 1))
         flat = perm.reshape(-1)
         masks = np.array([(1 << i.bit_length()) - 1 for i in range(d)], dtype=np.uint64)
-        steps = np.full(rows if d > 1 else 0, d - 1)  # next position to swap
+        steps = np.full(rows if d > stop else 0, d - 1)  # next position to swap
         base = np.arange(steps.size) * d
         hi, lo, inc_hi, inc_lo = self.hi, self.lo, self.inc_hi, self.inc_lo
         high = None  # the buffered high halves, after a low-half draw
@@ -480,7 +539,7 @@ class PairStreams:
             flat[at] = flat[other]
             flat[other] = top
             steps -= accept
-            going = steps > 0
+            going = steps >= stop
             if not going.all():
                 base, steps, hi, lo, inc_hi, inc_lo = (
                     a[going] for a in (base, steps, hi, lo, inc_hi, inc_lo)

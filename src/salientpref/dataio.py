@@ -133,32 +133,48 @@ def save_features(path: str, fm: FeatureMatrix) -> None:
     _write_rows(path, header, (np.asarray(fm.item_ids, dtype=object), *fm.matrix))
 
 
+def _feature_row_error(path: str, lineno: int, row: list[str], d: int, seen: set):
+    """The error of the first check that one features row fails, or None;
+    a row that passes adds its item id to ``seen``."""
+    if len(row) != d + 1:
+        return ParseError(str(path), lineno, f"expected {d + 1} cells, got {len(row)}")
+    if row[0] in seen:
+        return ParseError(str(path), lineno, f"duplicate item id {row[0]!r}")
+    seen.add(row[0])
+    try:
+        vals = [float(c) for c in row[1:]]
+    except ValueError:
+        return ParseError(str(path), lineno, "non-numeric feature cell")
+    if not all(np.isfinite(vals)):
+        return ParseError(str(path), lineno, "non-finite feature value")
+    return None
+
+
 def load_features(path: str) -> FeatureMatrix:
-    """Read a features CSV; the values are returned as written."""
+    """Read a features CSV; the values are returned as written.
+
+    All cells are converted in one pass and checked for finiteness once; only
+    the rows of a file that fails are checked again one at a time, to name
+    its first bad line.
+    """
     header, rows = _read_rows(path)
     if len(header) < 2 or header[0] != "item_id":
         raise ParseError(str(path), 1, "expected header item_id,f1,...,fd")
     d = len(header) - 1
-    ids: list[str] = []
-    seen: set[str] = set()
-    cols: list[list[float]] = []
-    for lineno, row in rows:
-        if len(row) != d + 1:
-            raise ParseError(str(path), lineno, f"expected {d + 1} cells, got {len(row)}")
-        item = row[0]
-        if item in seen:
-            raise ParseError(str(path), lineno, f"duplicate item id {item!r}")
-        seen.add(item)
+    records = [row for _, row in rows]
+    ids = tuple(row[0] for row in records)
+    values = None
+    if set(map(len, records)) <= {d + 1} and len(set(ids)) == len(ids):
+        cells = (cell for row in records for cell in row[1:])
         try:
-            vals = [float(c) for c in row[1:]]
-        except ValueError:
-            raise ParseError(str(path), lineno, "non-numeric feature cell") from None
-        if not all(np.isfinite(vals)):
-            raise ParseError(str(path), lineno, "non-finite feature value")
-        ids.append(item)
-        cols.append(vals)
-    matrix = np.asarray(cols, dtype=np.float64).T  # rows are items on disk
-    return FeatureMatrix(matrix, tuple(ids))
+            values = np.fromiter(map(float, cells), np.float64, len(records) * d)
+        except ValueError:  # a non-numeric cell
+            pass
+    if values is None or not np.isfinite(values).all():
+        seen: set[str] = set()
+        errors = (_feature_row_error(path, lineno, row, d, seen) for lineno, row in rows)
+        raise next(filter(None, errors))
+    return FeatureMatrix(values.reshape(len(records), d).T, ids)  # rows are items on disk
 
 
 def save_comparisons(path: str, data: ComparisonDataset, fm: FeatureMatrix) -> None:

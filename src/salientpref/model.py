@@ -21,10 +21,12 @@ closed form:
 Hessian is symmetric positive semidefinite and L is convex.
 
 The likelihood realizes ``x_p`` only for the pairs a dataset holds, and the
-sampler only for the pairs it draws (``RealizedSelection.rows``).  The sampler
-draws each pair's count, not each comparison, so it holds nothing m long or
-C(n,2) long: its memory is O(min(m, C(n,2))).  ``all_pair_probabilities``
-realizes all C(n,2).
+sampler only for the pairs it draws.  The sampler draws each pair's count,
+not each comparison, so it holds nothing m long or C(n,2) long: its memory is
+O(min(m, C(n,2))) integers and probabilities, and it forms the drawn pairs'
+``x_p`` a float block at a time (``RealizedSelection.row_blocks``).
+``all_pair_probabilities`` reads all C(n,2) pairs the same way, so neither
+holds a pairs x d table.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 from . import _kernels
 from .errors import DimensionError, PreconditionError
 from .features import check_int, check_int_array, check_real, check_weights, read_only
-from .selection import RealizedSelection, check_pairs, pair_index
+from .selection import RealizedSelection, check_canonical, check_pairs, pair_index
 
 
 # Largest count a pair may hold: float64 represents every integer up to it
@@ -71,6 +73,14 @@ def merge_pairs(keys: np.ndarray, wins: np.ndarray, total: np.ndarray):
     return keys, wins.astype(np.int64), sums.astype(np.int64), first
 
 
+def _exact_sum(counts: np.ndarray) -> int:
+    """The sum of int64 counts in [1, MAX_COUNT] as a Python int: in int64
+    when no partial sum can pass sys.maxsize, else by Python's ints."""
+    if counts.size and int(counts.max()) > sys.maxsize // counts.size:
+        return sum(counts.tolist())
+    return int(counts.sum())
+
+
 @dataclass(frozen=True, eq=False)
 class ComparisonDataset:
     """Pairwise comparison outcomes as counts per distinct canonical pair.
@@ -96,12 +106,12 @@ class ComparisonDataset:
         i, j, wins, total = map(np.asarray, (self.pair_i, self.pair_j, self.wins, self.total))
         if not (i.shape == j.shape == wins.shape == total.shape) or i.ndim != 1:
             raise DimensionError("pair_i, pair_j, wins, total must be 1-d arrays of equal length")
-        # integers, a list's items too; canonical once oriented below
+        # integers, a list's items too, checked once; canonical once oriented
         i, j = check_pairs(self.pair_i, self.pair_j)
         wins, total = check_int_array("wins", wins), check_int_array("total", total)
         swap = i > j
-        lo, hi = np.where(swap, j, i), np.where(swap, i, j)
-        i, j = check_pairs(lo, hi, canonical=True, n=n)
+        i, j = np.where(swap, j, i), np.where(swap, i, j)
+        check_canonical(i, j, n)
         if np.any((total < 1) | (total > MAX_COUNT) | (wins < 0) | (wins > total)):
             raise ValueError("each pair needs 1 <= total <= 2**53 and 0 <= wins <= total")
         wins = np.where(swap, total - wins, wins)
@@ -111,15 +121,17 @@ class ComparisonDataset:
             if over is not None:
                 raise PreconditionError("a pair's total count exceeds 2**53")
             i, j = key // n, key % n
-        if sum(total.tolist()) > sys.maxsize:
+        size = _exact_sum(total)
+        if size > sys.maxsize:
             raise PreconditionError(f"the total comparison count exceeds {sys.maxsize}")
         for name, arr in (("pair_i", i), ("pair_j", j), ("wins", wins), ("total", total)):
             object.__setattr__(self, name, read_only(arr))
         object.__setattr__(self, "n_items", n)
+        object.__setattr__(self, "_size", size)
 
     def __len__(self) -> int:
         """Number of comparisons: the sum of the pair totals."""
-        return sum(self.total.tolist())
+        return self._size
 
     # Per-comparison item indices, expanded from the counts on each access.
     # Unused by the package; kept only because perfbench/tracing.py reads them.
@@ -152,10 +164,21 @@ def design_matrix(sel: RealizedSelection, data: ComparisonDataset) -> np.ndarray
     return sel.rows(data.pair_i, data.pair_j)
 
 
+def _margins(blocks: Iterable[np.ndarray], w: np.ndarray, size: int) -> np.ndarray:
+    """``<w, x_p>`` over the rows of consecutive ``blocks``, ``size`` rows in all."""
+    out = np.empty(size)
+    lo = 0
+    for X in blocks:
+        out[lo : lo + X.shape[0]] = X @ w
+        lo += X.shape[0]
+    return out
+
+
 def all_pair_probabilities(sel: RealizedSelection, w):
     """P(i beats j) for every canonical pair, in lexicographic pair order."""
     w = check_weights(w, sel.features.d)
-    return _kernels.sigmoid(sel.diff_table() @ w)
+    n = sel.features.n
+    return _kernels.sigmoid(_margins(sel.row_blocks(), w, n * (n - 1) // 2))
 
 
 def sample_comparisons(sel: RealizedSelection, w_star, m: int, seed: int) -> ComparisonDataset:
@@ -213,7 +236,7 @@ def sample_comparisons(sel: RealizedSelection, w_star, m: int, seed: int) -> Com
     starts = pair_index(items, items + 1, n)  # each item's first pair (i, i + 1)
     ii = np.searchsorted(starts, start, side="right") - 1
     jj = start - starts[ii] + ii + 1
-    probs = _kernels.sigmoid(sel.rows(ii, jj) @ w_star)
+    probs = _kernels.sigmoid(_margins(sel.row_blocks(ii, jj), w_star, ii.size))
     return ComparisonDataset(ii, jj, rng.binomial(count, probs), count, n)
 
 

@@ -1,8 +1,13 @@
 """Identifiability and sample-complexity certificates.
 
 All quantities are exact uniform averages over the C(n, 2) pairs (never
-Monte Carlo).  With ``x_ij`` the masked feature difference of a pair and
-``Z_ij = x_ij x_ij^T``:
+Monte Carlo).  The general certificate runs the selection rule once per pair
+and keeps its masks as packed bits (``RealizedSelection.keep_bits``), then
+passes twice over float blocks rebuilt from them
+(``RealizedSelection.blocks``): its memory is d/8 bytes a pair plus a few
+blocks, never a C(n, 2) x d table, and its sums over blocks differ from
+sums over one table at roundoff.  With ``x_ij`` the masked feature
+difference of a pair and ``Z_ij = x_ij x_ij^T``:
 
     lambda = smallest eigenvalue of E[Z]
     eta    = largest singular value of E[(Z - E[Z])^2]
@@ -45,7 +50,7 @@ Ranking recovery turns the weight error into a Kendall-distance guarantee via
 the k-th sorted utility gap; it takes only the certificate, which holds its
 selection and true weights.  Eigenvalues of the small d x d certificate
 matrices come from LAPACK; zeta takes the eigendecomposition of E[Z] and
-solves a secular equation per pair (see ``_kernels.zeta_scan``).
+solves a secular equation per pair (see ``_kernels.ZetaScan``).
 """
 
 from __future__ import annotations
@@ -105,23 +110,43 @@ def _finite_scale(certificate):
     return checked
 
 
-def _check_underflow(moment: np.ndarray, values: np.ndarray) -> None:
-    """Raise when a second moment of nonzero values is exactly zero: every
-    square underflowed, so a zero spectrum would misreport the scale as
-    unidentifiable.  Values that are all zero leave it zero rightly."""
-    if np.trace(moment) == 0.0 and values.any():
+def _check_underflow(moment: np.ndarray, nonzero: bool) -> None:
+    """Raise when the second moment of values of which some are ``nonzero``
+    is exactly zero: every square underflowed, so a zero spectrum would
+    misreport the scale as unidentifiable.  Values that are all zero leave
+    it zero rightly."""
+    if np.trace(moment) == 0.0 and nonzero:
         raise PreconditionError(_SCALE_UNDERFLOW)
 
 
-def _spectrum(X: np.ndarray):
-    """E[Z] = X^T X / P, its ascending ``(eigenvalues, eigenvectors)`` and its
-    rank, refused before the eigendecomposition when E[Z] overflows or
-    underflows."""
-    EZ = _kernels.second_moment(X)
-    _check_finite(EZ)
-    _check_underflow(EZ, X)
-    spectrum, rank = _kernels.psd_spectrum(EZ)
-    return EZ, spectrum, rank
+def _plus(total, term):
+    """``total + term``, or ``term`` itself when there is no total yet: one
+    block's sum is then exactly the sum over one table."""
+    return term if total is None else total + term
+
+
+def _larger(a: float, b: float) -> float:
+    """The larger of ``a`` and ``b``, NaN when either is, as ``np.max`` over
+    one table gives; Python's ``max`` would drop a NaN that comes second."""
+    return b if math.isnan(b) or b > a else a
+
+
+def _pair_sums(sel: RealizedSelection, bits, w_star):
+    """Pass 1 over the pair blocks: ``(X^T X, sum_p ||x_p||^2 x_p x_p^T,
+    beta, b*, any x_p nonzero)``; b* is None without ``w_star``.  A sum that
+    overflows is left inf or nan, for the caller's finiteness checks."""
+    XtX = fourth = None
+    beta, b_star, nonzero = 0.0, None if w_star is None else 0.0, False
+    for X in sel.blocks(bits):
+        with np.errstate(over="ignore", invalid="ignore"):
+            XtX = _plus(XtX, X.T @ X)
+            sq = (X**2).sum(axis=1)
+            fourth = _plus(fourth, (X * sq[:, None]).T @ X)
+            if w_star is not None:
+                b_star = _larger(b_star, _kernels.largest_margin(X, w_star))
+        beta = _larger(beta, float(np.abs(X).max()))
+        nonzero = nonzero or bool(X.any())
+    return XtX, fourth, beta, b_star, nonzero
 
 
 def _check_delta(delta: float) -> float:
@@ -208,25 +233,33 @@ def sample_complexity_report(
     """Compute lambda, eta, zeta, beta, b*, m1, m2 and the error bound.
 
     A non-identifiable instance (lambda at numerical zero) is reported, not
-    raised: m2 and the error bound become infinite.
+    raised: m2 and the error bound become infinite.  The rule runs once per
+    pair (``keep_bits``); two passes over the pair blocks follow, one for the
+    moments, beta and b*, one for zeta, so memory is the packed keep bits
+    plus a few float blocks.
     """
     delta = _check_delta(delta)
     d, n = sel.features.d, sel.features.n
-    X = sel.diff_table()
-    EZ, spectrum, rank = _spectrum(X)
-    sq = (X**2).sum(axis=1)
-    V = (X * sq[:, None]).T @ X / X.shape[0] - EZ @ EZ  # E[(Z - E[Z])^2]
+    if w_star is not None:
+        w_star = check_weights(w_star, d).copy()
+        w_star.setflags(write=False)
+    npairs = n * (n - 1) // 2
+    bits = sel.keep_bits()
+    XtX, fourth, beta, b_star, nonzero = _pair_sums(sel, bits, w_star)
+    EZ = XtX / npairs
+    _check_finite(EZ)
+    _check_underflow(EZ, nonzero)
+    spectrum, rank = _kernels.psd_spectrum(EZ)
+    V = fourth / npairs - EZ @ EZ  # E[(Z - E[Z])^2]
     V = 0.5 * (V + V.T)
     _check_finite(V)
 
     lam = max(float(spectrum[0][0]), 0.0)
     eta = max(float(_kernels.sym_eigvals(V)[-1]), 0.0)
-    zeta = float(_kernels.zeta_scan(spectrum, X))
-    beta = float(np.abs(X).max()) if X.size else 0.0
-    if w_star is not None:
-        w_star = check_weights(w_star, d).copy()
-        w_star.setflags(write=False)
-    b_star = None if w_star is None else _kernels.largest_margin(X, w_star)
+    scan = _kernels.ZetaScan(spectrum)
+    for X in sel.blocks(bits):
+        scan.add(X)
+    zeta = scan.zeta()
     identifiable = rank == d
     m1, m2, coeff = _thresholds(lam, eta, zeta, beta, b_star, d, delta, identifiable)
     return SampleComplexityReport(
@@ -319,7 +352,7 @@ def full_selection_report(
     gram = U @ U.T
     farthest = _max_sq_distance(U)
     _check_finite(gram, farthest)
-    _check_underflow(gram, U)
+    _check_underflow(gram, U.any())
     gram_eigs = _kernels.sym_eigvals(gram)
     lmin = max(float(gram_eigs[0]), 0.0)
     lmax = float(gram_eigs[-1])

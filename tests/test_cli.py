@@ -269,6 +269,33 @@ class TestFitRankEvaluate:
         assert not (tmp_path / "o.json").exists()
 
 
+class TestOneParserPerProcess:
+    def test_two_subcommands_and_version_share_one_parser(self, sim_dir, tmp_path,
+                                                          monkeypatch, capsys):
+        built = []
+
+        def counting():
+            built.append(True)
+            return cli.build_parser()
+
+        monkeypatch.setattr(cli, "_parser", cli.functools.cache(counting))
+        sel, f = '{"kind":"top_t","t":2}', sim_dir / "features.csv"
+        fitted, ranked = tmp_path / "fit.json", tmp_path / "ranking.csv"
+        assert cli.main(["fit", "--features", str(f), "--comparisons",
+                         str(sim_dir / "comparisons.csv"), "--selection", sel,
+                         "--out", str(fitted)]) == 0
+        assert cli.main(["rank", "--features", str(f), "--weights", str(fitted),
+                         "--out", str(ranked)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"{cli.__version__}\n"
+        assert built == [True]
+        # the reused parser leaks nothing: a fresh process writes the same ranking
+        run_cli("rank", "--features", f, "--weights", fitted, "--out", tmp_path / "fresh.csv")
+        assert (tmp_path / "fresh.csv").read_bytes() == ranked.read_bytes()
+
+
 class TestManifest:
     SEL = '{"kind":"top_t","t":2}'
 

@@ -13,10 +13,14 @@ the test fails and names both environments: no digest recorded here vouches
 for those outputs.  Re-pin in that environment, or after changing an output
 on purpose, with ``PYTHONPATH=src python tests/test_golden.py``, which
 prints the name of each digest that differs from the pinned one, and name
-each changed file in CHANGES.md.
+each changed file in CHANGES.md.  ``--baseline CHECKOUT`` also runs the
+stages on another source checkout (say, the parent commit's) and prints, for
+each JSON output whose bytes differ from its output there, the largest
+relative change over its numeric leaves.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -56,13 +60,41 @@ environment = {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('
 """
 
 
-def run_stages(out: Path) -> dict:
-    """The environment and the sha256 of every primary output, from a child."""
+def run_stages(out: Path, root: Path = ROOT) -> dict:
+    """The environment and the sha256 of every primary output, from a child
+    that imports the package from ``root``'s ``src``."""
     env = {**os.environ, **dict.fromkeys(BLAS_ENV, "1")}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     subprocess.run([sys.executable, "-B", "-c", CHILD, str(ROOT / "perfbench"), str(out)],
                    env=env, check=True, stdout=subprocess.DEVNULL)
     return json.loads((out / "digests.json").read_text(encoding="utf-8"))
+
+
+def output_path(out: Path, name: str) -> Path:
+    """Where ``run_stages(out)`` wrote the output a digest name refers to."""
+    workload, seed, rel = name.split("/", 2)
+    return out / f"{workload}-{seed}" / rel
+
+
+def largest_relative_change(a, b) -> float:
+    """max |x - y| / max(|x|, |y|) over the numeric leaves of two JSON values
+    (0 where both are equal); inf when their shapes or other leaves differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return float("inf")
+        return max((largest_relative_change(a[k], b[k]) for k in a), default=0.0)
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return float("inf")
+        return max(map(largest_relative_change, a, b), default=0.0)
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+    if not numbers:
+        return 0.0 if type(a) is type(b) and a == b else float("inf")
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return float("inf")
+    return abs(a - b) / max(abs(a), abs(b))
 
 
 def test_primary_outputs_match_their_digests(tmp_path):
@@ -78,11 +110,36 @@ def test_primary_outputs_match_their_digests(tmp_path):
     assert not moved, f"primary outputs changed: {moved}"
 
 
+def test_largest_relative_change_reads_numeric_leaves():
+    base = {"a": [1.0, 2, {"b": 4.0}], "c": "x", "d": True, "e": None}
+    moved = {"a": [1.0, 2, {"b": 4.0 * (1 + 1e-15)}], "c": "x", "d": True, "e": None}
+    assert largest_relative_change(base, base) == 0.0
+    assert largest_relative_change(base, moved) == abs(4.0 * (1 + 1e-15) - 4.0) / (4.0 * (1 + 1e-15))
+    assert largest_relative_change(base, {**base, "c": "y"}) == float("inf")
+    assert largest_relative_change(base, {**base, "d": 1}) == float("inf")
+    assert largest_relative_change([1.0], [1.0, 2.0]) == float("inf")
+    assert largest_relative_change([math.inf, math.nan], [math.inf, math.nan]) == 0.0
+    assert largest_relative_change(math.inf, 1.0) == float("inf")
+
+
 if __name__ == "__main__":
+    import argparse
     import tempfile
 
+    parser = argparse.ArgumentParser(description="re-pin the golden digests")
+    parser.add_argument("--baseline", type=Path,
+                        help="a source checkout whose outputs the changed JSON outputs are compared to")
+    options = parser.parse_args()
     with tempfile.TemporaryDirectory() as scratch:
-        record = run_stages(Path(scratch))
+        record = run_stages(Path(scratch) / "this")
+        if options.baseline is not None:
+            base = run_stages(Path(scratch) / "base", options.baseline.resolve())
+            for name, digest in sorted(record["sha256"].items()):
+                if name.endswith(".json") and digest != base["sha256"].get(name):
+                    values = [json.loads(output_path(Path(scratch) / side, name).read_text("utf-8"))
+                              for side in ("base", "this")]
+                    print(f"moved from baseline: {name}: largest relative change "
+                          f"{largest_relative_change(*values):.3g}")
     before = json.loads(DIGESTS.read_text(encoding="utf-8"))["sha256"] if DIGESTS.exists() else {}
     for name in sorted(before.keys() | record["sha256"].keys()):
         if before.get(name) != record["sha256"].get(name):

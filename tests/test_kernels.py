@@ -20,6 +20,17 @@ class TestScalarHelpers:
     def test_curvature_peak(self):
         assert _kernels.logistic_curvature(0.0) == pytest.approx(0.25)
 
+    def test_zero_off_is_bitwise_copyto(self, rng):
+        table = rng.normal(size=(40, 7))
+        table.flat[:6] = [np.inf, -np.inf, np.nan, -0.0, 0.0, -5e-324]
+        keep = rng.random(table.shape) < 0.4
+        keep.flat[:6] = False
+        want = table.copy()
+        np.copyto(want, 0.0, where=~keep)
+        got = _kernels.zero_off(table, keep)
+        assert got is table
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
 
 class TestNllKernels:
     def test_extreme_margins_stay_finite(self, rng):
@@ -60,7 +71,7 @@ def zeta_every_row(spectrum, X):
     lam, Q = spectrum
     gaps = lam[-1] - lam[:-1]
     d = X.shape[1]
-    step = max(1, _kernels._ZETA_BLOCK // d)
+    step = _kernels.block_rows(d)
     t_min = np.inf
     for lo in range(0, X.shape[0], step):
         z2 = (X[lo : lo + step] @ Q) ** 2
@@ -69,6 +80,16 @@ def zeta_every_row(spectrum, X):
             zd2 = SECULAR_ROOTS(z2[:, :-1], zd2, gaps, np.minimum(zd2, gaps[-1]))
         t_min = min(t_min, float(zd2.min()))
     return float(lam[-1] - t_min)
+
+
+def zeta_scan(spectrum, X):
+    """``ZetaScan`` over the rows of ``X`` in blocks of ``block_rows(d)``, as
+    the certificate hands them over."""
+    scan = _kernels.ZetaScan(spectrum)
+    step = _kernels.block_rows(X.shape[1])
+    for lo in range(0, X.shape[0], step):
+        scan.add(X[lo : lo + step])
+    return scan.zeta()
 
 
 def spectrum_of(X):
@@ -115,24 +136,24 @@ class TestZetaScan:
         X = rng.normal(size=(120, 5))
         EZ = X.T @ X / X.shape[0]
         _, _, want, _ = oracles.certificate_quantities(X)
-        assert _kernels.zeta_scan(np.linalg.eigh(EZ), X) == pytest.approx(want, rel=1e-10)
+        assert zeta_scan(np.linalg.eigh(EZ), X) == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("d", [1, 2, 5, 48])
     def test_bit_identical_to_every_row_every_kind(self, rng, d):
         for spec in every_kind(d):
             X = realize(spec, random_features(rng, d, 40)).diff_table()
             spectrum = spectrum_of(X)
-            assert _kernels.zeta_scan(spectrum, X) == zeta_every_row(spectrum, X)
+            assert zeta_scan(spectrum, X) == zeta_every_row(spectrum, X)
 
     @pytest.mark.parametrize("d", [2, 5, 48])
     def test_bound_carries_across_blocks(self, rng, monkeypatch, solved_rows, d):
-        monkeypatch.setattr(_kernels, "_ZETA_BLOCK", 7 * d)
+        monkeypatch.setattr(_kernels, "FLOAT_BLOCK", 7 * d)
         for spec in every_kind(d):
             X = realize(spec, random_features(rng, d, 30)).diff_table()
             spectrum = spectrum_of(X)
             solved_rows.clear()
-            assert _kernels.zeta_scan(spectrum, X) == zeta_every_row(spectrum, X)
-            assert len(solved_rows) == -(-X.shape[0] // 7)
+            assert zeta_scan(spectrum, X) == zeta_every_row(spectrum, X)
+            assert 1 <= len(solved_rows) <= -(-X.shape[0] // 7)
 
     def test_later_blocks_solve_nothing_past_the_bound(self, rng, monkeypatch, solved_rows):
         # the smallest root is in the first block; every later row is far above it
@@ -141,16 +162,28 @@ class TestZetaScan:
         z[:, -1] *= 0.5
         z[0, -1] = 1e-3
         X = z @ Q.T
-        monkeypatch.setattr(_kernels, "_ZETA_BLOCK", 4 * 10)
-        assert _kernels.zeta_scan((lam, Q), X) == zeta_every_row((lam, Q), X)
-        assert solved_rows[0] >= 1 and solved_rows[1:] == [0, 0, 0]
+        monkeypatch.setattr(_kernels, "FLOAT_BLOCK", 4 * 10)
+        assert zeta_scan((lam, Q), X) == zeta_every_row((lam, Q), X)
+        assert len(solved_rows) == 1 and solved_rows[0] >= 1
+
+    def test_held_rows_are_solved_in_batches(self, rng, monkeypatch, solved_rows):
+        # nothing prunes (as in test_every_lower_end_zero_solves_every_row):
+        # float blocks of 12 entries, 4 rows; the first block is solved at
+        # once, since no root is known, then one call per two blocks, whose
+        # 8 held rows of 2 entries below the top fill a float block, and the
+        # last 2 rows at the end
+        lam, Q = synthetic_spectrum(rng, [0.5, 1.0 - 1e-6, 1.0])
+        X = (rng.uniform(1.0, 2.0, size=(30, 3)) * [0.1, 0.1, 1.0]) @ Q.T
+        monkeypatch.setattr(_kernels, "FLOAT_BLOCK", 4 * 3)
+        assert zeta_scan((lam, Q), X) == zeta_every_row((lam, Q), X)
+        assert solved_rows == [4, 8, 8, 8, 2]
 
     def test_smallest_upper_end_need_not_hold_the_smallest_root(self, solved_rows):
         # row 1's root is its upper end, 0.4; row 0's upper end is 0.45 but
         # its pole term pulls its root to about 0.354, below 0.4
         lam, Q = np.array([1.0, 2.0, 3.0]), np.eye(3)
         X = np.array([[0.0, 1.0, np.sqrt(0.9)], [0.0, 0.0, np.sqrt(0.4)]])
-        zeta = _kernels.zeta_scan((lam, Q), X)
+        zeta = zeta_scan((lam, Q), X)
         assert zeta == zeta_every_row((lam, Q), X)
         assert zeta == pytest.approx(3.0 - 0.354, abs=1e-3)
         assert solved_rows == [2]
@@ -159,27 +192,27 @@ class TestZetaScan:
         lam, Q = synthetic_spectrum(rng, [1.0, 2.0, 3.0])
         X = rng.normal(size=(25, 3))
         X[4, 0] = np.nan
-        assert _kernels.zeta_scan((lam, Q), X) == zeta_every_row((lam, Q), X)
+        assert zeta_scan((lam, Q), X) == zeta_every_row((lam, Q), X)
         assert solved_rows[0] >= 1
 
     def test_zero_rows(self, rng):
         for d in (1, 3):
             spectrum = synthetic_spectrum(rng, np.arange(1.0, d + 1))
-            assert _kernels.zeta_scan(spectrum, np.empty((0, d))) == -np.inf
+            assert zeta_scan(spectrum, np.empty((0, d))) == -np.inf
 
     def test_row_orthogonal_to_top_eigenvector(self, rng):
         lam, Q = synthetic_spectrum(rng, [1.0, 2.0, 3.0])
         z = rng.normal(size=(25, 3))
         z[9, -1] = 0.0
         X = z @ Q.T
-        zeta = _kernels.zeta_scan((lam, Q), X)
+        zeta = zeta_scan((lam, Q), X)
         assert zeta == zeta_every_row((lam, Q), X)
         assert zeta == pytest.approx(3.0, rel=1e-12)
 
     def test_repeated_top_eigenvalue(self, rng):
         lam, Q = synthetic_spectrum(rng, [1.0, 3.0, 3.0])
         X = rng.normal(size=(25, 3))
-        assert _kernels.zeta_scan((lam, Q), X) == zeta_every_row((lam, Q), X) == 3.0
+        assert zeta_scan((lam, Q), X) == zeta_every_row((lam, Q), X) == 3.0
 
     def test_every_lower_end_zero_solves_every_row(self, rng, solved_rows):
         # the top two eigenvalues 1e-6 apart and rows along the top
@@ -191,17 +224,17 @@ class TestZetaScan:
         gaps = lam[-1] - lam[:-1]
         lower, upper = _kernels._root_brackets(z2[:, :-1], z2[:, -1], gaps)
         assert np.all(upper == gaps[-1]) and np.all(lower == 0.0)
-        assert _kernels.zeta_scan((lam, Q), X) == zeta_every_row((lam, Q), X)
+        assert zeta_scan((lam, Q), X) == zeta_every_row((lam, Q), X)
         assert solved_rows == [30]
 
     def test_wide_table_solves_few_pairs(self, wide_table, solved_rows):
         spectrum = spectrum_of(wide_table)
-        assert _kernels.zeta_scan(spectrum, wide_table) == zeta_every_row(spectrum, wide_table)
+        assert zeta_scan(spectrum, wide_table) == zeta_every_row(spectrum, wide_table)
         assert sum(solved_rows) <= 0.05 * wide_table.shape[0]
 
     def test_memory_stays_within_a_few_tables(self, wide_table):
         spectrum = spectrum_of(wide_table)
-        _, peak = traced_peak(_kernels.zeta_scan, spectrum, wide_table)
+        _, peak = traced_peak(zeta_scan, spectrum, wide_table)
         assert wide_table.shape == (7140, 48)
         assert peak <= 4 * wide_table.nbytes
 

@@ -291,6 +291,20 @@ class TestSampleComparisonsBlocks:
         assert data.total.size == 4950
         assert peak <= 4e6
 
+    @pytest.mark.parametrize(
+        "spec", [SelectionSpec.random_exactly_k(8, 8), SelectionSpec.top_t(2)], ids=lambda s: s.kind
+    )
+    def test_memory_stays_below_the_drawn_pairs_table(self, spec):
+        # m = 10^6 draws every one of the 79,800 pairs; their masked
+        # difference table would be 30.6 MB, and the sampler holds half of it
+        d, n = 48, 400
+        fm = FeatureMatrix(np.random.default_rng(3).normal(size=(d, n)))
+        sel = realize(spec, fm)
+        w = np.random.default_rng(4).normal(size=d)
+        data, peak = traced_peak(lambda: sample_comparisons(sel, w, 1_000_000, seed=5))
+        assert data.total.size == n * (n - 1) // 2
+        assert peak <= data.total.size * d * 8 / 2
+
 
 class TestNll:
     def test_single_sample_at_zero_margin(self):

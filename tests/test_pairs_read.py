@@ -3,7 +3,8 @@
 A spy on ``RealizedSelection._keep_mask``, the one rule every row comes
 from, records how many pairs each call asks for.  Fitting and scoring a
 dataset ask for its distinct pairs, sampling asks for the pairs it drew,
-and the certificate realizes all C(n,2) pairs once.
+and the certificate and the all-pairs probabilities realize all C(n,2)
+pairs once.
 """
 
 import numpy as np
@@ -22,7 +23,7 @@ from salientpref import (
     realize,
     sample_comparisons,
 )
-from salientpref.model import design_matrix
+from salientpref.model import all_pair_probabilities, design_matrix
 from salientpref.selection import RealizedSelection
 
 N, D, PAIRS = 2000, 4, 50
@@ -80,6 +81,14 @@ def test_sampling_reads_only_the_pairs_drawn(asked, spec):
     features, _, w = sparse_instance()
     data = sample_comparisons(realize(spec, features), w, 100, seed=4)
     assert sum(asked) == data.pair_i.size <= 100
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+def test_all_pair_probabilities_realize_every_pair_once(asked, spec):
+    n = 40
+    features = FeatureMatrix(np.random.default_rng(2).normal(size=(D, n)))
+    all_pair_probabilities(realize(spec, features), np.ones(D))
+    assert sum(asked) == n * (n - 1) // 2
 
 
 def test_simulate_and_theory_realize_every_pair_once(asked, tmp_path):

@@ -12,7 +12,8 @@ from salientpref import (
     SelectionSpec,
     realize,
 )
-from salientpref.selection import RealizedSelection, all_pairs
+from salientpref import _kernels, selection
+from salientpref.selection import RealizedSelection, all_pairs, pair_blocks, pair_index
 
 
 def fm_from_columns(*cols):
@@ -383,6 +384,22 @@ class TestPartition:
         ):
             sel.single_coordinate()
 
+    def test_blocks_name_the_first_non_singleton_pair(self, monkeypatch):
+        # pairs 0..11 of 36 select one coordinate each, pair 12, (1, 6), three
+        fm = FeatureMatrix(np.random.default_rng(9).normal(size=(3, 9)))
+        sel = realize(SelectionSpec.random_bernoulli(0.2, seed=20), fm)
+        monkeypatch.setattr(selection, "_DRAW_BLOCK", 5)
+        with pytest.raises(NotSingleCoordinateError,
+                           match=r"pair \(1, 6\) selects 3 coordinates, need 1"):
+            sel.single_coordinate()
+
+    def test_blocks_give_the_one_table_coordinates(self, rng, monkeypatch):
+        fm = FeatureMatrix(rng.normal(size=(4, 9)))
+        sel = realize(SelectionSpec.top_t(1), fm)
+        want = sel.keep(*all_pairs(9)).argmax(axis=1)
+        monkeypatch.setattr(_kernels, "FLOAT_BLOCK", 5 * 4)
+        assert_single_coordinates(sel, want)
+
     def test_partition_is_disjoint_cover(self, rng):
         fm = FeatureMatrix(rng.normal(size=(4, 9)))
         sel = realize(SelectionSpec.random_exactly_k(1, seed=2), fm)
@@ -529,3 +546,94 @@ class TestStreamsMatchNumpy:
         npairs = n * (n - 1) // 2
         order = data.draw(st.lists(st.integers(0, npairs - 1), max_size=2 * npairs), label="order")
         assert_matches_numpy_rule(spec, n, d, order)
+
+
+def every_kind(d):
+    return (
+        SelectionSpec.full(),
+        SelectionSpec.top_t(max(1, d // 2)),
+        SelectionSpec.random_exactly_k(max(1, d // 3), 11),
+        SelectionSpec.random_bernoulli(0.3, 12),
+    )
+
+
+class TestPairBlocks:
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7, 64, 10**6])
+    def test_matches_triu_indices(self, rows):
+        for n in range(61):
+            blocks = list(pair_blocks(n, rows))
+            assert all(0 < ii.size <= rows and ii.dtype == jj.dtype == np.int64
+                       for ii, jj in blocks)
+            ii = np.concatenate([b[0] for b in blocks] or [np.empty(0, np.int64)])
+            jj = np.concatenate([b[1] for b in blocks] or [np.empty(0, np.int64)])
+            want_i, want_j = np.triu_indices(n, k=1)
+            np.testing.assert_array_equal(ii, want_i)
+            np.testing.assert_array_equal(jj, want_j)
+
+    def test_large_n_range_starts(self):
+        # 4,498,500 pairs in five ranges: each starts at its flat index and
+        # is lexicographic within
+        n, rows = 3000, 1_000_000
+        lo = 0
+        for ii, jj in pair_blocks(n, rows):
+            assert pair_index(int(ii[0]), int(jj[0]), n) == lo
+            flat = pair_index(ii, jj, n)
+            np.testing.assert_array_equal(flat, np.arange(lo, lo + ii.size))
+            assert np.all(ii < jj) and jj.max() < n
+            lo += ii.size
+        assert lo == n * (n - 1) // 2
+
+    def test_closed_form_decode_at_2_to_32_items(self):
+        # the first item of a flat index near each row boundary, where a float
+        # square root would round the wrong way
+        n = 2**32
+        for i in (0, 1, 2, 12345, n // 3, n - 3, n - 2):
+            for j in (i + 1, i + 2, n - 1):
+                if i < j < n:
+                    assert selection._pair_at(pair_index(i, j, n), n) == i
+
+
+class TestKeepBits:
+    @pytest.mark.parametrize("d", [1, 7, 8, 9])
+    def test_round_trip_against_keep(self, rng, d):
+        fm = FeatureMatrix(rng.normal(size=(d, 15)))
+        for spec in every_kind(d):
+            sel = realize(spec, fm)
+            bits = sel.keep_bits()
+            if spec.kind == "full":
+                assert bits is None
+                continue
+            assert bits.shape == (105, -(-d // 8)) and bits.dtype == np.uint8
+            assert not bits.flags.writeable
+            keep = np.unpackbits(bits, axis=1, count=d).astype(bool)
+            np.testing.assert_array_equal(keep, sel.keep(*all_pairs(15)))
+            # padding bits past d stay zero
+            assert not np.unpackbits(bits, axis=1)[:, d:].any()
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("d", [1, 5, 9])
+    def test_blocks_and_row_blocks_rebuild_the_table(self, rng, monkeypatch, d):
+        # blocks of 4 pairs, and rule blocks of 3, over 36 pairs
+        monkeypatch.setattr(_kernels, "FLOAT_BLOCK", 4 * d)
+        monkeypatch.setattr(selection, "_DRAW_BLOCK", 3)
+        fm = FeatureMatrix(rng.normal(size=(d, 9)))
+        order = rng.permutation(36)
+        ii, jj = all_pairs(9)
+        for spec in every_kind(d):
+            sel = realize(spec, fm)
+            _, want = oracles.masked_diff_table(fm.matrix, spec.to_dict())
+            streamed = list(sel.blocks(sel.keep_bits()))
+            assert [len(X) for X in streamed] == [4] * 9
+            np.testing.assert_array_equal(np.concatenate(streamed), want)
+            rows = list(sel.row_blocks(ii[order], jj[order]))
+            assert all(len(X) <= 4 for X in rows)
+            np.testing.assert_array_equal(np.concatenate(rows), want[order])
+            every = list(sel.row_blocks())
+            assert all(len(X) <= 4 for X in every)
+            np.testing.assert_array_equal(np.concatenate(every), want)
+
+    def test_row_blocks_checks_its_pairs(self, rng):
+        sel = realize(SelectionSpec.full(), FeatureMatrix(rng.normal(size=(2, 5))))
+        with pytest.raises(InvalidPairError):
+            next(sel.row_blocks([2], [1]))

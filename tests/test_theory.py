@@ -18,6 +18,7 @@ from salientpref import (
     sample_complexity_report,
     single_coordinate_report,
 )
+from salientpref import _kernels, selection
 from salientpref._kernels import sym_eigvals
 from salientpref.cli import _simulate_instance
 
@@ -120,6 +121,42 @@ class TestIdentifiability:
             assert sample_complexity_report(sel).rank == want
 
 
+ALL_KINDS = (
+    SelectionSpec.full(),
+    SelectionSpec.top_t(2),
+    SelectionSpec.random_exactly_k(2, 5),
+    SelectionSpec.random_bernoulli(0.4, 6),
+)
+
+
+class TestStreamedCertificate:
+    """The certificate over pair blocks against the dense oracle, with both
+    block constants set to B pairs and P = C(n,2) pairs equal to 1, B - 1, B
+    or B + 1, or spread over several blocks."""
+
+    @pytest.mark.parametrize(
+        "n, block",
+        [(2, 1), (2, 3), (6, 16), (6, 15), (6, 14), (6, 4)],
+        ids=["P=1=B", "P=1,B=3", "P=B-1", "P=B", "P=B+1", "P=15,B=4"],
+    )
+    @pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda s: s.kind)
+    def test_matches_dense_oracle(self, rng, monkeypatch, spec, n, block):
+        d = 3
+        monkeypatch.setattr(_kernels, "FLOAT_BLOCK", block * d)
+        monkeypatch.setattr(selection, "_DRAW_BLOCK", block)
+        fm = FeatureMatrix(rng.normal(size=(d, n)))
+        w = rng.normal(size=d)
+        rep = sample_complexity_report(realize(spec, fm), w_star=w)
+        _, table = oracles.masked_diff_table(fm.matrix, spec.to_dict())
+        lam, eta, zeta, beta = oracles.certificate_quantities(table)
+        assert rep.lambda_ == pytest.approx(lam, abs=1e-10)
+        assert rep.eta == pytest.approx(eta, rel=1e-8, abs=1e-10)
+        assert rep.zeta == pytest.approx(zeta, rel=1e-8, abs=1e-10)
+        assert rep.beta == beta
+        assert rep.b_star == pytest.approx(float(np.abs(table @ w).max()), rel=1e-12)
+        assert rep.rank == oracles.moment_rank(table)
+
+
 class TestSampleComplexityReport:
     def test_two_items_closed_form(self):
         a, b = 1.5, -0.5
@@ -159,6 +196,18 @@ class TestSampleComplexityReport:
         rep = sample_complexity_report(sel)
         lam, _, _, _ = oracles.certificate_quantities(sel.diff_table())
         assert abs(rep.lambda_ - lam) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "spec", [SelectionSpec.random_exactly_k(8, 8), SelectionSpec.top_t(2)], ids=lambda s: s.kind
+    )
+    def test_memory_stays_below_a_quarter_pair_table(self, spec):
+        # the C(400,2) x 48 masked difference table would be 30.6 MB; the
+        # certificate streams pair blocks and holds a quarter of it at most
+        d, n = 48, 400
+        fm, w = _simulate_instance(d, n, 7)
+        rep, peak = traced_peak(lambda: sample_complexity_report(realize(spec, fm), w_star=w))
+        assert rep.identifiable
+        assert peak <= n * (n - 1) // 2 * d * 8 / 4
 
     def test_expectation_two_routes(self, rng):
         fm = FeatureMatrix(rng.normal(size=(4, 25)))
@@ -747,6 +796,29 @@ def test_infinite_b_star_gives_infinite_coefficient():
     assert rep.b_star == math.inf
     assert rep.error_bound_coefficient == math.inf
     assert rep.error_bound(100) == math.inf
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_overflowing_margins_give_infinite_coefficient():
+    # each pair's margin sums products of +-2e308: inf, or nan where BLAS adds
+    # an inf to a -inf; either way the bound is infinite, never finite
+    fm = FeatureMatrix(np.array([[0.0, 1.0, 2.0]] * 4))
+    rep = sample_complexity_report(realize(SelectionSpec.full(), fm), w_star=[1e308, -1e308] * 2)
+    assert not math.isfinite(rep.b_star)
+    assert rep.error_bound_coefficient == math.inf
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_nan_margin_in_one_block_stays_nan(monkeypatch, rows):
+    # a nan margin in the first block survives the finite margins after it
+    monkeypatch.setattr(_kernels, "FLOAT_BLOCK", rows * 2)
+    margins = iter([math.nan, 1.0, 2.0])
+    monkeypatch.setattr(_kernels, "largest_margin", lambda X, w: next(margins))
+    fm = fm_from_columns([0.0, 1.0], [1.0, 0.0], [2.0, 2.0])
+    rep = sample_complexity_report(realize(SelectionSpec.full(), fm), w_star=[1.0, 1.0])
+    assert math.isnan(rep.b_star)
+    assert rep.error_bound_coefficient == math.inf
 
 
 def test_largest_finite_scale_still_certifies():
