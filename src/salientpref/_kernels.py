@@ -130,7 +130,9 @@ def psd_spectrum(M):
 # where t is the root in [0, min(z_d^2, g_{d-1})] of the secular equation
 # (Golub 1973; Bunch, Nielsen & Sorensen 1978)
 #     phi(t) = t (1 + S(t)) - z_d^2 = 0,   S(t) = sum_{k<d} z_k^2 / (g_k - t).
-# A zero bracket (z_d = 0, a repeated top eigenvalue, a zero row) gives t = 0.
+# A zero bracket (z_d = 0, a repeated top eigenvalue, a zero row) gives t = 0,
+# the smallest root of all, so the scan stops there and zeta is lam[-1].  With
+# one coordinate per pair E[Z] is diagonal: z_d = 0 off its top coordinate.
 # phi is increasing and convex on the bracket, so a Newton step taken right of
 # the root stays right of it; a step that leaves the sign bracket of phi falls
 # back to bisection.
@@ -231,28 +233,31 @@ class ZetaScan:
     def add(self, X):
         """Bracket the roots of the rows of ``X``, one block, and hold the
         rows that may hold the smallest one; solve them once they fill a
-        float block, or while no root is known."""
-        if not self.gaps.size:  # d = 1, no other eigenvalue: the root is z_1^2 itself
-            t = (X @ self.Q)[:, 0] ** 2
-            self.t_min = min(self.t_min, float(np.min(t, initial=np.inf)))
-            return
-        zk2, zd2, lower = self._candidates(X)
-        self.held.append((zk2, zd2, lower))
-        self.held_entries += zk2.size
-        if self.held_entries >= FLOAT_BLOCK or self.t_min == np.inf:
-            self._solve()
+        float block, or while no root is known; nothing once a root is 0."""
+        # _candidates' frame ends first, so the block's z table is freed before a solve
+        if self.t_min > 0.0 and (held := self._candidates(X)) is not None:
+            self.held.append(held)
+            self.held_entries += held[0].size
+            if self.held_entries >= FLOAT_BLOCK or self.t_min == np.inf:
+                self._solve()
 
     def _candidates(self, X):
-        """``(z_k^2, z_d^2, L)`` of the rows of ``X`` whose L passes the bound."""
+        """``(z_k^2, z_d^2, L)`` of the rows of ``X`` whose L passes the bound,
+        or None when the block settles its roots itself (d = 1, or a root 0)."""
         z2 = X @ self.Q
         z2 *= z2
+        if not self.gaps.size:  # d = 1, no other eigenvalue: the root is z_1^2 itself
+            self.t_min = min(self.t_min, float(np.min(z2[:, 0], initial=np.inf)))
+            return None
         zk2, zd2 = z2[:, :-1], z2[:, -1]
-        if self.gaps[-1] > 0.0:  # else every root is 0 and the solver says so
-            lower, upper = _root_brackets(zk2, zd2, self.gaps)
-            self.u_min = min(self.u_min, float(upper.min(initial=np.inf)))
-            keep = lower <= min(self.u_min, self.t_min) * (1.0 + _ZETA_SLACK)
-            return zk2[keep], zd2[keep], lower[keep]
-        return zk2, zd2, np.zeros_like(zd2)
+        if self.gaps[-1] == 0.0 or not zd2.all():  # a zero bracket: the root is 0
+            self.t_min = 0.0
+            self.held, self.held_entries = [], 0
+            return None
+        lower, upper = _root_brackets(zk2, zd2, self.gaps)
+        self.u_min = min(self.u_min, float(upper.min(initial=np.inf)))
+        keep = lower <= min(self.u_min, self.t_min) * (1.0 + _ZETA_SLACK)
+        return zk2[keep], zd2[keep], lower[keep]
 
     def _solve(self):
         """Solve the held rows whose L still passes the bound."""

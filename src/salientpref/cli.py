@@ -24,7 +24,6 @@ instances, at most one per instance and one per CPU.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import datetime
 import functools
 import hashlib
@@ -296,9 +295,7 @@ def cmd_theory(args) -> int:
             fm, w_star=w, delta=args.delta
         ).to_dict()
     try:
-        payload["single_coordinate"] = theory.single_coordinate_report(
-            sel, w_star=w, delta=args.delta
-        ).to_dict()
+        payload["single_coordinate"] = theory.single_coordinate_report(certificate).to_dict()
     except NotSingleCoordinateError:
         pass
     if w is not None:
@@ -377,6 +374,7 @@ def cmd_sweep(args) -> int:
     tasks = [(d, n, sel_json, m_grid, seed, mu) for sel_json in selections for seed in seeds]
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        import concurrent.futures  # loads logging too: only a pool needs it
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_sweep_instance, tasks))
     else:

@@ -23,7 +23,8 @@ of (spec, features): the same pair always yields the same subset, across
 calls, process runs, and realization orders.  The stream is numpy's
 ``default_rng(SeedSequence([seed, i, j]))`` (PCG64): ``random_exactly_k``
 keeps the first k entries of its ``permutation(d)``, ``random_bernoulli`` the
-coordinates where ``random(d) < p``, drawing again while none is kept.
+coordinates where ``random(d) < p`` (each column compared with p as drawn),
+drawing again while none is kept.
 ``_kernels.PairStreams`` computes those streams for a block of pairs at once,
 bit for bit; a test pins it to the installed numpy.  Each kind's rule is
 coded once, batched over pairs.  :func:`realize` only binds the spec to the
@@ -37,7 +38,8 @@ of given pairs, or of all C(n,2), a float block at a time (at most
 that passes over all C(n,2) pairs twice calls ``keep_bits``, which runs the
 rule once and keeps its masks as ``np.packbits`` bits, d/8 bytes a pair, and
 ``blocks`` rebuilds each float block from them as
-``where(unpack(bits), U_i - U_j, 0)``, so the rule does not run twice.  The
+``where(unpack(bits), U_i - U_j, 0)``, so the rule does not run twice; the
+certificate keeps them for the single-coordinate report.  The
 random kinds run the rule ``_DRAW_BLOCK`` pairs at a time, since each block
 seeds its streams at a fixed cost of a few milliseconds; ``top_t`` reads the
 differences, so it runs on float blocks.  ``pair_blocks`` enumerates the pairs
@@ -56,7 +58,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionError, InvalidPairError, NotSingleCoordinateError, PreconditionError
+from .errors import DimensionError, InvalidPairError, PreconditionError
 from .features import FeatureMatrix, check_int, check_int_array, check_real, read_only
 
 # parameters each kind takes, in to_dict order
@@ -276,7 +278,7 @@ class RealizedSelection:
             # random_bernoulli: redraw the empty rows until each keeps a coordinate
             rows = np.arange(npairs)[block]
             while rows.size:
-                draw = streams.random(d) < spec.p
+                draw = np.column_stack([streams.random(1)[:, 0] < spec.p for _ in range(d)])
                 keep[rows] = draw
                 empty = ~draw.any(axis=1)
                 rows, streams = rows[empty], streams.take(empty)
@@ -381,33 +383,6 @@ class RealizedSelection:
         as one table: C(n,2) x d floats.  The package's passes over all pairs
         read ``row_blocks()`` or ``blocks`` instead."""
         return self.rows(*all_pairs(self.features.n))
-
-    def single_coordinate(self) -> np.ndarray:
-        """Each pair's one selected coordinate, in lexicographic pair order.
-
-        Requires every realized subset to be a singleton; returns a read-only
-        int64 array of length C(n,2).  A kind whose subset size is fixed and
-        not 1 is refused from the spec, without realizing any pair; the others
-        run the rule on chunks of pairs, as ``row_blocks`` does.
-        """
-        spec, n = self.spec, self.features.n
-        size = {"full": self.features.d, "top_t": spec.t, "random_exactly_k": spec.k}.get(spec.kind)
-        if size not in (None, 1) and n >= 2:
-            raise NotSingleCoordinateError(f"pair (0, 1) selects {size} coordinates, need 1")
-        coords = np.empty(n * (n - 1) // 2, dtype=np.int64)
-        lo = 0
-        for ii, jj, keep in self._rule_chunks():
-            sizes = keep.sum(axis=1)
-            bad = np.flatnonzero(sizes != 1)
-            if bad.size:
-                r = bad[0]
-                raise NotSingleCoordinateError(
-                    f"pair ({ii[r]}, {jj[r]}) selects {sizes[r]} coordinates, need 1"
-                )
-            coords[lo : lo + ii.size] = keep.argmax(axis=1)
-            lo += ii.size
-        coords.setflags(write=False)
-        return coords
 
 
 def realize(spec: SelectionSpec, features: FeatureMatrix) -> RealizedSelection:

@@ -34,11 +34,11 @@ Two specializations put closed forms or bounds for lambda, eta and zeta into
 these same formulas: full selection on column-centered features (lambda is
 n * eigmin(U U^T) / C(n,2), and nu, beta and b* are closed forms in the
 centered features, so no pair table is built), and single-coordinate
-selection (bounds in terms of the coordinate partition sizes).  A threshold
-term too large for a float (b* past about 355) is infinite, like the terms
-of a non-identifiable instance: the bound then promises nothing.  Features
-are finite, so a non-finite lambda, eta, zeta, beta, nu or m1 can only come
-from a feature scale that overflows float64 in squares or fourth powers;
+selection (bounds in terms of the coordinate partition sizes, read from the
+general certificate and its keep bits).  A threshold term too large for a
+float (b* past about 355) is infinite, like the terms of a non-identifiable
+instance: the bound then promises nothing.  Features are finite, so a
+non-finite lambda, eta, zeta, beta, nu or m1 can only come from a feature scale that overflows float64 in squares or fourth powers;
 such a certificate raises ``PreconditionError`` instead, as does one whose
 certified lambda**2 leaves the normal float64 range (features of about
 1e-77 and below), where m2 would divide by zero or by digits already lost,
@@ -63,10 +63,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import _kernels
-from .errors import PreconditionError
+from .errors import NotSingleCoordinateError, PreconditionError
 from .features import FeatureMatrix, center_columns, check_int, check_real, check_weights
-from .ranking import utility_gaps
-from .selection import RealizedSelection, all_pairs
+from .selection import RealizedSelection, pair_blocks
 
 _SCALE_OVERFLOW = "feature scale overflows float64 in the certificate terms; rescale the features"
 _SCALE_UNDERFLOW = "feature scale underflows float64 in the certificate terms; rescale the features"
@@ -204,8 +203,9 @@ class _ErrorBound(_Report):
 
 @dataclass(frozen=True)
 class SampleComplexityReport(_ErrorBound):
-    """Certificate for an arbitrary selection function.  ``sel`` and the
-    read-only ``w_star`` it certifies are not in to_dict, == or repr."""
+    """Certificate for an arbitrary selection function.  ``sel``, the
+    read-only ``w_star`` it certifies and the packed keep masks ``bits``
+    (``sel.keep_bits()``, None for ``full``) are not in to_dict, == or repr."""
 
     lambda_: float
     eta: float
@@ -222,6 +222,7 @@ class SampleComplexityReport(_ErrorBound):
     error_bound_coefficient: float | None
     sel: RealizedSelection = field(compare=False, repr=False)
     w_star: np.ndarray | None = field(compare=False, repr=False)
+    bits: np.ndarray | None = field(compare=False, repr=False)
 
 
 @_finite_scale
@@ -278,6 +279,7 @@ def sample_complexity_report(
         error_bound_coefficient=coeff,
         sel=sel,
         w_star=w_star,
+        bits=bits,
     )
 
 
@@ -408,36 +410,48 @@ class SingleCoordinateBounds(_ErrorBound):
 
 
 @_finite_scale
-def single_coordinate_report(
-    sel: RealizedSelection,
-    w_star=None,
-    delta: float = 0.05,
-) -> SingleCoordinateBounds:
+def single_coordinate_report(certificate: SampleComplexityReport) -> SingleCoordinateBounds:
     """Certificate when |subset| = 1 for every pair.
 
-    The pairs partition by their selected coordinate; an empty part means the
-    corresponding weight coordinate is never observed, so the lower bound on
-    lambda degenerates to 0 and the thresholds to infinity (reported, not
-    raised).  ``m3`` is m2 with the bounds on lambda, eta and zeta in it.
-    Raises if any realized subset is not a singleton.
+    ``certificate`` is ``sample_complexity_report(sel, w_star, delta)``.  A
+    pair whose subset is {c} has ||x||_inf = |x_c| and <w*, x> = w*_c x_c, so
+    delta, beta and b* are the certificate's; each pair's c comes from its
+    keep bits, a pair block at a time.  The pairs partition by c; an empty
+    part means the corresponding weight coordinate is never observed, so the
+    lower bound on lambda degenerates to 0 and the thresholds to infinity
+    (reported, not raised).  ``m3`` is m2 with the bounds on lambda, eta and
+    zeta in it.  Raises if any realized subset is not a singleton, from the
+    spec alone when the kind fixes a subset size other than 1.
     """
-    delta = _check_delta(delta)
-    d, n = sel.features.d, sel.features.n
-    coords = sel.single_coordinate()
-    sizes = tuple(np.bincount(coords, minlength=d).tolist())
+    sel, d, n, bits = certificate.sel, certificate.d, certificate.n, certificate.bits
+    spec, U = sel.spec, sel.features.matrix
+    size = {"full": d, "top_t": spec.t, "random_exactly_k": spec.k}.get(spec.kind)
+    if size not in (None, 1):
+        raise NotSingleCoordinateError(f"pair (0, 1) selects {size} coordinates, need 1")
+    counts, epsilon, lo = np.zeros(d, dtype=np.int64), math.inf, 0
+    for ii, jj in pair_blocks(n, _kernels.block_rows(d)):
+        coords = np.zeros(ii.size, dtype=np.intp)  # full keeps no bits: d = 1
+        if bits is not None:
+            keep = np.unpackbits(bits[lo : lo + ii.size], axis=1, count=d)
+            ones = keep.sum(axis=1)
+            if (bad := np.flatnonzero(ones != 1)).size:
+                r = bad[0]
+                raise NotSingleCoordinateError(
+                    f"pair ({ii[r]}, {jj[r]}) selects {ones[r]} coordinates, need 1"
+                )
+            coords = keep.argmax(axis=1)
+        counts += np.bincount(coords, minlength=d)
+        epsilon = min(epsilon, float(np.abs(U[coords, ii] - U[coords, jj]).min()))
+        lo += ii.size
+    sizes = tuple(counts.tolist())
+    beta, b_star, delta = certificate.beta, certificate.b_star, certificate.delta
     npairs = n * (n - 1) // 2
-
-    # a pair's masked difference is zero off its one coordinate c: keep x_c
-    ii, jj = all_pairs(n)
-    x = sel.features.matrix[coords, ii] - sel.features.matrix[coords, jj]
-    epsilon, beta = float(np.abs(x).min()), float(np.abs(x).max())
 
     min_pk = min(sizes)
     max_pk = max(sizes)
     lambda_lower = epsilon**2 * min_pk / npairs
     zeta_upper = beta**2 + beta**2 * max_pk / npairs
     eta_upper = beta**4 / npairs * max(s + s**2 / npairs for s in sizes)
-    b_star = None if w_star is None else float(np.abs(check_weights(w_star, d)[coords] * x).max())
     m1, m3, coeff = _thresholds(
         lambda_lower, eta_upper, zeta_upper, beta, b_star, d, delta,
         epsilon > 0.0 and min_pk > 0,
@@ -514,8 +528,15 @@ def ranking_recovery_report(certificate: SampleComplexityReport, k: int) -> Rank
     if certificate.w_star is None:
         raise PreconditionError(_NO_TRUE_WEIGHTS)
 
-    alpha, M = utility_gaps(certificate.sel.features, certificate.w_star)
-    alpha_k = float(alpha[k - 1])
+    # alpha_k = utility_gaps(...)[0][k - 1], from the k smallest gaps kept over pair blocks
+    U = certificate.sel.features.matrix
+    utilities, smallest = U.T @ certificate.w_star, np.empty(0)
+    for ii, jj in pair_blocks(n, _kernels.FLOAT_BLOCK):
+        smallest = np.concatenate([smallest, np.abs(utilities[ii] - utilities[jj])])
+        if smallest.size > k:
+            smallest = np.partition(smallest, k - 1)[:k]
+    alpha_k = float(smallest.max())
+    M = float(np.max(np.linalg.norm(U, axis=0)))
     log4 = math.log(4.0 * d / certificate.delta)
     term3 = math.inf
     if alpha_k > 0.0 and certificate.identifiable:

@@ -183,7 +183,7 @@ def test_criterion_4_single_coordinate_bounds():
             fm = FeatureMatrix(gen.normal(size=(5, 20)))
             sel = realize(SelectionSpec.top_t(1), fm)
             direct = sample_complexity_report(sel)
-            bounds = single_coordinate_report(sel)
+            bounds = single_coordinate_report(direct)
             assert direct.lambda_ >= bounds.lambda_lower - 1e-10
             assert direct.zeta <= bounds.zeta_upper + 1e-8
             assert direct.eta <= bounds.eta_upper + 1e-8

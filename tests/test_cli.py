@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import hashlib
 import itertools
@@ -821,7 +822,7 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         # one task per (selection, seed): the m grid adds no worker
         for m_grid, seeds, want_at_8 in (([50], [0, 1, 2], 3), ([50, 60, 70], [0, 1], 2)):
             spec = {"d": 2, "n": 5, "selections": [{"kind": "full"}], "m_grid": m_grid,

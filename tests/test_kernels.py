@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from conftest import random_features, traced_peak
-from salientpref import FeatureMatrix, SelectionSpec, _kernels, realize
+from salientpref import FeatureMatrix, SelectionSpec, _kernels, realize, sample_complexity_report
 
 
 class TestScalarHelpers:
@@ -153,7 +153,11 @@ class TestZetaScan:
             spectrum = spectrum_of(X)
             solved_rows.clear()
             assert zeta_scan(spectrum, X) == zeta_every_row(spectrum, X)
-            assert 1 <= len(solved_rows) <= -(-X.shape[0] // 7)
+            # a root of exactly 0 (top_t(1), random_exactly_k(1)) may end the
+            # scan before any solve; every other kind solves at least once
+            lam, Q = spectrum
+            zero_root = lam[-1] == lam[-2] or not ((X @ Q)[:, -1] ** 2).all()
+            assert (0 if zero_root else 1) <= len(solved_rows) <= -(-X.shape[0] // 7)
 
     def test_later_blocks_solve_nothing_past_the_bound(self, rng, monkeypatch, solved_rows):
         # the smallest root is in the first block; every later row is far above it
@@ -226,6 +230,17 @@ class TestZetaScan:
         assert np.all(upper == gaps[-1]) and np.all(lower == 0.0)
         assert zeta_scan((lam, Q), X) == zeta_every_row((lam, Q), X)
         assert solved_rows == [30]
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_single_coordinate_certificate_solves_no_row(self, solved_rows, d):
+        # top_t(1) makes E[Z] diagonal: a pair off the top coordinate has
+        # z_d = 0, a root of exactly 0, so no secular equation is solved
+        fm = FeatureMatrix(np.random.default_rng(d).normal(size=(d, 40)))
+        sel = realize(SelectionSpec.top_t(1), fm)
+        zeta = sample_complexity_report(sel).zeta
+        assert solved_rows == []
+        X = sel.diff_table()
+        assert zeta == zeta_every_row(spectrum_of(X), X)
 
     def test_wide_table_solves_few_pairs(self, wide_table, solved_rows):
         spectrum = spectrum_of(wide_table)

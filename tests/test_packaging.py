@@ -106,7 +106,7 @@ PUBLIC_SIGNATURES = {
     "RealizedSelection": ("spec", "features"),
     "SampleComplexityReport": (
         "lambda_", "eta", "zeta", "beta", "b_star", "identifiable", "rank", "delta", "m1", "m2",
-        "d", "n", "error_bound_coefficient", "sel", "w_star",
+        "d", "n", "error_bound_coefficient", "sel", "w_star", "bits",
     ),
     "SelectionSpec": ("kind", "t", "k", "p", "seed"),
     "SingleCoordinateBounds": (
@@ -135,7 +135,7 @@ PUBLIC_SIGNATURES = {
     "realize": ("spec", "features"),
     "sample_comparisons": ("sel", "w_star", "m", "seed"),
     "sample_complexity_report": ("sel", "w_star", "delta"),
-    "single_coordinate_report": ("sel", "w_star", "delta"),
+    "single_coordinate_report": ("certificate",),
     "subset_kendall": ("full", "items"),
     "utility_gaps": ("features", "w_star"),
 }
@@ -197,6 +197,20 @@ def test_package_import_leaves_the_file_formats_unloaded():
     code = (
         "import sys, salientpref\n"
         "print(sorted({'salientpref.dataio', 'csv'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=os.environ
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only sweep with workers > 1 starts a pool; concurrent.futures also loads
+    # logging, which every other command would pay for
+    code = (
+        "import sys, salientpref.cli\n"
+        "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=os.environ

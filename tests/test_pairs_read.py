@@ -4,7 +4,7 @@ A spy on ``RealizedSelection._keep_mask``, the one rule every row comes
 from, records how many pairs each call asks for.  Fitting and scoring a
 dataset ask for its distinct pairs, sampling asks for the pairs it drew,
 and the certificate and the all-pairs probabilities realize all C(n,2)
-pairs once.
+pairs once; the single-coordinate report reads the certificate's keep bits.
 """
 
 import numpy as np
@@ -23,6 +23,7 @@ from salientpref import (
     realize,
     sample_comparisons,
 )
+from salientpref.dataio import save_features
 from salientpref.model import all_pair_probabilities, design_matrix
 from salientpref.selection import RealizedSelection
 
@@ -103,3 +104,23 @@ def test_simulate_and_theory_realize_every_pair_once(asked, tmp_path):
             "--out", str(tmp_path / "theory.json")]
     assert cli.main(argv) == 0
     assert asked == [n * (n - 1) // 2]
+
+
+@pytest.mark.parametrize(
+    "spec, d, asks",
+    [
+        ('{"kind":"top_t","t":1}', 4, [45]),
+        ('{"kind":"random_exactly_k","k":1,"seed":3}', 4, [45]),
+        ('{"kind":"random_bernoulli","p":0.3,"seed":3}', 4, [45]),
+        # full keeps no bits: each of the certificate's two passes runs the rule
+        ('{"kind":"full"}', 1, [45, 45]),
+    ],
+    ids=["top_t", "random_exactly_k", "random_bernoulli", "full"],
+)
+def test_theory_runs_the_rule_only_for_the_certificate(asked, tmp_path, spec, d, asks):
+    save_features(str(tmp_path / "features.csv"),
+                  FeatureMatrix(np.random.default_rng(6).normal(size=(d, 10))))
+    argv = ["theory", "--features", str(tmp_path / "features.csv"), "--selection", spec,
+            "--out", str(tmp_path / "theory.json")]
+    assert cli.main(argv) == 0
+    assert asked == asks

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import traced_peak
 from salientpref import (
     DimensionError,
     FeatureMatrix,
@@ -11,6 +12,8 @@ from salientpref import (
     NotSingleCoordinateError,
     SelectionSpec,
     realize,
+    sample_complexity_report,
+    single_coordinate_report,
 )
 from salientpref import _kernels, selection
 from salientpref.selection import RealizedSelection, all_pairs, pair_blocks, pair_index
@@ -323,26 +326,42 @@ class TestConcurrency:
                 sel.keep(ii[order], jj[order]),
                 sel.rows(ii[order], jj[order]),
                 sel.diff_table(),
-                sel.single_coordinate(),
+                sel.keep_bits(),
             )
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(read_all, range(8), timeout=60))
-        keep, rows, table, coords = results[0]
+        keep, rows, table, bits = results[0]
         np.testing.assert_array_equal(rows, table[order])
         for got in results:
-            for arr, want in zip(got, (keep, rows, table, coords)):
+            for arr, want in zip(got, (keep, rows, table, bits)):
                 np.testing.assert_array_equal(arr, want)
                 assert arr.flags.c_contiguous
                 assert not arr.flags.writeable
 
 
+def certified_coordinates(sel):
+    """The single-coordinate report of ``sel``'s certificate, and each pair's
+    one coordinate in lexicographic pair order, read from the certificate's
+    read-only keep bits; the report's partition sizes count them, and its
+    epsilon and beta are those of the one-table rows."""
+    cert = sample_complexity_report(sel)
+    report = single_coordinate_report(cert)
+    assert not cert.bits.flags.writeable
+    keep = np.unpackbits(cert.bits, axis=1, count=sel.features.d)
+    assert (keep.sum(axis=1) == 1).all()
+    coords = keep.argmax(axis=1)
+    assert report.partition_sizes == tuple(np.bincount(coords, minlength=sel.features.d))
+    # each row's one entry is its largest: epsilon is the smallest of them
+    magnitude = np.abs(sel.diff_table())
+    assert (report.epsilon, report.beta) == (magnitude.max(axis=1).min(), magnitude.max())
+    return report, coords
+
+
 def assert_single_coordinates(sel, expected):
-    """``single_coordinate()`` is ``expected``: read-only int64, one entry per
-    pair in lexicographic pair order."""
-    coords = sel.single_coordinate()
-    assert coords.dtype == np.int64
-    assert not coords.flags.writeable
+    """The certificate's pairs select the coordinates ``expected``, one entry
+    per pair in lexicographic pair order."""
+    _, coords = certified_coordinates(sel)
     np.testing.assert_array_equal(coords, np.asarray(expected, dtype=np.int64))
 
 
@@ -362,7 +381,7 @@ class TestPartition:
         fm = FeatureMatrix(rng.normal(size=(2, 4)))
         sel = realize(SelectionSpec.full(), fm)
         with pytest.raises(NotSingleCoordinateError):
-            sel.single_coordinate()
+            single_coordinate_report(sample_complexity_report(sel))
 
     @pytest.mark.parametrize(
         "spec, size",
@@ -377,21 +396,23 @@ class TestPartition:
         def rule_must_not_run(*args):
             raise AssertionError("the subset rule ran")
 
+        cert = sample_complexity_report(realize(spec, FeatureMatrix(rng.normal(size=(3, 5)))))
         monkeypatch.setattr(RealizedSelection, "_keep_mask", rule_must_not_run)
-        sel = realize(spec, FeatureMatrix(rng.normal(size=(3, 5))))
         with pytest.raises(
             NotSingleCoordinateError, match=rf"pair \(0, 1\) selects {size} coordinates, need 1"
         ):
-            sel.single_coordinate()
+            single_coordinate_report(cert)
 
     def test_blocks_name_the_first_non_singleton_pair(self, monkeypatch):
         # pairs 0..11 of 36 select one coordinate each, pair 12, (1, 6), three
         fm = FeatureMatrix(np.random.default_rng(9).normal(size=(3, 9)))
         sel = realize(SelectionSpec.random_bernoulli(0.2, seed=20), fm)
         monkeypatch.setattr(selection, "_DRAW_BLOCK", 5)
+        monkeypatch.setattr(_kernels, "FLOAT_BLOCK", 5 * 3)
+        cert = sample_complexity_report(sel)
         with pytest.raises(NotSingleCoordinateError,
                            match=r"pair \(1, 6\) selects 3 coordinates, need 1"):
-            sel.single_coordinate()
+            single_coordinate_report(cert)
 
     def test_blocks_give_the_one_table_coordinates(self, rng, monkeypatch):
         fm = FeatureMatrix(rng.normal(size=(4, 9)))
@@ -403,8 +424,8 @@ class TestPartition:
     def test_partition_is_disjoint_cover(self, rng):
         fm = FeatureMatrix(rng.normal(size=(4, 9)))
         sel = realize(SelectionSpec.random_exactly_k(1, seed=2), fm)
-        coords = sel.single_coordinate()
-        assert coords.shape == (36,)
+        report, coords = certified_coordinates(sel)
+        assert coords.shape == (36,) and sum(report.partition_sizes) == 36
         assert ((coords >= 0) & (coords < 4)).all()
         np.testing.assert_array_equal(sel.diff_table() != 0, np.eye(4, dtype=bool)[coords])
 
@@ -476,7 +497,7 @@ class TestAgainstOracle:
         subsets, _ = oracles.masked_diff_table(U, spec.to_dict())
         first = next(p for p, s in zip(self.PAIRS, subsets) if len(s) != 1)
         with pytest.raises(NotSingleCoordinateError, match=rf"pair \({first[0]}, {first[1]}\)"):
-            realize(spec, FeatureMatrix(U)).single_coordinate()
+            single_coordinate_report(sample_complexity_report(realize(spec, FeatureMatrix(U))))
 
 
 def assert_matches_numpy_rule(spec, n, d, order=()):
@@ -609,6 +630,15 @@ class TestKeepBits:
             np.testing.assert_array_equal(keep, sel.keep(*all_pairs(15)))
             # padding bits past d stay zero
             assert not np.unpackbits(bits, axis=1)[:, d:].any()
+
+    def test_bernoulli_draws_a_column_at_a_time(self):
+        # a redraw round that held its (4096, d) uniforms as floats traced
+        # 41.8 MB here; comparing each column with p as drawn holds a byte
+        fm = FeatureMatrix(np.random.default_rng(3).normal(size=(1000, 100)))
+        sel = realize(SelectionSpec.random_bernoulli(0.01, seed=4), fm)
+        bits, peak = traced_peak(sel.keep_bits)
+        assert bits.shape == (4950, 125)
+        assert peak <= 41.8e6 / 2
 
 
 class TestBlocks:

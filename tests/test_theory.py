@@ -17,6 +17,7 @@ from salientpref import (
     realize,
     sample_complexity_report,
     single_coordinate_report,
+    utility_gaps,
 )
 from salientpref import _kernels, selection
 from salientpref._kernels import sym_eigvals
@@ -266,7 +267,8 @@ class TestSampleComplexityReport:
         "report, spec",
         [(sample_complexity_report, SelectionSpec.full()),
          (full_selection_report, None),
-         (single_coordinate_report, SelectionSpec.top_t(1))],
+         (lambda sel, delta: single_coordinate_report(sample_complexity_report(sel, delta=delta)),
+          SelectionSpec.top_t(1))],
         ids=["sample_complexity", "full_selection", "single_coordinate"],
     )
     def test_delta_must_be_a_real_number(self, report, spec, delta):
@@ -422,14 +424,14 @@ class TestSingleCoordinateReport:
     def test_one_dimension_exact(self, rng):
         fm = FeatureMatrix(rng.normal(size=(1, 6)))
         sel = realize(SelectionSpec.top_t(1), fm)
-        rep = single_coordinate_report(sel)
+        rep = single_coordinate_report(sample_complexity_report(sel))
         assert rep.partition_sizes == (15,)
         assert rep.lambda_lower == pytest.approx(rep.epsilon**2, rel=1e-12)
 
     def test_partition_example(self):
         fm = fm_from_columns([0.0, 0.0], [1.0, 0.0], [1.0, 5.0])
         sel = realize(SelectionSpec.top_t(1), fm)
-        rep = single_coordinate_report(sel)
+        rep = single_coordinate_report(sample_complexity_report(sel))
         assert rep.partition_sizes == (1, 2)
 
     def test_lower_bound_below_direct_lambda(self, rng):
@@ -437,7 +439,7 @@ class TestSingleCoordinateReport:
             fm = FeatureMatrix(rng.normal(size=(5, 20)))
             sel = realize(SelectionSpec.top_t(1), fm)
             direct = sample_complexity_report(sel)
-            rep = single_coordinate_report(sel)
+            rep = single_coordinate_report(direct)
             assert direct.lambda_ >= rep.lambda_lower - 1e-10
             assert direct.zeta <= rep.zeta_upper + 1e-8
             assert direct.eta <= rep.eta_upper + 1e-8
@@ -446,12 +448,12 @@ class TestSingleCoordinateReport:
         fm = FeatureMatrix(rng.normal(size=(3, 5)))
         sel = realize(SelectionSpec.full(), fm)
         with pytest.raises(NotSingleCoordinateError):
-            single_coordinate_report(sel)
+            single_coordinate_report(sample_complexity_report(sel))
 
     def test_starved_coordinate_degenerates(self):
         fm = fm_from_columns([0.0, 5.0], [1.0, 5.0], [3.0, 5.0])
         sel = realize(SelectionSpec.top_t(1), fm)
-        rep = single_coordinate_report(sel)
+        rep = single_coordinate_report(sample_complexity_report(sel))
         assert rep.partition_sizes == (3, 0)
         assert rep.lambda_lower == 0.0
         assert math.isinf(rep.m3)
@@ -492,8 +494,8 @@ class TestThresholdOracle:
             infinite.append(math.isinf(want[1]))
             fm = FeatureMatrix(M)
             sel = realize(SelectionSpec.top_t(1), fm)
-            rep = single_coordinate_report(sel, w_star=w, delta=delta)
-            assert single_coordinate_report(sel, w, delta) == rep
+            rep = single_coordinate_report(sample_complexity_report(sel, w_star=w, delta=delta))
+            assert single_coordinate_report(sample_complexity_report(sel, w, delta)) == rep
             got = (rep.m1, rep.m3, rep.m_lower, rep.error_bound_coefficient)
             assert got == pytest.approx(want, rel=1e-12)
         assert infinite[0] and not all(infinite)
@@ -522,7 +524,12 @@ _RECOVERY_KEYS = [
     [
         (lambda fm, sel: sample_complexity_report(sel, w_star=np.ones(3)), _CERTIFICATE_KEYS),
         (lambda fm, sel: full_selection_report(fm, w_star=np.ones(3)), _FULL_KEYS),
-        (lambda fm, sel: single_coordinate_report(sel, w_star=np.ones(3)), _SINGLE_KEYS),
+        (
+            lambda fm, sel: single_coordinate_report(
+                sample_complexity_report(sel, w_star=np.ones(3))
+            ),
+            _SINGLE_KEYS,
+        ),
         (
             lambda fm, sel: ranking_recovery_report(
                 sample_complexity_report(sel, w_star=np.ones(3)), k=1
@@ -539,6 +546,20 @@ def test_report_schema(rng, build, keys):
     for key in ("partition_sizes", "m_terms"):
         if key in out:
             assert isinstance(out[key], list)
+
+
+def test_alpha_k_is_the_kth_sorted_gap(rng, monkeypatch):
+    # items 2 and 5 are identical: the smallest gap is a tie at 0
+    U = rng.normal(size=(3, 12))
+    U[:, 5] = U[:, 2]
+    fm, w = FeatureMatrix(U), rng.normal(size=3)
+    cert = sample_complexity_report(realize(SelectionSpec.top_t(2), fm), w_star=w)
+    gaps, M = utility_gaps(fm, w)
+    monkeypatch.setattr(_kernels, "FLOAT_BLOCK", 7)  # 66 pairs in 10 blocks
+    for k in (1, 2, gaps.size):
+        rep = ranking_recovery_report(cert, k)
+        assert rep.alpha_k == gaps[k - 1] and rep.M == M
+    assert ranking_recovery_report(cert, 1).alpha_k == 0.0
 
 
 def test_certificate_carries_its_instance(rng):
@@ -669,7 +690,9 @@ class TestHugeMargin:
 
     def test_single_coordinate(self, b):
         fm, w = self.line(b)
-        rep = single_coordinate_report(realize(SelectionSpec.top_t(1), fm), w_star=w)
+        rep = single_coordinate_report(
+            sample_complexity_report(realize(SelectionSpec.top_t(1), fm), w_star=w)
+        )
         assert rep.b_star == b and math.isfinite(rep.m_lower)
         assert math.isinf(rep.error_bound_coefficient)
 
@@ -703,7 +726,7 @@ class TestOverflowingScale:
     def test_single_coordinate(self, scale):
         fm = self.features(scale)
         with pytest.raises(PreconditionError, match="overflows float64"):
-            single_coordinate_report(realize(SelectionSpec.top_t(1), fm))
+            single_coordinate_report(sample_complexity_report(realize(SelectionSpec.top_t(1), fm)))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -723,7 +746,7 @@ def test_overflow_refused_before_eigendecomposition(monkeypatch):
     for certify in (
         lambda: sample_complexity_report(sel),
         lambda: full_selection_report(fm),
-        lambda: single_coordinate_report(sel),
+        lambda: single_coordinate_report(sample_complexity_report(sel)),
     ):
         with pytest.raises(PreconditionError, match="overflows float64"):
             certify()
