@@ -15,7 +15,6 @@ from .diagnostics import (
     InconsistencyReport,
     TransitivityReport,
     count_transitivity_violations,
-    model_transitivity_report,
     pairwise_inconsistency,
 )
 from .errors import (
@@ -35,8 +34,6 @@ from .model import (
     ComparisonDataset,
     all_pair_probabilities,
     nll,
-    nll_gradient,
-    nll_hessian,
     sample_comparisons,
 )
 from .ranking import (
@@ -46,7 +43,6 @@ from .ranking import (
     pairwise_accuracy,
     rank_from_weights,
     subset_kendall,
-    utility_gaps,
 )
 from .selection import RealizedSelection, SelectionSpec, realize
 from .theory import (
@@ -74,8 +70,6 @@ __all__ = [
     "all_pair_probabilities",
     "sample_comparisons",
     "nll",
-    "nll_gradient",
-    "nll_hessian",
     # estimator
     "FitResult",
     "fit",
@@ -86,12 +80,10 @@ __all__ = [
     "kendall_correlation",
     "pairwise_accuracy",
     "subset_kendall",
-    "utility_gaps",
     # diagnostics
     "TransitivityReport",
     "InconsistencyReport",
     "count_transitivity_violations",
-    "model_transitivity_report",
     "pairwise_inconsistency",
     # theory
     "SampleComplexityReport",

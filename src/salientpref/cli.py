@@ -11,7 +11,8 @@ opened again.  Exit codes: 0 success, 1 runtime failure, 2 usage error.
 All simulation randomness flows from the single ``--seed`` through numpy
 SeedSequence chains: [seed, 0] draws the features, [seed, 1] the true
 weights, [seed, 2] the comparisons; random selection functions draw each
-pair's subset from SeedSequence([spec_seed, i, j]).
+pair's subset from SeedSequence([spec_seed, i, j]), i < j the items' 0-based
+row positions in ``features.csv``, so reordering its rows moves the subsets.
 
 ``sweep`` runs one task per (selection, seed) instance.  A task simulates the
 instance, realizes its selection and computes the true ranking and the true
@@ -57,7 +58,8 @@ SEED_SCHEME = (
     "[seed,1] weights, [seed,2] comparisons as counts per pair (binomial "
     "splits of the pair index level by level, then the pair of each "
     "single-comparison node, then the wins per pair); random selections use "
-    "SeedSequence([spec_seed, i, j]) per pair"
+    "SeedSequence([spec_seed, i, j]) per pair, i < j the items' 0-based row "
+    "positions in features.csv"
 )
 
 
@@ -246,7 +248,10 @@ def cmd_diagnose(args) -> int:
     model_probs = None
     if args.comparisons:
         data = dataio.load_comparisons(args.comparisons, fm, min_count=args.min_count)
-        empirical = (data.pair_i, data.pair_j, data.wins / data.total)
+        # each rate rounded once, from its winner's count: 1 - rate is exact (Sterbenz)
+        wins, total = data.wins, data.total
+        rate = np.where(2 * wins >= total, wins / total, 1.0 - (total - wins) / total)
+        empirical = (data.pair_i, data.pair_j, rate)
         payload["empirical"] = diagnostics.count_transitivity_violations(*empirical).to_dict()
         inputs.append(args.comparisons)
     if args.weights:

@@ -2,9 +2,10 @@
 
 Both diagnostics read pairwise probabilities as three aligned 1-d arrays
 ``(pair_i, pair_j, prob)``: canonical pairs ``pair_i < pair_j``, each listed
-once, with ``prob`` = P(pair_i beats pair_j).  A dataset gives them as
-``data.pair_i, data.pair_j, data.wins / data.total``; a model gives them for
-every pair as ``all_pairs(n)`` and ``all_pair_probabilities``.
+once, with ``prob`` = P(pair_i beats pair_j) and ``1 - prob`` = P(pair_j
+beats pair_i).  A dataset gives ``data.pair_i, data.pair_j`` and each pair's
+win rate, rounded once from its winner's count (``cli.cmd_diagnose``); a
+model gives them for every pair as ``all_pairs(n)`` and ``all_pair_probabilities``.
 
 Strong stochastic transitivity demands that whenever P(i>j) > 1/2 and
 P(j>k) > 1/2, also P(i>k) >= max(P(i>j), P(j>k)); the moderate form asks
@@ -41,9 +42,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import DimensionError, PreconditionError
-from .model import all_pair_probabilities
 from .ranking import Ranking
-from .selection import RealizedSelection, all_pairs, check_pairs
+from .selection import check_pairs
 
 
 def _pair_arrays(pair_i, pair_j, *probs) -> list[np.ndarray]:
@@ -179,8 +179,8 @@ def count_transitivity_violations(pair_i, pair_j, prob) -> TransitivityReport:
     """Classify every triple whose three pairwise probabilities are present.
 
     ``prob[k]`` is P(pair_i[k] beats pair_j[k]) for canonical pairs, each
-    given once and in any order.  Missing pairs simply exclude their triples
-    from the scan.
+    given once and in any order, and ``1 - prob[k]`` is P(pair_j[k] beats
+    pair_i[k]).  Missing pairs simply exclude their triples from the scan.
     """
     i, j, probs = _pair_arrays(pair_i, pair_j, prob)
     # dense (P, present) over the items that occur, in increasing item order,
@@ -206,14 +206,6 @@ def count_transitivity_violations(pair_i, pair_j, prob) -> TransitivityReport:
         weak_violations=int(np.count_nonzero(keys & 1)),
         violations=ViolationRows(keys, items),
     )
-
-
-def model_transitivity_report(sel: RealizedSelection, w) -> TransitivityReport:
-    """Exact model probabilities for all pairs, scanned for violations."""
-    n = sel.features.n
-    if n < 3:
-        raise PreconditionError("transitivity needs at least 3 items")
-    return count_transitivity_violations(*all_pairs(n), all_pair_probabilities(sel, w))
 
 
 def _pair_tables(values: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -248,21 +248,10 @@ def check_ridge(mu, name: str = "ridge weight mu") -> float:
     return mu
 
 
-def _prepared(sel, w, data, mu):
+def nll(sel: RealizedSelection, w, data: ComparisonDataset, mu: float = 0.0) -> float:
+    """Ridge-regularized negative log-likelihood of ``w``."""
     mu = check_ridge(mu)
     w = check_weights(w, sel.features.d)
     X = design_matrix(sel, data)
-    return X, data.total.astype(np.float64), data.wins.astype(np.float64), w, mu
-
-
-def nll(sel: RealizedSelection, w, data: ComparisonDataset, mu: float = 0.0) -> float:
-    """Ridge-regularized negative log-likelihood of ``w``."""
-    return float(_kernels.nll_value(*_prepared(sel, w, data, mu)))
-
-
-def nll_gradient(sel: RealizedSelection, w, data: ComparisonDataset, mu: float = 0.0):
-    return _kernels.nll_grad(*_prepared(sel, w, data, mu))
-
-
-def nll_hessian(sel: RealizedSelection, w, data: ComparisonDataset, mu: float = 0.0):
-    return _kernels.nll_hess(*_prepared(sel, w, data, mu))
+    total, wins = data.total.astype(np.float64), data.wins.astype(np.float64)
+    return float(_kernels.nll_value(X, total, wins, w, mu))

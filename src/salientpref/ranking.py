@@ -1,4 +1,4 @@
-"""Rankings from utilities, Kendall tau metrics, and utility gap profiles.
+"""Rankings from utilities, Kendall tau metrics, and pairwise accuracy.
 
 A ranking assigns each item a position in 1..n (1 = best).  Items are ranked
 by their full-feature utility ``<w, U_i>`` in descending order; ties break
@@ -124,19 +124,3 @@ def subset_kendall(full: Ranking, items) -> float:
     induced = np.empty(k, dtype=np.int64)
     induced[np.argsort(pos, kind="stable")] = np.arange(1, k + 1)
     return kendall_correlation(Ranking(induced), Ranking(np.arange(1, k + 1)))
-
-
-def utility_gaps(features: FeatureMatrix, w_star) -> tuple[np.ndarray, float]:
-    """Sorted |utility difference| over all pairs, plus the largest item norm.
-
-    Returns the nondecreasing list of |<w*, U_i - U_j>| over the C(n, 2)
-    pairs and M = max_i ||U_i||_2.  The k-th smallest gap is the margin that
-    controls how many samples exact recovery of the top ranks needs.
-    """
-    w_star = check_weights(w_star, features.d)
-    U = features.matrix
-    utilities = U.T @ w_star
-    ii, jj = all_pairs(features.n)
-    gaps = np.sort(np.abs(utilities[ii] - utilities[jj]))
-    M = float(np.max(np.linalg.norm(U, axis=0)))
-    return gaps, M

@@ -4,7 +4,8 @@ A selection function maps each unordered item pair to a nonempty coordinate
 subset.  Four kinds are supported:
 
 ``full``
-    every coordinate, for every pair (the plain feature-utility model).
+    every coordinate, for every pair (the plain feature-utility model): no
+    rule runs, and its rows are the raw differences.
 ``top_t``
     the ``t`` coordinates where the two items differ most.  Ranking by the
     two-point sample variance ((a - mu)^2 + (b - mu)^2) / 2 with mu = (a+b)/2
@@ -17,20 +18,20 @@ subset.  Four kinds are supported:
     each coordinate kept independently with probability p; an all-empty draw
     is redrawn so the subset is never empty.
 
-Random subsets are drawn per pair from a stream seeded by ``(seed, i, j)``
-(canonical ``i < j``), so the realized map is a fixed deterministic function
-of (spec, features): the same pair always yields the same subset, across
-calls, process runs, and realization orders.  The stream is numpy's
-``default_rng(SeedSequence([seed, i, j]))`` (PCG64): ``random_exactly_k``
+Random subsets are drawn per pair from a stream seeded by ``(seed, i, j)``,
+``i < j`` the items' 0-based positions (their rows in ``features.csv``, so
+reordering the items moves the subsets).  The realized map is a fixed
+deterministic function of (spec, features): the same pair always yields the
+same subset across calls, process runs and realization orders.  The stream is
+numpy's ``default_rng(SeedSequence([seed, i, j]))`` (PCG64): ``random_exactly_k``
 keeps the first k entries of its ``permutation(d)``, ``random_bernoulli`` the
 coordinates where ``random(d) < p`` (each column compared with p as drawn),
 drawing again while none is kept.
 ``_kernels.PairStreams`` computes those streams for a block of pairs at once,
 bit for bit; a test pins it to the installed numpy.  Each kind's rule is
 coded once, batched over pairs.  :func:`realize` only binds the spec to the
-features; ``RealizedSelection.rows`` and ``keep`` run the rule on the pairs a
-reader asks for, so fitting and scoring a dataset reads its distinct pairs
-only.
+features; ``RealizedSelection.rows`` runs the rule on the pairs a reader asks
+for, so fitting and scoring a dataset reads its distinct pairs only.
 
 Readers of many pairs never hold their table.  ``row_blocks`` yields the rows
 of given pairs, or of all C(n,2), a float block at a time (at most
@@ -43,8 +44,7 @@ certificate keeps them for the single-coordinate report.  The
 random kinds run the rule ``_DRAW_BLOCK`` pairs at a time, since each block
 seeds its streams at a fixed cost of a few milliseconds; ``top_t`` reads the
 differences, so it runs on float blocks.  ``pair_blocks`` enumerates the pairs
-in index ranges without building anything C(n,2) long.  ``diff_table`` is
-the one-block form, every row at once.
+in index ranges without building anything C(n,2) long.
 """
 
 from __future__ import annotations
@@ -226,8 +226,8 @@ def check_canonical(ii: np.ndarray, jj: np.ndarray, n: int | None = None) -> Non
 class RealizedSelection:
     """A selection spec bound to a feature matrix; the constructor builds
     nothing, and the first read keeps one read-only copy of the features,
-    item by item.  ``keep`` and ``rows`` run the one subset rule,
-    ``_keep_mask``, on the pairs they are given.  A pair's subset depends on
+    item by item.  ``rows`` runs the one subset rule, ``_keep_mask``, on the
+    pairs it is given; ``full`` runs none.  A pair's subset depends on
     (spec, features, i, j) alone, so any order, subset or repetition of pairs
     reads the same rows, and readers share no other state."""
 
@@ -255,13 +255,11 @@ class RealizedSelection:
         """The subset rule: keep mask (len(ii), d) for canonical pairs (ii, jj).
 
         ``diffs`` holds their raw differences U_i - U_j, one row per pair;
-        ``top_t`` forms them when they are not given, the other kinds never
-        read them.
+        ``top_t`` forms them when they are not given, the random kinds never
+        read them; ``full`` has no rule.
         """
         spec = self.spec
         npairs, d = ii.size, self.features.d
-        if spec.kind == "full":
-            return np.ones((npairs, d), dtype=bool)
         keep = np.zeros((npairs, d), dtype=bool)
         if spec.kind == "top_t":
             magnitude = np.abs(self._diffs(ii, jj) if diffs is None else diffs)
@@ -294,26 +292,21 @@ class RealizedSelection:
 
     def _masked(self, ii, jj, keep=None) -> np.ndarray:
         """Fresh rows of int64 canonical pairs: U_i - U_j, zero off ``keep``,
-        the rule's mask when it is not given."""
+        the rule's mask when it is not given (none for ``full``)."""
         table = self._diffs(ii, jj)
+        if self.spec.kind == "full":
+            return table
         if keep is None:
             keep = self._keep_mask(ii, jj, table)
         return _kernels.zero_off(table, keep)
 
-    def keep(self, ii, jj) -> np.ndarray:
-        """Read-only bool mask (len(ii), d) of each pair's selected coordinates.
+    def rows(self, ii, jj) -> np.ndarray:
+        """Read-only, C-contiguous masked differences U_i - U_j, zero off each
+        pair's subset, shape (len(ii), d).
 
         ``ii``, ``jj``: equal-length 1-d integer arrays of canonical pairs
         ``0 <= i < j < n``, in any order, repeats allowed; else ``InvalidPairError``.
         """
-        ii, jj = check_pairs(ii, jj, canonical=True, n=self.features.n)
-        mask = self._keep_mask(ii, jj, None)
-        mask.setflags(write=False)
-        return mask
-
-    def rows(self, ii, jj) -> np.ndarray:
-        """Read-only, C-contiguous masked differences U_i - U_j, zero off each
-        pair's subset, shape (len(ii), d); the pairs are taken as by ``keep``."""
         table = self._masked(*check_pairs(ii, jj, canonical=True, n=self.features.n))
         table.setflags(write=False)
         return table
@@ -321,27 +314,29 @@ class RealizedSelection:
     def _rule_chunks(self, ii=None, jj=None):
         """``(ii, jj, keep)`` over consecutive chunks of ``_rule_rows()`` of
         the given int64 canonical pairs, or of all C(n,2) in lexicographic
-        order when none are given: the rule runs once per chunk."""
+        order when none are given: the rule runs once per chunk (``keep`` is
+        None for ``full``)."""
         rule = self._rule_rows()
         if ii is None:
             chunks = pair_blocks(self.features.n, rule)
         else:
             chunks = ((ii[lo : lo + rule], jj[lo : lo + rule]) for lo in range(0, ii.size, rule))
         for i, j in chunks:
-            yield i, j, self._keep_mask(i, j, None)
+            yield i, j, None if self.spec.kind == "full" else self._keep_mask(i, j, None)
 
     def row_blocks(self, ii=None, jj=None) -> Iterator[np.ndarray]:
-        """``rows(ii, jj)``, or ``diff_table()`` when no pairs are given, in
-        consecutive blocks of at most ``_kernels.FLOAT_BLOCK`` entries (one
-        row at least), in pair order.  A reader that passes over the pairs
-        once needs nothing else; the rule runs on each pair once."""
+        """``rows(ii, jj)``, or ``rows`` of all C(n,2) pairs when none are
+        given, in consecutive blocks of at most ``_kernels.FLOAT_BLOCK``
+        entries (one row at least), in pair order.  A reader that passes
+        over the pairs once needs nothing else; the rule runs on each pair
+        once."""
         if ii is not None:
             ii, jj = check_pairs(ii, jj, canonical=True, n=self.features.n)
         step = _kernels.block_rows(self.features.d)
         for i, j, keep in self._rule_chunks(ii, jj):
             for at in range(0, i.size, step):
                 rows = slice(at, at + step)
-                yield self._masked(i[rows], j[rows], keep[rows])
+                yield self._masked(i[rows], j[rows], None if keep is None else keep[rows])
 
     def keep_bits(self) -> np.ndarray | None:
         """The keep masks of all C(n,2) pairs in lexicographic order, each
@@ -361,9 +356,8 @@ class RealizedSelection:
         return bits
 
     def blocks(self, bits: np.ndarray | None) -> Iterator[np.ndarray]:
-        """``diff_table()`` in consecutive blocks of at most
-        ``_kernels.FLOAT_BLOCK`` entries (one row at least), each rebuilt from
-        ``bits``, the result of ``keep_bits()``; the rule does not run."""
+        """``row_blocks()``, each block rebuilt from ``bits``, the result of
+        ``keep_bits()``; the rule does not run."""
         n, d = self.features.n, self.features.d
         npairs, step = n * (n - 1) // 2, _kernels.block_rows(d)
         for lo in range(0, npairs, step):
@@ -377,12 +371,6 @@ class RealizedSelection:
         if bits is not None:
             keep = np.unpackbits(bits[lo:hi], axis=1, count=self.features.d).view(bool)
         return self._masked(*_pair_range(self.features.n, lo, hi), keep)
-
-    def diff_table(self) -> np.ndarray:
-        """``rows`` of all C(n,2) pairs in lexicographic order, built per call
-        as one table: C(n,2) x d floats.  The package's passes over all pairs
-        read ``row_blocks()`` or ``blocks`` instead."""
-        return self.rows(*all_pairs(self.features.n))
 
 
 def realize(spec: SelectionSpec, features: FeatureMatrix) -> RealizedSelection:

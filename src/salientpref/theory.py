@@ -528,7 +528,7 @@ def ranking_recovery_report(certificate: SampleComplexityReport, k: int) -> Rank
     if certificate.w_star is None:
         raise PreconditionError(_NO_TRUE_WEIGHTS)
 
-    # alpha_k = utility_gaps(...)[0][k - 1], from the k smallest gaps kept over pair blocks
+    # alpha_k, the k-th smallest |<w*, U_i - U_j>|, from the k smallest kept over pair blocks
     U = certificate.sel.features.matrix
     utilities, smallest = U.T @ certificate.w_star, np.empty(0)
     for ii, jj in pair_blocks(n, _kernels.FLOAT_BLOCK):

@@ -9,7 +9,17 @@ import numpy as np
 import pytest
 
 import salientpref
-from salientpref import FeatureMatrix, SelectionSpec, dataio, realize
+from salientpref import (
+    FeatureMatrix,
+    SelectionSpec,
+    all_pair_probabilities,
+    count_transitivity_violations,
+    dataio,
+    realize,
+)
+from salientpref import _kernels
+from salientpref.model import design_matrix
+from salientpref.selection import all_pairs
 
 # CLI tests run ``python -m salientpref.cli`` in child processes: let them
 # import the same package this process imported.
@@ -48,6 +58,33 @@ def make_instance(rng, d, n, spec=None):
     fm = random_features(rng, d, n)
     spec = spec or random_selection(rng, d)
     return fm, realize(spec, fm)
+
+
+def all_rows(sel):
+    """``sel.rows`` of all C(n,2) pairs in lexicographic order, as one table."""
+    return sel.rows(*all_pairs(sel.features.n))
+
+
+def model_report(sel, w):
+    """The transitivity report of the model, from the two calls ``diagnose
+    --weights`` makes: every pair's probability, then the triple scan."""
+    n = sel.features.n
+    return count_transitivity_violations(*all_pairs(n), all_pair_probabilities(sel, w))
+
+
+def _folds(sel, data):
+    """What ``fit`` hands its likelihood kernels: ``data``'s design and float counts."""
+    return design_matrix(sel, data), data.total.astype(np.float64), data.wins.astype(np.float64)
+
+
+def gradient(sel, w, data, mu=0.0):
+    """The likelihood's gradient at ``w``, by the kernel ``fit`` runs."""
+    return _kernels.nll_grad(*_folds(sel, data), np.asarray(w, dtype=np.float64), mu)
+
+
+def hessian(sel, w, data, mu=0.0):
+    """The likelihood's Hessian at ``w``, by the kernel ``fit`` runs."""
+    return _kernels.nll_hess(*_folds(sel, data), np.asarray(w, dtype=np.float64), mu)
 
 
 def count_lists(data):

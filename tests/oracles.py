@@ -238,14 +238,15 @@ def char_poly_eigvals_3x3(A):
 def transitivity_counts(probs):
     """Triple classification by direct enumeration over a pair->prob dict.
 
-    probs maps canonical (i, j), i < j, to P(i beats j).  Returns
-    (checked, strong, moderate, weak) counting each unordered triple at most
-    once via the first qualifying orientation in lexicographic order.
+    probs maps canonical (i, j), i < j, to P(i beats j), and P(j beats i) is
+    ``1 - P(i beats j)``, exact when the probabilities are ``Fraction``s.
+    Returns (checked, strong, moderate, weak) counting each unordered triple
+    at most once via the first qualifying orientation in lexicographic order.
     """
     items = sorted({x for pair in probs for x in pair})
 
     def p(x, y):
-        return probs[(x, y)] if x < y else 1.0 - probs[(y, x)]
+        return probs[(x, y)] if x < y else 1 - probs[(y, x)]
 
     def present(x, y):
         return ((x, y) in probs) if x < y else ((y, x) in probs)
@@ -283,7 +284,7 @@ def transitivity_rows(probs):
     """
 
     def p(x, y):
-        return probs[(x, y)] if x < y else 1.0 - probs[(y, x)]
+        return probs[(x, y)] if x < y else 1 - probs[(y, x)]
 
     rows = []
     items = sorted({x for pair in probs for x in pair})
@@ -296,6 +297,15 @@ def transitivity_rows(probs):
                     rows.append((x, y, z, p(x, z) < min(p(x, y), p(y, z)), p(x, z) < 0.5))
                 break
     return rows
+
+
+def utility_gaps(U, w_star):
+    """Sorted |<w*, U_i - U_j>| over all pairs i < j, one pair at a time,
+    and M = max_i ||U_i||_2, for features ``U`` with one column per item."""
+    U = np.asarray(U, dtype=np.float64)
+    utilities = (U.T @ w_star).tolist()
+    gaps = sorted(abs(a - b) for a, b in itertools.combinations(utilities, 2))
+    return np.array(gaps), float(np.max(np.linalg.norm(U, axis=0)))
 
 
 def inconsistent_pairs(p_map, q_map):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import gradient, hessian, model_report
 from salientpref import (
     FeatureMatrix,
     Ranking,
@@ -25,10 +26,7 @@ from salientpref import (
     full_selection_report,
     kendall_correlation,
     kendall_distance,
-    model_transitivity_report,
     nll,
-    nll_gradient,
-    nll_hessian,
     realize,
     sample_comparisons,
     sample_complexity_report,
@@ -91,15 +89,15 @@ def test_criterion_1_gradient_hessian_vs_finite_differences():
             w = gen.normal(size=d)
             mu = float(gen.uniform(0.0, 0.5))
 
-            got_g = nll_gradient(sel, w, data, mu)
+            got_g = gradient(sel, w, data, mu)
             want_g = oracles.fd_gradient(lambda v: nll(sel, v, data, mu), w)
             assert np.linalg.norm(got_g - want_g) <= 1e-5 * max(
                 1.0, np.linalg.norm(want_g)
             )
 
-            got_h = nll_hessian(sel, w, data, mu)
+            got_h = hessian(sel, w, data, mu)
             want_h = oracles.fd_hessian(
-                lambda v: nll_gradient(sel, v, data, mu), w
+                lambda v: gradient(sel, v, data, mu), w
             )
             assert np.linalg.norm(got_h - want_h) <= 1e-5 * max(
                 1.0, np.linalg.norm(want_h)
@@ -124,7 +122,7 @@ def test_criterion_2_transitivity_ground_truth():
         for _ in range(50):
             fm = FeatureMatrix(gen.normal(size=(5, 15)))
             sel = realize(SelectionSpec.full(), fm)
-            rep = model_transitivity_report(sel, gen.normal(size=5))
+            rep = model_report(sel, gen.normal(size=5))
             assert rep.strong_violations == 0
 
         # top-1 masking creates intransitive preferences for some seed
@@ -134,7 +132,7 @@ def test_criterion_2_transitivity_ground_truth():
             fm = FeatureMatrix(g.normal(0.0, 1.0 / np.sqrt(10), size=(10, 100)))
             w = g.normal(0.0, 1.0 / np.sqrt(10), size=10)
             sel = realize(SelectionSpec.top_t(1), fm)
-            if model_transitivity_report(sel, w).strong_violations > 0:
+            if model_report(sel, w).strong_violations > 0:
                 found = True
                 break
         assert found

@@ -9,6 +9,7 @@ import platform
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -501,6 +502,30 @@ class TestDiagnose:
         assert inconsistent > 10
         assert out.read_bytes() == oracles.json_text(oracle).encode()
         assert json.loads(out.read_text(encoding="utf-8")) == oracle
+
+    def test_empirical_counts_are_exact_on_ties(self, tmp_path):
+        # totals of at most 12 make many win rates equal as fractions; each
+        # must be equal as a float too, whichever item of its pair comes first
+        rng = np.random.default_rng(5)
+        n = 30
+        ids = [f"i{k:02d}" for k in range(n)]
+        save_features(str(tmp_path / "f.csv"), FeatureMatrix(np.zeros((1, n)), tuple(ids)))
+        rates, rows = {}, ["winner_id,loser_id,count"]
+        for i, j in itertools.combinations(range(n), 2):
+            total = int(rng.integers(1, 13))
+            wins = int(rng.integers(0, total + 1))
+            rates[(i, j)] = Fraction(wins, total)
+            rows += [f"{a},{b},{c}" for a, b, c in
+                     ((ids[i], ids[j], wins), (ids[j], ids[i], total - wins)) if c]
+        (tmp_path / "c.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "d.json"
+        argv = ["diagnose", "--features", str(tmp_path / "f.csv"),
+                "--comparisons", str(tmp_path / "c.csv"), "--out", str(out)]
+        assert cli.main(argv) == 0
+        got = read_json(str(out))["empirical"]
+        counts = tuple(got[k] for k in (
+            "triples_checked", "strong_violations", "moderate_violations", "weak_violations"))
+        assert counts == oracles.transitivity_counts(rates)
 
     def test_negative_min_count_is_usage_error(self, sim_dir, tmp_path):
         proc = run_cli(

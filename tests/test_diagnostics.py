@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import traced_peak, written
+from conftest import model_report, traced_peak, written
 from salientpref import (
     ComparisonDataset,
     DimensionError,
@@ -20,12 +20,11 @@ from salientpref import (
     TransitivityReport,
     all_pair_probabilities,
     count_transitivity_violations,
-    model_transitivity_report,
     pairwise_inconsistency,
     realize,
 )
-from salientpref import _kernels, dataio
-from salientpref.dataio import load_comparisons, write_json
+from salientpref import _kernels, cli, dataio
+from salientpref.dataio import load_comparisons, save_features, write_json
 from salientpref.diagnostics import ViolationRows
 
 
@@ -355,11 +354,14 @@ class TestListingMemory:
 
 
 class TestModelTransitivityReport:
+    """The model section of ``diagnose --weights``: ``all_pair_probabilities``
+    over ``all_pairs(n)``, scanned by ``count_transitivity_violations``."""
+
     def test_full_selection_never_violates(self, rng):
         for _ in range(10):
             fm = FeatureMatrix(rng.normal(size=(4, 8)))
             sel = realize(SelectionSpec.full(), fm)
-            report = model_transitivity_report(sel, rng.normal(size=4))
+            report = model_report(sel, rng.normal(size=4))
             assert report.strong_violations == 0
 
     def test_one_dimension_never_violates(self, rng):
@@ -369,7 +371,7 @@ class TestModelTransitivityReport:
         ):
             fm = FeatureMatrix(rng.normal(size=(1, 8)))
             sel = realize(spec, fm)
-            report = model_transitivity_report(sel, rng.normal(size=1))
+            report = model_report(sel, rng.normal(size=1))
             assert report.strong_violations == 0
 
     def test_aggressive_masking_violates(self):
@@ -380,7 +382,7 @@ class TestModelTransitivityReport:
             fm = FeatureMatrix(gen.normal(0.0, 1.0 / np.sqrt(10), size=(10, 30)))
             w = gen.normal(0.0, 1.0 / np.sqrt(10), size=10)
             sel = realize(SelectionSpec.top_t(1), fm)
-            if model_transitivity_report(sel, w).strong_violations > 0:
+            if model_report(sel, w).strong_violations > 0:
                 found = True
                 break
         assert found
@@ -392,7 +394,7 @@ class TestModelTransitivityReport:
             fm = FeatureMatrix(rng.normal(size=(d, n)))
             sel = realize(SelectionSpec.top_t(1), fm)
             w = rng.normal(size=d) * 3
-            fast = model_transitivity_report(sel, w)
+            fast = model_report(sel, w)
             probs = all_pair_probabilities(sel, w)
             ii, jj = np.triu_indices(n, k=1)
             pmap = {
@@ -410,16 +412,19 @@ class TestModelTransitivityReport:
                 fast.weak_violations,
             ) == oracles.transitivity_counts(pmap)
 
-    def test_needs_three_items(self, rng):
-        fm = FeatureMatrix(rng.normal(size=(2, 2)))
-        sel = realize(SelectionSpec.full(), fm)
-        with pytest.raises(PreconditionError):
-            model_transitivity_report(sel, np.zeros(2))
+    def test_needs_three_items(self, rng, tmp_path, capsys):
+        save_features(str(tmp_path / "f.csv"), FeatureMatrix(rng.normal(size=(2, 2))))
+        (tmp_path / "w.json").write_text('{"w": [0.0, 0.0]}', encoding="utf-8")
+        argv = ["diagnose", "--features", str(tmp_path / "f.csv"),
+                "--weights", str(tmp_path / "w.json"), "--selection", '{"kind":"full"}',
+                "--out", str(tmp_path / "d.json")]
+        assert cli.main(argv) == 1
+        assert "transitivity needs at least 3 items" in capsys.readouterr().err
 
     def test_rates(self, rng):
         fm = FeatureMatrix(rng.normal(size=(4, 8)))
         sel = realize(SelectionSpec.full(), fm)
-        report = model_transitivity_report(sel, rng.normal(size=4))
+        report = model_report(sel, rng.normal(size=4))
         assert report.rate("strong") == 0.0
         assert report.triples_checked > 0
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import count_lists, make_instance
+from conftest import all_rows, count_lists, make_instance
 from salientpref import _kernels, estimator
 from salientpref import (
     ComparisonDataset,
@@ -54,7 +54,7 @@ def separable_instance(seed):
     w = gen.normal(size=5)
     ii, jj = all_pairs(30)
     pick = np.sort(gen.choice(ii.size, 200, replace=False))
-    wins = sel.diff_table()[pick] @ w > 0
+    wins = all_rows(sel)[pick] @ w > 0
     records = [(int(a), int(b), int(y)) for a, b, y in zip(ii[pick], jj[pick], wins)]
     return fm, sel, ComparisonDataset.from_records(records, 30)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import random_features, traced_peak
+from conftest import all_rows, random_features, traced_peak
 from salientpref import FeatureMatrix, SelectionSpec, _kernels, realize, sample_complexity_report
 
 
@@ -109,7 +109,7 @@ def every_kind(d):
 def wide_table():
     # the certify_wide shape: d=48, n=120 (7,140 pairs), random_exactly_k(8)
     fm = FeatureMatrix(np.random.default_rng(7).normal(size=(48, 120)))
-    return realize(SelectionSpec.random_exactly_k(8, 8), fm).diff_table()
+    return all_rows(realize(SelectionSpec.random_exactly_k(8, 8), fm))
 
 
 @pytest.fixture
@@ -141,7 +141,7 @@ class TestZetaScan:
     @pytest.mark.parametrize("d", [1, 2, 5, 48])
     def test_bit_identical_to_every_row_every_kind(self, rng, d):
         for spec in every_kind(d):
-            X = realize(spec, random_features(rng, d, 40)).diff_table()
+            X = all_rows(realize(spec, random_features(rng, d, 40)))
             spectrum = spectrum_of(X)
             assert zeta_scan(spectrum, X) == zeta_every_row(spectrum, X)
 
@@ -149,7 +149,7 @@ class TestZetaScan:
     def test_bound_carries_across_blocks(self, rng, monkeypatch, solved_rows, d):
         monkeypatch.setattr(_kernels, "FLOAT_BLOCK", 7 * d)
         for spec in every_kind(d):
-            X = realize(spec, random_features(rng, d, 30)).diff_table()
+            X = all_rows(realize(spec, random_features(rng, d, 30)))
             spectrum = spectrum_of(X)
             solved_rows.clear()
             assert zeta_scan(spectrum, X) == zeta_every_row(spectrum, X)
@@ -239,7 +239,7 @@ class TestZetaScan:
         sel = realize(SelectionSpec.top_t(1), fm)
         zeta = sample_complexity_report(sel).zeta
         assert solved_rows == []
-        X = sel.diff_table()
+        X = all_rows(sel)
         assert zeta == zeta_every_row(spectrum_of(X), X)
 
     def test_wide_table_solves_few_pairs(self, wide_table, solved_rows):

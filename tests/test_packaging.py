@@ -2,7 +2,8 @@
 the public names the package lists all exist and match a pinned list, as do
 the parameters of its public callables, no public function takes both a
 selection and the features it was realized on, nor a certificate beside the
-instance it certifies, only ``features.py`` holds the scalar input rule, importing the package
+instance it certifies, every public function has a use in another module or
+in the README, only ``features.py`` holds the scalar input rule, importing the package
 leaves ``dataio`` unloaded, and the README example runs."""
 
 import ast
@@ -63,10 +64,10 @@ PUBLIC_NAMES = [
     "UndefinedMetricError", "UnknownItemError", "__version__", "all_pair_probabilities",
     "center_columns", "count_transitivity_violations", "fit",
     "full_selection_report", "kendall_correlation", "kendall_distance",
-    "model_transitivity_report", "nll", "nll_gradient", "nll_hessian", "pairwise_accuracy",
+    "nll", "pairwise_accuracy",
     "pairwise_inconsistency", "rank_from_weights", "ranking_recovery_report", "realize",
     "sample_comparisons", "sample_complexity_report", "single_coordinate_report",
-    "subset_kendall", "utility_gaps",
+    "subset_kendall",
 ]
 
 
@@ -124,10 +125,7 @@ PUBLIC_SIGNATURES = {
     "full_selection_report": ("features", "w_star", "delta"),
     "kendall_correlation": ("a", "b"),
     "kendall_distance": ("a", "b"),
-    "model_transitivity_report": ("sel", "w"),
     "nll": ("sel", "w", "data", "mu"),
-    "nll_gradient": ("sel", "w", "data", "mu"),
-    "nll_hessian": ("sel", "w", "data", "mu"),
     "pairwise_accuracy": ("sel", "w", "data"),
     "pairwise_inconsistency": ("pair_i", "pair_j", "prob", "reference"),
     "rank_from_weights": ("features", "w"),
@@ -137,7 +135,6 @@ PUBLIC_SIGNATURES = {
     "sample_complexity_report": ("sel", "w_star", "delta"),
     "single_coordinate_report": ("certificate",),
     "subset_kendall": ("full", "items"),
-    "utility_gaps": ("features", "w_star"),
 }
 
 
@@ -164,6 +161,49 @@ def test_no_public_callable_takes_a_certificate_beside_its_instance():
     assert both == []
 
 
+def readme_python() -> str:
+    """The README's one python block."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    assert len(blocks) == 1
+    return blocks[0]
+
+
+def called_names(source: str) -> set:
+    """The names called in ``source``, as ``f(...)`` or ``x.f(...)``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            names.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    return names
+
+
+def test_every_public_function_has_a_use():
+    # a public function that no other module calls and the README does not
+    # show is surface without a caller: use it, document it, or delete it
+    readme = called_names(readme_python())
+    unused = []
+    for name in salientpref.__all__:
+        obj = getattr(salientpref, name)
+        if not inspect.isfunction(obj) or name in readme:
+            continue
+        home = obj.__module__.rsplit(".", 1)[-1] + ".py"
+        if not any(name in called_names(path.read_text(encoding="utf-8"))
+                   for path in PACKAGE.glob("*.py") if path.name != home):
+            unused.append(name)
+    assert unused == []
+
+
+def relative_imports(module: str) -> set:
+    """The sibling modules ``module`` imports by relative import."""
+    siblings = set()
+    for node in ast.walk(ast.parse((PACKAGE / module).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            siblings.update([node.module] if node.module else [a.name for a in node.names])
+    return siblings
+
+
 def test_only_features_imports_numbers():
     # features.check_int and check_real are the one scalar input rule; another
     # module that imports numbers is on its way to a second copy of it
@@ -184,10 +224,14 @@ def test_only_features_imports_numbers():
 def test_theory_neither_samples_nor_fits():
     # theory computes certificates from the instance alone; sampling data and
     # fitting it against a certificate is the caller's business
-    siblings = set()
-    for node in ast.walk(ast.parse((PACKAGE / "theory.py").read_text(encoding="utf-8"))):
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            siblings.update([node.module] if node.module else [a.name for a in node.names])
+    siblings = relative_imports("theory.py")
+    assert not siblings & {"estimator", "model"}, sorted(siblings)
+
+
+def test_diagnostics_reads_probabilities_only():
+    # the diagnostics take pairwise probabilities as arrays; computing them
+    # from a model or a fit is the caller's business
+    siblings = relative_imports("diagnostics.py")
     assert not siblings & {"estimator", "model"}, sorted(siblings)
 
 
@@ -221,10 +265,7 @@ def test_cli_import_leaves_the_process_pool_unloaded():
 
 def test_readme_quick_start_runs():
     # conftest.py puts the imported package on PYTHONPATH for child processes
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
-    assert len(blocks) == 1
     proc = subprocess.run(
-        [sys.executable, "-c", blocks[0]], capture_output=True, text=True, env=os.environ
+        [sys.executable, "-c", readme_python()], capture_output=True, text=True, env=os.environ
     )
     assert proc.returncode == 0, proc.stderr

@@ -5,6 +5,7 @@ from, records how many pairs each call asks for.  Fitting and scoring a
 dataset ask for its distinct pairs, sampling asks for the pairs it drew,
 and the certificate and the all-pairs probabilities realize all C(n,2)
 pairs once; the single-coordinate report reads the certificate's keep bits.
+``full`` keeps every coordinate, so no read runs the rule for it.
 """
 
 import numpy as np
@@ -17,8 +18,6 @@ from salientpref import (
     cli,
     fit,
     nll,
-    nll_gradient,
-    nll_hessian,
     pairwise_accuracy,
     realize,
     sample_comparisons,
@@ -67,8 +66,6 @@ def test_dataset_stages_read_only_its_pairs(asked, spec):
         "design_matrix": lambda: design_matrix(sel, data),
         "fit": lambda: fit(sel, data),
         "nll": lambda: nll(sel, w, data),
-        "nll_gradient": lambda: nll_gradient(sel, w, data),
-        "nll_hessian": lambda: nll_hessian(sel, w, data),
         "pairwise_accuracy": lambda: pairwise_accuracy(sel, w, data),
     }
     for name, stage in stages.items():
@@ -112,8 +109,8 @@ def test_simulate_and_theory_realize_every_pair_once(asked, tmp_path):
         ('{"kind":"top_t","t":1}', 4, [45]),
         ('{"kind":"random_exactly_k","k":1,"seed":3}', 4, [45]),
         ('{"kind":"random_bernoulli","p":0.3,"seed":3}', 4, [45]),
-        # full keeps no bits: each of the certificate's two passes runs the rule
-        ('{"kind":"full"}', 1, [45, 45]),
+        # full keeps every coordinate: no rule runs for it
+        ('{"kind":"full"}', 1, []),
     ],
     ids=["top_t", "random_exactly_k", "random_bernoulli", "full"],
 )

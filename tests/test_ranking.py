@@ -18,9 +18,10 @@ from salientpref import (
     kendall_distance,
     pairwise_accuracy,
     rank_from_weights,
+    ranking_recovery_report,
     realize,
+    sample_complexity_report,
     subset_kendall,
-    utility_gaps,
 )
 
 
@@ -254,6 +255,14 @@ class TestPairwiseAccuracy:
         # zero weights give exactly 1/2 everywhere: nothing is eligible
         with pytest.raises(UndefinedMetricError):
             pairwise_accuracy(sel, np.zeros(1), data)
+
+
+def utility_gaps(fm, w_star):
+    """The sorted utility gaps and M, read from ``ranking_recovery_report``:
+    its ``alpha_k`` at every k of all C(n,2), and its ``M``."""
+    cert = sample_complexity_report(realize(SelectionSpec.full(), fm), w_star=w_star)
+    reports = [ranking_recovery_report(cert, k) for k in range(1, fm.n * (fm.n - 1) // 2 + 1)]
+    return np.array([rep.alpha_k for rep in reports]), reports[0].M
 
 
 class TestUtilityGaps:

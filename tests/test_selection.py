@@ -4,14 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import traced_peak
+from conftest import all_rows, traced_peak
 from salientpref import (
     DimensionError,
     FeatureMatrix,
     InvalidPairError,
     NotSingleCoordinateError,
     SelectionSpec,
+    fit,
     realize,
+    sample_comparisons,
     sample_complexity_report,
     single_coordinate_report,
 )
@@ -108,9 +110,18 @@ def pair_arrays(pairs):
     return ii, jj
 
 
+def keep_masks(sel, ii, jj):
+    """Each pair's bool keep mask, read from the packed bits of all pairs;
+    every coordinate for ``full``, which keeps no bits."""
+    d, bits = sel.features.d, sel.keep_bits()
+    if bits is None:
+        return np.ones((len(ii), d), dtype=bool)
+    return np.unpackbits(bits[pair_index(ii, jj, sel.features.n)], axis=1, count=d).view(bool)
+
+
 def subsets(sel, pairs):
-    """Each pair's selected coordinates, read from ``keep``."""
-    return [tuple(np.flatnonzero(row).tolist()) for row in sel.keep(*pair_arrays(pairs))]
+    """Each pair's selected coordinates, read from ``keep_masks``."""
+    return [tuple(np.flatnonzero(row).tolist()) for row in keep_masks(sel, *pair_arrays(pairs))]
 
 
 def subset(sel, i, j):
@@ -118,15 +129,13 @@ def subset(sel, i, j):
 
 
 def assert_reads_match_table(sel, order, reference=None):
-    """``rows`` and ``keep`` of the pairs listed by ``order`` (positions in
-    lexicographic pair order, in any order, possibly repeated) equal the
-    matching rows of ``diff_table()`` and of the all-pairs keep mask, read
-    from ``reference`` (``sel`` itself by default)."""
+    """``rows`` of the pairs listed by ``order`` (positions in lexicographic
+    pair order, in any order, possibly repeated) equal the matching rows of
+    all pairs, read from ``reference`` (``sel`` itself by default)."""
     reference = reference or sel
     ii, jj = all_pairs(sel.features.n)
     order = np.asarray(order, dtype=np.int64)
-    np.testing.assert_array_equal(sel.rows(ii[order], jj[order]), reference.diff_table()[order])
-    np.testing.assert_array_equal(sel.keep(ii[order], jj[order]), reference.keep(ii, jj)[order])
+    np.testing.assert_array_equal(sel.rows(ii[order], jj[order]), all_rows(reference)[order])
 
 
 class TestTopT:
@@ -151,7 +160,7 @@ class TestTopT:
         fm = fm_from_columns([1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [2.0, 2.0, 2.0])
         sel = realize(SelectionSpec.top_t(2), fm)
         assert subsets(sel, canonical_pairs(3)) == [(0, 1)] * 3
-        np.testing.assert_array_equal(sel.diff_table()[0], [1.0, 1.0, 0.0])
+        np.testing.assert_array_equal(all_rows(sel)[0], [1.0, 1.0, 0.0])
         assert_reads_match_table(sel, [2, 1, 0])
 
     def test_cardinality_always_t(self, rng):
@@ -191,6 +200,21 @@ class TestFull:
         sel = realize(SelectionSpec.full(), fm)
         assert subset(sel, 0, 2) == (0, 1, 2)
 
+    def test_reads_are_the_raw_differences_and_run_no_rule(self, rng, monkeypatch):
+        def rule_must_not_run(*args):
+            raise AssertionError("the subset rule ran for full")
+
+        monkeypatch.setattr(RealizedSelection, "_keep_mask", rule_must_not_run)
+        monkeypatch.setattr(_kernels, "FLOAT_BLOCK", 4 * 3)  # blocks of 4 pairs
+        U = rng.normal(size=(3, 9))
+        sel = realize(SelectionSpec.full(), FeatureMatrix(U))
+        ii, jj = all_pairs(9)
+        raw = (U[:, ii] - U[:, jj]).T.tobytes()
+        assert sel.rows(ii, jj).tobytes() == raw
+        for blocks in (sel.row_blocks(), sel.row_blocks(ii, jj), sel.blocks(None)):
+            assert np.concatenate(list(blocks)).tobytes() == raw
+        fit(sel, sample_comparisons(sel, rng.normal(size=3), 500, seed=1))
+
 
 class TestRandomKinds:
     def test_exactly_k_cardinality(self, rng):
@@ -228,21 +252,17 @@ class TestRealizedSelection:
         sel = realize(SelectionSpec.top_t(2), fm)
         flipped = realize(SelectionSpec.top_t(2), FeatureMatrix(fm.matrix[:, ::-1]))
         ii, jj = all_pairs(5)
-        np.testing.assert_array_equal(flipped.keep(4 - jj, 4 - ii), sel.keep(ii, jj))
+        np.testing.assert_array_equal(keep_masks(flipped, 4 - jj, 4 - ii), keep_masks(sel, ii, jj))
 
     def test_self_pair_rejected(self, rng):
         fm = FeatureMatrix(rng.normal(size=(2, 3)))
         sel = realize(SelectionSpec.full(), fm)
-        with pytest.raises(InvalidPairError):
-            sel.keep([1], [1])
         with pytest.raises(InvalidPairError):
             sel.rows([1], [1])
 
     def test_out_of_range_rejected(self, rng):
         fm = FeatureMatrix(rng.normal(size=(2, 3)))
         sel = realize(SelectionSpec.full(), fm)
-        with pytest.raises(InvalidPairError):
-            sel.keep([0], [3])
         with pytest.raises(InvalidPairError):
             sel.rows([0], [3])
 
@@ -260,7 +280,7 @@ class TestRealizedSelection:
     )
     def test_non_canonical_pairs_rejected(self, rng, ii, jj):
         sel = realize(SelectionSpec.top_t(1), FeatureMatrix(rng.normal(size=(2, 4))))
-        for read in (sel.rows, sel.keep):
+        for read in (sel.rows, lambda i, j: next(sel.row_blocks(i, j))):
             with pytest.raises(InvalidPairError):
                 read(np.asarray(ii), np.asarray(jj))
 
@@ -268,7 +288,6 @@ class TestRealizedSelection:
         sel = realize(SelectionSpec.random_exactly_k(1, seed=3), FeatureMatrix(rng.normal(size=(3, 4))))
         empty = np.array([], dtype=np.int64)
         assert sel.rows(empty, empty).shape == (0, 3)
-        assert sel.keep(empty, empty).shape == (0, 3)
 
     def test_diff_table_matches_per_pair(self, rng):
         fm = FeatureMatrix(rng.normal(size=(5, 7)))
@@ -279,7 +298,7 @@ class TestRealizedSelection:
             SelectionSpec.random_bernoulli(0.6, seed=4),
         ):
             sel = realize(spec, fm)
-            table = sel.diff_table()
+            table = all_rows(sel)
             for row, (i, j) in enumerate(canonical_pairs(7)):
                 np.testing.assert_array_equal(table[row], sel.rows([i], [j])[0])
 
@@ -323,18 +342,17 @@ class TestConcurrency:
 
         def read_all(_):
             return (
-                sel.keep(ii[order], jj[order]),
                 sel.rows(ii[order], jj[order]),
-                sel.diff_table(),
+                all_rows(sel),
                 sel.keep_bits(),
             )
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(read_all, range(8), timeout=60))
-        keep, rows, table, bits = results[0]
+        rows, table, bits = results[0]
         np.testing.assert_array_equal(rows, table[order])
         for got in results:
-            for arr, want in zip(got, (keep, rows, table, bits)):
+            for arr, want in zip(got, (rows, table, bits)):
                 np.testing.assert_array_equal(arr, want)
                 assert arr.flags.c_contiguous
                 assert not arr.flags.writeable
@@ -353,7 +371,7 @@ def certified_coordinates(sel):
     coords = keep.argmax(axis=1)
     assert report.partition_sizes == tuple(np.bincount(coords, minlength=sel.features.d))
     # each row's one entry is its largest: epsilon is the smallest of them
-    magnitude = np.abs(sel.diff_table())
+    magnitude = np.abs(all_rows(sel))
     assert (report.epsilon, report.beta) == (magnitude.max(axis=1).min(), magnitude.max())
     return report, coords
 
@@ -417,7 +435,7 @@ class TestPartition:
     def test_blocks_give_the_one_table_coordinates(self, rng, monkeypatch):
         fm = FeatureMatrix(rng.normal(size=(4, 9)))
         sel = realize(SelectionSpec.top_t(1), fm)
-        want = sel.keep(*all_pairs(9)).argmax(axis=1)
+        want = keep_masks(sel, *all_pairs(9)).argmax(axis=1)
         monkeypatch.setattr(_kernels, "FLOAT_BLOCK", 5 * 4)
         assert_single_coordinates(sel, want)
 
@@ -427,7 +445,7 @@ class TestPartition:
         report, coords = certified_coordinates(sel)
         assert coords.shape == (36,) and sum(report.partition_sizes) == 36
         assert ((coords >= 0) & (coords < 4)).all()
-        np.testing.assert_array_equal(sel.diff_table() != 0, np.eye(4, dtype=bool)[coords])
+        np.testing.assert_array_equal(all_rows(sel) != 0, np.eye(4, dtype=bool)[coords])
 
 
 def oracle_features(rng):
@@ -456,7 +474,7 @@ class TestAgainstOracle:
         U = oracle_features(rng)
         want, table = oracles.masked_diff_table(U, spec.to_dict())
         sel = realize(spec, FeatureMatrix(U))
-        np.testing.assert_array_equal(sel.diff_table(), table)
+        np.testing.assert_array_equal(all_rows(sel), table)
         assert subsets(sel, self.PAIRS) == want
         for (i, j), row in zip(self.PAIRS, table):
             np.testing.assert_array_equal(sel.rows([i], [j])[0], row)
@@ -506,7 +524,7 @@ def assert_matches_numpy_rule(spec, n, d, order=()):
     U = np.random.default_rng(n * 100 + d).normal(size=(d, n))
     want, table = oracles.masked_diff_table(U, spec.to_dict())
     sel = realize(spec, FeatureMatrix(U))
-    np.testing.assert_array_equal(sel.diff_table(), table)
+    np.testing.assert_array_equal(all_rows(sel), table)
     assert subsets(sel, canonical_pairs(n)) == want
     order = np.asarray(order, dtype=np.int64)
     pairs = [canonical_pairs(n)[k] for k in order]
@@ -626,8 +644,9 @@ class TestKeepBits:
                 continue
             assert bits.shape == (105, -(-d // 8)) and bits.dtype == np.uint8
             assert not bits.flags.writeable
-            keep = np.unpackbits(bits, axis=1, count=d).astype(bool)
-            np.testing.assert_array_equal(keep, sel.keep(*all_pairs(15)))
+            keep = np.unpackbits(bits, axis=1, count=d)
+            want, _ = oracles.masked_diff_table(fm.matrix, spec.to_dict())
+            assert [tuple(np.flatnonzero(row).tolist()) for row in keep] == want
             # padding bits past d stay zero
             assert not np.unpackbits(bits, axis=1)[:, d:].any()
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import traced_peak
+from conftest import all_rows, traced_peak
 from salientpref import (
     FeatureMatrix,
     NotSingleCoordinateError,
@@ -17,7 +17,6 @@ from salientpref import (
     realize,
     sample_complexity_report,
     single_coordinate_report,
-    utility_gaps,
 )
 from salientpref import _kernels, selection
 from salientpref._kernels import sym_eigvals
@@ -117,7 +116,7 @@ class TestIdentifiability:
         for scale in np.logspace(-4, -6, 21):
             fm = FeatureMatrix(M * [[1.0], [scale]])
             sel = realize(SelectionSpec.full(), fm)
-            EZ = oracles.expected_outer(sel.diff_table())
+            EZ = oracles.expected_outer(all_rows(sel))
             want = int(np.sum(np.linalg.eigvalsh(EZ) > 1e-10 * np.trace(EZ) / 2))
             assert sample_complexity_report(sel).rank == want
 
@@ -185,7 +184,7 @@ class TestSampleComplexityReport:
             for spec in (SelectionSpec.full(), SelectionSpec.top_t(1)):
                 sel = realize(spec, fm)
                 rep = sample_complexity_report(sel)
-                lam, eta, zeta, beta = oracles.certificate_quantities(sel.diff_table())
+                lam, eta, zeta, beta = oracles.certificate_quantities(all_rows(sel))
                 assert rep.lambda_ == pytest.approx(lam, abs=1e-10)
                 assert rep.eta == pytest.approx(eta, rel=1e-8, abs=1e-10)
                 assert rep.zeta == pytest.approx(zeta, rel=1e-8, abs=1e-10)
@@ -195,7 +194,7 @@ class TestSampleComplexityReport:
         fm = center_columns(FeatureMatrix(rng.normal(size=(4, 25))))
         sel = realize(SelectionSpec.full(), fm)
         rep = sample_complexity_report(sel)
-        lam, _, _, _ = oracles.certificate_quantities(sel.diff_table())
+        lam, _, _, _ = oracles.certificate_quantities(all_rows(sel))
         assert abs(rep.lambda_ - lam) <= 1e-10
 
     @pytest.mark.parametrize(
@@ -213,7 +212,7 @@ class TestSampleComplexityReport:
     def test_expectation_two_routes(self, rng):
         fm = FeatureMatrix(rng.normal(size=(4, 25)))
         sel = realize(SelectionSpec.full(), fm)
-        X = sel.diff_table()
+        X = all_rows(sel)
         incremental = X.T @ X / X.shape[0]
         explicit = oracles.expected_outer(X)
         np.testing.assert_allclose(incremental, explicit, atol=1e-12)
@@ -279,7 +278,7 @@ class TestSampleComplexityReport:
 
 
 def assert_zeta_matches_oracle(sel):
-    X = sel.diff_table()
+    X = all_rows(sel)
     want = oracles.certificate_quantities(X)[2]
     got = sample_complexity_report(sel).zeta
     # absolute slack only for a zeta at roundoff distance from zero
@@ -299,13 +298,13 @@ class TestZetaEdgeCases:
         # E[Z] = diag(16, 4) / 6; items 0, 1 differ along e2 only, so z_d = 0
         fm = fm_from_columns([0.0, 0.0], [0.0, 1.0], [2.0, 0.0], [2.0, 1.0])
         sel = realize(SelectionSpec.full(), fm)
-        X = sel.diff_table()
+        X = all_rows(sel)
         np.testing.assert_allclose(X.T @ X / X.shape[0], np.diag([16.0, 4.0]) / 6.0)
         assert_zeta_matches_oracle(sel)
 
     def test_repeated_top_eigenvalue(self):
         fm, sel = hexagon_instance()
-        eigs = np.linalg.eigvalsh(oracles.expected_outer(sel.diff_table()))
+        eigs = np.linalg.eigvalsh(oracles.expected_outer(all_rows(sel)))
         assert eigs[-1] - eigs[-2] <= 1e-12 * eigs[-1]
         assert_zeta_matches_oracle(sel)
 
@@ -316,7 +315,7 @@ class TestZetaEdgeCases:
         fm = FeatureMatrix(M)
         for spec in (SelectionSpec.full(), SelectionSpec.top_t(2)):
             sel = realize(spec, fm)
-            assert not np.abs(sel.diff_table()).sum(axis=1).all()
+            assert not np.abs(all_rows(sel)).sum(axis=1).all()
             assert_zeta_matches_oracle(sel)
 
     @pytest.mark.parametrize("scale", [1e-6, 1e6])
@@ -554,7 +553,7 @@ def test_alpha_k_is_the_kth_sorted_gap(rng, monkeypatch):
     U[:, 5] = U[:, 2]
     fm, w = FeatureMatrix(U), rng.normal(size=3)
     cert = sample_complexity_report(realize(SelectionSpec.top_t(2), fm), w_star=w)
-    gaps, M = utility_gaps(fm, w)
+    gaps, M = oracles.utility_gaps(fm.matrix, w)
     monkeypatch.setattr(_kernels, "FLOAT_BLOCK", 7)  # 66 pairs in 10 blocks
     for k in (1, 2, gaps.size):
         rep = ranking_recovery_report(cert, k)
