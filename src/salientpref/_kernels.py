@@ -286,9 +286,10 @@ class ZetaScan:
 #   strong violation    P[x, z] < max(P[x, y], P[y, z])
 #   moderate violation  P[x, z] < min(P[x, y], P[y, z])
 #   weak violation      P[x, z] < 1/2
-# The scan walks the present pairs u < v in lexicographic order.  Pair (a, b)
-# is followed in that list by the pairs (a, c), c > b, of the same row; each
-# such wedge is a candidate triple (a, b, c), so triples come out in
+# The caller hands the scan the present pairs u < v as int64 arrays (ui, uj),
+# distinct and in lexicographic order; no presence matrix is built.  Pair
+# (a, b) is followed in that list by the pairs (a, c), c > b, of the same row;
+# each such wedge is a candidate triple (a, b, c), so triples come out in
 # lexicographic order with no sort.  A pair's link code is
 # (P[u, v] > 1/2) + 2 (P[v, u] > 1/2): 0 no link, 1 u -> v, 2 v -> u, and
 # _ABSENT for a pair that is not present.  P must never put both directions
@@ -357,10 +358,9 @@ def _violation_keys(xyz, prob, n):
     return keys
 
 
-def transitivity_scan(P, present):
+def transitivity_scan(P, ui, uj):
     n = P.shape[0]
     prob = np.ravel(P)
-    ui, uj = np.nonzero(np.triu(present, 1))
     pair_code = (prob[ui * n + uj] > 0.5) + 2 * (prob[uj * n + ui] > 0.5)
     code = np.full(n * n, _ABSENT, dtype=np.int8)
     code[ui * n + uj] = pair_code

@@ -16,12 +16,12 @@ them, and these reports count how often.
 An unordered triple is checked once: of its six orientations (x, y, z), the
 first in lexicographic order whose two chained probabilities P(x>y) and
 P(y>z) strictly exceed 1/2 is classified.  Probabilities equal to exactly 1/2
-never qualify as a chain link.  The scan enumerates the sorted triples
-a < b < c whose three pairs are present, in lexicographic order, and finds each
-one's orientation by a single table lookup on the directions of its three
-links, so violating rows come out in listing order with no sort.  A
-triple that violates the weak form also violates the moderate and strong
-forms, so the three counters are nested.
+never qualify as a chain link.  The scan takes the given pairs, sorted, as
+its pair list, enumerates the triples a < b < c whose three pairs are listed,
+in lexicographic order, and finds each one's orientation by a single table
+lookup on the directions of its three links, so violating rows come out in
+listing order with no sort.  A triple that violates the weak form also
+violates the moderate and strong forms, so the three counters are nested.
 
 A report holds its listed rows as one int64 key each, 8 bytes per row, and
 reads its counts from the key bits.  ``ViolationRows`` decodes the keys into
@@ -183,8 +183,8 @@ def count_transitivity_violations(pair_i, pair_j, prob) -> TransitivityReport:
     pair_i[k]).  Missing pairs simply exclude their triples from the scan.
     """
     i, j, probs = _pair_arrays(pair_i, pair_j, prob)
-    # dense (P, present) over the items that occur, in increasing item order,
-    # so the scan enumerates and orients triples exactly as over item indices
+    # dense P over the items that occur, in increasing item order: the monotone
+    # remap keeps (a, b) lexicographic, so triples come out as over item indices
     items, idx = np.unique(np.concatenate([i, j]), return_inverse=True)
     if 4 * items.size**3 >= 2**63:
         raise PreconditionError(
@@ -192,11 +192,9 @@ def count_transitivity_violations(pair_i, pair_j, prob) -> TransitivityReport:
         )
     a, b = idx[: i.size], idx[i.size :]
     P = np.full((items.size, items.size), 0.5)
-    present = np.zeros((items.size, items.size), dtype=bool)
     P[a, b] = probs
     P[b, a] = 1.0 - probs
-    present[a, b] = present[b, a] = True
-    checked, keys = _kernels.transitivity_scan(P, present)
+    checked, keys = _kernels.transitivity_scan(P, a, b)
     keys.setflags(write=False)
     items.setflags(write=False)
     return TransitivityReport(

@@ -40,7 +40,7 @@ import numpy as np
 from . import _kernels
 from .errors import DimensionError, PreconditionError
 from .features import check_int, check_int_array, check_real, check_weights, read_only
-from .selection import RealizedSelection, check_canonical, check_pairs, pair_index
+from .selection import RealizedSelection, check_canonical, check_pairs, pairs_at
 
 
 # Largest count a pair may hold: float64 represents every integer up to it
@@ -232,10 +232,7 @@ def sample_comparisons(sel: RealizedSelection, w_star, m: int, seed: int) -> Com
     start, size, count = nodes.take(np.argsort(nodes[0]), axis=1)
     single = size > 1  # one comparison among several pairs
     start[single] += rng.integers(0, size[single])
-    items = np.arange(n)
-    starts = pair_index(items, items + 1, n)  # each item's first pair (i, i + 1)
-    ii = np.searchsorted(starts, start, side="right") - 1
-    jj = start - starts[ii] + ii + 1
+    ii, jj = pairs_at(start, n)
     probs = _kernels.sigmoid(_margins(sel.row_blocks(ii, jj), w_star, ii.size))
     return ComparisonDataset(ii, jj, rng.binomial(count, probs), count, n)
 

@@ -21,7 +21,7 @@ from . import _kernels
 from .errors import DimensionError, UndefinedMetricError
 from .features import FeatureMatrix, check_int_array, check_weights, read_only
 from .model import ComparisonDataset, design_matrix
-from .selection import RealizedSelection, all_pairs
+from .selection import RealizedSelection, pair_blocks
 
 
 @dataclass(frozen=True)
@@ -69,13 +69,14 @@ def rank_from_weights(features: FeatureMatrix, w) -> Ranking:
 
 
 def kendall_distance(a: Ranking, b: Ranking) -> int:
-    """Number of discordant pairs between two rankings of the same items."""
+    """Number of discordant pairs between two rankings, a pair block at a time."""
     if a.n != b.n:
         raise DimensionError(f"rankings have different sizes: {a.n} vs {b.n}")
-    ii, jj = all_pairs(a.n)
-    da = a.positions[ii] - a.positions[jj]
-    db = b.positions[ii] - b.positions[jj]
-    return int(np.count_nonzero(da * db < 0))
+    pa, pb = a.positions, b.positions
+    return sum(
+        int(np.count_nonzero((pa[ii] - pa[jj]) * (pb[ii] - pb[jj]) < 0))
+        for ii, jj in pair_blocks(a.n, _kernels.FLOAT_BLOCK)
+    )
 
 
 def kendall_correlation(a: Ranking, b: Ranking) -> float:

@@ -37,14 +37,15 @@ Readers of many pairs never hold their table.  ``row_blocks`` yields the rows
 of given pairs, or of all C(n,2), a float block at a time (at most
 ``_kernels.FLOAT_BLOCK`` entries), running the rule once per pair.  A reader
 that passes over all C(n,2) pairs twice calls ``keep_bits``, which runs the
-rule once and keeps its masks as ``np.packbits`` bits, d/8 bytes a pair, and
-``blocks`` rebuilds each float block from them as
-``where(unpack(bits), U_i - U_j, 0)``, so the rule does not run twice; the
-certificate keeps them for the single-coordinate report.  The
+rule once and keeps its masks as ``np.packbits`` bits, d/8 bytes a pair;
+``mask_blocks`` unpacks them a float block at a time beside the block's pairs,
+and ``blocks`` rebuilds each float block from those as
+``where(keep, U_i - U_j, 0)``, so the rule does not run twice.  The
 random kinds run the rule ``_DRAW_BLOCK`` pairs at a time, since each block
 seeds its streams at a fixed cost of a few milliseconds; ``top_t`` reads the
-differences, so it runs on float blocks.  ``pair_blocks`` enumerates the pairs
-in index ranges without building anything C(n,2) long.
+differences, so it runs on float blocks.  Only this module lays out pairs:
+``pairs_at`` decodes sorted flat pair indices, and ``pair_blocks`` enumerates
+index ranges through it without building anything C(n,2) long.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import starmap
 
 import numpy as np
 
@@ -173,14 +175,15 @@ def _pair_at(k: int, n: int) -> int:
     return n - 2 - (math.isqrt(4 * n * (n - 1) - 8 * k - 7) - 1) // 2
 
 
-def _pair_range(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """The int64 pairs with flat indices ``lo <= k < hi`` (hi <= C(n,2)); the
-    range's first item is decoded from ``lo`` in closed form."""
-    items = np.arange(_pair_at(lo, n), _pair_at(hi - 1, n) + 1)
+def pairs_at(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 pairs (i, j) at the flat indices ``k``, a nonempty, sorted
+    int64 array in [0, C(n,2)): one search of ``k`` among the first pairs of
+    the items it spans, the first and last decoded exactly by ``_pair_at``."""
+    first = _pair_at(int(k[0]), n)
+    items = np.arange(first, _pair_at(int(k[-1]), n) + 1)
     starts = pair_index(items, items + 1, n)
-    counts = np.minimum(starts + (n - 1 - items), hi) - np.maximum(starts, lo)
-    ii = np.repeat(items, counts)
-    return ii, np.arange(lo, hi) - starts.repeat(counts) + ii + 1
+    ii = np.searchsorted(starts, k, side="right") - 1 + first
+    return ii, k - starts[ii - first] + ii + 1
 
 
 def pair_blocks(n: int, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -188,7 +191,7 @@ def pair_blocks(n: int, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     so no array is longer than ``rows``."""
     npairs = n * (n - 1) // 2
     for lo in range(0, npairs, rows):
-        yield _pair_range(n, lo, min(lo + rows, npairs))
+        yield pairs_at(np.arange(lo, min(lo + rows, npairs)), n)
 
 
 def check_pairs(ii, jj, canonical: bool = False, n: int | None = None):
@@ -355,22 +358,23 @@ class RealizedSelection:
         bits.setflags(write=False)
         return bits
 
+    def mask_blocks(self, bits: np.ndarray | None) -> Iterator[tuple]:
+        """``(ii, jj, keep)`` over ``pair_blocks(n, block_rows(d))``: each
+        float block's pairs and their keep masks, unpacked from ``bits``, the
+        result of ``keep_bits()``; ``keep`` is None for ``full``."""
+        n, d = self.features.n, self.features.d
+        step = _kernels.block_rows(d)
+        pairs = pair_blocks(n, step)
+        for lo in range(0, n * (n - 1) // 2, step):
+            # one expression per block: nothing of it stays bound here between yields
+            yield *next(pairs), None if bits is None else np.unpackbits(
+                bits[lo : lo + step], axis=1, count=d
+            ).view(bool)
+
     def blocks(self, bits: np.ndarray | None) -> Iterator[np.ndarray]:
         """``row_blocks()``, each block rebuilt from ``bits``, the result of
         ``keep_bits()``; the rule does not run."""
-        n, d = self.features.n, self.features.d
-        npairs, step = n * (n - 1) // 2, _kernels.block_rows(d)
-        for lo in range(0, npairs, step):
-            # one call per block: nothing of it stays bound here between yields
-            yield self._block(lo, min(lo + step, npairs), bits)
-
-    def _block(self, lo: int, hi: int, bits) -> np.ndarray:
-        """The rows of the pairs with flat indices ``lo <= k < hi``, masked by
-        their packed ``bits`` (None for ``full``)."""
-        keep = None
-        if bits is not None:
-            keep = np.unpackbits(bits[lo:hi], axis=1, count=self.features.d).view(bool)
-        return self._masked(*_pair_range(self.features.n, lo, hi), keep)
+        return starmap(self._masked, self.mask_blocks(bits))
 
 
 def realize(spec: SelectionSpec, features: FeatureMatrix) -> RealizedSelection:

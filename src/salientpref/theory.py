@@ -416,23 +416,22 @@ def single_coordinate_report(certificate: SampleComplexityReport) -> SingleCoord
     ``certificate`` is ``sample_complexity_report(sel, w_star, delta)``.  A
     pair whose subset is {c} has ||x||_inf = |x_c| and <w*, x> = w*_c x_c, so
     delta, beta and b* are the certificate's; each pair's c comes from its
-    keep bits, a pair block at a time.  The pairs partition by c; an empty
-    part means the corresponding weight coordinate is never observed, so the
-    lower bound on lambda degenerates to 0 and the thresholds to infinity
-    (reported, not raised).  ``m3`` is m2 with the bounds on lambda, eta and
-    zeta in it.  Raises if any realized subset is not a singleton, from the
+    keep bits, unpacked a pair block at a time by ``sel.mask_blocks``.  The
+    pairs partition by c; an empty part means the corresponding weight
+    coordinate is never observed, so the lower bound on lambda degenerates to
+    0 and the thresholds to infinity (reported, not raised).  ``m3`` is m2
+    with the bounds on lambda, eta and zeta in it.  Raises if any realized subset is not a singleton, from the
     spec alone when the kind fixes a subset size other than 1.
     """
-    sel, d, n, bits = certificate.sel, certificate.d, certificate.n, certificate.bits
+    sel, d, n = certificate.sel, certificate.d, certificate.n
     spec, U = sel.spec, sel.features.matrix
     size = {"full": d, "top_t": spec.t, "random_exactly_k": spec.k}.get(spec.kind)
     if size not in (None, 1):
         raise NotSingleCoordinateError(f"pair (0, 1) selects {size} coordinates, need 1")
-    counts, epsilon, lo = np.zeros(d, dtype=np.int64), math.inf, 0
-    for ii, jj in pair_blocks(n, _kernels.block_rows(d)):
+    counts, epsilon = np.zeros(d, dtype=np.int64), math.inf
+    for ii, jj, keep in sel.mask_blocks(certificate.bits):
         coords = np.zeros(ii.size, dtype=np.intp)  # full keeps no bits: d = 1
-        if bits is not None:
-            keep = np.unpackbits(bits[lo : lo + ii.size], axis=1, count=d)
+        if keep is not None:
             ones = keep.sum(axis=1)
             if (bad := np.flatnonzero(ones != 1)).size:
                 r = bad[0]
@@ -442,7 +441,6 @@ def single_coordinate_report(certificate: SampleComplexityReport) -> SingleCoord
             coords = keep.argmax(axis=1)
         counts += np.bincount(coords, minlength=d)
         epsilon = min(epsilon, float(np.abs(U[coords, ii] - U[coords, jj]).min()))
-        lo += ii.size
     sizes = tuple(counts.tolist())
     beta, b_star, delta = certificate.beta, certificate.b_star, certificate.delta
     npairs = n * (n - 1) // 2

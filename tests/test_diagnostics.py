@@ -26,6 +26,7 @@ from salientpref import (
 from salientpref import _kernels, cli, dataio
 from salientpref.dataio import load_comparisons, save_features, write_json
 from salientpref.diagnostics import ViolationRows
+from salientpref.selection import pair_index
 
 
 def dataset(records, n):
@@ -317,7 +318,7 @@ class TestListingMemory:
         i, j, prob = dense_instance(0)
         P = np.full((100, 100), 0.5)
         P[i, j], P[j, i] = prob, 1.0 - prob
-        (_, keys), peak = traced_peak(_kernels.transitivity_scan, P, ~np.eye(100, dtype=bool))
+        (_, keys), peak = traced_peak(_kernels.transitivity_scan, P, i, j)
         assert keys.size == 121_248
         assert peak < 16 * keys.size + 0.6e6
 
@@ -351,6 +352,63 @@ class TestListingMemory:
                 assert written[name]["violating_triples"][r] == {
                     "moderate": m == 1, "strong": True, "triple": [x, y, z], "weak": w == 1
                 }
+
+
+class TestScanInvariants:
+    """Counts the scan must give whatever its layout: the cyclic-triad count
+    of a tournament, and the transitivity of a model whose pairs of a triple
+    share one subset."""
+
+    def test_tournament_weak_violations_are_its_cyclic_triads(self, rng):
+        # Kendall & Babington Smith (1940): a tournament with scores s_i holds
+        # C(n,3) - sum_i C(s_i, 2) cyclic triads; every triple has a chain
+        for n in range(3, 41):
+            i, j = np.triu_indices(n, k=1)
+            prob = rng.random(i.size)
+            prob[prob == 0.5] = 0.25  # every pair links one way
+            wins = prob > 0.5
+            scores = np.bincount(i[wins], minlength=n) + np.bincount(j[~wins], minlength=n)
+            report = count_transitivity_violations(i, j, prob)
+            assert report.triples_checked == math.comb(n, 3)
+            assert report.weak_violations == math.comb(n, 3) - sum(
+                math.comb(s, 2) for s in scores.tolist()
+            )
+
+    @staticmethod
+    def _instance(n, d=10):
+        gen = np.random.default_rng(n)
+        fm = FeatureMatrix(gen.normal(0.0, 1.0 / np.sqrt(d), size=(d, n)))
+        return fm, gen.normal(0.0, 1.0 / np.sqrt(d), size=d)
+
+    @pytest.mark.parametrize("n", [3, 50, 120])
+    def test_full_selection_model_violates_nothing(self, n):
+        # Bradley-Terry on <w, U_i>: P(x > z) exceeds both links of a chain
+        fm, w = self._instance(n)
+        report = model_report(realize(SelectionSpec.full(), fm), w)
+        assert report.triples_checked == math.comb(n, 3)
+        assert (report.strong_violations, report.moderate_violations,
+                report.weak_violations) == (0, 0, 0)
+
+    def test_no_violation_shares_one_mask_on_its_three_pairs(self):
+        # a triple whose three pairs keep the same coordinates is Bradley-Terry
+        # on those coordinates, so it cannot violate strong transitivity
+        n, d = 60, 10
+        fm, w = self._instance(n, d)
+        sel = realize(SelectionSpec.top_t(2), fm)
+        masks = np.unpackbits(sel.keep_bits(), axis=1, count=d)
+
+        def same_mask(x, y, z):
+            def mask(u, v):
+                return masks[pair_index(np.minimum(u, v), np.maximum(u, v), n)]
+            xy, yz, xz = mask(x, y), mask(y, z), mask(x, z)
+            return (xy == yz).all(axis=1) & (yz == xz).all(axis=1)
+
+        rows = np.asarray(model_report(sel, w).violations)
+        assert len(rows) > 0
+        assert not same_mask(rows[:, 0], rows[:, 1], rows[:, 2]).any()
+        # the relation is not vacuous: some triples do share one mask
+        triples = np.array(list(itertools.combinations(range(n), 3)))
+        assert same_mask(*triples.T).any()
 
 
 class TestModelTransitivityReport:

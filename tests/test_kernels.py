@@ -254,9 +254,15 @@ class TestZetaScan:
         assert peak <= 4 * wide_table.nbytes
 
 
+def present_pairs(present):
+    """The pairs u < v that the symmetric bool matrix ``present`` marks, in
+    lexicographic order: the pair list the scan takes."""
+    return np.nonzero(np.triu(present, 1))
+
+
 def scan_rows(P, present):
     """The scan's count and its keys decoded by ``unpack`` over item indices."""
-    checked, keys = _kernels.transitivity_scan(P, present)
+    checked, keys = _kernels.transitivity_scan(P, *present_pairs(present))
     assert keys.dtype == np.int64 and keys.ndim == 1
     return checked, _kernels.unpack(keys, P.shape[0])
 
@@ -396,11 +402,12 @@ class TestTransitivityScan:
         P, present = self._from_map(
             n, {(int(a), int(b)): float(q) for a, b, q in zip(ii[kept], jj[kept], probs[kept])}
         )
+        pairs = present_pairs(present)
         monkeypatch.setattr(_kernels, "_TRIPLE_BLOCK", n**3)
-        checked, keys = _kernels.transitivity_scan(P, present)
+        checked, keys = _kernels.transitivity_scan(P, *pairs)
         assert len(keys) > 0
         monkeypatch.setattr(_kernels, "_TRIPLE_BLOCK", block)
-        checked_blocked, keys_blocked = _kernels.transitivity_scan(P, present)
+        checked_blocked, keys_blocked = _kernels.transitivity_scan(P, *pairs)
         assert checked_blocked == checked
         np.testing.assert_array_equal(keys_blocked, keys)
 

@@ -19,7 +19,21 @@ were fixed before the tests first ran.
 2. Splitting each comparisons row ``(a, b, c)`` into ``(a, b, c1)`` and
    ``(a, b, c - c1)`` and shuffling the rows leaves every primary output
    byte-identical, since the loader sums the rows into the same counts.
+3. Permuting the feature columns, and the true weights with them, permutes
+   ``w_hat`` with the columns within 1e-12 max(1, ||w_hat||), and leaves the
+   numbers of ``theory.json`` equal at relative 1e-12 and the counts of the
+   ``empirical`` section of ``diagnose.json`` exactly equal.  Only top_t and
+   ``full`` are tested: the random kinds draw coordinate indices, so a
+   permuted column is drawn with another probability and the subsets do not
+   permute with the columns.
+6. Swapping winner and loser in every comparisons row negates ``w_hat``
+   within 1e-12 max(1, ||w_hat||) and leaves the counts of the ``empirical``
+   section of ``diagnose.json`` exactly equal: each rate becomes one minus
+   itself exactly, so P becomes its transpose and a reversed chain is
+   classified as the chain was.
 """
+
+import json
 
 import math
 
@@ -160,3 +174,58 @@ def test_splitting_and_shuffling_the_comparisons_rows(tmp_path, kind):
     pipeline(tmp_path / "b", sim / "features.csv", split_rows, spec, sim / "truth_weights.json")
     for name in OUTPUTS:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+def fitted_weights(where):
+    return np.array(read_json(str(where / "fit.json"))["w_hat"])
+
+
+@pytest.mark.parametrize("kind", ["top_t", "full"])
+def test_permuting_the_feature_columns(tmp_path, kind):
+    spec, sim = SPECS[kind], tmp_path / "sim"
+    simulate(sim, spec)
+    perm = np.random.default_rng(5).permutation(8)  # new column k is old column perm[k]
+    lines = (sim / "features.csv").read_text(encoding="utf-8").splitlines()
+    permuted = []
+    for line in lines:
+        item, *cells = line.split(",")
+        permuted.append(",".join([item, *(cells[k] for k in perm)]))
+    features = tmp_path / "permuted.csv"
+    features.write_text("\n".join(permuted) + "\n", encoding="utf-8")
+    truth = read_json(str(sim / "truth_weights.json"))
+    truth["w"] = [truth["w"][k] for k in perm]
+    weights = tmp_path / "permuted_weights.json"
+    weights.write_text(json.dumps(truth), encoding="utf-8")
+    pipeline(tmp_path / "a", sim / "features.csv", sim / "comparisons.csv", spec,
+             sim / "truth_weights.json")
+    pipeline(tmp_path / "b", features, sim / "comparisons.csv", spec, weights)
+    a, b = tmp_path / "a", tmp_path / "b"
+
+    w_a, w_b = fitted_weights(a), fitted_weights(b)
+    assert np.max(np.abs(w_a[perm] - w_b)) <= 1e-12 * max(1.0, np.linalg.norm(w_a))
+
+    assert_close_numbers(read_json(str(a / "theory.json")), read_json(str(b / "theory.json")))
+
+    d_a, d_b = read_json(str(a / "diagnose.json")), read_json(str(b / "diagnose.json"))
+    assert counts(d_a["empirical"]) == counts(d_b["empirical"])
+
+
+@pytest.mark.parametrize("kind", list(SPECS))
+def test_swapping_winner_and_loser(tmp_path, kind):
+    spec, sim = SPECS[kind], tmp_path / "sim"
+    simulate(sim, spec)
+    header, *rows = (sim / "comparisons.csv").read_text(encoding="utf-8").splitlines()
+    swapped = [",".join([loser, winner, count])
+               for winner, loser, count in (row.split(",") for row in rows)]
+    comparisons = tmp_path / "swapped.csv"
+    comparisons.write_text("\n".join([header, *swapped]) + "\n", encoding="utf-8")
+    truth = sim / "truth_weights.json"
+    pipeline(tmp_path / "a", sim / "features.csv", sim / "comparisons.csv", spec, truth)
+    pipeline(tmp_path / "b", sim / "features.csv", comparisons, spec, truth)
+    a, b = tmp_path / "a", tmp_path / "b"
+
+    w_a, w_b = fitted_weights(a), fitted_weights(b)
+    assert np.max(np.abs(w_a + w_b)) <= 1e-12 * max(1.0, np.linalg.norm(w_a))
+
+    d_a, d_b = read_json(str(a / "diagnose.json")), read_json(str(b / "diagnose.json"))
+    assert counts(d_a["empirical"]) == counts(d_b["empirical"])

@@ -3,7 +3,8 @@ the public names the package lists all exist and match a pinned list, as do
 the parameters of its public callables, no public function takes both a
 selection and the features it was realized on, nor a certificate beside the
 instance it certifies, every public function has a use in another module or
-in the README, only ``features.py`` holds the scalar input rule, importing the package
+in the README, only ``features.py`` holds the scalar input rule, only
+``selection.py`` lays out pairs and keep masks, importing the package
 leaves ``dataio`` unloaded, and the README example runs."""
 
 import ast
@@ -219,6 +220,24 @@ def test_only_features_imports_numbers():
             if any(module.split(".")[0] == "numbers" for module in modules):
                 importers.add(path.name)
     assert importers == {"features.py"}
+
+
+def test_only_selection_lays_out_pairs():
+    # selection decodes flat pair indices and packed keep masks; a module that
+    # calls one of these is on its way to a second copy of that layout
+    layout = {"triu", "triu_indices", "packbits", "unpackbits"}
+    callers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "np"
+                and node.func.attr in layout
+            ):
+                callers.add(path.name)
+    assert callers == {"selection.py"}
 
 
 def test_theory_neither_samples_nor_fits():

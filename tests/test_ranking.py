@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_instance
+from conftest import make_instance, traced_peak
 from salientpref import (
     ComparisonDataset,
     DimensionError,
@@ -23,6 +23,7 @@ from salientpref import (
     sample_complexity_report,
     subset_kendall,
 )
+from salientpref import _kernels
 
 
 def fm_from_columns(*cols):
@@ -155,6 +156,20 @@ class TestKendall:
             b = Ranking(rng.permutation(n) + 1)
             npairs = n * (n - 1) // 2
             assert kendall_correlation(a, b) == 1.0 - 2.0 * kendall_distance(a, b) / npairs
+
+    def test_blocks_of_pairs_count_every_pair_once(self, rng, monkeypatch):
+        # blocks of 7 pairs over 435: block edges fall inside item rows
+        monkeypatch.setattr(_kernels, "FLOAT_BLOCK", 7)
+        for _ in range(5):
+            pa, pb = rng.permutation(30) + 1, rng.permutation(30) + 1
+            want = oracles.kendall_distance_enum(pa.tolist(), pb.tolist())
+            assert kendall_distance(Ranking(pa), Ranking(pb)) == want
+
+    def test_memory_follows_a_block_of_pairs(self, rng):
+        # four C(n,2)-long int64 arrays traced 184 MB at n = 3000
+        a, b = Ranking(rng.permutation(3000) + 1), Ranking(rng.permutation(3000) + 1)
+        _, peak = traced_peak(kendall_distance, a, b)
+        assert peak < 8e6
 
 
 class TestSubsetKendall:

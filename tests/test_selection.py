@@ -18,7 +18,7 @@ from salientpref import (
     single_coordinate_report,
 )
 from salientpref import _kernels, selection
-from salientpref.selection import RealizedSelection, all_pairs, pair_blocks, pair_index
+from salientpref.selection import RealizedSelection, all_pairs, pair_blocks, pair_index, pairs_at
 
 
 def fm_from_columns(*cols):
@@ -622,6 +622,22 @@ class TestPairBlocks:
             lo += ii.size
         assert lo == n * (n - 1) // 2
 
+    def test_pairs_at_decodes_sorted_indices(self, rng):
+        for n in range(2, 41):
+            ii, jj = all_pairs(n)
+            for _ in range(5):
+                k = np.sort(rng.choice(ii.size, int(rng.integers(1, ii.size + 1)), replace=False))
+                got_i, got_j = pairs_at(k.astype(np.int64), n)
+                assert got_i.dtype == got_j.dtype == np.int64
+                np.testing.assert_array_equal(got_i, ii[k])
+                np.testing.assert_array_equal(got_j, jj[k])
+        # a few indices far apart at large n: the search spans only their items
+        n = 100_000
+        pairs = [(0, 1), (0, n - 1), (1, 2), (n // 2, n // 2 + 7), (n - 2, n - 1)]
+        k = np.array([pair_index(i, j, n) for i, j in pairs], dtype=np.int64)
+        got_i, got_j = pairs_at(k, n)
+        assert list(zip(got_i.tolist(), got_j.tolist())) == pairs
+
     def test_closed_form_decode_at_2_to_32_items(self):
         # the first item of a flat index near each row boundary, where a float
         # square root would round the wrong way
@@ -661,6 +677,27 @@ class TestKeepBits:
 
 
 class TestBlocks:
+    @pytest.mark.parametrize("d", [1, 7, 9])
+    def test_mask_blocks_unpack_the_bits_beside_their_pairs(self, rng, monkeypatch, d):
+        # float blocks of 4 pairs over 36: the masks and pairs stay aligned
+        monkeypatch.setattr(_kernels, "FLOAT_BLOCK", 4 * d)
+        fm = FeatureMatrix(rng.normal(size=(d, 9)))
+        pairs = list(pair_blocks(9, 4))
+        for spec in every_kind(d):
+            sel = realize(spec, fm)
+            want, _ = oracles.masked_diff_table(fm.matrix, spec.to_dict())
+            blocks = list(sel.mask_blocks(sel.keep_bits()))
+            assert len(blocks) == len(pairs) == 9
+            for at, ((ii, jj, keep), (want_i, want_j)) in enumerate(zip(blocks, pairs)):
+                np.testing.assert_array_equal(ii, want_i)
+                np.testing.assert_array_equal(jj, want_j)
+                if spec.kind == "full":
+                    assert keep is None
+                    continue
+                assert keep.dtype == bool and keep.shape == (4, d)
+                got = [tuple(np.flatnonzero(row).tolist()) for row in keep]
+                assert got == want[4 * at : 4 * at + 4]
+
     @pytest.mark.parametrize("d", [1, 5, 9])
     def test_blocks_and_row_blocks_rebuild_the_table(self, rng, monkeypatch, d):
         # blocks of 4 pairs, and rule blocks of 3, over 36 pairs
